@@ -21,8 +21,6 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Timed set-up blocks per child; the child reports the fastest.
-const SETUP_BLOCKS: usize = 3;
 /// What a statistic the run did not produce (never converged, no resilience
 /// section) reads as; it still has to repeat exactly.
 const NOT_MEASURED: i64 = -1;
@@ -42,24 +40,20 @@ fn first_seed(manifest: &ScenarioManifest) -> Result<u64, String> {
         .ok_or_else(|| "manifest declares no seed".to_string())
 }
 
-/// Seconds per `parse` + `build_simulator`: the fastest of [`SETUP_BLOCKS`]
-/// timed blocks of `repeats` each.
+/// Seconds per `parse` + `build_simulator`, over one timed block of
+/// `repeats`.
 fn setup_seconds(text: &str, repeats: u32) -> Result<f64, String> {
-    let mut fastest = f64::INFINITY;
-    for _ in 0..SETUP_BLOCKS {
-        let started = Instant::now();
-        for _ in 0..repeats {
-            let manifest = parse(black_box(text))?;
-            let seed = first_seed(&manifest)?;
-            black_box(build_simulator(&manifest, seed));
-        }
-        fastest = fastest.min(started.elapsed().as_secs_f64() / f64::from(repeats));
+    let started = Instant::now();
+    for _ in 0..repeats {
+        let manifest = parse(black_box(text))?;
+        let seed = first_seed(&manifest)?;
+        black_box(build_simulator(&manifest, seed));
     }
-    Ok(fastest)
+    Ok(started.elapsed().as_secs_f64() / f64::from(repeats))
 }
 
 /// The untraced run: set-up timing first, then manifest text in →
-/// `result.json` flushed and closed; the pace kernel before and after.
+/// `result.json` flushed and closed.
 pub fn run_untraced(
     manifest_path: &Path,
     result_path: &Path,
@@ -67,7 +61,6 @@ pub fn run_untraced(
 ) -> Result<Json, String> {
     let text = std::fs::read_to_string(manifest_path)
         .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-    let pace_before_s = probes::pace_seconds();
     let setup_s = setup_seconds(&text, repeats)?;
 
     let io_err = |e: std::io::Error| format!("cannot write {}: {e}", result_path.display());
@@ -80,13 +73,10 @@ pub fn run_untraced(
     drop(file);
     let wall_s = started.elapsed().as_secs_f64();
     let peak_rss_mb = procfs::peak_rss_mb();
-    let pace_after_s = probes::pace_seconds();
 
     Ok(Json::object()
         .with("wall_s", wall_s)
         .with("setup_s", setup_s)
-        .with("pace_before_s", pace_before_s)
-        .with("pace_after_s", pace_after_s)
         .with("peak_rss_mb", peak_rss_mb)
         .with("pass", outcome.pass))
 }
@@ -337,9 +327,6 @@ pub fn run_traced(
 ) -> Result<Json, String> {
     let text = std::fs::read_to_string(manifest_path)
         .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-    let pace_before_s = probes::pace_seconds();
-    let traced = traced_run(&text, result_path)?;
-    let pace_after_s = probes::pace_seconds();
     let TracedRun {
         manifest,
         seed,
@@ -350,7 +337,7 @@ pub fn run_traced(
         wall_s,
         cpu_s,
         ctx_switches,
-    } = traced;
+    } = traced_run(&text, result_path)?;
     std::fs::write(trace_path, tracer.to_json().compact())
         .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
 
@@ -477,14 +464,9 @@ pub fn run_traced(
         .with("proc.cpu_s", cpu_s)
         .with("proc.cpu_over_wall", cpu_s / wall_s)
         .with("proc.ctx_switches", ctx_switches)
-        .with("calib.kernel_s", kernel_s)
-        .with("calib.pace_s", (pace_before_s + pace_after_s) / 2.0);
+        .with("calib.kernel_s", kernel_s);
 
-    Ok(Json::object()
-        .with("wall_s", wall_s)
-        .with("pace_before_s", pace_before_s)
-        .with("pace_after_s", pace_after_s)
-        .with("layer", layer))
+    Ok(Json::object().with("wall_s", wall_s).with("layer", layer))
 }
 
 /// Print the child's record as the last line of stdout.

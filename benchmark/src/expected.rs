@@ -1,7 +1,8 @@
-//! `expected.json`: per workload and seed, the trace digest and the exact
-//! counters. A speed-up must leave every simulated statistic identical;
-//! this is where that is checked. The file is compiled in, so a run checks
-//! against the pins of the commit it was built from.
+//! `expected.json`: per workload, the trace digest and the exact counters
+//! of the full profile at the default seed. A speed-up must leave every
+//! simulated statistic identical; this is where that is checked. The file
+//! is compiled in, so a run checks against the pins of the commit it was
+//! built from.
 
 use crate::json::Json;
 use std::path::PathBuf;
@@ -21,6 +22,16 @@ impl Expected {
         Expected::parse(include_str!("../expected.json")).expect("expected.json is valid")
     }
 
+    /// Nothing pinned yet, for the seed the pins are taken at.
+    pub fn empty(seed: u64) -> Expected {
+        Expected(
+            Json::object()
+                .with("schema", 1i64)
+                .with("seed", seed)
+                .with("workloads", Json::object()),
+        )
+    }
+
     pub fn parse(text: &str) -> Result<Expected, String> {
         let doc = Json::parse(text)?;
         if doc.get("workloads").is_none() {
@@ -37,14 +48,14 @@ impl Expected {
         self.0.pretty()
     }
 
-    fn entry(&self, workload: &str, seed: u64) -> Option<&Json> {
-        self.0.at(&format!("workloads/{workload}/{seed}"))
+    /// The seed the pins hold for.
+    #[cfg(test)]
+    fn seed(&self) -> Option<i64> {
+        self.0.get("seed").and_then(Json::as_i64)
     }
 
-    /// Is anything pinned for this workload and seed?
-    #[cfg(test)]
-    fn pins(&self, workload: &str, seed: u64) -> bool {
-        self.entry(workload, seed).is_some()
+    fn entry(&self, workload: &str) -> Option<&Json> {
+        self.0.at(&format!("workloads/{workload}"))
     }
 
     /// Every way an observed run differs from its pin; empty when it
@@ -53,11 +64,10 @@ impl Expected {
     pub fn mismatches(
         &self,
         workload: &str,
-        seed: u64,
         digest: &str,
         counters: &[(String, Json)],
     ) -> Vec<String> {
-        let Some(entry) = self.entry(workload, seed) else {
+        let Some(entry) = self.entry(workload) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -79,8 +89,8 @@ impl Expected {
         out
     }
 
-    /// Pin (or re-pin) one workload and seed.
-    pub fn pin(&mut self, workload: &str, seed: u64, digest: &str, counters: &[(String, Json)]) {
+    /// Pin (or re-pin) one workload.
+    pub fn pin(&mut self, workload: &str, digest: &str, counters: &[(String, Json)]) {
         let mut pinned = Json::object();
         for (name, value) in counters {
             pinned.set(name, value.clone());
@@ -89,9 +99,7 @@ impl Expected {
             .with("digest", digest)
             .with("counters", pinned);
         let mut workloads = self.0.get("workloads").cloned().unwrap_or(Json::object());
-        let mut seeds = workloads.get(workload).cloned().unwrap_or(Json::object());
-        seeds.set(&seed.to_string(), entry);
-        workloads.set(workload, seeds);
+        workloads.set(workload, entry);
         self.0.set("workloads", workloads);
     }
 }
@@ -110,45 +118,39 @@ mod tests {
 
     #[test]
     fn pins_round_trip_through_the_file_and_catch_any_drift() {
-        let mut expected = Expected::parse("{\"schema\": 1, \"workloads\": {}}").unwrap();
-        assert!(!expected.pins("drift", 2010));
+        let mut expected = Expected::empty(2010);
         // nothing pinned: nothing to mismatch
-        assert!(expected
-            .mismatches("drift", 2010, "ab", &counters())
-            .is_empty());
+        assert!(expected.mismatches("drift", "ab", &counters()).is_empty());
 
-        expected.pin("drift", 2010, "abcd", &counters());
+        expected.pin("drift", "abcd", &counters());
         let reread = Expected::parse(&expected.render()).unwrap();
-        assert!(reread.pins("drift", 2010));
-        assert!(!reread.pins("drift", 2011));
-        assert!(reread
-            .mismatches("drift", 2010, "abcd", &counters())
-            .is_empty());
+        assert_eq!(reread.seed(), Some(2010));
+        assert!(reread.entry("drift").is_some());
+        assert!(reread.entry("metropolis").is_none());
+        assert!(reread.mismatches("drift", "abcd", &counters()).is_empty());
         // a subset of the counters is still a match
         assert!(reread
-            .mismatches("drift", 2010, "abcd", &counters()[..1])
+            .mismatches("drift", "abcd", &counters()[..1])
             .is_empty());
 
-        assert_eq!(
-            reread.mismatches("drift", 2010, "ffff", &counters()).len(),
-            1
-        );
+        assert_eq!(reread.mismatches("drift", "ffff", &counters()).len(), 1);
         let mut drifted = counters();
         drifted[0].1 = Json::Int(394_705);
         drifted.push(("engine.new_counter".to_string(), Json::Int(1)));
-        let found = reread.mismatches("drift", 2010, "abcd", &drifted);
+        let found = reread.mismatches("drift", "abcd", &drifted);
         assert_eq!(found.len(), 2, "{found:?}");
     }
 
     #[test]
     fn the_committed_file_pins_every_workload_at_the_default_seed() {
         let expected = Expected::embedded();
+        assert_eq!(
+            expected.seed(),
+            Some(crate::workload::DEFAULT_SEED as i64),
+            "the pins are for another seed"
+        );
         for w in &crate::workload::WORKLOADS {
-            assert!(
-                expected.pins(w.name, crate::workload::DEFAULT_SEED),
-                "{} is not pinned",
-                w.name
-            );
+            assert!(expected.entry(w.name).is_some(), "{} is not pinned", w.name);
         }
     }
 }

@@ -20,19 +20,14 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage:
-  grp-bench run [--seed N] [--reps K] [--quick] [--out FILE] [--update-expected]
-      every workload: K untraced runs (default 15), one traced run, the probes
+  grp-bench run [--seed N] [--quick] [--out FILE] [--update-expected]
+      every workload: the untraced runs, one traced run, the probes
   grp-bench compare OLD.json NEW.json
       deltas against the bounds, exact equality on counters; exit 1 outside them
   grp-bench selfcheck
       `run` twice, then `compare` the two
-  grp-bench manifest --workload NAME [--seed N] [--quick]
-      print the manifest a workload generates from a seed
   grp-bench --workload NAME --seed N --seconds S --trace 0|1
       one workload, one JSON object on the last line (the BENCHMARK.json contract)";
-
-/// Untraced repetitions per workload unless `--reps` says otherwise.
-const DEFAULT_REPS: usize = 15;
 
 /// `--flag value` pairs and bare words, in order.
 struct Args {
@@ -117,14 +112,6 @@ fn failed_runs(doc: &Json) -> i64 {
     doc.get("runs_failed").and_then(Json::as_i64).unwrap_or(-1)
 }
 
-fn named_workload(args: &Args) -> Result<&'static workload::Workload, String> {
-    let name = args.value("workload").ok_or("--workload is required")?;
-    workload::find(name).ok_or_else(|| {
-        let known: Vec<_> = workload::WORKLOADS.iter().map(|w| w.name).collect();
-        format!("unknown workload `{name}` (known: {})", known.join(", "))
-    })
-}
-
 /// `Ok(true)` when the command's verdict is good.
 fn dispatch(raw: &[String]) -> Result<bool, String> {
     match raw.first().map(String::as_str) {
@@ -142,11 +129,10 @@ fn dispatch(raw: &[String]) -> Result<bool, String> {
         }
         Some("run") => {
             let args = Args::parse(&raw[1..], &["quick", "update-expected"])?;
-            args.only(&["seed", "reps", "quick", "out", "update-expected"])?;
+            args.only(&["seed", "quick", "out", "update-expected"])?;
             let opts = Options {
                 seed: args.number("seed")?.unwrap_or(workload::DEFAULT_SEED),
                 quick: args.switch("quick"),
-                reps: args.number("reps")?.unwrap_or(DEFAULT_REPS).max(1),
             };
             let doc = bench::run_all(opts, args.switch("update-expected"))?;
             let out = args
@@ -168,7 +154,6 @@ fn dispatch(raw: &[String]) -> Result<bool, String> {
             let opts = Options {
                 seed: workload::DEFAULT_SEED,
                 quick: false,
-                reps: DEFAULT_REPS,
             };
             let mut docs = Vec::new();
             for name in ["selfcheck-a.json", "selfcheck-b.json"] {
@@ -178,20 +163,14 @@ fn dispatch(raw: &[String]) -> Result<bool, String> {
             }
             bench::compare(&docs[0], &docs[1])
         }
-        Some("manifest") => {
-            let args = Args::parse(&raw[1..], &["quick"])?;
-            args.only(&["workload", "seed", "quick"])?;
-            let seed = args.number("seed")?.unwrap_or(workload::DEFAULT_SEED);
-            print!(
-                "{}",
-                named_workload(&args)?.manifest(seed, args.switch("quick"))
-            );
-            Ok(true)
-        }
         Some(flag) if flag.starts_with("--") => {
             let args = Args::parse(raw, &[])?;
             args.only(&["workload", "seed", "seconds", "trace"])?;
-            let workload = named_workload(&args)?;
+            let name = args.value("workload").ok_or("--workload is required")?;
+            let workload = workload::find(name).ok_or_else(|| {
+                let known: Vec<_> = workload::WORKLOADS.iter().map(|w| w.name).collect();
+                format!("unknown workload `{name}` (known: {})", known.join(", "))
+            })?;
             let traced = match args.required::<u8>("trace")? {
                 0 => false,
                 1 => true,
@@ -209,11 +188,43 @@ fn dispatch(raw: &[String]) -> Result<bool, String> {
     }
 }
 
+/// The commands that measure run on one CPU: this program, its children and
+/// the pace kernel, one after the other on the same core. With more than one
+/// CPU the engine hands every event bucket to freshly spawned worker
+/// threads, and on a few cores of a shared host that measures the host's
+/// scheduler (README, Noise). Starts this program again under `taskset` and
+/// returns how that ended; `None` when there is nothing to do.
+fn on_one_cpu(raw: &[String]) -> Result<Option<ExitCode>, String> {
+    let measures = match raw.first().map(String::as_str) {
+        Some("run" | "selfcheck") => true,
+        Some(first) => first.starts_with("--"),
+        None => false,
+    };
+    if !measures || std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+        return Ok(None);
+    }
+    let cpu = procfs::last_allowed_cpu().ok_or("cannot read the CPUs this process may use")?;
+    let exe = std::env::current_exe().map_err(|e| format!("cannot find this program: {e}"))?;
+    let status = std::process::Command::new("taskset")
+        .arg("-c")
+        .arg(cpu.to_string())
+        .arg(exe)
+        .args(raw)
+        .status()
+        .map_err(|e| format!("cannot start taskset, which pins the measurement to one CPU: {e}"))?;
+    // a child ended by a signal has no code: report it as an error of ours
+    Ok(Some(ExitCode::from(status.code().map_or(2, |c| c as u8))))
+}
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&raw) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
+    let ended = on_one_cpu(&raw).and_then(|pinned| match pinned {
+        Some(code) => Ok(code),
+        // exit code 1 when the command's verdict is bad
+        None => dispatch(&raw).map(|good| ExitCode::from(u8::from(!good))),
+    });
+    match ended {
+        Ok(code) => code,
         Err(message) => {
             eprintln!("{message}");
             ExitCode::from(2)

@@ -1,7 +1,8 @@
 //! Layer probes: timing loops over the layers' public, trait-level entry
 //! points, run in the traced child after the traced run. They answer "what
 //! does one call cost here" — the traced run's exact call counts turn that
-//! into a share of the run.
+//! into a share of the run. The pace kernel at the end is the one piece the
+//! parent runs.
 
 use crate::api::{
     Bernoulli, ChaCha8Rng, ChannelModel, Contention, ContentionConfig, Graph, GrpNode, LinkEnv,
@@ -216,35 +217,33 @@ pub fn calibration() -> (f64, f64) {
     (kernel_s, (BLOCK * BLOCKS) as f64 / 1e6 / sha_s)
 }
 
-/// The pace kernel: ordered-map churn (40 k keyed pushes, 200 k lookups),
-/// ~30 ms — memory-bound and allocation-heavy like the simulator, and fixed
-/// code of this package. The box's slow phases stretch it as they stretch a
-/// run (r = 0.76 run by run on `concourse`), which a register-bound kernel
-/// does not do; timed right before and after a run it says how fast the
-/// box was going. Returns the faster of two passes, in seconds.
-pub fn pace_seconds() -> f64 {
-    let pass = || {
-        let started = Instant::now();
-        let mut map: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = || {
-            // xorshift64
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % 20_000
-        };
-        for _ in 0..40_000 {
-            let key = next();
-            map.entry(key).or_default().push(key);
-        }
-        let mut found = 0u64;
-        for _ in 0..200_000 {
-            found += map.get(&next()).map_or(0, |v| v.len() as u64);
-        }
-        black_box(found);
-        drop(map);
-        started.elapsed().as_secs_f64()
+/// One pass of the pace kernel, in seconds: ordered-map churn (40 k keyed
+/// pushes, 200 k lookups), ~24 ms — memory-bound and allocation-heavy like
+/// the simulator, and fixed code of this package. The box's slow phases
+/// stretch it as they stretch a run, which a register-bound kernel does not
+/// do. The parent runs it, never the child, so that nothing the program
+/// under test does to its own heap can move the reading (`bench::Session`
+/// says when).
+pub fn pace_pass() -> f64 {
+    let started = Instant::now();
+    let mut map: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = || {
+        // xorshift64
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x % 20_000
     };
-    pass().min(pass())
+    for _ in 0..40_000 {
+        let key = next();
+        map.entry(key).or_default().push(key);
+    }
+    let mut found = 0u64;
+    for _ in 0..200_000 {
+        found += map.get(&next()).map_or(0, |v| v.len() as u64);
+    }
+    black_box(found);
+    drop(map);
+    started.elapsed().as_secs_f64()
 }

@@ -34,6 +34,19 @@ pub fn cpu_seconds() -> Option<f64> {
     Some((utime + stime) as f64 / TICKS_PER_SECOND)
 }
 
+/// The highest-numbered CPU this process may run on, from
+/// `Cpus_allowed_list` (`0-1`, `0,2-5`).
+pub fn last_allowed_cpu() -> Option<u32> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("Cpus_allowed_list:"))?;
+    line.rsplit(|c: char| !c.is_ascii_digit())
+        .find(|part| !part.is_empty())?
+        .parse()
+        .ok()
+}
+
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
@@ -43,5 +56,6 @@ mod tests {
         assert!(peak_rss_mb().unwrap() > 0.5);
         assert!(ctx_switches().is_some());
         assert!(cpu_seconds().unwrap() >= 0.0);
+        assert!(last_allowed_cpu().is_some());
     }
 }

@@ -1,14 +1,11 @@
-//! The one summary every repeated measurement is reported as: fastest,
-//! lower quartile, median and slowest, with the sample count.
+//! The one summary every repeated measurement is reported as: median,
+//! fastest and slowest, with the sample count.
 
 use crate::json::Json;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     pub min: f64,
-    /// The lower-quartile order statistic: the value a quarter of the way up
-    /// the sorted sample (the fastest of up to four, the second of five…).
-    pub q1: f64,
     pub median: f64,
     pub max: f64,
     pub n: usize,
@@ -31,21 +28,18 @@ impl Summary {
         };
         Some(Summary {
             min: sorted[0],
-            q1: sorted[(n - 1) / 4],
             median,
             max: sorted[n - 1],
             n,
         })
     }
 
-    /// `value` is the figure the metric is reported and compared as.
-    pub fn to_json(self, value: f64, unit: &str) -> Json {
+    /// The median is the figure a metric is reported and compared as.
+    pub fn to_json(self, unit: &str) -> Json {
         Json::object()
-            .with("value", value)
+            .with("value", self.median)
             .with("unit", unit)
             .with("min", self.min)
-            .with("q1", self.q1)
-            .with("median", self.median)
             .with("max", self.max)
             .with("n", self.n)
     }
@@ -67,18 +61,5 @@ mod tests {
         );
         let one = Summary::of(&[7.5]).unwrap();
         assert_eq!((one.median, one.min, one.max, one.n), (7.5, 7.5, 7.5, 1));
-    }
-
-    #[test]
-    fn lower_quartile_is_an_order_statistic_of_the_sample() {
-        let of = |n: usize| {
-            let values: Vec<f64> = (1..=n).rev().map(|v| v as f64).collect();
-            Summary::of(&values).unwrap().q1
-        };
-        // the fastest of up to four, the second of five to eight, …
-        assert_eq!(
-            [of(1), of(4), of(5), of(8), of(9), of(15)],
-            [1.0, 1.0, 2.0, 2.0, 3.0, 4.0]
-        );
     }
 }

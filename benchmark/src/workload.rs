@@ -10,8 +10,9 @@ pub struct Workload {
     /// Template parameters as `(key, full, quick)`; quick is ~1/20 of the
     /// full work.
     params: &'static [(&'static str, &'static str, &'static str)],
-    /// `parse` + `build_simulator` repeats per timed set-up block, chosen so
-    /// a block takes ≥ 0.1 s (three blocks ≥ 0.3 s) on the reference box.
+    /// `parse` + `build_simulator` repeats in the timed set-up block, as
+    /// `(full, quick)`; full is chosen so the block takes ≥ 0.3 s on the
+    /// reference box.
     setup_repeats: (u32, u32),
 }
 
@@ -22,9 +23,9 @@ pub const WORKLOADS: [Workload; 5] = [
         params: &[
             ("n", "10000", "1000"),
             ("side", "2800.0", "885.4"),
-            ("rounds", "2", "1"),
+            ("rounds", "6", "1"),
         ],
-        setup_repeats: (3, 10),
+        setup_repeats: (8, 10),
     },
     Workload {
         name: "drift",
@@ -32,9 +33,9 @@ pub const WORKLOADS: [Workload; 5] = [
         params: &[
             ("n", "10000", "1000"),
             ("side", "5600.0", "1770.9"),
-            ("rounds", "2", "1"),
+            ("rounds", "8", "1"),
         ],
-        setup_repeats: (3, 10),
+        setup_repeats: (7, 10),
     },
     Workload {
         name: "concourse",
@@ -44,19 +45,19 @@ pub const WORKLOADS: [Workload; 5] = [
             ("side", "430.0", "248.3"),
             ("rounds", "30", "8"),
         ],
-        setup_repeats: (200, 200),
+        setup_repeats: (600, 200),
     },
     Workload {
         name: "archipelago",
         template: include_str!("../workloads/archipelago.toml.in"),
         params: &[("clusters", "30", "6"), ("rounds", "40", "20")],
-        setup_repeats: (250, 250),
+        setup_repeats: (800, 250),
     },
     Workload {
         name: "campaign",
         template: include_str!("../workloads/campaign.toml.in"),
         params: &[("schedules", "120", "6"), ("rounds", "20", "20")],
-        setup_repeats: (1500, 500),
+        setup_repeats: (3500, 500),
     },
 ];
 
