@@ -2,20 +2,21 @@
 //!
 //! Events are totally ordered by `(time, sequence number)`; the sequence
 //! number makes the order deterministic when several events share a
-//! timestamp (e.g. all nodes booted at the same instant).
+//! timestamp (e.g. all nodes booted at the same instant). Events name nodes
+//! by their simulator slot (see [`crate::arena`]), so handling one indexes
+//! the node arena directly.
 
 use crate::time::SimTime;
-use dyngraph::NodeId;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
 /// What happens when an event fires.
 #[derive(Clone, Debug)]
 pub enum EventKind<M> {
-    /// Node's compute timer `Tc` expired.
-    ComputeTimer(NodeId),
-    /// Node's send timer `Ts` expired.
-    SendTimer(NodeId),
+    /// The compute timer `Tc` of the node in this slot expired.
+    ComputeTimer(u32),
+    /// The send timer `Ts` of the node in this slot expired.
+    SendTimer(u32),
     /// A broadcast by `from` reaches its recipients: one event carries the
     /// whole delivery sweep (the loss decisions were already made at send
     /// time), so a broadcast costs one heap operation instead of one per
@@ -23,12 +24,12 @@ pub enum EventKind<M> {
     /// exactly the order the per-neighbour events used to fire in — the
     /// execution schedule, and therefore every trace digest, is unchanged.
     Broadcast {
-        /// The broadcasting node.
-        from: NodeId,
+        /// Slot of the broadcasting node.
+        from: u32,
         /// The message every recipient receives.
         message: M,
-        /// Receivers of this delivery sweep, in schedule order.
-        recipients: Vec<NodeId>,
+        /// Receiver slots of this delivery sweep, in schedule order.
+        recipients: Vec<u32>,
     },
     /// Positions advance and the topology is recomputed (spatial mode only).
     MobilityTick,
@@ -156,7 +157,7 @@ impl<M> CalendarQueue<M> {
     /// this queue. Returns how many payloads were visited. Iteration rides
     /// the `BTreeMap` bucket order, so the visit order (and therefore any
     /// RNG the callback consumes) is deterministic.
-    pub fn corrupt_broadcasts_from(&mut self, from: NodeId, f: &mut dyn FnMut(&mut M)) -> usize {
+    pub fn corrupt_broadcasts_from(&mut self, from: u32, f: &mut dyn FnMut(&mut M)) -> usize {
         let mut visited = 0;
         for bucket in self.buckets.values_mut() {
             for event in bucket.iter_mut() {
@@ -174,6 +175,28 @@ impl<M> CalendarQueue<M> {
             }
         }
         visited
+    }
+
+    /// A node was inserted into the arena at `slot`: every queued reference
+    /// to that slot or a later one moves up by one with its node.
+    pub fn open_slot(&mut self, slot: u32) {
+        let bump = |s: &mut u32| {
+            if *s >= slot {
+                *s += 1;
+            }
+        };
+        for event in self.buckets.values_mut().flatten() {
+            match &mut event.kind {
+                EventKind::ComputeTimer(s) | EventKind::SendTimer(s) => bump(s),
+                EventKind::Broadcast {
+                    from, recipients, ..
+                } => {
+                    bump(from);
+                    recipients.iter_mut().for_each(bump);
+                }
+                EventKind::MobilityTick | EventKind::Fault(_) => {}
+            }
+        }
     }
 }
 
@@ -243,13 +266,13 @@ mod tests {
 
     #[test]
     fn corrupt_broadcasts_from_visits_only_the_senders_payloads_in_order() {
-        let bcast = |time: u64, seq: u64, from: u64, payload: u64| Event {
+        let bcast = |time: u64, seq: u64, from: u32, payload: u64| Event {
             time: SimTime(time),
             seq,
             kind: EventKind::Broadcast {
-                from: NodeId(from),
+                from,
                 message: payload,
-                recipients: vec![NodeId(99)],
+                recipients: vec![99],
             },
         };
         let mut cal = CalendarQueue::new();
@@ -259,10 +282,10 @@ mod tests {
         cal.push(Event {
             time: SimTime(10),
             seq: 4,
-            kind: EventKind::SendTimer(NodeId(7)),
+            kind: EventKind::SendTimer(7),
         });
         let mut seen = Vec::new();
-        let visited = cal.corrupt_broadcasts_from(NodeId(7), &mut |m: &mut u64| {
+        let visited = cal.corrupt_broadcasts_from(7, &mut |m: &mut u64| {
             seen.push(*m);
             *m += 1;
         });
@@ -272,10 +295,42 @@ mod tests {
         let mut payloads = Vec::new();
         while let Some(e) = cal.pop() {
             if let EventKind::Broadcast { from, message, .. } = e.kind {
-                payloads.push((from.raw(), message));
+                payloads.push((from, message));
             }
         }
         assert_eq!(payloads, [(7, 101), (8, 200), (7, 301)]);
+    }
+
+    #[test]
+    fn open_slot_moves_every_later_reference_up() {
+        let mut cal = CalendarQueue::new();
+        cal.push(Event {
+            time: SimTime(10),
+            seq: 1,
+            kind: EventKind::Broadcast {
+                from: 2,
+                message: (),
+                recipients: vec![0, 1, 3],
+            },
+        });
+        cal.push(Event {
+            time: SimTime(20),
+            seq: 2,
+            kind: EventKind::ComputeTimer(1),
+        });
+        cal.push(Event {
+            time: SimTime(20),
+            seq: 3,
+            kind: EventKind::SendTimer(0),
+        });
+        cal.open_slot(1);
+        let kinds: Vec<_> = std::iter::from_fn(|| cal.pop()).map(|e| e.kind).collect();
+        assert!(matches!(
+            &kinds[0],
+            EventKind::Broadcast { from: 3, recipients, .. } if recipients == &[0, 2, 4]
+        ));
+        assert!(matches!(kinds[1], EventKind::ComputeTimer(2)));
+        assert!(matches!(kinds[2], EventKind::SendTimer(0)));
     }
 
     #[test]

@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod arena;
 pub mod builder;
 pub mod channel;
 pub mod digest;
@@ -58,6 +59,7 @@ pub mod space;
 pub mod time;
 pub mod trace;
 
+pub use arena::{PositionTable, Positions};
 pub use builder::SimBuilder;
 pub use channel::{Bernoulli, ChannelModel, Contention, ContentionConfig, LinkEnv, LinkOutcome};
 pub use digest::{CanonicalHasher, NodeSetDigest, TraceDigest};
@@ -68,7 +70,7 @@ pub use node::SimNode;
 pub use observer::{NullObserver, Observer, StatsProbe, TraceProbe};
 pub use protocol::{CanonicalState, Protocol, ViewProtocol};
 pub use radio::RadioModel;
-pub use rng::{stream_seed, NodeStreams, RngStreams};
+pub use rng::{stream_seed, NodeStreams, RngStreams, StreamTag};
 pub use sim::{SimConfig, Simulator, TopologyMode};
 pub use space::Point;
 pub use time::SimTime;

@@ -11,11 +11,11 @@
 //! workload that stresses a contention channel hardest.
 
 use super::MobilityModel;
+use crate::arena::{PositionTable, Positions};
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Which family of parallel streets a vehicle drives on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,8 +51,9 @@ pub struct CityGrid {
     light_period: u64,
     /// Elapsed model time, advanced by [`MobilityModel::advance`].
     time: u64,
-    vehicles: BTreeMap<NodeId, Vehicle>,
-    positions: BTreeMap<NodeId, Point>,
+    table: PositionTable,
+    /// Per slot, parallel to `table`.
+    vehicles: Vec<Vehicle>,
 }
 
 impl CityGrid {
@@ -79,12 +80,11 @@ impl CityGrid {
             side,
             light_period: light_period.max(1),
             time: 0,
-            vehicles: BTreeMap::new(),
-            positions: BTreeMap::new(),
+            table: (0..n).map(|i| (NodeId(i as u64), Point::ORIGIN)).collect(),
+            vehicles: Vec::with_capacity(n),
         };
         let (lo, hi) = speed_range;
-        for i in 0..n {
-            let id = NodeId(i as u64);
+        for _ in 0..n {
             let axis = if rng.gen_bool(0.5) {
                 Axis::Horizontal
             } else {
@@ -96,16 +96,13 @@ impl CityGrid {
             let offset = rng.gen_range(0.0..side);
             let dir = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
             let speed = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
-            model.vehicles.insert(
-                id,
-                Vehicle {
-                    axis,
-                    street,
-                    offset,
-                    dir,
-                    speed,
-                },
-            );
+            model.vehicles.push(Vehicle {
+                axis,
+                street,
+                offset,
+                dir,
+                speed,
+            });
         }
         model.refresh_positions();
         model
@@ -140,18 +137,14 @@ impl CityGrid {
     }
 
     fn refresh_positions(&mut self) {
-        self.positions = self
-            .vehicles
-            .iter()
-            .map(|(&id, v)| {
-                let fixed = v.street as f64 * self.block_size;
-                let p = match v.axis {
-                    Axis::Horizontal => Point::new(v.offset, fixed),
-                    Axis::Vertical => Point::new(fixed, v.offset),
-                };
-                (id, p)
-            })
-            .collect();
+        let block_size = self.block_size;
+        for (p, v) in self.table.split_mut().1.iter_mut().zip(&self.vehicles) {
+            let fixed = v.street as f64 * block_size;
+            *p = match v.axis {
+                Axis::Horizontal => Point::new(v.offset, fixed),
+                Axis::Vertical => Point::new(fixed, v.offset),
+            };
+        }
     }
 
     /// Advance the deterministic traffic-light kinematics by `dt` — the
@@ -162,10 +155,8 @@ impl CityGrid {
         // shorter than a light half-cycle in any sensible configuration)
         let time = self.time;
         let side = self.side;
-        let ids: Vec<NodeId> = self.vehicles.keys().copied().collect();
-        for id in ids {
-            // detlint::allow(D004): ids were collected from this very map
-            let v = *self.vehicles.get(&id).expect("known vehicle");
+        for slot in 0..self.vehicles.len() {
+            let v = self.vehicles[slot];
             let step = v.speed * dt as f64;
             let moved = if self.green(v.axis, time) {
                 let mut next = v.offset + v.dir * step;
@@ -183,8 +174,7 @@ impl CityGrid {
                     (v.offset - step).max(line)
                 }
             };
-            // detlint::allow(D004): ids were collected from this very map
-            self.vehicles.get_mut(&id).expect("known vehicle").offset = moved;
+            self.vehicles[slot].offset = moved;
         }
         self.time = self.time.saturating_add(dt);
         self.refresh_positions();
@@ -192,8 +182,8 @@ impl CityGrid {
 }
 
 impl MobilityModel for CityGrid {
-    fn positions(&self) -> &BTreeMap<NodeId, Point> {
-        &self.positions
+    fn positions(&self) -> Positions<'_> {
+        self.table.view()
     }
 
     fn advance(&mut self, dt: u64, _rng: &mut ChaCha8Rng) {
@@ -213,24 +203,26 @@ impl MobilityModel for CityGrid {
         let mean_speed = if self.vehicles.is_empty() {
             0.01
         } else {
-            self.vehicles.values().map(|v| v.speed).sum::<f64>() / self.vehicles.len() as f64
+            self.vehicles.iter().map(|v| v.speed).sum::<f64>() / self.vehicles.len() as f64
         };
-        self.vehicles.insert(
-            node,
-            Vehicle {
-                axis: Axis::Horizontal,
-                street,
-                offset: at.x.rem_euclid(self.side),
-                dir: 1.0,
-                speed: mean_speed,
-            },
-        );
+        let vehicle = Vehicle {
+            axis: Axis::Horizontal,
+            street,
+            offset: at.x.rem_euclid(self.side),
+            dir: 1.0,
+            speed: mean_speed,
+        };
+        match self.table.upsert(node, at) {
+            Ok(slot) => self.vehicles[slot] = vehicle,
+            Err(slot) => self.vehicles.insert(slot, vehicle),
+        }
         self.refresh_positions();
     }
 
     fn remove(&mut self, node: NodeId) {
-        self.vehicles.remove(&node);
-        self.positions.remove(&node);
+        if let Some(slot) = self.table.remove(node) {
+            self.vehicles.remove(slot);
+        }
     }
 }
 
@@ -248,7 +240,7 @@ mod tests {
     fn vehicles_sit_on_streets() {
         let m = city(40, 1);
         assert_eq!(m.positions().len(), 40);
-        for p in m.positions().values() {
+        for p in m.positions().points() {
             let on_h = (p.y / 100.0).fract().abs() < 1e-9;
             let on_v = (p.x / 100.0).fract().abs() < 1e-9;
             assert!(on_h || on_v, "vehicle off-street at {p:?}");
@@ -266,7 +258,7 @@ mod tests {
         m.advance(2999, &mut rng);
         let stopped = m
             .vehicles
-            .values()
+            .iter()
             .filter(|v| v.axis == Axis::Vertical)
             .filter(|v| {
                 let to_line = if v.dir > 0.0 {
@@ -280,7 +272,7 @@ mod tests {
             .count();
         let vertical = m
             .vehicles
-            .values()
+            .iter()
             .filter(|v| v.axis == Axis::Vertical)
             .count();
         assert!(vertical > 0, "seeded layout has vertical vehicles");
@@ -293,14 +285,14 @@ mod tests {
         let mut m = CityGrid::new(30, 4, 100.0, (0.05, 0.05), u64::MAX / 4, &mut rng);
         let before: Vec<f64> = m
             .vehicles
-            .values()
+            .iter()
             .filter(|v| v.axis == Axis::Horizontal)
             .map(|v| v.offset)
             .collect();
         m.advance(1000, &mut rng);
         let after: Vec<f64> = m
             .vehicles
-            .values()
+            .iter()
             .filter(|v| v.axis == Axis::Horizontal)
             .map(|v| v.offset)
             .collect();
@@ -329,19 +321,19 @@ mod tests {
         // all vehicles same speed so a released platoon stays bunched
         let mut m = CityGrid::new(40, 2, 200.0, (0.06, 0.06), 4000, &mut rng);
         m.advance(4000, &mut rng); // vertical axis queued; clock at the flip
-        let queued: Vec<Point> = m
-            .vehicles
-            .iter()
-            .filter(|(_, v)| v.axis == Axis::Vertical)
-            .map(|(id, _)| m.positions()[id])
-            .collect();
+        let vertical_points = |m: &CityGrid| -> Vec<Point> {
+            let points = m.positions().points().iter();
+            points
+                .zip(&m.vehicles)
+                .filter(|(_, v)| v.axis == Axis::Vertical)
+                .map(|(&p, _)| p)
+                .collect()
+        };
+        let queued = vertical_points(&m);
         assert!(!queued.is_empty());
         m.advance(500, &mut rng); // now in the vertical-green half
-        let moved = m
-            .vehicles
+        let moved = vertical_points(&m)
             .iter()
-            .filter(|(_, v)| v.axis == Axis::Vertical)
-            .map(|(id, _)| m.positions()[id])
             .zip(queued.iter())
             .filter(|(now, then)| now.distance(then) > 1.0)
             .count();
@@ -353,7 +345,7 @@ mod tests {
         let mut m = city(3, 6);
         m.insert(NodeId(50), Point::new(123.0, 97.0));
         assert_eq!(m.positions().len(), 4);
-        let p = m.positions()[&NodeId(50)];
+        let p = m.positions().get(NodeId(50)).unwrap();
         assert!((p.y - 100.0).abs() < 1e-9, "snapped to the nearest street");
         m.remove(NodeId(50));
         assert_eq!(m.positions().len(), 3);
@@ -365,7 +357,7 @@ mod tests {
             let mut m = city(25, seed);
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             m.advance(5000, &mut rng);
-            m.positions().clone()
+            m.positions().points().to_vec()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

@@ -8,12 +8,33 @@
 //! the number of nodes constant throughout an experiment.
 
 use super::MobilityModel;
-use crate::rng::{NodeStreams, TAG_MOBILITY};
+use crate::arena::{PositionTable, Positions};
+use crate::rng::{NodeStreams, StreamTag};
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+
+/// Per-vehicle state, parallel to the position table.
+#[derive(Clone, Copy, Debug)]
+struct Vehicle {
+    /// Distance per tick, fixed at construction.
+    speed: f64,
+    lane: usize,
+    /// Travel coordinate along the road, in `[0, road_length)`.
+    offset: f64,
+}
+
+impl Vehicle {
+    /// Drive `dt` ticks along a ring road of `(length, lanes)`, moving one
+    /// lane over when `changes_lane`.
+    fn drive(&mut self, dt: u64, (road_length, lanes): (f64, usize), changes_lane: bool) {
+        self.offset = (self.offset + self.speed * dt as f64) % road_length;
+        if changes_lane {
+            self.lane = (self.lane + 1) % lanes;
+        }
+    }
+}
 
 /// A convoy of vehicles on a multi-lane ring road.
 #[derive(Clone, Debug)]
@@ -21,11 +42,8 @@ pub struct Highway {
     road_length: f64,
     lane_width: f64,
     lanes: usize,
-    /// Per-vehicle speed (distance per tick), fixed at construction.
-    speeds: BTreeMap<NodeId, f64>,
-    lane_of: BTreeMap<NodeId, usize>,
-    offsets: BTreeMap<NodeId, f64>,
-    positions: BTreeMap<NodeId, Point>,
+    table: PositionTable,
+    vehicles: Vec<Vehicle>,
     /// Probability per advance that a vehicle changes lane.
     lane_change_prob: f64,
 }
@@ -43,27 +61,22 @@ impl Highway {
         rng: &mut ChaCha8Rng,
     ) -> Self {
         let lanes = lanes.max(1);
-        let lane_width = 4.0;
+        let (lo, hi) = speed_range;
+        let vehicles: Vec<Vehicle> = (0..n)
+            .map(|i| Vehicle {
+                speed: if hi > lo { rng.gen_range(lo..=hi) } else { lo },
+                lane: i % lanes,
+                offset: (i as f64 * initial_gap) % road_length,
+            })
+            .collect();
         let mut model = Highway {
             road_length,
-            lane_width,
+            lane_width: 4.0,
             lanes,
-            speeds: BTreeMap::new(),
-            lane_of: BTreeMap::new(),
-            offsets: BTreeMap::new(),
-            positions: BTreeMap::new(),
+            table: (0..n).map(|i| (NodeId(i as u64), Point::ORIGIN)).collect(),
+            vehicles,
             lane_change_prob: 0.01,
         };
-        for i in 0..n {
-            let id = NodeId(i as u64);
-            let (lo, hi) = speed_range;
-            let speed = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
-            let lane = i % lanes;
-            let offset = (i as f64 * initial_gap) % road_length;
-            model.speeds.insert(id, speed);
-            model.lane_of.insert(id, lane);
-            model.offsets.insert(id, offset);
-        }
         model.refresh_positions();
         model
     }
@@ -75,94 +88,88 @@ impl Highway {
     }
 
     fn refresh_positions(&mut self) {
-        self.positions = self
-            .offsets
-            .iter()
-            .map(|(&id, &off)| {
-                let lane = self.lane_of.get(&id).copied().unwrap_or(0);
-                (id, Point::new(off, lane as f64 * self.lane_width))
-            })
-            .collect();
+        let lane_width = self.lane_width;
+        for (p, v) in self.table.split_mut().1.iter_mut().zip(&self.vehicles) {
+            *p = Point::new(v.offset, v.lane as f64 * lane_width);
+        }
     }
 
     /// Speed of a vehicle (panics if unknown).
     pub fn speed(&self, node: NodeId) -> f64 {
-        self.speeds[&node]
+        let slot = crate::arena::slot_of(self.table.view().ids(), node);
+        // detlint::allow(D004): documented panic on an unknown vehicle
+        self.vehicles[slot.expect("known vehicle")].speed
     }
 
-    /// Per-node-stream advance with the vehicles' *public* ids shifted by
-    /// `id_offset`: a composing model ([`super::MixedHighway`]) runs the
-    /// convoy on local ids `0..n` but must key the streams by the ids the
-    /// simulator sees, or a vehicle's draws would collide with whatever
-    /// node occupies the unshifted id.
+    /// Per-node-stream advance as part of a composing model
+    /// ([`super::MixedHighway`]), which runs the convoy on local ids `0..n`
+    /// but must address the streams the way the simulator sees the
+    /// vehicles: slots shifted by `first_slot`, ids by `id_offset` — or a
+    /// vehicle's draws would collide with whatever node occupies the
+    /// unshifted id.
     pub(crate) fn advance_streams_offset(
         &mut self,
         dt: u64,
         streams: &mut NodeStreams,
+        first_slot: usize,
         id_offset: u64,
     ) {
-        let ids: Vec<NodeId> = self.offsets.keys().copied().collect();
-        for id in ids {
-            let speed = self.speeds[&id];
-            // detlint::allow(D004): ids were collected from this very map
-            let off = self.offsets.get_mut(&id).expect("known vehicle");
-            *off = (*off + speed * dt as f64) % self.road_length;
-            if self.lane_change_prob > 0.0 {
-                let rng = streams.stream(NodeId(id.raw() + id_offset), TAG_MOBILITY);
-                if rng.gen_bool(self.lane_change_prob) {
-                    // detlint::allow(D004): lane_of is keyed identically to offsets
-                    let lane = self.lane_of.get_mut(&id).expect("known vehicle");
-                    *lane = (*lane + 1) % self.lanes;
-                }
+        let (road, p) = ((self.road_length, self.lanes), self.lane_change_prob);
+        if p > 0.0 {
+            let ids = self.table.view().ids().iter();
+            let public = ids.map(|id| NodeId(id.raw() + id_offset));
+            let rngs = streams.lockstep(StreamTag::Mobility, first_slot, public);
+            for (v, rng) in self.vehicles.iter_mut().zip(rngs) {
+                v.drive(dt, road, rng.gen_bool(p));
             }
+        } else {
+            self.vehicles
+                .iter_mut()
+                .for_each(|v| v.drive(dt, road, false));
         }
         self.refresh_positions();
     }
 }
 
 impl MobilityModel for Highway {
-    fn positions(&self) -> &BTreeMap<NodeId, Point> {
-        &self.positions
+    fn positions(&self) -> Positions<'_> {
+        self.table.view()
     }
 
     fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        let ids: Vec<NodeId> = self.offsets.keys().copied().collect();
-        for id in ids {
-            let speed = self.speeds[&id];
-            // detlint::allow(D004): ids were collected from this very map
-            let off = self.offsets.get_mut(&id).expect("known vehicle");
-            *off = (*off + speed * dt as f64) % self.road_length;
-            if self.lane_change_prob > 0.0 && rng.gen_bool(self.lane_change_prob) {
-                // detlint::allow(D004): lane_of is keyed identically to offsets
-                let lane = self.lane_of.get_mut(&id).expect("known vehicle");
-                *lane = (*lane + 1) % self.lanes;
-            }
+        let (road, p) = ((self.road_length, self.lanes), self.lane_change_prob);
+        for v in &mut self.vehicles {
+            v.drive(dt, road, p > 0.0 && rng.gen_bool(p));
         }
         self.refresh_positions();
     }
 
     fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
-        self.advance_streams_offset(dt, streams, 0);
+        self.advance_streams_offset(dt, streams, 0, 0);
     }
 
     fn insert(&mut self, node: NodeId, at: Point) {
-        let lane = ((at.y / self.lane_width).round() as usize).min(self.lanes - 1);
-        let mean_speed = if self.speeds.is_empty() {
+        let mean_speed = if self.vehicles.is_empty() {
             0.01
         } else {
-            self.speeds.values().sum::<f64>() / self.speeds.len() as f64
+            self.vehicles.iter().map(|v| v.speed).sum::<f64>() / self.vehicles.len() as f64
         };
-        self.speeds.insert(node, mean_speed);
-        self.lane_of.insert(node, lane);
-        self.offsets.insert(node, at.x % self.road_length);
+        let vehicle = Vehicle {
+            speed: mean_speed,
+            lane: ((at.y / self.lane_width).round() as usize).min(self.lanes - 1),
+            offset: at.x % self.road_length,
+        };
+        match self.table.upsert(node, at) {
+            Ok(slot) => self.vehicles[slot] = vehicle,
+            Err(slot) => self.vehicles.insert(slot, vehicle),
+        }
         self.refresh_positions();
     }
 
     fn remove(&mut self, node: NodeId) {
-        self.speeds.remove(&node);
-        self.lane_of.remove(&node);
-        self.offsets.remove(&node);
-        self.positions.remove(&node);
+        if let Some(slot) = self.table.remove(node) {
+            self.vehicles.remove(slot);
+        }
     }
 }
 
@@ -176,8 +183,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let m = Highway::new(5, 1, 1000.0, 20.0, (0.01, 0.01), &mut rng);
         assert_eq!(m.positions().len(), 5);
-        assert!((m.positions()[&NodeId(1)].x - 20.0).abs() < 1e-9);
-        assert!((m.positions()[&NodeId(4)].x - 80.0).abs() < 1e-9);
+        assert!((m.positions().points()[1].x - 20.0).abs() < 1e-9);
+        assert!((m.positions().points()[4].x - 80.0).abs() < 1e-9);
     }
 
     #[test]
@@ -187,10 +194,10 @@ mod tests {
             Highway::new(2, 1, 100.0, 10.0, (1.0, 1.0), &mut rng).with_lane_change_prob(0.0);
         m.advance(95, &mut rng);
         // vehicle 0 started at 0, speed 1.0/tick, after 95 ticks → 95
-        assert!((m.positions()[&NodeId(0)].x - 95.0).abs() < 1e-9);
+        assert!((m.positions().points()[0].x - 95.0).abs() < 1e-9);
         m.advance(10, &mut rng);
         // 105 % 100 = 5
-        assert!((m.positions()[&NodeId(0)].x - 5.0).abs() < 1e-9);
+        assert!((m.positions().points()[0].x - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -199,7 +206,7 @@ mod tests {
         let mut m =
             Highway::new(10, 1, 10000.0, 10.0, (0.1, 1.0), &mut rng).with_lane_change_prob(0.0);
         let spread = |m: &Highway| {
-            let xs: Vec<f64> = m.positions().values().map(|p| p.x).collect();
+            let xs: Vec<f64> = m.positions().points().iter().map(|p| p.x).collect();
             let max = xs.iter().cloned().fold(f64::MIN, f64::max);
             let min = xs.iter().cloned().fold(f64::MAX, f64::min);
             max - min
@@ -226,7 +233,8 @@ mod tests {
         let m = Highway::new(4, 2, 500.0, 15.0, (0.5, 0.5), &mut rng);
         let ys: std::collections::BTreeSet<i64> = m
             .positions()
-            .values()
+            .points()
+            .iter()
             .map(|p| (p.y * 10.0) as i64)
             .collect();
         assert_eq!(ys.len(), 2);

@@ -10,11 +10,11 @@
 //! through — while RSU–RSU links (when in range) never move.
 
 use super::{Highway, MobilityModel};
+use crate::arena::{PositionTable, Positions};
 use crate::rng::NodeStreams;
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Roadside units interleaved with a highway convoy.
 #[derive(Clone, Debug)]
@@ -22,12 +22,13 @@ pub struct MixedHighway {
     /// Ids below this are roadside units; at or above are vehicles.
     first_vehicle: u64,
     /// Fixed RSU positions (ids `0..first_vehicle`).
-    roadside: BTreeMap<NodeId, Point>,
+    roadside: PositionTable,
     /// The convoy, running with its own local ids `0..n`; public ids are
-    /// shifted by `first_vehicle` when the maps merge.
+    /// shifted by `first_vehicle` when the tables merge.
     convoy: Highway,
-    /// Merged view handed to the simulator.
-    positions: BTreeMap<NodeId, Point>,
+    /// Merged view handed to the simulator: the roadside slots, then the
+    /// convoy's (every RSU id sorts before every vehicle id).
+    table: PositionTable,
 }
 
 impl MixedHighway {
@@ -47,7 +48,7 @@ impl MixedHighway {
         speed_range: (f64, f64),
         rng: &mut ChaCha8Rng,
     ) -> Self {
-        let roadside: BTreeMap<NodeId, Point> = (0..n_roadside)
+        let roadside = (0..n_roadside)
             .map(|i| {
                 (
                     NodeId(i as u64),
@@ -60,7 +61,7 @@ impl MixedHighway {
             first_vehicle: n_roadside as u64,
             roadside,
             convoy,
-            positions: BTreeMap::new(),
+            table: PositionTable::default(),
         };
         model.refresh_positions();
         model
@@ -68,27 +69,24 @@ impl MixedHighway {
 
     /// Is this id a fixed roadside unit?
     pub fn is_roadside(&self, node: NodeId) -> bool {
-        node.raw() < self.first_vehicle && self.roadside.contains_key(&node)
+        node.raw() < self.first_vehicle && self.roadside.view().get(node).is_some()
     }
 
     fn refresh_positions(&mut self) {
-        self.positions = self
+        let first_vehicle = self.first_vehicle;
+        let vehicles = self.convoy.positions().iter();
+        self.table = self
             .roadside
+            .view()
             .iter()
-            .map(|(&id, &p)| (id, p))
-            .chain(
-                self.convoy
-                    .positions()
-                    .iter()
-                    .map(|(&id, &p)| (NodeId(id.raw() + self.first_vehicle), p)),
-            )
+            .chain(vehicles.map(|(id, p)| (NodeId(id.raw() + first_vehicle), p)))
             .collect();
     }
 }
 
 impl MobilityModel for MixedHighway {
-    fn positions(&self) -> &BTreeMap<NodeId, Point> {
-        &self.positions
+    fn positions(&self) -> Positions<'_> {
+        self.table.view()
     }
 
     fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
@@ -97,15 +95,16 @@ impl MobilityModel for MixedHighway {
     }
 
     fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
-        // key the convoy's streams by the public (shifted) vehicle ids
+        // address the convoy's streams by the public vehicle slots and ids
+        let first_slot = self.roadside.view().len();
         self.convoy
-            .advance_streams_offset(dt, streams, self.first_vehicle);
+            .advance_streams_offset(dt, streams, first_slot, self.first_vehicle);
         self.refresh_positions();
     }
 
     fn insert(&mut self, node: NodeId, at: Point) {
         if node.raw() < self.first_vehicle {
-            self.roadside.insert(node, at);
+            let _ = self.roadside.upsert(node, at);
         } else {
             self.convoy
                 .insert(NodeId(node.raw() - self.first_vehicle), at);
@@ -115,11 +114,11 @@ impl MobilityModel for MixedHighway {
 
     fn remove(&mut self, node: NodeId) {
         if node.raw() < self.first_vehicle {
-            self.roadside.remove(&node);
+            self.roadside.remove(node);
         } else {
             self.convoy.remove(NodeId(node.raw() - self.first_vehicle));
         }
-        self.positions.remove(&node);
+        self.refresh_positions();
     }
 }
 
@@ -148,22 +147,25 @@ mod tests {
     #[test]
     fn rsus_stay_put_while_the_convoy_moves() {
         let mut m = mixed(2);
-        let rsu_before = m.positions()[&NodeId(0)];
-        let veh_before = m.positions()[&NodeId(7)];
+        let rsu_before = m.positions().get(NodeId(0)).unwrap();
+        let veh_before = m.positions().get(NodeId(7)).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         m.advance(200, &mut rng);
-        assert_eq!(m.positions()[&NodeId(0)], rsu_before);
-        assert_ne!(m.positions()[&NodeId(7)], veh_before);
+        assert_eq!(m.positions().get(NodeId(0)).unwrap(), rsu_before);
+        assert_ne!(m.positions().get(NodeId(7)).unwrap(), veh_before);
     }
 
     #[test]
     fn rsus_sit_off_the_road() {
         let m = mixed(3);
         for i in 0..4u64 {
-            assert_eq!(m.positions()[&NodeId(i)].y, -8.0);
+            assert_eq!(m.positions().get(NodeId(i)).unwrap().y, -8.0);
         }
         for i in 4..10u64 {
-            assert!(m.positions()[&NodeId(i)].y >= 0.0, "lanes are at y >= 0");
+            assert!(
+                m.positions().get(NodeId(i)).unwrap().y >= 0.0,
+                "lanes are at y >= 0"
+            );
         }
     }
 

@@ -1,6 +1,8 @@
 //! Mobility models.
 //!
-//! A mobility model owns the node positions and advances them by a time
+//! A mobility model owns the node positions — one slot-ordered
+//! [`PositionTable`](crate::arena::PositionTable), with any further
+//! per-node state in vectors parallel to it — and advances them by a time
 //! step; the simulator then asks the radio model for the implied topology.
 //! Six models are provided:
 //!
@@ -30,16 +32,16 @@ pub use stationary::Stationary;
 pub use walk::RandomWalk;
 pub use waypoint::RandomWaypoint;
 
+use crate::arena::Positions;
 use crate::rng::NodeStreams;
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// A model that owns and advances node positions.
 pub trait MobilityModel: Send + Sync {
-    /// Current position of every node.
-    fn positions(&self) -> &BTreeMap<NodeId, Point>;
+    /// Current position of every node, in slot (ascending NodeId) order.
+    fn positions(&self) -> Positions<'_>;
 
     /// Advance all positions by `dt` ticks.
     fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng);
@@ -47,10 +49,11 @@ pub trait MobilityModel: Send + Sync {
     /// Advance all positions by `dt` ticks drawing from per-node streams
     /// (the [`RngStreams::PerNode`](crate::rng::RngStreams::PerNode)
     /// regime): every draw a node's motion needs must come from that node's
-    /// own [`TAG_MOBILITY`](crate::rng::TAG_MOBILITY) stream, so a
-    /// trajectory is a pure function of
-    /// `(run_seed, node_id)` and the model's deterministic state — never of
-    /// how many *other* nodes exist or move.
+    /// own [`StreamTag::Mobility`](crate::rng::StreamTag::Mobility) stream
+    /// — addressed by the node's slot in [`positions`](Self::positions) —
+    /// so a trajectory is a pure function of `(run_seed, node_id)` and the
+    /// model's deterministic state, never of how many *other* nodes exist
+    /// or move.
     fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams);
 
     /// Add a node at a position (used when nodes join at runtime).

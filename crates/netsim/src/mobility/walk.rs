@@ -1,12 +1,12 @@
 //! Bounded random-walk mobility.
 
 use super::MobilityModel;
-use crate::rng::{NodeStreams, TAG_MOBILITY};
+use crate::arena::{PositionTable, Positions};
+use crate::rng::{NodeStreams, StreamTag};
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Each node takes an independent random step of at most `max_step × dt`
 /// per advance, reflected into the arena.
@@ -16,26 +16,19 @@ pub struct RandomWalk {
     height: f64,
     /// Maximum displacement per tick.
     max_step: f64,
-    positions: BTreeMap<NodeId, Point>,
+    table: PositionTable,
 }
 
 impl RandomWalk {
     /// Place `n` nodes (ids 0..n) uniformly at random.
     pub fn new(n: usize, width: f64, height: f64, max_step: f64, rng: &mut ChaCha8Rng) -> Self {
-        let positions = (0..n)
-            .map(|i| (NodeId(i as u64), super::random_point(rng, width, height)))
-            .collect();
-        RandomWalk {
-            width,
-            height,
-            max_step,
-            positions,
-        }
+        let placed = (0..n).map(|i| (NodeId(i as u64), super::random_point(rng, width, height)));
+        Self::from_positions(placed, width, height, max_step)
     }
 
     /// Build from explicit positions.
     pub fn from_positions(
-        positions: BTreeMap<NodeId, Point>,
+        positions: impl IntoIterator<Item = (NodeId, Point)>,
         width: f64,
         height: f64,
         max_step: f64,
@@ -44,42 +37,48 @@ impl RandomWalk {
             width,
             height,
             max_step,
-            positions,
+            table: positions.into_iter().collect(),
         }
+    }
+
+    /// One node's step of at most `amplitude` per axis, drawn from `rng`
+    /// and clamped into the `(width, height)` arena.
+    fn step((width, height): (f64, f64), amplitude: f64, pos: &mut Point, rng: &mut ChaCha8Rng) {
+        let dx = rng.gen_range(-amplitude..=amplitude);
+        let dy = rng.gen_range(-amplitude..=amplitude);
+        *pos = Point::new(pos.x + dx, pos.y + dy).clamp_to(width, height);
     }
 }
 
 impl MobilityModel for RandomWalk {
-    fn positions(&self) -> &BTreeMap<NodeId, Point> {
-        &self.positions
+    fn positions(&self) -> Positions<'_> {
+        self.table.view()
     }
 
     fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        let amplitude = self.max_step * dt as f64;
-        for pos in self.positions.values_mut() {
-            let dx = rng.gen_range(-amplitude..=amplitude);
-            let dy = rng.gen_range(-amplitude..=amplitude);
-            *pos = Point::new(pos.x + dx, pos.y + dy).clamp_to(self.width, self.height);
+        let (arena, amplitude) = ((self.width, self.height), self.max_step * dt as f64);
+        for pos in self.table.split_mut().1 {
+            Self::step(arena, amplitude, pos, rng);
         }
     }
 
     fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
-        let amplitude = self.max_step * dt as f64;
-        for (&id, pos) in self.positions.iter_mut() {
-            let rng = streams.stream(id, TAG_MOBILITY);
-            let dx = rng.gen_range(-amplitude..=amplitude);
-            let dy = rng.gen_range(-amplitude..=amplitude);
-            *pos = Point::new(pos.x + dx, pos.y + dy).clamp_to(self.width, self.height);
+        let (arena, amplitude) = ((self.width, self.height), self.max_step * dt as f64);
+        let (ids, points) = self.table.split_mut();
+        let rngs = streams.lockstep(StreamTag::Mobility, 0, ids.iter().copied());
+        for (pos, rng) in points.iter_mut().zip(rngs) {
+            Self::step(arena, amplitude, pos, rng);
         }
     }
 
     fn insert(&mut self, node: NodeId, at: Point) {
-        self.positions
-            .insert(node, at.clamp_to(self.width, self.height));
+        let _ = self
+            .table
+            .upsert(node, at.clamp_to(self.width, self.height));
     }
 
     fn remove(&mut self, node: NodeId) {
-        self.positions.remove(&node);
+        self.table.remove(node);
     }
 }
 
@@ -95,7 +94,7 @@ mod tests {
         for _ in 0..100 {
             m.advance(10, &mut rng);
         }
-        for p in m.positions().values() {
+        for p in m.positions().points() {
             assert!(p.x >= 0.0 && p.x <= 30.0);
             assert!(p.y >= 0.0 && p.y <= 30.0);
         }
@@ -105,9 +104,9 @@ mod tests {
     fn zero_step_walk_is_static() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut m = RandomWalk::new(5, 30.0, 30.0, 0.0, &mut rng);
-        let before = m.positions().clone();
+        let before = m.positions().points().to_vec();
         m.advance(100, &mut rng);
-        assert_eq!(m.positions(), &before);
+        assert_eq!(m.positions().points(), before);
     }
 
     #[test]
@@ -115,7 +114,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut m = RandomWalk::new(1, 10.0, 10.0, 0.1, &mut rng);
         m.insert(NodeId(7), Point::new(100.0, -5.0));
-        assert_eq!(m.positions()[&NodeId(7)], Point::new(10.0, 0.0));
+        assert_eq!(m.positions().get(NodeId(7)), Some(Point::new(10.0, 0.0)));
         m.remove(NodeId(7));
         assert_eq!(m.positions().len(), 1);
     }

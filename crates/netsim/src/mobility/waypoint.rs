@@ -5,12 +5,12 @@
 //! new destination (no pause time, the worst case for topology churn).
 
 use super::{random_point, MobilityModel};
-use crate::rng::{NodeStreams, TAG_MOBILITY};
+use crate::arena::{PositionTable, Positions};
+use crate::rng::{NodeStreams, StreamTag};
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Classical random-waypoint model in a rectangular arena.
 #[derive(Clone, Debug)]
@@ -19,9 +19,10 @@ pub struct RandomWaypoint {
     height: f64,
     /// Speed in distance units per tick, drawn per node in `[min, max]`.
     speed_range: (f64, f64),
-    positions: BTreeMap<NodeId, Point>,
-    targets: BTreeMap<NodeId, Point>,
-    speeds: BTreeMap<NodeId, f64>,
+    table: PositionTable,
+    /// Per slot, parallel to `table`: current destination and speed.
+    targets: Vec<Point>,
+    speeds: Vec<f64>,
 }
 
 impl RandomWaypoint {
@@ -37,101 +38,94 @@ impl RandomWaypoint {
             width,
             height,
             speed_range,
-            positions: BTreeMap::new(),
-            targets: BTreeMap::new(),
-            speeds: BTreeMap::new(),
+            table: PositionTable::default(),
+            targets: Vec::new(),
+            speeds: Vec::new(),
         };
+        let (lo, hi) = speed_range;
         for i in 0..n {
-            let id = NodeId(i as u64);
-            let p = random_point(rng, width, height);
-            model.insert_with_rng(id, p, rng);
+            let at = random_point(rng, width, height);
+            let speed = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
+            let target = random_point(rng, width, height);
+            model.place(NodeId(i as u64), at, target, speed);
         }
         model
     }
 
-    fn insert_with_rng(&mut self, node: NodeId, at: Point, rng: &mut ChaCha8Rng) {
-        let (lo, hi) = self.speed_range;
-        let speed = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
-        self.positions.insert(node, at);
-        self.targets
-            .insert(node, random_point(rng, self.width, self.height));
-        self.speeds.insert(node, speed);
+    fn place(&mut self, node: NodeId, at: Point, target: Point, speed: f64) {
+        match self.table.upsert(node, at) {
+            Ok(slot) => {
+                self.targets[slot] = target;
+                self.speeds[slot] = speed;
+            }
+            Err(slot) => {
+                self.targets.insert(slot, target);
+                self.speeds.insert(slot, speed);
+            }
+        }
+    }
+
+    /// Move one node for `budget` distance units, drawing a new waypoint
+    /// from `rng` at each arrival — a fast node may reach several within
+    /// one tick. The number of draws depends only on this node's speed and
+    /// distances, never on the rest of the population.
+    fn travel(
+        (width, height): (f64, f64),
+        mut budget: f64,
+        pos: &mut Point,
+        target: &mut Point,
+        rng: &mut ChaCha8Rng,
+    ) {
+        while budget > 0.0 {
+            let d = pos.distance(target);
+            if d <= budget {
+                *pos = *target;
+                budget -= d;
+                *target = random_point(rng, width, height);
+                if d == 0.0 {
+                    break;
+                }
+            } else {
+                *pos = pos.step_towards(target, budget);
+                budget = 0.0;
+            }
+        }
     }
 }
 
 impl MobilityModel for RandomWaypoint {
-    fn positions(&self) -> &BTreeMap<NodeId, Point> {
-        &self.positions
+    fn positions(&self) -> Positions<'_> {
+        self.table.view()
     }
 
     fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        let ids: Vec<NodeId> = self.positions.keys().copied().collect();
-        for id in ids {
-            let speed = self.speeds[&id];
-            let mut pos = self.positions[&id];
-            let mut target = self.targets[&id];
-            let mut budget = speed * dt as f64;
-            // a fast node may reach several waypoints within one tick
-            while budget > 0.0 {
-                let d = pos.distance(&target);
-                if d <= budget {
-                    pos = target;
-                    budget -= d;
-                    target = random_point(rng, self.width, self.height);
-                    if d == 0.0 {
-                        break;
-                    }
-                } else {
-                    pos = pos.step_towards(&target, budget);
-                    budget = 0.0;
-                }
-            }
-            self.positions.insert(id, pos);
-            self.targets.insert(id, target);
+        let arena = (self.width, self.height);
+        let points = self.table.split_mut().1.iter_mut();
+        for ((pos, target), speed) in points.zip(&mut self.targets).zip(&self.speeds) {
+            Self::travel(arena, speed * dt as f64, pos, target, rng);
         }
     }
 
     fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
-        // same kinematics as `advance`, but each node's waypoint draws come
-        // from its own stream: the number of draws depends only on that
-        // node's speed and distances, never on the rest of the population
-        let ids: Vec<NodeId> = self.positions.keys().copied().collect();
-        for id in ids {
-            let rng = streams.stream(id, TAG_MOBILITY);
-            let speed = self.speeds[&id];
-            let mut pos = self.positions[&id];
-            let mut target = self.targets[&id];
-            let mut budget = speed * dt as f64;
-            while budget > 0.0 {
-                let d = pos.distance(&target);
-                if d <= budget {
-                    pos = target;
-                    budget -= d;
-                    target = random_point(rng, self.width, self.height);
-                    if d == 0.0 {
-                        break;
-                    }
-                } else {
-                    pos = pos.step_towards(&target, budget);
-                    budget = 0.0;
-                }
-            }
-            self.positions.insert(id, pos);
-            self.targets.insert(id, target);
+        let arena = (self.width, self.height);
+        let (ids, points) = self.table.split_mut();
+        let rngs = streams.lockstep(StreamTag::Mobility, 0, ids.iter().copied());
+        let nodes = points.iter_mut().zip(&mut self.targets).zip(&self.speeds);
+        for (((pos, target), speed), rng) in nodes.zip(rngs) {
+            Self::travel(arena, speed * dt as f64, pos, target, rng);
         }
     }
 
     fn insert(&mut self, node: NodeId, at: Point) {
         let speed = (self.speed_range.0 + self.speed_range.1) / 2.0;
-        self.positions.insert(node, at);
-        self.targets.insert(node, at);
-        self.speeds.insert(node, speed);
+        self.place(node, at, at, speed);
     }
 
     fn remove(&mut self, node: NodeId) {
-        self.positions.remove(&node);
-        self.targets.remove(&node);
-        self.speeds.remove(&node);
+        if let Some(slot) = self.table.remove(node) {
+            self.targets.remove(slot);
+            self.speeds.remove(slot);
+        }
     }
 }
 
@@ -147,7 +141,7 @@ mod tests {
         for _ in 0..50 {
             m.advance(100, &mut rng);
         }
-        for p in m.positions().values() {
+        for p in m.positions().points() {
             assert!(p.x >= -1e-9 && p.x <= 100.0 + 1e-9);
             assert!(p.y >= -1e-9 && p.y <= 50.0 + 1e-9);
         }
@@ -157,21 +151,23 @@ mod tests {
     fn zero_speed_nodes_do_not_move() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut m = RandomWaypoint::new(5, 100.0, 50.0, (0.0, 0.0), &mut rng);
-        let before = m.positions().clone();
+        let before = m.positions().points().to_vec();
         m.advance(1000, &mut rng);
-        assert_eq!(m.positions(), &before);
+        assert_eq!(m.positions().points(), before);
     }
 
     #[test]
     fn positive_speed_nodes_eventually_move() {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut m = RandomWaypoint::new(5, 100.0, 50.0, (0.1, 0.2), &mut rng);
-        let before = m.positions().clone();
+        let before = m.positions().points().to_vec();
         m.advance(500, &mut rng);
         let moved = m
             .positions()
+            .points()
             .iter()
-            .any(|(id, p)| p.distance(&before[id]) > 1e-9);
+            .zip(&before)
+            .any(|(p, was)| p.distance(was) > 1e-9);
         assert!(moved);
     }
 
@@ -193,7 +189,7 @@ mod tests {
             for _ in 0..20 {
                 m.advance(50, &mut rng);
             }
-            m.positions().clone()
+            m.positions().points().to_vec()
         };
         assert_eq!(run(42), run(42));
     }

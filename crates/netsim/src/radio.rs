@@ -5,29 +5,29 @@
 //! positions into a topology and decides, per transmission, whether a given
 //! neighbour actually receives the message (loss, collisions).
 
+use crate::arena::Positions;
 use crate::space::{Point, SpatialGrid};
-use dyngraph::{Graph, NodeId};
+use dyngraph::Graph;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// A radio / vicinity model.
 ///
 /// ```
 /// use netsim::radio::{RadioModel, UnitDisk};
+/// use netsim::PositionTable;
 /// use netsim::Point;
 /// use dyngraph::NodeId;
-/// use std::collections::BTreeMap;
 ///
 /// let radio = UnitDisk::new(10.0);
 /// assert!(radio.in_vicinity(Point::new(0.0, 0.0), Point::new(6.0, 0.0)));
 /// assert_eq!(radio.max_range(), Some(10.0));
 ///
 /// // three nodes on a line, 6 apart: a path topology (0–1, 1–2, not 0–2)
-/// let positions: BTreeMap<NodeId, Point> = (0..3)
+/// let positions: PositionTable = (0..3)
 ///     .map(|i| (NodeId(i), Point::new(6.0 * i as f64, 0.0)))
 ///     .collect();
-/// let g = radio.topology(&positions);
+/// let g = radio.topology(positions.view());
 /// assert!(g.contains_edge(NodeId(0), NodeId(1)));
 /// assert!(!g.contains_edge(NodeId(0), NodeId(2)));
 /// ```
@@ -58,7 +58,7 @@ pub trait RadioModel: Send + Sync {
     /// falls back to [`topology_all_pairs`](RadioModel::topology_all_pairs).
     /// Both paths produce the identical edge set (adjacency is BTree-based,
     /// so insertion order cannot leak into any digest).
-    fn topology(&self, positions: &BTreeMap<NodeId, Point>) -> Graph {
+    fn topology(&self, positions: Positions<'_>) -> Graph {
         match self.max_range() {
             Some(range) if range.is_finite() && range > 0.0 => {
                 let mut grid = SpatialGrid::new(range);
@@ -72,16 +72,10 @@ pub trait RadioModel: Send + Sync {
     /// The reference O(n²) topology scan. Kept public so benchmarks can
     /// measure the pre-index baseline and property tests can cross-check
     /// the grid path against it.
-    fn topology_all_pairs(&self, positions: &BTreeMap<NodeId, Point>) -> Graph {
-        let mut g = Graph::new();
-        for &n in positions.keys() {
-            g.add_node(n);
-        }
-        let nodes: Vec<(NodeId, Point)> = positions.iter().map(|(&n, &p)| (n, p)).collect();
-        for i in 0..nodes.len() {
-            for j in (i + 1)..nodes.len() {
-                let (a, pa) = nodes[i];
-                let (b, pb) = nodes[j];
+    fn topology_all_pairs(&self, positions: Positions<'_>) -> Graph {
+        let mut g = Graph::with_nodes(positions.ids().iter().copied());
+        for (i, (a, pa)) in positions.iter().enumerate() {
+            for (b, pb) in positions.iter().skip(i + 1) {
                 if self.in_vicinity(pa, pb) && self.in_vicinity(pb, pa) {
                     g.add_edge(a, b);
                 }
@@ -216,9 +210,11 @@ impl RadioModel for DistanceLossDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PositionTable;
+    use dyngraph::NodeId;
     use rand::SeedableRng;
 
-    fn positions(pts: &[(u64, f64, f64)]) -> BTreeMap<NodeId, Point> {
+    fn positions(pts: &[(u64, f64, f64)]) -> PositionTable {
         pts.iter()
             .map(|&(id, x, y)| (NodeId(id), Point::new(x, y)))
             .collect()
@@ -228,7 +224,7 @@ mod tests {
     fn unit_disk_topology_links_nodes_within_range() {
         let radio = UnitDisk::new(5.0);
         let pos = positions(&[(1, 0.0, 0.0), (2, 3.0, 0.0), (3, 20.0, 0.0)]);
-        let g = radio.topology(&pos);
+        let g = radio.topology(pos.view());
         assert!(g.contains_edge(NodeId(1), NodeId(2)));
         assert!(!g.contains_edge(NodeId(1), NodeId(3)));
         assert!(!g.contains_edge(NodeId(2), NodeId(3)));
@@ -270,7 +266,7 @@ mod tests {
         use rand::Rng;
         let radio = UnitDisk::new(7.5);
         let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let pos: BTreeMap<NodeId, Point> = (0..120)
+        let pos: PositionTable = (0..120)
             .map(|i| {
                 (
                     NodeId(i),
@@ -278,15 +274,15 @@ mod tests {
                 )
             })
             .collect();
-        let brute = radio.topology_all_pairs(&pos);
-        let routed = radio.topology(&pos);
+        let brute = radio.topology_all_pairs(pos.view());
+        let routed = radio.topology(pos.view());
         assert_eq!(brute, routed, "topology() routes through the grid");
         let mut grid = crate::space::SpatialGrid::new(7.5);
-        grid.rebuild(&pos);
+        grid.rebuild(pos.view());
         let via_grid = radio.topology_from_grid(&mut grid);
         assert_eq!(brute, via_grid);
         // CSR neighbour queries agree with the materialised graph
-        for (node, _) in grid.nodes() {
+        for (node, _) in grid.positions().iter() {
             let from_grid: Vec<NodeId> = grid.neighbors(node).collect();
             let from_graph: Vec<NodeId> = brute.neighbors(node).collect();
             assert_eq!(from_grid, from_graph, "neighbours of {node:?}");

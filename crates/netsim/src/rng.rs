@@ -9,17 +9,17 @@
 //! node's draws are identical no matter when the stream is first touched,
 //! which thread advances it, or what the rest of the population does.
 //!
-//! Streams are created lazily and keyed in a `BTreeMap`, so the *set* of
-//! streams a run materialises may depend on the schedule but their contents
-//! never do. Seeds are derived through the same canonical SHA-256 the trace
-//! digests use ([`CanonicalHasher`]), keeping the derivation stable across
+//! Streams live in one dense column per [`StreamTag`], indexed by slot (see
+//! [`crate::arena`]), and are created lazily, so the *set* of streams a run
+//! materialises may depend on the schedule but their contents never do.
+//! Seeds are derived through the same canonical SHA-256 the trace digests
+//! use ([`CanonicalHasher`]), keeping the derivation stable across
 //! platforms and refactors.
 
 use crate::digest::CanonicalHasher;
 use dyngraph::NodeId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 
 /// Which RNG regime the simulator runs under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,40 +36,62 @@ pub enum RngStreams {
     PerNode,
 }
 
-/// Stream tag for the initial timer-phase stagger draws.
-pub const TAG_PHASE: &str = "phase";
-/// Stream tag for channel/link decisions (drawn on the *sender's* stream).
-pub const TAG_CHANNEL: &str = "channel";
-/// Stream tag for mobility-model draws.
-pub const TAG_MOBILITY: &str = "mobility";
-/// Stream tag for fault-injection (state corruption) draws.
-pub const TAG_FAULT: &str = "fault";
+/// What a per-node stream is for. Each purpose is its own column of
+/// [`NodeStreams`]; the name is what the stream's seed is derived from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamTag {
+    /// The initial timer-phase stagger draws.
+    Phase,
+    /// Channel/link decisions (drawn on the *sender's* stream).
+    Channel,
+    /// Mobility-model draws.
+    Mobility,
+    /// Fault-injection (state and message corruption) draws.
+    Fault,
+}
+
+impl StreamTag {
+    /// The tag's name as hashed into [`stream_seed`].
+    pub const fn name(self) -> &'static str {
+        match self {
+            StreamTag::Phase => "phase",
+            StreamTag::Channel => "channel",
+            StreamTag::Mobility => "mobility",
+            StreamTag::Fault => "fault",
+        }
+    }
+}
 
 /// Derive the seed of one per-node stream. Pure function of its inputs:
-/// the canonical SHA-256 of `(domain, run_seed, node, tag)`, truncated to
-/// the first eight bytes little-endian.
-pub fn stream_seed(run_seed: u64, node: NodeId, tag: &str) -> u64 {
+/// the canonical SHA-256 of `(domain, run_seed, node, tag name)`, truncated
+/// to the first eight bytes little-endian.
+pub fn stream_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
     let mut hasher = CanonicalHasher::new();
     hasher.feed_str("netsim-rng-stream");
     hasher.feed_u64(run_seed);
     hasher.feed_u64(node.raw());
-    hasher.feed_str(tag);
+    hasher.feed_str(tag.name());
     let digest = hasher.finalize();
     let mut bytes = [0u8; 8];
     bytes.copy_from_slice(&digest.0[..8]);
     u64::from_le_bytes(bytes)
 }
 
-/// Lazily-materialised collection of per-node streams for one run.
+/// Lazily-materialised per-node streams for one run: a `[tag][slot]` table.
 ///
-/// Lookup is keyed (`BTreeMap`) and creation is lazy, so streams are
-/// independent of the order in which the engine first touches them; a
-/// stream may also be [taken out](NodeStreams::take) for the duration of a
-/// parallel batch and [reinserted](NodeStreams::put) afterwards.
+/// A stream is addressed by its slot and seeded from its NodeId on first
+/// use, so streams are independent of the order in which the engine first
+/// touches them; a stream may also be [taken out](NodeStreams::take) for
+/// the duration of a parallel batch and [reinserted](NodeStreams::put)
+/// afterwards. A column is indexed by the slots of whoever draws from it:
+/// [`StreamTag::Mobility`] by the mobility model's position slots, the
+/// other three by the simulator's node slots (the two coincide whenever
+/// every positioned id has a node). A column grows to the highest slot
+/// touched and costs nothing until then.
 #[derive(Debug)]
 pub struct NodeStreams {
     run_seed: u64,
-    streams: BTreeMap<(NodeId, &'static str), ChaCha8Rng>,
+    columns: [Vec<Option<ChaCha8Rng>>; 4],
 }
 
 impl NodeStreams {
@@ -77,32 +99,74 @@ impl NodeStreams {
     pub fn new(run_seed: u64) -> Self {
         NodeStreams {
             run_seed,
-            streams: BTreeMap::new(),
+            columns: Default::default(),
         }
     }
 
-    /// Borrow the stream for `(node, tag)`, creating it at its derived
-    /// seed on first use.
-    pub fn stream(&mut self, node: NodeId, tag: &'static str) -> &mut ChaCha8Rng {
+    fn fresh(run_seed: u64, node: NodeId, tag: StreamTag) -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(stream_seed(run_seed, node, tag))
+    }
+
+    fn cell(&mut self, tag: StreamTag, slot: usize) -> &mut Option<ChaCha8Rng> {
+        let column = &mut self.columns[tag as usize];
+        if column.len() <= slot {
+            column.resize_with(slot + 1, || None);
+        }
+        &mut column[slot]
+    }
+
+    /// Borrow the stream of `node`, which sits at `slot`, creating it at
+    /// its derived seed on first use.
+    pub fn stream(&mut self, tag: StreamTag, slot: usize, node: NodeId) -> &mut ChaCha8Rng {
         let run_seed = self.run_seed;
-        self.streams
-            .entry((node, tag))
-            .or_insert_with(|| ChaCha8Rng::seed_from_u64(stream_seed(run_seed, node, tag)))
+        self.cell(tag, slot)
+            .get_or_insert_with(|| Self::fresh(run_seed, node, tag))
     }
 
-    /// Remove the stream for `(node, tag)` so a worker thread can own it
-    /// during a parallel batch (creating it first if never touched).
-    pub fn take(&mut self, node: NodeId, tag: &'static str) -> ChaCha8Rng {
-        match self.streams.remove(&(node, tag)) {
-            Some(rng) => rng,
-            None => ChaCha8Rng::seed_from_u64(stream_seed(self.run_seed, node, tag)),
+    /// The streams of the nodes `ids`, which occupy consecutive slots from
+    /// `first_slot`, one after the other — the walk a mobility model makes
+    /// in lockstep with its position array.
+    pub fn lockstep<'a>(
+        &'a mut self,
+        tag: StreamTag,
+        first_slot: usize,
+        ids: impl ExactSizeIterator<Item = NodeId> + 'a,
+    ) -> impl Iterator<Item = &'a mut ChaCha8Rng> + 'a {
+        let run_seed = self.run_seed;
+        let end = first_slot + ids.len();
+        let column = &mut self.columns[tag as usize];
+        if column.len() < end {
+            column.resize_with(end, || None);
         }
+        column[first_slot..end]
+            .iter_mut()
+            .zip(ids)
+            .map(move |(cell, node)| cell.get_or_insert_with(|| Self::fresh(run_seed, node, tag)))
+    }
+
+    /// Remove the stream of `node` at `slot` so a worker thread can own it
+    /// during a parallel batch (creating it first if never touched).
+    pub fn take(&mut self, tag: StreamTag, slot: usize, node: NodeId) -> ChaCha8Rng {
+        let run_seed = self.run_seed;
+        self.cell(tag, slot)
+            .take()
+            .unwrap_or_else(|| Self::fresh(run_seed, node, tag))
     }
 
     /// Reinsert a stream previously [taken](NodeStreams::take), preserving
     /// its advanced position.
-    pub fn put(&mut self, node: NodeId, tag: &'static str, rng: ChaCha8Rng) {
-        self.streams.insert((node, tag), rng);
+    pub fn put(&mut self, tag: StreamTag, slot: usize, rng: ChaCha8Rng) {
+        *self.cell(tag, slot) = Some(rng);
+    }
+
+    /// A node was inserted at `slot` of the table `tag`'s column follows:
+    /// open an untouched entry there and move every later stream one slot
+    /// up with its node.
+    pub fn open_slot(&mut self, tag: StreamTag, slot: usize) {
+        let column = &mut self.columns[tag as usize];
+        if slot < column.len() {
+            column.insert(slot, None);
+        }
     }
 }
 
@@ -113,29 +177,33 @@ mod tests {
 
     #[test]
     fn stream_seed_is_a_pure_function() {
-        let a = stream_seed(7, NodeId(3), TAG_CHANNEL);
-        let b = stream_seed(7, NodeId(3), TAG_CHANNEL);
+        let a = stream_seed(7, NodeId(3), StreamTag::Channel);
+        let b = stream_seed(7, NodeId(3), StreamTag::Channel);
         assert_eq!(a, b);
     }
 
     #[test]
     fn stream_seed_separates_nodes_tags_and_runs() {
-        let base = stream_seed(7, NodeId(3), TAG_CHANNEL);
-        assert_ne!(base, stream_seed(7, NodeId(4), TAG_CHANNEL));
-        assert_ne!(base, stream_seed(7, NodeId(3), TAG_MOBILITY));
-        assert_ne!(base, stream_seed(8, NodeId(3), TAG_CHANNEL));
+        let base = stream_seed(7, NodeId(3), StreamTag::Channel);
+        assert_ne!(base, stream_seed(7, NodeId(4), StreamTag::Channel));
+        assert_ne!(base, stream_seed(7, NodeId(3), StreamTag::Mobility));
+        assert_ne!(base, stream_seed(8, NodeId(3), StreamTag::Channel));
     }
 
     #[test]
     fn streams_are_independent_of_first_touch_order() {
         // touching B before A must not change A's draws
         let mut forward = NodeStreams::new(42);
-        let a_first: u64 = forward.stream(NodeId(1), TAG_CHANNEL).gen();
+        let a_first: u64 = forward.stream(StreamTag::Channel, 1, NodeId(1)).gen();
 
         let mut reversed = NodeStreams::new(42);
-        let _ = reversed.stream(NodeId(2), TAG_CHANNEL).gen::<u64>();
-        let _ = reversed.stream(NodeId(2), TAG_MOBILITY).gen::<u64>();
-        let a_second: u64 = reversed.stream(NodeId(1), TAG_CHANNEL).gen();
+        let _ = reversed
+            .stream(StreamTag::Channel, 2, NodeId(2))
+            .gen::<u64>();
+        let _ = reversed
+            .stream(StreamTag::Mobility, 2, NodeId(2))
+            .gen::<u64>();
+        let a_second: u64 = reversed.stream(StreamTag::Channel, 1, NodeId(1)).gen();
 
         assert_eq!(a_first, a_second);
     }
@@ -143,16 +211,32 @@ mod tests {
     #[test]
     fn take_and_put_preserve_the_stream_position() {
         let mut streams = NodeStreams::new(9);
-        let first: u64 = streams.stream(NodeId(5), TAG_FAULT).gen();
-        let mut rng = streams.take(NodeId(5), TAG_FAULT);
+        let first: u64 = streams.stream(StreamTag::Fault, 5, NodeId(5)).gen();
+        let mut rng = streams.take(StreamTag::Fault, 5, NodeId(5));
         let second: u64 = rng.gen();
-        streams.put(NodeId(5), TAG_FAULT, rng);
-        let third: u64 = streams.stream(NodeId(5), TAG_FAULT).gen();
+        streams.put(StreamTag::Fault, 5, rng);
+        let third: u64 = streams.stream(StreamTag::Fault, 5, NodeId(5)).gen();
 
         // a fresh stream replays the same prefix
-        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(9, NodeId(5), TAG_FAULT));
+        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(9, NodeId(5), StreamTag::Fault));
         assert_eq!(first, replay.gen::<u64>());
         assert_eq!(second, replay.gen::<u64>());
         assert_eq!(third, replay.gen::<u64>());
+    }
+
+    #[test]
+    fn opening_a_slot_moves_later_streams_with_their_nodes() {
+        let mut streams = NodeStreams::new(3);
+        let _ = streams.stream(StreamTag::Phase, 0, NodeId(10)).gen::<u64>();
+        let before: u64 = streams.stream(StreamTag::Phase, 1, NodeId(20)).gen();
+        // node 15 arrives between them: 20 moves to slot 2
+        streams.open_slot(StreamTag::Phase, 1);
+        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(3, NodeId(20), StreamTag::Phase));
+        assert_eq!(before, replay.gen::<u64>());
+        let after: u64 = streams.stream(StreamTag::Phase, 2, NodeId(20)).gen();
+        assert_eq!(after, replay.gen::<u64>(), "20's stream kept its position");
+        let mut fresh = ChaCha8Rng::seed_from_u64(stream_seed(3, NodeId(15), StreamTag::Phase));
+        let newcomer: u64 = streams.stream(StreamTag::Phase, 1, NodeId(15)).gen();
+        assert_eq!(newcomer, fresh.gen::<u64>());
     }
 }

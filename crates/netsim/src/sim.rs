@@ -15,7 +15,13 @@
 //! * spatial — node positions come from a [`MobilityModel`] and the topology
 //!   is recomputed by a [`RadioModel`] at every mobility tick; used by the
 //!   VANET-style continuity experiments.
+//!
+//! The nodes live in an arena ordered by ascending [`NodeId`]; a node's
+//! index there is its *slot*, and events, broadcast recipients and the
+//! per-node RNG streams all name nodes by slot. Slot order is NodeId order
+//! is the canonical order of every trace (see [`crate::arena`]).
 
+use crate::arena::{carve, slot_of, Positions, NO_SLOT};
 use crate::channel::{Bernoulli, ChannelModel, LinkEnv};
 use crate::event::{CalendarQueue, Event, EventKind};
 use crate::fault::{FaultKind, Region, ScheduledFault};
@@ -24,14 +30,14 @@ use crate::node::SimNode;
 use crate::observer::{NullObserver, Observer};
 use crate::protocol::Protocol;
 use crate::radio::RadioModel;
-use crate::rng::{NodeStreams, RngStreams, TAG_CHANNEL, TAG_FAULT, TAG_PHASE};
+use crate::rng::{NodeStreams, RngStreams, StreamTag};
 use crate::space::{Point, SpatialGrid};
 use crate::time::SimTime;
 use crate::trace::MessageStats;
 use dyngraph::{Graph, NodeId, TopologyEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Below this many independent work items a same-instant batch runs
@@ -47,6 +53,24 @@ fn batch_threads(items: usize) -> usize {
         .unwrap_or(1)
         .min(items / (PARALLEL_BATCH_FLOOR / 2).max(1))
         .max(1)
+}
+
+/// The next copy of a message that fans out to several places: a clone,
+/// or the message itself once `last` says no further copy is needed.
+fn next_copy<M: Clone>(message: &mut Option<M>, last: bool) -> Option<M> {
+    if last {
+        message.take()
+    } else {
+        message.clone()
+    }
+}
+
+/// Position of the node in node-slot `slot`: `points` by position slot,
+/// through the node → position slot map. `None` off the map (explicit
+/// mode keeps it empty) or where the node has no position.
+fn position_at(position_slot: &[u32], points: &[Point], slot: usize) -> Option<Point> {
+    let at = *position_slot.get(slot)?;
+    (at != NO_SLOT).then(|| points[at as usize])
 }
 
 /// Where the communication topology comes from.
@@ -153,10 +177,10 @@ enum SpatialIndex {
     /// are answered from it directly, and the `Graph` the rest of the
     /// system observes is re-materialised lazily (`dirty`) at most once
     /// per `run_until`, not once per mobility tick.
-    Grid { grid: SpatialGrid, dirty: bool },
+    Grid { grid: Box<SpatialGrid>, dirty: bool },
     /// The radio model has no finite range, so the scan stays all-pairs,
-    /// but unchanged position maps still skip recomputation.
-    DiffOnly(BTreeMap<NodeId, Point>),
+    /// but unchanged positions still skip recomputation.
+    DiffOnly(Vec<Point>),
 }
 
 impl SpatialIndex {
@@ -169,12 +193,12 @@ impl SpatialIndex {
         }
         match radio.max_range() {
             Some(range) if range.is_finite() && range > 0.0 => {
-                let mut grid = SpatialGrid::new(range);
+                let mut grid = Box::new(SpatialGrid::new(range));
                 grid.rebuild(mobility.positions());
                 radio.refresh_grid_topology(&mut grid);
                 SpatialIndex::Grid { grid, dirty: false }
             }
-            _ => SpatialIndex::DiffOnly(mobility.positions().clone()),
+            _ => SpatialIndex::DiffOnly(mobility.positions().points().to_vec()),
         }
     }
 }
@@ -183,18 +207,29 @@ impl SpatialIndex {
 /// pairs in arrival order.
 type Inbox<P> = Vec<(NodeId, <P as Protocol>::Message)>;
 
-/// One transport worker's input: the sender's resident channel stream plus
-/// each of its queued broadcasts as `(pending index, sender, position,
-/// neighbours)`.
-type SweepInput<'a> = (
-    ChaCha8Rng,
-    Vec<(usize, NodeId, Option<Point>, &'a [NodeId])>,
-);
+/// A broadcast polled from its sender, waiting for its link decisions.
+struct Pending<M> {
+    sender: u32,
+    message: M,
+    sender_pos: Option<Point>,
+}
+
+/// The link decisions of one broadcast: counters, and the receiver slots
+/// grouped by extra delay, ascending, so sweep events are scheduled (and
+/// sequence numbers assigned) in delay order.
+#[derive(Default)]
+struct SendOutcome {
+    attempted: u64,
+    dropped: u64,
+    groups: BTreeMap<u64, Vec<u32>>,
+}
 
 /// The discrete-event simulator.
 pub struct Simulator<P: Protocol> {
     config: SimConfig,
-    nodes: BTreeMap<NodeId, SimNode<P>>,
+    /// The node arena: `ids` ascends and `nodes[slot]` is node `ids[slot]`.
+    ids: Vec<NodeId>,
+    nodes: Vec<SimNode<P>>,
     mode: TopologyMode,
     /// The observed communication graph, shared with observers: recording a
     /// configuration is an `Arc` clone, and explicit-mode mutation is
@@ -202,6 +237,13 @@ pub struct Simulator<P: Protocol> {
     /// is never overwritten in place.
     topology: Arc<Graph>,
     index: SpatialIndex,
+    /// Spatial mode: the mobility model's position slot of each node slot
+    /// and the node slot of each position slot, [`NO_SLOT`] where the id is
+    /// unknown on the other side. The two slot spaces coincide once every
+    /// positioned id has its node; rebuilt lazily after `add_node`.
+    position_slot: Vec<u32>,
+    node_slot: Vec<u32>,
+    slot_maps_stale: bool,
     /// The per-link medium model; [`Bernoulli`] by default, which
     /// reproduces the historical loss behaviour bit-for-bit.
     channel: Box<dyn ChannelModel>,
@@ -227,28 +269,38 @@ pub struct Simulator<P: Protocol> {
     rounds_completed: u64,
 }
 
-/// The link-blocking fault state active at one instant, captured by value
-/// and by shared reference so the staged parallel-transport path can move
-/// it into `par_map` workers exactly like `loss_burst_until` historically
-/// was. Blocking happens **before** the channel model is consulted, so a
-/// blocked link consumes no randomness — the invariant that keeps every
-/// digest of a fault-free manifest frozen (see `docs/FAULTS.md`).
-struct LinkGate<'a> {
+/// Everything the link decisions of one instant read, by shared reference,
+/// so a parallel send batch can hand the same view to every worker.
+struct Medium<'a> {
+    now: SimTime,
+    ids: &'a [NodeId],
+    topology: &'a Graph,
+    /// Spatial mode: the radio model and the positions, by position slot.
+    spatial: Option<(&'a dyn RadioModel, Positions<'a>)>,
+    /// Grid mode: the CSR topology, in position slots.
+    grid: Option<&'a SpatialGrid>,
+    position_slot: &'a [u32],
+    node_slot: &'a [u32],
+    channel: &'a dyn ChannelModel,
+    loss_probability: f64,
     loss_burst_until: SimTime,
     partition: Option<&'a BTreeMap<NodeId, usize>>,
     blackouts: &'a [(Region, SimTime)],
 }
 
-impl LinkGate<'_> {
+impl Medium<'_> {
+    /// Is the link cut by a blocking fault? Blocking happens **before** the
+    /// channel model is consulted, so a blocked link consumes no randomness
+    /// — the invariant that keeps every digest of a fault-free manifest
+    /// frozen (see `docs/FAULTS.md`).
     fn blocked(
         &self,
-        now: SimTime,
         sender: NodeId,
         receiver: NodeId,
         sender_pos: Option<Point>,
         receiver_pos: Option<Point>,
     ) -> bool {
-        if now < self.loss_burst_until {
+        if self.now < self.loss_burst_until {
             return true;
         }
         if let Some(groups) = self.partition {
@@ -257,10 +309,67 @@ impl LinkGate<'_> {
             }
         }
         self.blackouts.iter().any(|(region, until)| {
-            now < *until
+            self.now < *until
                 && (sender_pos.is_some_and(|p| region.contains(p.x, p.y))
                     || receiver_pos.is_some_and(|p| region.contains(p.x, p.y)))
         })
+    }
+
+    /// Decide every link of one broadcast, in ascending receiver order (the
+    /// RNG consumption order is part of the pinned golden traces), drawing
+    /// from `rng`. In grid mode the neighbours come from the CSR index —
+    /// the same order a materialised `Graph` iterates in.
+    fn sweep(&self, rng: &mut ChaCha8Rng, sender: u32, sender_pos: Option<Point>) -> SendOutcome {
+        let mut out = SendOutcome::default();
+        let from = self.ids[sender as usize];
+        let mut decide = |to: u32, receiver_pos: Option<Point>| {
+            out.attempted += 1;
+            let receiver = self.ids[to as usize];
+            if self.blocked(from, receiver, sender_pos, receiver_pos) {
+                out.dropped += 1;
+                return;
+            }
+            let outcome = self.channel.link(
+                rng,
+                &LinkEnv {
+                    now: self.now,
+                    sender: from,
+                    receiver,
+                    sender_pos,
+                    receiver_pos,
+                    radio: self.spatial.map(|(radio, _)| radio),
+                    loss_probability: self.loss_probability,
+                },
+            );
+            if outcome.received {
+                out.groups.entry(outcome.extra_delay).or_default().push(to);
+            } else {
+                out.dropped += 1;
+            }
+        };
+        match (self.grid, self.spatial) {
+            (Some(grid), Some((_, positions))) => {
+                let at = self.position_slot[sender as usize];
+                for &j in grid.neighbor_slots(at as usize) {
+                    // a positioned id without a node hears nothing
+                    let to = self.node_slot[j as usize];
+                    if to != NO_SLOT {
+                        decide(to, Some(positions.points()[j as usize]));
+                    }
+                }
+            }
+            _ => {
+                for to in self.topology.neighbors(from) {
+                    if let Some(to) = slot_of(self.ids, to) {
+                        let at = self.spatial.and_then(|(_, positions)| {
+                            position_at(self.position_slot, positions.points(), to)
+                        });
+                        decide(to as u32, at);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -278,10 +387,14 @@ impl<P: Protocol> Simulator<P> {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut sim = Simulator {
             config,
-            nodes: BTreeMap::new(),
+            ids: Vec::new(),
+            nodes: Vec::new(),
             mode,
             topology: Arc::new(topology),
             index,
+            position_slot: Vec::new(),
+            node_slot: Vec::new(),
+            slot_maps_stale: false,
             channel: Box::new(Bernoulli),
             events: CalendarQueue::new(),
             seq: 0,
@@ -303,17 +416,33 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Add a protocol instance. Its identity must be consistent with the
-    /// topology (explicit mode) or have a position (spatial mode).
+    /// topology (explicit mode) or have a position (spatial mode). Adding
+    /// an id again replaces the instance and starts a second pair of
+    /// timers beside the first.
     pub fn add_node(&mut self, protocol: P) {
         let id = protocol.id();
         let mut node = SimNode::new(protocol);
+        let found = self.ids.binary_search(&id);
+        let (Ok(slot) | Err(slot)) = found;
+        if found.is_err() {
+            assert!(slot < NO_SLOT as usize, "at most u32::MAX - 1 nodes");
+            if slot < self.ids.len() {
+                // arriving below existing ids: they all move up a slot, and
+                // every queued event and resident stream moves with them
+                self.events.open_slot(slot as u32);
+                for tag in [StreamTag::Phase, StreamTag::Channel, StreamTag::Fault] {
+                    self.streams.open_slot(tag, slot);
+                }
+            }
+            self.ids.insert(slot, id);
+        }
         if self.config.stagger_phases {
             // per-node mode staggers from the node's own `phase` stream, so
             // a node's timer offsets don't depend on how many nodes were
             // added before it
             let rng = match self.config.rng_streams {
                 RngStreams::Legacy => &mut self.rng,
-                RngStreams::PerNode => self.streams.stream(id, TAG_PHASE),
+                RngStreams::PerNode => self.streams.stream(StreamTag::Phase, slot, id),
             };
             node.send_phase = rng.gen_range(0..self.config.send_period.max(1));
             node.compute_phase = rng.gen_range(0..self.config.compute_period.max(1));
@@ -321,12 +450,16 @@ impl<P: Protocol> Simulator<P> {
         if let TopologyMode::Explicit(_) = self.mode {
             Arc::make_mut(&mut self.topology).add_node(id);
         }
-        self.schedule(node.send_phase + 1, EventKind::SendTimer(id));
+        self.schedule(node.send_phase + 1, EventKind::SendTimer(slot as u32));
         self.schedule(
             node.compute_phase + self.config.send_period + 1,
-            EventKind::ComputeTimer(id),
+            EventKind::ComputeTimer(slot as u32),
         );
-        self.nodes.insert(id, node);
+        match found {
+            Ok(slot) => self.nodes[slot] = node,
+            Err(slot) => self.nodes.insert(slot, node),
+        }
+        self.slot_maps_stale = true;
     }
 
     /// Add many protocol instances at once.
@@ -363,6 +496,11 @@ impl<P: Protocol> Simulator<P> {
         });
     }
 
+    /// The arena slot of `id`, if the node was added.
+    fn slot(&self, id: NodeId) -> Option<usize> {
+        slot_of(&self.ids, id)
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -383,35 +521,38 @@ impl<P: Protocol> Simulator<P> {
 
     /// Immutable access to a protocol instance.
     pub fn protocol(&self, id: NodeId) -> Option<&P> {
-        self.nodes.get(&id).map(|n| &n.protocol)
+        self.slot(id).map(|slot| &self.nodes[slot].protocol)
     }
 
     /// Mutable access to a protocol instance (used by experiments to corrupt
     /// or inspect state between rounds).
     pub fn protocol_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.nodes.get_mut(&id).map(|n| &mut n.protocol)
+        self.slot(id).map(|slot| &mut self.nodes[slot].protocol)
     }
 
     /// Iterate over `(id, protocol)` pairs in ascending id order.
     pub fn protocols(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        self.nodes.iter().map(|(&id, n)| (id, &n.protocol))
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.nodes.iter().map(|n| &n.protocol))
     }
 
     /// Node identifiers known to the simulator.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
+        self.ids.clone()
     }
 
     /// Is the node currently active?
     pub fn is_active(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).map(|n| n.active).unwrap_or(false)
+        self.slot(id).is_some_and(|slot| self.nodes[slot].active)
     }
 
     /// Activate or deactivate a node directly (experiments may prefer the
     /// fault plan).
     pub fn set_active(&mut self, id: NodeId, active: bool) {
-        if let Some(n) = self.nodes.get_mut(&id) {
-            n.active = active;
+        if let Some(slot) = self.slot(id) {
+            self.nodes[slot].active = active;
         }
     }
 
@@ -450,6 +591,9 @@ impl<P: Protocol> Simulator<P> {
     /// deadline), then set the clock to the deadline. This is **the** event
     /// loop: every other driving entry point funnels into it.
     pub fn run_until_observed(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
+        if self.slot_maps_stale {
+            self.refresh_slot_maps();
+        }
         match self.config.rng_streams {
             RngStreams::Legacy => self.run_events_legacy(deadline, obs),
             RngStreams::PerNode => self.run_buckets(deadline, obs),
@@ -458,12 +602,39 @@ impl<P: Protocol> Simulator<P> {
         self.materialise_topology();
     }
 
+    /// Re-derive the node slot ↔ position slot maps: one merge walk over
+    /// the two ascending id lists.
+    fn refresh_slot_maps(&mut self) {
+        self.slot_maps_stale = false;
+        let TopologyMode::Spatial { mobility, .. } = &self.mode else {
+            return;
+        };
+        let placed = mobility.positions().ids();
+        self.position_slot.clear();
+        self.position_slot.resize(self.ids.len(), NO_SLOT);
+        self.node_slot.clear();
+        self.node_slot.resize(placed.len(), NO_SLOT);
+        let (mut n, mut p) = (0, 0);
+        while n < self.ids.len() && p < placed.len() {
+            match self.ids[n].cmp(&placed[p]) {
+                std::cmp::Ordering::Less => n += 1,
+                std::cmp::Ordering::Greater => p += 1,
+                std::cmp::Ordering::Equal => {
+                    self.position_slot[n] = p as u32;
+                    self.node_slot[p] = n as u32;
+                    n += 1;
+                    p += 1;
+                }
+            }
+        }
+    }
+
     /// The historical one-event-at-a-time loop (legacy shared RNG): pops in
-    /// `(time, seq)` order through the calendar queue, reproducing the
-    /// pre-calendar `BinaryHeap` schedule — and therefore every pre-stream
-    /// golden digest — bit-for-bit.
+    /// `(time, seq)` order through the calendar queue and handles each
+    /// event as a bucket of one, reproducing the pre-calendar `BinaryHeap`
+    /// schedule — and therefore every pre-stream trace — bit-for-bit.
     fn run_events_legacy(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
-        let mut batch: Vec<NodeId> = Vec::new();
+        let mut batch: Vec<u32> = Vec::new();
         while let Some(ev) = self.events.peek() {
             if ev.time > deadline {
                 break;
@@ -472,13 +643,13 @@ impl<P: Protocol> Simulator<P> {
             let ev = self.events.pop().expect("peeked");
             self.now = ev.time;
             if self.config.parallel_compute {
-                if let EventKind::ComputeTimer(id) = ev.kind {
+                if let EventKind::ComputeTimer(slot) = ev.kind {
                     // drain the consecutive same-instant compute timers into
                     // one batch; anything else (a delivery interleaved
                     // between two computes at the same tick) stops the batch
                     // so the sequential event order is preserved exactly
                     batch.clear();
-                    batch.push(id);
+                    batch.push(slot);
                     while let Some(next) = self.events.peek() {
                         if next.time != self.now || !matches!(next.kind, EventKind::ComputeTimer(_))
                         {
@@ -486,7 +657,7 @@ impl<P: Protocol> Simulator<P> {
                         }
                         // detlint::allow(D004): the while-let peek guarantees non-empty
                         match self.events.pop().expect("peeked").kind {
-                            EventKind::ComputeTimer(next_id) => batch.push(next_id),
+                            EventKind::ComputeTimer(next_slot) => batch.push(next_slot),
                             _ => unreachable!("peeked a compute timer"),
                         }
                     }
@@ -495,7 +666,7 @@ impl<P: Protocol> Simulator<P> {
                     continue;
                 }
             }
-            self.handle(ev, obs);
+            self.handle_bucket([ev], obs);
         }
     }
 
@@ -524,14 +695,18 @@ impl<P: Protocol> Simulator<P> {
     /// order is part of the pinned trace contract (docs/DETERMINISM.md);
     /// sweeps a send phase schedules with zero total delay land in a fresh
     /// bucket at the same instant and are processed as the next bucket.
-    fn handle_bucket(&mut self, bucket: VecDeque<Event<P::Message>>, obs: &mut dyn Observer<P>) {
-        self.events_processed += bucket.len() as u64;
+    fn handle_bucket(
+        &mut self,
+        bucket: impl IntoIterator<Item = Event<P::Message>>,
+        obs: &mut dyn Observer<P>,
+    ) {
         let mut faults: Vec<usize> = Vec::new();
         let mut mobility_ticks = 0usize;
-        let mut deliveries: Vec<(NodeId, P::Message, Vec<NodeId>)> = Vec::new();
-        let mut computes: Vec<NodeId> = Vec::new();
-        let mut sends: Vec<NodeId> = Vec::new();
+        let mut deliveries: Vec<(u32, P::Message, Vec<u32>)> = Vec::new();
+        let mut computes: Vec<u32> = Vec::new();
+        let mut sends: Vec<u32> = Vec::new();
         for ev in bucket {
+            self.events_processed += 1;
             match ev.kind {
                 EventKind::Fault(idx) => faults.push(idx),
                 EventKind::MobilityTick => mobility_ticks += 1,
@@ -540,8 +715,8 @@ impl<P: Protocol> Simulator<P> {
                     message,
                     recipients,
                 } => deliveries.push((from, message, recipients)),
-                EventKind::ComputeTimer(id) => computes.push(id),
-                EventKind::SendTimer(id) => sends.push(id),
+                EventKind::ComputeTimer(slot) => computes.push(slot),
+                EventKind::SendTimer(slot) => sends.push(slot),
             }
         }
         for idx in faults {
@@ -567,6 +742,20 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
+    /// Worker count for a same-instant transport batch of `items`: one
+    /// unless [`parallel_transport`](SimConfig::parallel_transport) is on
+    /// under per-node streams and the batch is worth a thread spawn.
+    fn transport_threads(&self, items: usize) -> usize {
+        let parallel = self.config.parallel_transport
+            && self.config.rng_streams == RngStreams::PerNode
+            && items >= PARALLEL_BATCH_FLOOR;
+        if parallel {
+            batch_threads(items)
+        } else {
+            1
+        }
+    }
+
     /// Deliver a batch of same-instant broadcast sweeps.
     ///
     /// Liveness checks, delivery/drop statistics and
@@ -579,385 +768,209 @@ impl<P: Protocol> Simulator<P> {
     /// reception applies inline as the sweep walk reaches it. The two
     /// shapes only differ in `on_message` order across *disjoint* node
     /// states — unobservable in any trace — and in wall-clock: the
-    /// grouped path pays an allocation per receiver per instant plus an
-    /// O(n) node-map scan to collect the workers' `&mut`s.
+    /// grouped path stages every reception and sorts them by receiver.
     fn handle_delivery_batch(
         &mut self,
-        sweeps: Vec<(NodeId, P::Message, Vec<NodeId>)>,
+        sweeps: Vec<(u32, P::Message, Vec<u32>)>,
         obs: &mut dyn Observer<P>,
     ) {
         let now = self.now;
         let receptions: usize = sweeps.iter().map(|(_, _, r)| r.len()).sum();
-        let threads = if self.config.parallel_transport && receptions >= PARALLEL_BATCH_FLOOR {
-            batch_threads(receptions)
-        } else {
-            1
-        };
-        if threads <= 1 {
-            // Without a second worker, skip the staging entirely and apply
-            // each reception as the sweep walk reaches it — grouping per
-            // receiver only reorders `on_message` across *disjoint* node
-            // states (unobservable), and building the per-receiver map
-            // costs an allocation per receiver per delivery instant that
-            // at 100k nodes dwarfs the deliveries themselves.
-            for (from, message, recipients) in sweeps {
-                let size = P::message_size(&message);
-                let mut recipients = recipients.into_iter().peekable();
-                while let Some(to) = recipients.next() {
-                    let Some(node) = self.nodes.get_mut(&to) else {
-                        self.stats.dropped += 1;
-                        continue;
-                    };
-                    if !node.active {
-                        self.stats.dropped += 1;
-                        continue;
-                    }
-                    self.stats.delivered += 1;
-                    self.stats.delivered_bytes += size as u64;
-                    obs.on_delivery(from, to, size, now);
-                    // move the message into the last reception instead of
-                    // cloning it
-                    if recipients.peek().is_none() {
-                        node.protocol.on_message(from, message, now);
-                        break;
-                    }
-                    node.protocol.on_message(from, message.clone(), now);
-                }
-            }
-            return;
-        }
-        let mut groups: BTreeMap<NodeId, Vec<(NodeId, P::Message)>> = BTreeMap::new();
+        let threads = self.transport_threads(receptions);
+        // with a second worker, receptions are staged as (receiver slot,
+        // sender, message) instead of applied as the walk reaches them
+        let mut staged: Vec<(u32, NodeId, P::Message)> = Vec::new();
         for (from, message, recipients) in sweeps {
             let size = P::message_size(&message);
+            let from = self.ids[from as usize];
+            let mut message = Some(message);
             let mut recipients = recipients.into_iter().peekable();
             while let Some(to) = recipients.next() {
-                if !self.nodes.get(&to).map(|n| n.active).unwrap_or(false) {
+                let node = &mut self.nodes[to as usize];
+                if !node.active {
                     self.stats.dropped += 1;
                     continue;
                 }
                 self.stats.delivered += 1;
                 self.stats.delivered_bytes += size as u64;
-                obs.on_delivery(from, to, size, now);
-                // move the message into the last reception instead of
-                // cloning it
-                if recipients.peek().is_none() {
-                    groups.entry(to).or_default().push((from, message));
+                obs.on_delivery(from, self.ids[to as usize], size, now);
+                // the message moves into the last reception
+                let Some(copy) = next_copy(&mut message, recipients.peek().is_none()) else {
                     break;
+                };
+                if threads <= 1 {
+                    node.protocol.on_message(from, copy, now);
+                } else {
+                    staged.push((to, from, copy));
                 }
-                groups.entry(to).or_default().push((from, message.clone()));
             }
         }
-        if groups.is_empty() {
+        if staged.is_empty() {
             return;
         }
-        let mut work: Vec<(&mut SimNode<P>, Inbox<P>)> = Vec::with_capacity(groups.len());
-        for (id, node) in self.nodes.iter_mut() {
-            if let Some(msgs) = groups.remove(id) {
-                work.push((node, msgs));
-            }
-            if groups.is_empty() {
-                break;
+        // stable: each receiver keeps its arrival order
+        staged.sort_by_key(|&(to, _, _)| to);
+        let mut inboxes: Vec<(usize, Inbox<P>)> = Vec::new();
+        for (to, from, message) in staged {
+            match inboxes.last_mut() {
+                Some((last, inbox)) if *last == to as usize => inbox.push((from, message)),
+                _ => inboxes.push((to as usize, vec![(from, message)])),
             }
         }
-        rayon::par_map(work, threads, |(node, msgs)| {
-            for (from, msg) in msgs {
-                node.protocol.on_message(from, msg, now);
+        let receivers = carve(&mut self.nodes, inboxes.iter().map(|&(to, _)| to));
+        let work: Vec<_> = receivers.into_iter().zip(inboxes).collect();
+        rayon::par_map(work, threads, |(node, (_, inbox))| {
+            for (from, message) in inbox {
+                node.protocol.on_message(from, message, now);
             }
         });
+    }
+
+    /// Position of the node in `slot`, if it has one (spatial mode).
+    fn position_of(&self, slot: usize) -> Option<Point> {
+        let TopologyMode::Spatial { mobility, .. } = &self.mode else {
+            return None;
+        };
+        position_at(&self.position_slot, mobility.positions().points(), slot)
     }
 
     /// Run a batch of same-instant send-timer expirations.
     ///
     /// Phase 1, sequential in event order: poll `on_send`, count the
-    /// broadcast, snapshot the neighbour set and feed the channel's
-    /// transmission window (`begin_broadcast`) for **all** same-instant
-    /// senders before any link decision — simultaneous transmitters
-    /// contend with each other, whichever worker later evaluates their
-    /// links. Phase 2: per-link loss/jitter decisions, each drawn from the
-    /// *sender's* own `channel` stream; instances are grouped per sender
-    /// (a re-added node can fire twice per instant) so one worker owns one
-    /// stream, and groups shard across workers under
-    /// [`parallel_transport`](SimConfig::parallel_transport). Phase 3,
-    /// sequential in event order again: fold statistics, schedule the
-    /// delivery sweeps (deterministic sequence numbers), reschedule the
-    /// timers, and hand each advanced stream back.
-    ///
-    /// With a single worker the staging buys nothing, so phases 2–3 run
-    /// inline per pending send, drawing from the sender's resident stream
-    /// — same per-stream draw order, same fold and `schedule` sequence,
-    /// none of the task-assembly cost.
-    fn handle_send_batch(&mut self, ids: &[NodeId]) {
+    /// broadcast and feed the channel's transmission window
+    /// (`begin_broadcast`) for **all** same-instant senders before any
+    /// link decision — simultaneous transmitters contend with each other,
+    /// whichever worker later evaluates their links. Phase 2: per-link
+    /// loss/jitter decisions ([`Medium::sweep`]), each drawn from the
+    /// *sender's* own `channel` stream (the shared stream under the legacy
+    /// regime); under
+    /// [`parallel_transport`](SimConfig::parallel_transport) the instances
+    /// are grouped per sender (a re-added node can fire twice per instant)
+    /// so one worker owns one stream, and groups shard across workers.
+    /// Phase 3, sequential in event order again: fold statistics, schedule
+    /// the delivery sweeps (deterministic sequence numbers) and reschedule
+    /// the timers.
+    fn handle_send_batch(&mut self, slots: &[u32]) {
         let now = self.now;
         // phase 1
-        struct Pending<M> {
-            sender: NodeId,
-            message: M,
-            sender_pos: Option<Point>,
-            neighbours: Vec<NodeId>,
-        }
         let mut pending: Vec<Pending<P::Message>> = Vec::new();
-        for &id in ids {
-            let message = match self.nodes.get_mut(&id) {
-                Some(node) if node.active => node.protocol.on_send(now),
-                _ => None,
-            };
-            let Some(message) = message else {
+        for &slot in slots {
+            let node = &mut self.nodes[slot as usize];
+            if !node.active {
+                continue;
+            }
+            let Some(message) = node.protocol.on_send(now) else {
                 continue;
             };
             self.stats.broadcasts += 1;
-            let neighbours: Vec<NodeId> = match &self.index {
-                SpatialIndex::Grid { grid, .. } => grid.neighbors(id).collect(),
-                _ => self.topology.neighbors(id).collect(),
-            };
-            let sender_pos = match &self.mode {
-                TopologyMode::Spatial { mobility, .. } => mobility.positions().get(&id).copied(),
-                TopologyMode::Explicit(_) => None,
-            };
-            self.channel.begin_broadcast(now, id, sender_pos);
+            let sender_pos = self.position_of(slot as usize);
+            self.channel
+                .begin_broadcast(now, self.ids[slot as usize], sender_pos);
             pending.push(Pending {
-                sender: id,
+                sender: slot,
                 message,
                 sender_pos,
-                neighbours,
             });
         }
-        if pending.is_empty() {
-            // still reschedule every timer that fired
-            for &id in ids {
-                self.schedule(self.config.send_period, EventKind::SendTimer(id));
-            }
-            return;
-        }
-        let threads = if self.config.parallel_transport && pending.len() >= PARALLEL_BATCH_FLOOR {
-            batch_threads(pending.len())
-        } else {
-            1
+        // phase 2
+        let threads = self.transport_threads(pending.len());
+        let (spatial, grid) = match (&self.mode, &self.index) {
+            (TopologyMode::Explicit(_), _) => (None, None),
+            (TopologyMode::Spatial { radio, mobility }, index) => (
+                Some((radio.as_ref(), mobility.positions())),
+                match index {
+                    SpatialIndex::Grid { grid, .. } => Some(&**grid),
+                    _ => None,
+                },
+            ),
         };
-        if threads <= 1 {
-            // Single worker: draw each link decision straight from the
-            // sender's resident stream in event order and schedule the
-            // sweeps immediately. Per-stream draw order, statistics fold
-            // order and the `schedule` call sequence (hence sequence
-            // numbers) are identical to the staged path below — the only
-            // difference is skipping the task assembly, the stream
-            // take/put churn and the per-instance outcome staging, which
-            // at 100k nodes cost more than the link decisions themselves.
-            for p in pending {
-                let mut attempted = 0u64;
-                let mut dropped = 0u64;
-                let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-                {
-                    let (radio, positions): (
-                        Option<&dyn RadioModel>,
-                        Option<&BTreeMap<NodeId, Point>>,
-                    ) = match &self.mode {
-                        TopologyMode::Explicit(_) => (None, None),
-                        TopologyMode::Spatial { radio, mobility } => {
-                            (Some(radio.as_ref()), Some(mobility.positions()))
-                        }
-                    };
-                    let gate = LinkGate {
-                        loss_burst_until: self.loss_burst_until,
-                        partition: self.partition.as_ref(),
-                        blackouts: &self.region_blackouts,
-                    };
-                    let rng = self.streams.stream(p.sender, TAG_CHANNEL);
-                    for &to in &p.neighbours {
-                        if !self.nodes.contains_key(&to) {
-                            continue;
-                        }
-                        attempted += 1;
-                        let receiver_pos = positions.and_then(|m| m.get(&to).copied());
-                        if gate.blocked(now, p.sender, to, p.sender_pos, receiver_pos) {
-                            dropped += 1;
-                            continue;
-                        }
-                        let outcome = self.channel.link(
-                            rng,
-                            &LinkEnv {
-                                now,
-                                sender: p.sender,
-                                receiver: to,
-                                sender_pos: p.sender_pos,
-                                receiver_pos,
-                                radio,
-                                loss_probability: self.config.loss_probability,
-                            },
-                        );
-                        if outcome.received {
-                            groups.entry(outcome.extra_delay).or_default().push(to);
-                        } else {
-                            dropped += 1;
-                        }
-                    }
-                }
-                self.stats.attempted += attempted;
-                self.stats.dropped += dropped;
-                let sweeps = groups.len();
-                let mut message = Some(p.message);
-                for (i, (extra_delay, recipients)) in groups.into_iter().enumerate() {
-                    // the message moves into the last sweep instead of cloning
-                    let msg = if i + 1 == sweeps {
-                        // detlint::allow(D004): taken exactly once, on the last sweep
-                        message.take().expect("one take per send")
-                    } else {
-                        // detlint::allow(D004): only the final iteration takes it
-                        message.as_ref().expect("taken only at the end").clone()
-                    };
-                    self.schedule(
-                        self.config.delivery_delay + extra_delay,
-                        EventKind::Broadcast {
-                            from: p.sender,
-                            message: msg,
-                            recipients,
-                        },
-                    );
-                }
-            }
-            for &id in ids {
-                self.schedule(self.config.send_period, EventKind::SendTimer(id));
-            }
-            return;
-        }
-        // group instance indices per distinct sender, first-occurrence
-        // order: the instances of one sender must draw from its stream in
-        // event order, so they stay on one worker
-        let mut tasks: Vec<(NodeId, ChaCha8Rng, Vec<usize>)> = Vec::new();
-        let mut task_of: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (idx, p) in pending.iter().enumerate() {
-            match task_of.get(&p.sender) {
-                Some(&t) => tasks[t].2.push(idx),
-                None => {
-                    task_of.insert(p.sender, tasks.len());
-                    tasks.push((
-                        p.sender,
-                        self.streams.take(p.sender, TAG_CHANNEL),
-                        vec![idx],
-                    ));
-                }
-            }
-        }
-        // phase 2 — read-only over nodes/channel/radio/positions; each
-        // worker owns its sender's stream
-        struct SendOutcome {
-            attempted: u64,
-            dropped: u64,
-            groups: BTreeMap<u64, Vec<NodeId>>,
-        }
-        let nodes = &self.nodes;
-        let channel = &*self.channel;
-        let loss_probability = self.config.loss_probability;
-        let gate = LinkGate {
+        let medium = Medium {
+            now,
+            ids: &self.ids,
+            topology: &self.topology,
+            spatial,
+            grid,
+            position_slot: &self.position_slot,
+            node_slot: &self.node_slot,
+            channel: &*self.channel,
+            loss_probability: self.config.loss_probability,
             loss_burst_until: self.loss_burst_until,
             partition: self.partition.as_ref(),
             blackouts: &self.region_blackouts,
         };
-        let gate = &gate;
-        let (radio, positions): (Option<&dyn RadioModel>, Option<&BTreeMap<NodeId, Point>>) =
-            match &self.mode {
-                TopologyMode::Explicit(_) => (None, None),
-                TopologyMode::Spatial { radio, mobility } => {
-                    (Some(radio.as_ref()), Some(mobility.positions()))
-                }
-            };
-        let inputs: Vec<SweepInput<'_>> = tasks
-            .into_iter()
-            .map(|(_, rng, idxs)| {
-                let items = idxs
-                    .into_iter()
-                    .map(|i| {
-                        let p = &pending[i];
-                        (i, p.sender, p.sender_pos, p.neighbours.as_slice())
-                    })
-                    .collect();
-                (rng, items)
-            })
-            .collect();
-        let decided = rayon::par_map(inputs, threads, |(mut rng, items)| {
-            let outcomes: Vec<(usize, SendOutcome)> = items
-                .into_iter()
-                .map(|(idx, sender, sender_pos, neighbours)| {
-                    let mut out = SendOutcome {
-                        attempted: 0,
-                        dropped: 0,
-                        groups: BTreeMap::new(),
-                    };
-                    for &to in neighbours {
-                        if !nodes.contains_key(&to) {
-                            continue;
-                        }
-                        out.attempted += 1;
-                        let receiver_pos = positions.and_then(|p| p.get(&to).copied());
-                        if gate.blocked(now, sender, to, sender_pos, receiver_pos) {
-                            out.dropped += 1;
-                            continue;
-                        }
-                        let outcome = channel.link(
-                            &mut rng,
-                            &LinkEnv {
-                                now,
-                                sender,
-                                receiver: to,
-                                sender_pos,
-                                receiver_pos,
-                                radio,
-                                loss_probability,
-                            },
-                        );
-                        if outcome.received {
-                            out.groups.entry(outcome.extra_delay).or_default().push(to);
-                        } else {
-                            out.dropped += 1;
-                        }
+        let outcomes: Vec<SendOutcome> = if threads <= 1 {
+            // single worker: draw each decision straight from the sender's
+            // resident stream, in event order
+            let mut decide = |p: &Pending<P::Message>| {
+                let rng = match self.config.rng_streams {
+                    RngStreams::Legacy => &mut self.rng,
+                    RngStreams::PerNode => {
+                        let id = self.ids[p.sender as usize];
+                        self.streams
+                            .stream(StreamTag::Channel, p.sender as usize, id)
                     }
-                    (idx, out)
+                };
+                medium.sweep(rng, p.sender, p.sender_pos)
+            };
+            pending.iter().map(&mut decide).collect()
+        } else {
+            // one task per distinct sender, holding its instances in event
+            // order (the sort is stable): they draw from one stream, so
+            // they stay on one worker
+            let mut order: Vec<usize> = (0..pending.len()).collect();
+            order.sort_by_key(|&i| pending[i].sender);
+            let runs = order.chunk_by(|&a, &b| pending[a].sender == pending[b].sender);
+            let tasks: Vec<_> = runs
+                .clone()
+                .map(|run| {
+                    let sender = pending[run[0]].sender;
+                    let id = self.ids[sender as usize];
+                    let rng = self.streams.take(StreamTag::Channel, sender as usize, id);
+                    let instances: Vec<Option<Point>> =
+                        run.iter().map(|&i| pending[i].sender_pos).collect();
+                    (rng, sender, instances)
                 })
                 .collect();
-            (rng, outcomes)
-        });
-        // phase 3 — sequential: fold stats and schedule sweeps in event
-        // order, return the advanced streams
-        let mut by_instance: Vec<Option<SendOutcome>> = Vec::new();
-        by_instance.resize_with(pending.len(), || None);
-        let mut senders: Vec<NodeId> = Vec::with_capacity(decided.len());
-        for (rng, outcomes) in decided {
-            for (idx, out) in outcomes {
-                senders.push(pending[idx].sender);
-                by_instance[idx] = Some(out);
+            let decided = rayon::par_map(tasks, threads, |(mut rng, sender, instances)| {
+                let outs: Vec<SendOutcome> = instances
+                    .into_iter()
+                    .map(|sender_pos| medium.sweep(&mut rng, sender, sender_pos))
+                    .collect();
+                (rng, sender, outs)
+            });
+            let mut by_instance: Vec<SendOutcome> = Vec::new();
+            by_instance.resize_with(pending.len(), SendOutcome::default);
+            for ((rng, sender, outs), run) in decided.into_iter().zip(runs) {
+                self.streams.put(StreamTag::Channel, sender as usize, rng);
+                for (&i, out) in run.iter().zip(outs) {
+                    by_instance[i] = out;
+                }
             }
-            // one task per distinct sender: the first instance names it
-            if let Some(&sender) = senders.last() {
-                self.streams.put(sender, TAG_CHANNEL, rng);
-            }
-        }
-        for (p, out) in pending.into_iter().zip(by_instance) {
-            // detlint::allow(D004): phase 2 produced one outcome per instance
-            let out = out.expect("decided above");
+            by_instance
+        };
+        // phase 3
+        for (p, out) in pending.into_iter().zip(outcomes) {
             self.stats.attempted += out.attempted;
             self.stats.dropped += out.dropped;
             let sweeps = out.groups.len();
             let mut message = Some(p.message);
             for (i, (extra_delay, recipients)) in out.groups.into_iter().enumerate() {
-                // the message moves into the last sweep instead of cloning
-                let msg = if i + 1 == sweeps {
-                    // detlint::allow(D004): taken exactly once, on the last sweep
-                    message.take().expect("one take per send")
-                } else {
-                    // detlint::allow(D004): only the final iteration takes it
-                    message.as_ref().expect("taken only at the end").clone()
+                // the message moves into the last sweep
+                let Some(message) = next_copy(&mut message, i + 1 == sweeps) else {
+                    break;
                 };
                 self.schedule(
                     self.config.delivery_delay + extra_delay,
                     EventKind::Broadcast {
                         from: p.sender,
-                        message: msg,
+                        message,
                         recipients,
                     },
                 );
             }
         }
-        for &id in ids {
-            self.schedule(self.config.send_period, EventKind::SendTimer(id));
+        for &slot in slots {
+            self.schedule(self.config.send_period, EventKind::SendTimer(slot));
         }
     }
 
@@ -972,29 +985,29 @@ impl<P: Protocol> Simulator<P> {
                     mobility.advance_streams(self.config.mobility_period, &mut self.streams)
                 }
             }
+            let positions = mobility.positions();
             let changed = match &mut self.index {
                 SpatialIndex::Grid { grid, dirty } => {
-                    // incremental cell updates; an unchanged map
-                    // (e.g. stationary nodes) skips recomputation
-                    if grid.sync(mobility.positions()) {
+                    // incremental cell updates; unchanged positions
+                    // (e.g. stationary nodes) skip recomputation
+                    let moved = grid.sync(positions);
+                    if moved {
                         radio.refresh_grid_topology(grid);
                         *dirty = true;
-                        true
-                    } else {
-                        false
                     }
+                    moved
                 }
                 SpatialIndex::DiffOnly(last) => {
-                    if last != mobility.positions() {
-                        *last = mobility.positions().clone();
-                        self.topology = Arc::new(radio.topology_all_pairs(mobility.positions()));
-                        true
-                    } else {
-                        false
+                    let moved = last.as_slice() != positions.points();
+                    if moved {
+                        last.clear();
+                        last.extend_from_slice(positions.points());
+                        self.topology = Arc::new(radio.topology_all_pairs(positions));
                     }
+                    moved
                 }
                 SpatialIndex::None => {
-                    self.topology = Arc::new(radio.topology_all_pairs(mobility.positions()));
+                    self.topology = Arc::new(radio.topology_all_pairs(positions));
                     true
                 }
             };
@@ -1006,50 +1019,43 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Run a batch of same-instant compute expirations, fanning the
-    /// per-node `on_compute` calls across worker threads. Each call only
-    /// mutates its own node's protocol state, so the parallel execution is
-    /// observably identical to handling the timers one by one; the
-    /// follow-up timers are rescheduled in the original pop order, which
-    /// keeps the sequence-number assignment (and therefore every future
-    /// tie-break) byte-identical to the sequential path.
-    fn handle_compute_batch(&mut self, ids: &[NodeId]) {
+    /// per-node `on_compute` calls across worker threads when there are
+    /// any to fan out to. Each call only mutates its own node's protocol
+    /// state, so the parallel execution is observably identical to
+    /// handling the timers one by one; the follow-up timers are
+    /// rescheduled in the original pop order, which keeps the
+    /// sequence-number assignment (and therefore every future tie-break)
+    /// byte-identical to the sequential path.
+    fn handle_compute_batch(&mut self, slots: &[u32]) {
         let now = self.now;
-        // A node re-added via `add_node` carries a second timer stream, so
-        // one id can legitimately appear twice in a same-instant batch;
-        // the parallel path below can only visit each node once (it holds
-        // one `&mut` per node), so a batch with duplicates must run
-        // per-event like the sequential engine does. A single-worker box
-        // takes the same keyed path: collecting the disjoint `&mut`s means
-        // scanning the whole node map, an O(n) toll per compute instant
-        // that buys nothing without a second thread.
-        let wanted: BTreeSet<NodeId> = ids.iter().copied().collect();
-        if ids.len() < PARALLEL_BATCH_FLOOR
-            || wanted.len() != ids.len()
-            || batch_threads(ids.len()) <= 1
-        {
-            for id in ids {
-                if let Some(node) = self.nodes.get_mut(id) {
-                    if node.active {
-                        node.protocol.on_compute(now);
-                        node.last_compute = now;
-                    }
-                }
-            }
-        } else {
-            let targets: Vec<&mut SimNode<P>> = self
-                .nodes
-                .iter_mut()
-                .filter(|(id, node)| wanted.contains(id) && node.active)
-                .map(|(_, node)| node)
-                .collect();
-            let threads = batch_threads(targets.len());
-            rayon::par_map(targets, threads, |node| {
+        let compute = |node: &mut SimNode<P>| {
+            if node.active {
                 node.protocol.on_compute(now);
                 node.last_compute = now;
-            });
+            }
+        };
+        // A node re-added via `add_node` carries a second timer stream, so
+        // one slot can legitimately appear twice in a same-instant batch;
+        // the parallel path can only visit each node once (it holds one
+        // `&mut` per node), so a batch with duplicates runs per-event like
+        // the sequential engine does. The duplicate scan is only paid once
+        // a second worker makes the parallel path possible at all.
+        let mut distinct: Vec<usize> = Vec::new();
+        if slots.len() >= PARALLEL_BATCH_FLOOR && batch_threads(slots.len()) > 1 {
+            distinct.extend(slots.iter().map(|&slot| slot as usize));
+            distinct.sort_unstable();
+            distinct.dedup();
         }
-        for &id in ids {
-            self.schedule(self.config.compute_period, EventKind::ComputeTimer(id));
+        if distinct.len() == slots.len() {
+            let targets = carve(&mut self.nodes, distinct);
+            rayon::par_map(targets, batch_threads(slots.len()), compute);
+        } else {
+            for &slot in slots {
+                compute(&mut self.nodes[slot as usize]);
+            }
+        }
+        for &slot in slots {
+            self.schedule(self.config.compute_period, EventKind::ComputeTimer(slot));
         }
     }
 
@@ -1127,204 +1133,46 @@ impl<P: Protocol> Simulator<P> {
         self.events_processed
     }
 
-    fn handle(&mut self, ev: Event<P::Message>, obs: &mut dyn Observer<P>) {
-        self.events_processed += 1;
-        match ev.kind {
-            EventKind::ComputeTimer(id) => {
-                let now = self.now;
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    if node.active {
-                        node.protocol.on_compute(now);
-                        node.last_compute = now;
-                    }
-                }
-                self.schedule(self.config.compute_period, EventKind::ComputeTimer(id));
-            }
-            EventKind::SendTimer(id) => {
-                self.handle_send(id);
-                self.schedule(self.config.send_period, EventKind::SendTimer(id));
-            }
-            EventKind::Broadcast {
-                from,
-                message,
-                recipients,
-            } => {
-                let now = self.now;
-                let size = P::message_size(&message);
-                let mut recipients = recipients.into_iter().peekable();
-                while let Some(to) = recipients.next() {
-                    if let Some(node) = self.nodes.get_mut(&to) {
-                        if node.active {
-                            self.stats.delivered += 1;
-                            self.stats.delivered_bytes += size as u64;
-                            obs.on_delivery(from, to, size, now);
-                            // move the message into the last reception
-                            // instead of cloning it
-                            if recipients.peek().is_none() {
-                                node.protocol.on_message(from, message, now);
-                                break;
-                            }
-                            node.protocol.on_message(from, message.clone(), now);
-                        } else {
-                            self.stats.dropped += 1;
-                        }
-                    } else {
-                        self.stats.dropped += 1;
-                    }
-                }
-            }
-            EventKind::MobilityTick => {
-                self.handle_mobility(obs);
-            }
-            EventKind::Fault(idx) => {
-                if let Some(fault) = self.faults.get(idx).cloned() {
-                    self.apply_fault(&fault);
-                    // the hook hands out &Simulator mid-run: make sure the
-                    // observed graph reflects every mobility tick so far
-                    self.materialise_topology();
-                    obs.on_fault(&fault, self);
-                }
-            }
-        }
-    }
-
-    fn handle_send(&mut self, id: NodeId) {
-        let now = self.now;
-        let message = match self.nodes.get_mut(&id) {
-            Some(node) if node.active => match node.protocol.on_send(now) {
-                Some(m) => m,
-                None => return,
-            },
-            _ => return,
-        };
-        self.stats.broadcasts += 1;
-        // Per-neighbour loss decisions happen now, in neighbour order (the
-        // RNG consumption order is part of the pinned golden traces); the
-        // survivors ride Broadcast sweep events instead of one heap entry
-        // each — one sweep per distinct extra delay, and the default
-        // Bernoulli channel never adds delay, so it schedules exactly the
-        // single sweep the pre-channel engine did. In grid mode the
-        // neighbours come from the CSR index (same NodeId-ascending order a
-        // materialised Graph iterates in).
-        let neighbours: Vec<NodeId> = match &self.index {
-            SpatialIndex::Grid { grid, .. } => grid.neighbors(id).collect(),
-            _ => self.topology.neighbors(id).collect(),
-        };
-        let (radio, positions): (Option<&dyn RadioModel>, Option<&BTreeMap<NodeId, Point>>) =
-            match &self.mode {
-                TopologyMode::Explicit(_) => (None, None),
-                TopologyMode::Spatial { radio, mobility } => {
-                    (Some(radio.as_ref()), Some(mobility.positions()))
-                }
-            };
-        let sender_pos = positions.and_then(|p| p.get(&id).copied());
-        self.channel.begin_broadcast(now, id, sender_pos);
-        // recipients grouped by extra delay, ascending, so sweep events are
-        // scheduled (and sequence numbers assigned) in delay order
-        let gate = LinkGate {
-            loss_burst_until: self.loss_burst_until,
-            partition: self.partition.as_ref(),
-            blackouts: &self.region_blackouts,
-        };
-        let mut groups: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        for to in neighbours {
-            if !self.nodes.contains_key(&to) {
-                continue;
-            }
-            self.stats.attempted += 1;
-            let receiver_pos = positions.and_then(|p| p.get(&to).copied());
-            if gate.blocked(now, id, to, sender_pos, receiver_pos) {
-                self.stats.dropped += 1;
-                continue;
-            }
-            let outcome = self.channel.link(
-                &mut self.rng,
-                &LinkEnv {
-                    now,
-                    sender: id,
-                    receiver: to,
-                    sender_pos,
-                    receiver_pos,
-                    radio,
-                    loss_probability: self.config.loss_probability,
-                },
-            );
-            if outcome.received {
-                groups.entry(outcome.extra_delay).or_default().push(to);
-            } else {
-                self.stats.dropped += 1;
-            }
-        }
-        let sweeps = groups.len();
-        let mut message = Some(message);
-        for (i, (extra_delay, recipients)) in groups.into_iter().enumerate() {
-            // the message moves into the last sweep instead of cloning
-            let msg = if i + 1 == sweeps {
-                // detlint::allow(D004): taken exactly once, on the last sweep
-                message.take().expect("one take per send")
-            } else {
-                // detlint::allow(D004): only the final iteration takes it
-                message.as_ref().expect("taken only at the end").clone()
-            };
-            self.schedule(
-                self.config.delivery_delay + extra_delay,
-                EventKind::Broadcast {
-                    from: id,
-                    message: msg,
-                    recipients,
-                },
-            );
-        }
-    }
-
     fn apply_fault(&mut self, fault: &ScheduledFault) {
         match &fault.kind {
             &FaultKind::CorruptState(id) => {
-                if let Some(node) = self.nodes.get_mut(&id) {
+                if let Some(slot) = self.slot(id) {
                     // the adversary's draws come from the victim's own
                     // `fault` stream under per-node seeding, so injecting a
                     // corruption never perturbs any other node's randomness
-                    match self.config.rng_streams {
-                        RngStreams::Legacy => node.protocol.corrupt_state(&mut self.rng),
-                        RngStreams::PerNode => node
-                            .protocol
-                            .corrupt_state(self.streams.stream(id, TAG_FAULT)),
-                    }
+                    let rng = match self.config.rng_streams {
+                        RngStreams::Legacy => &mut self.rng,
+                        RngStreams::PerNode => self.streams.stream(StreamTag::Fault, slot, id),
+                    };
+                    self.nodes[slot].protocol.corrupt_state(rng);
                 }
             }
             &FaultKind::CorruptMessage(id) => {
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    // same stream discipline as `CorruptState`: the draws
-                    // come from the victim's `fault` stream, so flipping an
+                if let Some(slot) = self.slot(id) {
+                    // same stream discipline as `CorruptState`: flipping an
                     // in-flight payload never perturbs any other node's
                     // randomness. A no-op when nothing is in flight.
                     let rng = match self.config.rng_streams {
                         RngStreams::Legacy => &mut self.rng,
-                        RngStreams::PerNode => self.streams.stream(id, TAG_FAULT),
+                        RngStreams::PerNode => self.streams.stream(StreamTag::Fault, slot, id),
                     };
-                    self.events.corrupt_broadcasts_from(id, &mut |msg| {
-                        node.protocol.corrupt_message(msg, &mut *rng)
-                    });
+                    let node = &mut self.nodes[slot];
+                    self.events
+                        .corrupt_broadcasts_from(slot as u32, &mut |msg| {
+                            node.protocol.corrupt_message(msg, &mut *rng)
+                        });
                 }
             }
-            &FaultKind::Crash(id) => {
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.active = false;
-                }
-            }
+            &FaultKind::Crash(id) => self.set_active(id, false),
             &FaultKind::Restart(id) => {
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.protocol.reset();
-                    node.active = true;
+                if let Some(slot) = self.slot(id) {
+                    self.nodes[slot].protocol.reset();
+                    self.nodes[slot].active = true;
                 }
             }
-            &FaultKind::RestartStale(id) => {
-                // the harder recovery mode: the node re-enters the network
-                // with whatever state it crashed with — no reset
-                if let Some(node) = self.nodes.get_mut(&id) {
-                    node.active = true;
-                }
-            }
+            // the harder recovery mode: the node re-enters the network
+            // with whatever state it crashed with — no reset
+            &FaultKind::RestartStale(id) => self.set_active(id, true),
             &FaultKind::LossBurst { duration } => {
                 self.loss_burst_until = self.now + duration;
             }

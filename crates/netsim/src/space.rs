@@ -1,9 +1,9 @@
 //! Two-dimensional Euclidean space in which the nodes move, and the
 //! uniform-grid spatial index used to make neighbour discovery O(n · k).
 
+use crate::arena::{slot_of, Positions, NO_SLOT};
 use dyngraph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A position in the plane (metres, but the unit is arbitrary).
 #[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
@@ -72,8 +72,17 @@ pub fn cell_index(cell_size: f64, p: Point) -> Cell {
     )
 }
 
-fn cell_of(cell_size: f64, p: Point) -> Cell {
-    cell_index(cell_size, p)
+/// Buffers the per-tick grid operations reuse instead of allocating.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// Accepted pairs of the last topology rebuild.
+    pairs: Vec<(u32, u32)>,
+    /// Per-slot write cursors of the CSR fill.
+    cursor: Vec<u32>,
+    /// Slots that changed cell during a sync, keyed by their new cell.
+    moved: Vec<(Cell, u32)>,
+    /// The merge target `entries` is swapped with.
+    merged: Vec<(Cell, u32)>,
 }
 
 /// A uniform-grid spatial hash over node positions.
@@ -83,42 +92,54 @@ fn cell_of(cell_size: f64, p: Point) -> Cell {
 /// differ by at most `ceil(r / cell_size)` on each axis, so range queries
 /// only visit a constant-size neighbourhood of cells instead of all nodes.
 ///
-/// Internally the nodes live in a NodeId-ascending array and the cells hold
-/// `u32` indices into it, so the hot pair-enumeration loop is pure array
-/// traffic — no map lookups. The grid remembers the positions it was last
-/// synchronised with, which enables two things the simulator relies on:
+/// The nodes live in slot order and the cells are one flat array of
+/// `(cell, slot)` entries sorted by cell then slot, so a cell's bucket is a
+/// contiguous, slot-ascending run and the occupied cells ascend with it.
+/// The pair loop reaches a cell's neighbour cells with cursors that only
+/// move forward over that array — no keyed lookup — and memory is
+/// O(nodes) whatever box the coordinates span. The grid remembers the
+/// positions it was last synchronised with, which enables two things the
+/// simulator relies on:
 ///
-/// * [`SpatialGrid::sync`] updates incrementally — steady-state ticks are a
-///   lockstep walk over the sorted node set with in-place position writes,
-///   and only boundary-crossing nodes touch their cells — and reports
-///   whether anything changed, so a stationary tick skips topology
-///   recomputation entirely;
-/// * node order is always NodeId-ascending and cell iteration is BTree-
-///   ordered, so every result (and downstream trace digest) is independent
-///   of update history.
+/// * [`SpatialGrid::sync`] updates incrementally — a steady-state tick is
+///   a zip over two slices with in-place position writes, and the nodes
+///   that crossed a cell boundary are merged back into the sorted entries
+///   in one pass — and reports whether anything changed, so a stationary
+///   tick skips topology recomputation entirely;
+/// * entry order is a pure function of the positions, so every result (and
+///   downstream trace digest) is independent of update history.
 #[derive(Clone, Debug)]
 pub struct SpatialGrid {
     cell_size: f64,
-    /// All indexed nodes with their positions, ascending by NodeId.
-    order: Vec<(NodeId, Point)>,
-    /// Cell buckets: ascending indices into `order`.
-    cells: BTreeMap<(i64, i64), Vec<u32>>,
+    /// The indexed nodes, ascending: `ids[slot]`.
+    ids: Vec<NodeId>,
+    /// `points[slot]`, as of the last sync.
+    points: Vec<Point>,
+    /// `cell_of[slot]`, the cell `points[slot]` falls in.
+    cell_of: Vec<Cell>,
+    /// Every slot keyed by its cell, sorted.
+    entries: Vec<(Cell, u32)>,
+    /// Bucket `k` is `entries[starts[k]..starts[k + 1]]`; one trailing
+    /// entry holds `entries.len()`.
+    starts: Vec<u32>,
     /// The derived topology in CSR form, valid after
     /// [`rebuild_topology`](Self::rebuild_topology): `topo_offsets` has
     /// length n + 1 and `topo_flat[topo_offsets[i]..topo_offsets[i + 1]]`
-    /// holds node i's neighbour indices, ascending. Kept in index form so
-    /// the simulator can answer per-send neighbour queries without
-    /// materialising a [`Graph`] on every mobility tick.
+    /// holds slot i's neighbour slots, ascending. Kept in slot form so the
+    /// simulator answers per-send neighbour queries with one slice borrow.
     topo_offsets: Vec<u32>,
     topo_flat: Vec<u32>,
-    /// Reusable accepted-pair buffer (allocation churn here is hot).
-    pairs_scratch: Vec<(u32, u32)>,
+    scratch: Scratch,
 }
 
 impl PartialEq for SpatialGrid {
     fn eq(&self, other: &Self) -> bool {
         // the CSR topology and scratch are derived state, not identity
-        self.cell_size == other.cell_size && self.order == other.order && self.cells == other.cells
+        self.cell_size == other.cell_size
+            && self.ids == other.ids
+            && self.points == other.points
+            && self.entries == other.entries
+            && self.starts == other.starts
     }
 }
 
@@ -133,80 +154,66 @@ impl SpatialGrid {
         );
         SpatialGrid {
             cell_size,
-            order: Vec::new(),
-            cells: BTreeMap::new(),
+            ids: Vec::new(),
+            points: Vec::new(),
+            cell_of: Vec::new(),
+            entries: Vec::new(),
+            starts: vec![0],
             topo_offsets: Vec::new(),
             topo_flat: Vec::new(),
-            pairs_scratch: Vec::new(),
+            scratch: Scratch::default(),
         }
-    }
-
-    /// The configured cell side.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
     }
 
     /// Number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.ids.len()
     }
 
     /// Is the grid empty?
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.ids.is_empty()
     }
 
-    /// The indexed nodes and their positions, ascending by NodeId.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, Point)> + '_ {
-        self.order.iter().copied()
+    /// The indexed nodes and their positions, in slot order.
+    pub fn positions(&self) -> Positions<'_> {
+        Positions::new(&self.ids, &self.points)
     }
 
-    /// Position of one node, if indexed.
-    pub fn position_of(&self, node: NodeId) -> Option<Point> {
-        self.order
-            .binary_search_by_key(&node, |&(n, _)| n)
-            .ok()
-            .map(|i| self.order[i].1)
-    }
-
-    /// Cell coordinates of a point.
-    pub fn cell_of(&self, p: Point) -> (i64, i64) {
-        cell_of(self.cell_size, p)
-    }
-
-    fn insert_into_cell(&mut self, idx: u32, cell: (i64, i64)) {
-        let bucket = self.cells.entry(cell).or_default();
-        if let Err(pos) = bucket.binary_search(&idx) {
-            bucket.insert(pos, idx);
-        }
-    }
-
-    fn remove_from_cell(&mut self, idx: u32, cell: (i64, i64)) {
-        if let Some(bucket) = self.cells.get_mut(&cell) {
-            if let Ok(pos) = bucket.binary_search(&idx) {
-                bucket.remove(pos);
-            }
-            if bucket.is_empty() {
-                self.cells.remove(&cell);
+    /// Recompute the bucket boundaries from the sorted entries.
+    fn index_buckets(&mut self) {
+        self.starts.clear();
+        let mut last = None;
+        for (i, &(cell, _)) in self.entries.iter().enumerate() {
+            if last != Some(cell) {
+                self.starts.push(i as u32);
+                last = Some(cell);
             }
         }
+        self.starts.push(self.entries.len() as u32);
     }
 
     /// Drop everything and re-index `positions` from scratch. Invalidates
     /// the CSR topology until the next
     /// [`rebuild_topology`](Self::rebuild_topology).
-    pub fn rebuild(&mut self, positions: &BTreeMap<NodeId, Point>) {
+    pub fn rebuild(&mut self, positions: Positions<'_>) {
         assert!(
-            positions.len() <= u32::MAX as usize,
-            "spatial grid indexes at most u32::MAX nodes"
+            positions.len() < NO_SLOT as usize,
+            "spatial grid indexes fewer than u32::MAX nodes"
         );
-        self.order = positions.iter().map(|(&n, &p)| (n, p)).collect();
-        self.cells.clear();
-        for (idx, &(_, p)) in self.order.iter().enumerate() {
-            let cell = cell_of(self.cell_size, p);
-            // iteration is index-ascending, so buckets stay sorted
-            self.cells.entry(cell).or_default().push(idx as u32);
-        }
+        let cell_size = self.cell_size;
+        self.ids.clear();
+        self.ids.extend_from_slice(positions.ids());
+        self.points.clear();
+        self.points.extend_from_slice(positions.points());
+        self.cell_of.clear();
+        self.cell_of
+            .extend(self.points.iter().map(|&p| cell_index(cell_size, p)));
+        self.entries.clear();
+        self.entries
+            .extend(self.cell_of.iter().copied().zip(0u32..));
+        self.entries.sort_unstable();
+        self.index_buckets();
         self.topo_offsets.clear();
         self.topo_flat.clear();
     }
@@ -216,109 +223,130 @@ impl SpatialGrid {
     /// have changed); `false` means the tick was a guaranteed no-op.
     ///
     /// The steady-state case — identical node set, some nodes moved — is a
-    /// lockstep walk over the two sorted collections with in-place position
-    /// updates; only nodes that crossed a cell boundary touch their
-    /// buckets. Node churn (join/leave) re-indexes from scratch.
-    pub fn sync(&mut self, positions: &BTreeMap<NodeId, Point>) -> bool {
-        if self.order.len() != positions.len()
-            || !self
-                .order
-                .iter()
-                .map(|&(n, _)| n)
-                .eq(positions.keys().copied())
-        {
+    /// zip over the two point slices; the nodes that crossed a cell
+    /// boundary are then merged back into place in one pass over the
+    /// entries. Node churn (join/leave) re-indexes from scratch.
+    pub fn sync(&mut self, positions: Positions<'_>) -> bool {
+        if self.ids != positions.ids() {
             self.rebuild(positions);
             return true;
         }
         let cell_size = self.cell_size;
         let mut changed = false;
-        let mut crossings: Vec<(u32, Cell, Cell)> = Vec::new();
-        for (idx, (slot, &new)) in self.order.iter_mut().zip(positions.values()).enumerate() {
-            let old = slot.1;
-            if old != new {
-                let from = cell_of(cell_size, old);
-                let to = cell_of(cell_size, new);
-                if from != to {
-                    crossings.push((idx as u32, from, to));
-                }
-                slot.1 = new;
+        let mut moved = std::mem::take(&mut self.scratch.moved);
+        moved.clear();
+        let tracked = self.points.iter_mut().zip(&mut self.cell_of);
+        for (slot, ((old, cell), &new)) in tracked.zip(positions.points()).enumerate() {
+            if *old != new {
+                *old = new;
                 changed = true;
+                let to = cell_index(cell_size, new);
+                if *cell != to {
+                    *cell = to;
+                    moved.push((to, slot as u32));
+                }
             }
         }
-        for (idx, from, to) in crossings {
-            self.remove_from_cell(idx, from);
-            self.insert_into_cell(idx, to);
+        if !moved.is_empty() {
+            moved.sort_unstable();
+            let mut merged = std::mem::take(&mut self.scratch.merged);
+            merged.clear();
+            let mut arriving = moved.iter().copied().peekable();
+            for &entry in &self.entries {
+                let (cell, slot) = entry;
+                if self.cell_of[slot as usize] != cell {
+                    continue; // the slot left this cell
+                }
+                while let Some(next) = arriving.next_if(|&next| next < entry) {
+                    merged.push(next);
+                }
+                merged.push(entry);
+            }
+            merged.extend(arriving);
+            std::mem::swap(&mut self.entries, &mut merged);
+            self.scratch.merged = merged;
+            self.index_buckets();
         }
+        self.scratch.moved = moved;
         changed
     }
 
-    /// Visit every unordered candidate *index* pair exactly once: all pairs
+    /// Visit every unordered candidate *slot* pair exactly once: all pairs
     /// co-located in a cell neighbourhood of `ceil(radius / cell_size)`
     /// rings. Pairs farther apart than `radius` may be visited (the caller
     /// re-checks distances); pairs within `radius` are never missed.
-    fn for_each_candidate_index_pair<F: FnMut(u32, Point, u32, Point)>(
+    fn for_each_candidate_slot_pair<F: FnMut(u32, Point, u32, Point)>(
         &self,
         radius: f64,
         mut f: F,
     ) {
-        let reach = ((radius / self.cell_size).ceil() as i64).max(1);
-        for (&(cx, cy), bucket) in &self.cells {
-            // pairs inside this cell (each once: ascending bucket, i < j)
-            for (i, &ia) in bucket.iter().enumerate() {
-                let (_, pa) = self.order[ia as usize];
-                for &ib in &bucket[i + 1..] {
-                    f(ia, pa, ib, self.order[ib as usize].1);
+        let buckets = self.starts.len() - 1;
+        if buckets == 0 {
+            return;
+        }
+        let key = |k: usize| self.entries[self.starts[k] as usize].0;
+        let bucket = |k: usize| &self.entries[self.starts[k] as usize..self.starts[k + 1] as usize];
+        let mut cross = |here: &[(Cell, u32)], there: &[(Cell, u32)]| {
+            for &(_, a) in here {
+                let pa = self.points[a as usize];
+                for &(_, b) in there {
+                    f(a, pa, b, self.points[b as usize]);
                 }
             }
-            // pairs with strictly "later" cells only, so each cross-cell
-            // pair is visited exactly once; the neighbour bucket is looked
-            // up once per cell, not once per node
-            for dx in 0..=reach {
-                let dy_start = if dx == 0 { 1 } else { -reach };
-                for dy in dy_start..=reach {
-                    let Some(other) = self.cells.get(&(cx + dx, cy + dy)) else {
-                        continue;
-                    };
-                    for &ia in bucket {
-                        let (_, pa) = self.order[ia as usize];
-                        for &ib in other {
-                            f(ia, pa, ib, self.order[ib as usize].1);
-                        }
-                    }
+        };
+        let reach = ((radius / self.cell_size).ceil() as i64).max(1);
+        // Each pair is visited from its earlier cell, so only "later"
+        // cells are paired: the rows above in this column, and the rows
+        // within reach in the next `reach` columns. Cells ascend by
+        // (column, row), so the first cell of each such window only ever
+        // moves forward as the walk proceeds: one cursor per column offset
+        // (none past the last occupied column).
+        let span = key(buckets - 1).0.saturating_sub(key(0).0);
+        let mut cursors = vec![0usize; reach.min(span) as usize];
+        for k in 0..buckets {
+            let (cx, cy) = key(k);
+            let here = bucket(k);
+            for (i, &entry) in here.iter().enumerate() {
+                cross(&[entry], &here[i + 1..]);
+            }
+            let mut j = k + 1;
+            while j < buckets && key(j).0 == cx && key(j).1.saturating_sub(cy) <= reach {
+                cross(here, bucket(j));
+                j += 1;
+            }
+            let (low, high) = (cy.saturating_sub(reach), cy.saturating_add(reach));
+            for (dx, cursor) in (1i64..).zip(&mut cursors) {
+                let Some(column) = cx.checked_add(dx) else {
+                    break;
+                };
+                while *cursor < buckets && key(*cursor) < (column, low) {
+                    *cursor += 1;
+                }
+                let mut j = *cursor;
+                while j < buckets && key(j) <= (column, high) {
+                    cross(here, bucket(j));
+                    j += 1;
                 }
             }
         }
-    }
-
-    /// Visit every unordered candidate pair `(a, b)` — each pair exactly
-    /// once — that could lie within `radius` of each other. See
-    /// `for_each_candidate_index_pair` for the coverage guarantee.
-    pub fn for_each_candidate_pair<F: FnMut(NodeId, Point, NodeId, Point)>(
-        &self,
-        radius: f64,
-        mut f: F,
-    ) {
-        self.for_each_candidate_index_pair(radius, |ia, pa, ib, pb| {
-            f(self.order[ia as usize].0, pa, self.order[ib as usize].0, pb)
-        });
     }
 
     /// Recompute the symmetric-link topology over the indexed nodes into
     /// the internal CSR form: an edge is present when `accept(pa, pb)`
-    /// holds for the candidate pair. The adjacency is assembled index-side
-    /// (no map lookups, no global edge sort — index order *is* NodeId
-    /// order); [`neighbors`](Self::neighbors) answers queries from it and
+    /// holds for the candidate pair. The adjacency is assembled slot-side
+    /// (no global edge sort — slot order *is* NodeId order);
+    /// [`neighbor_slots`](Self::neighbor_slots) answers queries from it and
     /// [`graph`](Self::graph) materialises it on demand.
     pub fn rebuild_topology(&mut self, radius: f64, mut accept: impl FnMut(Point, Point) -> bool) {
-        let n = self.order.len();
-        let mut pairs = std::mem::take(&mut self.pairs_scratch);
+        let n = self.ids.len();
+        let mut pairs = std::mem::take(&mut self.scratch.pairs);
         pairs.clear();
-        self.for_each_candidate_index_pair(radius, |ia, pa, ib, pb| {
+        self.for_each_candidate_slot_pair(radius, |a, pa, b, pb| {
             if accept(pa, pb) {
-                pairs.push((ia, ib));
+                pairs.push((a, b));
             }
         });
-        // counting sort by node index: degrees → prefix sums → fill
+        // counting sort by slot: degrees → prefix sums → fill
         let offsets = &mut self.topo_offsets;
         offsets.clear();
         offsets.resize(n + 1, 0);
@@ -332,7 +360,9 @@ impl SpatialGrid {
         let flat = &mut self.topo_flat;
         flat.clear();
         flat.resize(2 * pairs.len(), 0);
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let cursor = &mut self.scratch.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&offsets[..n]);
         for &(a, b) in pairs.iter() {
             flat[cursor[a as usize] as usize] = b;
             cursor[a as usize] += 1;
@@ -342,21 +372,24 @@ impl SpatialGrid {
         for i in 0..n {
             flat[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
         }
-        self.pairs_scratch = pairs;
+        self.scratch.pairs = pairs;
     }
 
-    /// Neighbours of `node` per the last
-    /// [`rebuild_topology`](Self::rebuild_topology), ascending by NodeId —
-    /// the same order a materialised [`Graph`] would iterate them in.
-    /// Empty when the node is unknown or no topology has been built.
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let run: &[u32] = match self.order.binary_search_by_key(&node, |&(n, _)| n) {
-            Ok(i) if i + 1 < self.topo_offsets.len() => {
-                &self.topo_flat[self.topo_offsets[i] as usize..self.topo_offsets[i + 1] as usize]
-            }
+    /// Neighbour slots of `slot` per the last
+    /// [`rebuild_topology`](Self::rebuild_topology), ascending — which is
+    /// ascending NodeId order, the order a materialised [`Graph`] iterates
+    /// in. Empty when the slot is unknown or no topology has been built.
+    pub fn neighbor_slots(&self, slot: usize) -> &[u32] {
+        match (self.topo_offsets.get(slot), self.topo_offsets.get(slot + 1)) {
+            (Some(&from), Some(&to)) => &self.topo_flat[from as usize..to as usize],
             _ => &[],
-        };
-        run.iter().map(|&j| self.order[j as usize].0)
+        }
+    }
+
+    /// [`neighbor_slots`](Self::neighbor_slots) by and as NodeId.
+    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let run = slot_of(&self.ids, node).map_or(&[][..], |slot| self.neighbor_slots(slot));
+        run.iter().map(|&j| self.ids[j as usize])
     }
 
     /// Materialise the CSR topology as a [`Graph`] — content-identical to
@@ -365,15 +398,11 @@ impl SpatialGrid {
     /// not once per mobility tick.
     pub fn graph(&self) -> Graph {
         if self.topo_offsets.is_empty() {
-            return Graph::with_nodes(self.order.iter().map(|&(n, _)| n));
+            return Graph::with_nodes(self.ids.iter().copied());
         }
-        Graph::from_sorted_adjacency_iter(self.order.iter().enumerate().map(|(i, &(node, _))| {
-            (
-                node,
-                self.topo_flat[self.topo_offsets[i] as usize..self.topo_offsets[i + 1] as usize]
-                    .iter()
-                    .map(|&j| self.order[j as usize].0),
-            )
+        Graph::from_sorted_adjacency_iter(self.ids.iter().enumerate().map(|(slot, &node)| {
+            let run = self.neighbor_slots(slot);
+            (node, run.iter().map(|&j| self.ids[j as usize]))
         }))
     }
 
@@ -391,6 +420,7 @@ impl SpatialGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PositionTable;
 
     #[test]
     fn distance_is_euclidean() {
@@ -419,7 +449,7 @@ mod tests {
         assert_eq!(p, Point::new(0.0, 10.0));
     }
 
-    fn grid_positions(pts: &[(u64, f64, f64)]) -> BTreeMap<NodeId, Point> {
+    fn grid_positions(pts: &[(u64, f64, f64)]) -> PositionTable {
         pts.iter()
             .map(|&(id, x, y)| (NodeId(id), Point::new(x, y)))
             .collect()
@@ -427,7 +457,8 @@ mod tests {
 
     fn candidate_pairs(grid: &SpatialGrid, radius: f64) -> Vec<(NodeId, NodeId)> {
         let mut pairs = Vec::new();
-        grid.for_each_candidate_pair(radius, |a, _, b, _| {
+        grid.for_each_candidate_slot_pair(radius, |a, _, b, _| {
+            let (a, b) = (grid.ids[a as usize], grid.ids[b as usize]);
             pairs.push((a.min(b), a.max(b)));
         });
         pairs.sort();
@@ -443,7 +474,7 @@ mod tests {
             (4, 10.0, 10.0), // far away
         ]);
         let mut grid = SpatialGrid::new(1.0);
-        grid.rebuild(&pos);
+        grid.rebuild(pos.view());
         let pairs = candidate_pairs(&grid, 1.0);
         assert!(pairs.contains(&(NodeId(1), NodeId(2))));
         assert!(pairs.contains(&(NodeId(1), NodeId(3))));
@@ -459,39 +490,43 @@ mod tests {
     fn sync_reports_changes_and_matches_rebuild() {
         let mut pos = grid_positions(&[(1, 0.0, 0.0), (2, 5.0, 5.0), (3, 9.0, 1.0)]);
         let mut grid = SpatialGrid::new(2.5);
-        assert!(grid.sync(&pos), "first sync populates the grid");
-        assert!(!grid.sync(&pos), "unchanged positions are a no-op");
+        assert!(grid.sync(pos.view()), "first sync populates the grid");
+        assert!(!grid.sync(pos.view()), "unchanged positions are a no-op");
 
-        // move one node across a cell boundary, drop one, add one
-        pos.insert(NodeId(1), Point::new(4.9, 0.0));
-        pos.remove(&NodeId(2));
-        pos.insert(NodeId(7), Point::new(1.0, 8.0));
-        assert!(grid.sync(&pos));
-
+        // move one node across a cell boundary: the incremental path
+        let _ = pos.upsert(NodeId(1), Point::new(4.9, 0.0));
+        assert!(grid.sync(pos.view()));
         let mut fresh = SpatialGrid::new(2.5);
-        fresh.rebuild(&pos);
+        fresh.rebuild(pos.view());
         assert_eq!(grid, fresh, "incremental sync equals a full rebuild");
+
+        // drop one, add one: churn re-indexes
+        pos.remove(NodeId(2));
+        let _ = pos.upsert(NodeId(7), Point::new(1.0, 8.0));
+        assert!(grid.sync(pos.view()));
+        fresh.rebuild(pos.view());
+        assert_eq!(grid, fresh);
     }
 
     #[test]
     fn sync_detects_intra_cell_moves() {
         let mut pos = grid_positions(&[(1, 0.1, 0.1)]);
         let mut grid = SpatialGrid::new(100.0);
-        grid.sync(&pos);
-        pos.insert(NodeId(1), Point::new(0.2, 0.1)); // same cell, new position
+        grid.sync(pos.view());
+        let _ = pos.upsert(NodeId(1), Point::new(0.2, 0.1)); // same cell, new position
         assert!(
-            grid.sync(&pos),
+            grid.sync(pos.view()),
             "a move within a cell still changes positions"
         );
-        assert_eq!(grid.position_of(NodeId(1)), Some(Point::new(0.2, 0.1)));
-        assert_eq!(grid.position_of(NodeId(9)), None);
+        assert_eq!(grid.positions().get(NodeId(1)), Some(Point::new(0.2, 0.1)));
+        assert_eq!(grid.positions().get(NodeId(9)), None);
     }
 
     #[test]
     fn build_topology_equals_pairwise_filter() {
         let pos = grid_positions(&[(1, 0.0, 0.0), (2, 3.0, 0.0), (3, 3.0, 3.5), (4, 50.0, 50.0)]);
         let mut grid = SpatialGrid::new(4.0);
-        grid.rebuild(&pos);
+        grid.rebuild(pos.view());
         let g = grid.build_topology(4.0, |a, b| a.distance(&b) <= 4.0);
         assert!(g.contains_edge(NodeId(1), NodeId(2)));
         assert!(g.contains_edge(NodeId(2), NodeId(3)));
@@ -505,8 +540,34 @@ mod tests {
         // radius 3 with cell size 1: candidates must span 3 rings
         let pos = grid_positions(&[(1, 0.5, 0.5), (2, 3.4, 0.5)]);
         let mut grid = SpatialGrid::new(1.0);
-        grid.rebuild(&pos);
+        grid.rebuild(pos.view());
         let pairs = candidate_pairs(&grid, 3.0);
         assert_eq!(pairs, vec![(NodeId(1), NodeId(2))]);
+    }
+
+    /// The guard against a bounding-box-sized cell table: two clusters
+    /// 10⁹ units apart span ~10¹⁸ cells of side 1, and the grid still
+    /// stores one entry per node and one boundary per occupied cell.
+    #[test]
+    fn cell_storage_is_linear_in_nodes_not_in_the_bounding_box() {
+        let far = 1.0e9;
+        let pos: PositionTable = (0..40u64)
+            .map(|i| {
+                let base = if i % 2 == 0 { 0.0 } else { far };
+                (
+                    NodeId(i),
+                    Point::new(base + i as f64 * 0.3, base - i as f64 * 0.3),
+                )
+            })
+            .collect();
+        let mut grid = SpatialGrid::new(1.0);
+        grid.rebuild(pos.view());
+        assert_eq!(grid.entries.len(), 40);
+        assert!(grid.starts.len() <= 41);
+        assert_eq!(grid.cell_of.len(), 40);
+        let g = grid.build_topology(1.0, |a, b| a.distance(&b) <= 1.0);
+        assert!(g.contains_edge(NodeId(0), NodeId(2)), "0.85 apart");
+        assert!(g.contains_edge(NodeId(1), NodeId(3)));
+        assert!(!g.contains_edge(NodeId(0), NodeId(1)), "a billion apart");
     }
 }

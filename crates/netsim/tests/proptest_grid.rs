@@ -1,58 +1,108 @@
-//! Property tests for the spatial-hash neighbour discovery: the grid path
-//! must be observationally identical to the brute-force all-pairs scan for
-//! arbitrary position sets, radii and cell sizes, and incremental `sync`
-//! must leave the grid in exactly the state a from-scratch rebuild
-//! produces.
+//! Property tests for the spatial-hash neighbour discovery: the flat-cell
+//! grid must be observationally identical to the brute-force all-pairs scan
+//! for arbitrary position sets, radii and cell sizes — negative
+//! coordinates, cells much smaller than the radius, coincident nodes and
+//! clusters a billion units apart included — and incremental `sync` must
+//! leave the grid in exactly the state a from-scratch rebuild produces.
 
 use dyngraph::NodeId;
 use netsim::radio::{RadioModel, UnitDisk};
 use netsim::space::SpatialGrid;
 use netsim::Point;
+use netsim::PositionTable;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
-fn positions_of(pts: Vec<(f64, f64)>) -> BTreeMap<NodeId, Point> {
+fn positions_of(pts: impl IntoIterator<Item = (f64, f64)>) -> PositionTable {
     pts.into_iter()
         .enumerate()
         .map(|(i, (x, y))| (NodeId(i as u64), Point::new(x, y)))
         .collect()
 }
 
+/// Grid topology ≡ all-pairs topology, and the CSR neighbour view agrees
+/// with the materialised graph.
+fn assert_grid_equals_brute_force(
+    pos: &PositionTable,
+    range: f64,
+    cell: f64,
+) -> Result<(), TestCaseError> {
+    let radio = UnitDisk::new(range);
+    let brute = radio.topology_all_pairs(pos.view());
+    let mut grid = SpatialGrid::new(cell);
+    grid.rebuild(pos.view());
+    let via_grid = grid.build_topology(range, |a, b| {
+        radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
+    });
+    prop_assert_eq!(&brute, &via_grid);
+    for (slot, &node) in pos.view().ids().iter().enumerate() {
+        let csr: Vec<NodeId> = grid.neighbors(node).collect();
+        let by_slot: Vec<NodeId> = grid
+            .neighbor_slots(slot)
+            .iter()
+            .map(|&j| pos.view().ids()[j as usize])
+            .collect();
+        let graph: Vec<NodeId> = brute.neighbors(node).collect();
+        prop_assert_eq!(&csr, &graph);
+        prop_assert_eq!(&by_slot, &graph);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The grid topology equals the all-pairs topology for random position
-    /// sets — across cell sizes decoupled from the radio range (smaller,
-    /// equal and larger cells must all cover the vicinity).
+    /// Random position sets on both sides of the origin, across cell sizes
+    /// decoupled from the radio range: from a tenth of it (reach 10) to
+    /// three times it.
     #[test]
     fn grid_topology_equals_brute_force(
-        pts in proptest::collection::vec((0.0f64..200.0, 0.0f64..200.0), 0..70),
+        pts in proptest::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 0..70),
         range in 1.0f64..60.0,
-        cell_scale in 0.3f64..3.0,
+        cell_scale in 0.1f64..3.0,
     ) {
+        assert_grid_equals_brute_force(&positions_of(pts), range, range * cell_scale)?;
+    }
+
+    /// Coincident nodes: every node sits on one of a few shared points, so
+    /// buckets hold duplicates and zero-distance pairs.
+    #[test]
+    fn duplicate_positions_are_all_linked(
+        sites in proptest::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..6),
+        picks in proptest::collection::vec(0usize..6, 2..40),
+        range in 0.5f64..15.0,
+        cell_scale in 0.4f64..2.0,
+    ) {
+        let pts = picks.iter().map(|&i| sites[i % sites.len()]);
+        assert_grid_equals_brute_force(&positions_of(pts), range, range * cell_scale)?;
+    }
+
+    /// Two clusters 10⁹ units apart: cell coordinates span a box no dense
+    /// table could cover, and links never cross the gap.
+    #[test]
+    fn far_apart_clusters_stay_separate(
+        near in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 1..25),
+        far in proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 1..25),
+        range in 2.0f64..20.0,
+        cell_scale in 0.4f64..2.0,
+    ) {
+        let gap = 1.0e9;
+        let split = near.len() as u64;
+        let pts = near.into_iter().chain(far.into_iter().map(|(x, y)| (x + gap, y - gap)));
         let pos = positions_of(pts);
-        let radio = UnitDisk::new(range);
-        let brute = radio.topology_all_pairs(&pos);
-        let mut grid = SpatialGrid::new(range * cell_scale);
-        grid.rebuild(&pos);
-        let via_grid = grid.build_topology(range, |a, b| {
-            radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
-        });
-        prop_assert_eq!(&brute, &via_grid);
-        // the CSR neighbour view agrees with the materialised graph
-        for (node, _) in grid.nodes() {
-            let csr: Vec<NodeId> = grid.neighbors(node).collect();
-            let graph: Vec<NodeId> = brute.neighbors(node).collect();
-            prop_assert_eq!(csr, graph);
+        assert_grid_equals_brute_force(&pos, range, range * cell_scale)?;
+        let g = UnitDisk::new(range).topology(pos.view());
+        for (a, b) in g.edges() {
+            prop_assert_eq!(a.raw() < split, b.raw() < split, "edge {:?}-{:?} spans the gap", a, b);
         }
     }
 
     /// A chain of incremental syncs (moves of varying amplitude, including
-    /// cell-boundary crossings) leaves the grid equal to a from-scratch
-    /// rebuild, and its topology equal to brute force, at every step.
+    /// cell-boundary crossings and excursions below zero) leaves the grid
+    /// equal to a from-scratch rebuild, and its topology equal to brute
+    /// force, at every step.
     #[test]
     fn incremental_sync_matches_fresh_rebuild(
-        pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..40),
+        pts in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..40),
         steps in proptest::collection::vec(
             proptest::collection::vec((-30.0f64..30.0, -30.0f64..30.0), 1..40),
             1..6,
@@ -63,22 +113,21 @@ proptest! {
         let mut pos = positions_of(pts);
         let radio = UnitDisk::new(range);
         let mut grid = SpatialGrid::new(cell);
-        grid.sync(&pos);
+        grid.sync(pos.view());
         for deltas in steps {
-            let keys: Vec<NodeId> = pos.keys().copied().collect();
+            let (_, points) = pos.split_mut();
             for (i, (dx, dy)) in deltas.iter().enumerate() {
-                let node = keys[i % keys.len()];
-                let p = pos[&node];
-                pos.insert(node, Point::new(p.x + dx, p.y + dy).clamp_to(100.0, 100.0));
+                let p = &mut points[i % points.len()];
+                *p = Point::new((p.x + dx).clamp(-50.0, 50.0), (p.y + dy).clamp(-50.0, 50.0));
             }
-            grid.sync(&pos);
+            grid.sync(pos.view());
             let mut fresh = SpatialGrid::new(cell);
-            fresh.rebuild(&pos);
+            fresh.rebuild(pos.view());
             prop_assert_eq!(&grid, &fresh, "synced grid diverged from rebuild");
             let incremental = grid.build_topology(range, |a, b| {
                 radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
             });
-            prop_assert_eq!(&incremental, &radio.topology_all_pairs(&pos));
+            prop_assert_eq!(&incremental, &radio.topology_all_pairs(pos.view()));
         }
     }
 
@@ -92,21 +141,22 @@ proptest! {
     ) {
         let full = positions_of(pts);
         let mut grid = SpatialGrid::new(cell);
-        prop_assert!(grid.sync(&full) || full.is_empty());
-        let reduced: BTreeMap<NodeId, Point> = full
+        prop_assert!(grid.sync(full.view()) || full.view().is_empty());
+        let reduced: PositionTable = full
+            .view()
             .iter()
             .enumerate()
             .filter(|(i, _)| i % drop_every != 0)
-            .map(|(_, (&n, &p))| (n, p))
+            .map(|(_, placed)| placed)
             .collect();
-        prop_assert!(grid.sync(&reduced));
+        prop_assert!(grid.sync(reduced.view()));
         let mut fresh = SpatialGrid::new(cell);
-        fresh.rebuild(&reduced);
+        fresh.rebuild(reduced.view());
         prop_assert_eq!(&grid, &fresh);
         // and growing back
-        prop_assert!(grid.sync(&full));
+        prop_assert!(grid.sync(full.view()));
         let mut fresh_full = SpatialGrid::new(cell);
-        fresh_full.rebuild(&full);
+        fresh_full.rebuild(full.view());
         prop_assert_eq!(&grid, &fresh_full);
     }
 }
