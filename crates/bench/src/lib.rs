@@ -12,8 +12,6 @@ use dyngraph::Graph;
 use grp_core::GrpNode;
 use netsim::Simulator;
 
-pub mod perf;
-
 /// Build a converged GRP simulator to benchmark steady-state rounds.
 pub fn converged_grp(topology: &Graph, dmax: usize, seed: u64) -> Simulator<GrpNode> {
     let mut sim = experiments::runner::grp_simulator(topology, dmax, seed);

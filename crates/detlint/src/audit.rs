@@ -1,12 +1,13 @@
-//! `--rng-audit`: inventory every draw site on the shared simulator RNG.
+//! `--rng-audit`: inventory every site that consumes an RNG.
 //!
-//! The ROADMAP's deterministic-parallel-event-loop refactor has to give
-//! each node its own seeded ChaCha stream; the prerequisite is knowing
-//! every place the *shared* RNG is consumed today. This pass produces that
-//! worklist: every direct draw (`rng.gen_bool(…)`, `self.rng.gen_range(…)`)
-//! and every handoff that lends the RNG to a callee
+//! Every random decision of a run must come from a stream seeded from the
+//! run seed — the engine's per-node streams, or a constructor's placement
+//! RNG — and be conditioned on deterministic state only. This pass lists
+//! where to look: every direct draw (`rng.gen_bool(…)`,
+//! `self.rng.gen_range(…)`) and every handoff that lends an RNG to a callee
 //! (`radio.receives(&mut rng, …)`), with file, line, receiver chain and
-//! method. It is an inventory, not a gate — the exit code is always 0.
+//! method. On its own it is an inventory (exit code 0); with `--baseline`
+//! the binary turns it into a gate on new sites.
 
 use crate::config::Config;
 use crate::lexer::{tokenize, Token, TokenKind};
@@ -272,7 +273,7 @@ pub fn render(sites: &[RngSite]) -> String {
     }
     let _ = writeln!(
         out,
-        "\n{} shared-RNG consumption sites ({draws} draws, {handoffs} handoffs) across {} files",
+        "\n{} RNG consumption sites ({draws} draws, {handoffs} handoffs) across {} files",
         sites.len(),
         files.len()
     );

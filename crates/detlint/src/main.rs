@@ -1,5 +1,5 @@
 //! CLI for the determinism linter. `--check` is the CI gate; `--rng-audit`
-//! prints the shared-RNG draw-site inventory, and `--baseline FILE` turns
+//! prints the RNG draw-site inventory, and `--baseline FILE` turns
 //! that inventory into a second gate: sites not present in the checked-in
 //! baseline fail the run by name.
 
@@ -20,7 +20,7 @@ USAGE:
 
 MODES:
     (default) / --check   lint all first-party sources; exit 1 on findings
-    --rng-audit           inventory shared-RNG draw/handoff sites; exit 0
+    --rng-audit           inventory RNG draw/handoff sites; exit 0
     --rng-audit --baseline FILE
                           compare the inventory against FILE; exit 1 naming
                           every site the baseline does not cover (line
@@ -94,7 +94,7 @@ fn main() -> ExitCode {
         };
         if update_baseline {
             let header = "\
-# Shared-RNG consumption baseline — the sites `detlint --rng-audit` is\n\
+# RNG consumption baseline — the sites `detlint --rng-audit` is\n\
 # allowed to find. CI fails on any site not listed here (matched on\n\
 # path/kind/detail; line numbers are informational and may drift).\n\
 # Regenerate after an intentional change with:\n\
@@ -138,9 +138,9 @@ fn main() -> ExitCode {
             println!("NEW {}:{} {} {}", s.path, s.line, s.kind, s.detail);
         }
         println!(
-            "detlint: {} shared-RNG site(s) not in {} — draw from the per-node \
-             streams (netsim::NodeStreams) instead, or regenerate the baseline \
-             with --update-baseline if the site is deliberate",
+            "detlint: {} RNG site(s) not in {} — check each draws from a per-node \
+             stream (netsim::NodeStreams) or a seeded constructor RNG, then \
+             regenerate the baseline with --update-baseline",
             fresh.len(),
             baseline_path.display()
         );

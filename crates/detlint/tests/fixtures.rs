@@ -113,7 +113,7 @@ fn repo_is_clean_under_detlint_toml() {
 }
 
 /// `--rng-audit` sees the simulator: the contention channel draws from the
-/// shared RNG and the report says so.
+/// stream it is handed and the report says so.
 #[test]
 fn rng_audit_inventories_the_simulator() {
     let root = repo_root();

@@ -1,10 +1,9 @@
 //! Fluent construction of a [`Simulator`].
 //!
-//! Every harness used to assemble simulators through the same scattered
-//! call sequence — `Simulator::new` + `add_nodes` + `schedule_faults` (+
-//! `set_topology`) — duplicated across the scenario runner, the experiment
-//! runner, the bench runner and the examples. [`SimBuilder`] is that
-//! sequence as one fluent expression:
+//! [`SimBuilder`] is the call sequence every harness needs —
+//! `Simulator::new` + `set_channel` + `add_nodes` + `schedule_faults` — as
+//! one fluent expression, shared by the scenario runner, the experiment
+//! runner and the examples:
 //!
 //! ```
 //! use netsim::{Protocol, SimBuilder, SimConfig};
@@ -20,9 +19,8 @@
 //! assert!(sim.stats().delivered > 0);
 //! ```
 //!
-//! `build()` performs exactly the historical call sequence in the same
-//! order, so a builder-built simulator is event- and RNG-identical to a
-//! hand-assembled one (the golden trace digests pin this).
+//! A builder-built simulator is event-identical to a hand-assembled one
+//! (the golden trace digests pin this).
 
 use crate::channel::ChannelModel;
 use crate::fault::ScheduledFault;
@@ -72,30 +70,6 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Toggle batched parallel execution of same-instant compute timers
-    /// (see [`SimConfig::parallel_compute`]); traces are byte-identical
-    /// either way.
-    pub fn parallel_compute(mut self, enabled: bool) -> Self {
-        self.config.parallel_compute = enabled;
-        self
-    }
-
-    /// Select the randomness regime (see [`SimConfig::rng_streams`]):
-    /// the legacy shared stream, or one deterministic stream per
-    /// `(node, purpose)`.
-    pub fn rng_streams(mut self, streams: crate::rng::RngStreams) -> Self {
-        self.config.rng_streams = streams;
-        self
-    }
-
-    /// Toggle parallel execution of same-instant send and delivery batches
-    /// (see [`SimConfig::parallel_transport`]); requires the per-node RNG
-    /// regime, and traces are byte-identical either way there.
-    pub fn parallel_transport(mut self, enabled: bool) -> Self {
-        self.config.parallel_transport = enabled;
-        self
-    }
-
     /// Explicit topology mode: the harness provides (and may later mutate)
     /// the communication graph.
     pub fn explicit(mut self, topology: Graph) -> Self {
@@ -118,8 +92,7 @@ impl<P: Protocol> SimBuilder<P> {
     }
 
     /// Install a channel model (see [`crate::channel`]). Defaults to
-    /// [`Bernoulli`](crate::channel::Bernoulli), the historical iid-loss
-    /// medium whose traces the golden digests pin.
+    /// [`Bernoulli`](crate::channel::Bernoulli), the iid-loss medium.
     pub fn channel(mut self, channel: Box<dyn ChannelModel>) -> Self {
         self.channel = Some(channel);
         self
@@ -131,8 +104,8 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Add many protocol instances (insertion order is the staggering order
-    /// and therefore part of the deterministic trace).
+    /// Add many protocol instances. Insertion order does not matter: the
+    /// simulator keeps nodes in ascending id order.
     pub fn nodes<I: IntoIterator<Item = P>>(mut self, protocols: I) -> Self {
         self.nodes.extend(protocols);
         self
@@ -170,13 +143,10 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Assemble the simulator: construct, add nodes, schedule faults — in
-    /// exactly that order (it is the RNG-consumption order the golden
-    /// traces pin).
+    /// Assemble the simulator: construct, add nodes, schedule faults.
     pub fn build(self) -> Simulator<P> {
         let mut sim = Simulator::new(self.config, self.mode);
         if let Some(channel) = self.channel {
-            // consumes no randomness, so the RNG stream is untouched
             sim.set_channel(channel);
         }
         sim.add_nodes(self.nodes);
@@ -195,8 +165,8 @@ mod tests {
     use crate::time::SimTime;
     use dyngraph::generators::path;
 
-    /// The builder must be indistinguishable from the historical manual
-    /// call sequence — same events, same stats, same RNG consumption.
+    /// The builder must be indistinguishable from the manual call
+    /// sequence — same events, same stats.
     #[test]
     fn builder_is_equivalent_to_manual_assembly() {
         let build = || {

@@ -141,12 +141,15 @@ impl Sha256 {
     /// Pad and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_length = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // 0x80, then zeros up to the length field — of the next block when
+        // this one has no room left for it
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0; 64];
         }
-        // bypass update() for the length block so `self.length` bookkeeping
-        // does not matter any more
         self.buffer[56..64].copy_from_slice(&bit_length.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);

@@ -78,11 +78,10 @@ impl<M> Ord for Event<M> {
 ///
 /// The simulator only ever pushes with a globally monotone sequence
 /// number, so the FIFO order inside each bucket *is* ascending-`seq`
-/// order — popping events one at a time through [`peek`](Self::peek) /
-/// [`pop`](Self::pop) reproduces the `(time, seq)` order of the
-/// `BinaryHeap` it replaced exactly. The structural win is
-/// [`pop_bucket`](Self::pop_bucket): the per-node engine lifts a whole
-/// same-instant batch out in one operation and shards it across workers,
+/// order — draining bucket after bucket visits events in `(time, seq)`
+/// order, exactly as a `BinaryHeap` of [`Event`]s would pop them. The engine
+/// lifts a whole same-instant batch out in one operation
+/// ([`pop_bucket`](Self::pop_bucket)) and shards it across workers,
 /// something a heap can only do by popping and re-inspecting every entry.
 #[derive(Debug)]
 pub struct CalendarQueue<M> {
@@ -126,19 +125,6 @@ impl<M> CalendarQueue<M> {
     /// The earliest pending event, if any.
     pub fn peek(&self) -> Option<&Event<M>> {
         self.buckets.values().next().and_then(VecDeque::front)
-    }
-
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        let (&time, bucket) = self.buckets.iter_mut().next()?;
-        let event = bucket.pop_front();
-        if bucket.is_empty() {
-            self.buckets.remove(&time);
-        }
-        if event.is_some() {
-            self.len -= 1;
-        }
-        event
     }
 
     /// Remove and return the entire earliest bucket: every pending event
@@ -205,6 +191,13 @@ mod tests {
     use super::*;
     use std::collections::BinaryHeap;
 
+    /// Every pending event, bucket after bucket.
+    fn drain<M>(cal: &mut CalendarQueue<M>) -> Vec<Event<M>> {
+        std::iter::from_fn(|| cal.pop_bucket())
+            .flat_map(|(_, bucket)| bucket)
+            .collect()
+    }
+
     fn ev(time: u64, seq: u64) -> Event<()> {
         Event {
             time: SimTime(time),
@@ -247,10 +240,10 @@ mod tests {
             cal.push(ev(t, s));
         }
         assert_eq!(cal.len(), pushes.len());
-        while let Some(expected) = heap.pop() {
-            let got = cal.pop().expect("same length");
-            assert_eq!((got.time, got.seq), (expected.time, expected.seq));
-        }
+        let order = |e: Event<()>| (e.time, e.seq);
+        let from_heap: Vec<_> = std::iter::from_fn(|| heap.pop()).map(order).collect();
+        let from_cal: Vec<_> = drain(&mut cal).into_iter().map(order).collect();
+        assert_eq!(from_cal, from_heap);
         assert!(cal.is_empty());
     }
 
@@ -260,7 +253,8 @@ mod tests {
         cal.push(ev(20, 1));
         cal.push(ev(10, 2));
         assert_eq!(cal.peek().map(|e| e.seq), Some(2));
-        assert_eq!(cal.pop().map(|e| e.seq), Some(2));
+        let (_, bucket) = cal.pop_bucket().expect("non-empty");
+        assert_eq!(bucket.front().map(|e| e.seq), Some(2));
         assert_eq!(cal.peek().map(|e| e.seq), Some(1));
     }
 
@@ -293,7 +287,7 @@ mod tests {
         assert_eq!(seen, [100, 300], "visited in (time, seq) order");
         // the payloads were mutated in place; node 8's was untouched
         let mut payloads = Vec::new();
-        while let Some(e) = cal.pop() {
+        for e in drain(&mut cal) {
             if let EventKind::Broadcast { from, message, .. } = e.kind {
                 payloads.push((from, message));
             }
@@ -324,7 +318,7 @@ mod tests {
             kind: EventKind::SendTimer(0),
         });
         cal.open_slot(1);
-        let kinds: Vec<_> = std::iter::from_fn(|| cal.pop()).map(|e| e.kind).collect();
+        let kinds: Vec<_> = drain(&mut cal).into_iter().map(|e| e.kind).collect();
         assert!(matches!(
             &kinds[0],
             EventKind::Broadcast { from: 3, recipients, .. } if recipients == &[0, 2, 4]

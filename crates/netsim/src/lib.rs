@@ -33,11 +33,10 @@
 //! The simulator is fully deterministic for a given seed: the event queue is
 //! a calendar of `(time, sequence number)`-ordered buckets, and all
 //! randomness flows from `ChaCha8` streams derived from the run seed — one
-//! shared stream in the legacy regime, or one independently-seeded stream
-//! per `(node, purpose)` under [`rng::RngStreams::PerNode`], which lets
-//! same-instant sends and deliveries fan out across worker threads without
-//! the schedule touching any draw. Observers — which get `&Simulator` only —
-//! cannot perturb the trace either way.
+//! independently-seeded stream per `(node, purpose)` ([`rng`]), which lets
+//! same-instant computes, sends and deliveries fan out across worker
+//! threads without the schedule touching any draw. Observers — which get
+//! `&Simulator` only — cannot perturb the trace.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -70,7 +69,7 @@ pub use node::SimNode;
 pub use observer::{NullObserver, Observer, StatsProbe, TraceProbe};
 pub use protocol::{CanonicalState, Protocol, ViewProtocol};
 pub use radio::RadioModel;
-pub use rng::{stream_seed, NodeStreams, RngStreams, StreamTag};
+pub use rng::{stream_seed, NodeStreams, StreamTag};
 pub use sim::{SimConfig, Simulator, TopologyMode};
 pub use space::Point;
 pub use time::SimTime;

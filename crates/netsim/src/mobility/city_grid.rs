@@ -12,6 +12,7 @@
 
 use super::MobilityModel;
 use crate::arena::{PositionTable, Positions};
+use crate::rng::NodeStreams;
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand::Rng;
@@ -146,11 +147,15 @@ impl CityGrid {
             };
         }
     }
+}
 
-    /// Advance the deterministic traffic-light kinematics by `dt` — the
-    /// shared body of both `advance` entry points (this model draws no
-    /// randomness in either RNG regime).
-    fn step(&mut self, dt: u64) {
+impl MobilityModel for CityGrid {
+    fn positions(&self) -> Positions<'_> {
+        self.table.view()
+    }
+
+    /// The traffic-light kinematics are fully deterministic: no draws.
+    fn advance(&mut self, dt: u64, _streams: &mut NodeStreams) {
         // the light phase is sampled once per tick (mobility ticks are much
         // shorter than a light half-cycle in any sensible configuration)
         let time = self.time;
@@ -178,22 +183,6 @@ impl CityGrid {
         }
         self.time = self.time.saturating_add(dt);
         self.refresh_positions();
-    }
-}
-
-impl MobilityModel for CityGrid {
-    fn positions(&self) -> Positions<'_> {
-        self.table.view()
-    }
-
-    fn advance(&mut self, dt: u64, _rng: &mut ChaCha8Rng) {
-        self.step(dt);
-    }
-
-    fn advance_streams(&mut self, dt: u64, _streams: &mut crate::rng::NodeStreams) {
-        // traffic-light kinematics are fully deterministic: no draws in
-        // either regime, so both advance entry points share one body
-        self.step(dt);
     }
 
     fn insert(&mut self, node: NodeId, at: Point) {
@@ -255,7 +244,7 @@ mod tests {
         // phase 0: horizontal green, vertical red. After a long advance every
         // vertical vehicle has hit a stop line (offset just below a multiple
         // of the block size).
-        m.advance(2999, &mut rng);
+        m.advance(2999, &mut NodeStreams::new(2));
         let stopped = m
             .vehicles
             .iter()
@@ -289,7 +278,7 @@ mod tests {
             .filter(|v| v.axis == Axis::Horizontal)
             .map(|v| v.offset)
             .collect();
-        m.advance(1000, &mut rng);
+        m.advance(1000, &mut NodeStreams::new(3));
         let after: Vec<f64> = m
             .vehicles
             .iter()
@@ -320,7 +309,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         // all vehicles same speed so a released platoon stays bunched
         let mut m = CityGrid::new(40, 2, 200.0, (0.06, 0.06), 4000, &mut rng);
-        m.advance(4000, &mut rng); // vertical axis queued; clock at the flip
+        m.advance(4000, &mut NodeStreams::new(5)); // vertical axis queued; clock at the flip
         let vertical_points = |m: &CityGrid| -> Vec<Point> {
             let points = m.positions().points().iter();
             points
@@ -331,7 +320,7 @@ mod tests {
         };
         let queued = vertical_points(&m);
         assert!(!queued.is_empty());
-        m.advance(500, &mut rng); // now in the vertical-green half
+        m.advance(500, &mut NodeStreams::new(5)); // now in the vertical-green half
         let moved = vertical_points(&m)
             .iter()
             .zip(queued.iter())
@@ -355,8 +344,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let mut m = city(25, seed);
-            let mut rng = ChaCha8Rng::seed_from_u64(99);
-            m.advance(5000, &mut rng);
+            m.advance(5000, &mut NodeStreams::new(99));
             m.positions().points().to_vec()
         };
         assert_eq!(run(7), run(7));

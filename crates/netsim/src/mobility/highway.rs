@@ -101,13 +101,12 @@ impl Highway {
         self.vehicles[slot.expect("known vehicle")].speed
     }
 
-    /// Per-node-stream advance as part of a composing model
-    /// ([`super::MixedHighway`]), which runs the convoy on local ids `0..n`
-    /// but must address the streams the way the simulator sees the
-    /// vehicles: slots shifted by `first_slot`, ids by `id_offset` — or a
+    /// Advance as part of a composing model ([`super::MixedHighway`]),
+    /// which runs the convoy on local ids `0..n` but must address the
+    /// streams the way the simulator sees the vehicles: slots shifted by `first_slot`, ids by `id_offset` — or a
     /// vehicle's draws would collide with whatever node occupies the
     /// unshifted id.
-    pub(crate) fn advance_streams_offset(
+    pub(crate) fn advance_offset(
         &mut self,
         dt: u64,
         streams: &mut NodeStreams,
@@ -136,16 +135,8 @@ impl MobilityModel for Highway {
         self.table.view()
     }
 
-    fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        let (road, p) = ((self.road_length, self.lanes), self.lane_change_prob);
-        for v in &mut self.vehicles {
-            v.drive(dt, road, p > 0.0 && rng.gen_bool(p));
-        }
-        self.refresh_positions();
-    }
-
-    fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
-        self.advance_streams_offset(dt, streams, 0, 0);
+    fn advance(&mut self, dt: u64, streams: &mut NodeStreams) {
+        self.advance_offset(dt, streams, 0, 0);
     }
 
     fn insert(&mut self, node: NodeId, at: Point) {
@@ -192,10 +183,11 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut m =
             Highway::new(2, 1, 100.0, 10.0, (1.0, 1.0), &mut rng).with_lane_change_prob(0.0);
-        m.advance(95, &mut rng);
+        let mut streams = NodeStreams::new(1);
+        m.advance(95, &mut streams);
         // vehicle 0 started at 0, speed 1.0/tick, after 95 ticks → 95
         assert!((m.positions().points()[0].x - 95.0).abs() < 1e-9);
-        m.advance(10, &mut rng);
+        m.advance(10, &mut streams);
         // 105 % 100 = 5
         assert!((m.positions().points()[0].x - 5.0).abs() < 1e-9);
     }
@@ -212,7 +204,7 @@ mod tests {
             max - min
         };
         let before = spread(&m);
-        m.advance(500, &mut rng);
+        m.advance(500, &mut NodeStreams::new(2));
         assert!(spread(&m) > before);
     }
 

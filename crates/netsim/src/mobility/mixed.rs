@@ -89,16 +89,11 @@ impl MobilityModel for MixedHighway {
         self.table.view()
     }
 
-    fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        self.convoy.advance(dt, rng);
-        self.refresh_positions();
-    }
-
-    fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
+    fn advance(&mut self, dt: u64, streams: &mut NodeStreams) {
         // address the convoy's streams by the public vehicle slots and ids
         let first_slot = self.roadside.view().len();
         self.convoy
-            .advance_streams_offset(dt, streams, first_slot, self.first_vehicle);
+            .advance_offset(dt, streams, first_slot, self.first_vehicle);
         self.refresh_positions();
     }
 
@@ -149,8 +144,7 @@ mod tests {
         let mut m = mixed(2);
         let rsu_before = m.positions().get(NodeId(0)).unwrap();
         let veh_before = m.positions().get(NodeId(7)).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        m.advance(200, &mut rng);
+        m.advance(200, &mut NodeStreams::new(9));
         assert_eq!(m.positions().get(NodeId(0)).unwrap(), rsu_before);
         assert_ne!(m.positions().get(NodeId(7)).unwrap(), veh_before);
     }

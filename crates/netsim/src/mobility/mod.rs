@@ -43,18 +43,14 @@ pub trait MobilityModel: Send + Sync {
     /// Current position of every node, in slot (ascending NodeId) order.
     fn positions(&self) -> Positions<'_>;
 
-    /// Advance all positions by `dt` ticks.
-    fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng);
-
-    /// Advance all positions by `dt` ticks drawing from per-node streams
-    /// (the [`RngStreams::PerNode`](crate::rng::RngStreams::PerNode)
-    /// regime): every draw a node's motion needs must come from that node's
-    /// own [`StreamTag::Mobility`](crate::rng::StreamTag::Mobility) stream
-    /// — addressed by the node's slot in [`positions`](Self::positions) —
-    /// so a trajectory is a pure function of `(run_seed, node_id)` and the
+    /// Advance all positions by `dt` ticks. Every draw a node's motion
+    /// needs must come from that node's own
+    /// [`StreamTag::Mobility`](crate::rng::StreamTag::Mobility) stream —
+    /// addressed by the node's slot in [`positions`](Self::positions) — so
+    /// a trajectory is a pure function of `(run_seed, node_id)` and the
     /// model's deterministic state, never of how many *other* nodes exist
     /// or move.
-    fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams);
+    fn advance(&mut self, dt: u64, streams: &mut NodeStreams);
 
     /// Add a node at a position (used when nodes join at runtime).
     fn insert(&mut self, node: NodeId, at: Point);

@@ -2,6 +2,7 @@
 
 use super::MobilityModel;
 use crate::arena::{PositionTable, Positions};
+use crate::rng::NodeStreams;
 use crate::space::Point;
 use dyngraph::NodeId;
 use rand_chacha::ChaCha8Rng;
@@ -37,9 +38,7 @@ impl MobilityModel for Stationary {
         self.table.view()
     }
 
-    fn advance(&mut self, _dt: u64, _rng: &mut ChaCha8Rng) {}
-
-    fn advance_streams(&mut self, _dt: u64, _streams: &mut crate::rng::NodeStreams) {}
+    fn advance(&mut self, _dt: u64, _streams: &mut NodeStreams) {}
 
     fn insert(&mut self, node: NodeId, at: Point) {
         let _ = self.table.upsert(node, at);
@@ -66,8 +65,7 @@ mod tests {
     fn advance_is_a_noop() {
         let mut m = Stationary::line(3, 5.0);
         let before = m.positions().points().to_vec();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        m.advance(1000, &mut rng);
+        m.advance(1000, &mut NodeStreams::new(0));
         assert_eq!(m.positions().points(), before);
     }
 

@@ -55,14 +55,7 @@ impl MobilityModel for RandomWalk {
         self.table.view()
     }
 
-    fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        let (arena, amplitude) = ((self.width, self.height), self.max_step * dt as f64);
-        for pos in self.table.split_mut().1 {
-            Self::step(arena, amplitude, pos, rng);
-        }
-    }
-
-    fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
+    fn advance(&mut self, dt: u64, streams: &mut NodeStreams) {
         let (arena, amplitude) = ((self.width, self.height), self.max_step * dt as f64);
         let (ids, points) = self.table.split_mut();
         let rngs = streams.lockstep(StreamTag::Mobility, 0, ids.iter().copied());
@@ -91,8 +84,9 @@ mod tests {
     fn walk_stays_in_bounds() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut m = RandomWalk::new(15, 30.0, 30.0, 0.5, &mut rng);
+        let mut streams = NodeStreams::new(3);
         for _ in 0..100 {
-            m.advance(10, &mut rng);
+            m.advance(10, &mut streams);
         }
         for p in m.positions().points() {
             assert!(p.x >= 0.0 && p.x <= 30.0);
@@ -105,7 +99,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut m = RandomWalk::new(5, 30.0, 30.0, 0.0, &mut rng);
         let before = m.positions().points().to_vec();
-        m.advance(100, &mut rng);
+        m.advance(100, &mut NodeStreams::new(3));
         assert_eq!(m.positions().points(), before);
     }
 

@@ -98,15 +98,7 @@ impl MobilityModel for RandomWaypoint {
         self.table.view()
     }
 
-    fn advance(&mut self, dt: u64, rng: &mut ChaCha8Rng) {
-        let arena = (self.width, self.height);
-        let points = self.table.split_mut().1.iter_mut();
-        for ((pos, target), speed) in points.zip(&mut self.targets).zip(&self.speeds) {
-            Self::travel(arena, speed * dt as f64, pos, target, rng);
-        }
-    }
-
-    fn advance_streams(&mut self, dt: u64, streams: &mut NodeStreams) {
+    fn advance(&mut self, dt: u64, streams: &mut NodeStreams) {
         let arena = (self.width, self.height);
         let (ids, points) = self.table.split_mut();
         let rngs = streams.lockstep(StreamTag::Mobility, 0, ids.iter().copied());
@@ -138,8 +130,9 @@ mod tests {
     fn nodes_stay_in_arena() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut m = RandomWaypoint::new(20, 100.0, 50.0, (0.01, 0.05), &mut rng);
+        let mut streams = NodeStreams::new(5);
         for _ in 0..50 {
-            m.advance(100, &mut rng);
+            m.advance(100, &mut streams);
         }
         for p in m.positions().points() {
             assert!(p.x >= -1e-9 && p.x <= 100.0 + 1e-9);
@@ -152,7 +145,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut m = RandomWaypoint::new(5, 100.0, 50.0, (0.0, 0.0), &mut rng);
         let before = m.positions().points().to_vec();
-        m.advance(1000, &mut rng);
+        m.advance(1000, &mut NodeStreams::new(5));
         assert_eq!(m.positions().points(), before);
     }
 
@@ -161,7 +154,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let mut m = RandomWaypoint::new(5, 100.0, 50.0, (0.1, 0.2), &mut rng);
         let before = m.positions().points().to_vec();
-        m.advance(500, &mut rng);
+        m.advance(500, &mut NodeStreams::new(9));
         let moved = m
             .positions()
             .points()
@@ -186,8 +179,9 @@ mod tests {
         let run = |seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut m = RandomWaypoint::new(10, 50.0, 50.0, (0.05, 0.1), &mut rng);
+            let mut streams = NodeStreams::new(seed);
             for _ in 0..20 {
-                m.advance(50, &mut rng);
+                m.advance(50, &mut streams);
             }
             m.positions().points().to_vec()
         };

@@ -11,12 +11,10 @@ use rand_chacha::ChaCha8Rng;
 
 /// A node-local protocol instance driven by the simulator.
 ///
-/// `Send` is a supertrait so that [`SimConfig::parallel_compute`] can fan
-/// same-instant compute batches across worker threads; every handler still
+/// `Send` is a supertrait so that the simulator can fan same-instant
+/// compute and delivery batches across worker threads; every handler still
 /// receives `&mut self` exclusively, so implementations never need internal
 /// synchronisation.
-///
-/// [`SimConfig::parallel_compute`]: crate::sim::SimConfig::parallel_compute
 pub trait Protocol: Send + Sync {
     /// The messages broadcast to the neighbourhood. `Send` because a
     /// parallel delivery batch moves each recipient's copy into the worker
@@ -111,8 +109,7 @@ pub trait CanonicalState: ViewProtocol + Clone {
 /// A minimal beacon protocol: every `Ts` the node broadcasts its identity
 /// and counts what it hears. The handlers are O(1), so a simulation of
 /// [`Beacon`] nodes measures the engine itself — event queue, radio,
-/// spatial index, mobility — rather than any protocol logic. `bench-runner`
-/// uses it for the raw-throughput rows of the perf baseline.
+/// spatial index, mobility — rather than any protocol logic.
 #[derive(Clone, Debug)]
 pub struct Beacon {
     me: NodeId,

@@ -1,13 +1,11 @@
 //! Per-node deterministic RNG streams.
 //!
-//! The historical engine drew every random decision — timer stagger, link
-//! loss, mobility steps, state corruption — from one shared `ChaCha8Rng`,
-//! which made the *consumption order* part of the pinned traces and forced
-//! every phase that touches randomness to run sequentially. This module is
-//! the alternative: each `(node, purpose)` pair owns an independent ChaCha8
-//! stream whose seed is a pure function of `(run_seed, node_id, tag)`, so a
-//! node's draws are identical no matter when the stream is first touched,
-//! which thread advances it, or what the rest of the population does.
+//! Every random decision of a run — timer stagger, link loss, mobility
+//! steps, state corruption — is drawn from the stream of the node it
+//! concerns: each `(node, purpose)` pair owns an independent ChaCha8 stream
+//! whose seed is a pure function of `(run_seed, node_id, tag)`, so a node's
+//! draws are identical no matter when the stream is first touched, which
+//! thread advances it, or what the rest of the population does.
 //!
 //! Streams live in one dense column per [`StreamTag`], indexed by slot (see
 //! [`crate::arena`]), and are created lazily, so the *set* of streams a run
@@ -20,21 +18,6 @@ use crate::digest::CanonicalHasher;
 use dyngraph::NodeId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Which RNG regime the simulator runs under.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RngStreams {
-    /// One shared `ChaCha8Rng` seeded from `SimConfig::seed`; every draw
-    /// site consumes the same stream in event order. This reproduces the
-    /// historical traces bit-for-bit and is the default for embedders.
-    #[default]
-    Legacy,
-    /// Independent per-`(node, tag)` ChaCha8 streams seeded as
-    /// `hash(run_seed, node_id, tag)`. Randomness becomes schedule- and
-    /// thread-independent, which is what lets same-instant sends,
-    /// deliveries and mobility advance fan out across workers.
-    PerNode,
-}
 
 /// What a per-node stream is for. Each purpose is its own column of
 /// [`NodeStreams`]; the name is what the stream's seed is derived from.

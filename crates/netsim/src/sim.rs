@@ -30,14 +30,14 @@ use crate::node::SimNode;
 use crate::observer::{NullObserver, Observer};
 use crate::protocol::Protocol;
 use crate::radio::RadioModel;
-use crate::rng::{NodeStreams, RngStreams, StreamTag};
+use crate::rng::{NodeStreams, StreamTag};
 use crate::space::{Point, SpatialGrid};
 use crate::time::SimTime;
 use crate::trace::MessageStats;
 use dyngraph::{Graph, NodeId, TopologyEvent};
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Below this many independent work items a same-instant batch runs
@@ -45,15 +45,6 @@ use std::sync::Arc;
 /// the work it would distribute. Purely a scheduling choice — results are
 /// identical either way.
 const PARALLEL_BATCH_FLOOR: usize = 16;
-
-/// Worker count for a batch of `items` independent work items.
-fn batch_threads(items: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items / (PARALLEL_BATCH_FLOOR / 2).max(1))
-        .max(1)
-}
 
 /// The next copy of a message that fans out to several places: a clone,
 /// or the message itself once `last` says no further copy is needed.
@@ -102,39 +93,12 @@ pub struct SimConfig {
     /// Message loss probability used in explicit mode (spatial mode asks the
     /// radio model instead).
     pub loss_probability: f64,
-    /// Seed of the simulation-wide RNG.
+    /// Run seed: every per-node stream is derived from it (see
+    /// [`crate::rng`]).
     pub seed: u64,
     /// Randomize the initial phase of each node's timers (recommended; a
     /// lockstep start is unrealistically favourable).
     pub stagger_phases: bool,
-    /// Use the uniform-grid spatial index for neighbour discovery in
-    /// spatial mode (default). Disabling it restores the historical
-    /// all-pairs scan on every mobility tick — kept only so benchmarks can
-    /// measure the speedup; both settings produce byte-identical traces.
-    pub spatial_index: bool,
-    /// Run same-instant compute-timer expirations as one parallel batch
-    /// through the work-stealing `par_map` (off by default). Only
-    /// *consecutive* compute events sharing a timestamp are batched, per-
-    /// node `on_compute` touches nothing but that node's own state, and
-    /// follow-up timers are rescheduled in the original pop order — so the
-    /// event schedule, the RNG stream and every trace digest are identical
-    /// to the sequential execution (`bench-runner` cross-checks this on
-    /// every GRP row).
-    pub parallel_compute: bool,
-    /// Which RNG regime the run uses: the historical single shared stream
-    /// ([`RngStreams::Legacy`], the default — reproduces every pre-stream
-    /// golden trace bit-for-bit) or independent per-node streams
-    /// ([`RngStreams::PerNode`]), which make same-instant event batches
-    /// schedule- and thread-independent. Per-node runs always use the
-    /// batched engine, so their digests do not depend on
-    /// [`parallel_transport`](Self::parallel_transport) or worker count.
-    pub rng_streams: RngStreams,
-    /// Fan same-instant send link-decisions and delivery batches out
-    /// across worker threads (off by default; requires
-    /// [`RngStreams::PerNode`], ignored under the legacy stream). Purely a
-    /// wall-clock knob: the batched engine computes identical traces at
-    /// any thread count.
-    pub parallel_transport: bool,
 }
 
 impl Default for SimConfig {
@@ -147,10 +111,6 @@ impl Default for SimConfig {
             loss_probability: 0.0,
             seed: 0,
             stagger_phases: true,
-            spatial_index: true,
-            parallel_compute: false,
-            rng_streams: RngStreams::Legacy,
-            parallel_transport: false,
         }
     }
 }
@@ -168,8 +128,7 @@ impl SimConfig {
 /// How spatial-mode neighbour discovery is accelerated between mobility
 /// ticks.
 enum SpatialIndex {
-    /// Not in spatial mode, or the index is disabled: rebuild with the
-    /// all-pairs scan on every tick (the historical behaviour).
+    /// Explicit mode: the harness owns the topology.
     None,
     /// Uniform-grid spatial hash, updated incrementally; ticks where no
     /// node moved skip topology recomputation entirely. The authoritative
@@ -184,13 +143,10 @@ enum SpatialIndex {
 }
 
 impl SpatialIndex {
-    fn for_mode(config: &SimConfig, mode: &TopologyMode) -> SpatialIndex {
+    fn for_mode(mode: &TopologyMode) -> SpatialIndex {
         let TopologyMode::Spatial { radio, mobility } = mode else {
             return SpatialIndex::None;
         };
-        if !config.spatial_index {
-            return SpatialIndex::None;
-        }
         match radio.max_range() {
             Some(range) if range.is_finite() && range > 0.0 => {
                 let mut grid = Box::new(SpatialGrid::new(range));
@@ -250,11 +206,13 @@ pub struct Simulator<P: Protocol> {
     events: CalendarQueue<P::Message>,
     seq: u64,
     now: SimTime,
-    /// The shared stream ([`RngStreams::Legacy`]); unused draws-wise under
-    /// the per-node regime.
-    rng: ChaCha8Rng,
-    /// Per-node streams ([`RngStreams::PerNode`]); empty under legacy.
+    /// All of the run's randomness: one stream per `(node, purpose)`.
     streams: NodeStreams,
+    /// Most workers a same-instant batch may use: the machine's
+    /// `available_parallelism()`, asked when the first batch big enough to
+    /// shard comes up, unless [`set_worker_cap`](Self::set_worker_cap)
+    /// said otherwise.
+    worker_cap: Option<usize>,
     stats: MessageStats,
     faults: Vec<ScheduledFault>,
     loss_burst_until: SimTime,
@@ -376,7 +334,7 @@ impl Medium<'_> {
 impl<P: Protocol> Simulator<P> {
     /// Create a simulator with the given configuration and topology mode.
     pub fn new(config: SimConfig, mode: TopologyMode) -> Self {
-        let index = SpatialIndex::for_mode(&config, &mode);
+        let index = SpatialIndex::for_mode(&mode);
         let topology = match (&mode, &index) {
             (TopologyMode::Explicit(g), _) => g.clone(),
             (TopologyMode::Spatial { .. }, SpatialIndex::Grid { grid, .. }) => grid.graph(),
@@ -384,7 +342,6 @@ impl<P: Protocol> Simulator<P> {
                 radio.topology_all_pairs(mobility.positions())
             }
         };
-        let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut sim = Simulator {
             config,
             ids: Vec::new(),
@@ -399,8 +356,8 @@ impl<P: Protocol> Simulator<P> {
             events: CalendarQueue::new(),
             seq: 0,
             now: SimTime::ZERO,
-            rng,
             streams: NodeStreams::new(config.seed),
+            worker_cap: None,
             stats: MessageStats::default(),
             faults: Vec::new(),
             loss_burst_until: SimTime::ZERO,
@@ -437,13 +394,9 @@ impl<P: Protocol> Simulator<P> {
             self.ids.insert(slot, id);
         }
         if self.config.stagger_phases {
-            // per-node mode staggers from the node's own `phase` stream, so
-            // a node's timer offsets don't depend on how many nodes were
-            // added before it
-            let rng = match self.config.rng_streams {
-                RngStreams::Legacy => &mut self.rng,
-                RngStreams::PerNode => self.streams.stream(StreamTag::Phase, slot, id),
-            };
+            // the node's own `phase` stream: its timer offsets don't depend
+            // on how many nodes were added before it
+            let rng = self.streams.stream(StreamTag::Phase, slot, id);
             node.send_phase = rng.gen_range(0..self.config.send_period.max(1));
             node.compute_phase = rng.gen_range(0..self.config.compute_period.max(1));
         }
@@ -475,6 +428,27 @@ impl<P: Protocol> Simulator<P> {
     /// send onwards.
     pub fn set_channel(&mut self, channel: Box<dyn ChannelModel>) {
         self.channel = channel;
+    }
+
+    /// Use at most `workers` threads per same-instant batch, in place of
+    /// the machine's `available_parallelism()`. Not configuration: every
+    /// worker count computes the same trace, and this exists so tests can
+    /// run one simulation at 1 and at N workers and assert exactly that.
+    pub fn set_worker_cap(&mut self, workers: usize) {
+        self.worker_cap = Some(workers.max(1));
+    }
+
+    /// Worker count for a same-instant batch of `items` independent work
+    /// items: one below [`PARALLEL_BATCH_FLOOR`], else one per eight items
+    /// up to the cap.
+    fn workers(&mut self, items: usize) -> usize {
+        if items < PARALLEL_BATCH_FLOOR {
+            return 1;
+        }
+        let cap = *self
+            .worker_cap
+            .get_or_insert_with(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        cap.min(items / (PARALLEL_BATCH_FLOOR / 2))
     }
 
     /// Schedule a fault plan (absolute times).
@@ -589,14 +563,25 @@ impl<P: Protocol> Simulator<P> {
 
     /// Run the simulation until `deadline` (inclusive of events at the
     /// deadline), then set the clock to the deadline. This is **the** event
-    /// loop: every other driving entry point funnels into it.
+    /// loop: every other driving entry point funnels into it. Each
+    /// iteration lifts one whole same-instant bucket out of the calendar
+    /// queue and processes it in the canonical phase order (faults,
+    /// mobility, deliveries, computes, sends); because every random
+    /// decision comes from the stream of the node it concerns, the result
+    /// is a pure function of the queue contents — not of thread count or
+    /// batch sharding.
     pub fn run_until_observed(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
         if self.slot_maps_stale {
             self.refresh_slot_maps();
         }
-        match self.config.rng_streams {
-            RngStreams::Legacy => self.run_events_legacy(deadline, obs),
-            RngStreams::PerNode => self.run_buckets(deadline, obs),
+        while let Some(ev) = self.events.peek() {
+            if ev.time > deadline {
+                break;
+            }
+            // detlint::allow(D004): the while-let peek guarantees non-empty
+            let (time, bucket) = self.events.pop_bucket().expect("peeked");
+            self.now = time;
+            self.handle_bucket(bucket, obs);
         }
         self.now = deadline;
         self.materialise_topology();
@@ -629,77 +614,13 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// The historical one-event-at-a-time loop (legacy shared RNG): pops in
-    /// `(time, seq)` order through the calendar queue and handles each
-    /// event as a bucket of one, reproducing the pre-calendar `BinaryHeap`
-    /// schedule — and therefore every pre-stream trace — bit-for-bit.
-    fn run_events_legacy(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
-        let mut batch: Vec<u32> = Vec::new();
-        while let Some(ev) = self.events.peek() {
-            if ev.time > deadline {
-                break;
-            }
-            // detlint::allow(D004): the while-let peek guarantees non-empty
-            let ev = self.events.pop().expect("peeked");
-            self.now = ev.time;
-            if self.config.parallel_compute {
-                if let EventKind::ComputeTimer(slot) = ev.kind {
-                    // drain the consecutive same-instant compute timers into
-                    // one batch; anything else (a delivery interleaved
-                    // between two computes at the same tick) stops the batch
-                    // so the sequential event order is preserved exactly
-                    batch.clear();
-                    batch.push(slot);
-                    while let Some(next) = self.events.peek() {
-                        if next.time != self.now || !matches!(next.kind, EventKind::ComputeTimer(_))
-                        {
-                            break;
-                        }
-                        // detlint::allow(D004): the while-let peek guarantees non-empty
-                        match self.events.pop().expect("peeked").kind {
-                            EventKind::ComputeTimer(next_slot) => batch.push(next_slot),
-                            _ => unreachable!("peeked a compute timer"),
-                        }
-                    }
-                    self.events_processed += batch.len() as u64;
-                    self.handle_compute_batch(&batch);
-                    continue;
-                }
-            }
-            self.handle_bucket([ev], obs);
-        }
-    }
-
-    /// The per-node-stream engine: lifts one whole same-instant bucket out
-    /// of the calendar queue per iteration and processes it in the
-    /// canonical phase order (see [`handle_bucket`](Self::handle_bucket)).
-    /// Because every random decision comes from the stream of the node it
-    /// concerns, the result is a pure function of the queue contents — not
-    /// of thread count, batch sharding, or the
-    /// [`parallel_transport`](SimConfig::parallel_transport) setting.
-    fn run_buckets(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
-        while let Some(ev) = self.events.peek() {
-            if ev.time > deadline {
-                break;
-            }
-            // detlint::allow(D004): the while-let peek guarantees non-empty
-            let (time, bucket) = self.events.pop_bucket().expect("peeked");
-            self.now = time;
-            self.handle_bucket(bucket, obs);
-        }
-    }
-
     /// Process every event of one instant in the canonical intra-instant
     /// phase order — faults, then mobility, then deliveries, then computes,
     /// then sends — with event (scheduling) order within each phase. The
     /// order is part of the pinned trace contract (docs/DETERMINISM.md);
     /// sweeps a send phase schedules with zero total delay land in a fresh
     /// bucket at the same instant and are processed as the next bucket.
-    fn handle_bucket(
-        &mut self,
-        bucket: impl IntoIterator<Item = Event<P::Message>>,
-        obs: &mut dyn Observer<P>,
-    ) {
+    fn handle_bucket(&mut self, bucket: VecDeque<Event<P::Message>>, obs: &mut dyn Observer<P>) {
         let mut faults: Vec<usize> = Vec::new();
         let mut mobility_ticks = 0usize;
         let mut deliveries: Vec<(u32, P::Message, Vec<u32>)> = Vec::new();
@@ -742,33 +663,18 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Worker count for a same-instant transport batch of `items`: one
-    /// unless [`parallel_transport`](SimConfig::parallel_transport) is on
-    /// under per-node streams and the batch is worth a thread spawn.
-    fn transport_threads(&self, items: usize) -> usize {
-        let parallel = self.config.parallel_transport
-            && self.config.rng_streams == RngStreams::PerNode
-            && items >= PARALLEL_BATCH_FLOOR;
-        if parallel {
-            batch_threads(items)
-        } else {
-            1
-        }
-    }
-
     /// Deliver a batch of same-instant broadcast sweeps.
     ///
     /// Liveness checks, delivery/drop statistics and
     /// [`Observer::on_delivery`] hooks always run sequentially in event
     /// order, so their order never depends on threading. With more than
-    /// one worker available (and
-    /// [`parallel_transport`](SimConfig::parallel_transport) on), the
-    /// accepted receptions are grouped per receiver and `on_message`
-    /// shards across workers in ascending-receiver order; otherwise each
-    /// reception applies inline as the sweep walk reaches it. The two
-    /// shapes only differ in `on_message` order across *disjoint* node
-    /// states — unobservable in any trace — and in wall-clock: the
-    /// grouped path stages every reception and sorts them by receiver.
+    /// one worker available, the accepted receptions are grouped per
+    /// receiver and `on_message` shards across workers in
+    /// ascending-receiver order; otherwise each reception applies inline
+    /// as the sweep walk reaches it. The two shapes only differ in
+    /// `on_message` order across *disjoint* node states — unobservable in
+    /// any trace — and in wall-clock: the grouped path stages every
+    /// reception and sorts them by receiver.
     fn handle_delivery_batch(
         &mut self,
         sweeps: Vec<(u32, P::Message, Vec<u32>)>,
@@ -776,7 +682,7 @@ impl<P: Protocol> Simulator<P> {
     ) {
         let now = self.now;
         let receptions: usize = sweeps.iter().map(|(_, _, r)| r.len()).sum();
-        let threads = self.transport_threads(receptions);
+        let threads = self.workers(receptions);
         // with a second worker, receptions are staged as (receiver slot,
         // sender, message) instead of applied as the walk reaches them
         let mut staged: Vec<(u32, NodeId, P::Message)> = Vec::new();
@@ -842,11 +748,10 @@ impl<P: Protocol> Simulator<P> {
     /// link decision — simultaneous transmitters contend with each other,
     /// whichever worker later evaluates their links. Phase 2: per-link
     /// loss/jitter decisions ([`Medium::sweep`]), each drawn from the
-    /// *sender's* own `channel` stream (the shared stream under the legacy
-    /// regime); under
-    /// [`parallel_transport`](SimConfig::parallel_transport) the instances
-    /// are grouped per sender (a re-added node can fire twice per instant)
-    /// so one worker owns one stream, and groups shard across workers.
+    /// *sender's* own `channel` stream; with more than one worker the
+    /// instances are grouped per sender (a re-added node can fire twice per
+    /// instant) so one worker owns one stream, and groups shard across
+    /// workers.
     /// Phase 3, sequential in event order again: fold statistics, schedule
     /// the delivery sweeps (deterministic sequence numbers) and reschedule
     /// the timers.
@@ -873,7 +778,7 @@ impl<P: Protocol> Simulator<P> {
             });
         }
         // phase 2
-        let threads = self.transport_threads(pending.len());
+        let threads = self.workers(pending.len());
         let (spatial, grid) = match (&self.mode, &self.index) {
             (TopologyMode::Explicit(_), _) => (None, None),
             (TopologyMode::Spatial { radio, mobility }, index) => (
@@ -902,14 +807,10 @@ impl<P: Protocol> Simulator<P> {
             // single worker: draw each decision straight from the sender's
             // resident stream, in event order
             let mut decide = |p: &Pending<P::Message>| {
-                let rng = match self.config.rng_streams {
-                    RngStreams::Legacy => &mut self.rng,
-                    RngStreams::PerNode => {
-                        let id = self.ids[p.sender as usize];
-                        self.streams
-                            .stream(StreamTag::Channel, p.sender as usize, id)
-                    }
-                };
+                let id = self.ids[p.sender as usize];
+                let rng = self
+                    .streams
+                    .stream(StreamTag::Channel, p.sender as usize, id);
                 medium.sweep(rng, p.sender, p.sender_pos)
             };
             pending.iter().map(&mut decide).collect()
@@ -974,17 +875,10 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Advance mobility one period and resynchronise the topology — shared
-    /// by both engines; only the source of the mobility randomness differs
-    /// between the RNG regimes.
+    /// Advance mobility one period and resynchronise the topology.
     fn handle_mobility(&mut self, obs: &mut dyn Observer<P>) {
         if let TopologyMode::Spatial { radio, mobility } = &mut self.mode {
-            match self.config.rng_streams {
-                RngStreams::Legacy => mobility.advance(self.config.mobility_period, &mut self.rng),
-                RngStreams::PerNode => {
-                    mobility.advance_streams(self.config.mobility_period, &mut self.streams)
-                }
-            }
+            mobility.advance(self.config.mobility_period, &mut self.streams);
             let positions = mobility.positions();
             let changed = match &mut self.index {
                 SpatialIndex::Grid { grid, dirty } => {
@@ -1006,10 +900,8 @@ impl<P: Protocol> Simulator<P> {
                     }
                     moved
                 }
-                SpatialIndex::None => {
-                    self.topology = Arc::new(radio.topology_all_pairs(positions));
-                    true
-                }
+                // explicit mode never gets here: no mobility, no ticks
+                SpatialIndex::None => false,
             };
             if changed {
                 obs.on_topology_change(self.now);
@@ -1025,7 +917,7 @@ impl<P: Protocol> Simulator<P> {
     /// handling the timers one by one; the follow-up timers are
     /// rescheduled in the original pop order, which keeps the
     /// sequence-number assignment (and therefore every future tie-break)
-    /// byte-identical to the sequential path.
+    /// byte-identical at any worker count.
     fn handle_compute_batch(&mut self, slots: &[u32]) {
         let now = self.now;
         let compute = |node: &mut SimNode<P>| {
@@ -1038,17 +930,18 @@ impl<P: Protocol> Simulator<P> {
         // one slot can legitimately appear twice in a same-instant batch;
         // the parallel path can only visit each node once (it holds one
         // `&mut` per node), so a batch with duplicates runs per-event like
-        // the sequential engine does. The duplicate scan is only paid once
-        // a second worker makes the parallel path possible at all.
+        // a single worker does. The duplicate scan is only paid once a
+        // second worker makes the parallel path possible at all.
+        let threads = self.workers(slots.len());
         let mut distinct: Vec<usize> = Vec::new();
-        if slots.len() >= PARALLEL_BATCH_FLOOR && batch_threads(slots.len()) > 1 {
+        if threads > 1 {
             distinct.extend(slots.iter().map(|&slot| slot as usize));
             distinct.sort_unstable();
             distinct.dedup();
         }
         if distinct.len() == slots.len() {
             let targets = carve(&mut self.nodes, distinct);
-            rayon::par_map(targets, batch_threads(slots.len()), compute);
+            rayon::par_map(targets, threads, compute);
         } else {
             for &slot in slots {
                 compute(&mut self.nodes[slot as usize]);
@@ -1127,8 +1020,8 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Total number of events processed so far (timers, broadcast sweeps,
-    /// mobility ticks, faults) — the throughput denominator reported by
-    /// `bench-runner`.
+    /// mobility ticks, faults) — the throughput denominator `grp-bench`
+    /// reports as `engine.events`.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -1138,12 +1031,9 @@ impl<P: Protocol> Simulator<P> {
             &FaultKind::CorruptState(id) => {
                 if let Some(slot) = self.slot(id) {
                     // the adversary's draws come from the victim's own
-                    // `fault` stream under per-node seeding, so injecting a
-                    // corruption never perturbs any other node's randomness
-                    let rng = match self.config.rng_streams {
-                        RngStreams::Legacy => &mut self.rng,
-                        RngStreams::PerNode => self.streams.stream(StreamTag::Fault, slot, id),
-                    };
+                    // `fault` stream, so injecting a corruption never
+                    // perturbs any other node's randomness
+                    let rng = self.streams.stream(StreamTag::Fault, slot, id);
                     self.nodes[slot].protocol.corrupt_state(rng);
                 }
             }
@@ -1152,10 +1042,7 @@ impl<P: Protocol> Simulator<P> {
                     // same stream discipline as `CorruptState`: flipping an
                     // in-flight payload never perturbs any other node's
                     // randomness. A no-op when nothing is in flight.
-                    let rng = match self.config.rng_streams {
-                        RngStreams::Legacy => &mut self.rng,
-                        RngStreams::PerNode => self.streams.stream(StreamTag::Fault, slot, id),
-                    };
+                    let rng = self.streams.stream(StreamTag::Fault, slot, id);
                     let node = &mut self.nodes[slot];
                     self.events
                         .corrupt_broadcasts_from(slot as u32, &mut |msg| {
@@ -1372,6 +1259,38 @@ mod tests {
         }
     }
 
+    /// A spatial simulator whose mobility model places nodes that have no
+    /// protocol instance: the event stream is mobility ticks only, the
+    /// topology still follows the positions, and nothing is ever sent.
+    #[test]
+    fn discovery_payload_runs_without_nodes() {
+        use crate::mobility::RandomWalk;
+        use crate::observer::TraceProbe;
+        use crate::radio::UnitDisk;
+        use rand::SeedableRng;
+        let mut placement = ChaCha8Rng::seed_from_u64(11);
+        let mobility = RandomWalk::new(80, 200.0, 200.0, 0.02, &mut placement);
+        let mut sim: Simulator<Flood> = Simulator::new(
+            SimConfig {
+                seed: 11,
+                mobility_period: 100,
+                ..Default::default()
+            },
+            TopologyMode::Spatial {
+                radio: Box::new(UnitDisk::new(30.0)),
+                mobility: Box::new(mobility),
+            },
+        );
+        let before = sim.topology().clone();
+        let mut probe = TraceProbe::new();
+        sim.run_rounds_observed(3, &mut probe);
+        assert_eq!(sim.events_processed(), 30, "ten mobility ticks a round");
+        assert_eq!(sim.stats(), MessageStats::default(), "no traffic");
+        assert_eq!(sim.topology().node_count(), 80);
+        assert_ne!(*sim.topology(), before, "the walkers rewired the graph");
+        assert_eq!(probe.trace().len(), 3);
+    }
+
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
@@ -1382,65 +1301,28 @@ mod tests {
         assert_eq!(run(42), run(42));
     }
 
-    /// `parallel_compute` batches same-instant compute expirations across
+    /// Same-instant batches (computes, sends, deliveries) may shard across
     /// worker threads; the observable execution — protocol state, message
-    /// statistics, event count, trace digest — must be byte-identical to
-    /// the sequential run. A lockstep start (no stagger) maximises batch
-    /// sizes, which is exactly the adversarial case.
-    #[test]
-    fn parallel_compute_is_trace_identical_to_sequential() {
-        use crate::digest::CanonicalHasher;
-        use crate::observer::TraceProbe;
-        let run = |parallel: bool| {
-            let g = dyngraph::generators::grid(4, 5);
-            let mut sim: Simulator<Flood> = Simulator::new(
-                SimConfig {
-                    seed: 12,
-                    stagger_phases: false,
-                    parallel_compute: parallel,
-                    loss_probability: 0.2,
-                    ..Default::default()
-                },
-                TopologyMode::Explicit(g.clone()),
-            );
-            sim.add_nodes(g.node_vec().into_iter().map(Flood::new));
-            let mut probe = TraceProbe::new();
-            sim.run_rounds_observed(12, &mut probe);
-            let mut hasher = CanonicalHasher::new();
-            probe.trace().feed_digest(&mut hasher);
-            let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-            (
-                hasher.finalize(),
-                sim.stats(),
-                sim.events_processed(),
-                known,
-            )
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// Under per-node streams, the transport batches (sends + deliveries)
-    /// may shard across worker threads; the observable execution must be a
-    /// pure function of the schedule, so `parallel_transport` on and off
-    /// have to produce byte-identical traces. Lockstep phases (no stagger)
-    /// put every node in the same instant's batch — the adversarial case.
+    /// statistics, event count, trace digest — must be a pure function of
+    /// the schedule, so one worker and four have to produce byte-identical
+    /// traces. Lockstep phases (no stagger) put every node in the same
+    /// instant's batch — above the inline floor, the adversarial case.
     #[test]
     fn per_node_transport_is_trace_identical_with_parallel_on_or_off() {
         use crate::digest::CanonicalHasher;
         use crate::observer::TraceProbe;
-        let run = |parallel: bool| {
+        let run = |workers: usize| {
             let g = dyngraph::generators::grid(4, 5);
             let mut sim: Simulator<Flood> = Simulator::new(
                 SimConfig {
                     seed: 12,
                     stagger_phases: false,
                     loss_probability: 0.2,
-                    rng_streams: RngStreams::PerNode,
-                    parallel_transport: parallel,
                     ..Default::default()
                 },
                 TopologyMode::Explicit(g.clone()),
             );
+            sim.set_worker_cap(workers);
             sim.add_nodes(g.node_vec().into_iter().map(Flood::new));
             let mut probe = TraceProbe::new();
             sim.run_rounds_observed(12, &mut probe);
@@ -1454,27 +1336,25 @@ mod tests {
                 known,
             )
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(1), run(4));
     }
 
     /// The same invariance through the spatial stack: random-walk mobility
     /// (per-node `mobility` streams), staggered timers (per-node `phase`
     /// streams), lossy links (per-node `channel` streams) and a state
-    /// corruption (per-node `fault` stream) — with and without transport
-    /// parallelism.
+    /// corruption (per-node `fault` stream) — at one worker and at four.
     #[test]
     fn per_node_spatial_run_is_invariant_under_transport_parallelism() {
         use crate::mobility::RandomWalk;
         use crate::radio::UnitDisk;
-        let run = |parallel: bool| {
+        use rand::SeedableRng;
+        let run = |workers: usize| {
             let mut seed_rng = ChaCha8Rng::seed_from_u64(77);
             let mobility = RandomWalk::new(18, 60.0, 60.0, 0.004, &mut seed_rng);
             let mut sim: Simulator<Flood> = Simulator::new(
                 SimConfig {
                     seed: 21,
                     loss_probability: 0.1,
-                    rng_streams: RngStreams::PerNode,
-                    parallel_transport: parallel,
                     ..Default::default()
                 },
                 TopologyMode::Spatial {
@@ -1482,6 +1362,7 @@ mod tests {
                     mobility: Box::new(mobility),
                 },
             );
+            sim.set_worker_cap(workers);
             sim.add_nodes((0..18).map(|i| Flood::new(NodeId(i))));
             sim.schedule_faults(vec![
                 ScheduledFault::new(SimTime(2_500), FaultKind::CorruptState(NodeId(3))),
@@ -1491,17 +1372,7 @@ mod tests {
             let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
             (sim.stats(), sim.events_processed(), known)
         };
-        assert_eq!(run(false), run(true));
-    }
-
-    /// The legacy regime must keep reproducing the historical shared-stream
-    /// schedule exactly (the scenario goldens pin the full digests; this
-    /// pins the config default so no caller silently migrates).
-    #[test]
-    fn legacy_rng_regime_is_the_netsim_default() {
-        let config = SimConfig::default();
-        assert_eq!(config.rng_streams, RngStreams::Legacy);
-        assert!(!config.parallel_transport);
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -1725,26 +1596,25 @@ mod tests {
         assert_eq!(run(false), 1, "fresh restart wipes it");
     }
 
-    /// Satellite pin: every *blocking* fault (`LossBurst`, `Partition`/
-    /// `Heal`, `RegionBlackout`) gates links identically in the inline and
-    /// staged-parallel transport paths — with per-node streams, transport
-    /// parallelism must not change a single byte of the execution even
-    /// while a blackout window and a partition are active mid-run.
+    /// Every *blocking* fault (`LossBurst`, `Partition`/`Heal`,
+    /// `RegionBlackout`) gates links identically in the inline and
+    /// staged-parallel transport paths: the worker count must not change a
+    /// single byte of the execution even while a blackout window and a
+    /// partition are active mid-run.
     #[test]
     fn blocking_faults_are_invariant_under_transport_parallelism() {
         use crate::digest::CanonicalHasher;
         use crate::mobility::RandomWalk;
         use crate::observer::TraceProbe;
         use crate::radio::UnitDisk;
-        let run = |parallel: bool| {
+        use rand::SeedableRng;
+        let run = |workers: usize| {
             let mut seed_rng = ChaCha8Rng::seed_from_u64(91);
             let mobility = RandomWalk::new(18, 60.0, 60.0, 0.004, &mut seed_rng);
             let mut sim: Simulator<Flood> = Simulator::new(
                 SimConfig {
                     seed: 23,
                     loss_probability: 0.1,
-                    rng_streams: RngStreams::PerNode,
-                    parallel_transport: parallel,
                     ..Default::default()
                 },
                 TopologyMode::Spatial {
@@ -1752,6 +1622,7 @@ mod tests {
                     mobility: Box::new(mobility),
                 },
             );
+            sim.set_worker_cap(workers);
             sim.add_nodes((0..18).map(|i| Flood::new(NodeId(i))));
             sim.schedule_faults(vec![
                 ScheduledFault::new(SimTime(1_000), FaultKind::LossBurst { duration: 1_500 }),
@@ -1787,11 +1658,11 @@ mod tests {
                 known,
             )
         };
-        let sequential = run(false);
+        let sequential = run(1);
         assert!(
             sequential.1.dropped > 0,
             "the blocking faults were actually exercised"
         );
-        assert_eq!(sequential, run(true));
+        assert_eq!(sequential, run(4));
     }
 }

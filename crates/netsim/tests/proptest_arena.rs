@@ -8,7 +8,7 @@ use netsim::mobility::RandomWalk;
 use netsim::protocol::Beacon;
 use netsim::radio::LossyDisk;
 use netsim::{
-    stream_seed, CanonicalHasher, NodeStreams, Point, RngStreams, SimConfig, Simulator, StreamTag,
+    stream_seed, CanonicalHasher, NodeStreams, Point, SimConfig, Simulator, StreamTag,
     TopologyMode, TraceDigest, TraceProbe,
 };
 use proptest::prelude::*;
@@ -164,7 +164,6 @@ fn add_order_does_not_change_the_trace() {
     let config = SimConfig {
         seed: 31,
         loss_probability: 0.2,
-        rng_streams: RngStreams::PerNode,
         ..Default::default()
     };
     let explicit = |order: &[u64]| {
@@ -210,7 +209,6 @@ fn a_mid_run_arrival_below_present_ids_keeps_every_timer_with_its_node() {
     let config = SimConfig {
         seed: 4,
         stagger_phases: false,
-        rng_streams: RngStreams::PerNode,
         ..Default::default()
     };
     let mut topology = ring_over(&ids);
@@ -244,33 +242,32 @@ fn a_mid_run_arrival_below_present_ids_keeps_every_timer_with_its_node() {
 /// A re-added id carries a second pair of timers, so its slot appears twice
 /// in every same-instant compute batch — the one shape the parallel compute
 /// path cannot take (it holds one `&mut` per node). Such a batch must run
-/// per event: the node computes twice a period, and the run stays identical
-/// to the one-event-at-a-time legacy loop (no randomness is drawn here, so
-/// the two regimes must agree exactly).
+/// per event: the node computes twice a period, whether one worker or four
+/// are on offer.
 #[test]
-fn a_re_added_id_computes_per_event_and_matches_the_one_event_loop() {
+fn a_re_added_id_computes_per_event_at_any_worker_count() {
     let n = 24u64; // above the parallel batch floor of 16
-    let run = |rng_streams: RngStreams| {
+    let run = |workers: usize| {
         let config = SimConfig {
             seed: 8,
             stagger_phases: false,
-            rng_streams,
             ..Default::default()
         };
         let ids: Vec<u64> = (0..n).collect();
         let mut sim: Simulator<Beacon> =
             Simulator::new(config, TopologyMode::Explicit(ring_over(&ids)));
+        sim.set_worker_cap(workers);
         sim.add_nodes(ids.iter().map(|&id| Beacon::new(NodeId(id))));
         sim.add_node(Beacon::new(NodeId(3)));
         observe(sim, 6)
     };
-    let bucketed = run(RngStreams::PerNode);
-    for &(id, heard, computes) in &bucketed.3 {
+    let parallel = run(4);
+    for &(id, heard, computes) in &parallel.3 {
         let twice = if id == NodeId(3) { 2 } else { 1 };
         assert_eq!(computes, 6 * twice, "{id:?}");
         // node 3 also sends twice: its ring neighbours hear it double
         let doubled = [NodeId(2), NodeId(4)].contains(&id);
         assert_eq!(heard, if doubled { 72 } else { 48 }, "{id:?}");
     }
-    assert_eq!(bucketed, run(RngStreams::Legacy));
+    assert_eq!(parallel, run(1));
 }

@@ -3,8 +3,8 @@
 //! The determinism contract (docs/FAULTS.md) says that *any* fault
 //! schedule — every kind, any times, any victims — produces a run that is
 //! a pure function of (manifest, seed): rerunning must reproduce the
-//! execution byte for byte, and under per-node streams the execution must
-//! not depend on transport parallelism either. These properties generate
+//! execution byte for byte, and the execution must not depend on how many
+//! workers share a same-instant batch either. These properties generate
 //! arbitrary schedules and check exactly that.
 
 use dyngraph::NodeId;
@@ -12,15 +12,17 @@ use netsim::mobility::RandomWalk;
 use netsim::observer::TraceProbe;
 use netsim::radio::UnitDisk;
 use netsim::{
-    CanonicalHasher, FaultKind, Protocol, Region, RngStreams, ScheduledFault, SimConfig, SimTime,
-    Simulator, TopologyMode, ViewProtocol,
+    CanonicalHasher, FaultKind, Protocol, Region, ScheduledFault, SimConfig, SimTime, Simulator,
+    TopologyMode, ViewProtocol,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
-const N: u64 = 12;
+/// Above the simulator's inline-batch floor of 16, so a lockstep
+/// population really is sharded across workers.
+const N: u64 = 20;
 
 /// A tiny flooding protocol (the unit-test `Flood` is crate-private):
 /// every node broadcasts the identifier set it has heard of, and both
@@ -121,13 +123,14 @@ fn fault_schedule() -> impl Strategy<Value = Vec<ScheduledFault>> {
     )
 }
 
-/// One spatial run under the given regime; returns every observable:
-/// trace digest, message statistics, event count and final node states.
+/// One spatial run on at most `workers` threads; returns every
+/// observable: trace digest, message statistics, event count and final
+/// node states.
 fn run(
     faults: &[ScheduledFault],
     seed: u64,
-    streams: RngStreams,
-    parallel_transport: bool,
+    workers: usize,
+    stagger_phases: bool,
 ) -> (
     netsim::TraceDigest,
     netsim::MessageStats,
@@ -140,8 +143,7 @@ fn run(
         SimConfig {
             seed,
             loss_probability: 0.1,
-            rng_streams: streams,
-            parallel_transport,
+            stagger_phases,
             ..Default::default()
         },
         TopologyMode::Spatial {
@@ -149,6 +151,7 @@ fn run(
             mobility: Box::new(mobility),
         },
     );
+    sim.set_worker_cap(workers);
     sim.add_nodes((0..N).map(|i| Gossip::new(NodeId(i))));
     sim.schedule_faults(faults.to_vec());
     let mut probe = TraceProbe::new();
@@ -167,29 +170,23 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any fault schedule reruns to the identical execution, under both
-    /// RNG regimes.
+    /// Any fault schedule reruns to the identical execution.
     #[test]
     fn any_fault_schedule_reruns_to_identical_digests(
         faults in fault_schedule(),
         seed in 0u64..10_000,
     ) {
-        for streams in [RngStreams::Legacy, RngStreams::PerNode] {
-            let first = run(&faults, seed, streams, false);
-            let second = run(&faults, seed, streams, false);
-            prop_assert_eq!(first, second, "rerun drifted under {:?}", streams);
-        }
+        prop_assert_eq!(run(&faults, seed, 1, true), run(&faults, seed, 1, true));
     }
 
-    /// Under per-node streams, transport parallelism must not change a
-    /// byte of the execution, whatever faults are active mid-batch.
+    /// The worker count must not change a byte of the execution, whatever
+    /// faults are active mid-batch. Lockstep phases put the whole
+    /// population into every compute, send and delivery batch.
     #[test]
     fn any_fault_schedule_is_invariant_under_transport_parallelism(
         faults in fault_schedule(),
         seed in 0u64..10_000,
     ) {
-        let sequential = run(&faults, seed, RngStreams::PerNode, false);
-        let parallel = run(&faults, seed, RngStreams::PerNode, true);
-        prop_assert_eq!(sequential, parallel);
+        prop_assert_eq!(run(&faults, seed, 1, false), run(&faults, seed, 4, false));
     }
 }

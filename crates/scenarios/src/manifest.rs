@@ -302,24 +302,6 @@ pub struct SimSpec {
     pub delivery_delay: u64,
     pub loss: f64,
     pub stagger_phases: bool,
-    /// Spatial-mode neighbour discovery via the grid index (default). Off
-    /// restores the all-pairs scan; traces are identical either way.
-    pub spatial_index: bool,
-    /// Batch same-instant compute expirations across worker threads
-    /// (default off). Traces are byte-identical either way — the golden
-    /// digests pin it — so the flag is purely a wall-clock knob for the
-    /// XL scenarios.
-    pub parallel_compute: bool,
-    /// Randomness regime: `"per-node"` (default) seeds one independent
-    /// ChaCha8 stream per `(node, purpose)` from the run seed, making the
-    /// trace a pure function of the schedule; `"legacy"` replays the
-    /// historical single shared stream (the pre-migration digests).
-    pub rng_streams: netsim::RngStreams,
-    /// Shard same-instant send/delivery batches across worker threads
-    /// (default on). Only meaningful — and only permitted — under the
-    /// per-node regime, where traces are byte-identical either way; it is
-    /// purely a wall-clock knob, like [`parallel_compute`](Self::parallel_compute).
-    pub parallel_transport: bool,
 }
 
 impl Default for SimSpec {
@@ -333,10 +315,6 @@ impl Default for SimSpec {
             delivery_delay: 10,
             loss: 0.0,
             stagger_phases: true,
-            spatial_index: true,
-            parallel_compute: false,
-            rng_streams: netsim::RngStreams::PerNode,
-            parallel_transport: true,
         }
     }
 }
@@ -572,6 +550,7 @@ impl ScenarioManifest {
     }
 
     fn from_root(root: &BTreeMap<String, Value>) -> Result<Self, ManifestError> {
+        check_keys(root, "manifest", ROOT_KEYS)?;
         let schema = get_int(root, "schema")?.unwrap_or(SCHEMA_VERSION);
         if schema != SCHEMA_VERSION {
             return bad(format!(
@@ -701,11 +680,6 @@ impl ScenarioManifest {
                         ));
                     }
                 }
-                if sim.rng_streams == netsim::RngStreams::Legacy {
-                    return bad("[sim]: mode = \"campaign\" requires \
-                         `rng_streams = \"per-node\"` — sampled schedules must not \
-                         perturb each other's randomness");
-                }
                 if !report.convergence {
                     return bad("[report]: mode = \"campaign\" scores schedules on the \
                          legitimacy verdict stream — `convergence = false` is not \
@@ -735,13 +709,6 @@ impl ScenarioManifest {
                          `convergence = true` — recovery is timed against the \
                          legitimacy verdict stream");
                 }
-                // Legacy replays draw every random decision from one shared
-                // stream in schedule order — there is nothing to shard.
-                if sim.rng_streams == netsim::RngStreams::Legacy && sim.parallel_transport {
-                    return bad("[sim]: `parallel_transport = true` requires \
-                         `rng_streams = \"per-node\"` — the legacy shared stream \
-                         is consumed in schedule order and cannot shard");
-                }
             }
         }
 
@@ -760,6 +727,141 @@ impl ScenarioManifest {
             assertions,
             golden,
         })
+    }
+}
+
+// ---- known keys ----------------------------------------------------------
+//
+// Every key each table reads, whatever its `kind`: a key outside its
+// table's list is a typo or a leftover, and is rejected instead of ignored.
+
+const ROOT_KEYS: &[&str] = &[
+    "schema",
+    "name",
+    "description",
+    "mode",
+    "topology",
+    "mobility",
+    "radio",
+    "protocol",
+    "sim",
+    "report",
+    "modelcheck",
+    "campaign",
+    "faults",
+    "churn",
+    "assertions",
+    "golden",
+];
+const TOPOLOGY_KEYS: &[&str] = &[
+    "kind",
+    "n",
+    "rows",
+    "cols",
+    "clusters",
+    "cluster_size",
+    "p",
+    "side",
+    "radius",
+];
+const MOBILITY_KEYS: &[&str] = &[
+    "kind",
+    "n",
+    "spacing",
+    "width",
+    "height",
+    "max_step",
+    "speed_min",
+    "speed_max",
+    "lanes",
+    "road_length",
+    "initial_gap",
+    "blocks",
+    "block_size",
+    "light_period",
+    "n_roadside",
+    "rsu_spacing",
+    "rsu_setback",
+];
+const RADIO_KEYS: &[&str] = &[
+    "kind",
+    "range",
+    "loss",
+    "edge_loss",
+    "model",
+    "base_loss",
+    "load_loss",
+    "max_loss",
+    "window",
+    "jitter",
+    "hidden_terminal",
+];
+const SIM_KEYS: &[&str] = &[
+    "seed",
+    "seeds",
+    "rounds",
+    "send_period",
+    "compute_period",
+    "mobility_period",
+    "delivery_delay",
+    "loss",
+    "stagger_phases",
+];
+/// `[sim]` keys that selected between engine regimes until the engine kept
+/// one: rejected by name, so an old manifest cannot silently change meaning.
+const REMOVED_SIM_KEYS: [&str; 4] = [
+    "rng_streams",
+    "parallel_compute",
+    "parallel_transport",
+    "spatial_index",
+];
+const PROTOCOL_KEYS: &[&str] = &["dmax", "naive_compatibility", "disable_quarantine"];
+const REPORT_KEYS: &[&str] = &["convergence", "continuity", "resilience"];
+const CAMPAIGN_KEYS: &[&str] = &[
+    "schedules",
+    "max_faults",
+    "horizon",
+    "search_seed",
+    "replay",
+];
+const MODELCHECK_KEYS: &[&str] = &[
+    "depth",
+    "max_states",
+    "start",
+    "warmup_rounds",
+    "walks",
+    "walk_depth",
+    "faults",
+];
+const MODELCHECK_FAULT_KEYS: &[&str] = &["drops", "duplicates", "crashes"];
+const FAULT_KEYS: &[&str] = &[
+    "at", "kind", "node", "duration", "groups", "min_x", "min_y", "max_x", "max_y",
+];
+const CHURN_KEYS: &[&str] = &["at_round", "action", "a", "b", "node", "links"];
+const ASSERTION_KEYS: &[&str] = &[
+    "converged_by",
+    "max_rounds",
+    "view_continuity",
+    "agreement",
+    "safety",
+    "maximality",
+    "legitimate",
+    "min_groups",
+    "max_groups",
+    "min_delivery_ratio",
+    "reconverges",
+];
+const GOLDEN_KEYS: &[&str] = &["digests"];
+
+/// Reject the first key of `table` that `known` does not list.
+fn check_keys(
+    table: &BTreeMap<String, Value>,
+    ctx: &str,
+    known: &[&str],
+) -> Result<(), ManifestError> {
+    match table.keys().find(|key| !known.contains(&key.as_str())) {
+        Some(key) => bad(format!("{ctx}: unknown key `{key}`")),
+        None => Ok(()),
     }
 }
 
@@ -885,6 +987,7 @@ fn parse_topology(t: &BTreeMap<String, Value>) -> Result<TopologySpec, ManifestE
         .and_then(Value::as_str)
         .ok_or_else(|| ManifestError("[topology]: missing `kind`".into()))?;
     let ctx = "[topology]";
+    check_keys(t, ctx, TOPOLOGY_KEYS)?;
     match kind {
         "path" => Ok(TopologySpec::Path {
             n: req_usize(t, "n", ctx)?,
@@ -925,6 +1028,7 @@ fn parse_mobility(m: &BTreeMap<String, Value>) -> Result<MobilitySpec, ManifestE
         .and_then(Value::as_str)
         .ok_or_else(|| ManifestError("[mobility]: missing `kind`".into()))?;
     let ctx = "[mobility]";
+    check_keys(m, ctx, MOBILITY_KEYS)?;
     let n = req_usize(m, "n", ctx)?;
     match kind {
         "stationary_line" => Ok(MobilitySpec::StationaryLine {
@@ -986,6 +1090,7 @@ fn parse_radio(r: &BTreeMap<String, Value>) -> Result<RadioSpec, ManifestError> 
         .and_then(Value::as_str)
         .ok_or_else(|| ManifestError("[radio]: missing `kind`".into()))?;
     let ctx = "[radio]";
+    check_keys(r, ctx, RADIO_KEYS)?;
     match kind {
         "unit_disk" => Ok(RadioSpec::UnitDisk {
             range: req_f64(r, "range", ctx)?,
@@ -1085,6 +1190,7 @@ fn parse_report(value: Option<&Value>) -> Result<ReportSpec, ManifestError> {
     let t = value
         .as_table()
         .ok_or_else(|| ManifestError("[report] must be a table".into()))?;
+    check_keys(t, "[report]", REPORT_KEYS)?;
     Ok(ReportSpec {
         convergence: opt_bool(t, "convergence", default.convergence)?,
         continuity: opt_bool(t, "continuity", default.continuity)?,
@@ -1101,6 +1207,7 @@ fn parse_campaign(value: Option<&Value>) -> Result<CampaignSpec, ManifestError> 
         .as_table()
         .ok_or_else(|| ManifestError("[campaign] must be a table".into()))?;
     let ctx = "[campaign]";
+    check_keys(t, ctx, CAMPAIGN_KEYS)?;
     let schedules = opt_u64(t, "schedules", u64::from(default.schedules), ctx)? as u32;
     if schedules == 0 {
         return bad("[campaign]: `schedules` must be at least 1");
@@ -1138,6 +1245,7 @@ fn parse_modelcheck(value: Option<&Value>) -> Result<ModelCheckSpec, ManifestErr
         .as_table()
         .ok_or_else(|| ManifestError("[modelcheck] must be a table".into()))?;
     let ctx = "[modelcheck]";
+    check_keys(t, ctx, MODELCHECK_KEYS)?;
     let start = match t.get("start") {
         None => StartSpec::default(),
         Some(v) => match v.as_str() {
@@ -1159,6 +1267,7 @@ fn parse_modelcheck(value: Option<&Value>) -> Result<ModelCheckSpec, ManifestErr
                 .as_table()
                 .ok_or_else(|| ManifestError("[modelcheck.faults] must be a table".into()))?;
             let fc = "[modelcheck.faults]";
+            check_keys(f, fc, MODELCHECK_FAULT_KEYS)?;
             (
                 opt_u64(f, "drops", 0, fc)? as u32,
                 opt_u64(f, "duplicates", 0, fc)? as u32,
@@ -1186,6 +1295,7 @@ fn parse_protocol(value: Option<&Value>) -> Result<ProtocolSpec, ManifestError> 
     let t = value
         .as_table()
         .ok_or_else(|| ManifestError("[protocol] must be a table".into()))?;
+    check_keys(t, "[protocol]", PROTOCOL_KEYS)?;
     Ok(ProtocolSpec {
         dmax: req_usize(t, "dmax", "[protocol]")?,
         naive_compatibility: opt_bool(t, "naive_compatibility", false)?,
@@ -1202,6 +1312,14 @@ fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
         .as_table()
         .ok_or_else(|| ManifestError("[sim] must be a table".into()))?;
     let ctx = "[sim]";
+    for key in REMOVED_SIM_KEYS {
+        if t.contains_key(key) {
+            return bad(format!(
+                "[sim]: `{key}` was removed — the engine has one regime"
+            ));
+        }
+    }
+    check_keys(t, ctx, SIM_KEYS)?;
     let seeds = match t.get("seeds") {
         None => vec![opt_u64(t, "seed", 1, ctx)?],
         Some(v) => {
@@ -1218,21 +1336,6 @@ fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
             seeds
         }
     };
-    let rng_streams = match t.get("rng_streams") {
-        None => default.rng_streams,
-        Some(v) => match v.as_str() {
-            Some("per-node") => netsim::RngStreams::PerNode,
-            Some("legacy") => netsim::RngStreams::Legacy,
-            _ => {
-                return bad("`rng_streams` must be \"per-node\" or \"legacy\"");
-            }
-        },
-    };
-    // transport sharding defaults on, except under the legacy regime where
-    // it cannot apply (an explicit `parallel_transport = true` there is
-    // rejected in manifest validation)
-    let transport_default =
-        default.parallel_transport && rng_streams == netsim::RngStreams::PerNode;
     Ok(SimSpec {
         seeds,
         rounds: opt_u64(t, "rounds", default.rounds, ctx)?,
@@ -1242,10 +1345,6 @@ fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
         delivery_delay: opt_u64(t, "delivery_delay", default.delivery_delay, ctx)?,
         loss: opt_f64(t, "loss", default.loss)?,
         stagger_phases: opt_bool(t, "stagger_phases", default.stagger_phases)?,
-        spatial_index: opt_bool(t, "spatial_index", default.spatial_index)?,
-        parallel_compute: opt_bool(t, "parallel_compute", default.parallel_compute)?,
-        rng_streams,
-        parallel_transport: opt_bool(t, "parallel_transport", transport_default)?,
     })
 }
 
@@ -1261,6 +1360,7 @@ fn parse_faults(value: Option<&Value>) -> Result<Vec<FaultSpec>, ManifestError> 
         let t = item
             .as_table()
             .ok_or_else(|| ManifestError("each fault must be a table".into()))?;
+        check_keys(t, "[[faults]]", FAULT_KEYS)?;
         let at = req_u64(t, "at", "[[faults]]")?;
         let kind = t
             .get("kind")
@@ -1353,6 +1453,7 @@ fn parse_churn(value: Option<&Value>) -> Result<Vec<ChurnSpec>, ManifestError> {
         let t = item
             .as_table()
             .ok_or_else(|| ManifestError("each churn entry must be a table".into()))?;
+        check_keys(t, "[[churn]]", CHURN_KEYS)?;
         let at_round = req_u64(t, "at_round", "[[churn]]")?;
         let action = t
             .get("action")
@@ -1404,6 +1505,7 @@ fn parse_assertions(value: Option<&Value>) -> Result<AssertionSpec, ManifestErro
     let t = value
         .as_table()
         .ok_or_else(|| ManifestError("[assertions] must be a table".into()))?;
+    check_keys(t, "[assertions]", ASSERTION_KEYS)?;
     let opt_bool_field = |key: &str| -> Result<Option<bool>, ManifestError> {
         match t.get(key) {
             None => Ok(None),
@@ -1450,6 +1552,7 @@ fn parse_golden(value: Option<&Value>) -> Result<GoldenSpec, ManifestError> {
     let t = value
         .as_table()
         .ok_or_else(|| ManifestError("[golden] must be a table".into()))?;
+    check_keys(t, "[golden]", GOLDEN_KEYS)?;
     let digests = match t.get("digests") {
         None => Vec::new(),
         Some(v) => {
@@ -1489,52 +1592,93 @@ n = 4
         assert_eq!(m.protocol.dmax, 3);
         assert_eq!(m.sim.seeds, vec![1]);
         assert_eq!(m.sim.rounds, 60);
-        assert_eq!(m.sim.rng_streams, netsim::RngStreams::PerNode);
-        assert!(m.sim.parallel_transport);
         assert_eq!(m.workload.node_count(), 4);
         assert!(m.faults.is_empty() && m.churn.is_empty());
         assert_eq!(m.assertions, AssertionSpec::default());
     }
 
+    /// A typo must not silently fall back to the default: every table
+    /// rejects a key it does not read, naming table and key.
     #[test]
-    fn rng_streams_parses_both_regimes_and_rejects_junk() {
-        let with_sim = |body: &str| {
-            format!(
-                "schema = 1\nname = \"rng\"\n\n[sim]\n{body}\n\n[topology]\nkind = \"path\"\nn = 3\n"
-            )
-        };
-        let m = ScenarioManifest::parse(&with_sim("rng_streams = \"per-node\"")).expect("parses");
-        assert_eq!(m.sim.rng_streams, netsim::RngStreams::PerNode);
-        assert!(m.sim.parallel_transport);
-
-        // legacy implies the transport default flips off — the manifest
-        // stays valid without an explicit parallel_transport = false
-        let m = ScenarioManifest::parse(&with_sim("rng_streams = \"legacy\"")).expect("parses");
-        assert_eq!(m.sim.rng_streams, netsim::RngStreams::Legacy);
-        assert!(!m.sim.parallel_transport);
-
-        let err = ScenarioManifest::parse(&with_sim("rng_streams = \"chacha\"")).unwrap_err();
-        assert!(err.0.contains("per-node"), "{}", err.0);
+    fn unknown_keys_are_rejected_in_every_table() {
+        let spatial =
+            "name = \"k\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n";
+        for (input, table, key) in [
+            (format!("{MINIMAL}[sim]\nrouns = 3\n"), "[sim]", "rouns"),
+            (
+                format!("{MINIMAL}[protocol]\ndmax = 3\ndisable_quarantin = true\n"),
+                "[protocol]",
+                "disable_quarantin",
+            ),
+            (
+                format!("{spatial}[radio]\nkind = \"unit_disk\"\nrange = 6.0\nrnage = 7.0\n"),
+                "[radio]",
+                "rnage",
+            ),
+            (
+                format!("{MINIMAL}[assertions]\nconverged_bye = 10\n"),
+                "[assertions]",
+                "converged_bye",
+            ),
+            (
+                format!("{MINIMAL}[[faults]]\nat = 100\nkind = \"crash\"\nnode = 0\nnoed = 1\n"),
+                "[[faults]]",
+                "noed",
+            ),
+            (
+                format!("{MINIMAL}[[churn]]\nat_round = 2\naction = \"node_leave\"\nnode = 0\nlnks = [1]\n"),
+                "[[churn]]",
+                "lnks",
+            ),
+            (
+                format!("{spatial}wdith = 9.0\n[radio]\nkind = \"unit_disk\"\nrange = 6.0\n"),
+                "[mobility]",
+                "wdith",
+            ),
+            (format!("{MINIMAL}side = 3.0\nsdie = 4.0\n"), "[topology]", "sdie"),
+            (format!("{MINIMAL}[report]\nresiliance = true\n"), "[report]", "resiliance"),
+            (format!("{MINIMAL}[golden]\ndigest = []\n"), "[golden]", "digest"),
+            (format!("bogus_key = true\n{MINIMAL}"), "manifest", "bogus_key"),
+            (
+                format!("mode = \"campaign\"\n{MINIMAL}[campaign]\nschedule = 4\n"),
+                "[campaign]",
+                "schedule",
+            ),
+            (
+                format!("mode = \"modelcheck\"\n{MINIMAL}[modelcheck]\ndepht = 4\n"),
+                "[modelcheck]",
+                "depht",
+            ),
+            (
+                format!("mode = \"modelcheck\"\n{MINIMAL}[modelcheck.faults]\ndorps = 1\n"),
+                "[modelcheck.faults]",
+                "dorps",
+            ),
+        ] {
+            let err = ScenarioManifest::parse(&input).expect_err(key).0;
+            assert_eq!(err, format!("{table}: unknown key `{key}`"));
+        }
     }
 
+    /// The four keys that selected between engine regimes are gone; a
+    /// manifest still carrying one is told so rather than run differently.
     #[test]
-    fn legacy_regime_rejects_explicit_parallel_transport() {
-        let err = ScenarioManifest::parse(
-            r#"
-schema = 1
-name = "conflict"
-
-[sim]
-rng_streams = "legacy"
-parallel_transport = true
-
-[topology]
-kind = "path"
-n = 3
-"#,
-        )
-        .unwrap_err();
-        assert!(err.0.contains("parallel_transport"), "{}", err.0);
+    fn removed_sim_keys_are_rejected_by_name() {
+        for line in [
+            "rng_streams = \"legacy\"",
+            "parallel_compute = true",
+            "parallel_transport = false",
+            "spatial_index = false",
+        ] {
+            let key = line.split(' ').next().expect("non-empty");
+            let err = ScenarioManifest::parse(&format!("{MINIMAL}[sim]\n{line}\n"))
+                .expect_err(key)
+                .0;
+            assert_eq!(
+                err,
+                format!("[sim]: `{key}` was removed — the engine has one regime")
+            );
+        }
     }
 
     #[test]
@@ -2181,10 +2325,6 @@ replay = "campaigns/worst.txt"
             ("[assertions]\nagreement = true\n", "agreement"),
             ("[assertions]\nreconverges = true\n", "reconverges"),
             ("[modelcheck]\ndepth = 8\n", "modelcheck table"),
-            (
-                "[sim]\nrng_streams = \"legacy\"\nparallel_transport = false\n",
-                "legacy streams",
-            ),
             ("[report]\nconvergence = false\n", "convergence off"),
             ("[campaign]\nschedules = 0\n", "zero schedules"),
             ("[campaign]\nmax_faults = 0\n", "zero max_faults"),

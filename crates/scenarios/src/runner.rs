@@ -322,10 +322,6 @@ pub fn build_simulator(manifest: &ScenarioManifest, seed: u64) -> Simulator<GrpN
         loss_probability: sim_spec.loss,
         seed,
         stagger_phases: sim_spec.stagger_phases,
-        spatial_index: sim_spec.spatial_index,
-        parallel_compute: sim_spec.parallel_compute,
-        rng_streams: sim_spec.rng_streams,
-        parallel_transport: sim_spec.parallel_transport,
     };
     let (mode, channel) = build_mode(&manifest.workload, seed);
     let node_ids: Vec<NodeId> = match &mode {

@@ -154,148 +154,6 @@ fn suite_covers_the_advertised_workload_families() {
     }
 }
 
-/// The complete pre-migration digest table, frozen *in code*: every
-/// simulate manifest's golden values as they stood before the per-node
-/// RNG-stream migration re-pinned the `[golden]` sections. Forcing a
-/// manifest back to `rng_streams = "legacy"` (shared stream, sequential
-/// transport) at runtime must still reproduce these digests bit-for-bit —
-/// the legacy engine is the proof that the calendar queue alone changed
-/// nothing, and that every digest delta of the migration came from the
-/// documented stream re-seeding. Re-pinning with `--update-golden` will
-/// NOT update this table — that is the point: a behaviour change to the
-/// legacy replay path must edit this test knowingly.
-#[test]
-fn legacy_rng_regime_reproduces_the_pre_migration_digests() {
-    let frozen: [(&str, &[&str]); 17] = [
-        (
-            "s01_stationary_line.toml",
-            &["0f8e25d88f14a894f326dcd3eb3a8eea25d668fc4d7712716498f36fe0be40c4"],
-        ),
-        // s02's first seed was reseeded 1 -> 2 during the migration (see the
-        // manifest comment); entry 0 is the legacy digest of the new seed,
-        // entry 1 (seed 3, unchanged) is the original pre-migration value.
-        // The retired seed-1 legacy digest was
-        // 1bee2a0e85b96ca126a54e08302ee51ac9a07c5a6ad213843221eefa42c08b18.
-        (
-            "s02_grid.toml",
-            &[
-                "2f8dd0c33b78357ff56577681415e27f05c6ab65b5db8b5643255f3fc3ba4289",
-                "e8066e7c92712966907efa5e54ab15ed1c9076cfca90e9a48df3202d470ea151",
-            ],
-        ),
-        // Reseeded 3 -> 4 during the migration; retired seed-3 legacy digest:
-        // d106ab6bccd14521c6eda54dce408ddeb35467dcd8e9770dd462e98620f82f95.
-        (
-            "s03_clustered.toml",
-            &["a99c7c30279d6b41e81c85898ade48be3221b2c15ca8ca71ba16f4b5ea7cdf7b"],
-        ),
-        // Reseeded 12, 17 -> 14, 18 during the migration; retired legacy
-        // digests:
-        // 2fbeef1808da921ebb74fbf5479c632a9d650bd24f8c0c9be6a7bd393ff80e55,
-        // d6a76c7f7cfb284af407329af4735b54849b33f86ad83649c84ecc7ffaaebc91.
-        (
-            "s04_erdos_renyi.toml",
-            &[
-                "7c21cfa9293356917ec5b0a4e12d5e84b79653b94f085ce2d9cbfb04d63c011d",
-                "99a1b57e11ebf6c938fb58a4d1bb125f4a216ddf757f6b92a852c6a6230bd71f",
-            ],
-        ),
-        (
-            "s05_random_geometric.toml",
-            &[
-                // seeds 5 and 6 are unchanged; the third was reseeded
-                // 7 -> 8 (retired seed-7 legacy digest:
-                // 36a31947a1a315dcd3e4b79ba4326935f501ee32bb1fe576c520ed1aab6d67df)
-                "0c8279133578d6cc3e4fea5690425ddd2e79b3ba0f0222450c78d4cdf8c1fbab",
-                "6224930c857d0debc040eb1509f5842ea6a35aa0cd7b5b0b5f1fc17915fcb6c7",
-                "a1fa18542654de4ad10f02909405797b9724ffd844aec5219cd949caffec623b",
-            ],
-        ),
-        // Reseeded 9 -> 20 during the migration; retired seed-9 legacy digest:
-        // 70e9c437f300db8d21aee798e07b83c920ca50a320dc08a4109a317e92b3aa25.
-        (
-            "s06_lossy_channel.toml",
-            &["e17e6f98b2b1b998b4ce0d88b239047e71aa59354bd5cd492cf5eb23442c1221"],
-        ),
-        (
-            "s07_partition_merge.toml",
-            &["9a141dcf97cd9c21a47772f1245a9b67823b18d1b2c722cb2b28131bda33d95d"],
-        ),
-        (
-            "s08_churn_join_leave.toml",
-            &["dec2d804092ff97aaa6f4055009a70d71e0b116da4dac7e446d12cdf860131a9"],
-        ),
-        // s09 was reseeded 31 -> 32 during the migration (see the comment in
-        // the manifest); this is the legacy digest of the *new* seed. The
-        // retired seed-31 legacy digest was
-        // 2828bde27dbe2463de2b4a8e5ce3bbca0efb59e016379cdd835553fe110de41f.
-        (
-            "s09_faults.toml",
-            &["25cca36809428b2a4dcef93836bb2e7f5218301e56f04d3cd23f250ff0f9113c"],
-        ),
-        (
-            "s10_random_walk.toml",
-            &["cde36c665b1225714de1adb7445df8bd2f653e6349f39bb6facef4141241c5e5"],
-        ),
-        (
-            "s11_highway.toml",
-            &["110a5edf8787127eda9e6592a3685fe180aaa6fe7517da2d58e1cbf47ec50825"],
-        ),
-        (
-            "s12_quarantine_ablation.toml",
-            &["fb97a5e71b9a155e5fd75bddc14957e0b8e62ece7a8f8cc7c23ee339923e016f"],
-        ),
-        (
-            "s13_metropolis_10k.toml",
-            &["6a855371ea89d457bbefbb568795d1ff16006a4b478a05752b74d8791491d1e8"],
-        ),
-        (
-            "s14_conurbation_100k.toml",
-            &["f1f6043a08b916c481b9aeee6e87980b27318aa56070d6c0eb4dc8307d3013e2"],
-        ),
-        (
-            "s15_city_grid_contention.toml",
-            &["373dbe3a2a0ffd1f97c1e43550bcbf56b0fc1d08c6d670da1cca8b9332168c4f"],
-        ),
-        (
-            "s16_metro_commuters.toml",
-            &["c6e405ca831c8e136240b9c38e32e187581460af3c771f826b1ac5f995ee2adb"],
-        ),
-        (
-            "s17_mixed_highway_rsu.toml",
-            &["46630868bba4c4812162f4d529e1e916d3f0bcee0ba2ef447d5e3f83ed8560ff"],
-        ),
-    ];
-    for (file, digests) in frozen {
-        let mut manifest = ScenarioManifest::load(&suite_dir().join(file))
-            .unwrap_or_else(|e| panic!("{file}: {e}"));
-        manifest.sim.rng_streams = netsim::RngStreams::Legacy;
-        manifest.sim.parallel_transport = false;
-        if let Some(why) = debug_skip(&manifest) {
-            eprintln!(
-                "skipping the legacy replay of {} in debug build ({why}); \
-                 the release scenario suite still pins it",
-                manifest.name,
-            );
-            continue;
-        }
-        assert_eq!(
-            manifest.sim.seeds.len(),
-            digests.len(),
-            "{file}: the frozen table must list one digest per seed"
-        );
-        for (seed, expected) in manifest.sim.seeds.clone().iter().zip(digests) {
-            let run = run_seed(&manifest, *seed, None);
-            assert_eq!(
-                run.digest.to_hex(),
-                **expected,
-                "{file} seed={seed}: the legacy shared-stream replay no longer \
-                 reproduces the pre-migration digest"
-            );
-        }
-    }
-}
-
 /// The new contention-channel scenarios are as reproducible as everything
 /// else: two executions of the same manifest + seed give byte-identical
 /// digests, even though the channel adds per-cell load and hidden-terminal

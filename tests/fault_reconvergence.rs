@@ -82,7 +82,10 @@ fn crash_mid_run_shrinks_the_group_and_restart_reforms_it() {
 #[test]
 fn state_corruption_is_self_stabilized_away() {
     let dmax = 3;
-    let mut sim = grp_sim(4, dmax, 103);
+    // Seed 103 -> 104 when the shared RNG stream was retired: under seed
+    // 103's per-node phases node 1's compute timer fires between the fault
+    // and the peek below, flushing the ghost before it can be observed.
+    let mut sim = grp_sim(4, dmax, 104);
     sim.run_rounds(40);
     sim.schedule_faults(vec![ScheduledFault::new(
         SimTime(sim.now().ticks() + 100),
