@@ -39,7 +39,9 @@ pub mod partition;
 pub use algo::bfs::{bfs_distances, bfs_order, distance};
 pub use algo::components::{connected_components, is_connected, same_component};
 pub use algo::diameter::{diameter, eccentricity, radius};
-pub use algo::subgraph::{induced_subgraph, subgraph_diameter, subgraph_distance};
+pub use algo::subgraph::{
+    induced_subgraph, restricted_diameter, subgraph_diameter, subgraph_distance,
+};
 pub use dynamic::{DynamicGraph, TopologyEvent};
 pub use generators::GraphGenerator;
 pub use graph::Graph;

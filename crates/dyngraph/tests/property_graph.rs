@@ -2,8 +2,8 @@
 
 use dyngraph::generators::{erdos_renyi, random_geometric};
 use dyngraph::{
-    bfs_distances, connected_components, diameter, induced_subgraph, subgraph_distance, Graph,
-    NodeId, Partition,
+    bfs_distances, connected_components, diameter, induced_subgraph, restricted_diameter,
+    subgraph_diameter, subgraph_distance, Graph, NodeId, Partition,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -85,6 +85,39 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Dropping the members the graph does not have, the restricted-BFS
+    /// kernel is the diameter of the materialised induced subgraph.
+    #[test]
+    fn restricted_kernel_is_the_induced_subgraph_diameter(g in arb_graph(), keep in proptest::collection::btree_set(0u64..24, 0..24)) {
+        let keep: BTreeSet<NodeId> = keep.into_iter().map(NodeId).collect();
+        let present: Vec<NodeId> = keep.iter().copied().filter(|&n| g.contains_node(n)).collect();
+        let expected = diameter(&induced_subgraph(&g, &keep));
+        prop_assert_eq!(restricted_diameter(&g, &present), expected);
+        prop_assert_eq!(subgraph_diameter(&g, &keep), expected);
+    }
+
+    /// Keeping them, it is the largest `subgraph_distance` over all pairs
+    /// (a node paired with itself included): `+∞` as soon as one is.
+    #[test]
+    fn restricted_kernel_is_the_max_pairwise_subgraph_distance(g in arb_graph(), keep in proptest::collection::btree_set(0u64..24, 1..24)) {
+        let keep: BTreeSet<NodeId> = keep.into_iter().map(NodeId).collect();
+        let members: Vec<NodeId> = keep.iter().copied().collect();
+        let sub = induced_subgraph(&g, &keep);
+        let mut expected = Some(0);
+        for (i, &u) in members.iter().enumerate() {
+            for &v in &members[i..] {
+                // the pair distance itself, against a BFS of the materialised subgraph
+                let materialised = bfs_distances(&sub, u).get(&v).copied();
+                prop_assert_eq!(subgraph_distance(&g, &keep, u, v), materialised);
+                expected = match (expected, materialised) {
+                    (Some(best), Some(d)) => Some(best.max(d)),
+                    _ => None,
+                };
+            }
+        }
+        prop_assert_eq!(restricted_diameter(&g, &members), expected);
     }
 
     /// Random geometric graphs are deterministic given a seed.

@@ -85,6 +85,6 @@ pub use observers::{
     ContinuityProbe, ContinuityStats, ConvergenceProbe, FaultRecovery, GrpPipeline, RecordedRound,
     ResilienceProbe, ResilienceStats, SnapshotRecorder, RECOVERY_BUCKETS,
 };
-pub use predicates::SystemSnapshot;
+pub use predicates::{OmegaPartition, SystemSnapshot};
 pub use priority::Priority;
 pub use stabilization::ConvergenceDetector;

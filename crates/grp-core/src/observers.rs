@@ -13,12 +13,12 @@
 //! * [`ConvergenceProbe`] — streams legitimacy verdicts into a
 //!   [`ConvergenceDetector`] without retaining snapshots;
 //! * [`ContinuityProbe`] — streams the ΠT/ΠC transition accounting
-//!   ([`ContinuityStats`]) keeping only the previous snapshot;
+//!   ([`ContinuityStats`]) keeping only the previous round's groups;
 //! * [`GrpPipeline`] — the composition the scenario and experiment runners
-//!   use: capture once per round, feed every enabled probe from the same
-//!   snapshot.
+//!   use: capture once per round, partition the snapshot into its groups
+//!   once, feed every enabled probe from that one [`OmegaPartition`].
 
-use crate::predicates::{pi_c, pi_t_violations_jobs, SystemSnapshot};
+use crate::predicates::{OmegaPartition, SystemSnapshot};
 use crate::stabilization::ConvergenceDetector;
 use dyngraph::{Graph, NodeId};
 use netsim::{
@@ -218,29 +218,19 @@ impl<P: ViewProtocol> Observer<P> for SnapshotRecorder {
 #[derive(Clone, Debug)]
 pub struct ConvergenceProbe {
     detector: ConvergenceDetector,
-    jobs: usize,
 }
 
 impl ConvergenceProbe {
     pub fn new(dmax: usize) -> Self {
         ConvergenceProbe {
             detector: ConvergenceDetector::new(dmax),
-            jobs: 1,
         }
     }
 
-    /// Fan the per-node/per-pair legitimacy checks across `jobs` worker
-    /// threads; verdicts are identical for every job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Record one already-captured snapshot (the pipelined path — avoids a
-    /// second capture when a recorder already took one this round).
+    /// Record one already-captured snapshot (avoids a second capture when
+    /// a recorder already took one this round).
     pub fn record(&mut self, snapshot: &SystemSnapshot) {
-        let verdict = snapshot.legitimate_jobs(self.detector.dmax(), self.jobs);
-        self.detector.record_verdict(verdict);
+        self.detector.record(snapshot);
     }
 
     pub fn detector(&self) -> &ConvergenceDetector {
@@ -293,13 +283,13 @@ impl ContinuityStats {
 }
 
 /// Streams the ΠT/ΠC transition accounting, retaining only the previous
-/// round's snapshot (which, being `Arc`-backed, is itself cheap).
+/// round's groups: ΠT measures them in the new topology, ΠC looks for them
+/// in the new partition, and neither reads anything else of the old round.
 #[derive(Clone, Debug)]
 pub struct ContinuityProbe {
     dmax: usize,
-    prev: Option<SystemSnapshot>,
+    prev: Option<OmegaPartition>,
     stats: ContinuityStats,
-    jobs: usize,
 }
 
 impl ContinuityProbe {
@@ -308,29 +298,27 @@ impl ContinuityProbe {
             dmax,
             prev: None,
             stats: ContinuityStats::default(),
-            jobs: 1,
         }
     }
 
-    /// Fan the per-node ΠT checks across `jobs` worker threads; the
-    /// accounting is identical for every job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
+    /// Record one already-captured snapshot.
+    pub fn record(&mut self, snapshot: &SystemSnapshot) {
+        self.record_partition(OmegaPartition::of(snapshot), &snapshot.topology);
     }
 
-    /// Record one already-captured snapshot (the pipelined path).
-    pub fn record(&mut self, snapshot: &SystemSnapshot) {
+    /// Record one round from its already-computed partition and the
+    /// topology it was captured with (the pipelined path).
+    fn record_partition(&mut self, partition: OmegaPartition, topology: &Graph) {
         if let Some(prev) = &self.prev {
             self.stats.transitions += 1;
-            if pi_t_violations_jobs(prev, snapshot, self.dmax, self.jobs) == 0 {
+            if prev.pi_t_violations(topology, self.dmax) == 0 {
                 self.stats.pi_t_held += 1;
-                if pi_c(prev, snapshot) {
+                if prev.pi_c_violations(&partition) == 0 {
                     self.stats.pi_c_held_given_pi_t += 1;
                 }
             }
         }
-        self.prev = Some(snapshot.clone());
+        self.prev = Some(partition);
     }
 
     pub fn stats(&self) -> ContinuityStats {
@@ -446,7 +434,6 @@ impl ResilienceStats {
 #[derive(Clone, Debug)]
 pub struct ResilienceProbe {
     dmax: usize,
-    jobs: usize,
     stats: ResilienceStats,
 }
 
@@ -454,16 +441,8 @@ impl ResilienceProbe {
     pub fn new(dmax: usize) -> Self {
         ResilienceProbe {
             dmax,
-            jobs: 1,
             stats: ResilienceStats::default(),
         }
-    }
-
-    /// Fan the legitimacy checks across `jobs` worker threads; the
-    /// accounting is identical for every job count.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Record an injected fault (the pipelined path).
@@ -477,10 +456,16 @@ impl ResilienceProbe {
         });
     }
 
-    /// Record one already-captured snapshot (the pipelined path).
+    /// Record one already-captured snapshot.
     pub fn record(&mut self, at: SimTime, snapshot: &SystemSnapshot) {
+        self.record_verdict(at, snapshot.legitimate(self.dmax));
+    }
+
+    /// Record one round from its already-computed legitimacy verdict (the
+    /// pipelined path).
+    fn record_verdict(&mut self, at: SimTime, legitimate: bool) {
         self.stats.rounds_observed += 1;
-        if snapshot.legitimate_jobs(self.dmax, self.jobs) {
+        if legitimate {
             self.stats.legitimate_rounds += 1;
             let closed = self.stats.rounds_observed;
             for fault in &mut self.stats.faults {
@@ -512,9 +497,12 @@ impl<P: ViewProtocol> Observer<P> for ResilienceProbe {
     }
 }
 
-/// The standard harness composition: one copy-on-write capture per round,
-/// fed to every enabled probe. Used by the scenario conformance runner and
-/// the experiment harness; builds incrementally via the `with_*` methods.
+/// The standard harness composition: one copy-on-write capture and one
+/// [`OmegaPartition`] per round, fed to every enabled probe — the
+/// convergence and resilience probes share one legitimacy verdict, the
+/// continuity probe keeps the partition as next round's "before". Used by
+/// the scenario conformance runner and the experiment harness; builds
+/// incrementally via the `with_*` methods.
 #[derive(Clone, Debug, Default)]
 pub struct GrpPipeline {
     pub recorder: SnapshotRecorder,
@@ -546,39 +534,36 @@ impl GrpPipeline {
         self.resilience = Some(ResilienceProbe::new(dmax));
         self
     }
-
-    /// Fan the enabled probes' predicate evaluation (per-node ΠS/ΠT, per-
-    /// pair ΠM) across `jobs` worker threads. Probe outputs are identical
-    /// for every job count — the per-item predicates are pure functions of
-    /// the immutable snapshot — which
-    /// `crates/scenarios/tests/parallel.rs` pins.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        if let Some(probe) = self.convergence.take() {
-            self.convergence = Some(probe.with_jobs(jobs));
-        }
-        if let Some(probe) = self.continuity.take() {
-            self.continuity = Some(probe.with_jobs(jobs));
-        }
-        if let Some(probe) = self.resilience.take() {
-            self.resilience = Some(probe.with_jobs(jobs));
-        }
-        self
-    }
 }
 
 impl<P: ViewProtocol> Observer<P> for GrpPipeline {
     fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
         let round = self.recorder.capture(sim);
-        let snapshot = &round.snapshot;
-        let at = round.at;
-        if let Some(probe) = &mut self.convergence {
-            probe.record(snapshot);
+        if self.convergence.is_none() && self.continuity.is_none() && self.resilience.is_none() {
+            return;
         }
-        if let Some(probe) = &mut self.continuity {
-            probe.record(snapshot);
+        let topology = &round.snapshot.topology;
+        let partition = OmegaPartition::of(&round.snapshot);
+        // the two legitimacy consumers are normally built with one `dmax`:
+        // evaluate once, again only for a bound not yet asked about
+        let mut verdict: Option<(usize, bool)> = None;
+        let mut legitimate = |dmax: usize| match verdict {
+            Some((asked, answer)) if asked == dmax => answer,
+            _ => {
+                let answer = partition.legitimate(topology, dmax);
+                verdict = Some((dmax, answer));
+                answer
+            }
+        };
+        if let Some(probe) = &mut self.convergence {
+            let dmax = probe.detector.dmax();
+            probe.detector.record_verdict(legitimate(dmax));
         }
         if let Some(probe) = &mut self.resilience {
-            probe.record(at, snapshot);
+            probe.record_verdict(round.at, legitimate(probe.dmax));
+        }
+        if let Some(probe) = &mut self.continuity {
+            probe.record_partition(partition, topology);
         }
     }
 

@@ -20,10 +20,16 @@
 //!
 //! The best-effort requirement the paper proves (Prop. 14) is `ΠT ⇒ ΠC`;
 //! experiment E4 checks it on every consecutive pair of snapshots.
+//!
+//! All of them but ΠA speak of *groups*, and that is how they are
+//! evaluated: [`OmegaPartition`] resolves a configuration's groups once,
+//! and each predicate then measures a group (or a pair of adjacent groups)
+//! with one call of `dyngraph`'s restricted-BFS kernel. The per-node,
+//! per-pair reading of the definitions is the oracle of
+//! `tests/property_predicates.rs`.
 
 use crate::node::GrpNode;
-use dyngraph::algo::subgraph::{subgraph_diameter, subgraph_distance};
-use dyngraph::{Graph, NodeId, Partition};
+use dyngraph::{restricted_diameter, Graph, NodeId, Partition};
 use netsim::{Simulator, ViewProtocol};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -105,37 +111,16 @@ impl SystemSnapshot {
     /// The group `Ω_v` of the paper: the view when the node belongs to it
     /// and every member agrees on it, the singleton `{v}` otherwise.
     pub fn omega(&self, v: NodeId) -> BTreeSet<NodeId> {
-        let singleton = || [v].into_iter().collect::<BTreeSet<NodeId>>();
-        let Some(view) = self.views.get(&v) else {
-            return singleton();
-        };
-        if !view.contains(&v) {
-            return singleton();
+        match self.views.get(&v) {
+            Some(view) if view_is_agreed(&self.views, v, view) => (**view).clone(),
+            _ => [v].into_iter().collect(),
         }
-        for member in view.iter() {
-            match self.views.get(member) {
-                Some(other) if other == view => {}
-                _ => return singleton(),
-            }
-        }
-        (**view).clone()
     }
 
-    /// The distinct groups `{Ω_v}` of the configuration.
+    /// The distinct groups `{Ω_v}` of the configuration, ascending by
+    /// smallest member.
     pub fn groups(&self) -> Vec<BTreeSet<NodeId>> {
-        let mut groups: Vec<BTreeSet<NodeId>> = Vec::new();
-        let mut assigned: BTreeSet<NodeId> = BTreeSet::new();
-        for v in self.nodes() {
-            if assigned.contains(&v) {
-                continue;
-            }
-            let omega = self.omega(v);
-            for m in &omega {
-                assigned.insert(*m);
-            }
-            groups.push(omega);
-        }
-        groups
+        OmegaPartition::of(self).to_sets()
     }
 
     /// The groups as a [`Partition`] (useful for metrics).
@@ -144,138 +129,269 @@ impl SystemSnapshot {
     }
 
     /// **ΠA**: every node belongs to its own view and all quoted members
-    /// share exactly the same view (and exist).
+    /// share exactly the same view (and exist). Stops at the first node
+    /// that does not.
     pub fn agreement(&self) -> bool {
-        for (v, view) in &self.views {
-            if !view.contains(v) {
-                return false;
-            }
-            for member in view.iter() {
-                match self.views.get(member) {
-                    Some(other) if other == view => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
+        self.views
+            .iter()
+            .all(|(&v, view)| view_is_agreed(&self.views, v, view))
     }
 
     /// **ΠS**: every group is connected with diameter at most `dmax` in the
     /// subgraph it induces on the topology.
     pub fn safety(&self, dmax: usize) -> bool {
-        self.nodes().all(|v| self.node_is_safe(v, dmax))
-    }
-
-    /// The per-node ΠS condition (shared by the sequential and parallel
-    /// evaluations).
-    fn node_is_safe(&self, v: NodeId, dmax: usize) -> bool {
-        let omega = self.omega(v);
-        match subgraph_diameter(&self.topology, &omega) {
-            Some(d) => d <= dmax,
-            // a singleton containing only a node absent from the
-            // topology (e.g. a crashed node's ghost) has no diameter;
-            // treat the trivial singleton as safe
-            None => omega.len() <= 1,
-        }
+        OmegaPartition::of(self).safety(&self.topology, dmax)
     }
 
     /// **ΠM**: for every pair of distinct groups, merging them would create
     /// a pair of nodes farther apart than `dmax` inside the merged subgraph.
     pub fn maximality(&self, dmax: usize) -> bool {
-        let groups = self.groups();
-        for i in 0..groups.len() {
-            for j in (i + 1)..groups.len() {
-                let union: BTreeSet<NodeId> = groups[i].union(&groups[j]).copied().collect();
-                if !self.union_violates_diameter(&union, dmax) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    fn union_violates_diameter(&self, union: &BTreeSet<NodeId>, dmax: usize) -> bool {
-        // ∃ x, y ∈ union : d_union(x, y) > Dmax (None = +∞ counts as a
-        // violation, e.g. the union is disconnected).
-        let members: Vec<NodeId> = union.iter().copied().collect();
-        for (idx, &x) in members.iter().enumerate() {
-            for &y in &members[idx + 1..] {
-                match subgraph_distance(&self.topology, union, x, y) {
-                    Some(d) if d <= dmax => {}
-                    _ => return true,
-                }
-            }
-        }
-        false
+        OmegaPartition::of(self).maximality(&self.topology, dmax)
     }
 
     /// The legitimacy predicate of the Dynamic Group Service:
-    /// `ΠA ∧ ΠS ∧ ΠM`.
+    /// `ΠA ∧ ΠS ∧ ΠM`, evaluated in that order: a configuration without
+    /// agreement is rejected at the first disagreeing node, before any
+    /// group is formed or measured.
     pub fn legitimate(&self, dmax: usize) -> bool {
-        self.agreement() && self.safety(dmax) && self.maximality(dmax)
-    }
-
-    /// [`legitimate`](Self::legitimate) with the per-node ΠS checks and the
-    /// per-pair ΠM checks fanned across `jobs` worker threads. The per-item
-    /// predicates are pure functions of the (immutable, `Arc`-shared)
-    /// snapshot, so the verdict is identical for every job count —
-    /// `jobs <= 1` short-circuits to the sequential path.
-    pub fn legitimate_jobs(&self, dmax: usize, jobs: usize) -> bool {
-        if jobs <= 1 {
-            return self.legitimate(dmax);
-        }
-        if !self.agreement() {
-            return false;
-        }
-        // ΠS: one task per node
-        let nodes: Vec<NodeId> = self.nodes().collect();
-        let safe = rayon::par_map(nodes, jobs, |v| self.node_is_safe(v, dmax));
-        if !safe.into_iter().all(|ok| ok) {
-            return false;
-        }
-        // ΠM: one task per unordered group pair
-        let groups = self.groups();
-        let mut pairs = Vec::new();
-        for i in 0..groups.len() {
-            for j in (i + 1)..groups.len() {
-                pairs.push((i, j));
-            }
-        }
-        let unmergeable = rayon::par_map(pairs, jobs, |(i, j)| {
-            let union: BTreeSet<NodeId> = groups[i].union(&groups[j]).copied().collect();
-            self.union_violates_diameter(&union, dmax)
-        });
-        unmergeable.into_iter().all(|violates| violates)
+        self.agreement() && OmegaPartition::of(self).legitimate(&self.topology, dmax)
     }
 
     /// Number of distinct groups.
     pub fn group_count(&self) -> usize {
-        self.groups().len()
+        OmegaPartition::of(self).group_count()
     }
 
     /// Mean group size.
     pub fn mean_group_size(&self) -> f64 {
-        let groups = self.groups();
-        if groups.is_empty() {
-            return 0.0;
-        }
-        groups.iter().map(|g| g.len()).sum::<usize>() as f64 / groups.len() as f64
+        OmegaPartition::of(self).mean_group_size()
     }
 
     /// Largest group diameter measured in the current topology
     /// (`None` when some group is disconnected).
     pub fn max_group_diameter(&self) -> Option<usize> {
         let mut max_d = 0;
-        for g in self.groups() {
-            if g.len() <= 1 {
-                continue;
-            }
-            match subgraph_diameter(&self.topology, &g) {
-                Some(d) => max_d = max_d.max(d),
-                None => return None,
+        for group in OmegaPartition::of(self).iter() {
+            if group.len() > 1 {
+                max_d = max_d.max(diameter_of_present(&self.topology, group)?);
             }
         }
         Some(max_d)
+    }
+}
+
+/// Is `view` the agreed group of `v`: `v` belongs to it, and every member
+/// it quotes exists and holds an equal view?
+fn view_is_agreed(
+    views: &BTreeMap<NodeId, Arc<BTreeSet<NodeId>>>,
+    v: NodeId,
+    view: &Arc<BTreeSet<NodeId>>,
+) -> bool {
+    view.contains(&v)
+        && view.iter().all(|member| {
+            views
+                .get(member)
+                .is_some_and(|other| Arc::ptr_eq(other, view) || other == view)
+        })
+}
+
+/// Diameter of the subgraph `group` induces on `topology`, under the ΠS
+/// rule for members the topology does not have (a crashed node's ghost):
+/// they are dropped, not counted as unreachable.
+fn diameter_of_present(topology: &Graph, group: &[NodeId]) -> Option<usize> {
+    let present: Vec<NodeId> = group
+        .iter()
+        .copied()
+        .filter(|&m| topology.contains_node(m))
+        .collect();
+    restricted_diameter(topology, &present)
+}
+
+/// `∃ x, y ∈ members : d_members(x, y) > dmax` — the ΠM/ΠT rule, under
+/// which a member the topology does not have is at `+∞` from the others
+/// (as is any member of a disconnected set).
+fn exceeds_dmax(topology: &Graph, members: &[NodeId], dmax: usize) -> bool {
+    restricted_diameter(topology, members).is_none_or(|d| d > dmax)
+}
+
+/// The Ω-partition of one configuration — every node's group `Ω_v`,
+/// computed once — and the predicates of the specification evaluated per
+/// *group*, which is how the paper defines them.
+///
+/// The partition depends on the views alone, so the topology is an
+/// argument of each predicate: ΠS and ΠM measure the groups in the
+/// configuration's own topology, ΠT measures them in the *next* one.
+/// [`SystemSnapshot`]'s predicate methods and [`pi_t_violations`] /
+/// [`pi_c_violations`] build one of these per call; a caller that asks
+/// several questions of one configuration (the observer pipeline, the
+/// scenario runner's assertions) builds it once and asks them here.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OmegaPartition {
+    /// The configuration's nodes, ascending.
+    nodes: Vec<NodeId>,
+    /// `group_of[i]` is the group of `nodes[i]`.
+    group_of: Vec<usize>,
+    /// Group `g` is `members[starts[g]..starts[g + 1]]`, ascending; groups
+    /// are disjoint, cover `nodes` and ascend by smallest member.
+    members: Vec<NodeId>,
+    starts: Vec<usize>,
+    agreement: bool,
+}
+
+impl OmegaPartition {
+    /// Partition `snapshot`'s nodes into their groups `Ω_v`.
+    pub fn of(snapshot: &SystemSnapshot) -> Self {
+        const UNASSIGNED: usize = usize::MAX;
+        let views = &snapshot.views;
+        let nodes: Vec<NodeId> = views.keys().copied().collect();
+        let mut group_of = vec![UNASSIGNED; nodes.len()];
+        let mut members = Vec::with_capacity(nodes.len());
+        let mut starts = vec![0];
+        let mut agreement = true;
+        for (i, (&v, view)) in views.iter().enumerate() {
+            if group_of[i] != UNASSIGNED {
+                continue;
+            }
+            let group = starts.len() - 1;
+            if view_is_agreed(views, v, view) {
+                // every member holds this very view: none is in a group yet
+                for &member in view.iter() {
+                    if let Ok(at) = nodes.binary_search(&member) {
+                        group_of[at] = group;
+                    }
+                    members.push(member);
+                }
+            } else {
+                agreement = false;
+                group_of[i] = group;
+                members.push(v);
+            }
+            starts.push(members.len());
+        }
+        OmegaPartition {
+            nodes,
+            group_of,
+            members,
+            starts,
+            agreement,
+        }
+    }
+
+    /// Number of distinct groups.
+    pub fn group_count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The groups, each an ascending member slice, ascending by smallest
+    /// member.
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        (0..self.group_count()).map(|index| self.group(index))
+    }
+
+    /// The groups as owned sets.
+    pub fn to_sets(&self) -> Vec<BTreeSet<NodeId>> {
+        self.iter()
+            .map(|group| group.iter().copied().collect())
+            .collect()
+    }
+
+    /// Index (in [`iter`](Self::iter) order) of the group `v` belongs to;
+    /// `None` for a node the configuration does not have.
+    fn group_index(&self, v: NodeId) -> Option<usize> {
+        self.nodes
+            .binary_search(&v)
+            .ok()
+            .map(|at| self.group_of[at])
+    }
+
+    /// Mean group size (0 for the empty configuration).
+    pub fn mean_group_size(&self) -> f64 {
+        if self.group_count() == 0 {
+            return 0.0;
+        }
+        self.members.len() as f64 / self.group_count() as f64
+    }
+
+    /// **ΠA**: no node fell back to a singleton — every `Ω_v` is `v`'s own,
+    /// agreed view.
+    pub fn agreement(&self) -> bool {
+        self.agreement
+    }
+
+    /// **ΠS**, once per group: connected with diameter at most `dmax` in
+    /// the subgraph it induces on `topology`. A group none of whose members
+    /// the topology has is safe only as a singleton (a crashed node's
+    /// ghost holding its own view).
+    pub fn safety(&self, topology: &Graph, dmax: usize) -> bool {
+        self.iter()
+            .all(|group| match diameter_of_present(topology, group) {
+                Some(d) => d <= dmax,
+                None => group.len() <= 1,
+            })
+    }
+
+    /// **ΠM**: no two distinct groups could merge within `dmax`. Only the
+    /// pairs joined by at least one topology edge are measured: the union
+    /// of two groups with no edge between them is disconnected, which
+    /// already puts two of its nodes farther apart than any `dmax`.
+    pub fn maximality(&self, topology: &Graph, dmax: usize) -> bool {
+        let mut joined: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for (&a, &group_a) in self.nodes.iter().zip(&self.group_of) {
+            for b in topology.neighbors(a).filter(|&b| a < b) {
+                match self.group_index(b) {
+                    Some(group_b) if group_b != group_a => {
+                        joined.insert((group_a.min(group_b), group_a.max(group_b)));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        joined.into_iter().all(|(i, j)| {
+            let mut union = [self.group(i), self.group(j)].concat();
+            union.sort_unstable();
+            exceeds_dmax(topology, &union, dmax)
+        })
+    }
+
+    /// `ΠA ∧ ΠS ∧ ΠM`, short-circuiting in that order.
+    pub fn legitimate(&self, topology: &Graph, dmax: usize) -> bool {
+        self.agreement && self.safety(topology, dmax) && self.maximality(topology, dmax)
+    }
+
+    /// Number of nodes whose group — a group of *this*, older partition —
+    /// violates the ΠT condition in `next_topology`: some two of its
+    /// members are no longer within `dmax` hops of each other using only
+    /// members as relays. One measurement per group; all of a violating
+    /// group's members count.
+    pub fn pi_t_violations(&self, next_topology: &Graph, dmax: usize) -> usize {
+        self.iter()
+            .filter(|group| group.len() > 1 && exceeds_dmax(next_topology, group, dmax))
+            .map(<[NodeId]>::len)
+            .sum()
+    }
+
+    /// Number of nodes whose group lost at least one member between this,
+    /// older partition and `next`. `Ω_v` keeps all of an old group exactly
+    /// when `next` still puts every member of it in `v`'s group, so a group
+    /// either survives whole or all of its members count.
+    pub fn pi_c_violations(&self, next: &OmegaPartition) -> usize {
+        self.iter()
+            .filter(|group| {
+                let Some((&first, rest)) = group.split_first() else {
+                    return false;
+                };
+                match next.group_index(first) {
+                    Some(target) => rest.iter().any(|&m| next.group_index(m) != Some(target)),
+                    // `first` left the configuration: its Ω is now `{first}`
+                    None => !rest.is_empty(),
+                }
+            })
+            .map(<[NodeId]>::len)
+            .sum()
+    }
+
+    fn group(&self, index: usize) -> &[NodeId] {
+        &self.members[self.starts[index]..self.starts[index + 1]]
     }
 }
 
@@ -289,46 +405,7 @@ pub fn pi_t(prev: &SystemSnapshot, next: &SystemSnapshot, dmax: usize) -> bool {
 /// Number of nodes whose old group violates the ΠT condition in the new
 /// topology.
 pub fn pi_t_violations(prev: &SystemSnapshot, next: &SystemSnapshot, dmax: usize) -> usize {
-    prev.nodes()
-        .filter(|&v| pi_t_violated_at(prev, next, dmax, v))
-        .count()
-}
-
-/// [`pi_t_violations`] with the per-node checks fanned across `jobs` worker
-/// threads; the per-node predicate is pure, so the count is identical for
-/// every job count (`jobs <= 1` short-circuits to the sequential path).
-pub fn pi_t_violations_jobs(
-    prev: &SystemSnapshot,
-    next: &SystemSnapshot,
-    dmax: usize,
-    jobs: usize,
-) -> usize {
-    if jobs <= 1 {
-        return pi_t_violations(prev, next, dmax);
-    }
-    let nodes: Vec<NodeId> = prev.nodes().collect();
-    rayon::par_map(nodes, jobs, |v| pi_t_violated_at(prev, next, dmax, v))
-        .into_iter()
-        .filter(|&violated| violated)
-        .count()
-}
-
-/// Does `v`'s old group violate the ΠT condition in the new topology?
-fn pi_t_violated_at(prev: &SystemSnapshot, next: &SystemSnapshot, dmax: usize, v: NodeId) -> bool {
-    let omega = prev.omega(v);
-    if omega.len() <= 1 {
-        return false;
-    }
-    let members: Vec<NodeId> = omega.iter().copied().collect();
-    for (i, &x) in members.iter().enumerate() {
-        for &y in &members[i + 1..] {
-            match subgraph_distance(&next.topology, &omega, x, y) {
-                Some(d) if d <= dmax => {}
-                _ => return true,
-            }
-        }
-    }
-    false
+    OmegaPartition::of(prev).pi_t_violations(&next.topology, dmax)
 }
 
 /// **ΠC** on a pair of successive configurations: no node disappears from
@@ -340,13 +417,7 @@ pub fn pi_c(prev: &SystemSnapshot, next: &SystemSnapshot) -> bool {
 /// Number of nodes whose group lost at least one member between the two
 /// configurations.
 pub fn pi_c_violations(prev: &SystemSnapshot, next: &SystemSnapshot) -> usize {
-    prev.nodes()
-        .filter(|&v| {
-            let before = prev.omega(v);
-            let after = next.omega(v);
-            !before.is_subset(&after)
-        })
-        .count()
+    OmegaPartition::of(prev).pi_c_violations(&OmegaPartition::of(next))
 }
 
 /// Total number of (node, lost member) pairs between two configurations —
@@ -514,6 +585,33 @@ mod tests {
         assert!(pi_t(&before, &after, 2));
         assert!(pi_c(&before, &after));
         assert_eq!(view_removals(&before, &after), 0);
+    }
+
+    #[test]
+    fn a_ghost_singleton_is_safe() {
+        // node 9 holds the view {9} but the topology does not have it (a
+        // crashed node's ghost): ΠS drops absent members, so the group has
+        // no diameter to exceed
+        let s = snap(path(2), &[(0, &[0, 1]), (1, &[0, 1]), (9, &[9])]);
+        assert!(s.agreement());
+        assert!(s.safety(1));
+        // the same rule keeps a group safe on the members that do exist
+        let s = snap(path(2), &[(0, &[0]), (1, &[1, 9]), (9, &[1, 9])]);
+        assert!(s.safety(0));
+    }
+
+    #[test]
+    fn a_ghost_among_others_is_infinitely_far() {
+        // groups {0} and {1, 9} touch along the edge 0-1; ΠM and ΠT put the
+        // absent 9 at +∞ from everyone, so the union {0, 1, 9} cannot merge
+        // (dropping 9, as ΠS does, would leave the mergeable {0, 1})…
+        let s = snap(path(2), &[(0, &[0]), (1, &[1, 9]), (9, &[1, 9])]);
+        assert!(s.maximality(1));
+        let mergeable = snap(path(2), &[(0, &[0]), (1, &[1])]);
+        assert!(!mergeable.maximality(1));
+        // …and the old group {1, 9} is torn in any topology without 9
+        assert_eq!(pi_t_violations(&s, &s, 5), 2);
+        assert!(pi_c(&s, &s));
     }
 
     #[test]

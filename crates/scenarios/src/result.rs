@@ -9,6 +9,7 @@ use crate::json::Json;
 use crate::manifest::ScenarioManifest;
 use crate::runner::{run_scenario_with, McReport, RunOutcome, ScenarioOutcome};
 use grp_core::observers::ResilienceStats;
+use grp_core::predicates::OmegaPartition;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -124,9 +125,9 @@ fn campaign_to_json(report: &CampaignReport) -> Json {
 }
 
 fn run_to_json(run: &RunOutcome, golden: Option<&String>) -> Json {
-    let last = &run.final_snapshot;
+    // one partition of the final configuration feeds every `final` field
+    let last = OmegaPartition::of(&run.final_snapshot);
     let dmax_groups: Vec<Json> = last
-        .groups()
         .iter()
         .map(|g| Json::Array(g.iter().map(|n| Json::Int(n.raw() as i64)).collect()))
         .collect();

@@ -20,7 +20,7 @@ use crate::manifest::{
 };
 use dyngraph::{generators, Graph, NodeId, TopologyEvent};
 use grp_core::observers::{GrpPipeline, ResilienceStats};
-use grp_core::predicates::SystemSnapshot;
+use grp_core::predicates::{OmegaPartition, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use modelcheck::{
     check_corruptions, check_pair_corruptions, explore, fresh_net, legitimate_start, snapshot_of,
@@ -744,6 +744,10 @@ fn evaluate_assertions(
     golden: Option<&String>,
 ) -> Vec<AssertionResult> {
     let dmax = manifest.protocol.dmax;
+    // one partition of the final configuration answers every predicate
+    // and group-count assertion
+    let topology = &last.topology;
+    let last = OmegaPartition::of(last);
     let mut results = Vec::new();
 
     if let Some(expected) = spec.reconverges {
@@ -795,7 +799,7 @@ fn evaluate_assertions(
         ));
     }
     if let Some(expected) = spec.safety {
-        let observed = last.safety(dmax);
+        let observed = last.safety(topology, dmax);
         results.push(AssertionResult::new(
             "safety",
             expected,
@@ -804,7 +808,7 @@ fn evaluate_assertions(
         ));
     }
     if let Some(expected) = spec.maximality {
-        let observed = last.maximality(dmax);
+        let observed = last.maximality(topology, dmax);
         results.push(AssertionResult::new(
             "maximality",
             expected,
@@ -813,7 +817,7 @@ fn evaluate_assertions(
         ));
     }
     if let Some(expected) = spec.legitimate {
-        let observed = last.legitimate(dmax);
+        let observed = last.legitimate(topology, dmax);
         results.push(AssertionResult::new(
             "legitimate",
             expected,

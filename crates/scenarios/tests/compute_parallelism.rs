@@ -4,15 +4,12 @@
 //!
 //! * the worker count of the engine's same-instant batches (computes,
 //!   sends, deliveries) must leave every scenario digest byte-identical;
-//! * `GrpPipeline::with_jobs` (predicate probes fanned through `par_map`)
-//!   must produce identical convergence/continuity verdicts at any job
-//!   count;
 //! * `SnapshotRecorder`'s delta-encoded digest folding must hash to exactly
 //!   the bytes of the naive full walk;
 //! * a simulator assembled by hand and one built from a manifest describing
 //!   the same run produce the same trace.
 
-use grp_core::observers::{GrpPipeline, SnapshotRecorder};
+use grp_core::observers::SnapshotRecorder;
 use grp_core::{GrpConfig, GrpNode};
 use netsim::{CanonicalHasher, SimBuilder, SimConfig, TraceProbe};
 use scenarios::manifest::ScenarioManifest;
@@ -130,33 +127,6 @@ cols = 4
 
     assert!(from_manifest.2.dropped > 0, "the lossy channel drew");
     assert_eq!(from_manifest, embedded);
-}
-
-#[test]
-fn pipeline_jobs_do_not_change_probe_verdicts() {
-    let manifest = load("s07_partition_merge.toml");
-    let seed = manifest.sim.seeds[0];
-    let dmax = manifest.protocol.dmax;
-    let run_with_jobs = |jobs: usize| {
-        let mut sim = build_simulator(&manifest, seed);
-        let mut pipeline = GrpPipeline::new()
-            .with_convergence(dmax)
-            .with_continuity(dmax)
-            .with_jobs(jobs);
-        drive_manifest(&mut sim, &manifest, &mut pipeline);
-        let convergence = pipeline.convergence.expect("enabled");
-        let continuity = pipeline.continuity.expect("enabled").stats();
-        (
-            convergence.convergence_round(),
-            convergence.is_currently_legitimate(),
-            continuity.transitions,
-            continuity.pi_t_held,
-            continuity.pi_c_held_given_pi_t,
-        )
-    };
-    let one = run_with_jobs(1);
-    assert_eq!(one, run_with_jobs(4), "jobs=1 vs jobs=4 diverged");
-    assert_eq!(one, run_with_jobs(13), "jobs=1 vs jobs=13 diverged");
 }
 
 #[test]
