@@ -1,8 +1,8 @@
 //! # experiments — the evaluation harness
 //!
-//! One module per table/figure of the evaluation (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for paper-claim vs. measured
-//! results). Every experiment
+//! One module per table/figure of the evaluation, `e1_convergence` to
+//! `e10_compat_ablation` below (each module doc names the paper claim it
+//! measures). Every experiment
 //!
 //! * builds its workload from the `dyngraph` generators or a `netsim`
 //!   mobility model,

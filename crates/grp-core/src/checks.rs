@@ -11,12 +11,11 @@
 //! bookkeeping, rejected neighbours) and our own identity quoted back by the
 //! sender are not group content and are excluded — otherwise two freshly met
 //! singletons would count each other twice and could never merge for small
-//! `Dmax`. Following the *proof* of Proposition 13 (which bounds both path
-//! families), we require both the `p − i + 1 + q` and the `i/2 + q + 1`
-//! bounds to hold; the proposition's statement uses "either … or", but
-//! accepting on a single bound can let a merge exceed `Dmax` and would break
-//! the continuity argument of Proposition 14(iii). This deviation is
-//! recorded in DESIGN.md.
+//! `Dmax`. Like the proposition's statement ("either … or"), the test
+//! accepts when *either* the `p − i + 1 + q` or the `i/2 + q + 1` bound
+//! holds — it takes their `min` — although the proposition's proof bounds
+//! both path families; [`compatible_list`] says why the optimistic reading
+//! is the one implemented.
 
 use crate::ancestor_list::AncestorList;
 use dyngraph::NodeId;
@@ -68,8 +67,7 @@ fn received_exclusions(own_id: NodeId, own_list: &AncestorList) -> BTreeSet<Node
 /// The condition is the paper's: accept when the two lists are short enough
 /// to concatenate (`p + 1 + q + 1 ≤ Dmax + 1`), or when some level `i` of
 /// our list is entirely made of the sender's direct neighbours and
-/// `min(p − i + 1 + q, i/2 + q + 1) ≤ Dmax`. Two reproduction details,
-/// recorded in DESIGN.md:
+/// `min(p − i + 1 + q, i/2 + q + 1) ≤ Dmax`. Two reproduction details:
 ///
 /// * lengths are *group-core* lengths — marked handshake entries, our own
 ///   identity quoted back by the sender and nodes we already know are not

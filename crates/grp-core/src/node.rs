@@ -37,9 +37,8 @@ pub struct GrpNode {
     /// The logical-clock component of this node's priority ("oldness").
     /// Implemented as a membership-epoch counter: it advances when the node
     /// *leaves* a group (and stays frozen inside a group), so that nodes
-    /// that joined long ago always beat recent arrivals — see DESIGN.md for
-    /// why a per-round increment would prevent convergence in lockstep
-    /// executions.
+    /// that joined long ago always beat recent arrivals, where a per-round
+    /// increment would prevent convergence in lockstep executions.
     priority_value: u64,
     /// Was the node part of a group of two or more at the end of the last
     /// compute? Used to detect the in-group → alone transition.
@@ -645,7 +644,7 @@ mod tests {
     /// each sub-round (Ts ≤ Tc), while only one node's compute timer fires
     /// per sub-round, in round-robin order. This matches the paper's timer
     /// model; perfectly synchronous computes can oscillate forever at group
-    /// boundaries (see DESIGN.md). The minimal concrete cycle — path(5) at
+    /// boundaries. The minimal concrete cycle — path(5) at
     /// Dmax = 2, period 4, maximality violated in every state — is checked
     /// in as `crates/modelcheck/tests/data/path5_dmax2_sync.trace` and
     /// replayed by `crates/modelcheck/tests/oscillation.rs`, which also

@@ -6,9 +6,8 @@
 //! index in such an array is its *slot*. Slot order is therefore NodeId
 //! order, which is the canonical order of every trace: determinism holds
 //! by construction, not by tree iteration. This module holds what those
-//! arrays have in common: the id → slot lookup, the slot-ordered position
-//! table every mobility model stores and hands out, and the carving of
-//! disjoint `&mut`s out of an arena for a parallel batch.
+//! arrays have in common: the id → slot lookup and the slot-ordered
+//! position table every mobility model stores and hands out.
 
 use crate::space::Point;
 use dyngraph::NodeId;
@@ -134,21 +133,6 @@ impl PositionTable {
     }
 }
 
-/// One `&mut` per slot of `slots`, which must ascend strictly — the
-/// disjoint borrows a parallel batch hands its workers.
-pub(crate) fn carve<T>(mut arena: &mut [T], slots: impl IntoIterator<Item = usize>) -> Vec<&mut T> {
-    let mut base = 0;
-    slots
-        .into_iter()
-        .map(|slot| {
-            let (head, tail) = std::mem::take(&mut arena).split_at_mut(slot - base + 1);
-            arena = tail;
-            base = slot + 1;
-            &mut head[head.len() - 1]
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,12 +164,5 @@ mod tests {
         assert_eq!(table.remove(NodeId(2)), Some(0));
         assert_eq!(table.remove(NodeId(2)), None);
         assert_eq!(table.view().ids(), [NodeId(5), NodeId(7)]);
-    }
-
-    #[test]
-    fn carve_hands_out_the_named_slots() {
-        let mut arena = [10, 11, 12, 13, 14];
-        let picked = carve(&mut arena, [0, 3, 4]);
-        assert_eq!(picked, [&mut 10, &mut 13, &mut 14]);
     }
 }

@@ -110,7 +110,7 @@ impl LinkOutcome {
 
 /// The per-transmission medium model; see the [module docs](self) for the
 /// split of responsibilities between radio and channel.
-pub trait ChannelModel: Send + Sync {
+pub trait ChannelModel {
     /// Called once per broadcast, before any [`link`](Self::link) decision
     /// of that sweep: the channel may record the transmission (the
     /// contention model feeds its medium-load window here). `pos` is the

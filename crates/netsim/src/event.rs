@@ -81,7 +81,7 @@ impl<M> Ord for Event<M> {
 /// order — draining bucket after bucket visits events in `(time, seq)`
 /// order, exactly as a `BinaryHeap` of [`Event`]s would pop them. The engine
 /// lifts a whole same-instant batch out in one operation
-/// ([`pop_bucket`](Self::pop_bucket)) and shards it across workers,
+/// ([`pop_bucket`](Self::pop_bucket)) and sorts it into its phases,
 /// something a heap can only do by popping and re-inspecting every entry.
 #[derive(Debug)]
 pub struct CalendarQueue<M> {

@@ -33,10 +33,10 @@
 //! The simulator is fully deterministic for a given seed: the event queue is
 //! a calendar of `(time, sequence number)`-ordered buckets, and all
 //! randomness flows from `ChaCha8` streams derived from the run seed — one
-//! independently-seeded stream per `(node, purpose)` ([`rng`]), which lets
-//! same-instant computes, sends and deliveries fan out across worker
-//! threads without the schedule touching any draw. Observers — which get
-//! `&Simulator` only — cannot perturb the trace.
+//! independently-seeded stream per `(node, purpose)` ([`rng`]), so no
+//! node's draws depend on when, or after whom, the engine reaches it. One
+//! simulation runs on one thread. Observers — which get `&Simulator`
+//! only — cannot perturb the trace.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -39,7 +39,7 @@ use dyngraph::NodeId;
 use rand_chacha::ChaCha8Rng;
 
 /// A model that owns and advances node positions.
-pub trait MobilityModel: Send + Sync {
+pub trait MobilityModel {
     /// Current position of every node, in slot (ascending NodeId) order.
     fn positions(&self) -> Positions<'_>;
 

@@ -11,15 +11,12 @@ use rand_chacha::ChaCha8Rng;
 
 /// A node-local protocol instance driven by the simulator.
 ///
-/// `Send` is a supertrait so that the simulator can fan same-instant
-/// compute and delivery batches across worker threads; every handler still
-/// receives `&mut self` exclusively, so implementations never need internal
-/// synchronisation.
-pub trait Protocol: Send + Sync {
-    /// The messages broadcast to the neighbourhood. `Send` because a
-    /// parallel delivery batch moves each recipient's copy into the worker
-    /// that applies it.
-    type Message: Clone + std::fmt::Debug + Send;
+/// The simulator runs every handler on one thread, in event order, with
+/// `&mut self` exclusively, so implementations need no synchronisation and
+/// no thread-safety bounds.
+pub trait Protocol {
+    /// The messages broadcast to the neighbourhood.
+    type Message: Clone + std::fmt::Debug;
 
     /// Identity of the node running this instance.
     fn id(&self) -> NodeId;

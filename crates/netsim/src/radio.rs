@@ -31,7 +31,7 @@ use rand_chacha::ChaCha8Rng;
 /// assert!(g.contains_edge(NodeId(0), NodeId(1)));
 /// assert!(!g.contains_edge(NodeId(0), NodeId(2)));
 /// ```
-pub trait RadioModel: Send + Sync {
+pub trait RadioModel {
     /// Can a transmission by `sender` be heard at `receiver`'s position?
     fn in_vicinity(&self, sender: Point, receiver: Point) -> bool;
 

@@ -4,8 +4,8 @@
 //! steps, state corruption — is drawn from the stream of the node it
 //! concerns: each `(node, purpose)` pair owns an independent ChaCha8 stream
 //! whose seed is a pure function of `(run_seed, node_id, tag)`, so a node's
-//! draws are identical no matter when the stream is first touched, which
-//! thread advances it, or what the rest of the population does.
+//! draws are identical no matter when the stream is first touched or what
+//! the rest of the population does.
 //!
 //! Streams live in one dense column per [`StreamTag`], indexed by slot (see
 //! [`crate::arena`]), and are created lazily, so the *set* of streams a run
@@ -64,9 +64,7 @@ pub fn stream_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
 ///
 /// A stream is addressed by its slot and seeded from its NodeId on first
 /// use, so streams are independent of the order in which the engine first
-/// touches them; a stream may also be [taken out](NodeStreams::take) for
-/// the duration of a parallel batch and [reinserted](NodeStreams::put)
-/// afterwards. A column is indexed by the slots of whoever draws from it:
+/// touches them. A column is indexed by the slots of whoever draws from it:
 /// [`StreamTag::Mobility`] by the mobility model's position slots, the
 /// other three by the simulator's node slots (the two coincide whenever
 /// every positioned id has a node). A column grows to the highest slot
@@ -127,21 +125,6 @@ impl NodeStreams {
             .map(move |(cell, node)| cell.get_or_insert_with(|| Self::fresh(run_seed, node, tag)))
     }
 
-    /// Remove the stream of `node` at `slot` so a worker thread can own it
-    /// during a parallel batch (creating it first if never touched).
-    pub fn take(&mut self, tag: StreamTag, slot: usize, node: NodeId) -> ChaCha8Rng {
-        let run_seed = self.run_seed;
-        self.cell(tag, slot)
-            .take()
-            .unwrap_or_else(|| Self::fresh(run_seed, node, tag))
-    }
-
-    /// Reinsert a stream previously [taken](NodeStreams::take), preserving
-    /// its advanced position.
-    pub fn put(&mut self, tag: StreamTag, slot: usize, rng: ChaCha8Rng) {
-        *self.cell(tag, slot) = Some(rng);
-    }
-
     /// A node was inserted at `slot` of the table `tag`'s column follows:
     /// open an untouched entry there and move every later stream one slot
     /// up with its node.
@@ -189,22 +172,6 @@ mod tests {
         let a_second: u64 = reversed.stream(StreamTag::Channel, 1, NodeId(1)).gen();
 
         assert_eq!(a_first, a_second);
-    }
-
-    #[test]
-    fn take_and_put_preserve_the_stream_position() {
-        let mut streams = NodeStreams::new(9);
-        let first: u64 = streams.stream(StreamTag::Fault, 5, NodeId(5)).gen();
-        let mut rng = streams.take(StreamTag::Fault, 5, NodeId(5));
-        let second: u64 = rng.gen();
-        streams.put(StreamTag::Fault, 5, rng);
-        let third: u64 = streams.stream(StreamTag::Fault, 5, NodeId(5)).gen();
-
-        // a fresh stream replays the same prefix
-        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(9, NodeId(5), StreamTag::Fault));
-        assert_eq!(first, replay.gen::<u64>());
-        assert_eq!(second, replay.gen::<u64>());
-        assert_eq!(third, replay.gen::<u64>());
     }
 
     #[test]

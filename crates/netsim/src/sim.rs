@@ -21,7 +21,7 @@
 //! per-node RNG streams all name nodes by slot. Slot order is NodeId order
 //! is the canonical order of every trace (see [`crate::arena`]).
 
-use crate::arena::{carve, slot_of, Positions, NO_SLOT};
+use crate::arena::{slot_of, Positions, NO_SLOT};
 use crate::channel::{Bernoulli, ChannelModel, LinkEnv};
 use crate::event::{CalendarQueue, Event, EventKind};
 use crate::fault::{FaultKind, Region, ScheduledFault};
@@ -39,12 +39,6 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-
-/// Below this many independent work items a same-instant batch runs
-/// inline: the vendored `par_map`'s per-call thread spawn costs more than
-/// the work it would distribute. Purely a scheduling choice — results are
-/// identical either way.
-const PARALLEL_BATCH_FLOOR: usize = 16;
 
 /// The next copy of a message that fans out to several places: a clone,
 /// or the message itself once `last` says no further copy is needed.
@@ -128,8 +122,6 @@ impl SimConfig {
 /// How spatial-mode neighbour discovery is accelerated between mobility
 /// ticks.
 enum SpatialIndex {
-    /// Explicit mode: the harness owns the topology.
-    None,
     /// Uniform-grid spatial hash, updated incrementally; ticks where no
     /// node moved skip topology recomputation entirely. The authoritative
     /// topology lives in the grid's CSR form — per-send neighbour queries
@@ -142,26 +134,39 @@ enum SpatialIndex {
     DiffOnly(Vec<Point>),
 }
 
-impl SpatialIndex {
-    fn for_mode(mode: &TopologyMode) -> SpatialIndex {
-        let TopologyMode::Spatial { radio, mobility } = mode else {
-            return SpatialIndex::None;
-        };
-        match radio.max_range() {
+/// Spatial mode's half of the engine: the models the topology derives
+/// from and the index kept over their positions. Explicit mode has none.
+struct Spatial {
+    radio: Box<dyn RadioModel>,
+    mobility: Box<dyn MobilityModel>,
+    index: SpatialIndex,
+}
+
+impl Spatial {
+    /// Index the models' initial positions; returns the initial topology
+    /// beside.
+    fn new(radio: Box<dyn RadioModel>, mobility: Box<dyn MobilityModel>) -> (Spatial, Graph) {
+        let (index, topology) = match radio.max_range() {
             Some(range) if range.is_finite() && range > 0.0 => {
                 let mut grid = Box::new(SpatialGrid::new(range));
                 grid.rebuild(mobility.positions());
                 radio.refresh_grid_topology(&mut grid);
-                SpatialIndex::Grid { grid, dirty: false }
+                let topology = grid.graph();
+                (SpatialIndex::Grid { grid, dirty: false }, topology)
             }
-            _ => SpatialIndex::DiffOnly(mobility.positions().points().to_vec()),
-        }
+            _ => (
+                SpatialIndex::DiffOnly(mobility.positions().points().to_vec()),
+                radio.topology_all_pairs(mobility.positions()),
+            ),
+        };
+        let spatial = Spatial {
+            radio,
+            mobility,
+            index,
+        };
+        (spatial, topology)
     }
 }
-
-/// One receiver's batch of same-instant deliveries, `(sender, message)`
-/// pairs in arrival order.
-type Inbox<P> = Vec<(NodeId, <P as Protocol>::Message)>;
 
 /// A broadcast polled from its sender, waiting for its link decisions.
 struct Pending<M> {
@@ -186,13 +191,13 @@ pub struct Simulator<P: Protocol> {
     /// The node arena: `ids` ascends and `nodes[slot]` is node `ids[slot]`.
     ids: Vec<NodeId>,
     nodes: Vec<SimNode<P>>,
-    mode: TopologyMode,
     /// The observed communication graph, shared with observers: recording a
     /// configuration is an `Arc` clone, and explicit-mode mutation is
     /// copy-on-write (`Arc::make_mut`), so a still-referenced past topology
-    /// is never overwritten in place.
+    /// is never overwritten in place. In explicit mode it is the topology.
     topology: Arc<Graph>,
-    index: SpatialIndex,
+    /// Spatial mode's models and index; `None` in explicit mode.
+    spatial: Option<Spatial>,
     /// Spatial mode: the mobility model's position slot of each node slot
     /// and the node slot of each position slot, [`NO_SLOT`] where the id is
     /// unknown on the other side. The two slot spaces coincide once every
@@ -208,11 +213,6 @@ pub struct Simulator<P: Protocol> {
     now: SimTime,
     /// All of the run's randomness: one stream per `(node, purpose)`.
     streams: NodeStreams,
-    /// Most workers a same-instant batch may use: the machine's
-    /// `available_parallelism()`, asked when the first batch big enough to
-    /// shard comes up, unless [`set_worker_cap`](Self::set_worker_cap)
-    /// said otherwise.
-    worker_cap: Option<usize>,
     stats: MessageStats,
     faults: Vec<ScheduledFault>,
     loss_burst_until: SimTime,
@@ -227,8 +227,9 @@ pub struct Simulator<P: Protocol> {
     rounds_completed: u64,
 }
 
-/// Everything the link decisions of one instant read, by shared reference,
-/// so a parallel send batch can hand the same view to every worker.
+/// Everything the link decisions of one instant read, borrowed field by
+/// field from the simulator so that the sender's `channel` stream and the
+/// event queue stay mutably borrowable beside it.
 struct Medium<'a> {
     now: SimTime,
     ids: &'a [NodeId],
@@ -334,21 +335,19 @@ impl Medium<'_> {
 impl<P: Protocol> Simulator<P> {
     /// Create a simulator with the given configuration and topology mode.
     pub fn new(config: SimConfig, mode: TopologyMode) -> Self {
-        let index = SpatialIndex::for_mode(&mode);
-        let topology = match (&mode, &index) {
-            (TopologyMode::Explicit(g), _) => g.clone(),
-            (TopologyMode::Spatial { .. }, SpatialIndex::Grid { grid, .. }) => grid.graph(),
-            (TopologyMode::Spatial { radio, mobility }, _) => {
-                radio.topology_all_pairs(mobility.positions())
+        let (spatial, topology) = match mode {
+            TopologyMode::Explicit(graph) => (None, graph),
+            TopologyMode::Spatial { radio, mobility } => {
+                let (spatial, topology) = Spatial::new(radio, mobility);
+                (Some(spatial), topology)
             }
         };
         let mut sim = Simulator {
             config,
             ids: Vec::new(),
             nodes: Vec::new(),
-            mode,
             topology: Arc::new(topology),
-            index,
+            spatial,
             position_slot: Vec::new(),
             node_slot: Vec::new(),
             slot_maps_stale: false,
@@ -357,7 +356,6 @@ impl<P: Protocol> Simulator<P> {
             seq: 0,
             now: SimTime::ZERO,
             streams: NodeStreams::new(config.seed),
-            worker_cap: None,
             stats: MessageStats::default(),
             faults: Vec::new(),
             loss_burst_until: SimTime::ZERO,
@@ -366,7 +364,7 @@ impl<P: Protocol> Simulator<P> {
             events_processed: 0,
             rounds_completed: 0,
         };
-        if matches!(sim.mode, TopologyMode::Spatial { .. }) {
+        if sim.spatial.is_some() {
             sim.schedule(sim.config.mobility_period, EventKind::MobilityTick);
         }
         sim
@@ -400,7 +398,7 @@ impl<P: Protocol> Simulator<P> {
             node.send_phase = rng.gen_range(0..self.config.send_period.max(1));
             node.compute_phase = rng.gen_range(0..self.config.compute_period.max(1));
         }
-        if let TopologyMode::Explicit(_) = self.mode {
+        if self.spatial.is_none() {
             Arc::make_mut(&mut self.topology).add_node(id);
         }
         self.schedule(node.send_phase + 1, EventKind::SendTimer(slot as u32));
@@ -428,27 +426,6 @@ impl<P: Protocol> Simulator<P> {
     /// send onwards.
     pub fn set_channel(&mut self, channel: Box<dyn ChannelModel>) {
         self.channel = channel;
-    }
-
-    /// Use at most `workers` threads per same-instant batch, in place of
-    /// the machine's `available_parallelism()`. Not configuration: every
-    /// worker count computes the same trace, and this exists so tests can
-    /// run one simulation at 1 and at N workers and assert exactly that.
-    pub fn set_worker_cap(&mut self, workers: usize) {
-        self.worker_cap = Some(workers.max(1));
-    }
-
-    /// Worker count for a same-instant batch of `items` independent work
-    /// items: one below [`PARALLEL_BATCH_FLOOR`], else one per eight items
-    /// up to the cap.
-    fn workers(&mut self, items: usize) -> usize {
-        if items < PARALLEL_BATCH_FLOOR {
-            return 1;
-        }
-        let cap = *self
-            .worker_cap
-            .get_or_insert_with(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        cap.min(items / (PARALLEL_BATCH_FLOOR / 2))
     }
 
     /// Schedule a fault plan (absolute times).
@@ -538,14 +515,14 @@ impl<P: Protocol> Simulator<P> {
     /// Replace the explicit topology (no-op guard in spatial mode: the radio
     /// model owns the topology there).
     pub fn set_topology(&mut self, graph: Graph) {
-        if matches!(self.mode, TopologyMode::Explicit(_)) {
+        if self.spatial.is_none() {
             self.topology = Arc::new(graph);
         }
     }
 
     /// Apply a single topology event in explicit mode.
     pub fn apply_topology_event(&mut self, event: TopologyEvent) {
-        if !matches!(self.mode, TopologyMode::Explicit(_)) {
+        if self.spatial.is_some() {
             return;
         }
         let topology = Arc::make_mut(&mut self.topology);
@@ -568,8 +545,7 @@ impl<P: Protocol> Simulator<P> {
     /// queue and processes it in the canonical phase order (faults,
     /// mobility, deliveries, computes, sends); because every random
     /// decision comes from the stream of the node it concerns, the result
-    /// is a pure function of the queue contents — not of thread count or
-    /// batch sharding.
+    /// is a pure function of the queue contents.
     pub fn run_until_observed(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
         if self.slot_maps_stale {
             self.refresh_slot_maps();
@@ -591,7 +567,7 @@ impl<P: Protocol> Simulator<P> {
     /// the two ascending id lists.
     fn refresh_slot_maps(&mut self) {
         self.slot_maps_stale = false;
-        let TopologyMode::Spatial { mobility, .. } = &self.mode else {
+        let Some(Spatial { mobility, .. }) = &self.spatial else {
             return;
         };
         let placed = mobility.positions().ids();
@@ -663,29 +639,17 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Deliver a batch of same-instant broadcast sweeps.
-    ///
-    /// Liveness checks, delivery/drop statistics and
-    /// [`Observer::on_delivery`] hooks always run sequentially in event
-    /// order, so their order never depends on threading. With more than
-    /// one worker available, the accepted receptions are grouped per
-    /// receiver and `on_message` shards across workers in
-    /// ascending-receiver order; otherwise each reception applies inline
-    /// as the sweep walk reaches it. The two shapes only differ in
-    /// `on_message` order across *disjoint* node states — unobservable in
-    /// any trace — and in wall-clock: the grouped path stages every
-    /// reception and sorts them by receiver.
+    /// Deliver a batch of same-instant broadcast sweeps, sweep after sweep
+    /// in event order and recipient after recipient within a sweep: the
+    /// liveness check, delivery/drop statistics, the
+    /// [`Observer::on_delivery`] hook and `on_message` all run as the walk
+    /// reaches each receiver.
     fn handle_delivery_batch(
         &mut self,
         sweeps: Vec<(u32, P::Message, Vec<u32>)>,
         obs: &mut dyn Observer<P>,
     ) {
         let now = self.now;
-        let receptions: usize = sweeps.iter().map(|(_, _, r)| r.len()).sum();
-        let threads = self.workers(receptions);
-        // with a second worker, receptions are staged as (receiver slot,
-        // sender, message) instead of applied as the walk reaches them
-        let mut staged: Vec<(u32, NodeId, P::Message)> = Vec::new();
         for (from, message, recipients) in sweeps {
             let size = P::message_size(&message);
             let from = self.ids[from as usize];
@@ -704,60 +668,31 @@ impl<P: Protocol> Simulator<P> {
                 let Some(copy) = next_copy(&mut message, recipients.peek().is_none()) else {
                     break;
                 };
-                if threads <= 1 {
-                    node.protocol.on_message(from, copy, now);
-                } else {
-                    staged.push((to, from, copy));
-                }
+                node.protocol.on_message(from, copy, now);
             }
         }
-        if staged.is_empty() {
-            return;
-        }
-        // stable: each receiver keeps its arrival order
-        staged.sort_by_key(|&(to, _, _)| to);
-        let mut inboxes: Vec<(usize, Inbox<P>)> = Vec::new();
-        for (to, from, message) in staged {
-            match inboxes.last_mut() {
-                Some((last, inbox)) if *last == to as usize => inbox.push((from, message)),
-                _ => inboxes.push((to as usize, vec![(from, message)])),
-            }
-        }
-        let receivers = carve(&mut self.nodes, inboxes.iter().map(|&(to, _)| to));
-        let work: Vec<_> = receivers.into_iter().zip(inboxes).collect();
-        rayon::par_map(work, threads, |(node, (_, inbox))| {
-            for (from, message) in inbox {
-                node.protocol.on_message(from, message, now);
-            }
-        });
     }
 
     /// Position of the node in `slot`, if it has one (spatial mode).
     fn position_of(&self, slot: usize) -> Option<Point> {
-        let TopologyMode::Spatial { mobility, .. } = &self.mode else {
+        let Some(Spatial { mobility, .. }) = &self.spatial else {
             return None;
         };
         position_at(&self.position_slot, mobility.positions().points(), slot)
     }
 
-    /// Run a batch of same-instant send-timer expirations.
+    /// Run a batch of same-instant send-timer expirations, in two passes
+    /// over the senders in event order.
     ///
-    /// Phase 1, sequential in event order: poll `on_send`, count the
-    /// broadcast and feed the channel's transmission window
-    /// (`begin_broadcast`) for **all** same-instant senders before any
-    /// link decision — simultaneous transmitters contend with each other,
-    /// whichever worker later evaluates their links. Phase 2: per-link
-    /// loss/jitter decisions ([`Medium::sweep`]), each drawn from the
-    /// *sender's* own `channel` stream; with more than one worker the
-    /// instances are grouped per sender (a re-added node can fire twice per
-    /// instant) so one worker owns one stream, and groups shard across
-    /// workers.
-    /// Phase 3, sequential in event order again: fold statistics, schedule
-    /// the delivery sweeps (deterministic sequence numbers) and reschedule
-    /// the timers.
+    /// First: poll `on_send`, count the broadcast and feed the channel's
+    /// transmission window (`begin_broadcast`) for **all** same-instant
+    /// senders before any link decision — simultaneous transmitters
+    /// contend with each other. Then, broadcast by broadcast: decide every
+    /// link ([`Medium::sweep`]) from the *sender's* own `channel` stream,
+    /// fold the statistics and schedule the delivery sweeps (deterministic
+    /// sequence numbers). Last, reschedule the timers.
     fn handle_send_batch(&mut self, slots: &[u32]) {
         let now = self.now;
-        // phase 1
         let mut pending: Vec<Pending<P::Message>> = Vec::new();
         for &slot in slots {
             let node = &mut self.nodes[slot as usize];
@@ -777,15 +712,17 @@ impl<P: Protocol> Simulator<P> {
                 sender_pos,
             });
         }
-        // phase 2
-        let threads = self.workers(pending.len());
-        let (spatial, grid) = match (&self.mode, &self.index) {
-            (TopologyMode::Explicit(_), _) => (None, None),
-            (TopologyMode::Spatial { radio, mobility }, index) => (
+        let (spatial, grid) = match &self.spatial {
+            None => (None, None),
+            Some(Spatial {
+                radio,
+                mobility,
+                index,
+            }) => (
                 Some((radio.as_ref(), mobility.positions())),
                 match index {
                     SpatialIndex::Grid { grid, .. } => Some(&**grid),
-                    _ => None,
+                    SpatialIndex::DiffOnly(_) => None,
                 },
             ),
         };
@@ -803,54 +740,12 @@ impl<P: Protocol> Simulator<P> {
             partition: self.partition.as_ref(),
             blackouts: &self.region_blackouts,
         };
-        let outcomes: Vec<SendOutcome> = if threads <= 1 {
-            // single worker: draw each decision straight from the sender's
-            // resident stream, in event order
-            let mut decide = |p: &Pending<P::Message>| {
-                let id = self.ids[p.sender as usize];
-                let rng = self
-                    .streams
-                    .stream(StreamTag::Channel, p.sender as usize, id);
-                medium.sweep(rng, p.sender, p.sender_pos)
-            };
-            pending.iter().map(&mut decide).collect()
-        } else {
-            // one task per distinct sender, holding its instances in event
-            // order (the sort is stable): they draw from one stream, so
-            // they stay on one worker
-            let mut order: Vec<usize> = (0..pending.len()).collect();
-            order.sort_by_key(|&i| pending[i].sender);
-            let runs = order.chunk_by(|&a, &b| pending[a].sender == pending[b].sender);
-            let tasks: Vec<_> = runs
-                .clone()
-                .map(|run| {
-                    let sender = pending[run[0]].sender;
-                    let id = self.ids[sender as usize];
-                    let rng = self.streams.take(StreamTag::Channel, sender as usize, id);
-                    let instances: Vec<Option<Point>> =
-                        run.iter().map(|&i| pending[i].sender_pos).collect();
-                    (rng, sender, instances)
-                })
-                .collect();
-            let decided = rayon::par_map(tasks, threads, |(mut rng, sender, instances)| {
-                let outs: Vec<SendOutcome> = instances
-                    .into_iter()
-                    .map(|sender_pos| medium.sweep(&mut rng, sender, sender_pos))
-                    .collect();
-                (rng, sender, outs)
-            });
-            let mut by_instance: Vec<SendOutcome> = Vec::new();
-            by_instance.resize_with(pending.len(), SendOutcome::default);
-            for ((rng, sender, outs), run) in decided.into_iter().zip(runs) {
-                self.streams.put(StreamTag::Channel, sender as usize, rng);
-                for (&i, out) in run.iter().zip(outs) {
-                    by_instance[i] = out;
-                }
-            }
-            by_instance
-        };
-        // phase 3
-        for (p, out) in pending.into_iter().zip(outcomes) {
+        for p in pending {
+            let id = self.ids[p.sender as usize];
+            let rng = self
+                .streams
+                .stream(StreamTag::Channel, p.sender as usize, id);
+            let out = medium.sweep(rng, p.sender, p.sender_pos);
             self.stats.attempted += out.attempted;
             self.stats.dropped += out.dropped;
             let sweeps = out.groups.len();
@@ -860,14 +755,17 @@ impl<P: Protocol> Simulator<P> {
                 let Some(message) = next_copy(&mut message, i + 1 == sweeps) else {
                     break;
                 };
-                self.schedule(
-                    self.config.delivery_delay + extra_delay,
-                    EventKind::Broadcast {
+                // `schedule` spelled out: `medium` still borrows the rest
+                self.seq += 1;
+                self.events.push(Event {
+                    time: now + self.config.delivery_delay + extra_delay,
+                    seq: self.seq,
+                    kind: EventKind::Broadcast {
                         from: p.sender,
                         message,
                         recipients,
                     },
-                );
+                });
             }
         }
         for &slot in slots {
@@ -877,10 +775,15 @@ impl<P: Protocol> Simulator<P> {
 
     /// Advance mobility one period and resynchronise the topology.
     fn handle_mobility(&mut self, obs: &mut dyn Observer<P>) {
-        if let TopologyMode::Spatial { radio, mobility } = &mut self.mode {
+        if let Some(Spatial {
+            radio,
+            mobility,
+            index,
+        }) = &mut self.spatial
+        {
             mobility.advance(self.config.mobility_period, &mut self.streams);
             let positions = mobility.positions();
-            let changed = match &mut self.index {
+            let changed = match index {
                 SpatialIndex::Grid { grid, dirty } => {
                     // incremental cell updates; unchanged positions
                     // (e.g. stationary nodes) skip recomputation
@@ -900,8 +803,6 @@ impl<P: Protocol> Simulator<P> {
                     }
                     moved
                 }
-                // explicit mode never gets here: no mobility, no ticks
-                SpatialIndex::None => false,
             };
             if changed {
                 obs.on_topology_change(self.now);
@@ -910,44 +811,18 @@ impl<P: Protocol> Simulator<P> {
         self.schedule(self.config.mobility_period, EventKind::MobilityTick);
     }
 
-    /// Run a batch of same-instant compute expirations, fanning the
-    /// per-node `on_compute` calls across worker threads when there are
-    /// any to fan out to. Each call only mutates its own node's protocol
-    /// state, so the parallel execution is observably identical to
-    /// handling the timers one by one; the follow-up timers are
-    /// rescheduled in the original pop order, which keeps the
-    /// sequence-number assignment (and therefore every future tie-break)
-    /// byte-identical at any worker count.
+    /// Run a batch of same-instant compute expirations in event order,
+    /// rescheduling each timer as it fires. A node re-added via `add_node`
+    /// carries a second timer, so its slot may appear twice and computes
+    /// twice.
     fn handle_compute_batch(&mut self, slots: &[u32]) {
         let now = self.now;
-        let compute = |node: &mut SimNode<P>| {
+        for &slot in slots {
+            let node = &mut self.nodes[slot as usize];
             if node.active {
                 node.protocol.on_compute(now);
                 node.last_compute = now;
             }
-        };
-        // A node re-added via `add_node` carries a second timer stream, so
-        // one slot can legitimately appear twice in a same-instant batch;
-        // the parallel path can only visit each node once (it holds one
-        // `&mut` per node), so a batch with duplicates runs per-event like
-        // a single worker does. The duplicate scan is only paid once a
-        // second worker makes the parallel path possible at all.
-        let threads = self.workers(slots.len());
-        let mut distinct: Vec<usize> = Vec::new();
-        if threads > 1 {
-            distinct.extend(slots.iter().map(|&slot| slot as usize));
-            distinct.sort_unstable();
-            distinct.dedup();
-        }
-        if distinct.len() == slots.len() {
-            let targets = carve(&mut self.nodes, distinct);
-            rayon::par_map(targets, threads, compute);
-        } else {
-            for &slot in slots {
-                compute(&mut self.nodes[slot as usize]);
-            }
-        }
-        for &slot in slots {
             self.schedule(self.config.compute_period, EventKind::ComputeTimer(slot));
         }
     }
@@ -959,7 +834,11 @@ impl<P: Protocol> Simulator<P> {
     /// directly) and before observer hooks that hand out `&Simulator`
     /// mid-run.
     fn materialise_topology(&mut self) {
-        if let SpatialIndex::Grid { grid, dirty } = &mut self.index {
+        if let Some(Spatial {
+            index: SpatialIndex::Grid { grid, dirty },
+            ..
+        }) = &mut self.spatial
+        {
             if *dirty {
                 self.topology = Arc::new(grid.graph());
                 *dirty = false;
@@ -1301,80 +1180,6 @@ mod tests {
         assert_eq!(run(42), run(42));
     }
 
-    /// Same-instant batches (computes, sends, deliveries) may shard across
-    /// worker threads; the observable execution — protocol state, message
-    /// statistics, event count, trace digest — must be a pure function of
-    /// the schedule, so one worker and four have to produce byte-identical
-    /// traces. Lockstep phases (no stagger) put every node in the same
-    /// instant's batch — above the inline floor, the adversarial case.
-    #[test]
-    fn per_node_transport_is_trace_identical_with_parallel_on_or_off() {
-        use crate::digest::CanonicalHasher;
-        use crate::observer::TraceProbe;
-        let run = |workers: usize| {
-            let g = dyngraph::generators::grid(4, 5);
-            let mut sim: Simulator<Flood> = Simulator::new(
-                SimConfig {
-                    seed: 12,
-                    stagger_phases: false,
-                    loss_probability: 0.2,
-                    ..Default::default()
-                },
-                TopologyMode::Explicit(g.clone()),
-            );
-            sim.set_worker_cap(workers);
-            sim.add_nodes(g.node_vec().into_iter().map(Flood::new));
-            let mut probe = TraceProbe::new();
-            sim.run_rounds_observed(12, &mut probe);
-            let mut hasher = CanonicalHasher::new();
-            probe.trace().feed_digest(&mut hasher);
-            let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-            (
-                hasher.finalize(),
-                sim.stats(),
-                sim.events_processed(),
-                known,
-            )
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    /// The same invariance through the spatial stack: random-walk mobility
-    /// (per-node `mobility` streams), staggered timers (per-node `phase`
-    /// streams), lossy links (per-node `channel` streams) and a state
-    /// corruption (per-node `fault` stream) — at one worker and at four.
-    #[test]
-    fn per_node_spatial_run_is_invariant_under_transport_parallelism() {
-        use crate::mobility::RandomWalk;
-        use crate::radio::UnitDisk;
-        use rand::SeedableRng;
-        let run = |workers: usize| {
-            let mut seed_rng = ChaCha8Rng::seed_from_u64(77);
-            let mobility = RandomWalk::new(18, 60.0, 60.0, 0.004, &mut seed_rng);
-            let mut sim: Simulator<Flood> = Simulator::new(
-                SimConfig {
-                    seed: 21,
-                    loss_probability: 0.1,
-                    ..Default::default()
-                },
-                TopologyMode::Spatial {
-                    radio: Box::new(UnitDisk::new(25.0)),
-                    mobility: Box::new(mobility),
-                },
-            );
-            sim.set_worker_cap(workers);
-            sim.add_nodes((0..18).map(|i| Flood::new(NodeId(i))));
-            sim.schedule_faults(vec![
-                ScheduledFault::new(SimTime(2_500), FaultKind::CorruptState(NodeId(3))),
-                ScheduledFault::new(SimTime(3_500), FaultKind::Crash(NodeId(7))),
-            ]);
-            sim.run_rounds(10);
-            let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-            (sim.stats(), sim.events_processed(), known)
-        };
-        assert_eq!(run(1), run(4));
-    }
-
     #[test]
     fn trace_probe_records_observed_rounds() {
         use crate::observer::TraceProbe;
@@ -1597,18 +1402,17 @@ mod tests {
     }
 
     /// Every *blocking* fault (`LossBurst`, `Partition`/`Heal`,
-    /// `RegionBlackout`) gates links identically in the inline and
-    /// staged-parallel transport paths: the worker count must not change a
-    /// single byte of the execution even while a blackout window and a
-    /// partition are active mid-run.
+    /// `RegionBlackout`) composed on one mobile network: links really are
+    /// cut, and a rerun reproduces every byte of the execution even while
+    /// a blackout window and a partition are active mid-run.
     #[test]
-    fn blocking_faults_are_invariant_under_transport_parallelism() {
+    fn blocking_faults_on_a_mobile_network_rerun_identically() {
         use crate::digest::CanonicalHasher;
         use crate::mobility::RandomWalk;
         use crate::observer::TraceProbe;
         use crate::radio::UnitDisk;
         use rand::SeedableRng;
-        let run = |workers: usize| {
+        let run = || {
             let mut seed_rng = ChaCha8Rng::seed_from_u64(91);
             let mobility = RandomWalk::new(18, 60.0, 60.0, 0.004, &mut seed_rng);
             let mut sim: Simulator<Flood> = Simulator::new(
@@ -1622,7 +1426,6 @@ mod tests {
                     mobility: Box::new(mobility),
                 },
             );
-            sim.set_worker_cap(workers);
             sim.add_nodes((0..18).map(|i| Flood::new(NodeId(i))));
             sim.schedule_faults(vec![
                 ScheduledFault::new(SimTime(1_000), FaultKind::LossBurst { duration: 1_500 }),
@@ -1658,11 +1461,11 @@ mod tests {
                 known,
             )
         };
-        let sequential = run(1);
+        let first = run();
         assert!(
-            sequential.1.dropped > 0,
+            first.1.dropped > 0,
             "the blocking faults were actually exercised"
         );
-        assert_eq!(sequential, run(4));
+        assert_eq!(first, run());
     }
 }

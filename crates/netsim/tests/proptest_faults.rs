@@ -3,9 +3,8 @@
 //! The determinism contract (docs/FAULTS.md) says that *any* fault
 //! schedule — every kind, any times, any victims — produces a run that is
 //! a pure function of (manifest, seed): rerunning must reproduce the
-//! execution byte for byte, and the execution must not depend on how many
-//! workers share a same-instant batch either. These properties generate
-//! arbitrary schedules and check exactly that.
+//! execution byte for byte. These properties generate arbitrary schedules,
+//! on staggered and on lockstep timers, and check exactly that.
 
 use dyngraph::NodeId;
 use netsim::mobility::RandomWalk;
@@ -20,8 +19,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
 
-/// Above the simulator's inline-batch floor of 16, so a lockstep
-/// population really is sharded across workers.
+/// Population of every run.
 const N: u64 = 20;
 
 /// A tiny flooding protocol (the unit-test `Flood` is crate-private):
@@ -123,13 +121,11 @@ fn fault_schedule() -> impl Strategy<Value = Vec<ScheduledFault>> {
     )
 }
 
-/// One spatial run on at most `workers` threads; returns every
-/// observable: trace digest, message statistics, event count and final
-/// node states.
+/// One spatial run; returns every observable: trace digest, message
+/// statistics, event count and final node states.
 fn run(
     faults: &[ScheduledFault],
     seed: u64,
-    workers: usize,
     stagger_phases: bool,
 ) -> (
     netsim::TraceDigest,
@@ -151,7 +147,6 @@ fn run(
             mobility: Box::new(mobility),
         },
     );
-    sim.set_worker_cap(workers);
     sim.add_nodes((0..N).map(|i| Gossip::new(NodeId(i))));
     sim.schedule_faults(faults.to_vec());
     let mut probe = TraceProbe::new();
@@ -170,23 +165,18 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any fault schedule reruns to the identical execution.
+    /// Any fault schedule reruns to the identical execution, with staggered
+    /// timers or in lockstep — where the whole population lands in every
+    /// compute, send and delivery batch.
     #[test]
     fn any_fault_schedule_reruns_to_identical_digests(
         faults in fault_schedule(),
         seed in 0u64..10_000,
+        stagger_phases in (0u8..2).prop_map(|b| b == 1),
     ) {
-        prop_assert_eq!(run(&faults, seed, 1, true), run(&faults, seed, 1, true));
-    }
-
-    /// The worker count must not change a byte of the execution, whatever
-    /// faults are active mid-batch. Lockstep phases put the whole
-    /// population into every compute, send and delivery batch.
-    #[test]
-    fn any_fault_schedule_is_invariant_under_transport_parallelism(
-        faults in fault_schedule(),
-        seed in 0u64..10_000,
-    ) {
-        prop_assert_eq!(run(&faults, seed, 1, false), run(&faults, seed, 4, false));
+        prop_assert_eq!(
+            run(&faults, seed, stagger_phases),
+            run(&faults, seed, stagger_phases)
+        );
     }
 }

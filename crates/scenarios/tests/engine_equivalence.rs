@@ -1,13 +1,10 @@
-//! Determinism gates for everything that may run on more than one thread,
-//! for the delta-encoded digest feed, and for the one engine every entry
-//! point shares:
+//! Equivalence gates between two ways of computing the same thing:
 //!
-//! * the worker count of the engine's same-instant batches (computes,
-//!   sends, deliveries) must leave every scenario digest byte-identical;
-//! * `SnapshotRecorder`'s delta-encoded digest folding must hash to exactly
-//!   the bytes of the naive full walk;
 //! * a simulator assembled by hand and one built from a manifest describing
-//!   the same run produce the same trace.
+//!   the same run produce the same trace — one engine behind every entry
+//!   point;
+//! * `SnapshotRecorder`'s delta-encoded digest folding must hash to exactly
+//!   the bytes of the naive full walk.
 
 use grp_core::observers::SnapshotRecorder;
 use grp_core::{GrpConfig, GrpNode};
@@ -17,64 +14,6 @@ use scenarios::{build_simulator, drive_manifest, suite_dir};
 
 fn load(name: &str) -> ScenarioManifest {
     ScenarioManifest::load(&suite_dir().join(name)).expect("manifest loads")
-}
-
-/// Digest, final snapshot and message statistics of one seed of `manifest`
-/// with at most `workers` threads per engine batch.
-fn run_with_workers(
-    manifest: &ScenarioManifest,
-    workers: usize,
-) -> impl PartialEq + std::fmt::Debug {
-    let mut sim = build_simulator(manifest, manifest.sim.seeds[0]);
-    sim.set_worker_cap(workers);
-    let mut recorder = SnapshotRecorder::new();
-    drive_manifest(&mut sim, manifest, &mut recorder);
-    let mut hasher = CanonicalHasher::new();
-    recorder.feed_trace_digest(&mut hasher);
-    recorder.feed_views_digest(&mut hasher);
-    (
-        hasher.finalize(),
-        recorder.last_snapshot().cloned(),
-        sim.stats(),
-    )
-}
-
-/// Every random decision is drawn from the stream of the node it concerns,
-/// never from a shared cursor, so sharding a same-instant batch across
-/// worker threads must not move a byte. Covers explicit topologies, fault
-/// schedules, spatial mobility and the contention channel (s15–s17 family)
-/// as pinned, then the two largest populations again in lockstep
-/// (`stagger_phases = false`): there the whole population lands in every
-/// compute, send and delivery batch, well above the inline floor of 16, so
-/// the `par_map` branches really execute.
-#[test]
-fn worker_count_leaves_scenario_digests_identical() {
-    for name in [
-        "s01_stationary_line.toml",
-        "s02_grid.toml",
-        "s09_faults.toml",
-        "s10_random_walk.toml",
-        "s15_city_grid_contention.toml",
-        "s16_metro_commuters.toml",
-        "s17_mixed_highway_rsu.toml",
-    ] {
-        let manifest = load(name);
-        assert_eq!(
-            run_with_workers(&manifest, 1),
-            run_with_workers(&manifest, 4),
-            "{name}: the worker count changed the run"
-        );
-    }
-    for name in ["s15_city_grid_contention.toml", "s16_metro_commuters.toml"] {
-        let mut lockstep = load(name);
-        assert!(lockstep.workload.node_count() >= 16);
-        lockstep.sim.stagger_phases = false;
-        assert_eq!(
-            run_with_workers(&lockstep, 1),
-            run_with_workers(&lockstep, 4),
-            "{name} in lockstep: the worker count changed the run"
-        );
-    }
 }
 
 /// `netsim`'s defaults and the manifest defaults are the same engine: the
