@@ -7,12 +7,12 @@
 //! Everything else — the suppression syntax, the rule logic — is fixed in
 //! code so the contract cannot be quietly widened from config.
 //!
-//! The file is parsed with the same TOML-subset parser the scenario
-//! manifests use ([`scenarios::toml`]), so the linter and the manifests
-//! share one grammar and one set of parser bugs.
+//! The file is parsed and read with the same TOML-subset parser and
+//! [`Table`] reader the scenario manifests use ([`scenarios::toml`]), so
+//! the linter and the manifests share one grammar, one unknown-key rule
+//! and one set of parser bugs.
 
-use scenarios::toml::{self, Value};
-use std::collections::BTreeMap;
+use scenarios::toml::{self, ParseError, Table};
 use std::path::Path;
 
 /// Parsed `detlint.toml`.
@@ -44,6 +44,12 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+impl From<ParseError> for ConfigError {
+    fn from(e: ParseError) -> Self {
+        ConfigError(e.to_string())
+    }
+}
+
 impl Config {
     /// Load and validate a config file.
     pub fn load(path: &Path) -> Result<Config, ConfigError> {
@@ -55,43 +61,25 @@ impl Config {
     /// Parse config text. Unknown tables or keys are errors: a typo in a
     /// scoping key must not silently widen or narrow the contract.
     pub fn parse(text: &str) -> Result<Config, ConfigError> {
-        let root = toml::parse(text).map_err(|e| ConfigError(e.to_string()))?;
-        for key in root.keys() {
-            if !matches!(key.as_str(), "scan" | "rules" | "rng_audit") {
-                return Err(ConfigError(format!("unknown table `[{key}]`")));
-            }
-        }
-        let scan = table(&root, "scan")?;
-        for key in scan.keys() {
-            if !matches!(key.as_str(), "include" | "exclude") {
-                return Err(ConfigError(format!("unknown key `scan.{key}`")));
-            }
-        }
-        let rules = table(&root, "rules")?;
-        for key in rules.keys() {
-            if !matches!(key.as_str(), "D001" | "D002" | "D004") {
-                return Err(ConfigError(format!(
-                    "unknown table `[rules.{key}]` (only D001/D002/D004 take config; \
-                     D003 and D005 are unconditional)"
-                )));
-            }
-        }
+        let doc = toml::parse(text)?;
+        let mut root = Table::root(&doc, "top level");
+        let mut scan = root.sub("scan")?;
+        let mut rules = root.sub("rules")?;
+        let mut rng_audit = root.sub("rng_audit")?;
+        root.finish()?;
+        // only D001/D002/D004 take config; D003 and D005 are unconditional
+        let (d001, d002, d004) = (rules.sub("D001")?, rules.sub("D002")?, rules.sub("D004")?);
+        rules.finish()?;
         let cfg = Config {
-            include: str_list(scan, "include", "scan")?,
-            exclude: str_list(scan, "exclude", "scan").unwrap_or_default(),
-            d001_paths: rule_list(rules, "D001", "paths")?,
-            d002_allow_crates: rule_list(rules, "D002", "allow_crates")?,
-            d004_library_paths: rule_list(rules, "D004", "library_paths")?,
-            rng_audit_paths: match root.get("rng_audit") {
-                Some(v) => {
-                    let t = v
-                        .as_table()
-                        .ok_or_else(|| ConfigError("`rng_audit` must be a table".into()))?;
-                    str_list(t, "paths", "rng_audit")?
-                }
-                None => Vec::new(),
-            },
+            include: scan.req("include")?,
+            exclude: scan.or("exclude", Vec::new())?,
+            d001_paths: rule_list(d001, "paths")?,
+            d002_allow_crates: rule_list(d002, "allow_crates")?,
+            d004_library_paths: rule_list(d004, "library_paths")?,
+            rng_audit_paths: rng_audit.or("paths", Vec::new())?,
         };
+        scan.finish()?;
+        rng_audit.finish()?;
         if cfg.include.is_empty() {
             return Err(ConfigError(
                 "`scan.include` must name at least one root".into(),
@@ -101,46 +89,11 @@ impl Config {
     }
 }
 
-fn table<'a>(
-    root: &'a BTreeMap<String, Value>,
-    name: &str,
-) -> Result<&'a BTreeMap<String, Value>, ConfigError> {
-    root.get(name)
-        .and_then(Value::as_table)
-        .ok_or_else(|| ConfigError(format!("missing table `[{name}]`")))
-}
-
-fn rule_list(
-    rules: &BTreeMap<String, Value>,
-    rule: &str,
-    key: &str,
-) -> Result<Vec<String>, ConfigError> {
-    let t = rules
-        .get(rule)
-        .and_then(Value::as_table)
-        .ok_or_else(|| ConfigError(format!("missing table `[rules.{rule}]`")))?;
-    for k in t.keys() {
-        if k != key {
-            return Err(ConfigError(format!("unknown key `rules.{rule}.{k}`")));
-        }
-    }
-    str_list(t, key, &format!("rules.{rule}"))
-}
-
-fn str_list(t: &BTreeMap<String, Value>, key: &str, ctx: &str) -> Result<Vec<String>, ConfigError> {
-    let v = t
-        .get(key)
-        .ok_or_else(|| ConfigError(format!("missing key `{ctx}.{key}`")))?;
-    let arr = v
-        .as_array()
-        .ok_or_else(|| ConfigError(format!("`{ctx}.{key}` must be an array of strings")))?;
-    arr.iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| ConfigError(format!("`{ctx}.{key}` must be an array of strings")))
-        })
-        .collect()
+/// The one list a `[rules.Dxxx]` table holds; it is required.
+fn rule_list(mut rule: Table, key: &str) -> Result<Vec<String>, ConfigError> {
+    let list = rule.req(key)?;
+    rule.finish()?;
+    Ok(list)
 }
 
 #[cfg(test)]

@@ -7,8 +7,7 @@
 //! the regression suite. See `docs/SCENARIOS.md` for the narrative
 //! documentation of every field.
 
-use crate::toml::{self, Value};
-use std::collections::BTreeMap;
+use crate::toml::{self, FromValue, ParseError, Table, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -26,10 +25,6 @@ impl fmt::Display for ManifestError {
 }
 
 impl std::error::Error for ManifestError {}
-
-fn bad<T>(msg: impl Into<String>) -> Result<T, ManifestError> {
-    Err(ManifestError(msg.into()))
-}
 
 /// How the communication topology is produced.
 #[derive(Clone, Debug, PartialEq)]
@@ -526,8 +521,9 @@ pub struct ScenarioManifest {
 impl ScenarioManifest {
     /// Load from a TOML string.
     pub fn parse(input: &str) -> Result<Self, ManifestError> {
-        let root = toml::parse(input).map_err(|e| ManifestError(e.to_string()))?;
-        Self::from_root(&root)
+        toml::parse(input)
+            .and_then(|doc| Self::from_root(Table::root(&doc, "manifest")))
+            .map_err(|e| ManifestError(e.to_string()))
     }
 
     /// Load from a file. A `[campaign] replay` path is resolved relative
@@ -549,171 +545,80 @@ impl ScenarioManifest {
         Ok(manifest)
     }
 
-    fn from_root(root: &BTreeMap<String, Value>) -> Result<Self, ManifestError> {
-        check_keys(root, "manifest", ROOT_KEYS)?;
-        let schema = get_int(root, "schema")?.unwrap_or(SCHEMA_VERSION);
+    fn from_root(mut root: Table) -> Result<Self, ParseError> {
+        let schema = root.or("schema", SCHEMA_VERSION)?;
         if schema != SCHEMA_VERSION {
-            return bad(format!(
+            let message = format!(
                 "unsupported schema version {schema} (this runner understands {SCHEMA_VERSION})"
-            ));
+            );
+            return Err(root.error("schema", message));
         }
-        let Some(name) = root.get("name").and_then(Value::as_str) else {
-            return bad("missing required `name`");
-        };
-        let description = root
-            .get("description")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-
-        let mode = parse_mode(root.get("mode"))?;
-        let workload = parse_workload(root)?;
-        let protocol = parse_protocol(root.get("protocol"))?;
-        let sim = parse_sim(root.get("sim"))?;
-        let report = parse_report(root.get("report"))?;
-        let faults = parse_faults(root.get("faults"))?;
-        let churn = parse_churn(root.get("churn"))?;
-        if !churn.is_empty() && matches!(workload, WorkloadSpec::Spatial { .. }) {
-            return bad("churn schedules require an explicit [topology]; spatial topologies are owned by the radio model");
-        }
-        let assertions = parse_assertions(root.get("assertions"))?;
-        let golden = parse_golden(root.get("golden"))?;
-        if !golden.digests.is_empty() && golden.digests.len() != sim.seeds.len() {
-            return bad(format!(
-                "golden.digests has {} entries but sim.seeds has {} — they must align",
-                golden.digests.len(),
-                sim.seeds.len()
-            ));
-        }
-
-        let modelcheck = match mode {
-            RunMode::ModelCheck => Some(parse_modelcheck(root.get("modelcheck"))?),
-            RunMode::Simulate | RunMode::Campaign => {
-                if root.get("modelcheck").is_some() {
-                    return bad("[modelcheck] requires `mode = \"modelcheck\"`");
-                }
-                None
+        let name = root.req("name")?;
+        let description = root.or("description", String::new())?;
+        let mode_name = root.select("mode", Some("simulate"))?;
+        let mode = match mode_name {
+            "simulate" => RunMode::Simulate,
+            "modelcheck" => RunMode::ModelCheck,
+            "campaign" => RunMode::Campaign,
+            other => {
+                let message = format!(
+                    "unknown `mode` `{other}` (expected \"simulate\", \"modelcheck\" or \"campaign\")"
+                );
+                return Err(root.error("mode", message));
             }
+        };
+
+        let workload = parse_workload(&mut root)?;
+        let spatial = matches!(workload, WorkloadSpec::Spatial { .. });
+        if spatial && mode == RunMode::ModelCheck {
+            let message = "mode = \"modelcheck\" requires an explicit [topology]; spatial \
+                 workloads cannot be exhaustively explored";
+            return Err(root.error("mode", message));
+        }
+        if spatial && root.has("churn") {
+            let message = "churn schedules require an explicit [topology]; spatial \
+                 topologies are owned by the radio model";
+            return Err(root.error("churn", message));
+        }
+        let protocol = parse_protocol(root.sub("protocol")?)?;
+        let sim = parse_sim(root.sub("sim")?)?;
+        let report = parse_report(root.sub("report")?, mode)?;
+        // The timed schedules are simulation-only: the other modes do not
+        // read them, so `finish` rejects them.
+        let (mut faults, mut churn) = (Vec::new(), Vec::new());
+        if mode == RunMode::Simulate {
+            for t in root.array("faults")? {
+                faults.push(parse_fault(t, spatial)?);
+            }
+            for t in root.array("churn")? {
+                churn.push(parse_churn(t)?);
+            }
+            churn.sort_by_key(|c: &ChurnSpec| c.at_round);
+        }
+        let assertions = parse_assertions(root.sub("assertions")?, mode_name, &report)?;
+        let modelcheck = match mode {
+            RunMode::ModelCheck => Some(parse_modelcheck(root.sub("modelcheck")?)?),
+            RunMode::Simulate | RunMode::Campaign => None,
         };
         let campaign = match mode {
-            RunMode::Campaign => Some(parse_campaign(root.get("campaign"))?),
-            RunMode::Simulate | RunMode::ModelCheck => {
-                if root.get("campaign").is_some() {
-                    return bad("[campaign] requires `mode = \"campaign\"`");
-                }
-                None
-            }
+            RunMode::Campaign => Some(parse_campaign(root.sub("campaign")?)?),
+            RunMode::Simulate | RunMode::ModelCheck => None,
         };
-        // RegionBlackout silences nodes by position — meaningless on an
-        // explicit topology, so fail loudly instead of running an inert fault.
-        if matches!(workload, WorkloadSpec::Explicit(_))
-            && faults
-                .iter()
-                .any(|f| matches!(f.kind, FaultKindSpec::RegionBlackout { .. }))
-        {
-            return bad("[[faults]]: `region_blackout` requires a spatial workload \
-                 ([mobility]+[radio]) — explicit topologies have no positions");
+        let mut golden = root.sub("golden")?;
+        let digests: Vec<String> = golden.or("digests", Vec::new())?;
+        if !digests.is_empty() && digests.len() != sim.seeds.len() {
+            let message = format!(
+                "`digests` has {} entries but [sim] seeds has {} — they must align",
+                digests.len(),
+                sim.seeds.len()
+            );
+            return Err(golden.error("digests", message));
         }
-        match mode {
-            RunMode::ModelCheck => {
-                if matches!(workload, WorkloadSpec::Spatial { .. }) {
-                    return bad("mode = \"modelcheck\" requires an explicit [topology]; \
-                         spatial workloads cannot be exhaustively explored");
-                }
-                if !faults.is_empty() {
-                    return bad(
-                        "mode = \"modelcheck\" takes its fault budget from [modelcheck.faults]; \
-                         the timed [[faults]] schedule is simulation-only",
-                    );
-                }
-                if !churn.is_empty() {
-                    return bad("the [[churn]] schedule is simulation-only");
-                }
-                if report.resilience {
-                    return bad("[report]: `resilience = true` is simulation-only — the \
-                         model checker has no per-round recovery timeline");
-                }
-                for (key, present) in [
-                    ("converged_by", assertions.converged_by.is_some()),
-                    ("max_rounds", assertions.max_rounds.is_some()),
-                    ("view_continuity", assertions.view_continuity.is_some()),
-                    (
-                        "min_delivery_ratio",
-                        assertions.min_delivery_ratio.is_some(),
-                    ),
-                ] {
-                    if present {
-                        return bad(format!(
-                            "[assertions]: `{key}` is simulation-only and cannot be \
-                             checked in mode = \"modelcheck\""
-                        ));
-                    }
-                }
-            }
-            RunMode::Campaign => {
-                if !faults.is_empty() {
-                    return bad("mode = \"campaign\" synthesizes its own fault schedules; \
-                         the timed [[faults]] schedule is simulation-only");
-                }
-                if !churn.is_empty() {
-                    return bad("the [[churn]] schedule is simulation-only");
-                }
-                for (key, present) in [
-                    ("converged_by", assertions.converged_by.is_some()),
-                    ("view_continuity", assertions.view_continuity.is_some()),
-                    (
-                        "min_delivery_ratio",
-                        assertions.min_delivery_ratio.is_some(),
-                    ),
-                    ("agreement", assertions.agreement.is_some()),
-                    ("safety", assertions.safety.is_some()),
-                    ("maximality", assertions.maximality.is_some()),
-                    ("legitimate", assertions.legitimate.is_some()),
-                    ("min_groups", assertions.min_groups.is_some()),
-                    ("max_groups", assertions.max_groups.is_some()),
-                    ("reconverges", assertions.reconverges.is_some()),
-                ] {
-                    if present {
-                        return bad(format!(
-                            "[assertions]: `{key}` judges a single run and cannot be \
-                             checked in mode = \"campaign\" (only `max_rounds` applies)"
-                        ));
-                    }
-                }
-                if !report.convergence {
-                    return bad("[report]: mode = \"campaign\" scores schedules on the \
-                         legitimacy verdict stream — `convergence = false` is not \
-                         allowed");
-                }
-            }
-            RunMode::Simulate => {
-                if assertions.reconverges.is_some() {
-                    return bad(
-                        "[assertions]: `reconverges` is only meaningful in mode = \"modelcheck\"",
-                    );
-                }
-                // A disabled probe has no output for the assertion to read;
-                // reject the conflict here instead of panicking in the runner.
-                if !report.convergence && assertions.converged_by.is_some() {
-                    return bad("[report]: `convergence = false` disables the probe that \
-                         `converged_by` asserts on — enable it or drop the assertion");
-                }
-                if !report.continuity && assertions.view_continuity.is_some() {
-                    return bad("[report]: `continuity = false` disables the probe that \
-                         `view_continuity` asserts on — enable it or drop the assertion");
-                }
-                // The resilience probe times recovery against the legitimacy
-                // verdict stream — it cannot run with convergence off.
-                if report.resilience && !report.convergence {
-                    return bad("[report]: `resilience = true` requires \
-                         `convergence = true` — recovery is timed against the \
-                         legitimacy verdict stream");
-                }
-            }
-        }
+        golden.finish()?;
+        root.finish()?;
 
         Ok(ScenarioManifest {
-            name: name.to_string(),
+            name,
             description,
             mode,
             workload,
@@ -725,88 +630,22 @@ impl ScenarioManifest {
             faults,
             churn,
             assertions,
-            golden,
+            golden: GoldenSpec { digests },
         })
     }
 }
 
-// ---- known keys ----------------------------------------------------------
-//
-// Every key each table reads, whatever its `kind`: a key outside its
-// table's list is a typo or a leftover, and is rejected instead of ignored.
+/// A loss or ratio: a number in [0, 1].
+struct Probability(f64);
 
-const ROOT_KEYS: &[&str] = &[
-    "schema",
-    "name",
-    "description",
-    "mode",
-    "topology",
-    "mobility",
-    "radio",
-    "protocol",
-    "sim",
-    "report",
-    "modelcheck",
-    "campaign",
-    "faults",
-    "churn",
-    "assertions",
-    "golden",
-];
-const TOPOLOGY_KEYS: &[&str] = &[
-    "kind",
-    "n",
-    "rows",
-    "cols",
-    "clusters",
-    "cluster_size",
-    "p",
-    "side",
-    "radius",
-];
-const MOBILITY_KEYS: &[&str] = &[
-    "kind",
-    "n",
-    "spacing",
-    "width",
-    "height",
-    "max_step",
-    "speed_min",
-    "speed_max",
-    "lanes",
-    "road_length",
-    "initial_gap",
-    "blocks",
-    "block_size",
-    "light_period",
-    "n_roadside",
-    "rsu_spacing",
-    "rsu_setback",
-];
-const RADIO_KEYS: &[&str] = &[
-    "kind",
-    "range",
-    "loss",
-    "edge_loss",
-    "model",
-    "base_loss",
-    "load_loss",
-    "max_loss",
-    "window",
-    "jitter",
-    "hidden_terminal",
-];
-const SIM_KEYS: &[&str] = &[
-    "seed",
-    "seeds",
-    "rounds",
-    "send_period",
-    "compute_period",
-    "mobility_period",
-    "delivery_delay",
-    "loss",
-    "stagger_phases",
-];
+impl FromValue<'_> for Probability {
+    const WHAT: &'static str = "probability in [0, 1]";
+    fn from_value(value: &Value) -> Result<Self, &'static str> {
+        let p = value.as_float().filter(|p| (0.0..=1.0).contains(p));
+        p.map(Probability).ok_or(Self::WHAT)
+    }
+}
+
 /// `[sim]` keys that selected between engine regimes until the engine kept
 /// one: rejected by name, so an old manifest cannot silently change meaning.
 const REMOVED_SIM_KEYS: [&str; 4] = [
@@ -815,761 +654,424 @@ const REMOVED_SIM_KEYS: [&str; 4] = [
     "parallel_transport",
     "spatial_index",
 ];
-const PROTOCOL_KEYS: &[&str] = &["dmax", "naive_compatibility", "disable_quarantine"];
-const REPORT_KEYS: &[&str] = &["convergence", "continuity", "resilience"];
-const CAMPAIGN_KEYS: &[&str] = &[
-    "schedules",
-    "max_faults",
-    "horizon",
-    "search_seed",
-    "replay",
-];
-const MODELCHECK_KEYS: &[&str] = &[
-    "depth",
-    "max_states",
-    "start",
-    "warmup_rounds",
-    "walks",
-    "walk_depth",
-    "faults",
-];
-const MODELCHECK_FAULT_KEYS: &[&str] = &["drops", "duplicates", "crashes"];
-const FAULT_KEYS: &[&str] = &[
-    "at", "kind", "node", "duration", "groups", "min_x", "min_y", "max_x", "max_y",
-];
-const CHURN_KEYS: &[&str] = &["at_round", "action", "a", "b", "node", "links"];
-const ASSERTION_KEYS: &[&str] = &[
-    "converged_by",
-    "max_rounds",
-    "view_continuity",
-    "agreement",
-    "safety",
-    "maximality",
-    "legitimate",
-    "min_groups",
-    "max_groups",
-    "min_delivery_ratio",
-    "reconverges",
-];
-const GOLDEN_KEYS: &[&str] = &["digests"];
 
-/// Reject the first key of `table` that `known` does not list.
-fn check_keys(
-    table: &BTreeMap<String, Value>,
-    ctx: &str,
-    known: &[&str],
-) -> Result<(), ManifestError> {
-    match table.keys().find(|key| !known.contains(&key.as_str())) {
-        Some(key) => bad(format!("{ctx}: unknown key `{key}`")),
-        None => Ok(()),
-    }
-}
-
-// ---- field helpers -------------------------------------------------------
-
-fn get_int(table: &BTreeMap<String, Value>, key: &str) -> Result<Option<i64>, ManifestError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => match v.as_int() {
-            Some(i) => Ok(Some(i)),
-            None => bad(format!("`{key}` must be an integer")),
-        },
-    }
-}
-
-/// The one validator behind every count-like key — rounds, periods, seeds,
-/// node ids, depth bounds, fault budgets, assertion bounds. A count is a
-/// TOML integer `>= 0`; anything else (floats, strings, booleans, negative
-/// integers) reports the same shape regardless of which section the key
-/// lives in: ``{ctx}: `{key}`: expected non-negative integer``.
-fn count_value(value: &Value, key: &str, ctx: &str) -> Result<u64, ManifestError> {
-    match value.as_int() {
-        Some(i) if i >= 0 => Ok(i as u64),
-        _ => bad(format!("{ctx}: `{key}`: expected non-negative integer")),
-    }
-}
-
-fn req_u64(table: &BTreeMap<String, Value>, key: &str, ctx: &str) -> Result<u64, ManifestError> {
-    match table.get(key) {
-        Some(v) => count_value(v, key, ctx),
-        None => bad(format!(
-            "{ctx}: `{key}`: expected non-negative integer, but the key is missing"
-        )),
-    }
-}
-
-fn req_usize(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    ctx: &str,
-) -> Result<usize, ManifestError> {
-    req_u64(table, key, ctx).map(|v| v as usize)
-}
-
-fn req_f64(table: &BTreeMap<String, Value>, key: &str, ctx: &str) -> Result<f64, ManifestError> {
-    match table.get(key).and_then(Value::as_float) {
-        Some(f) => Ok(f),
-        None => bad(format!("{ctx}: missing or invalid `{key}` (number)")),
-    }
-}
-
-fn opt_f64(table: &BTreeMap<String, Value>, key: &str, default: f64) -> Result<f64, ManifestError> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_float() {
-            Some(f) => Ok(f),
-            None => bad(format!("`{key}` must be a number")),
-        },
-    }
-}
-
-fn opt_u64(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    default: u64,
-    ctx: &str,
-) -> Result<u64, ManifestError> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => count_value(v, key, ctx),
-    }
-}
-
-fn opt_bool(
-    table: &BTreeMap<String, Value>,
-    key: &str,
-    default: bool,
-) -> Result<bool, ManifestError> {
-    match table.get(key) {
-        None => Ok(default),
-        Some(v) => match v.as_bool() {
-            Some(b) => Ok(b),
-            None => bad(format!("`{key}` must be a boolean")),
-        },
-    }
-}
-
-fn parse_workload(root: &BTreeMap<String, Value>) -> Result<WorkloadSpec, ManifestError> {
-    let topology = root.get("topology");
-    let mobility = root.get("mobility");
-    let radio = root.get("radio");
-    match (topology, mobility, radio) {
-        (Some(t), None, None) => {
-            let t = t
-                .as_table()
-                .ok_or_else(|| ManifestError("[topology] must be a table".into()))?;
-            Ok(WorkloadSpec::Explicit(parse_topology(t)?))
-        }
-        (None, Some(m), Some(r)) => {
-            let m = m
-                .as_table()
-                .ok_or_else(|| ManifestError("[mobility] must be a table".into()))?;
-            let r = r
-                .as_table()
-                .ok_or_else(|| ManifestError("[radio] must be a table".into()))?;
-            Ok(WorkloadSpec::Spatial {
-                mobility: parse_mobility(m)?,
-                radio: parse_radio(r)?,
-                channel: parse_channel(r)?,
-            })
-        }
-        (None, Some(_), None) | (None, None, Some(_)) => {
-            bad("spatial scenarios need both [mobility] and [radio]")
-        }
-        (Some(_), _, _) => bad("[topology] is mutually exclusive with [mobility]/[radio]"),
-        (None, None, None) => bad("missing workload: provide [topology] or [mobility]+[radio]"),
-    }
-}
-
-fn parse_topology(t: &BTreeMap<String, Value>) -> Result<TopologySpec, ManifestError> {
-    let kind = t
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ManifestError("[topology]: missing `kind`".into()))?;
-    let ctx = "[topology]";
-    check_keys(t, ctx, TOPOLOGY_KEYS)?;
-    match kind {
-        "path" => Ok(TopologySpec::Path {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "ring" => Ok(TopologySpec::Ring {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "grid" => Ok(TopologySpec::Grid {
-            rows: req_usize(t, "rows", ctx)?,
-            cols: req_usize(t, "cols", ctx)?,
-        }),
-        "complete" => Ok(TopologySpec::Complete {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "star" => Ok(TopologySpec::Star {
-            n: req_usize(t, "n", ctx)?,
-        }),
-        "clustered" => Ok(TopologySpec::Clustered {
-            clusters: req_usize(t, "clusters", ctx)?,
-            cluster_size: req_usize(t, "cluster_size", ctx)?,
-        }),
-        "erdos_renyi" => Ok(TopologySpec::ErdosRenyi {
-            n: req_usize(t, "n", ctx)?,
-            p: req_f64(t, "p", ctx)?,
-        }),
-        "random_geometric" => Ok(TopologySpec::RandomGeometric {
-            n: req_usize(t, "n", ctx)?,
-            side: req_f64(t, "side", ctx)?,
-            radius: req_f64(t, "radius", ctx)?,
-        }),
-        other => bad(format!("[topology]: unknown kind `{other}`")),
-    }
-}
-
-fn parse_mobility(m: &BTreeMap<String, Value>) -> Result<MobilitySpec, ManifestError> {
-    let kind = m
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ManifestError("[mobility]: missing `kind`".into()))?;
-    let ctx = "[mobility]";
-    check_keys(m, ctx, MOBILITY_KEYS)?;
-    let n = req_usize(m, "n", ctx)?;
-    match kind {
-        "stationary_line" => Ok(MobilitySpec::StationaryLine {
-            n,
-            spacing: req_f64(m, "spacing", ctx)?,
-        }),
-        "stationary_uniform" => Ok(MobilitySpec::StationaryUniform {
-            n,
-            width: req_f64(m, "width", ctx)?,
-            height: req_f64(m, "height", ctx)?,
-        }),
-        "random_walk" => Ok(MobilitySpec::RandomWalk {
-            n,
-            width: req_f64(m, "width", ctx)?,
-            height: req_f64(m, "height", ctx)?,
-            max_step: req_f64(m, "max_step", ctx)?,
-        }),
-        "waypoint" => Ok(MobilitySpec::Waypoint {
-            n,
-            width: req_f64(m, "width", ctx)?,
-            height: req_f64(m, "height", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-        }),
-        "highway" => Ok(MobilitySpec::Highway {
-            n,
-            lanes: req_usize(m, "lanes", ctx)?,
-            road_length: req_f64(m, "road_length", ctx)?,
-            initial_gap: req_f64(m, "initial_gap", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-        }),
-        "city_grid" => Ok(MobilitySpec::CityGrid {
-            n,
-            blocks: req_usize(m, "blocks", ctx)?,
-            block_size: req_f64(m, "block_size", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-            light_period: req_u64(m, "light_period", ctx)?,
-        }),
-        "mixed_highway" => Ok(MobilitySpec::MixedHighway {
-            n_roadside: req_usize(m, "n_roadside", ctx)?,
-            rsu_spacing: req_f64(m, "rsu_spacing", ctx)?,
-            rsu_setback: opt_f64(m, "rsu_setback", 8.0)?,
-            n,
-            lanes: req_usize(m, "lanes", ctx)?,
-            road_length: req_f64(m, "road_length", ctx)?,
-            initial_gap: req_f64(m, "initial_gap", ctx)?,
-            speed_min: req_f64(m, "speed_min", ctx)?,
-            speed_max: req_f64(m, "speed_max", ctx)?,
-        }),
-        other => bad(format!("[mobility]: unknown kind `{other}`")),
-    }
-}
-
-fn parse_radio(r: &BTreeMap<String, Value>) -> Result<RadioSpec, ManifestError> {
-    let kind = r
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ManifestError("[radio]: missing `kind`".into()))?;
-    let ctx = "[radio]";
-    check_keys(r, ctx, RADIO_KEYS)?;
-    match kind {
-        "unit_disk" => Ok(RadioSpec::UnitDisk {
-            range: req_f64(r, "range", ctx)?,
-        }),
-        "lossy_disk" => Ok(RadioSpec::LossyDisk {
-            range: req_f64(r, "range", ctx)?,
-            loss: req_f64(r, "loss", ctx)?,
-        }),
-        "distance_loss" => Ok(RadioSpec::DistanceLoss {
-            range: req_f64(r, "range", ctx)?,
-            edge_loss: req_f64(r, "edge_loss", ctx)?,
-        }),
-        other => bad(format!("[radio]: unknown kind `{other}`")),
-    }
-}
-
-/// The contention-only `[radio]` keys — listed so a manifest that sets one
-/// under `model = "bernoulli"` is rejected instead of silently ignored.
-const CONTENTION_KEYS: [&str; 6] = [
-    "base_loss",
-    "load_loss",
-    "max_loss",
-    "window",
-    "jitter",
-    "hidden_terminal",
+/// The modes whose runs each assertion can judge: a modelcheck run has no
+/// sampled timeline, and a campaign scores many runs, not one.
+const ASSERTION_MODES: [(&str, &[&str]); 11] = [
+    ("converged_by", &["simulate"]),
+    ("max_rounds", &["simulate", "campaign"]),
+    ("view_continuity", &["simulate"]),
+    ("min_delivery_ratio", &["simulate"]),
+    ("agreement", &["simulate", "modelcheck"]),
+    ("safety", &["simulate", "modelcheck"]),
+    ("maximality", &["simulate", "modelcheck"]),
+    ("legitimate", &["simulate", "modelcheck"]),
+    ("min_groups", &["simulate", "modelcheck"]),
+    ("max_groups", &["simulate", "modelcheck"]),
+    ("reconverges", &["modelcheck"]),
 ];
 
-fn parse_channel(r: &BTreeMap<String, Value>) -> Result<ChannelSpec, ManifestError> {
-    let ctx = "[radio]";
-    let model = match r.get("model") {
-        None => "bernoulli",
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| ManifestError("[radio]: `model` must be a string".into()))?,
-    };
-    match model {
-        "bernoulli" => {
-            for key in CONTENTION_KEYS {
-                if r.contains_key(key) {
-                    return bad(format!(
-                        "[radio]: `{key}` requires `model = \"contention\"`"
-                    ));
-                }
-            }
-            Ok(ChannelSpec::Bernoulli)
+fn parse_workload(root: &mut Table) -> Result<WorkloadSpec, ParseError> {
+    let (mobility, radio) = (root.has("mobility"), root.has("radio"));
+    if root.has("topology") {
+        if mobility || radio {
+            let message = "[topology] is mutually exclusive with [mobility]/[radio]";
+            return Err(root.error("topology", message));
         }
-        "contention" => {
-            // defaults mirror netsim::channel::ContentionConfig::new
-            let base_loss = opt_f64(r, "base_loss", 0.02)?;
-            let load_loss = opt_f64(r, "load_loss", 0.08)?;
-            let max_loss = opt_f64(r, "max_loss", 0.95)?;
-            for (key, p) in [
-                ("base_loss", base_loss),
-                ("load_loss", load_loss),
-                ("max_loss", max_loss),
-            ] {
-                if !(0.0..=1.0).contains(&p) {
-                    return bad(format!("[radio]: `{key}` must be a probability in [0, 1]"));
-                }
-            }
-            Ok(ChannelSpec::Contention {
-                base_loss,
-                load_loss,
-                max_loss,
-                window: opt_u64(r, "window", 250, ctx)?,
-                jitter: opt_u64(r, "jitter", 0, ctx)?,
-                hidden_terminal: opt_bool(r, "hidden_terminal", true)?,
-            })
-        }
-        other => bad(format!(
-            "[radio]: unknown model `{other}` (expected \"bernoulli\" or \"contention\")"
-        )),
+        return parse_topology(root.sub("topology")?).map(WorkloadSpec::Explicit);
     }
-}
-
-fn parse_mode(value: Option<&Value>) -> Result<RunMode, ManifestError> {
-    match value {
-        None => Ok(RunMode::default()),
-        Some(v) => match v.as_str() {
-            Some("simulate") => Ok(RunMode::Simulate),
-            Some("modelcheck") => Ok(RunMode::ModelCheck),
-            Some("campaign") => Ok(RunMode::Campaign),
-            Some(other) => bad(format!(
-                "unknown `mode` `{other}` (expected \"simulate\", \"modelcheck\" or \
-                 \"campaign\")"
-            )),
-            None => bad("`mode` must be a string"),
-        },
+    if !(mobility && radio) {
+        let key = if mobility { "mobility" } else { "radio" };
+        let message = "missing workload: provide [topology], or both [mobility] and [radio]";
+        return Err(root.error(key, message));
     }
-}
-
-fn parse_report(value: Option<&Value>) -> Result<ReportSpec, ManifestError> {
-    let default = ReportSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[report] must be a table".into()))?;
-    check_keys(t, "[report]", REPORT_KEYS)?;
-    Ok(ReportSpec {
-        convergence: opt_bool(t, "convergence", default.convergence)?,
-        continuity: opt_bool(t, "continuity", default.continuity)?,
-        resilience: opt_bool(t, "resilience", default.resilience)?,
+    let mobility = parse_mobility(root.sub("mobility")?)?;
+    let (radio, channel) = parse_radio(root.sub("radio")?)?;
+    Ok(WorkloadSpec::Spatial {
+        mobility,
+        radio,
+        channel,
     })
 }
 
-fn parse_campaign(value: Option<&Value>) -> Result<CampaignSpec, ManifestError> {
-    let default = CampaignSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[campaign] must be a table".into()))?;
-    let ctx = "[campaign]";
-    check_keys(t, ctx, CAMPAIGN_KEYS)?;
-    let schedules = opt_u64(t, "schedules", u64::from(default.schedules), ctx)? as u32;
-    if schedules == 0 {
-        return bad("[campaign]: `schedules` must be at least 1");
-    }
-    let max_faults = opt_u64(t, "max_faults", u64::from(default.max_faults), ctx)? as u32;
-    if max_faults == 0 {
-        return bad("[campaign]: `max_faults` must be at least 1");
-    }
-    let horizon = match t.get("horizon") {
-        None => None,
-        Some(v) => Some(count_value(v, "horizon", ctx)?),
-    };
-    let replay = match t.get("replay") {
-        None => None,
-        Some(v) => match v.as_str() {
-            Some(s) => Some(s.to_string()),
-            None => return bad("[campaign]: `replay` must be a string path"),
-        },
-    };
-    Ok(CampaignSpec {
-        schedules,
-        max_faults,
-        horizon,
-        search_seed: opt_u64(t, "search_seed", default.search_seed, ctx)?,
-        replay,
-    })
+fn unknown(t: &Table, key: &str, value: &str) -> ParseError {
+    t.error(key, format!("unknown {key} `{value}`"))
 }
 
-fn parse_modelcheck(value: Option<&Value>) -> Result<ModelCheckSpec, ManifestError> {
-    let default = ModelCheckSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[modelcheck] must be a table".into()))?;
-    let ctx = "[modelcheck]";
-    check_keys(t, ctx, MODELCHECK_KEYS)?;
-    let start = match t.get("start") {
-        None => StartSpec::default(),
-        Some(v) => match v.as_str() {
-            Some("legitimate") => StartSpec::Legitimate,
-            Some("corrupted") => StartSpec::Corrupted,
-            Some("pair-corrupted") => StartSpec::PairCorrupted,
-            _ => {
-                return bad(
-                    "[modelcheck]: `start` must be \"legitimate\", \"corrupted\" \
-                     or \"pair-corrupted\"",
-                );
-            }
+fn parse_topology(mut t: Table) -> Result<TopologySpec, ParseError> {
+    let spec = match t.select("kind", None)? {
+        "path" => TopologySpec::Path { n: t.req("n")? },
+        "ring" => TopologySpec::Ring { n: t.req("n")? },
+        "grid" => TopologySpec::Grid {
+            rows: t.req("rows")?,
+            cols: t.req("cols")?,
         },
+        "complete" => TopologySpec::Complete { n: t.req("n")? },
+        "star" => TopologySpec::Star { n: t.req("n")? },
+        "clustered" => TopologySpec::Clustered {
+            clusters: t.req("clusters")?,
+            cluster_size: t.req("cluster_size")?,
+        },
+        "erdos_renyi" => TopologySpec::ErdosRenyi {
+            n: t.req("n")?,
+            p: t.req::<Probability>("p")?.0,
+        },
+        "random_geometric" => TopologySpec::RandomGeometric {
+            n: t.req("n")?,
+            side: t.req("side")?,
+            radius: t.req("radius")?,
+        },
+        other => return Err(unknown(&t, "kind", other)),
     };
-    let (max_drops, max_duplicates, max_crashes) = match t.get("faults") {
-        None => (0, 0, 0),
-        Some(v) => {
-            let f = v
-                .as_table()
-                .ok_or_else(|| ManifestError("[modelcheck.faults] must be a table".into()))?;
-            let fc = "[modelcheck.faults]";
-            check_keys(f, fc, MODELCHECK_FAULT_KEYS)?;
-            (
-                opt_u64(f, "drops", 0, fc)? as u32,
-                opt_u64(f, "duplicates", 0, fc)? as u32,
-                opt_u64(f, "crashes", 0, fc)? as u32,
-            )
+    t.finish()?;
+    Ok(spec)
+}
+
+fn parse_mobility(mut t: Table) -> Result<MobilitySpec, ParseError> {
+    let spec = match t.select("kind", None)? {
+        "stationary_line" => MobilitySpec::StationaryLine {
+            n: t.req("n")?,
+            spacing: t.req("spacing")?,
+        },
+        "stationary_uniform" => MobilitySpec::StationaryUniform {
+            n: t.req("n")?,
+            width: t.req("width")?,
+            height: t.req("height")?,
+        },
+        "random_walk" => MobilitySpec::RandomWalk {
+            n: t.req("n")?,
+            width: t.req("width")?,
+            height: t.req("height")?,
+            max_step: t.req("max_step")?,
+        },
+        "waypoint" => MobilitySpec::Waypoint {
+            n: t.req("n")?,
+            width: t.req("width")?,
+            height: t.req("height")?,
+            speed_min: t.req("speed_min")?,
+            speed_max: t.req("speed_max")?,
+        },
+        "highway" => MobilitySpec::Highway {
+            n: t.req("n")?,
+            lanes: t.req("lanes")?,
+            road_length: t.req("road_length")?,
+            initial_gap: t.req("initial_gap")?,
+            speed_min: t.req("speed_min")?,
+            speed_max: t.req("speed_max")?,
+        },
+        "city_grid" => MobilitySpec::CityGrid {
+            n: t.req("n")?,
+            blocks: t.req("blocks")?,
+            block_size: t.req("block_size")?,
+            speed_min: t.req("speed_min")?,
+            speed_max: t.req("speed_max")?,
+            light_period: t.req("light_period")?,
+        },
+        "mixed_highway" => MobilitySpec::MixedHighway {
+            n_roadside: t.req("n_roadside")?,
+            rsu_spacing: t.req("rsu_spacing")?,
+            rsu_setback: t.or("rsu_setback", 8.0)?,
+            n: t.req("n")?,
+            lanes: t.req("lanes")?,
+            road_length: t.req("road_length")?,
+            initial_gap: t.req("initial_gap")?,
+            speed_min: t.req("speed_min")?,
+            speed_max: t.req("speed_max")?,
+        },
+        other => return Err(unknown(&t, "kind", other)),
+    };
+    t.finish()?;
+    Ok(spec)
+}
+
+/// `[radio]`: the geometry (`kind`) and the medium layered on it (`model`).
+fn parse_radio(mut t: Table) -> Result<(RadioSpec, ChannelSpec), ParseError> {
+    let radio = match t.select("kind", None)? {
+        "unit_disk" => RadioSpec::UnitDisk {
+            range: t.req("range")?,
+        },
+        "lossy_disk" => RadioSpec::LossyDisk {
+            range: t.req("range")?,
+            loss: t.req::<Probability>("loss")?.0,
+        },
+        "distance_loss" => RadioSpec::DistanceLoss {
+            range: t.req("range")?,
+            edge_loss: t.req::<Probability>("edge_loss")?.0,
+        },
+        other => return Err(unknown(&t, "kind", other)),
+    };
+    let channel = match t.select("model", Some("bernoulli"))? {
+        "bernoulli" => ChannelSpec::Bernoulli,
+        // defaults mirror netsim::channel::ContentionConfig::new
+        "contention" => ChannelSpec::Contention {
+            base_loss: t.or("base_loss", Probability(0.02))?.0,
+            load_loss: t.or("load_loss", Probability(0.08))?.0,
+            max_loss: t.or("max_loss", Probability(0.95))?.0,
+            window: t.or("window", 250)?,
+            jitter: t.or("jitter", 0)?,
+            hidden_terminal: t.or("hidden_terminal", true)?,
+        },
+        other => {
+            let message =
+                format!("unknown model `{other}` (expected \"bernoulli\" or \"contention\")");
+            return Err(t.error("model", message));
         }
     };
-    Ok(ModelCheckSpec {
-        depth: opt_u64(t, "depth", default.depth as u64, ctx)? as usize,
-        max_states: opt_u64(t, "max_states", default.max_states as u64, ctx)? as usize,
+    t.finish()?;
+    Ok((radio, channel))
+}
+
+fn parse_report(mut t: Table, mode: RunMode) -> Result<ReportSpec, ParseError> {
+    let d = ReportSpec::default();
+    let report = ReportSpec {
+        convergence: t.or("convergence", d.convergence)?,
+        continuity: t.or("continuity", d.continuity)?,
+        resilience: t.or("resilience", d.resilience)?,
+    };
+    let conflict = match (mode, report.convergence, report.resilience) {
+        (RunMode::ModelCheck, _, true) => Some((
+            "resilience",
+            "`resilience = true` is simulation-only — the model checker has no \
+             per-round recovery timeline",
+        )),
+        (_, false, true) => Some((
+            "resilience",
+            "`resilience = true` requires `convergence = true` — recovery is timed \
+             against the legitimacy verdict stream",
+        )),
+        (RunMode::Campaign, false, _) => Some((
+            "convergence",
+            "mode = \"campaign\" scores schedules on the legitimacy verdict stream \
+             — `convergence = false` is not allowed",
+        )),
+        _ => None,
+    };
+    if let Some((key, message)) = conflict {
+        return Err(t.error(key, message));
+    }
+    t.finish()?;
+    Ok(report)
+}
+
+fn parse_campaign(mut t: Table) -> Result<CampaignSpec, ParseError> {
+    let d = CampaignSpec::default();
+    let spec = CampaignSpec {
+        schedules: t.or("schedules", d.schedules)?,
+        max_faults: t.or("max_faults", d.max_faults)?,
+        horizon: t.opt("horizon")?,
+        search_seed: t.or("search_seed", d.search_seed)?,
+        replay: t.opt("replay")?,
+    };
+    for (key, value) in [
+        ("schedules", spec.schedules),
+        ("max_faults", spec.max_faults),
+    ] {
+        if value == 0 {
+            return Err(t.error(key, format!("`{key}` must be at least 1")));
+        }
+    }
+    t.finish()?;
+    Ok(spec)
+}
+
+fn parse_modelcheck(mut t: Table) -> Result<ModelCheckSpec, ParseError> {
+    let d = ModelCheckSpec::default();
+    let start = match t.opt("start")? {
+        None => d.start,
+        Some("legitimate") => StartSpec::Legitimate,
+        Some("corrupted") => StartSpec::Corrupted,
+        Some("pair-corrupted") => StartSpec::PairCorrupted,
+        Some(_) => {
+            let message = "`start` must be \"legitimate\", \"corrupted\" or \"pair-corrupted\"";
+            return Err(t.error("start", message));
+        }
+    };
+    let mut faults = t.sub("faults")?;
+    let spec = ModelCheckSpec {
+        depth: t.or("depth", d.depth)?,
+        max_states: t.or("max_states", d.max_states)?,
         start,
-        warmup_rounds: opt_u64(t, "warmup_rounds", default.warmup_rounds as u64, ctx)? as usize,
-        walks: opt_u64(t, "walks", default.walks as u64, ctx)? as u32,
-        walk_depth: opt_u64(t, "walk_depth", default.walk_depth as u64, ctx)? as usize,
-        max_drops,
-        max_duplicates,
-        max_crashes,
-    })
+        warmup_rounds: t.or("warmup_rounds", d.warmup_rounds)?,
+        walks: t.or("walks", d.walks)?,
+        walk_depth: t.or("walk_depth", d.walk_depth)?,
+        max_drops: faults.or("drops", d.max_drops)?,
+        max_duplicates: faults.or("duplicates", d.max_duplicates)?,
+        max_crashes: faults.or("crashes", d.max_crashes)?,
+    };
+    faults.finish()?;
+    t.finish()?;
+    Ok(spec)
 }
 
-fn parse_protocol(value: Option<&Value>) -> Result<ProtocolSpec, ManifestError> {
-    let Some(value) = value else {
-        return Ok(ProtocolSpec::default());
+fn parse_protocol(mut t: Table) -> Result<ProtocolSpec, ParseError> {
+    let d = ProtocolSpec::default();
+    let spec = ProtocolSpec {
+        dmax: t.or("dmax", d.dmax)?,
+        naive_compatibility: t.or("naive_compatibility", d.naive_compatibility)?,
+        disable_quarantine: t.or("disable_quarantine", d.disable_quarantine)?,
     };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[protocol] must be a table".into()))?;
-    check_keys(t, "[protocol]", PROTOCOL_KEYS)?;
-    Ok(ProtocolSpec {
-        dmax: req_usize(t, "dmax", "[protocol]")?,
-        naive_compatibility: opt_bool(t, "naive_compatibility", false)?,
-        disable_quarantine: opt_bool(t, "disable_quarantine", false)?,
-    })
+    if spec.dmax == 0 {
+        return Err(t.error("dmax", "`dmax` must be at least 1"));
+    }
+    t.finish()?;
+    Ok(spec)
 }
 
-fn parse_sim(value: Option<&Value>) -> Result<SimSpec, ManifestError> {
-    let default = SimSpec::default();
-    let Some(value) = value else {
-        return Ok(default);
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[sim] must be a table".into()))?;
-    let ctx = "[sim]";
+fn parse_sim(mut t: Table) -> Result<SimSpec, ParseError> {
     for key in REMOVED_SIM_KEYS {
-        if t.contains_key(key) {
-            return bad(format!(
-                "[sim]: `{key}` was removed — the engine has one regime"
-            ));
+        if t.has(key) {
+            let message = format!("`{key}` was removed — the engine has one regime");
+            return Err(t.error(key, message));
         }
     }
-    check_keys(t, ctx, SIM_KEYS)?;
-    let seeds = match t.get("seeds") {
-        None => vec![opt_u64(t, "seed", 1, ctx)?],
-        Some(v) => {
-            let items = v
-                .as_array()
-                .ok_or_else(|| ManifestError("`seeds` must be an array".into()))?;
-            let mut seeds = Vec::new();
-            for item in items {
-                seeds.push(count_value(item, "seeds", ctx)?);
-            }
-            if seeds.is_empty() {
-                return bad("`seeds` must not be empty");
-            }
-            seeds
+    let d = SimSpec::default();
+    let seeds = match t.opt::<Vec<u64>>("seeds")? {
+        Some(seeds) if seeds.is_empty() => {
+            return Err(t.error("seeds", "`seeds` must not be empty"))
         }
+        Some(seeds) => seeds,
+        None => vec![t.or("seed", d.seeds[0])?],
     };
-    Ok(SimSpec {
+    let spec = SimSpec {
         seeds,
-        rounds: opt_u64(t, "rounds", default.rounds, ctx)?,
-        send_period: opt_u64(t, "send_period", default.send_period, ctx)?,
-        compute_period: opt_u64(t, "compute_period", default.compute_period, ctx)?,
-        mobility_period: opt_u64(t, "mobility_period", default.mobility_period, ctx)?,
-        delivery_delay: opt_u64(t, "delivery_delay", default.delivery_delay, ctx)?,
-        loss: opt_f64(t, "loss", default.loss)?,
-        stagger_phases: opt_bool(t, "stagger_phases", default.stagger_phases)?,
-    })
+        rounds: t.or("rounds", d.rounds)?,
+        send_period: t.or("send_period", d.send_period)?,
+        compute_period: t.or("compute_period", d.compute_period)?,
+        mobility_period: t.or("mobility_period", d.mobility_period)?,
+        delivery_delay: t.or("delivery_delay", d.delivery_delay)?,
+        loss: t.or("loss", Probability(d.loss))?.0,
+        stagger_phases: t.or("stagger_phases", d.stagger_phases)?,
+    };
+    t.finish()?;
+    Ok(spec)
 }
 
-fn parse_faults(value: Option<&Value>) -> Result<Vec<FaultSpec>, ManifestError> {
-    let Some(value) = value else {
-        return Ok(Vec::new());
+fn parse_fault(mut t: Table, spatial: bool) -> Result<FaultSpec, ParseError> {
+    let at = t.req("at")?;
+    let kind = match t.select("kind", None)? {
+        "crash" => FaultKindSpec::Crash {
+            node: t.req("node")?,
+        },
+        "restart" => FaultKindSpec::Restart {
+            node: t.req("node")?,
+        },
+        "restart_stale" => FaultKindSpec::RestartStale {
+            node: t.req("node")?,
+        },
+        "corrupt" => FaultKindSpec::Corrupt {
+            node: t.req("node")?,
+        },
+        "corrupt_message" => FaultKindSpec::CorruptMessage {
+            node: t.req("node")?,
+        },
+        "loss_burst" => FaultKindSpec::LossBurst {
+            duration: t.req("duration")?,
+        },
+        "partition" => {
+            let groups: Vec<Vec<u64>> = t.req("groups")?;
+            if groups.len() < 2 {
+                let message = "`partition` needs at least two groups";
+                return Err(t.error("groups", message));
+            }
+            FaultKindSpec::Partition { groups }
+        }
+        "heal" => FaultKindSpec::Heal,
+        // RegionBlackout silences nodes by position — meaningless on an
+        // explicit topology, so fail loudly instead of running an inert fault.
+        "region_blackout" if !spatial => {
+            let message = "`region_blackout` requires a spatial workload ([mobility]+[radio]) \
+                 — explicit topologies have no positions";
+            return Err(t.error("kind", message));
+        }
+        "region_blackout" => {
+            let (min_x, min_y) = (t.req("min_x")?, t.req("min_y")?);
+            let (max_x, max_y) = (t.req("max_x")?, t.req("max_y")?);
+            if max_x < min_x || max_y < min_y {
+                let message = "`region_blackout` rectangle is inverted \
+                     (max_x/max_y below min_x/min_y)";
+                return Err(t.error("max_x", message));
+            }
+            FaultKindSpec::RegionBlackout {
+                min_x,
+                min_y,
+                max_x,
+                max_y,
+                duration: t.req("duration")?,
+            }
+        }
+        other => return Err(unknown(&t, "kind", other)),
     };
-    let items = value
-        .as_array()
-        .ok_or_else(|| ManifestError("[[faults]] must be an array of tables".into()))?;
-    let mut faults = Vec::new();
-    for item in items {
-        let t = item
-            .as_table()
-            .ok_or_else(|| ManifestError("each fault must be a table".into()))?;
-        check_keys(t, "[[faults]]", FAULT_KEYS)?;
-        let at = req_u64(t, "at", "[[faults]]")?;
-        let kind = t
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ManifestError("[[faults]]: missing `kind`".into()))?;
-        let kind = match kind {
-            "crash" => FaultKindSpec::Crash {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "restart" => FaultKindSpec::Restart {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "restart_stale" => FaultKindSpec::RestartStale {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "corrupt" => FaultKindSpec::Corrupt {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "corrupt_message" => FaultKindSpec::CorruptMessage {
-                node: req_u64(t, "node", "[[faults]]")?,
-            },
-            "loss_burst" => FaultKindSpec::LossBurst {
-                duration: req_u64(t, "duration", "[[faults]]")?,
-            },
-            "partition" => {
-                let groups = t.get("groups").and_then(Value::as_array).ok_or_else(|| {
-                    ManifestError(
-                        "[[faults]]: `partition` needs `groups`, an array of node-id \
-                             arrays"
-                            .into(),
-                    )
-                })?;
-                let mut parsed = Vec::new();
-                for group in groups {
-                    let ids = group.as_array().ok_or_else(|| {
-                        ManifestError("[[faults]]: each `groups` entry must be an array".into())
-                    })?;
-                    let mut members = Vec::new();
-                    for id in ids {
-                        members.push(count_value(id, "groups", "[[faults]]")?);
-                    }
-                    parsed.push(members);
-                }
-                if parsed.len() < 2 {
-                    return bad("[[faults]]: `partition` needs at least two groups");
-                }
-                FaultKindSpec::Partition { groups: parsed }
-            }
-            "heal" => FaultKindSpec::Heal,
-            "region_blackout" => {
-                let ctx = "[[faults]]";
-                let kind = FaultKindSpec::RegionBlackout {
-                    min_x: req_f64(t, "min_x", ctx)?,
-                    min_y: req_f64(t, "min_y", ctx)?,
-                    max_x: req_f64(t, "max_x", ctx)?,
-                    max_y: req_f64(t, "max_y", ctx)?,
-                    duration: req_u64(t, "duration", ctx)?,
-                };
-                if let FaultKindSpec::RegionBlackout {
-                    min_x,
-                    min_y,
-                    max_x,
-                    max_y,
-                    ..
-                } = kind
-                {
-                    if max_x < min_x || max_y < min_y {
-                        return bad("[[faults]]: `region_blackout` rectangle is inverted \
-                             (max_x/max_y below min_x/min_y)");
-                    }
-                }
-                kind
-            }
-            other => return bad(format!("[[faults]]: unknown kind `{other}`")),
-        };
-        faults.push(FaultSpec { at, kind });
+    t.finish()?;
+    Ok(FaultSpec { at, kind })
+}
+
+fn parse_churn(mut t: Table) -> Result<ChurnSpec, ParseError> {
+    let at_round = t.req("at_round")?;
+    let action = match t.select("action", None)? {
+        "link_up" => ChurnAction::LinkUp {
+            a: t.req("a")?,
+            b: t.req("b")?,
+        },
+        "link_down" => ChurnAction::LinkDown {
+            a: t.req("a")?,
+            b: t.req("b")?,
+        },
+        "node_join" => ChurnAction::NodeJoin {
+            node: t.req("node")?,
+            links: t.or("links", Vec::new())?,
+        },
+        "node_leave" => ChurnAction::NodeLeave {
+            node: t.req("node")?,
+        },
+        other => return Err(unknown(&t, "action", other)),
+    };
+    t.finish()?;
+    Ok(ChurnSpec { at_round, action })
+}
+
+fn parse_assertions(
+    mut t: Table,
+    mode: &str,
+    report: &ReportSpec,
+) -> Result<AssertionSpec, ParseError> {
+    for (key, modes) in ASSERTION_MODES {
+        if t.has(key) && !modes.contains(&mode) {
+            let message = format!(
+                "`{key}` cannot be checked in mode = \"{mode}\" (only in {})",
+                modes.join(", ")
+            );
+            return Err(t.error(key, message));
+        }
     }
-    Ok(faults)
-}
-
-fn parse_churn(value: Option<&Value>) -> Result<Vec<ChurnSpec>, ManifestError> {
-    let Some(value) = value else {
-        return Ok(Vec::new());
+    let spec = AssertionSpec {
+        converged_by: t.opt("converged_by")?,
+        max_rounds: t.opt("max_rounds")?,
+        view_continuity: t.opt::<Probability>("view_continuity")?.map(|p| p.0),
+        agreement: t.opt("agreement")?,
+        safety: t.opt("safety")?,
+        maximality: t.opt("maximality")?,
+        legitimate: t.opt("legitimate")?,
+        min_groups: t.opt("min_groups")?,
+        max_groups: t.opt("max_groups")?,
+        min_delivery_ratio: t.opt::<Probability>("min_delivery_ratio")?.map(|p| p.0),
+        reconverges: t.opt("reconverges")?,
     };
-    let items = value
-        .as_array()
-        .ok_or_else(|| ManifestError("[[churn]] must be an array of tables".into()))?;
-    let mut churn = Vec::new();
-    for item in items {
-        let t = item
-            .as_table()
-            .ok_or_else(|| ManifestError("each churn entry must be a table".into()))?;
-        check_keys(t, "[[churn]]", CHURN_KEYS)?;
-        let at_round = req_u64(t, "at_round", "[[churn]]")?;
-        let action = t
-            .get("action")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ManifestError("[[churn]]: missing `action`".into()))?;
-        let action = match action {
-            "link_up" => ChurnAction::LinkUp {
-                a: req_u64(t, "a", "[[churn]]")?,
-                b: req_u64(t, "b", "[[churn]]")?,
-            },
-            "link_down" => ChurnAction::LinkDown {
-                a: req_u64(t, "a", "[[churn]]")?,
-                b: req_u64(t, "b", "[[churn]]")?,
-            },
-            "node_join" => {
-                let links = match t.get("links") {
-                    None => Vec::new(),
-                    Some(v) => {
-                        let arr = v
-                            .as_array()
-                            .ok_or_else(|| ManifestError("`links` must be an array".into()))?;
-                        let mut links = Vec::new();
-                        for l in arr {
-                            links.push(count_value(l, "links", "[[churn]]")?);
-                        }
-                        links
-                    }
-                };
-                ChurnAction::NodeJoin {
-                    node: req_u64(t, "node", "[[churn]]")?,
-                    links,
-                }
-            }
-            "node_leave" => ChurnAction::NodeLeave {
-                node: req_u64(t, "node", "[[churn]]")?,
-            },
-            other => return bad(format!("[[churn]]: unknown action `{other}`")),
-        };
-        churn.push(ChurnSpec { at_round, action });
+    // A disabled probe has no output for the assertion to read; reject the
+    // conflict here instead of panicking in the runner.
+    for (key, probe, on) in [
+        ("converged_by", "convergence", report.convergence),
+        ("view_continuity", "continuity", report.continuity),
+    ] {
+        if t.has(key) && !on {
+            let message = format!(
+                "`{key}` reads the probe that [report] `{probe} = false` disables \
+                 — enable it or drop the assertion"
+            );
+            return Err(t.error(key, message));
+        }
     }
-    churn.sort_by_key(|c| c.at_round);
-    Ok(churn)
-}
-
-fn parse_assertions(value: Option<&Value>) -> Result<AssertionSpec, ManifestError> {
-    let Some(value) = value else {
-        return Ok(AssertionSpec::default());
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[assertions] must be a table".into()))?;
-    check_keys(t, "[assertions]", ASSERTION_KEYS)?;
-    let opt_bool_field = |key: &str| -> Result<Option<bool>, ManifestError> {
-        match t.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_bool() {
-                Some(b) => Ok(Some(b)),
-                None => bad(format!("[assertions]: `{key}` must be a boolean")),
-            },
-        }
-    };
-    let opt_u64_field = |key: &str| -> Result<Option<u64>, ManifestError> {
-        match t.get(key) {
-            None => Ok(None),
-            Some(v) => count_value(v, key, "[assertions]").map(Some),
-        }
-    };
-    let opt_f64_field = |key: &str| -> Result<Option<f64>, ManifestError> {
-        match t.get(key) {
-            None => Ok(None),
-            Some(v) => match v.as_float() {
-                Some(f) => Ok(Some(f)),
-                None => bad(format!("[assertions]: `{key}` must be a number")),
-            },
-        }
-    };
-    Ok(AssertionSpec {
-        converged_by: opt_u64_field("converged_by")?,
-        max_rounds: opt_u64_field("max_rounds")?,
-        view_continuity: opt_f64_field("view_continuity")?,
-        agreement: opt_bool_field("agreement")?,
-        safety: opt_bool_field("safety")?,
-        maximality: opt_bool_field("maximality")?,
-        legitimate: opt_bool_field("legitimate")?,
-        min_groups: opt_u64_field("min_groups")?,
-        max_groups: opt_u64_field("max_groups")?,
-        min_delivery_ratio: opt_f64_field("min_delivery_ratio")?,
-        reconverges: opt_bool_field("reconverges")?,
-    })
-}
-
-fn parse_golden(value: Option<&Value>) -> Result<GoldenSpec, ManifestError> {
-    let Some(value) = value else {
-        return Ok(GoldenSpec::default());
-    };
-    let t = value
-        .as_table()
-        .ok_or_else(|| ManifestError("[golden] must be a table".into()))?;
-    check_keys(t, "[golden]", GOLDEN_KEYS)?;
-    let digests = match t.get("digests") {
-        None => Vec::new(),
-        Some(v) => {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| ManifestError("`digests` must be an array of strings".into()))?;
-            let mut out = Vec::new();
-            for d in arr {
-                match d.as_str() {
-                    Some(s) => out.push(s.to_string()),
-                    None => return bad("`digests` entries must be strings"),
-                }
-            }
-            out
-        }
-    };
-    Ok(GoldenSpec { digests })
+    t.finish()?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -1595,68 +1097,127 @@ n = 4
         assert_eq!(m.workload.node_count(), 4);
         assert!(m.faults.is_empty() && m.churn.is_empty());
         assert_eq!(m.assertions, AssertionSpec::default());
+        // a [protocol] table without `dmax` defaults it like an absent table
+        let m = ScenarioManifest::parse(&format!(
+            "{MINIMAL}[protocol]\nnaive_compatibility = true\n"
+        ))
+        .expect("parses");
+        assert_eq!(m.protocol.dmax, 3);
     }
 
     /// A typo must not silently fall back to the default: every table
-    /// rejects a key it does not read, naming table and key.
+    /// rejects a key it does not read, naming line, table and key.
     #[test]
     fn unknown_keys_are_rejected_in_every_table() {
         let spatial =
             "name = \"k\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n";
-        for (input, table, key) in [
-            (format!("{MINIMAL}[sim]\nrouns = 3\n"), "[sim]", "rouns"),
+        for (input, expected) in [
+            (
+                format!("{MINIMAL}[sim]\nrouns = 3\n"),
+                "line 9: [sim]: unknown key `rouns`",
+            ),
             (
                 format!("{MINIMAL}[protocol]\ndmax = 3\ndisable_quarantin = true\n"),
-                "[protocol]",
-                "disable_quarantin",
+                "line 10: [protocol]: unknown key `disable_quarantin`",
             ),
             (
                 format!("{spatial}[radio]\nkind = \"unit_disk\"\nrange = 6.0\nrnage = 7.0\n"),
-                "[radio]",
-                "rnage",
+                "line 9: [radio]: unknown key `rnage` for kind = \"unit_disk\", model = \"bernoulli\"",
             ),
             (
                 format!("{MINIMAL}[assertions]\nconverged_bye = 10\n"),
-                "[assertions]",
-                "converged_bye",
+                "line 9: [assertions]: unknown key `converged_bye`",
             ),
             (
                 format!("{MINIMAL}[[faults]]\nat = 100\nkind = \"crash\"\nnode = 0\nnoed = 1\n"),
-                "[[faults]]",
-                "noed",
+                "line 12: [[faults]] #1: unknown key `noed` for kind = \"crash\"",
             ),
             (
                 format!("{MINIMAL}[[churn]]\nat_round = 2\naction = \"node_leave\"\nnode = 0\nlnks = [1]\n"),
-                "[[churn]]",
-                "lnks",
+                "line 12: [[churn]] #1: unknown key `lnks` for action = \"node_leave\"",
             ),
             (
                 format!("{spatial}wdith = 9.0\n[radio]\nkind = \"unit_disk\"\nrange = 6.0\n"),
-                "[mobility]",
-                "wdith",
+                "line 6: [mobility]: unknown key `wdith` for kind = \"stationary_line\"",
             ),
-            (format!("{MINIMAL}side = 3.0\nsdie = 4.0\n"), "[topology]", "sdie"),
-            (format!("{MINIMAL}[report]\nresiliance = true\n"), "[report]", "resiliance"),
-            (format!("{MINIMAL}[golden]\ndigest = []\n"), "[golden]", "digest"),
-            (format!("bogus_key = true\n{MINIMAL}"), "manifest", "bogus_key"),
+            (
+                format!("{MINIMAL}sdie = 4.0\n"),
+                "line 8: [topology]: unknown key `sdie` for kind = \"path\"",
+            ),
+            (
+                format!("{MINIMAL}[report]\nresiliance = true\n"),
+                "line 9: [report]: unknown key `resiliance`",
+            ),
+            (
+                format!("{MINIMAL}[golden]\ndigest = []\n"),
+                "line 9: [golden]: unknown key `digest`",
+            ),
+            (
+                format!("bogus_key = true\n{MINIMAL}"),
+                "line 1: manifest: unknown key `bogus_key` for mode = \"simulate\"",
+            ),
             (
                 format!("mode = \"campaign\"\n{MINIMAL}[campaign]\nschedule = 4\n"),
-                "[campaign]",
-                "schedule",
+                "line 10: [campaign]: unknown key `schedule`",
             ),
             (
                 format!("mode = \"modelcheck\"\n{MINIMAL}[modelcheck]\ndepht = 4\n"),
-                "[modelcheck]",
-                "depht",
+                "line 10: [modelcheck]: unknown key `depht`",
             ),
             (
                 format!("mode = \"modelcheck\"\n{MINIMAL}[modelcheck.faults]\ndorps = 1\n"),
-                "[modelcheck.faults]",
-                "dorps",
+                "line 10: [modelcheck.faults]: unknown key `dorps`",
             ),
         ] {
-            let err = ScenarioManifest::parse(&input).expect_err(key).0;
-            assert_eq!(err, format!("{table}: unknown key `{key}`"));
+            let err = ScenarioManifest::parse(&input).expect_err(expected).0;
+            assert_eq!(err, expected);
+        }
+    }
+
+    /// The legal keys of a table are the keys its `kind` (`model`,
+    /// `action`, `mode`) reads, not the union over every kind: a key that
+    /// belongs to another kind would otherwise be ignored, and the run
+    /// would not be the workload the manifest describes.
+    #[test]
+    fn keys_a_kind_does_not_read_are_rejected() {
+        let spatial =
+            "name = \"k\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n";
+        for (input, expected) in [
+            (
+                format!("{spatial}[radio]\nkind = \"unit_disk\"\nrange = 6.0\nloss = 0.9\n"),
+                "line 9: [radio]: unknown key `loss` for kind = \"unit_disk\", model = \"bernoulli\"",
+            ),
+            (
+                format!("{MINIMAL}side = 3.0\n"),
+                "line 8: [topology]: unknown key `side` for kind = \"path\"",
+            ),
+            (
+                "name = \"g\"\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\nn = 4\n".to_string(),
+                "line 6: [topology]: unknown key `n` for kind = \"grid\"",
+            ),
+            (
+                format!("{MINIMAL}[[faults]]\nat = 100\nkind = \"crash\"\nnode = 0\nduration = 50\n"),
+                "line 12: [[faults]] #1: unknown key `duration` for kind = \"crash\"",
+            ),
+            (
+                format!("{MINIMAL}[[faults]]\nat = 100\nkind = \"heal\"\nnode = 0\n"),
+                "line 11: [[faults]] #1: unknown key `node` for kind = \"heal\"",
+            ),
+            (
+                format!("{MINIMAL}[[churn]]\nat_round = 2\naction = \"link_down\"\na = 0\nb = 1\nlinks = [2]\n"),
+                "line 13: [[churn]] #1: unknown key `links` for action = \"link_down\"",
+            ),
+            (
+                format!("{spatial}[radio]\nkind = \"unit_disk\"\nrange = 6.0\nmodel = \"bernoulli\"\nwindow = 250\n"),
+                "line 10: [radio]: unknown key `window` for kind = \"unit_disk\", model = \"bernoulli\"",
+            ),
+            (
+                format!("{MINIMAL}[modelcheck]\ndepth = 8\n"),
+                "line 8: manifest: unknown key `modelcheck` for mode = \"simulate\"",
+            ),
+        ] {
+            let err = ScenarioManifest::parse(&input).expect_err(expected).0;
+            assert_eq!(err, expected);
         }
     }
 
@@ -1676,7 +1237,7 @@ n = 4
                 .0;
             assert_eq!(
                 err,
-                format!("[sim]: `{key}` was removed — the engine has one regime")
+                format!("line 9: [sim]: `{key}` was removed — the engine has one regime")
             );
         }
     }
@@ -1900,8 +1461,9 @@ range = 60.0
         // contention keys without the contention model
         let err = ScenarioManifest::parse(&manifest("load_loss = 0.1\n")).unwrap_err();
         assert!(
-            err.to_string()
-                .contains("`load_loss` requires `model = \"contention\"`"),
+            err.to_string().contains(
+                "unknown key `load_loss` for kind = \"unit_disk\", model = \"bernoulli\""
+            ),
             "{err}"
         );
         // out-of-range probability
@@ -1909,7 +1471,7 @@ range = 60.0
             .unwrap_err();
         assert!(
             err.to_string()
-                .contains("`max_loss` must be a probability in [0, 1]"),
+                .contains("[radio]: `max_loss`: expected probability in [0, 1]"),
             "{err}"
         );
         // count keys share the uniform error shape
@@ -1970,9 +1532,10 @@ digests = ["only-one"]
         assert!(ScenarioManifest::parse(misaligned).is_err());
     }
 
-    /// Every count-like key, wherever it lives, reports the same error
-    /// shape on a malformed value: `` `{key}`: expected non-negative
-    /// integer``. One case per validation site.
+    /// Every typed key, wherever it lives, reports the same located error
+    /// shape on a malformed value: ``line N: {table}: `{key}`: expected
+    /// {type}``. One case per validation site; counts are read at their
+    /// field's width, probabilities in [0, 1].
     #[test]
     fn count_keys_report_one_uniform_error_shape() {
         let cases: &[(&str, &str)] = &[
@@ -2004,12 +1567,12 @@ digests = ["only-one"]
             // [[faults]] required count, boolean-shaped
             (
                 "name = \"x\"\n[topology]\nkind = \"path\"\nn = 2\n[[faults]]\nat = true\nkind = \"crash\"\nnode = 0",
-                "[[faults]]: `at`: expected non-negative integer",
+                "[[faults]] #1: `at`: expected non-negative integer",
             ),
             // [[churn]] links entry, float-shaped
             (
                 "name = \"x\"\n[topology]\nkind = \"path\"\nn = 3\n[[churn]]\nat_round = 1\naction = \"node_join\"\nnode = 9\nlinks = [0, 1.5]",
-                "[[churn]]: `links`: expected non-negative integer",
+                "[[churn]] #1: `links`: expected non-negative integer",
             ),
             // [assertions] optional count, float-shaped
             (
@@ -2026,12 +1589,51 @@ digests = ["only-one"]
                 "name = \"x\"\nmode = \"modelcheck\"\n[topology]\nkind = \"path\"\nn = 2\n[modelcheck]\n[modelcheck.faults]\ndrops = \"two\"",
                 "[modelcheck.faults]: `drops`: expected non-negative integer",
             ),
+            // u32 counts reject what would wrap (2^32 + 1 used to read as 1)
+            (
+                "name = \"x\"\nmode = \"campaign\"\n[topology]\nkind = \"path\"\nn = 2\n[campaign]\nschedules = 4294967297",
+                "[campaign]: `schedules`: expected non-negative integer below 2^32",
+            ),
+            (
+                "name = \"x\"\nmode = \"modelcheck\"\n[topology]\nkind = \"path\"\nn = 2\n[modelcheck]\nwalks = 4294967296",
+                "[modelcheck]: `walks`: expected non-negative integer below 2^32",
+            ),
+            // dmax 0 would have the protocol clamp to 1 while its judge used 0
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 2\n[protocol]\ndmax = 0",
+                "[protocol]: `dmax` must be at least 1",
+            ),
+            // every loss and ratio is a probability
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 2\n[sim]\nloss = 1.5",
+                "[sim]: `loss`: expected probability in [0, 1]",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"erdos_renyi\"\nn = 4\np = 1.5",
+                "[topology]: `p`: expected probability in [0, 1]",
+            ),
+            (
+                "name = \"x\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n[radio]\nkind = \"lossy_disk\"\nrange = 6.0\nloss = -0.1",
+                "[radio]: `loss`: expected probability in [0, 1]",
+            ),
+            (
+                "name = \"x\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n[radio]\nkind = \"distance_loss\"\nrange = 6.0\nedge_loss = 2",
+                "[radio]: `edge_loss`: expected probability in [0, 1]",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 2\n[assertions]\nview_continuity = 1.2",
+                "[assertions]: `view_continuity`: expected probability in [0, 1]",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 2\n[assertions]\nmin_delivery_ratio = -1",
+                "[assertions]: `min_delivery_ratio`: expected probability in [0, 1]",
+            ),
         ];
         for (input, expected) in cases {
             let err = ScenarioManifest::parse(input).expect_err(expected).0;
             assert!(
-                err.contains(expected),
-                "expected error containing `{expected}`, got `{err}`"
+                err.starts_with("line ") && err.contains(expected),
+                "expected a located error containing `{expected}`, got `{err}`"
             );
         }
     }

@@ -15,9 +15,13 @@
 //! Unsupported TOML (dates, multi-line/literal strings, dotted keys in
 //! assignments) is rejected with a line-numbered error rather than
 //! mis-parsed.
+//!
+//! Every value keeps the line it was written on, and [`Table`] reads a
+//! parsed table key by key: a typed read that fails, a required key that
+//! is missing and a key nothing read are all errors that name their line.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed TOML value.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,8 +30,25 @@ pub enum Value {
     Int(i64),
     Float(f64),
     Bool(bool),
-    Array(Vec<Value>),
-    Table(BTreeMap<String, Value>),
+    Array(Vec<Item>),
+    Table(Map),
+}
+
+/// A table's entries by key.
+pub type Map = BTreeMap<String, Item>;
+
+/// A value and the 1-based line it was written on (a table's: its header).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Item {
+    pub line: usize,
+    pub value: Value,
+}
+
+impl std::ops::Deref for Item {
+    type Target = Value;
+    fn deref(&self) -> &Value {
+        &self.value
+    }
 }
 
 impl Value {
@@ -61,14 +82,14 @@ impl Value {
         }
     }
 
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub fn as_array(&self) -> Option<&[Item]> {
         match self {
             Value::Array(a) => Some(a),
             _ => None,
         }
     }
 
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_table(&self) -> Option<&Map> {
         match self {
             Value::Table(t) => Some(t),
             _ => None,
@@ -77,11 +98,11 @@ impl Value {
 
     /// Look up a key in a table value.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_table()?.get(key)
+        self.as_table()?.get(key).map(|item| &item.value)
     }
 }
 
-/// A parse failure with a 1-based line number.
+/// A parse or read failure with a 1-based line number.
 #[derive(Debug)]
 pub struct ParseError {
     pub line: usize,
@@ -90,11 +111,7 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "TOML parse error at line {}: {}",
-            self.line, self.message
-        )
+        write!(f, "line {}: {}", self.line, self.message)
     }
 }
 
@@ -178,8 +195,8 @@ fn bracket_depth_delta(line: &str) -> i32 {
 }
 
 /// Parse a complete document into its root table.
-pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, ParseError> {
-    let mut root: BTreeMap<String, Value> = BTreeMap::new();
+pub fn parse(input: &str) -> Result<Map, ParseError> {
+    let mut root = Map::new();
     // Path of the table currently being filled ([] = root) and whether it
     // is an array-of-tables element.
     let mut current_path: Vec<String> = Vec::new();
@@ -217,7 +234,11 @@ pub fn parse(input: &str) -> Result<BTreeMap<String, Value>, ParseError> {
                 return err(line_no, format!("trailing content `{}`", rest.trim()));
             }
             let table = navigate(&mut root, &current_path, line_no)?;
-            if table.insert(key.clone(), value).is_some() {
+            let item = Item {
+                line: line_no,
+                value,
+            };
+            if table.insert(key.clone(), item).is_some() {
                 return err(line_no, format!("duplicate key `{key}`"));
             }
         }
@@ -289,18 +310,19 @@ fn parse_path(raw: &str, line_no: usize) -> Result<Vec<String>, ParseError> {
 /// Walk (and auto-create) intermediate tables; the last element of an
 /// array-of-tables is entered, matching TOML semantics.
 fn navigate<'a>(
-    root: &'a mut BTreeMap<String, Value>,
+    root: &'a mut Map,
     path: &[String],
     line_no: usize,
-) -> Result<&'a mut BTreeMap<String, Value>, ParseError> {
+) -> Result<&'a mut Map, ParseError> {
     let mut current = root;
     for part in path {
-        let entry = current
-            .entry(part.clone())
-            .or_insert_with(|| Value::Table(BTreeMap::new()));
-        current = match entry {
+        let entry = current.entry(part.clone()).or_insert_with(|| Item {
+            line: line_no,
+            value: Value::Table(Map::new()),
+        });
+        current = match &mut entry.value {
             Value::Table(t) => t,
-            Value::Array(items) => match items.last_mut() {
+            Value::Array(items) => match items.last_mut().map(|item| &mut item.value) {
                 Some(Value::Table(t)) => t,
                 _ => return err(line_no, format!("`{part}` is not a table")),
             },
@@ -310,29 +332,25 @@ fn navigate<'a>(
     Ok(current)
 }
 
-fn ensure_table(
-    root: &mut BTreeMap<String, Value>,
-    path: &[String],
-    line_no: usize,
-) -> Result<(), ParseError> {
+fn ensure_table(root: &mut Map, path: &[String], line_no: usize) -> Result<(), ParseError> {
     navigate(root, path, line_no).map(|_| ())
 }
 
-fn push_array_table(
-    root: &mut BTreeMap<String, Value>,
-    path: &[String],
-    line_no: usize,
-) -> Result<(), ParseError> {
+fn push_array_table(root: &mut Map, path: &[String], line_no: usize) -> Result<(), ParseError> {
     let Some((last, parents)) = path.split_last() else {
         return err(line_no, "empty table header");
     };
     let parent = navigate(root, parents, line_no)?;
-    let entry = parent
-        .entry(last.clone())
-        .or_insert_with(|| Value::Array(Vec::new()));
-    match entry {
+    let entry = parent.entry(last.clone()).or_insert_with(|| Item {
+        line: line_no,
+        value: Value::Array(Vec::new()),
+    });
+    match &mut entry.value {
         Value::Array(items) => {
-            items.push(Value::Table(BTreeMap::new()));
+            items.push(Item {
+                line: line_no,
+                value: Value::Table(Map::new()),
+            });
             Ok(())
         }
         _ => err(line_no, format!("`{last}` is not an array of tables")),
@@ -421,7 +439,11 @@ fn parse_array(rest: &mut &str, line_no: usize) -> Result<Value, ParseError> {
             *rest = r;
             return Ok(Value::Array(items));
         }
-        items.push(parse_value(rest, line_no)?);
+        let value = parse_value(rest, line_no)?;
+        items.push(Item {
+            line: line_no,
+            value,
+        });
         *rest = rest.trim_start();
         if let Some(r) = rest.strip_prefix(',') {
             *rest = r;
@@ -434,7 +456,7 @@ fn parse_array(rest: &mut &str, line_no: usize) -> Result<Value, ParseError> {
 fn parse_inline_table(rest: &mut &str, line_no: usize) -> Result<Value, ParseError> {
     debug_assert!(rest.starts_with('{'));
     *rest = &rest[1..];
-    let mut table = BTreeMap::new();
+    let mut table = Map::new();
     loop {
         *rest = rest.trim_start();
         if let Some(r) = rest.strip_prefix('}') {
@@ -446,7 +468,10 @@ fn parse_inline_table(rest: &mut &str, line_no: usize) -> Result<Value, ParseErr
         };
         let key = parse_key(&rest[..eq], line_no)?;
         *rest = &rest[eq + 1..];
-        let value = parse_value(rest, line_no)?;
+        let value = Item {
+            line: line_no,
+            value: parse_value(rest, line_no)?,
+        };
         if table.insert(key.clone(), value).is_some() {
             return err(line_no, format!("duplicate key `{key}` in inline table"));
         }
@@ -456,6 +481,221 @@ fn parse_inline_table(rest: &mut &str, line_no: usize) -> Result<Value, ParseErr
         } else if !rest.starts_with('}') {
             return err(line_no, "expected `,` or `}` in inline table");
         }
+    }
+}
+
+/// A type a [`Table`] can read a key as.
+pub trait FromValue<'a>: Sized {
+    /// What the key must hold, for error messages: "boolean", "array", …
+    const WHAT: &'static str;
+    /// The converted value, or the `WHAT` of the innermost part that is
+    /// not one (an array of counts names the count, not the array).
+    fn from_value(value: &'a Value) -> Result<Self, &'static str>;
+}
+
+macro_rules! from_value {
+    ($($t:ty, $what:literal, $convert:expr;)*) => {$(
+        impl<'a> FromValue<'a> for $t {
+            const WHAT: &'static str = $what;
+            fn from_value(value: &'a Value) -> Result<Self, &'static str> {
+                ($convert)(value).ok_or(Self::WHAT)
+            }
+        }
+    )*};
+}
+
+/// A count at its field's width: negative or overflowing integers fail.
+fn count<T: TryFrom<i64>>(value: &Value) -> Option<T> {
+    value.as_int().and_then(|i| T::try_from(i).ok())
+}
+
+from_value! {
+    bool, "boolean", Value::as_bool;
+    &'a str, "string", Value::as_str;
+    String, "string", |v: &Value| v.as_str().map(str::to_string);
+    f64, "number", Value::as_float;
+    i64, "integer", Value::as_int;
+    u64, "non-negative integer", count;
+    usize, "non-negative integer", count;
+    u32, "non-negative integer below 2^32", count;
+}
+
+impl<'a, T: FromValue<'a>> FromValue<'a> for Vec<T> {
+    const WHAT: &'static str = "array";
+    fn from_value(value: &'a Value) -> Result<Self, &'static str> {
+        let items = value.as_array().ok_or(Self::WHAT)?;
+        items.iter().map(|item| T::from_value(item)).collect()
+    }
+}
+
+static EMPTY: Map = Map::new();
+
+/// One table being read. Every read records its key and
+/// [`finish`](Table::finish) rejects the first key nothing read, so a key
+/// the table's `kind` does not read is an error, never a silent default.
+/// Errors name the line of the offending value, or the table's header
+/// line when a required key is missing.
+pub struct Table<'a> {
+    map: &'a Map,
+    line: usize,
+    /// Dotted path from the root (empty at the root, which is called
+    /// `name`), and the 1-based entry of an array of tables (0 otherwise).
+    path: String,
+    index: usize,
+    name: &'a str,
+    /// The selectors read so far, e.g. `kind = "crash"`.
+    in_force: String,
+    /// Bit i is set once the i-th key in sorted order is read. No table
+    /// reads 64 keys, so a key past the 64th is never marked: rejected.
+    seen: u64,
+}
+
+impl<'a> Table<'a> {
+    /// The document's root table, called `name` in errors.
+    pub fn root(map: &'a Map, name: &'a str) -> Self {
+        Table {
+            map,
+            line: 1,
+            path: String::new(),
+            index: 0,
+            name,
+            in_force: String::new(),
+            seen: 0,
+        }
+    }
+
+    fn context(&self) -> String {
+        match self.index {
+            _ if self.path.is_empty() => self.name.to_string(),
+            0 => format!("[{}]", self.path),
+            i => format!("[[{}]] #{i}", self.path),
+        }
+    }
+
+    /// An error about `key`, at its line (the header's when it is absent).
+    pub(crate) fn error(&self, key: &str, message: impl fmt::Display) -> ParseError {
+        ParseError {
+            line: self.map.get(key).map_or(self.line, |item| item.line),
+            message: format!("{}: {message}", self.context()),
+        }
+    }
+
+    /// Whether `key` is present; does not count as reading it.
+    pub(crate) fn has(&self, key: &str) -> bool {
+        self.map.contains_key(key)
+    }
+
+    fn get(&mut self, key: &str) -> Option<&'a Item> {
+        let (i, (_, item)) = self.map.iter().enumerate().find(|(_, (k, _))| *k == key)?;
+        if i < 64 {
+            self.seen |= 1 << i;
+        }
+        Some(item)
+    }
+
+    /// Read `key` as a `T`; `None` when absent.
+    pub(crate) fn opt<T: FromValue<'a>>(&mut self, key: &str) -> Result<Option<T>, ParseError> {
+        let Some(item) = self.get(key) else {
+            return Ok(None);
+        };
+        T::from_value(item)
+            .map(Some)
+            .map_err(|what| self.error(key, format_args!("`{key}`: expected {what}")))
+    }
+
+    /// Read `key` as a `T`, or `default` when absent.
+    pub fn or<T: FromValue<'a>>(&mut self, key: &str, default: T) -> Result<T, ParseError> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// Read `key` as a `T`; absent is an error at the table's header.
+    pub fn req<T: FromValue<'a>>(&mut self, key: &str) -> Result<T, ParseError> {
+        self.opt(key)?.ok_or_else(|| {
+            let what = T::WHAT;
+            self.error(
+                key,
+                format_args!("`{key}`: expected {what}, but the key is missing"),
+            )
+        })
+    }
+
+    /// Read the string that selects which other keys the table reads
+    /// (`kind`, `action`, …); `finish` names it when it rejects a key.
+    pub(crate) fn select(
+        &mut self,
+        key: &str,
+        default: Option<&'a str>,
+    ) -> Result<&'a str, ParseError> {
+        let value = match default {
+            Some(default) => self.or(key, default)?,
+            None => self.req(key)?,
+        };
+        let sep = if self.in_force.is_empty() { "" } else { ", " };
+        let _ = write!(self.in_force, "{sep}{key} = \"{value}\"");
+        Ok(value)
+    }
+
+    /// Read `key` as a sub-table; an absent key reads as an empty table.
+    pub fn sub(&mut self, key: &str) -> Result<Table<'a>, ParseError> {
+        let item = self.get(key);
+        self.child(key, item, 0)
+    }
+
+    /// Read `key` as an array of tables (`[[key]]`); empty when absent.
+    pub(crate) fn array(&mut self, key: &str) -> Result<Vec<Table<'a>>, ParseError> {
+        let Some(item) = self.get(key) else {
+            return Ok(Vec::new());
+        };
+        let items = item
+            .as_array()
+            .ok_or_else(|| self.error(key, format_args!("`{key}`: expected array of tables")))?;
+        (1..)
+            .zip(items)
+            .map(|(i, item)| self.child(key, Some(item), i))
+            .collect()
+    }
+
+    fn child(
+        &self,
+        key: &str,
+        item: Option<&'a Item>,
+        index: usize,
+    ) -> Result<Table<'a>, ParseError> {
+        let (map, line) = match item {
+            None => (&EMPTY, self.line),
+            Some(Item {
+                line,
+                value: Value::Table(map),
+            }) => (map, *line),
+            Some(item) => {
+                let message = format!("{}: `{key}`: expected table", self.context());
+                return err(item.line, message);
+            }
+        };
+        let path = match self.path.as_str() {
+            "" => key.to_string(),
+            parent => format!("{parent}.{key}"),
+        };
+        Ok(Table {
+            map,
+            line,
+            path,
+            index,
+            ..Table::root(map, self.name)
+        })
+    }
+
+    /// Reject the first key no read asked for.
+    pub fn finish(self) -> Result<(), ParseError> {
+        let unread =
+            (self.map.keys().enumerate()).find(|&(i, _)| i >= 64 || self.seen & (1 << i) == 0);
+        let Some((_, key)) = unread else {
+            return Ok(());
+        };
+        Err(match self.in_force.as_str() {
+            "" => self.error(key, format_args!("unknown key `{key}`")),
+            selectors => self.error(key, format_args!("unknown key `{key}` for {selectors}")),
+        })
     }
 }
 
