@@ -769,7 +769,7 @@ mod tests {
         assert!(lint(src).iter().any(|f| f.rule == RuleId::D002));
         let allowed = FileScope {
             d002_allowed: true,
-            ..scope("crates/bench/src/lib.rs")
+            ..scope("crates/runtime/src/lib.rs")
         };
         let findings = lint_file(allowed, &tokenize(src));
         assert!(findings.is_empty(), "{findings:?}");

@@ -168,7 +168,7 @@ mod tests {
             .filter(|id| (300_000..400_000).contains(id))
             .collect();
         assert_eq!(ghosts.len(), 1, "one ghost spliced into the payload");
-        assert!(in_flight.priorities.contains_key(&NodeId(ghosts[0])));
+        assert!(in_flight.priorities.get(NodeId(ghosts[0])).is_some());
         // the sender's copy survives byte-for-byte
         assert_eq!(original, node.build_message());
         assert!(!Arc::ptr_eq(&in_flight.list, &original.list));

@@ -26,9 +26,9 @@
 //! 100k-node scale. The observable semantics (level contents, entry
 //! iteration order, equality) are identical to the historical
 //! `Vec<BTreeMap<NodeId, Mark>>` layout, which survives as the executable
-//! reference implementation in [`naive`]; the golden trace digests pin the
-//! equivalence end to end and `tests/property_flat_list.rs` pins it
-//! operation by operation.
+//! reference implementation in `tests/property_flat_list.rs`, where it pins
+//! the equivalence operation by operation; the golden trace digests pin it
+//! end to end.
 
 use crate::marks::Mark;
 use dyngraph::NodeId;
@@ -169,6 +169,18 @@ impl AncestorList {
     pub fn level_contains(&self, i: usize, node: NodeId) -> bool {
         self.level(i)
             .is_some_and(|l| l.binary_search_by_key(&node, |&(n, _)| n).is_ok())
+    }
+
+    /// Does some level quote this node unmarked — is it one of
+    /// [`unmarked_nodes`](Self::unmarked_nodes)? One binary search per
+    /// level, no set built.
+    pub fn quotes_unmarked(&self, node: NodeId) -> bool {
+        (0..self.len()).any(|i| {
+            self.level(i).is_some_and(|l| {
+                l.binary_search_by_key(&node, |&(n, _)| n)
+                    .is_ok_and(|j| !l[j].1.is_marked())
+            })
+        })
     }
 
     /// The node ids of the `i`-th ancestors' set (empty set when absent).
@@ -430,117 +442,6 @@ impl fmt::Display for AncestorList {
             write!(f, "}}")?;
         }
         write!(f, ")")
-    }
-}
-
-pub mod naive {
-    //! The historical `Vec<BTreeMap>` list implementation, retained as the
-    //! executable reference the flat representation is property-tested
-    //! against (`tests/property_flat_list.rs`). Not used on any runtime
-    //! path.
-
-    use super::{AncestorList, Entry};
-    use crate::marks::Mark;
-    use dyngraph::NodeId;
-    use std::collections::{BTreeMap, BTreeSet};
-
-    /// An ancestors' list stored one `BTreeMap` per level.
-    #[derive(Clone, Debug, Default, PartialEq, Eq)]
-    pub struct NaiveList {
-        pub levels: Vec<BTreeMap<NodeId, Mark>>,
-    }
-
-    impl NaiveList {
-        pub fn from_levels(levels: Vec<Vec<Entry>>) -> Self {
-            let mut list = NaiveList {
-                levels: levels
-                    .into_iter()
-                    .map(|level| level.into_iter().collect())
-                    .collect(),
-            };
-            list.trim_trailing_empty();
-            list
-        }
-
-        /// Convert a flat list to the naive layout.
-        pub fn from_flat(flat: &AncestorList) -> Self {
-            NaiveList {
-                levels: (0..flat.len())
-                    .map(|i| flat.level(i).unwrap_or(&[]).iter().copied().collect())
-                    .collect(),
-            }
-        }
-
-        /// Convert back to the flat layout.
-        pub fn to_flat(&self) -> AncestorList {
-            AncestorList::from_levels(
-                self.levels
-                    .iter()
-                    .map(|l| l.iter().map(|(&n, &m)| (n, m)).collect())
-                    .collect(),
-            )
-        }
-
-        pub fn singleton(node: NodeId) -> Self {
-            NaiveList::from_levels(vec![vec![(node, Mark::Clear)]])
-        }
-
-        pub fn shifted(&self) -> NaiveList {
-            let mut levels = Vec::with_capacity(self.levels.len() + 1);
-            levels.push(BTreeMap::new());
-            levels.extend(self.levels.iter().cloned());
-            NaiveList { levels }
-        }
-
-        pub fn merge(&self, other: &NaiveList) -> NaiveList {
-            let depth = self.levels.len().max(other.levels.len());
-            let mut levels: Vec<BTreeMap<NodeId, Mark>> = Vec::with_capacity(depth);
-            for i in 0..depth {
-                let mut level: BTreeMap<NodeId, Mark> = BTreeMap::new();
-                for side in [self.levels.get(i), other.levels.get(i)]
-                    .into_iter()
-                    .flatten()
-                {
-                    for (&n, &m) in side {
-                        level
-                            .entry(n)
-                            .and_modify(|cur| *cur = cur.combine(m))
-                            .or_insert(m);
-                    }
-                }
-                levels.push(level);
-            }
-            // dedup: a node appears only once, at its smallest position
-            let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-            for level in &mut levels {
-                level.retain(|n, _| seen.insert(*n));
-            }
-            let mut result = NaiveList { levels };
-            result.trim_trailing_empty();
-            result
-        }
-
-        pub fn ant(&self, other: &NaiveList) -> NaiveList {
-            self.merge(&other.shifted())
-        }
-
-        pub fn remove_marked_except(&mut self, keep: NodeId) {
-            for level in &mut self.levels {
-                level.retain(|&n, &mut m| !m.is_marked() || (n == keep && m == Mark::Pending));
-            }
-            self.trim_trailing_empty();
-        }
-
-        pub fn truncate(&mut self, max_levels: usize) {
-            self.levels.truncate(max_levels);
-            self.trim_trailing_empty();
-        }
-
-        fn trim_trailing_empty(&mut self) {
-            while matches!(self.levels.last(), Some(l) if l.is_empty()) {
-                self.levels.pop();
-            }
-        }
     }
 }
 

@@ -19,7 +19,6 @@
 
 use crate::ancestor_list::AncestorList;
 use dyngraph::NodeId;
-use std::collections::BTreeSet;
 
 /// The `goodList` test (Section 4.3).
 ///
@@ -34,29 +33,27 @@ pub fn good_list(own_id: NodeId, list: &AncestorList, dmax: usize) -> bool {
 }
 
 /// Number of levels of actual group content: levels are counted up to the
-/// deepest one containing an unmarked node not in `exclude`.
-fn core_len(list: &AncestorList, exclude: &BTreeSet<NodeId>) -> usize {
-    let mut deepest = None;
-    for i in 0..list.len() {
-        if let Some(level) = list.level(i) {
-            let has_content = level
+/// deepest one containing an unmarked node not `excluded`.
+fn core_len(list: &AncestorList, excluded: impl Fn(NodeId) -> bool) -> usize {
+    (0..list.len())
+        .rev()
+        .find(|&i| {
+            list.level(i)
+                .unwrap_or(&[])
                 .iter()
-                .any(|&(n, m)| !m.is_marked() && !exclude.contains(&n));
-            if has_content {
-                deepest = Some(i);
-            }
-        }
-    }
-    deepest.map(|i| i + 1).unwrap_or(0)
+                .any(|&(n, m)| !m.is_marked() && !excluded(n))
+        })
+        .map_or(0, |i| i + 1)
 }
 
-/// What must be ignored when measuring the *new* depth a received list would
-/// add to our group: our own identity, plus every node we already know
-/// unmarked (information we already hold adds no diameter).
-fn received_exclusions(own_id: NodeId, own_list: &AncestorList) -> BTreeSet<NodeId> {
-    let mut exclude = own_list.unmarked_nodes();
-    exclude.insert(own_id);
-    exclude
+/// The group-core lengths of our list and of a received one. What must be
+/// ignored when measuring the *new* depth a received list would add to our
+/// group: our own identity, plus every node we already know unmarked
+/// (information we already hold adds no diameter).
+fn core_lens(own_id: NodeId, own_list: &AncestorList, received: &AncestorList) -> (usize, usize) {
+    let own_len = core_len(own_list, |_| false);
+    let recv_len = core_len(received, |n| n == own_id || own_list.quotes_unmarked(n));
+    (own_len, recv_len)
 }
 
 /// The `compatibleList` test (Section 4.3, Proposition 13).
@@ -77,14 +74,16 @@ fn received_exclusions(own_id: NodeId, own_list: &AncestorList) -> BTreeSet<Node
 ///   because an over-acceptance is repaired by the far-node arbitration and
 ///   the priority mechanism, whereas an over-rejection has no repair path
 ///   and freezes mergeable groups apart (breaking ΠM).
+///
+/// Builds no set: every membership question is a binary search in a
+/// sorted level slice.
 pub fn compatible_list(
     own_id: NodeId,
     own_list: &AncestorList,
     received: &AncestorList,
     dmax: usize,
 ) -> bool {
-    let own_len = core_len(own_list, &BTreeSet::new());
-    let recv_len = core_len(received, &received_exclusions(own_id, own_list));
+    let (own_len, recv_len) = core_lens(own_id, own_list, received);
     if own_len == 0 || recv_len == 0 {
         return true;
     }
@@ -95,32 +94,20 @@ pub fn compatible_list(
     let p = own_len - 1;
     let q = recv_len - 1;
     // Optimised condition: fold through a level fully adjacent to the sender.
-    let sender_neighbours: BTreeSet<NodeId> = received.level_nodes(1);
-    if sender_neighbours.is_empty() {
+    if received.level(1).is_none_or(|l| l.is_empty()) {
         return false;
     }
-    for i in 0..=p {
-        let our_level: BTreeSet<NodeId> = own_list
+    (0..=p).any(|i| {
+        let mut our_level = own_list
             .level(i)
-            .map(|lvl| {
-                lvl.iter()
-                    .filter(|(_, mark)| !mark.is_marked())
-                    .map(|&(node, _)| node)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if our_level.is_empty() {
-            continue;
-        }
-        if our_level.is_subset(&sender_neighbours) {
-            let via_far_side = p - i + 1 + q;
-            let via_shortcut = i / 2 + q + 1;
-            if via_far_side.min(via_shortcut) <= dmax {
-                return true;
-            }
-        }
-    }
-    false
+            .unwrap_or(&[])
+            .iter()
+            .filter(|(_, mark)| !mark.is_marked())
+            .peekable();
+        let fold = our_level.peek().is_some()
+            && our_level.all(|&(node, _)| received.level_contains(1, node));
+        fold && (p - i + 1 + q).min(i / 2 + q + 1) <= dmax
+    })
 }
 
 /// The naive compatibility test used by the E10 ablation: only the
@@ -131,8 +118,7 @@ pub fn naive_compatible_list(
     received: &AncestorList,
     dmax: usize,
 ) -> bool {
-    let own_len = core_len(own_list, &BTreeSet::new());
-    let recv_len = core_len(received, &received_exclusions(own_id, own_list));
+    let (own_len, recv_len) = core_lens(own_id, own_list, received);
     own_len == 0 || recv_len == 0 || own_len + recv_len <= dmax + 1
 }
 

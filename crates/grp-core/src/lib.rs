@@ -28,6 +28,8 @@
 //! * [`node`] — the per-node state and the `compute()` procedure
 //!   (Section 4.3);
 //! * [`message`] — the broadcast message format (list + priorities);
+//! * [`table`] — [`NodeTable`], the id-sorted flat table behind `msgSetv`,
+//!   the priority tables and the quarantine counters;
 //! * [`config`] — protocol parameters (`Dmax`, ablation switches);
 //! * [`adapter`] — the [`netsim::Protocol`] implementation so GRP runs on
 //!   the simulator;
@@ -74,6 +76,7 @@ pub mod observers;
 pub mod predicates;
 pub mod priority;
 pub mod stabilization;
+pub mod table;
 
 pub use ancestor_list::AncestorList;
 pub use checks::{compatible_list, good_list};
@@ -88,3 +91,4 @@ pub use observers::{
 pub use predicates::{OmegaPartition, SystemSnapshot};
 pub use priority::Priority;
 pub use stabilization::ConvergenceDetector;
+pub use table::NodeTable;

@@ -9,9 +9,9 @@
 
 use crate::ancestor_list::AncestorList;
 use crate::priority::Priority;
+use crate::table::NodeTable;
 use dyngraph::NodeId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The priorities the sender knows about one quoted node.
@@ -49,8 +49,8 @@ pub struct GrpMessage {
     pub sender: NodeId,
     /// The sender's ordered list of ancestors' sets (with marks).
     pub list: Arc<AncestorList>,
-    /// Per-quoted-node priorities.
-    pub priorities: Arc<BTreeMap<NodeId, PriorityInfo>>,
+    /// Per-quoted-node priorities, in ascending id order.
+    pub priorities: Arc<NodeTable<PriorityInfo>>,
     /// The priority of the sender's group (minimum over its view).
     pub group_priority: Priority,
 }
@@ -66,7 +66,7 @@ impl GrpMessage {
 
     /// The priorities the sender attributes to a node, if quoted.
     pub fn priority_of(&self, node: NodeId) -> Option<PriorityInfo> {
-        self.priorities.get(&node).copied()
+        self.priorities.get(node).copied()
     }
 }
 
@@ -84,12 +84,13 @@ mod tests {
         let small = GrpMessage {
             sender: n(1),
             list: Arc::new(AncestorList::singleton(n(1))),
-            priorities: Arc::new(BTreeMap::new()),
+            priorities: Arc::new(NodeTable::new()),
             group_priority: Priority::new(0, n(1)),
         };
-        let mut priorities = BTreeMap::new();
-        priorities.insert(n(1), PriorityInfo::solo(Priority::new(0, n(1))));
-        priorities.insert(n(2), PriorityInfo::solo(Priority::new(0, n(2))));
+        let priorities = [1, 2]
+            .map(|i| (n(i), PriorityInfo::solo(Priority::new(0, n(i)))))
+            .into_iter()
+            .collect();
         let big = GrpMessage {
             sender: n(1),
             list: Arc::new(AncestorList::from_levels(vec![
@@ -108,9 +109,8 @@ mod tests {
 
     #[test]
     fn priority_lookup() {
-        let mut priorities = BTreeMap::new();
         let p = PriorityInfo::new(Priority::new(3, n(2)), Priority::new(1, n(9)));
-        priorities.insert(n(2), p);
+        let priorities = [(n(2), p)].into_iter().collect();
         let msg = GrpMessage {
             sender: n(1),
             list: Arc::new(AncestorList::singleton(n(1))),

@@ -6,6 +6,11 @@
 //! the node priority. The [`GrpNode::compute`] method is a line-by-line
 //! transcription of the `compute()` pseudo-code (the line numbers quoted in
 //! the comments refer to the paper's listing).
+//!
+//! The per-node tables — `msgSetv`, the learnt priorities and the
+//! quarantine counters — are [`NodeTable`]s, flat vectors sorted by node
+//! id: a compute round updates known ids in place and adds new ones in one
+//! ordered merge, instead of inserting into trees.
 
 use crate::ancestor_list::{AncestorList, MergeScratch};
 use crate::checks::{compatible_list, good_list, naive_compatible_list};
@@ -13,8 +18,9 @@ use crate::config::GrpConfig;
 use crate::marks::Mark;
 use crate::message::{GrpMessage, PriorityInfo};
 use crate::priority::{group_priority, Priority};
+use crate::table::NodeTable;
 use dyngraph::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One GRP protocol instance (the local algorithm of node `v`).
@@ -30,10 +36,10 @@ pub struct GrpNode {
     view: BTreeSet<NodeId>,
     /// `msgSetv`: last message received from each neighbour since the last
     /// compute (only the most recent per sender is kept).
-    msg_set: BTreeMap<NodeId, GrpMessage>,
+    msg_set: NodeTable<GrpMessage>,
     /// Quarantine counters of candidate members (rounds remaining before
     /// they may enter the view).
-    quarantine: BTreeMap<NodeId, u32>,
+    quarantine: NodeTable<u32>,
     /// The logical-clock component of this node's priority ("oldness").
     /// Implemented as a membership-epoch counter: it advances when the node
     /// *leaves* a group (and stays frozen inside a group), so that nodes
@@ -44,7 +50,7 @@ pub struct GrpNode {
     /// compute? Used to detect the in-group → alone transition.
     was_in_group: bool,
     /// Priorities learnt from received messages, per quoted node.
-    known_priorities: BTreeMap<NodeId, PriorityInfo>,
+    known_priorities: NodeTable<PriorityInfo>,
     /// Number of compute-timer expirations so far (diagnostics).
     compute_count: u64,
     /// Reusable buffers for the `ant` folds of `compute()`.
@@ -66,11 +72,11 @@ impl GrpNode {
             config,
             list: AncestorList::singleton(id),
             view,
-            msg_set: BTreeMap::new(),
-            quarantine: BTreeMap::new(),
+            msg_set: NodeTable::new(),
+            quarantine: NodeTable::new(),
             priority_value: 0,
             was_in_group: false,
-            known_priorities: BTreeMap::new(),
+            known_priorities: NodeTable::new(),
             compute_count: 0,
             scratch: MergeScratch::default(),
             cached_message: None,
@@ -125,7 +131,7 @@ impl GrpNode {
                 self.priority()
             } else {
                 self.known_priorities
-                    .get(&m)
+                    .get(m)
                     .map(|i| i.node)
                     .unwrap_or_else(|| Priority::new(u64::MAX, m))
             }
@@ -135,7 +141,7 @@ impl GrpNode {
 
     /// Remaining quarantine of a candidate, if it is being tracked.
     pub fn quarantine_of(&self, node: NodeId) -> Option<u32> {
-        self.quarantine.get(&node).copied()
+        self.quarantine.get(node).copied()
     }
 
     /// "Upon reception of a message msg sent by a node u: update message of
@@ -149,11 +155,10 @@ impl GrpNode {
     pub fn build_message(&self) -> GrpMessage {
         let my_priority = self.priority();
         let my_group_priority = self.group_priority();
-        let mut priorities = BTreeMap::new();
-        for node in self.list.all_nodes() {
-            let info = if node == self.id {
+        let info_of = |node: NodeId| {
+            if node == self.id {
                 PriorityInfo::new(my_priority, my_group_priority)
-            } else if let Some(&known) = self.known_priorities.get(&node) {
+            } else if let Some(&known) = self.known_priorities.get(node) {
                 // a view member shares our group priority; otherwise relay
                 // what we learnt about its group
                 let group = if self.view.contains(&node) {
@@ -166,9 +171,13 @@ impl GrpNode {
                 // quoted but of unknown priority: advertise the weakest
                 // possible priority so it never wins an arbitration by error
                 PriorityInfo::solo(Priority::new(u64::MAX, node))
-            };
-            priorities.insert(node, info);
-        }
+            }
+        };
+        let priorities = self
+            .list
+            .entries()
+            .map(|(node, _, _)| (node, info_of(node)))
+            .collect();
         GrpMessage {
             sender: self.id,
             list: Arc::new(self.list.clone()),
@@ -199,15 +208,21 @@ impl GrpNode {
     }
 
     /// The `compute()` procedure of Section 4.3.
+    ///
+    /// A round allocates the checked-list `Vec`, a copy of every received
+    /// list (line 2 edits it), the new `listv` plus a marked singleton per
+    /// rejected sender, the sorted unmarked ids of `listv`, the view's set
+    /// when the view changes, and a new priority or quarantine table when
+    /// ids join it. The `ant` merge buffers and `msgSetv` are reused.
     pub fn compute(&mut self) {
         self.compute_count += 1;
         let dmax = self.config.dmax;
         self.absorb_priorities();
 
         // ------------------------------------------------------- lines 1-9
-        // Checking the received lists.
-        let mut checked: BTreeMap<NodeId, AncestorList> = BTreeMap::new();
-        for (&sender, msg) in &self.msg_set {
+        // Checking the received lists, in sender order.
+        let mut checked: Vec<(NodeId, AncestorList)> = Vec::with_capacity(self.msg_set.len());
+        for &(sender, ref msg) in &self.msg_set {
             let mut lu = (*msg.list).clone();
             // line 2: marked nodes are only useful between neighbours
             lu.remove_marked_except(self.id);
@@ -218,40 +233,34 @@ impl GrpNode {
                 // lines 6-8: new sender whose list cannot be accepted
                 lu = AncestorList::marked_singleton(sender, Mark::Incompatible);
             }
-            checked.insert(sender, lu);
+            checked.push((sender, lu));
         }
 
         // ---------------------------------------------------- lines 10-13
-        // Computing the list of ancestors' sets of v with the ant operator.
-        // The fold runs through the node's reusable merge buffers: once
-        // they have grown to the working-set size a whole round of `ant`s
-        // allocates nothing.
+        // Computing the list of ancestors' sets of v with the ant operator,
+        // through the node's reusable merge buffers.
         let mut lv = AncestorList::singleton(self.id);
-        for lu in checked.values() {
+        for (_, lu) in &checked {
             lv.ant_assign(lu, &mut self.scratch);
         }
 
         // ---------------------------------------------------- lines 14-29
         // Removal of incoming lists containing too-far nodes with priority.
         if lv.len() > dmax + 1 {
-            let far_nodes = lv.level_nodes(dmax + 1);
-            for w in far_nodes {
+            for &(w, _) in lv.level(dmax + 1).unwrap_or(&[]) {
                 if self.far_node_has_priority(w) {
                     // lines 17-21: the neighbours that provided w (w in the
                     // last place of their list) are ignored and double-marked
-                    let providers: Vec<NodeId> = checked
-                        .iter()
-                        .filter(|(_, lu)| lu.level_contains(dmax, w))
-                        .map(|(&u, _)| u)
-                        .collect();
-                    for u in providers {
-                        checked.insert(u, AncestorList::marked_singleton(u, Mark::Incompatible));
+                    for (u, lu) in &mut checked {
+                        if lu.level_contains(dmax, w) {
+                            *lu = AncestorList::marked_singleton(*u, Mark::Incompatible);
+                        }
                     }
                 }
             }
             // lines 24-27: recompute without the offending lists
             lv = AncestorList::singleton(self.id);
-            for lu in checked.values() {
+            for (_, lu) in &checked {
                 lv.ant_assign(lu, &mut self.scratch);
             }
             // line 28: the remaining too-far nodes have less priority — cut
@@ -261,17 +270,25 @@ impl GrpNode {
         self.list = lv;
 
         // -------------------------------------------------------- line 30
-        self.update_quarantines();
+        // the unmarked nodes of listv, sorted once for lines 30 and 31
+        let mut unmarked: Vec<NodeId> = self
+            .list
+            .entries()
+            .filter(|&(_, _, mark)| !mark.is_marked())
+            .map(|(node, _, _)| node)
+            .collect();
+        unmarked.sort_unstable();
+        unmarked.dedup();
+        self.update_quarantines(&unmarked);
 
         // -------------------------------------------------------- line 31
-        // viewv ← non-marked nodes of listv with null quarantine.
-        self.view = self
-            .list
-            .unmarked_nodes()
-            .into_iter()
-            .filter(|&x| x == self.id || self.quarantine.get(&x).copied().unwrap_or(0) == 0)
-            .collect();
-        self.view.insert(self.id);
+        // viewv ← non-marked nodes of listv with null quarantine. Our own
+        // id is unmarked at level 0 of every computed list, so it is in.
+        let own_id = self.id;
+        unmarked.retain(|&x| x == own_id || self.quarantine.get(x).is_none_or(|&q| q == 0));
+        if !self.view.iter().eq(&unmarked) {
+            self.view = unmarked.into_iter().collect();
+        }
 
         // -------------------------------------------------------- line 32
         // Priorities only move while the node is not in a group: the
@@ -305,7 +322,7 @@ impl GrpNode {
         if w == self.id {
             return false;
         }
-        match self.known_priorities.get(&w) {
+        match self.known_priorities.get(w) {
             Some(info) => {
                 if self.view.contains(&w) {
                     info.node.beats(&self.priority())
@@ -319,70 +336,64 @@ impl GrpNode {
 
     /// Learn priorities quoted in the received messages. A sender is the
     /// authority on its own priority; for third-party nodes any quote is
-    /// accepted (the newest message wins by iteration order). Both passes
-    /// read `msgSetv` in place — `msg_set` and `known_priorities` are
-    /// disjoint fields, so no copy of the message set is needed.
+    /// accepted (the newest message wins by iteration order). Known ids are
+    /// updated in place; the ids learnt this round enter in one merge.
     fn absorb_priorities(&mut self) {
         let own_id = self.id;
-        for msg in self.msg_set.values() {
-            for (&node, &info) in msg.priorities.iter() {
+        let mut learnt = Vec::new();
+        for (_, msg) in &self.msg_set {
+            for &(node, info) in msg.priorities.iter() {
                 if node == own_id {
                     continue;
                 }
-                self.known_priorities.insert(node, info);
+                match self.known_priorities.get_mut(node) {
+                    Some(known) => *known = info,
+                    None => learnt.push((node, info)),
+                }
             }
         }
-        for msg in self.msg_set.values() {
-            if let Some(&self_info) = msg.priorities.get(&msg.sender) {
-                self.known_priorities.insert(msg.sender, self_info);
+        self.known_priorities.extend(learnt);
+        for (sender, msg) in &self.msg_set {
+            if let Some(&self_info) = msg.priorities.get(*sender) {
+                self.known_priorities.insert(*sender, self_info);
             }
         }
     }
 
     /// Line 30: the quarantine of new nodes is `Dmax`; non-null quarantines
-    /// of already-known candidates decrease by one.
+    /// of already-known candidates decrease by one. `unmarked` holds the
+    /// unmarked nodes of the new `listv`, sorted.
     ///
     /// A candidate that briefly drops out of the list (e.g. while a boundary
     /// neighbour momentarily rejects us) keeps its quarantine entry and
     /// continues ageing: treating every reappearance as a brand-new arrival
     /// resets the counter for ever and freezes mergeable groups apart.
     /// Entries of nodes that stay absent age out and are dropped once they
-    /// reach zero, so the map stays bounded by the recently-seen nodes.
-    fn update_quarantines(&mut self) {
-        let unmarked = self.list.unmarked_nodes();
-        for &x in &unmarked {
-            if x == self.id {
-                continue;
-            }
-            if self.view.contains(&x) {
-                self.quarantine.insert(x, 0);
-                continue;
-            }
-            match self.quarantine.get_mut(&x) {
-                Some(q) => {
-                    if *q > 0 {
-                        *q -= 1;
-                    }
-                }
-                None => {
-                    self.quarantine.insert(x, self.config.quarantine_rounds());
-                }
-            }
-        }
+    /// reach zero, so the table stays bounded by the recently-seen nodes.
+    fn update_quarantines(&mut self, unmarked: &[NodeId]) {
         let own_id = self.id;
-        self.quarantine.retain(|n, q| {
-            if unmarked.contains(n) {
+        self.quarantine.retain_mut(|node, q| {
+            if unmarked.binary_search(&node).is_ok() {
+                if node != own_id {
+                    *q = if self.view.contains(&node) {
+                        0
+                    } else {
+                        q.saturating_sub(1)
+                    };
+                }
                 return true;
             }
-            if *n == own_id {
-                return false;
-            }
             // absent candidate: age the entry and forget it once expired
-            if *q > 0 {
-                *q -= 1;
-            }
-            *q > 0
+            *q = q.saturating_sub(1);
+            node != own_id && *q > 0
         });
+        let fresh = self.config.quarantine_rounds();
+        let arrivals: Vec<(NodeId, u32)> = unmarked
+            .iter()
+            .filter(|&&x| x != own_id && self.quarantine.get(x).is_none())
+            .map(|&x| (x, if self.view.contains(&x) { 0 } else { fresh }))
+            .collect();
+        self.quarantine.extend(arrivals);
     }
 
     /// Overwrite the local state with arbitrary values (transient fault).
@@ -446,19 +457,19 @@ impl GrpNode {
         feed_list(&self.list, hasher);
         hasher.feed_node_set(self.view.iter().copied());
         hasher.feed_u64(self.msg_set.len() as u64);
-        for (&sender, msg) in &self.msg_set {
+        for (sender, msg) in &self.msg_set {
             hasher.feed_u64(sender.raw());
             Self::feed_message_canonical(msg, hasher);
         }
         hasher.feed_u64(self.quarantine.len() as u64);
-        for (&node, &q) in &self.quarantine {
+        for &(node, q) in &self.quarantine {
             hasher.feed_u64(node.raw());
             hasher.feed_u64(q as u64);
         }
         hasher.feed_u64(self.priority_value);
         hasher.feed_bool(self.was_in_group);
         hasher.feed_u64(self.known_priorities.len() as u64);
-        for (&node, info) in &self.known_priorities {
+        for (node, info) in &self.known_priorities {
             hasher.feed_u64(node.raw());
             feed_priority_info(info, hasher);
         }
@@ -472,7 +483,7 @@ impl GrpNode {
         hasher.feed_u64(msg.sender.raw());
         feed_list(&msg.list, hasher);
         hasher.feed_u64(msg.priorities.len() as u64);
-        for (&node, info) in msg.priorities.iter() {
+        for (node, info) in msg.priorities.iter() {
             hasher.feed_u64(node.raw());
             feed_priority_info(info, hasher);
         }
@@ -605,6 +616,7 @@ fn mark_tag(mark: Mark) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
@@ -881,7 +893,7 @@ mod tests {
         let msg = nodes[&n(2)].build_message();
         for node in msg.list.all_nodes() {
             assert!(
-                msg.priorities.contains_key(&node),
+                msg.priorities.get(node).is_some(),
                 "missing priority for {node}"
             );
         }

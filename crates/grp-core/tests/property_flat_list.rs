@@ -1,5 +1,5 @@
-//! The flat CSR `AncestorList` against the retained naive `Vec<BTreeMap>`
-//! reference implementation (`grp_core::ancestor_list::naive`): every
+//! The flat CSR `AncestorList` against the historical `Vec<BTreeMap>`
+//! reference implementation ([`naive`], kept here as the oracle): every
 //! operation of the r-operator algebra must agree on arbitrary lists —
 //! including *raw* (non-canonical) lists with internal empty levels and
 //! cross-level duplicates, which `from_levels` admits and `goodList` is
@@ -7,9 +7,108 @@
 //! round trip, the shape the serialized form exposes.
 
 use dyngraph::NodeId;
-use grp_core::ancestor_list::{naive::NaiveList, AncestorList, MergeScratch};
+use grp_core::ancestor_list::{AncestorList, MergeScratch};
 use grp_core::marks::Mark;
+use naive::NaiveList;
 use proptest::prelude::*;
+
+/// The historical `Vec<BTreeMap>` list implementation: the executable
+/// reference the flat representation is checked against.
+mod naive {
+    use dyngraph::NodeId;
+    use grp_core::ancestor_list::{AncestorList, Entry};
+    use grp_core::marks::Mark;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// An ancestors' list stored one `BTreeMap` per level.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct NaiveList {
+        pub levels: Vec<BTreeMap<NodeId, Mark>>,
+    }
+
+    impl NaiveList {
+        pub fn from_levels(levels: Vec<Vec<Entry>>) -> Self {
+            let mut list = NaiveList {
+                levels: levels
+                    .into_iter()
+                    .map(|level| level.into_iter().collect())
+                    .collect(),
+            };
+            list.trim_trailing_empty();
+            list
+        }
+
+        /// Convert a flat list to the naive layout.
+        pub fn from_flat(flat: &AncestorList) -> Self {
+            NaiveList {
+                levels: (0..flat.len())
+                    .map(|i| flat.level(i).unwrap_or(&[]).iter().copied().collect())
+                    .collect(),
+            }
+        }
+
+        pub fn singleton(node: NodeId) -> Self {
+            NaiveList::from_levels(vec![vec![(node, Mark::Clear)]])
+        }
+
+        pub fn shifted(&self) -> NaiveList {
+            let mut levels = Vec::with_capacity(self.levels.len() + 1);
+            levels.push(BTreeMap::new());
+            levels.extend(self.levels.iter().cloned());
+            NaiveList { levels }
+        }
+
+        pub fn merge(&self, other: &NaiveList) -> NaiveList {
+            let depth = self.levels.len().max(other.levels.len());
+            let mut levels: Vec<BTreeMap<NodeId, Mark>> = Vec::with_capacity(depth);
+            for i in 0..depth {
+                let mut level: BTreeMap<NodeId, Mark> = BTreeMap::new();
+                for side in [self.levels.get(i), other.levels.get(i)]
+                    .into_iter()
+                    .flatten()
+                {
+                    for (&n, &m) in side {
+                        level
+                            .entry(n)
+                            .and_modify(|cur| *cur = cur.combine(m))
+                            .or_insert(m);
+                    }
+                }
+                levels.push(level);
+            }
+            // dedup: a node appears only once, at its smallest position
+            let mut seen: BTreeSet<NodeId> = BTreeSet::new();
+            for level in &mut levels {
+                level.retain(|n, _| seen.insert(*n));
+            }
+            let mut result = NaiveList { levels };
+            result.trim_trailing_empty();
+            result
+        }
+
+        pub fn ant(&self, other: &NaiveList) -> NaiveList {
+            self.merge(&other.shifted())
+        }
+
+        pub fn remove_marked_except(&mut self, keep: NodeId) {
+            for level in &mut self.levels {
+                level.retain(|&n, &mut m| !m.is_marked() || (n == keep && m == Mark::Pending));
+            }
+            self.trim_trailing_empty();
+        }
+
+        pub fn truncate(&mut self, max_levels: usize) {
+            self.levels.truncate(max_levels);
+            self.trim_trailing_empty();
+        }
+
+        fn trim_trailing_empty(&mut self) {
+            while matches!(self.levels.last(), Some(l) if l.is_empty()) {
+                self.levels.pop();
+            }
+        }
+    }
+}
 
 /// An arbitrary *raw* levels value: up to 5 levels of up to 4 entries over
 /// ids 0..20, arbitrary marks, duplicates and empty levels allowed.
@@ -45,7 +144,8 @@ fn both(levels: Vec<Vec<(NodeId, Mark)>>) -> (AncestorList, NaiveList) {
 
 /// Flat and naive lists agree when they have the same level-by-level
 /// layout. Compared through the layout-preserving `from_flat` conversion —
-/// `to_flat` would canonicalise (trim a trailing empty level), and e.g.
+/// rebuilding a flat list with `from_levels` would canonicalise (trim a
+/// trailing empty level), and e.g.
 /// `shifted()` of the empty list legitimately carries one.
 fn agree(flat: &AncestorList, naive: &NaiveList) -> bool {
     NaiveList::from_flat(flat) == *naive
