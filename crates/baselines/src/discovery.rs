@@ -9,7 +9,6 @@
 //! their source stops being heard.
 
 use dyngraph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// The distance vector rides behind an `Arc` shared with the sender's own
 /// state: broadcasting to `k` neighbours clones `k` pointers, not `k`
 /// maps — the same zero-copy fan-out `GrpMessage` uses.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiscoveryMessage {
     pub sender: NodeId,
     /// Known distances, capped at the protocol's horizon.

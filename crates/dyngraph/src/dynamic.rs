@@ -1,18 +1,14 @@
-//! Dynamic graphs: a topology per configuration, evolving through events.
+//! Topology events: the changes between two successive configurations.
 //!
 //! Section 2 of the paper models a dynamic system as a sequence of
-//! configurations, each with a single topology `G_ci`. [`DynamicGraph`]
-//! captures that: a current topology plus a log of applied
-//! [`TopologyEvent`]s, with helpers to measure how much the topology changed
-//! between two instants (link churn), which the experiments use to relate
-//! mobility to continuity violations.
+//! configurations, each with a single topology `G_ci`. A [`TopologyEvent`]
+//! is one change from one configuration's topology to the next; the
+//! simulator applies them in explicit-topology mode.
 
-use crate::graph::Graph;
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A single topology change between two successive configurations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopologyEvent {
     /// A communication link appeared between two nodes.
     LinkUp(NodeId, NodeId),
@@ -22,226 +18,4 @@ pub enum TopologyEvent {
     NodeJoin(NodeId),
     /// A node became inactive (disappears with all its links).
     NodeLeave(NodeId),
-}
-
-/// A topology evolving through events, with a bounded history of snapshots.
-#[derive(Clone, Debug, Default)]
-pub struct DynamicGraph {
-    current: Graph,
-    history: Vec<Graph>,
-    events: Vec<(usize, TopologyEvent)>,
-    /// Maximum number of retained snapshots (0 = unbounded).
-    history_limit: usize,
-    step: usize,
-}
-
-impl DynamicGraph {
-    /// Start from an initial topology.
-    pub fn new(initial: Graph) -> Self {
-        DynamicGraph {
-            current: initial,
-            history: Vec::new(),
-            events: Vec::new(),
-            history_limit: 0,
-            step: 0,
-        }
-    }
-
-    /// Bound the number of retained snapshots (older ones are dropped).
-    pub fn with_history_limit(mut self, limit: usize) -> Self {
-        self.history_limit = limit;
-        self
-    }
-
-    /// The topology of the current configuration.
-    pub fn current(&self) -> &Graph {
-        &self.current
-    }
-
-    /// Number of steps (snapshots taken) so far.
-    pub fn step(&self) -> usize {
-        self.step
-    }
-
-    /// All events applied so far, tagged with the step at which they applied.
-    pub fn events(&self) -> &[(usize, TopologyEvent)] {
-        &self.events
-    }
-
-    /// Snapshot history (oldest first, possibly truncated by the limit).
-    pub fn history(&self) -> &[Graph] {
-        &self.history
-    }
-
-    /// Apply one topology event to the current topology.
-    pub fn apply(&mut self, event: TopologyEvent) {
-        match event {
-            TopologyEvent::LinkUp(a, b) => self.current.add_edge(a, b),
-            TopologyEvent::LinkDown(a, b) => {
-                self.current.remove_edge(a, b);
-            }
-            TopologyEvent::NodeJoin(n) => self.current.add_node(n),
-            TopologyEvent::NodeLeave(n) => {
-                self.current.remove_node(n);
-            }
-        }
-        self.events.push((self.step, event));
-    }
-
-    /// Apply a batch of events (one configuration transition may bundle
-    /// several link changes, e.g. when a vehicle moves).
-    pub fn apply_all<I: IntoIterator<Item = TopologyEvent>>(&mut self, events: I) {
-        for e in events {
-            self.apply(e);
-        }
-    }
-
-    /// Record the current topology as the snapshot of a configuration and
-    /// advance the step counter.
-    pub fn snapshot(&mut self) -> &Graph {
-        self.history.push(self.current.clone());
-        if self.history_limit > 0 && self.history.len() > self.history_limit {
-            let excess = self.history.len() - self.history_limit;
-            self.history.drain(0..excess);
-        }
-        self.step += 1;
-        // detlint::allow(D004): pushed two statements up; drain keeps ≥ 1
-        self.history.last().expect("just pushed")
-    }
-
-    /// Replace the whole topology (e.g. recomputed from node positions by
-    /// the radio model) and return the implied events.
-    pub fn set_topology(&mut self, new: Graph) -> Vec<TopologyEvent> {
-        let events = diff_topologies(&self.current, &new);
-        for e in &events {
-            self.events.push((self.step, *e));
-        }
-        self.current = new;
-        events
-    }
-
-    /// Number of link events (up + down) recorded at a given step.
-    pub fn churn_at_step(&self, step: usize) -> usize {
-        self.events
-            .iter()
-            .filter(|(s, e)| {
-                *s == step
-                    && matches!(
-                        e,
-                        TopologyEvent::LinkUp(_, _) | TopologyEvent::LinkDown(_, _)
-                    )
-            })
-            .count()
-    }
-}
-
-/// The events that turn topology `old` into topology `new`.
-pub fn diff_topologies(old: &Graph, new: &Graph) -> Vec<TopologyEvent> {
-    let mut events = Vec::new();
-    for n in old.nodes() {
-        if !new.contains_node(n) {
-            events.push(TopologyEvent::NodeLeave(n));
-        }
-    }
-    for n in new.nodes() {
-        if !old.contains_node(n) {
-            events.push(TopologyEvent::NodeJoin(n));
-        }
-    }
-    for (a, b) in old.edges() {
-        if !new.contains_edge(a, b) {
-            events.push(TopologyEvent::LinkDown(a, b));
-        }
-    }
-    for (a, b) in new.edges() {
-        if !old.contains_edge(a, b) {
-            events.push(TopologyEvent::LinkUp(a, b));
-        }
-    }
-    events
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn n(i: u64) -> NodeId {
-        NodeId(i)
-    }
-
-    #[test]
-    fn apply_link_and_node_events() {
-        let mut dg = DynamicGraph::new(Graph::new());
-        dg.apply(TopologyEvent::NodeJoin(n(1)));
-        dg.apply(TopologyEvent::NodeJoin(n(2)));
-        dg.apply(TopologyEvent::LinkUp(n(1), n(2)));
-        assert!(dg.current().contains_edge(n(1), n(2)));
-        dg.apply(TopologyEvent::LinkDown(n(1), n(2)));
-        assert!(!dg.current().contains_edge(n(1), n(2)));
-        dg.apply(TopologyEvent::NodeLeave(n(2)));
-        assert!(!dg.current().contains_node(n(2)));
-        assert_eq!(dg.events().len(), 5);
-    }
-
-    #[test]
-    fn snapshot_advances_step_and_records_history() {
-        let mut dg = DynamicGraph::new(Graph::new());
-        dg.apply(TopologyEvent::NodeJoin(n(1)));
-        dg.snapshot();
-        dg.apply(TopologyEvent::NodeJoin(n(2)));
-        dg.snapshot();
-        assert_eq!(dg.step(), 2);
-        assert_eq!(dg.history().len(), 2);
-        assert_eq!(dg.history()[0].node_count(), 1);
-        assert_eq!(dg.history()[1].node_count(), 2);
-    }
-
-    #[test]
-    fn history_limit_truncates_old_snapshots() {
-        let mut dg = DynamicGraph::new(Graph::new()).with_history_limit(2);
-        for i in 0..5u64 {
-            dg.apply(TopologyEvent::NodeJoin(n(i)));
-            dg.snapshot();
-        }
-        assert_eq!(dg.history().len(), 2);
-        assert_eq!(dg.history()[1].node_count(), 5);
-        assert_eq!(dg.step(), 5);
-    }
-
-    #[test]
-    fn diff_topologies_finds_all_changes() {
-        let mut old = Graph::new();
-        old.add_edge(n(1), n(2));
-        old.add_node(n(3));
-        let mut new = Graph::new();
-        new.add_edge(n(1), n(4));
-        new.add_node(n(2));
-        let events = diff_topologies(&old, &new);
-        assert!(events.contains(&TopologyEvent::NodeLeave(n(3))));
-        assert!(events.contains(&TopologyEvent::NodeJoin(n(4))));
-        assert!(events.contains(&TopologyEvent::LinkDown(n(1), n(2))));
-        assert!(events.contains(&TopologyEvent::LinkUp(n(1), n(4))));
-        assert_eq!(events.len(), 4);
-    }
-
-    #[test]
-    fn set_topology_applies_diff_and_counts_churn() {
-        let mut start = Graph::new();
-        start.add_edge(n(1), n(2));
-        let mut dg = DynamicGraph::new(start);
-        let mut next = Graph::new();
-        next.add_edge(n(2), n(3));
-        next.add_node(n(1));
-        let events = dg.set_topology(next.clone());
-        assert_eq!(dg.current(), &next);
-        assert!(!events.is_empty());
-        assert_eq!(dg.churn_at_step(0), 2); // one LinkDown + one LinkUp
-    }
-
-    #[test]
-    fn diff_identical_topologies_is_empty() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        assert!(diff_topologies(&g, &g.clone()).is_empty());
-    }
 }

@@ -9,11 +9,10 @@
 //! when needed.
 
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An undirected graph over [`NodeId`]s with deterministic iteration order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Graph {
     adjacency: BTreeMap<NodeId, BTreeSet<NodeId>>,
 }
@@ -183,16 +182,6 @@ impl Graph {
     pub fn diameter(&self) -> Option<usize> {
         crate::algo::diameter::diameter(self)
     }
-
-    /// Merge another graph into this one (union of nodes and edges).
-    pub fn union_with(&mut self, other: &Graph) {
-        for n in other.nodes() {
-            self.add_node(n);
-        }
-        for (a, b) in other.edges() {
-            self.add_edge(a, b);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,18 +282,5 @@ mod tests {
         g.add_node(n(3));
         assert_eq!(g.distance(n(1), n(3)), None);
         assert_eq!(g.diameter(), None);
-    }
-
-    #[test]
-    fn union_with_merges_graphs() {
-        let mut a = Graph::new();
-        a.add_edge(n(1), n(2));
-        let mut b = Graph::new();
-        b.add_edge(n(2), n(3));
-        b.add_node(n(4));
-        a.union_with(&b);
-        assert_eq!(a.node_count(), 4);
-        assert_eq!(a.edge_count(), 2);
-        assert!(a.contains_edge(n(2), n(3)));
     }
 }

@@ -5,7 +5,6 @@
 //! `NodeId` is a small copyable newtype over `u64` so identities are cheap to
 //! copy into ancestor lists and messages.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identity of a node in the system.
@@ -13,9 +12,7 @@ use std::fmt;
 /// Identifiers are totally ordered; the order is used only for deterministic
 /// tie-breaking (e.g. between equal priorities), never as a "smallest id
 /// wins" election — GRP deliberately avoids cluster-head style leaders.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(pub u64);
 
 impl NodeId {

@@ -1,12 +1,13 @@
 //! # dyngraph — dynamic graph substrate
 //!
 //! This crate provides the graph-theoretic substrate used by the GRP
-//! reproduction: plain undirected graphs with set-based adjacency, dynamic
-//! graphs (a sequence of topologies driven by topology events), the distance
-//! and diameter computations the Dynamic Group Service specification relies
-//! on (including distances restricted to an induced subgraph, `d_X(u, v)`),
-//! topology generators used by the experiments, and a `Partition` type with
-//! the disjointness/coverage checks needed by the agreement predicate.
+//! reproduction: plain undirected graphs with set-based adjacency, the
+//! topology events that move one configuration's graph to the next, the
+//! distance and diameter computations the Dynamic Group Service
+//! specification relies on (including distances restricted to an induced
+//! subgraph, `d_X(u, v)`), topology generators used by the experiments, and
+//! a `Partition` type with the disjointness/coverage checks needed by the
+//! agreement predicate.
 //!
 //! The crate is intentionally dependency-light and deterministic: all
 //! iteration orders are stable (BTree-based adjacency) so that simulations
@@ -42,7 +43,7 @@ pub use algo::diameter::{diameter, eccentricity, radius};
 pub use algo::subgraph::{
     induced_subgraph, restricted_diameter, subgraph_diameter, subgraph_distance,
 };
-pub use dynamic::{DynamicGraph, TopologyEvent};
+pub use dynamic::TopologyEvent;
 pub use generators::GraphGenerator;
 pub use graph::Graph;
 pub use id::NodeId;

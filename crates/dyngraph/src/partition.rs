@@ -7,11 +7,10 @@
 use crate::algo::subgraph::subgraph_diameter;
 use crate::graph::Graph;
 use crate::id::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A partition of a set of nodes into named groups (blocks).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Partition {
     blocks: Vec<BTreeSet<NodeId>>,
 }

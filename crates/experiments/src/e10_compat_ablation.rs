@@ -14,7 +14,6 @@ use dyngraph::{Graph, NodeId};
 use grp_core::predicates::SystemSnapshot;
 use grp_core::GrpConfig;
 use metrics::Table;
-use rayon::prelude::*;
 
 /// A path group 0-1-…-(left-1) and a second group anchored at node 100,
 /// where the anchor is adjacent to the last `overlap` nodes of the first
@@ -85,12 +84,12 @@ pub fn run(scale: Scale) -> ExperimentOutput {
         // detlint::allow(D004): shortcut_topology builds a connected graph
         let diameter = topology.diameter().expect("connected scenario");
         let full_rate = seeds
-            .par_iter()
+            .iter()
             .filter(|&&seed| merges(&topology, GrpConfig::new(dmax), seed))
             .count() as f64
             / seeds.len() as f64;
         let naive_rate = seeds
-            .par_iter()
+            .iter()
             .filter(|&&seed| {
                 merges(
                     &topology,

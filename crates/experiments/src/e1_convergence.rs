@@ -10,7 +10,6 @@ use crate::report::ExperimentOutput;
 use crate::runner::{convergence_budget, run_grp, Scale};
 use dyngraph::generators::random_geometric;
 use metrics::{Summary, Table};
-use rayon::prelude::*;
 
 /// Build the RGG used throughout the sweeps: area grows with n so that the
 /// expected degree stays roughly constant (~6 neighbours).
@@ -45,7 +44,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
         for &dmax in &dmaxes {
             let rounds_budget = convergence_budget(n, dmax);
             let results: Vec<Option<usize>> = seeds
-                .par_iter()
+                .iter()
                 .map(|&seed| {
                     let g = sized_rgg(n, seed);
                     let run = run_grp(&g, dmax, rounds_budget, seed);

@@ -10,7 +10,6 @@ use crate::report::ExperimentOutput;
 use crate::runner::{convergence_budget, run_grp, Scale};
 use dyngraph::GraphGenerator;
 use metrics::Table;
-use rayon::prelude::*;
 
 /// Run the experiment at the given scale.
 pub fn run(scale: Scale) -> ExperimentOutput {
@@ -46,7 +45,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     for generator in &generators {
         for &dmax in &dmaxes {
             let verdicts: Vec<(bool, bool, bool)> = seeds
-                .par_iter()
+                .iter()
                 .map(|&seed| {
                     let g = generator.generate(seed);
                     let rounds = convergence_budget(g.node_count(), dmax);

@@ -14,7 +14,6 @@ use netsim::mobility::Highway;
 use netsim::radio::UnitDisk;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// One measurement cell: run the convoy at a given speed spread and
 /// accumulate the churn counters after the warm-up.
@@ -67,9 +66,9 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     );
     for &spread in &spreads {
         let accumulated: ChurnAccumulator = seeds
-            .par_iter()
+            .iter()
             .map(|&seed| measure(spread, dmax, n, rounds, warmup, seed))
-            .reduce(ChurnAccumulator::new, |mut a, b| {
+            .fold(ChurnAccumulator::new(), |mut a, b| {
                 a.merge(&b);
                 a
             });

@@ -13,7 +13,6 @@ use crate::runner::{convergence_budget, grp_simulator, Scale};
 use grp_core::observers::ConvergenceProbe;
 use metrics::{Summary, Table};
 use netsim::{FaultKind, ScheduledFault, SimTime};
-use rayon::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
 enum FaultScenario {
@@ -116,7 +115,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     );
     for scenario in &scenarios {
         let results: Vec<Option<usize>> = seeds
-            .par_iter()
+            .iter()
             .map(|&seed| recovery_rounds(*scenario, n, dmax, seed))
             .collect();
         let recovered: Vec<f64> = results.iter().filter_map(|r| r.map(|v| v as f64)).collect();

@@ -13,7 +13,6 @@ use dyngraph::generators::path;
 use dyngraph::{Graph, NodeId, TopologyEvent};
 use grp_core::predicates::SystemSnapshot;
 use metrics::{Summary, Table};
-use rayon::prelude::*;
 
 /// Two path segments of `half` nodes each, disconnected; node ids are
 /// 0..half and 100..100+half.
@@ -88,7 +87,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     );
     for &(half, dmax, allowed) in &cases {
         let results: Vec<(Option<usize>, usize)> = seeds
-            .par_iter()
+            .iter()
             .map(|&seed| merge_latency(half, dmax, seed))
             .collect();
         let merged: Vec<f64> = results

@@ -17,7 +17,6 @@ use netsim::radio::UnitDisk;
 use netsim::{SimConfig, Simulator, TopologyMode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 fn measure(
     config: GrpConfig,
@@ -82,9 +81,9 @@ pub fn run(scale: Scale) -> ExperimentOutput {
             ),
         ] {
             let acc: ChurnAccumulator = seeds
-                .par_iter()
+                .iter()
                 .map(|&seed| measure(config.clone(), n, speed, rounds, warmup, seed))
-                .reduce(ChurnAccumulator::new, |mut a, b| {
+                .fold(ChurnAccumulator::new(), |mut a, b| {
                     a.merge(&b);
                     a
                 });

@@ -12,8 +12,8 @@
 //!   `grp-experiments` binary prints and writes under `results/`.
 //!
 //! All experiments accept a [`Scale`] so the same code serves the full
-//! evaluation (`cargo run -p experiments --release -- all`), the quick
-//! smoke-check used by integration tests, and the Criterion benches.
+//! evaluation (`cargo run -p experiments --release -- all`) and the quick
+//! smoke-check used by integration tests.
 
 #![forbid(unsafe_code)]
 

@@ -32,7 +32,6 @@
 
 use crate::marks::Mark;
 use dyngraph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -46,12 +45,10 @@ pub type Entry = (NodeId, Mark);
 /// [`from_levels`](Self::from_levels) — NOT the raw `{entries, offsets}`
 /// CSR internals, whose invariants (monotonic offsets starting at 0,
 /// per-level sorted unique ids) untrusted input must never construct
-/// directly. The derives below are inert under the offline serde stub;
-/// when the real `serde` crate lands (ROADMAP crate-swap audit), implement
-/// `Serialize`/`Deserialize` by hand through `to_levels`/`from_levels` so
-/// the historical `{levels: [...]}` encoding — and validation on the way
-/// in — is preserved.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// directly. A serialization format, when one is needed, goes through
+/// `to_levels`/`from_levels` so the `{levels: [...]}` encoding — and
+/// validation on the way in — is preserved.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AncestorList {
     /// Entries in `(level, ascending node id)` order.
     entries: Vec<Entry>,

@@ -1,7 +1,5 @@
 //! Protocol parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of a GRP node.
 ///
 /// `dmax` is the applicative constant of the paper: the maximal admissible
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// execution by the application that requested the group service. The two
 /// ablation switches exist only for the evaluation (experiments E9 and E10)
 /// and default to the faithful behaviour.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GrpConfig {
     /// Maximal admissible group diameter `Dmax` (≥ 1).
     pub dmax: usize,

@@ -6,10 +6,8 @@
 //! marked (underlined) or double marked (overlined); marked nodes are never
 //! propagated farther than the neighbourhood and never enter a view.
 
-use serde::{Deserialize, Serialize};
-
 /// The mark attached to a node entry in an ancestor list.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub enum Mark {
     /// Plain entry: the node is a confirmed group member or candidate.
     #[default]

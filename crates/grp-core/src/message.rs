@@ -11,11 +11,10 @@ use crate::ancestor_list::AncestorList;
 use crate::priority::Priority;
 use crate::table::NodeTable;
 use dyngraph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The priorities the sender knows about one quoted node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PriorityInfo {
     /// The node's own priority (its "oldness").
     pub node: Priority,
@@ -43,7 +42,7 @@ impl PriorityInfo {
 /// equally free. The payloads are immutable once built (a receiver that
 /// needs to edit the list, as line 2 of `compute()` does, clones it out of
 /// the `Arc` first), so sharing is safe by construction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GrpMessage {
     /// The sender's identity.
     pub sender: NodeId,

@@ -103,11 +103,6 @@ impl GrpNode {
         &self.list
     }
 
-    /// The number of messages waiting in `msgSetv`.
-    pub fn pending_messages(&self) -> usize {
-        self.msg_set.len()
-    }
-
     /// Number of compute rounds executed so far.
     pub fn compute_count(&self) -> u64 {
         self.compute_count
@@ -432,12 +427,6 @@ impl GrpNode {
         snap.scratch = MergeScratch::default();
         snap.cached_message = None;
         snap
-    }
-
-    /// Overwrite this node's state with a previously taken
-    /// [`snapshot`](Self::snapshot).
-    pub fn restore(&mut self, snapshot: &GrpNode) {
-        *self = snapshot.clone();
     }
 
     /// Fold the node's *semantic* state into a canonical hasher — the

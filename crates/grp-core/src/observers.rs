@@ -40,30 +40,19 @@ pub struct RecordedRound {
 /// Records a [`SystemSnapshot`] per observed round with copy-on-write
 /// capture.
 ///
-/// **Snapshot semantics (unified):** by default only *active* nodes
-/// contribute views — a crashed or departed node has no view in the paper's
-/// model. This is the single documented semantics all harnesses now share
-/// (see [`SystemSnapshot::from_simulator`]); the pre-redesign experiment
-/// harness silently captured all nodes while the scenario runner captured
-/// active ones. [`include_inactive`](Self::include_inactive) restores the
-/// old experiment behaviour for diagnostic use only.
+/// **Snapshot semantics:** only *active* nodes contribute views — a
+/// crashed or departed node has no view in the paper's model. Every
+/// harness shares this one semantics (see
+/// [`SystemSnapshot::from_simulator`]).
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotRecorder {
-    include_inactive: bool,
     rounds: Vec<RecordedRound>,
 }
 
 impl SnapshotRecorder {
-    /// A recorder with the documented active-only semantics.
+    /// An empty recorder.
     pub fn new() -> Self {
         SnapshotRecorder::default()
-    }
-
-    /// Also capture the frozen views of inactive nodes (diagnostics only —
-    /// the predicate checkers are not meaningful on frozen views).
-    pub fn include_inactive(mut self) -> Self {
-        self.include_inactive = true;
-        self
     }
 
     /// Capture the simulator's current configuration as one round. Views
@@ -74,7 +63,7 @@ impl SnapshotRecorder {
         {
             let prev = self.rounds.last().map(|r| &r.snapshot.views);
             for (id, p) in sim.protocols() {
-                if !self.include_inactive && !sim.is_active(id) {
+                if !sim.is_active(id) {
                     continue;
                 }
                 let view = p.view();
@@ -132,9 +121,10 @@ impl SnapshotRecorder {
     /// across every round whose topology did not change, so the graph is
     /// encoded once per *distinct* allocation and the cached bytes are
     /// replayed for every round that shares it. The digest is bit-for-bit
-    /// the full walk ([`feed_trace_digest_full`](Self::feed_trace_digest_full)
-    /// pins the equivalence) — only the re-walking is skipped, which is
-    /// what makes digesting a converged 10k-node run graph-bound no more.
+    /// the full walk (the reference walk in
+    /// `crates/scenarios/tests/engine_equivalence.rs` pins the equivalence)
+    /// — only the re-walking is skipped, which is what makes digesting a
+    /// converged 10k-node run graph-bound no more.
     pub fn feed_trace_digest(&self, hasher: &mut CanonicalHasher) {
         let mut encodings: HashMap<*const Graph, Vec<u8>> = HashMap::new();
         hasher.begin_list("trace");
@@ -150,20 +140,6 @@ impl SnapshotRecorder {
         hasher.end_list();
     }
 
-    /// The naive full walk of [`feed_trace_digest`](Self::feed_trace_digest):
-    /// re-encodes every round's graph from scratch. Kept as the executable
-    /// reference the delta path is tested byte-identical against.
-    pub fn feed_trace_digest_full(&self, hasher: &mut CanonicalHasher) {
-        hasher.begin_list("trace");
-        hasher.feed_u64(self.rounds.len() as u64);
-        for round in &self.rounds {
-            hasher.feed_time(round.at);
-            hasher.feed_graph(&round.snapshot.topology);
-            hasher.feed_stats(&round.stats);
-        }
-        hasher.end_list();
-    }
-
     /// Feed the per-round views under the `"views"` list tag —
     /// byte-identically to the historical scenario-runner encoding.
     ///
@@ -171,8 +147,8 @@ impl SnapshotRecorder {
     /// is computed once per distinct `Arc` allocation; rounds in which a
     /// node's view did not change (the overwhelming majority once the
     /// system converges) replay the cached summary instead of re-hashing
-    /// the set. Byte-identical to
-    /// [`feed_views_digest_full`](Self::feed_views_digest_full).
+    /// the set. Byte-identical to re-hashing every view of every round (the
+    /// reference walk in `crates/scenarios/tests/engine_equivalence.rs`).
     pub fn feed_views_digest(&self, hasher: &mut CanonicalHasher) {
         let mut summaries: HashMap<*const BTreeSet<NodeId>, NodeSetDigest> = HashMap::new();
         hasher.begin_list("views");
@@ -185,22 +161,6 @@ impl SnapshotRecorder {
                     .entry(Arc::as_ptr(view))
                     .or_insert_with(|| CanonicalHasher::node_set_digest(view.iter().copied()));
                 hasher.feed_node_set_digest(summary);
-            }
-        }
-        hasher.end_list();
-    }
-
-    /// The naive full walk of [`feed_views_digest`](Self::feed_views_digest):
-    /// re-hashes every view of every round. Kept as the executable
-    /// reference the delta path is tested byte-identical against.
-    pub fn feed_views_digest_full(&self, hasher: &mut CanonicalHasher) {
-        hasher.begin_list("views");
-        hasher.feed_u64(self.rounds.len() as u64);
-        for (index, round) in self.rounds.iter().enumerate() {
-            hasher.feed_u64(index as u64);
-            for (&node, view) in &round.snapshot.views {
-                hasher.feed_u64(node.raw());
-                hasher.feed_node_set(view.iter().copied());
             }
         }
         hasher.end_list();
@@ -719,13 +679,12 @@ mod tests {
         use dyngraph::NodeId;
         let mut sim = grp_sim(3, 3);
         sim.set_active(NodeId(1), false);
-        let mut active_only = SnapshotRecorder::new();
-        let mut all = SnapshotRecorder::new().include_inactive();
-        sim.run_rounds_observed(1, &mut (&mut active_only, &mut all));
-        assert!(!active_only.rounds()[0]
-            .snapshot
-            .views
-            .contains_key(&NodeId(1)));
-        assert!(all.rounds()[0].snapshot.views.contains_key(&NodeId(1)));
+        let mut recorder = SnapshotRecorder::new();
+        sim.run_rounds_observed(1, &mut recorder);
+        let views = &recorder.rounds()[0].snapshot.views;
+        assert_eq!(
+            views.keys().copied().collect::<Vec<_>>(),
+            vec![NodeId(0), NodeId(2)]
+        );
     }
 }

@@ -10,14 +10,11 @@
 //! members.
 
 use dyngraph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A totally-ordered priority: `(value, node id)` compared lexicographically.
 /// Smaller is *better* (has the priority).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Priority {
     /// The logical-clock component ("oldness": lower = older = stronger).
     pub value: u64,

@@ -6,10 +6,9 @@
 //! running totals an experiment needs to print one row per parameter value.
 
 use grp_core::predicates::{pi_c_violations, pi_t_violations, view_removals, SystemSnapshot};
-use serde::{Deserialize, Serialize};
 
 /// Running totals over a sequence of consecutive snapshot pairs.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChurnAccumulator {
     /// Number of snapshot transitions observed.
     pub transitions: u64,

@@ -1,10 +1,9 @@
 //! Per-round time series, used by the "figure" experiments.
 
 use crate::stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// A named sequence of (round, value) points.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimeSeries {
     pub name: String,
     points: Vec<(u64, f64)>,

@@ -1,9 +1,7 @@
 //! Summary statistics over replicated measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary of a set of samples (mean, spread, quantiles).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Summary {
     pub count: usize,
     pub mean: f64,

@@ -1,9 +1,7 @@
 //! Aligned markdown tables and CSV output for the experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-oriented table: a header plus rows of strings.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Table {
     pub title: String,
     header: Vec<String>,

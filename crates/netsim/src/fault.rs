@@ -1,7 +1,8 @@
 //! Transient-fault injection.
 //!
 //! Self-stabilization is about recovering from *transient failures that may
-//! affect a memory or a message* (Section 1). The fault plan lets an
+//! affect a memory or a message* (Section 1). [`ScheduledFault`]s handed to
+//! [`Simulator::schedule_faults`](crate::Simulator::schedule_faults) let an
 //! experiment schedule exactly those failures: corrupting a node's local
 //! state, corrupting an in-flight message, crashing and restarting nodes
 //! (which also models nodes leaving and re-joining), bursts of message loss
@@ -19,14 +20,13 @@
 
 use crate::time::SimTime;
 use dyngraph::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// An axis-aligned rectangle in the mobility plane, used by
 /// [`FaultKind::RegionBlackout`] to describe the blacked-out area (the
 /// VANET tunnel). Bounds are inclusive.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Region {
     /// Left edge.
     pub min_x: f64,
@@ -47,7 +47,7 @@ impl Region {
 }
 
 /// The kinds of transient faults the simulator can inject.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultKind {
     /// Overwrite part of the node's protocol state with arbitrary values
     /// (delegated to [`crate::Protocol::corrupt_state`]).
@@ -216,7 +216,7 @@ impl FromStr for FaultKind {
 }
 
 /// A fault scheduled at an absolute simulation time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScheduledFault {
     /// When the fault fires.
     pub at: SimTime,
@@ -231,106 +231,76 @@ impl ScheduledFault {
     }
 }
 
-/// A builder for fault plans, kept sorted by activation time.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    faults: Vec<ScheduledFault>,
-}
-
-impl FaultPlan {
-    /// An empty fault plan.
-    pub fn new() -> Self {
-        FaultPlan { faults: Vec::new() }
-    }
-
-    /// Schedule a fault; keeps the plan sorted by time. Insertion is a
-    /// single binary search + `Vec::insert`, and same-instant faults keep
-    /// their insertion order — the stable ordering is load-bearing: the
-    /// engine applies same-instant faults in plan order, which feeds the
-    /// pinned trace digests.
-    pub fn schedule(&mut self, at: SimTime, kind: FaultKind) -> &mut Self {
-        let idx = self.faults.partition_point(|f| f.at <= at);
-        self.faults.insert(idx, ScheduledFault::new(at, kind));
-        self
-    }
-
-    /// Corrupt the state of every listed node at `at`.
-    pub fn corrupt_all(&mut self, at: SimTime, nodes: &[NodeId]) -> &mut Self {
-        for &n in nodes {
-            self.schedule(at, FaultKind::CorruptState(n));
-        }
-        self
-    }
-
-    /// The scheduled faults, sorted by time.
-    pub fn faults(&self) -> &[ScheduledFault] {
-        &self.faults
-    }
-
-    /// Consume the plan.
-    pub fn into_faults(self) -> Vec<ScheduledFault> {
-        self.faults
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::test_support::Flood;
+    use crate::{Observer, SimConfig, Simulator, TopologyMode};
+    use dyngraph::generators::path;
 
+    /// Hand `faults` to `Simulator::schedule_faults` on a 3-node path and
+    /// return them in the order `Observer::on_fault` sees them fire.
+    fn fired_order(faults: Vec<ScheduledFault>) -> Vec<ScheduledFault> {
+        struct Fired(Vec<ScheduledFault>);
+        impl Observer<Flood> for Fired {
+            fn on_fault(&mut self, fault: &ScheduledFault, _sim: &Simulator<Flood>) {
+                self.0.push(fault.clone());
+            }
+        }
+        let mut sim = Simulator::new(
+            SimConfig {
+                seed: 10,
+                ..Default::default()
+            },
+            TopologyMode::Explicit(path(3)),
+        );
+        sim.add_nodes((0..3).map(|i| Flood::new(NodeId(i))));
+        let end = faults.iter().map(|f| f.at.0).max().unwrap_or(0) + 1_000;
+        sim.schedule_faults(faults);
+        let mut fired = Fired(Vec::new());
+        sim.run_until_observed(SimTime(end), &mut fired);
+        fired.0
+    }
+
+    fn at(t: u64, kind: FaultKind) -> ScheduledFault {
+        ScheduledFault::new(SimTime(t), kind)
+    }
+
+    /// Faults handed over in any time order fire in time order.
     #[test]
     fn plan_is_kept_sorted() {
-        let mut plan = FaultPlan::new();
-        plan.schedule(SimTime(50), FaultKind::Crash(NodeId(1)))
-            .schedule(SimTime(10), FaultKind::CorruptState(NodeId(2)))
-            .schedule(SimTime(30), FaultKind::LossBurst { duration: 5 });
-        let times: Vec<u64> = plan.faults().iter().map(|f| f.at.ticks()).collect();
-        assert_eq!(times, vec![10, 30, 50]);
+        let fired = fired_order(vec![
+            at(3_000, FaultKind::Restart(NodeId(1))),
+            at(500, FaultKind::CorruptState(NodeId(0))),
+            at(2_000, FaultKind::Crash(NodeId(1))),
+            at(1_000, FaultKind::LossBurst { duration: 200 }),
+        ]);
+        let times: Vec<u64> = fired.iter().map(|f| f.at.0).collect();
+        assert_eq!(times, vec![500, 1_000, 2_000, 3_000]);
     }
 
-    /// Satellite pin: same-instant faults keep their *insertion* order.
-    /// The historical implementation re-ran a stable `sort_by_key` after
-    /// every push, so a plan built as (crash 1, corrupt 2, heal) at one
-    /// instant applied in exactly that order; the binary-search insertion
-    /// must preserve that — the engine applies same-instant faults in plan
-    /// order, which feeds the pinned digests.
+    /// Same-instant faults fire in the order given, wherever they sit in an
+    /// unsorted input. The engine's same-instant order feeds the pinned
+    /// digests.
     #[test]
     fn same_instant_faults_keep_insertion_order() {
-        let mut plan = FaultPlan::new();
-        plan.schedule(SimTime(20), FaultKind::Crash(NodeId(1)))
-            .schedule(SimTime(10), FaultKind::CorruptState(NodeId(9)))
-            .schedule(SimTime(20), FaultKind::CorruptMessage(NodeId(2)))
-            .schedule(SimTime(20), FaultKind::Heal)
-            .schedule(SimTime(30), FaultKind::Restart(NodeId(1)));
-        let kinds: Vec<&FaultKind> = plan
-            .faults()
-            .iter()
-            .filter(|f| f.at == SimTime(20))
-            .map(|f| &f.kind)
-            .collect();
+        let fired = fired_order(vec![
+            at(2_000, FaultKind::Crash(NodeId(1))),
+            at(1_000, FaultKind::CorruptState(NodeId(0))),
+            at(2_000, FaultKind::CorruptMessage(NodeId(2))),
+            at(3_000, FaultKind::Restart(NodeId(1))),
+            at(2_000, FaultKind::Heal),
+        ]);
         assert_eq!(
-            kinds,
+            fired,
             vec![
-                &FaultKind::Crash(NodeId(1)),
-                &FaultKind::CorruptMessage(NodeId(2)),
-                &FaultKind::Heal,
-            ],
-            "same-instant faults must apply in insertion order"
+                at(1_000, FaultKind::CorruptState(NodeId(0))),
+                at(2_000, FaultKind::Crash(NodeId(1))),
+                at(2_000, FaultKind::CorruptMessage(NodeId(2))),
+                at(2_000, FaultKind::Heal),
+                at(3_000, FaultKind::Restart(NodeId(1))),
+            ]
         );
-        // and the overall plan is still time-sorted
-        let times: Vec<u64> = plan.faults().iter().map(|f| f.at.ticks()).collect();
-        assert_eq!(times, vec![10, 20, 20, 20, 30]);
-    }
-
-    #[test]
-    fn corrupt_all_adds_one_fault_per_node() {
-        let mut plan = FaultPlan::new();
-        plan.corrupt_all(SimTime(5), &[NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(plan.faults().len(), 3);
-        assert!(plan
-            .faults()
-            .iter()
-            .all(|f| matches!(f.kind, FaultKind::CorruptState(_))));
-        assert_eq!(plan.clone().into_faults().len(), 3);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::fault::ScheduledFault;
 use crate::protocol::Protocol;
 use crate::sim::Simulator;
 use crate::time::SimTime;
-use crate::trace::{MessageStats, Trace};
+use crate::trace::Trace;
 use dyngraph::NodeId;
 
 /// Streaming hooks into a simulation run. All hooks default to no-ops, so an
@@ -164,11 +164,6 @@ impl TraceProbe {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    /// Consume the probe, keeping the trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
 }
 
 impl<P: Protocol> Observer<P> for TraceProbe {
@@ -180,15 +175,13 @@ impl<P: Protocol> Observer<P> for TraceProbe {
 
 /// Streams message-overhead accounting: wire bytes (via
 /// [`Protocol::message_size`]) and delivery counts, accumulated from the
-/// delivery hook plus per-round cumulative checkpoints — no stored
-/// snapshots at all.
+/// delivery hook alone — no stored snapshots at all.
 #[derive(Clone, Debug, Default)]
 pub struct StatsProbe {
     /// Deliveries seen by the hook.
     pub delivered: u64,
     /// Sum of [`Protocol::message_size`] over delivered messages.
     pub delivered_bytes: u64,
-    checkpoints: Vec<MessageStats>,
 }
 
 impl StatsProbe {
@@ -196,48 +189,12 @@ impl StatsProbe {
     pub fn new() -> Self {
         StatsProbe::default()
     }
-
-    /// Cumulative [`MessageStats`] at each observed round end.
-    pub fn checkpoints(&self) -> &[MessageStats] {
-        &self.checkpoints
-    }
-
-    /// Stats accumulated during round `i` alone (difference of consecutive
-    /// cumulative checkpoints).
-    pub fn round_delta(&self, i: usize) -> Option<MessageStats> {
-        let later = *self.checkpoints.get(i)?;
-        let earlier = if i == 0 {
-            MessageStats::default()
-        } else {
-            *self.checkpoints.get(i - 1)?
-        };
-        Some(MessageStats {
-            broadcasts: later.broadcasts - earlier.broadcasts,
-            attempted: later.attempted - earlier.attempted,
-            delivered: later.delivered - earlier.delivered,
-            dropped: later.dropped - earlier.dropped,
-            delivered_bytes: later.delivered_bytes - earlier.delivered_bytes,
-        })
-    }
-
-    /// Mean delivered bytes per observed round.
-    pub fn mean_bytes_per_round(&self) -> f64 {
-        if self.checkpoints.is_empty() {
-            0.0
-        } else {
-            self.delivered_bytes as f64 / self.checkpoints.len() as f64
-        }
-    }
 }
 
 impl<P: Protocol> Observer<P> for StatsProbe {
     fn on_delivery(&mut self, _from: NodeId, _to: NodeId, size: usize, _now: SimTime) {
         self.delivered += 1;
         self.delivered_bytes += size as u64;
-    }
-
-    fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
-        self.checkpoints.push(sim.stats());
     }
 }
 
@@ -291,12 +248,6 @@ mod tests {
             8 * probe.delivered,
             "beacons are 8 wire bytes each"
         );
-        assert_eq!(probe.checkpoints().len(), 4);
-        // the per-round deltas telescope back to the cumulative totals
-        let total: u64 = (0..4)
-            .map(|i| probe.round_delta(i).unwrap().delivered_bytes)
-            .sum();
-        assert_eq!(total, probe.delivered_bytes);
     }
 
     #[test]
@@ -306,7 +257,6 @@ mod tests {
         sim.run_rounds_observed(3, &mut pipeline);
         let (trace, stats) = pipeline;
         assert_eq!(trace.trace().len(), 3);
-        assert_eq!(stats.checkpoints().len(), 3);
         assert_eq!(stats.delivered, sim.stats().delivered);
     }
 

@@ -110,7 +110,8 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration with both timers equal — one "round" per compute.
+    /// The default configuration (`send_period = 250`, `compute_period =
+    /// 1000`: four sends per compute round) under `seed`.
     pub fn rounds(seed: u64) -> Self {
         SimConfig {
             seed,

@@ -3,10 +3,9 @@
 
 use crate::arena::{slot_of, Positions, NO_SLOT};
 use dyngraph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A position in the plane (metres, but the unit is arbitrary).
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

@@ -5,14 +5,11 @@
 //! "send four times per compute period" regime the fair-channel hypothesis
 //! assumes, but nothing in the simulator depends on the unit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time (ticks since the start of the run).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

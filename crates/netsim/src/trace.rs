@@ -10,11 +10,10 @@
 use crate::digest::{CanonicalHasher, TraceDigest};
 use crate::time::SimTime;
 use dyngraph::Graph;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Counters of traffic through the simulated medium.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MessageStats {
     /// Broadcast transmissions performed (one per Ts expiration that
     /// produced a message).
@@ -121,20 +120,6 @@ impl Trace {
         self.feed_digest(&mut hasher);
         hasher.finalize()
     }
-
-    /// Message statistics accumulated between two snapshots (difference of
-    /// the cumulative counters).
-    pub fn stats_between(&self, earlier: usize, later: usize) -> Option<MessageStats> {
-        let a = self.snapshots.get(earlier)?;
-        let b = self.snapshots.get(later)?;
-        Some(MessageStats {
-            broadcasts: b.stats.broadcasts - a.stats.broadcasts,
-            attempted: b.stats.attempted - a.stats.attempted,
-            delivered: b.stats.delivered - a.stats.delivered,
-            dropped: b.stats.dropped - a.stats.dropped,
-            delivered_bytes: b.stats.delivered_bytes - a.stats.delivered_bytes,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -186,10 +171,14 @@ mod tests {
         );
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.last().unwrap().at, SimTime(20));
-        let d = trace.stats_between(0, 1).unwrap();
-        assert_eq!(d.broadcasts, 4);
-        assert_eq!(d.delivered, 7);
-        assert_eq!(d.delivered_bytes, 70);
-        assert!(trace.stats_between(0, 5).is_none());
+        let [first, second] = trace.snapshots() else {
+            panic!("two snapshots recorded");
+        };
+        assert!(Arc::ptr_eq(&first.topology, &second.topology));
+        assert_eq!(second.stats.delivered - first.stats.delivered, 7);
+        assert_eq!(
+            second.stats.delivered_bytes - first.stats.delivered_bytes,
+            70
+        );
     }
 }

@@ -1,16 +1,15 @@
 //! A cluster of GRP nodes, one thread each, exchanging messages over
-//! crossbeam channels.
+//! `std::sync::mpsc` channels.
 
 use crate::link::LinkQuality;
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dyngraph::{Graph, NodeId};
 use grp_core::{GrpConfig, GrpMessage, GrpNode};
-use parking_lot::{Mutex, RwLock};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,7 +71,7 @@ impl Cluster {
         let mut senders: BTreeMap<NodeId, Sender<GrpMessage>> = BTreeMap::new();
         let mut receivers: BTreeMap<NodeId, Receiver<GrpMessage>> = BTreeMap::new();
         for id in topology.nodes() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.insert(id, tx);
             receivers.insert(id, rx);
         }
@@ -109,22 +108,22 @@ impl Cluster {
     /// Latest published views, one per node (shared handles — cheap to
     /// clone out of the lock).
     pub fn views(&self) -> BTreeMap<NodeId, Arc<BTreeSet<NodeId>>> {
-        self.published.lock().views.clone()
+        unpoisoned(self.published.lock()).views.clone()
     }
 
     /// Number of compute rounds each node has executed so far.
     pub fn rounds(&self) -> BTreeMap<NodeId, u64> {
-        self.published.lock().rounds.clone()
+        unpoisoned(self.published.lock()).rounds.clone()
     }
 
     /// The current topology.
     pub fn topology(&self) -> Graph {
-        self.topology.read().clone()
+        unpoisoned(self.topology.read()).clone()
     }
 
     /// Replace the topology while the cluster is running (mobility).
     pub fn set_topology(&self, new: Graph) {
-        *self.topology.write() = new;
+        *unpoisoned(self.topology.write()) = new;
     }
 
     /// Capture a predicate-checkable snapshot of the running system —
@@ -140,10 +139,10 @@ impl Cluster {
         let deadline = Instant::now() + timeout;
         loop {
             {
-                let published = self.published.lock();
+                let published = unpoisoned(self.published.lock());
                 let done = !published.rounds.is_empty()
                     && published.rounds.values().all(|&r| r >= rounds)
-                    && published.rounds.len() == self.topology.read().node_count();
+                    && published.rounds.len() == unpoisoned(self.topology.read()).node_count();
                 if done {
                     return true;
                 }
@@ -162,6 +161,12 @@ impl Cluster {
             let _ = handle.join();
         }
     }
+}
+
+/// Locks are read through poisoning, as the node threads never leave the
+/// shared state half-written: a panicked thread only stops publishing.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -200,7 +205,7 @@ fn node_loop(
             if last_view.as_deref() != Some(node.view()) {
                 last_view = Some(Arc::new(node.view().clone()));
             }
-            let mut published = published.lock();
+            let mut published = unpoisoned(published.lock());
             published
                 .views
                 // detlint::allow(D004): the comparison above fills it when None
@@ -213,7 +218,7 @@ fn node_loop(
                 std::thread::sleep(config.link.delay);
             }
             let msg = node.build_message();
-            let neighbours: Vec<NodeId> = topology.read().neighbors(id).collect();
+            let neighbours: Vec<NodeId> = unpoisoned(topology.read()).neighbors(id).collect();
             for neighbour in neighbours {
                 if !config.link.delivers(&mut rng) {
                     continue;

@@ -4,9 +4,9 @@
 //! the simulator of `netsim` is convenient for experiments, but this crate
 //! demonstrates the protocol in the deployment shape the paper targets: one
 //! OS thread per node, wall-clock `τ2`/`τ1` timers, and lossy point-to-point
-//! channels (crossbeam) standing in for the wireless medium. The topology is
-//! shared behind a lock so a test (or an operator) can add and remove links
-//! while the cluster is running and watch the views adapt.
+//! channels (`std::sync::mpsc`) standing in for the wireless medium. The
+//! topology is shared behind a lock so a test (or an operator) can add and
+//! remove links while the cluster is running and watch the views adapt.
 //!
 //! ```no_run
 //! use grp_runtime::{Cluster, ClusterConfig};

@@ -46,6 +46,7 @@ pub use runner::{
 };
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Locate every `*.toml` manifest under a directory (sorted by file name,
 /// so suite order is stable across platforms).
@@ -151,9 +152,35 @@ pub fn execute_and_report(path: &Path, out_dir: &Path) -> Option<ScenarioOutcome
 /// Execute a batch of manifests on up to `jobs` worker threads (one
 /// deterministic simulation pipeline per worker — every scenario owns its
 /// RNGs, so concurrency cannot perturb any digest). Reports come back in
-/// input order regardless of scheduling; nothing is printed here.
+/// input order regardless of scheduling; nothing is printed here. Each
+/// worker claims the next unclaimed manifest through an atomic index; a
+/// panicking worker's panic is passed on to the caller.
 pub fn run_suite(paths: &[PathBuf], out_dir: &Path, jobs: usize) -> Vec<ManifestReport> {
-    rayon::par_map(paths.to_vec(), jobs.max(1), |path| run_one(&path, out_dir))
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(path) = paths.get(i) else {
+                return done;
+            };
+            done.push((i, run_one(path, out_dir)));
+        }
+    };
+    let mut reports: Vec<(usize, ManifestReport)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.clamp(1, paths.len().max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    reports.sort_by_key(|&(i, _)| i);
+    reports.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Did every assertion *except* the golden-digest pin pass? This is the

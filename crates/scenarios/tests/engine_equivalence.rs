@@ -6,7 +6,7 @@
 //! * `SnapshotRecorder`'s delta-encoded digest folding must hash to exactly
 //!   the bytes of the naive full walk.
 
-use grp_core::observers::SnapshotRecorder;
+use grp_core::observers::{RecordedRound, SnapshotRecorder};
 use grp_core::{GrpConfig, GrpNode};
 use netsim::{CanonicalHasher, SimBuilder, SimConfig, TraceProbe};
 use scenarios::manifest::ScenarioManifest;
@@ -68,6 +68,34 @@ cols = 4
     assert_eq!(from_manifest, embedded);
 }
 
+/// The reference walk `SnapshotRecorder::feed_trace_digest` must match:
+/// every round's graph re-encoded from scratch.
+fn feed_trace_digest_full(rounds: &[RecordedRound], hasher: &mut CanonicalHasher) {
+    hasher.begin_list("trace");
+    hasher.feed_u64(rounds.len() as u64);
+    for round in rounds {
+        hasher.feed_time(round.at);
+        hasher.feed_graph(&round.snapshot.topology);
+        hasher.feed_stats(&round.stats);
+    }
+    hasher.end_list();
+}
+
+/// The reference walk `SnapshotRecorder::feed_views_digest` must match:
+/// every view of every round re-hashed.
+fn feed_views_digest_full(rounds: &[RecordedRound], hasher: &mut CanonicalHasher) {
+    hasher.begin_list("views");
+    hasher.feed_u64(rounds.len() as u64);
+    for (index, round) in rounds.iter().enumerate() {
+        hasher.feed_u64(index as u64);
+        for (&node, view) in &round.snapshot.views {
+            hasher.feed_u64(node.raw());
+            hasher.feed_node_set(view.iter().copied());
+        }
+    }
+    hasher.end_list();
+}
+
 #[test]
 fn delta_digest_folding_is_byte_identical_to_full_walk() {
     // three golden manifests spanning the sharing regimes: a stationary
@@ -89,8 +117,8 @@ fn delta_digest_folding_is_byte_identical_to_full_walk() {
         recorder.feed_trace_digest(&mut delta);
         recorder.feed_views_digest(&mut delta);
         let mut full = CanonicalHasher::new();
-        recorder.feed_trace_digest_full(&mut full);
-        recorder.feed_views_digest_full(&mut full);
+        feed_trace_digest_full(recorder.rounds(), &mut full);
+        feed_views_digest_full(recorder.rounds(), &mut full);
         assert_eq!(
             delta.finalize(),
             full.finalize(),

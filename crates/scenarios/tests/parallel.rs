@@ -28,16 +28,22 @@ fn read_artifacts(dir: &Path) -> Vec<(String, String)> {
     files
 }
 
-#[test]
-fn parallel_suite_equals_sequential_suite() {
+/// Run `manifests` on one worker and on `jobs` workers (artifacts under
+/// `<tag>-seq`/`<tag>-par`) and assert the two runs are indistinguishable.
+fn assert_parallel_equals_sequential(manifests: &[PathBuf], jobs: usize, tag: &str) {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let seq_dir = base.join("suite-seq");
-    let par_dir = base.join("suite-par");
-    let manifests = small_manifests();
+    let seq_dir = base.join(format!("{tag}-seq"));
+    let par_dir = base.join(format!("{tag}-par"));
 
-    let sequential = run_suite(&manifests, &seq_dir, 1);
-    let parallel = run_suite(&manifests, &par_dir, 4);
+    let sequential = run_suite(manifests, &seq_dir, 1);
+    let parallel = run_suite(manifests, &par_dir, jobs);
 
+    let order: Vec<&PathBuf> = parallel.iter().map(|r| &r.path).collect();
+    assert_eq!(
+        order,
+        manifests.iter().collect::<Vec<_>>(),
+        "reports must come back in input order"
+    );
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(parallel.iter()) {
         assert_eq!(s.path, p.path, "suite order must be preserved");
@@ -67,4 +73,22 @@ fn parallel_suite_equals_sequential_suite() {
         read_artifacts(&par_dir),
         "result.json artifacts must be byte-identical"
     );
+}
+
+#[test]
+fn parallel_suite_equals_sequential_suite() {
+    assert_parallel_equals_sequential(&small_manifests(), 4, "suite");
+}
+
+/// More manifests than workers: each worker claims several, and the
+/// reports still come back in input order with identical artifacts.
+#[test]
+fn more_manifests_than_workers_keep_input_order() {
+    let manifests = [
+        "s10_random_walk.toml",
+        "s01_stationary_line.toml",
+        "s03_clustered.toml",
+    ]
+    .map(|name| suite_dir().join(name));
+    assert_parallel_equals_sequential(&manifests, 2, "oversubscribed");
 }

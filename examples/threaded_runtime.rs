@@ -1,4 +1,4 @@
-//! GRP outside the simulator: one OS thread per node, lossy crossbeam
+//! GRP outside the simulator: one OS thread per node, lossy `std::sync::mpsc`
 //! channels, wall-clock timers — then a live topology change.
 //!
 //! ```text
