@@ -87,8 +87,9 @@ mod tests {
     fn path_topology_always_reaches_safety() {
         // The first row is the path family with Dmax = 2. Safety (ΠS) must
         // hold on every seed; agreement and maximality can need more rounds
-        // than the quick budget on unlucky seeds (see EXPERIMENTS.md), so
-        // they are only required to hold on at least one seed here.
+        // than the quick budget on unlucky seeds (see docs/SCENARIOS.md,
+        // "Observed reproduction behaviours"), so they are only required to
+        // hold on at least one seed here.
         let out = run(Scale::Quick);
         let csv = out.tables[0].to_csv();
         let first_row = csv.lines().nth(1).unwrap();

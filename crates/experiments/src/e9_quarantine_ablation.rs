@@ -111,8 +111,9 @@ mod tests {
     #[test]
     fn faithful_variant_has_no_best_effort_violation_when_static() {
         // measure only after the cold-start convergence has settled: the
-        // continuity theorem is about the converged regime (see
-        // EXPERIMENTS.md for the cold-start caveat)
+        // continuity theorem is about the converged regime (see the
+        // cold-start caveat in docs/SCENARIOS.md, "Observed reproduction
+        // behaviours")
         let acc = measure(GrpConfig::new(3), 8, 0.0, 45, 30, 1);
         assert_eq!(acc.best_effort_violations, 0);
     }

@@ -2,61 +2,18 @@
 //!
 //! ```text
 //! grp-experiments [--quick] [--out DIR] [all | e1 e2 … e10]
-//! grp-experiments scenario [--out DIR] MANIFEST.toml...
 //! ```
 //!
 //! Each experiment prints its tables/series to stdout and, when `--out` is
 //! given (default `results/`), writes one markdown file per experiment.
-//! The `scenario` mode runs declarative manifests (see `docs/SCENARIOS.md`)
-//! through the conformance runner, writing one `result.json` per scenario.
+//! Scenario manifests run through `scenario-runner` (`docs/SCENARIOS.md`).
 
 use experiments::{run_experiment, ExperimentOutput, Scale, ALL_EXPERIMENTS};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// `grp-experiments scenario ...`: run manifests through the conformance
-/// harness, emitting result.json artifacts. Delegates to the shared
-/// driver in the `scenarios` crate so this mode and the `scenario-runner`
-/// binary report identically.
-fn run_scenarios(args: &[String]) -> ExitCode {
-    let mut out_dir = PathBuf::from("results/scenarios");
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                let Some(dir) = iter.next() else {
-                    eprintln!("--out requires a directory argument");
-                    return ExitCode::from(2);
-                };
-                out_dir = PathBuf::from(dir);
-            }
-            other => paths.push(PathBuf::from(other)),
-        }
-    }
-    if paths.is_empty() {
-        eprintln!("scenario mode needs at least one manifest path");
-        return ExitCode::from(2);
-    }
-    let mut all_pass = true;
-    for path in &paths {
-        match scenarios::execute_and_report(path, &out_dir) {
-            Some(outcome) => all_pass &= outcome.pass,
-            None => all_pass = false,
-        }
-    }
-    if all_pass {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("scenario") {
-        return run_scenarios(&args[1..]);
-    }
     let mut scale = Scale::Full;
     let mut out_dir = PathBuf::from("results");
     let mut requested: Vec<String> = Vec::new();

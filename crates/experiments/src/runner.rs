@@ -4,8 +4,8 @@
 //! Since the observer redesign this module owns no drive loop: history is
 //! collected by `grp_core::observers` probes riding `netsim`'s single
 //! observed event loop, and the entry points here ([`run_grp`],
-//! [`run_grp_on`], [`run_with_snapshots`], [`run_manifest`]) are thin
-//! compositions kept for the e1–e10 experiments.
+//! [`run_grp_on`], [`run_with_snapshots`]) are thin compositions kept for
+//! the e1–e10 experiments.
 
 use dyngraph::{Graph, NodeId};
 use grp_core::observers::{ConvergenceProbe, GrpPipeline, SnapshotRecorder};
@@ -20,7 +20,8 @@ use netsim::{SimBuilder, SimConfig, Simulator};
 pub enum Scale {
     /// Small sizes and few seeds — used by integration tests and CI.
     Quick,
-    /// The full parameter sweep reported in EXPERIMENTS.md.
+    /// The full parameter sweep (observed behaviours at this scale are
+    /// listed in `docs/SCENARIOS.md`, "Observed reproduction behaviours").
     Full,
 }
 
@@ -129,12 +130,6 @@ pub fn run_grp(topology: &Graph, dmax: usize, rounds: usize, seed: u64) -> GrpRu
 pub fn run_grp_on(sim: &mut Simulator<GrpNode>, dmax: usize, rounds: usize) -> GrpRun {
     let mut pipeline = GrpPipeline::new().with_convergence(dmax);
     sim.run_rounds_observed(rounds as u64, &mut pipeline);
-    grp_run_from(pipeline, sim)
-}
-
-/// Fold a finished pipeline into the [`GrpRun`] history the experiments
-/// consume.
-fn grp_run_from(pipeline: GrpPipeline, sim: &Simulator<GrpNode>) -> GrpRun {
     let GrpPipeline {
         recorder,
         convergence,
@@ -154,22 +149,6 @@ fn grp_run_from(pipeline: GrpPipeline, sim: &Simulator<GrpNode>) -> GrpRun {
 /// A generous default for "long enough to converge" on an n-node topology.
 pub fn convergence_budget(n: usize, dmax: usize) -> usize {
     4 * dmax + 3 * n + 20
-}
-
-/// Run a declarative scenario manifest through the experiment harness and
-/// collect the standard [`GrpRun`] history. This is the bridge between the
-/// `scenarios` crate's manifest format and the hand-rolled experiment
-/// configs: an experiment can consume a 20-line TOML file instead of
-/// constructing topologies, fault plans and simulator configs in code.
-///
-/// The manifest's churn schedule is honoured between rounds, exactly as the
-/// conformance runner applies it.
-pub fn run_manifest(manifest: &scenarios::ScenarioManifest, seed: u64) -> GrpRun {
-    let dmax = manifest.protocol.dmax;
-    let mut sim = scenarios::build_simulator(manifest, seed);
-    let mut pipeline = GrpPipeline::new().with_convergence(dmax);
-    scenarios::drive_manifest(&mut sim, manifest, &mut pipeline);
-    grp_run_from(pipeline, &sim)
 }
 
 #[cfg(test)]
@@ -201,38 +180,5 @@ mod tests {
         let run = run_grp(&topology, 2, 10, 1);
         assert_eq!(run.snapshots.len(), 10);
         assert_eq!(run.detector.len(), 10);
-    }
-
-    #[test]
-    fn manifests_drive_the_experiment_runner() {
-        let manifest = scenarios::ScenarioManifest::parse(
-            r#"
-name = "exp-bridge"
-[protocol]
-dmax = 3
-[sim]
-rounds = 50
-[topology]
-kind = "path"
-n = 4
-[[churn]]
-at_round = 30
-action = "link_down"
-a = 1
-b = 2
-"#,
-        )
-        .expect("manifest parses");
-        let run = run_manifest(&manifest, 7);
-        assert_eq!(run.snapshots.len(), 50);
-        assert_eq!(run.nodes, 4);
-        // before the churn the line converges to one group…
-        assert_eq!(run.snapshots[25].group_count(), 1);
-        // …and after the link-down it must split
-        assert!(
-            run.last().group_count() >= 2,
-            "groups: {:?}",
-            run.last().groups()
-        );
     }
 }

@@ -9,8 +9,8 @@
 //! schedule that would have exposed the divergence.
 
 use dyngraph::NodeId;
-use experiments::runner::run_manifest;
-use grp_core::observers::GrpPipeline;
+use grp_core::observers::{GrpPipeline, SnapshotRecorder};
+use grp_core::predicates::SystemSnapshot;
 use scenarios::{build_simulator, drive_manifest, ScenarioManifest};
 
 const CHURN_MANIFEST: &str = r#"
@@ -34,6 +34,15 @@ node = 4
 links = [3]
 "#;
 
+/// The history a bare [`SnapshotRecorder`] captures over the manifest's
+/// schedule, churn included.
+fn recorded_history(manifest: &ScenarioManifest, seed: u64) -> Vec<SystemSnapshot> {
+    let mut sim = build_simulator(manifest, seed);
+    let mut recorder = SnapshotRecorder::new();
+    drive_manifest(&mut sim, manifest, &mut recorder);
+    recorder.into_snapshots()
+}
+
 /// The regression that would have caught the historical mismatch: after
 /// `node_leave`, the departed node must vanish from every captured
 /// snapshot (its frozen view must not feed the predicates or the churn
@@ -41,10 +50,10 @@ links = [3]
 #[test]
 fn departed_nodes_leave_the_captured_history() {
     let manifest = ScenarioManifest::parse(CHURN_MANIFEST).expect("manifest parses");
-    let run = run_manifest(&manifest, 11);
-    assert_eq!(run.snapshots.len(), 40);
+    let snapshots = recorded_history(&manifest, 11);
+    assert_eq!(snapshots.len(), 40);
     let gone = NodeId(4);
-    for (round, snapshot) in run.snapshots.iter().enumerate() {
+    for (round, snapshot) in snapshots.iter().enumerate() {
         let present = snapshot.views.contains_key(&gone);
         if (12..25).contains(&round) {
             assert!(
@@ -68,23 +77,27 @@ fn departed_nodes_leave_the_captured_history() {
     }
 }
 
-/// Both harnesses — the experiment bridge and the scenario conformance
-/// pipeline — must now record the *same* history for the same manifest and
+/// The experiments' capture (a bare [`SnapshotRecorder`], as in
+/// `experiments::runner::run_with_snapshots`) and the scenario runner's
+/// probe pipeline must record the *same* history for the same manifest and
 /// seed. (Under the pre-redesign split semantics this assertion fails at
 /// the first post-leave round.)
 #[test]
 fn experiment_and_scenario_harnesses_capture_identical_histories() {
     let manifest = ScenarioManifest::parse(CHURN_MANIFEST).expect("manifest parses");
     let seed = 11;
-    let run = run_manifest(&manifest, seed);
+    let recorded = recorded_history(&manifest, seed);
 
     let mut sim = build_simulator(&manifest, seed);
-    let mut pipeline = GrpPipeline::new();
+    let dmax = manifest.protocol.dmax;
+    let mut pipeline = GrpPipeline::new()
+        .with_convergence(dmax)
+        .with_continuity(dmax);
     drive_manifest(&mut sim, &manifest, &mut pipeline);
     let scenario_snapshots = pipeline.recorder.into_snapshots();
 
-    assert_eq!(run.snapshots.len(), scenario_snapshots.len());
-    for (round, (a, b)) in run.snapshots.iter().zip(&scenario_snapshots).enumerate() {
+    assert_eq!(recorded.len(), scenario_snapshots.len());
+    for (round, (a, b)) in recorded.iter().zip(&scenario_snapshots).enumerate() {
         assert_eq!(a, b, "round {round}: harness histories diverge");
     }
 }

@@ -46,7 +46,7 @@ pub trait Checker<P: CanonicalState> {
 }
 
 /// Exploration bounds and the fault budget.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExploreConfig {
     /// BFS depth bound: states this many choices from the root are kept
     /// as frontier but not expanded.

@@ -41,8 +41,8 @@ pub use result::{
     RESULT_SCHEMA_VERSION,
 };
 pub use runner::{
-    apply_churn_action, build_simulator, build_topology, drive_manifest, grp_config_of,
-    run_scenario, run_scenario_with, run_seed, ScenarioOutcome,
+    apply_churn_action, build_simulator, drive_manifest, grp_config_of, run_scenario,
+    run_scenario_with, run_seed, ScenarioOutcome,
 };
 
 use std::path::{Path, PathBuf};
@@ -84,8 +84,8 @@ impl ManifestReport {
 /// (scenario, seed) with failed-assertion details and writes the
 /// `result.json` artifact. The outcome is `None` when the manifest cannot
 /// be loaded or the artifact cannot be written (details in `stderr`).
-/// Shared by the `scenario-runner` binary and the `grp-experiments
-/// scenario` mode so the two CLIs cannot drift.
+/// [`run_suite`] runs it once per manifest for the `scenario-runner`
+/// binary.
 pub fn run_one(path: &Path, out_dir: &Path) -> ManifestReport {
     use std::fmt::Write as _;
     let mut report = ManifestReport {
@@ -140,13 +140,6 @@ pub fn run_one(path: &Path, out_dir: &Path) -> ManifestReport {
     let _ = writeln!(report.stdout, "     wrote {}", artifact.display());
     report.outcome = Some(outcome);
     report
-}
-
-/// Back-compat wrapper around [`run_one`] that prints immediately.
-pub fn execute_and_report(path: &Path, out_dir: &Path) -> Option<ScenarioOutcome> {
-    let report = run_one(path, out_dir);
-    report.print();
-    report.outcome
 }
 
 /// Execute a batch of manifests on up to `jobs` worker threads (one

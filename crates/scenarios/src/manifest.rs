@@ -6,8 +6,19 @@
 //! predicates the run must satisfy, and the golden trace digests pinned by
 //! the regression suite. See `docs/SCENARIOS.md` for the narrative
 //! documentation of every field.
+//!
+//! Where the library already has a type for a table, the manifest holds
+//! that type: [`GraphGenerator`] for `[topology]`, [`GrpConfig`] for
+//! `[protocol]`, [`ScheduledFault`] for each `[[faults]]` entry,
+//! [`ContentionConfig`] for the contention channel and [`ExploreConfig`]
+//! for the explorer's half of `[modelcheck]`. Their defaults are the
+//! manifest's defaults.
 
 use crate::toml::{self, FromValue, ParseError, Table, Value};
+use dyngraph::{GraphGenerator, NodeId};
+use grp_core::GrpConfig;
+use modelcheck::{ExploreConfig, FaultBudget};
+use netsim::{ContentionConfig, FaultKind, Region, ScheduledFault, SimTime};
 use std::fmt;
 use std::path::Path;
 
@@ -25,60 +36,6 @@ impl fmt::Display for ManifestError {
 }
 
 impl std::error::Error for ManifestError {}
-
-/// How the communication topology is produced.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TopologySpec {
-    /// Explicit-mode generator from `dyngraph::generators`.
-    Path {
-        n: usize,
-    },
-    Ring {
-        n: usize,
-    },
-    Grid {
-        rows: usize,
-        cols: usize,
-    },
-    Complete {
-        n: usize,
-    },
-    Star {
-        n: usize,
-    },
-    Clustered {
-        clusters: usize,
-        cluster_size: usize,
-    },
-    ErdosRenyi {
-        n: usize,
-        p: f64,
-    },
-    RandomGeometric {
-        n: usize,
-        side: f64,
-        radius: f64,
-    },
-}
-
-impl TopologySpec {
-    /// Number of nodes the generated topology will contain.
-    pub fn node_count(&self) -> usize {
-        match *self {
-            TopologySpec::Path { n }
-            | TopologySpec::Ring { n }
-            | TopologySpec::Complete { n }
-            | TopologySpec::Star { n }
-            | TopologySpec::ErdosRenyi { n, .. }
-            | TopologySpec::RandomGeometric { n, .. } => n,
-            TopologySpec::Grid { rows, cols } => rows * cols,
-            TopologySpec::Clustered {
-                clusters,
-                cluster_size,
-            } => clusters * cluster_size,
-        }
-    }
-}
 
 /// Mobility models for spatial mode.
 #[derive(Clone, Debug, PartialEq)]
@@ -168,35 +125,18 @@ impl RadioSpec {
     }
 }
 
-/// The channel (medium) model layered on the radio geometry — the
-/// `[radio] model` key. Defaults to [`ChannelSpec::Bernoulli`], whose
-/// traces the golden digests pin; parameters and formulas are documented
-/// in `docs/CHANNELS.md`.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ChannelSpec {
-    /// Per-link iid loss — delegates to the radio kind's own reception
-    /// behaviour (the historical default).
-    Bernoulli,
-    /// Shared-medium contention: loss rises with concurrent transmitters
-    /// near the receiver; see `netsim::channel::Contention`.
-    Contention {
-        base_loss: f64,
-        load_loss: f64,
-        max_loss: f64,
-        window: u64,
-        jitter: u64,
-        hidden_terminal: bool,
-    },
-}
-
 /// Either an explicit generator or a mobility + radio pair.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadSpec {
-    Explicit(TopologySpec),
+    Explicit(GraphGenerator),
     Spatial {
         mobility: MobilitySpec,
         radio: RadioSpec,
-        channel: ChannelSpec,
+        /// The medium layered on the radio geometry, the `[radio] model`
+        /// key: `None` for `"bernoulli"` (the default, per-link iid loss
+        /// from the radio kind), or the `"contention"` channel's parameters
+        /// (`docs/CHANNELS.md`).
+        channel: Option<ContentionConfig>,
     },
 }
 
@@ -207,53 +147,6 @@ impl WorkloadSpec {
             WorkloadSpec::Spatial { mobility, .. } => mobility.node_count(),
         }
     }
-}
-
-/// One scheduled transient fault (absolute simulation time, in ticks).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultSpec {
-    pub at: u64,
-    pub kind: FaultKindSpec,
-}
-
-#[derive(Clone, Debug, PartialEq)]
-pub enum FaultKindSpec {
-    Crash {
-        node: u64,
-    },
-    Restart {
-        node: u64,
-    },
-    /// Restart that preserves the stale pre-crash state instead of
-    /// rebooting to the initial configuration.
-    RestartStale {
-        node: u64,
-    },
-    Corrupt {
-        node: u64,
-    },
-    /// Corrupt the next in-flight message broadcast by `node`.
-    CorruptMessage {
-        node: u64,
-    },
-    LossBurst {
-        duration: u64,
-    },
-    /// Sever every link between the listed groups until a `heal`.
-    Partition {
-        groups: Vec<Vec<u64>>,
-    },
-    /// Lift an active partition.
-    Heal,
-    /// Silence every node inside the rectangle for `duration` ticks
-    /// (spatial workloads only — explicit topologies have no positions).
-    RegionBlackout {
-        min_x: f64,
-        min_y: f64,
-        max_x: f64,
-        max_y: f64,
-        duration: u64,
-    },
 }
 
 /// One topology mutation applied *before* the given compute round
@@ -314,24 +207,6 @@ impl Default for SimSpec {
     }
 }
 
-/// Protocol parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProtocolSpec {
-    pub dmax: usize,
-    pub naive_compatibility: bool,
-    pub disable_quarantine: bool,
-}
-
-impl Default for ProtocolSpec {
-    fn default() -> Self {
-        ProtocolSpec {
-            dmax: 3,
-            naive_compatibility: false,
-            disable_quarantine: false,
-        }
-    }
-}
-
 /// What the manifest executes: a sampled simulation (the default), the
 /// bounded model checker over the same protocol implementation, or the
 /// seeded worst-case fault-campaign search.
@@ -387,41 +262,24 @@ pub enum StartSpec {
     PairCorrupted,
 }
 
-/// The `[modelcheck]` table: bounds and adversary budget for the bounded
-/// explorer (`mode = "modelcheck"` only). Defaults mirror
-/// `modelcheck::ExploreConfig::default()`.
+/// The `[modelcheck]` table (`mode = "modelcheck"` only): where the
+/// explorer starts, and its bounds and adversary budget
+/// (`[modelcheck.faults]`). The run sets `explore.seed` to its own seed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ModelCheckSpec {
-    /// BFS depth bound (choices from the root).
-    pub depth: usize,
-    /// Hard cap on distinct visited states.
-    pub max_states: usize,
     /// Starting configurations to explore from.
     pub start: StartSpec,
     /// Synchronous warm-up rounds allowed to reach the legitimate base.
     pub warmup_rounds: usize,
-    /// Random walks launched past the bounds, and their length.
-    pub walks: u32,
-    pub walk_depth: usize,
-    /// Adversary fault budget (`[modelcheck.faults]`): message drops,
-    /// duplications and node crashes available during exploration.
-    pub max_drops: u32,
-    pub max_duplicates: u32,
-    pub max_crashes: u32,
+    pub explore: ExploreConfig,
 }
 
 impl Default for ModelCheckSpec {
     fn default() -> Self {
         ModelCheckSpec {
-            depth: 256,
-            max_states: 200_000,
             start: StartSpec::default(),
             warmup_rounds: 64,
-            walks: 16,
-            walk_depth: 256,
-            max_drops: 0,
-            max_duplicates: 0,
-            max_crashes: 0,
+            explore: ExploreConfig::default(),
         }
     }
 }
@@ -503,7 +361,7 @@ pub struct ScenarioManifest {
     pub description: String,
     pub mode: RunMode,
     pub workload: WorkloadSpec,
-    pub protocol: ProtocolSpec,
+    pub protocol: GrpConfig,
     pub sim: SimSpec,
     pub report: ReportSpec,
     /// Present iff `mode = "modelcheck"` (defaulted when the table is
@@ -512,7 +370,7 @@ pub struct ScenarioManifest {
     /// Present iff `mode = "campaign"` (defaulted when the table is
     /// absent).
     pub campaign: Option<CampaignSpec>,
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<ScheduledFault>,
     pub churn: Vec<ChurnSpec>,
     pub assertions: AssertionSpec,
     pub golden: GoldenSpec,
@@ -646,6 +504,14 @@ impl FromValue<'_> for Probability {
     }
 }
 
+/// A node id (`node`, the `groups` of a partition) reads as a count.
+impl FromValue<'_> for NodeId {
+    const WHAT: &'static str = <u64 as FromValue>::WHAT;
+    fn from_value(value: &Value) -> Result<Self, &'static str> {
+        u64::from_value(value).map(NodeId)
+    }
+}
+
 /// `[sim]` keys that selected between engine regimes until the engine kept
 /// one: rejected by name, so an old manifest cannot silently change meaning.
 const REMOVED_SIM_KEYS: [&str; 4] = [
@@ -698,25 +564,25 @@ fn unknown(t: &Table, key: &str, value: &str) -> ParseError {
     t.error(key, format!("unknown {key} `{value}`"))
 }
 
-fn parse_topology(mut t: Table) -> Result<TopologySpec, ParseError> {
+fn parse_topology(mut t: Table) -> Result<GraphGenerator, ParseError> {
     let spec = match t.select("kind", None)? {
-        "path" => TopologySpec::Path { n: t.req("n")? },
-        "ring" => TopologySpec::Ring { n: t.req("n")? },
-        "grid" => TopologySpec::Grid {
+        "path" => GraphGenerator::Path { n: t.req("n")? },
+        "ring" => GraphGenerator::Ring { n: t.req("n")? },
+        "grid" => GraphGenerator::Grid {
             rows: t.req("rows")?,
             cols: t.req("cols")?,
         },
-        "complete" => TopologySpec::Complete { n: t.req("n")? },
-        "star" => TopologySpec::Star { n: t.req("n")? },
-        "clustered" => TopologySpec::Clustered {
+        "complete" => GraphGenerator::Complete { n: t.req("n")? },
+        "star" => GraphGenerator::Star { n: t.req("n")? },
+        "clustered" => GraphGenerator::Clustered {
             clusters: t.req("clusters")?,
             cluster_size: t.req("cluster_size")?,
         },
-        "erdos_renyi" => TopologySpec::ErdosRenyi {
+        "erdos_renyi" => GraphGenerator::ErdosRenyi {
             n: t.req("n")?,
             p: t.req::<Probability>("p")?.0,
         },
-        "random_geometric" => TopologySpec::RandomGeometric {
+        "random_geometric" => GraphGenerator::RandomGeometric {
             n: t.req("n")?,
             side: t.req("side")?,
             radius: t.req("radius")?,
@@ -785,7 +651,7 @@ fn parse_mobility(mut t: Table) -> Result<MobilitySpec, ParseError> {
 }
 
 /// `[radio]`: the geometry (`kind`) and the medium layered on it (`model`).
-fn parse_radio(mut t: Table) -> Result<(RadioSpec, ChannelSpec), ParseError> {
+fn parse_radio(mut t: Table) -> Result<(RadioSpec, Option<ContentionConfig>), ParseError> {
     let radio = match t.select("kind", None)? {
         "unit_disk" => RadioSpec::UnitDisk {
             range: t.req("range")?,
@@ -801,16 +667,19 @@ fn parse_radio(mut t: Table) -> Result<(RadioSpec, ChannelSpec), ParseError> {
         other => return Err(unknown(&t, "kind", other)),
     };
     let channel = match t.select("model", Some("bernoulli"))? {
-        "bernoulli" => ChannelSpec::Bernoulli,
-        // defaults mirror netsim::channel::ContentionConfig::new
-        "contention" => ChannelSpec::Contention {
-            base_loss: t.or("base_loss", Probability(0.02))?.0,
-            load_loss: t.or("load_loss", Probability(0.08))?.0,
-            max_loss: t.or("max_loss", Probability(0.95))?.0,
-            window: t.or("window", 250)?,
-            jitter: t.or("jitter", 0)?,
-            hidden_terminal: t.or("hidden_terminal", true)?,
-        },
+        "bernoulli" => None,
+        "contention" => {
+            let d = ContentionConfig::new(radio.range());
+            Some(ContentionConfig {
+                base_loss: t.or("base_loss", Probability(d.base_loss))?.0,
+                load_loss: t.or("load_loss", Probability(d.load_loss))?.0,
+                max_loss: t.or("max_loss", Probability(d.max_loss))?.0,
+                window: t.or("window", d.window)?,
+                jitter: t.or("jitter", d.jitter)?,
+                hidden_terminal: t.or("hidden_terminal", d.hidden_terminal)?,
+                ..d
+            })
+        }
         other => {
             let message =
                 format!("unknown model `{other}` (expected \"bernoulli\" or \"contention\")");
@@ -887,25 +756,33 @@ fn parse_modelcheck(mut t: Table) -> Result<ModelCheckSpec, ParseError> {
         }
     };
     let mut faults = t.sub("faults")?;
-    let spec = ModelCheckSpec {
-        depth: t.or("depth", d.depth)?,
-        max_states: t.or("max_states", d.max_states)?,
-        start,
-        warmup_rounds: t.or("warmup_rounds", d.warmup_rounds)?,
-        walks: t.or("walks", d.walks)?,
-        walk_depth: t.or("walk_depth", d.walk_depth)?,
-        max_drops: faults.or("drops", d.max_drops)?,
-        max_duplicates: faults.or("duplicates", d.max_duplicates)?,
-        max_crashes: faults.or("crashes", d.max_crashes)?,
+    let (e, b) = (d.explore, d.explore.budget);
+    let (depth, max_states) = (t.or("depth", e.depth)?, t.or("max_states", e.max_states)?);
+    let warmup_rounds = t.or("warmup_rounds", d.warmup_rounds)?;
+    let explore = ExploreConfig {
+        depth,
+        max_states,
+        walks: t.or("walks", e.walks)?,
+        walk_depth: t.or("walk_depth", e.walk_depth)?,
+        budget: FaultBudget {
+            max_drops: faults.or("drops", b.max_drops)?,
+            max_duplicates: faults.or("duplicates", b.max_duplicates)?,
+            max_crashes: faults.or("crashes", b.max_crashes)?,
+        },
+        ..e
     };
     faults.finish()?;
     t.finish()?;
-    Ok(spec)
+    Ok(ModelCheckSpec {
+        start,
+        warmup_rounds,
+        explore,
+    })
 }
 
-fn parse_protocol(mut t: Table) -> Result<ProtocolSpec, ParseError> {
-    let d = ProtocolSpec::default();
-    let spec = ProtocolSpec {
+fn parse_protocol(mut t: Table) -> Result<GrpConfig, ParseError> {
+    let d = GrpConfig::default();
+    let spec = GrpConfig {
         dmax: t.or("dmax", d.dmax)?,
         naive_compatibility: t.or("naive_compatibility", d.naive_compatibility)?,
         disable_quarantine: t.or("disable_quarantine", d.disable_quarantine)?,
@@ -946,36 +823,26 @@ fn parse_sim(mut t: Table) -> Result<SimSpec, ParseError> {
     Ok(spec)
 }
 
-fn parse_fault(mut t: Table, spatial: bool) -> Result<FaultSpec, ParseError> {
-    let at = t.req("at")?;
+fn parse_fault(mut t: Table, spatial: bool) -> Result<ScheduledFault, ParseError> {
+    let at = SimTime(t.req("at")?);
     let kind = match t.select("kind", None)? {
-        "crash" => FaultKindSpec::Crash {
-            node: t.req("node")?,
-        },
-        "restart" => FaultKindSpec::Restart {
-            node: t.req("node")?,
-        },
-        "restart_stale" => FaultKindSpec::RestartStale {
-            node: t.req("node")?,
-        },
-        "corrupt" => FaultKindSpec::Corrupt {
-            node: t.req("node")?,
-        },
-        "corrupt_message" => FaultKindSpec::CorruptMessage {
-            node: t.req("node")?,
-        },
-        "loss_burst" => FaultKindSpec::LossBurst {
+        "crash" => FaultKind::Crash(t.req("node")?),
+        "restart" => FaultKind::Restart(t.req("node")?),
+        "restart_stale" => FaultKind::RestartStale(t.req("node")?),
+        "corrupt" => FaultKind::CorruptState(t.req("node")?),
+        "corrupt_message" => FaultKind::CorruptMessage(t.req("node")?),
+        "loss_burst" => FaultKind::LossBurst {
             duration: t.req("duration")?,
         },
         "partition" => {
-            let groups: Vec<Vec<u64>> = t.req("groups")?;
+            let groups: Vec<Vec<NodeId>> = t.req("groups")?;
             if groups.len() < 2 {
                 let message = "`partition` needs at least two groups";
                 return Err(t.error("groups", message));
             }
-            FaultKindSpec::Partition { groups }
+            FaultKind::Partition { groups }
         }
-        "heal" => FaultKindSpec::Heal,
+        "heal" => FaultKind::Heal,
         // RegionBlackout silences nodes by position — meaningless on an
         // explicit topology, so fail loudly instead of running an inert fault.
         "region_blackout" if !spatial => {
@@ -984,25 +851,26 @@ fn parse_fault(mut t: Table, spatial: bool) -> Result<FaultSpec, ParseError> {
             return Err(t.error("kind", message));
         }
         "region_blackout" => {
-            let (min_x, min_y) = (t.req("min_x")?, t.req("min_y")?);
-            let (max_x, max_y) = (t.req("max_x")?, t.req("max_y")?);
-            if max_x < min_x || max_y < min_y {
+            let region = Region {
+                min_x: t.req("min_x")?,
+                min_y: t.req("min_y")?,
+                max_x: t.req("max_x")?,
+                max_y: t.req("max_y")?,
+            };
+            if region.max_x < region.min_x || region.max_y < region.min_y {
                 let message = "`region_blackout` rectangle is inverted \
                      (max_x/max_y below min_x/min_y)";
                 return Err(t.error("max_x", message));
             }
-            FaultKindSpec::RegionBlackout {
-                min_x,
-                min_y,
-                max_x,
-                max_y,
+            FaultKind::RegionBlackout {
+                region,
                 duration: t.req("duration")?,
             }
         }
         other => return Err(unknown(&t, "kind", other)),
     };
     t.finish()?;
-    Ok(FaultSpec { at, kind })
+    Ok(ScheduledFault::new(at, kind))
 }
 
 fn parse_churn(mut t: Table) -> Result<ChurnSpec, ParseError> {
@@ -1310,10 +1178,7 @@ digests = ["aa", "bb"]
         assert!(!m.sim.stagger_phases);
         assert_eq!(m.workload.node_count(), 6);
         assert_eq!(m.faults.len(), 2);
-        assert!(matches!(
-            m.faults[1].kind,
-            FaultKindSpec::LossBurst { duration: 2000 }
-        ));
+        assert_eq!(m.faults[1].kind, FaultKind::LossBurst { duration: 2000 });
         // churn is sorted by round
         assert_eq!(m.churn[0].at_round, 10);
         assert!(
@@ -1354,7 +1219,7 @@ loss = 0.1
                     ..
                 },
                 radio: RadioSpec::LossyDisk { .. },
-                channel: ChannelSpec::Bernoulli,
+                channel: None,
             }
         ));
     }
@@ -1381,17 +1246,7 @@ model = "contention"
             panic!("spatial workload expected");
         };
         assert_eq!(radio.range(), 45.0);
-        assert_eq!(
-            *channel,
-            ChannelSpec::Contention {
-                base_loss: 0.02,
-                load_loss: 0.08,
-                max_loss: 0.95,
-                window: 250,
-                jitter: 0,
-                hidden_terminal: true,
-            }
-        );
+        assert_eq!(*channel, Some(ContentionConfig::new(45.0)));
 
         let tuned = format!(
             "{base}base_loss = 0.01\nload_loss = 0.05\nmax_loss = 0.9\nwindow = 500\njitter = 6\nhidden_terminal = false\n"
@@ -1402,14 +1257,15 @@ model = "contention"
         };
         assert_eq!(
             *channel,
-            ChannelSpec::Contention {
+            Some(ContentionConfig {
+                range: 45.0,
                 base_loss: 0.01,
                 load_loss: 0.05,
                 max_loss: 0.9,
                 window: 500,
                 jitter: 6,
                 hidden_terminal: false,
-            }
+            })
         );
     }
 
@@ -1679,14 +1535,22 @@ crashes = 1
         )
         .expect("parses");
         let spec = m.modelcheck.expect("spec");
-        assert_eq!(spec.depth, 32);
-        assert_eq!(spec.max_states, 5000);
         assert_eq!(spec.start, StartSpec::Legitimate);
         assert_eq!(spec.warmup_rounds, 20);
-        assert_eq!((spec.walks, spec.walk_depth), (4, 64));
         assert_eq!(
-            (spec.max_drops, spec.max_duplicates, spec.max_crashes),
-            (1, 2, 1)
+            spec.explore,
+            ExploreConfig {
+                depth: 32,
+                max_states: 5000,
+                budget: FaultBudget {
+                    max_drops: 1,
+                    max_duplicates: 2,
+                    max_crashes: 1,
+                },
+                walks: 4,
+                walk_depth: 64,
+                seed: 1,
+            }
         );
     }
 
@@ -1808,19 +1672,19 @@ node = 2
         )
         .expect("parses");
         assert_eq!(m.faults.len(), 4);
-        assert!(matches!(
-            &m.faults[0].kind,
-            FaultKindSpec::Partition { groups } if groups == &[vec![0, 1, 2], vec![3, 4, 5]]
-        ));
-        assert!(matches!(
-            m.faults[1].kind,
-            FaultKindSpec::CorruptMessage { node: 3 }
-        ));
-        assert!(matches!(m.faults[2].kind, FaultKindSpec::Heal));
-        assert!(matches!(
-            m.faults[3].kind,
-            FaultKindSpec::RestartStale { node: 2 }
-        ));
+        let ids = |ids: &[u64]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
+        let kinds: Vec<FaultKind> = m.faults.into_iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FaultKind::Partition {
+                    groups: vec![ids(&[0, 1, 2]), ids(&[3, 4, 5])],
+                },
+                FaultKind::CorruptMessage(NodeId(3)),
+                FaultKind::Heal,
+                FaultKind::RestartStale(NodeId(2)),
+            ]
+        );
 
         // region_blackout parses on a spatial workload...
         let spatial = r#"
@@ -1844,7 +1708,7 @@ duration = 1000
         let m = ScenarioManifest::parse(spatial).expect("parses");
         assert!(matches!(
             m.faults[0].kind,
-            FaultKindSpec::RegionBlackout { duration: 1000, .. }
+            FaultKind::RegionBlackout { duration: 1000, .. }
         ));
 
         // ...but is rejected on explicit topologies
@@ -1867,6 +1731,36 @@ duration = 1000
         )
         .expect_err("one group").0;
         assert!(err.contains("at least two groups"), "got `{err}`");
+    }
+
+    /// `[[faults]]` tables and campaign files speak one vocabulary: every
+    /// fault kind, written either way, parses to the same `ScheduledFault`.
+    #[test]
+    fn fault_tables_parse_like_campaign_file_lines() {
+        let spatial = "name = \"f\"\n[mobility]\nkind = \"stationary_line\"\nn = 5\nspacing = 5.0\n[radio]\nkind = \"unit_disk\"\nrange = 6.0\n";
+        let cases = [
+            ("kind = \"crash\"\nnode = 2", "crash 2"),
+            ("kind = \"restart\"\nnode = 2", "restart 2"),
+            ("kind = \"restart_stale\"\nnode = 1", "restart_stale 1"),
+            ("kind = \"corrupt\"\nnode = 3", "corrupt 3"),
+            ("kind = \"corrupt_message\"\nnode = 4", "corrupt_message 4"),
+            ("kind = \"loss_burst\"\nduration = 1500", "loss_burst 1500"),
+            (
+                "kind = \"partition\"\ngroups = [[0, 1], [2, 3, 4]]",
+                "partition 0,1|2,3,4",
+            ),
+            ("kind = \"heal\"", "heal"),
+            (
+                "kind = \"region_blackout\"\nmin_x = 0.0\nmin_y = -2.5\nmax_x = 12.5\nmax_y = 2.5\nduration = 800",
+                "region_blackout 0 -2.5 12.5 2.5 800",
+            ),
+        ];
+        for (table, line) in cases {
+            let manifest = format!("{spatial}[[faults]]\nat = 4200\n{table}\n");
+            let m = ScenarioManifest::parse(&manifest).expect(line);
+            let (_, faults) = crate::parse_campaign_file(&format!("4200 {line}\n")).expect(line);
+            assert_eq!(m.faults, faults, "{line}");
+        }
     }
 
     #[test]

@@ -15,22 +15,22 @@
 
 use crate::campaign::{self, CampaignReport};
 use crate::manifest::{
-    AssertionSpec, ChannelSpec, ChurnAction, FaultKindSpec, MobilitySpec, RadioSpec, RunMode,
-    ScenarioManifest, StartSpec, TopologySpec, WorkloadSpec,
+    AssertionSpec, ChurnAction, MobilitySpec, RadioSpec, RunMode, ScenarioManifest, StartSpec,
+    WorkloadSpec,
 };
-use dyngraph::{generators, Graph, NodeId, TopologyEvent};
+use dyngraph::{NodeId, TopologyEvent};
 use grp_core::observers::{GrpPipeline, ResilienceStats};
 use grp_core::predicates::{OmegaPartition, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use modelcheck::{
     check_corruptions, check_pair_corruptions, explore, fresh_net, legitimate_start, snapshot_of,
-    ExploreConfig, FaultBudget, GrpChecker, Outcome, Report, Violation,
+    ExploreConfig, GrpChecker, Outcome, Report, Violation,
 };
 use netsim::mobility::{CityGrid, Highway, MixedHighway, RandomWalk, RandomWaypoint, Stationary};
 use netsim::radio::{DistanceLossDisk, LossyDisk, UnitDisk};
 use netsim::{
-    CanonicalHasher, ChannelModel, Contention, ContentionConfig, FaultKind, MessageStats, Observer,
-    Region, ScheduledFault, SimBuilder, SimConfig, SimTime, Simulator, TopologyMode, TraceDigest,
+    CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, SimBuilder, SimConfig,
+    Simulator, TopologyMode, TraceDigest,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -159,32 +159,15 @@ pub fn run_scenario_with(
     }
 }
 
-/// Build the explicit topology for a generator spec. Seeded generators fold
-/// the run seed in so different seeds explore different graphs.
-pub fn build_topology(spec: &TopologySpec, seed: u64) -> Graph {
-    match *spec {
-        TopologySpec::Path { n } => generators::path(n),
-        TopologySpec::Ring { n } => generators::ring(n),
-        TopologySpec::Grid { rows, cols } => generators::grid(rows, cols),
-        TopologySpec::Complete { n } => generators::complete(n),
-        TopologySpec::Star { n } => generators::star(n),
-        TopologySpec::Clustered {
-            clusters,
-            cluster_size,
-        } => generators::clustered(clusters, cluster_size),
-        TopologySpec::ErdosRenyi { n, p } => generators::erdos_renyi(n, p, seed),
-        TopologySpec::RandomGeometric { n, side, radius } => {
-            generators::random_geometric(n, side, radius, seed)
-        }
-    }
-}
-
 /// Topology mode plus the channel model a workload asks for. `None` keeps the
 /// simulator's built-in [`netsim::Bernoulli`] default (the legacy behaviour,
-/// byte-identical golden digests).
+/// byte-identical golden digests). Seeded generators fold the run seed in,
+/// so different seeds explore different graphs.
 fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Option<Box<dyn ChannelModel>>) {
     match workload {
-        WorkloadSpec::Explicit(spec) => (TopologyMode::Explicit(build_topology(spec, seed)), None),
+        WorkloadSpec::Explicit(generator) => {
+            (TopologyMode::Explicit(generator.generate(seed)), None)
+        }
         WorkloadSpec::Spatial {
             mobility,
             radio,
@@ -277,25 +260,7 @@ fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Option<Box<d
                     &mut placement_rng,
                 )),
             };
-            let channel: Option<Box<dyn ChannelModel>> = match *channel {
-                ChannelSpec::Bernoulli => None,
-                ChannelSpec::Contention {
-                    base_loss,
-                    load_loss,
-                    max_loss,
-                    window,
-                    jitter,
-                    hidden_terminal,
-                } => Some(Box::new(Contention::new(ContentionConfig {
-                    base_loss,
-                    load_loss,
-                    max_loss,
-                    window,
-                    jitter,
-                    hidden_terminal,
-                    ..ContentionConfig::new(radio.range())
-                }))),
-            };
+            let channel = channel.map(|c| Box::new(Contention::new(c)) as Box<dyn ChannelModel>);
             let radio: Box<dyn netsim::RadioModel> = match *radio {
                 RadioSpec::UnitDisk { range } => Box::new(UnitDisk::new(range)),
                 RadioSpec::LossyDisk { range, loss } => Box::new(LossyDisk::new(range, loss)),
@@ -330,7 +295,7 @@ pub fn build_simulator(manifest: &ScenarioManifest, seed: u64) -> Simulator<GrpN
             .map(NodeId)
             .collect(),
     };
-    let grp_config = grp_config_of(manifest);
+    let grp_config = &manifest.protocol;
     let mut builder = SimBuilder::new().config(config).mode(mode);
     if let Some(channel) = channel {
         builder = builder.channel(channel);
@@ -341,55 +306,14 @@ pub fn build_simulator(manifest: &ScenarioManifest, seed: u64) -> Simulator<GrpN
                 .iter()
                 .map(|&id| GrpNode::new(id, grp_config.clone())),
         )
-        .faults(manifest.faults.iter().map(|f| {
-            let kind = match &f.kind {
-                FaultKindSpec::Crash { node } => FaultKind::Crash(NodeId(*node)),
-                FaultKindSpec::Restart { node } => FaultKind::Restart(NodeId(*node)),
-                FaultKindSpec::RestartStale { node } => FaultKind::RestartStale(NodeId(*node)),
-                FaultKindSpec::Corrupt { node } => FaultKind::CorruptState(NodeId(*node)),
-                FaultKindSpec::CorruptMessage { node } => FaultKind::CorruptMessage(NodeId(*node)),
-                FaultKindSpec::LossBurst { duration } => FaultKind::LossBurst {
-                    duration: *duration,
-                },
-                FaultKindSpec::Partition { groups } => FaultKind::Partition {
-                    groups: groups
-                        .iter()
-                        .map(|g| g.iter().copied().map(NodeId).collect())
-                        .collect(),
-                },
-                FaultKindSpec::Heal => FaultKind::Heal,
-                FaultKindSpec::RegionBlackout {
-                    min_x,
-                    min_y,
-                    max_x,
-                    max_y,
-                    duration,
-                } => FaultKind::RegionBlackout {
-                    region: Region {
-                        min_x: *min_x,
-                        min_y: *min_y,
-                        max_x: *max_x,
-                        max_y: *max_y,
-                    },
-                    duration: *duration,
-                },
-            };
-            ScheduledFault::new(SimTime(f.at), kind)
-        }))
+        .faults(manifest.faults.iter().cloned())
         .build()
 }
 
-/// The `GrpConfig` a manifest's `[protocol]` section describes (public so
-/// the `experiments` bridge uses the same mapping, ablations included).
+/// The `GrpConfig` a manifest's `[protocol]` section describes, ablations
+/// included.
 pub fn grp_config_of(manifest: &ScenarioManifest) -> GrpConfig {
-    let mut config = GrpConfig::new(manifest.protocol.dmax);
-    if manifest.protocol.naive_compatibility {
-        config = config.with_naive_compatibility();
-    }
-    if manifest.protocol.disable_quarantine {
-        config = config.without_quarantine();
-    }
-    config
+    manifest.protocol.clone()
 }
 
 /// Apply one churn action to a running simulator (public so the
@@ -441,7 +365,6 @@ pub fn drive_manifest(
     manifest: &ScenarioManifest,
     obs: &mut dyn Observer<GrpNode>,
 ) {
-    let grp_config = grp_config_of(manifest);
     let mut churn = manifest.churn.iter().peekable();
     // `at_round` is relative to the manifest's own schedule; the driven
     // callback reports the simulator's *global* observed-round counter, so
@@ -453,7 +376,7 @@ pub fn drive_manifest(
             if c.at_round > manifest_round {
                 break;
             }
-            apply_churn_action(sim, &c.action, &grp_config);
+            apply_churn_action(sim, &c.action, &manifest.protocol);
             churn.next();
         }
     });
@@ -594,25 +517,17 @@ fn run_modelcheck_seed(
     golden: Option<&String>,
 ) -> RunOutcome {
     let spec = manifest.modelcheck.clone().unwrap_or_default();
-    let WorkloadSpec::Explicit(topo_spec) = &manifest.workload else {
+    let WorkloadSpec::Explicit(generator) = &manifest.workload else {
         unreachable!("parse-time validation rejects spatial modelcheck manifests");
     };
-    let topology = build_topology(topo_spec, seed);
+    let topology = generator.generate(seed);
     let nodes = topology.node_vec().len();
     let dmax = manifest.protocol.dmax;
-    let grp_config = grp_config_of(manifest);
+    let grp_config = &manifest.protocol;
     let checker = GrpChecker::new(dmax);
     let explore_config = ExploreConfig {
-        depth: spec.depth,
-        max_states: spec.max_states,
-        budget: FaultBudget {
-            max_drops: spec.max_drops,
-            max_duplicates: spec.max_duplicates,
-            max_crashes: spec.max_crashes,
-        },
-        walks: spec.walks,
-        walk_depth: spec.walk_depth,
         seed,
+        ..spec.explore
     };
     let start_tag = match spec.start {
         StartSpec::Legitimate => "legitimate",
@@ -622,7 +537,7 @@ fn run_modelcheck_seed(
 
     let mut assertions = Vec::new();
     let (mc, final_snapshot) =
-        match legitimate_start(topology.clone(), &grp_config, spec.warmup_rounds) {
+        match legitimate_start(topology.clone(), grp_config, spec.warmup_rounds) {
             Err(err) => {
                 assertions.push(AssertionResult::new(
                     "modelcheck_warmup",
@@ -634,7 +549,7 @@ fn run_modelcheck_seed(
                     start: start_tag.to_string(),
                     ..McReport::default()
                 };
-                (report, snapshot_of(&fresh_net(topology, &grp_config)))
+                (report, snapshot_of(&fresh_net(topology, grp_config)))
             }
             Ok(base) => {
                 let cases: Vec<McCaseReport> = match spec.start {

@@ -60,7 +60,7 @@ fn debug_skip(manifest: &ScenarioManifest) -> Option<String> {
         let bound = manifest
             .modelcheck
             .as_ref()
-            .map(|s| s.max_states)
+            .map(|s| s.explore.max_states)
             .unwrap_or_default();
         if bound > DEBUG_STATE_CEILING {
             return Some(format!("max_states {bound} > {DEBUG_STATE_CEILING}"));

@@ -61,7 +61,7 @@ fn benign_link_addition_preserves_the_group_after_the_handshake() {
     // Adding a link never breaks ΠT. In this reproduction a brand-new link
     // between two *existing* group members restarts the symmetric-link
     // handshake, which can transiently mark the peer and dent ΠC for a few
-    // rounds (documented in EXPERIMENTS.md, "known deviations"); what must
+    // rounds (docs/SCENARIOS.md, "Observed reproduction behaviours"); what must
     // hold is that the topology predicate is preserved and the group heals
     // back to the full membership in O(Dmax) rounds.
     let dmax = 3;
