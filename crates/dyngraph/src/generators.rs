@@ -3,8 +3,9 @@
 //! The evaluation sweeps over several topology families: paths/rings and
 //! grids (worst cases for the diameter constraint), random geometric graphs
 //! (the natural model of a wireless vicinity), Erdős–Rényi graphs (control),
-//! complete graphs and stars (best cases), and "clustered" graphs made of
-//! dense pockets joined by thin bridges (the group-merge scenarios).
+//! complete graphs and stars (best cases), "clustered" graphs made of
+//! dense pockets joined by thin bridges (the group-merge scenarios), and
+//! explicit edge lists for hand-made shapes no family expresses.
 
 use crate::graph::Graph;
 use crate::id::NodeId;
@@ -35,12 +36,22 @@ pub enum GraphGenerator {
         clusters: usize,
         cluster_size: usize,
     },
+    /// An explicit undirected edge list over raw node ids. The nodes are
+    /// the distinct endpoints, so an isolated node cannot be written.
+    Edges(Vec<(u64, u64)>),
 }
 
 impl GraphGenerator {
     /// Generate the topology. `seed` only matters for randomized families.
     pub fn generate(&self, seed: u64) -> Graph {
         match *self {
+            GraphGenerator::Edges(ref edges) => {
+                let mut g = Graph::new();
+                for &(a, b) in edges {
+                    g.add_edge(NodeId(a), NodeId(b));
+                }
+                g
+            }
             GraphGenerator::Path { n } => path(n),
             GraphGenerator::Ring { n } => ring(n),
             GraphGenerator::Grid { rows, cols } => grid(rows, cols),
@@ -60,6 +71,7 @@ impl GraphGenerator {
     /// Short human-readable label for tables.
     pub fn label(&self) -> String {
         match *self {
+            GraphGenerator::Edges(ref edges) => format!("edges({})", edges.len()),
             GraphGenerator::Path { n } => format!("path({n})"),
             GraphGenerator::Ring { n } => format!("ring({n})"),
             GraphGenerator::Grid { rows, cols } => format!("grid({rows}x{cols})"),
@@ -79,6 +91,7 @@ impl GraphGenerator {
     /// Number of nodes the generated graph will contain.
     pub fn node_count(&self) -> usize {
         match *self {
+            GraphGenerator::Edges(_) => self.generate(0).node_count(),
             GraphGenerator::Path { n }
             | GraphGenerator::Ring { n }
             | GraphGenerator::Complete { n }
@@ -301,5 +314,15 @@ mod tests {
         assert_eq!(GraphGenerator::Path { n: 4 }.node_count(), 4);
         assert_eq!(GraphGenerator::Grid { rows: 2, cols: 3 }.node_count(), 6);
         assert!(GraphGenerator::Ring { n: 8 }.label().contains("ring"));
+    }
+
+    #[test]
+    fn edge_list_rebuilds_the_graph_it_lists() {
+        let g = clustered(2, 3);
+        let edges = g.edges().map(|(a, b)| (a.raw(), b.raw())).collect();
+        let generator = GraphGenerator::Edges(edges);
+        assert_eq!(generator.generate(9), g);
+        assert_eq!(generator.node_count(), 6);
+        assert_eq!(generator.label(), "edges(7)");
     }
 }

@@ -9,47 +9,35 @@
 //! each variant.
 
 use crate::report::ExperimentOutput;
-use crate::runner::{convergence_budget, grp_simulator_with, Scale};
-use dyngraph::{Graph, NodeId};
+use crate::runner::{convergence_budget, Scale};
+use dyngraph::GraphGenerator;
 use grp_core::predicates::SystemSnapshot;
 use grp_core::GrpConfig;
 use metrics::Table;
+use scenarios::manifest::WorkloadSpec;
+use scenarios::{build_simulator, ScenarioManifest};
 
 /// A path group 0-1-…-(left-1) and a second group anchored at node 100,
 /// where the anchor is adjacent to the last `overlap` nodes of the first
 /// group (the short-cut links), followed by a tail 101, 102, ….
-fn shortcut_topology(left: usize, tail: usize, overlap: usize) -> Graph {
-    let mut g = Graph::new();
-    for i in 0..left {
-        g.add_node(NodeId(i as u64));
-        if i > 0 {
-            g.add_edge(NodeId(i as u64 - 1), NodeId(i as u64));
-        }
-    }
-    let anchor = NodeId(100);
-    g.add_node(anchor);
-    for k in 0..overlap.min(left) {
-        g.add_edge(anchor, NodeId((left - 1 - k) as u64));
-    }
-    for t in 0..tail {
-        let id = NodeId(101 + t as u64);
-        let prev = if t == 0 {
-            anchor
-        } else {
-            NodeId(100 + t as u64)
-        };
-        g.add_edge(prev, id);
-    }
-    g
+fn shortcut_topology(left: usize, tail: usize, overlap: usize) -> GraphGenerator {
+    let (left, tail) = (left as u64, tail as u64);
+    let path = (1..left).map(|id| (id - 1, id));
+    let shortcuts = (1..=left.min(overlap as u64)).map(|k| (100, left - k));
+    let tail = (101..101 + tail).map(|id| (id - 1, id));
+    GraphGenerator::Edges(path.chain(shortcuts).chain(tail).collect())
 }
 
 /// Run one variant and report whether the system ends as a single agreed
 /// group.
-fn merges(topology: &Graph, config: GrpConfig, seed: u64) -> bool {
-    let n = topology.node_count();
-    let dmax = config.dmax;
-    let mut sim = grp_simulator_with(topology, config, seed);
-    sim.run_rounds(2 * convergence_budget(n, dmax) as u64);
+fn merges(topology: &GraphGenerator, config: GrpConfig, seed: u64) -> bool {
+    let rounds = 2 * convergence_budget(topology.node_count(), config.dmax) as u64;
+    let workload = WorkloadSpec::Explicit(topology.clone());
+    let mut sim = build_simulator(
+        &ScenarioManifest::simulate("e10", workload, config, rounds),
+        seed,
+    );
+    sim.run_rounds(rounds);
     let snapshot = SystemSnapshot::from_simulator(&sim);
     snapshot.agreement() && snapshot.group_count() == 1
 }
@@ -82,7 +70,7 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     for &(left, tail, overlap, dmax) in &cases {
         let topology = shortcut_topology(left, tail, overlap);
         // detlint::allow(D004): shortcut_topology builds a connected graph
-        let diameter = topology.diameter().expect("connected scenario");
+        let diameter = topology.generate(0).diameter().expect("connected scenario");
         let full_rate = seeds
             .iter()
             .filter(|&&seed| merges(&topology, GrpConfig::new(dmax), seed))
@@ -118,10 +106,11 @@ pub fn run(scale: Scale) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyngraph::NodeId;
 
     #[test]
     fn shortcut_topology_shape() {
-        let g = shortcut_topology(3, 1, 2);
+        let g = shortcut_topology(3, 1, 2).generate(0);
         // nodes: 0,1,2, anchor 100, tail 101
         assert_eq!(g.node_count(), 5);
         assert!(g.contains_edge(NodeId(100), NodeId(2)));

@@ -7,17 +7,19 @@
 //! rounds until the closed legitimate suffix begins.
 
 use crate::report::ExperimentOutput;
-use crate::runner::{convergence_budget, run_grp, Scale};
-use dyngraph::generators::random_geometric;
+use crate::runner::{convergence_budget, grp_manifest, Scale};
+use dyngraph::GraphGenerator;
 use metrics::{Summary, Table};
+use scenarios::run_seed;
 
-/// Build the RGG used throughout the sweeps: area grows with n so that the
-/// expected degree stays roughly constant (~6 neighbours).
-pub fn sized_rgg(n: usize, seed: u64) -> dyngraph::Graph {
+/// The RGG family used throughout the sweeps: area grows with n so that the
+/// expected degree stays roughly constant (~6 neighbours). The run seed
+/// places the nodes.
+pub fn sized_rgg(n: usize) -> GraphGenerator {
     let radius = 3.0;
     let target_degree = 6.0;
     let side = (n as f64 * std::f64::consts::PI * radius * radius / target_degree).sqrt();
-    random_geometric(n, side, radius, seed)
+    GraphGenerator::RandomGeometric { n, side, radius }
 }
 
 /// Run the experiment at the given scale.
@@ -42,14 +44,10 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     );
     for &n in &sizes {
         for &dmax in &dmaxes {
-            let rounds_budget = convergence_budget(n, dmax);
+            let manifest = grp_manifest("e1", sized_rgg(n), dmax, convergence_budget(n, dmax));
             let results: Vec<Option<usize>> = seeds
                 .iter()
-                .map(|&seed| {
-                    let g = sized_rgg(n, seed);
-                    let run = run_grp(&g, dmax, rounds_budget, seed);
-                    run.convergence_round()
-                })
+                .map(|&seed| run_seed(&manifest, seed, None).converged_round)
                 .collect();
             let converged: Vec<f64> = results.iter().filter_map(|r| r.map(|v| v as f64)).collect();
             let summary = Summary::of(&converged);
@@ -84,7 +82,7 @@ mod tests {
 
     #[test]
     fn sized_rgg_keeps_density_reasonable() {
-        let g = sized_rgg(40, 1);
+        let g = sized_rgg(40).generate(1);
         assert_eq!(g.node_count(), 40);
         let degree = g.mean_degree();
         assert!(degree > 1.0 && degree < 15.0, "mean degree {degree}");

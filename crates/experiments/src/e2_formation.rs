@@ -7,26 +7,24 @@
 //! maximum diameter never exceeds `Dmax` once the system has stabilized.
 
 use crate::report::ExperimentOutput;
-use crate::runner::{convergence_budget, grp_simulator, run_grp_on, Scale};
-use dyngraph::generators::{grid, path, ring};
-use dyngraph::Graph;
+use crate::runner::{convergence_budget, grp_manifest, snapshots, Scale};
+use dyngraph::GraphGenerator;
 use metrics::TimeSeries;
 
 fn formation_series(
-    name: &str,
-    topology: &Graph,
+    generator: GraphGenerator,
     dmax: usize,
     rounds: usize,
     seed: u64,
 ) -> Vec<TimeSeries> {
-    let mut sim = grp_simulator(topology, dmax, seed);
-    let run = run_grp_on(&mut sim, dmax, rounds);
+    let name = generator.label();
+    let manifest = grp_manifest("e2", generator, dmax, rounds);
     let mut groups = TimeSeries::new(format!("{name}: group count"));
     let mut diameter = TimeSeries::new(format!("{name}: max group diameter"));
-    for (round, snapshot) in run.snapshots.iter().enumerate() {
+    for (round, snapshot) in snapshots(&manifest, seed).iter().enumerate() {
         groups.push(round as u64, snapshot.group_count() as f64);
-        let d = snapshot.max_group_diameter().unwrap_or(usize::MAX);
-        diameter.push(round as u64, if d == usize::MAX { -1.0 } else { d as f64 });
+        let d = snapshot.max_group_diameter().map_or(-1.0, |d| d as f64);
+        diameter.push(round as u64, d);
     }
     vec![groups, diameter]
 }
@@ -37,18 +35,19 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     let dmax = 3;
     let n = scale.pick(10, 24);
     let rounds = convergence_budget(n, dmax);
-    let topologies: Vec<(String, Graph)> = vec![
-        (format!("path({n})"), path(n)),
-        (format!("ring({n})"), ring(n)),
-        (
-            format!("grid({}x{})", scale.pick(3, 5), scale.pick(3, 5)),
-            grid(scale.pick(3, 5), scale.pick(3, 5)),
-        ),
+    let side = scale.pick(3, 5);
+    let generators = [
+        GraphGenerator::Path { n },
+        GraphGenerator::Ring { n },
+        GraphGenerator::Grid {
+            rows: side,
+            cols: side,
+        },
     ];
-    for (name, topology) in &topologies {
+    for generator in generators {
         output
             .series
-            .extend(formation_series(name, topology, dmax, rounds, 1));
+            .extend(formation_series(generator, dmax, rounds, 1));
     }
     output.notes.push(format!(
         "Dmax = {dmax}; a diameter value of -1 denotes a transiently disconnected group"

@@ -7,9 +7,10 @@
 //! runs that need more than the budgeted rounds.
 
 use crate::report::ExperimentOutput;
-use crate::runner::{convergence_budget, run_grp, Scale};
+use crate::runner::{convergence_budget, grp_manifest, Scale};
 use dyngraph::GraphGenerator;
 use metrics::Table;
+use scenarios::run_seed;
 
 /// Run the experiment at the given scale.
 pub fn run(scale: Scale) -> ExperimentOutput {
@@ -44,13 +45,12 @@ pub fn run(scale: Scale) -> ExperimentOutput {
     );
     for generator in &generators {
         for &dmax in &dmaxes {
+            let rounds = convergence_budget(generator.node_count(), dmax);
+            let manifest = grp_manifest("e3", generator.clone(), dmax, rounds);
             let verdicts: Vec<(bool, bool, bool)> = seeds
                 .iter()
                 .map(|&seed| {
-                    let g = generator.generate(seed);
-                    let rounds = convergence_budget(g.node_count(), dmax);
-                    let run = run_grp(&g, dmax, rounds, seed);
-                    let last = run.last();
+                    let last = run_seed(&manifest, seed, None).final_snapshot;
                     (last.agreement(), last.safety(dmax), last.maximality(dmax))
                 })
                 .collect();

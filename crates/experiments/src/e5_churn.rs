@@ -6,11 +6,16 @@
 //! and the three baselines over the *same* random-waypoint mobility traces
 //! and counts, per node and per round, how many members disappear from the
 //! local view — the disruption an application built on the views would see.
+//!
+//! GRP and the baselines must replay one hand-seeded mobility trace, and a
+//! manifest describes GRP runs only, so this experiment builds its
+//! simulators itself instead of through `scenarios::build_simulator`.
 
 use crate::report::ExperimentOutput;
-use crate::runner::{run_with_snapshots, Scale};
+use crate::runner::Scale;
 use baselines::{KHopClustering, MaxMinDCluster, NeighborhoodBall};
 use dyngraph::NodeId;
+use grp_core::observers::SnapshotRecorder;
 use grp_core::predicates::{view_removals, GroupMembership, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use metrics::Table;
@@ -85,8 +90,9 @@ where
     F: Fn(NodeId) -> P,
 {
     let mut sim = spatial_sim(n, speed, seed, make);
-    let snapshots = run_with_snapshots(&mut sim, rounds);
-    churn_of(&snapshots, warmup, n)
+    let mut recorder = SnapshotRecorder::new();
+    sim.run_rounds_observed(rounds as u64, &mut recorder);
+    churn_of(&recorder.into_snapshots(), warmup, n)
 }
 
 /// Run the experiment at the given scale.

@@ -9,10 +9,11 @@
 
 use crate::e1_convergence::sized_rgg;
 use crate::report::ExperimentOutput;
-use crate::runner::{convergence_budget, grp_simulator, Scale};
+use crate::runner::{convergence_budget, grp_manifest, Scale};
 use grp_core::observers::ConvergenceProbe;
 use metrics::{Summary, Table};
 use netsim::{FaultKind, ScheduledFault, SimTime};
+use scenarios::build_simulator;
 
 #[derive(Clone, Copy, Debug)]
 enum FaultScenario {
@@ -38,9 +39,8 @@ impl FaultScenario {
 /// Converge, inject, and return the number of rounds needed to be
 /// legitimate again (None if the budget was not enough).
 fn recovery_rounds(scenario: FaultScenario, n: usize, dmax: usize, seed: u64) -> Option<usize> {
-    let topology = sized_rgg(n, seed);
-    let mut sim = grp_simulator(&topology, dmax, seed);
     let warmup = convergence_budget(n, dmax);
+    let mut sim = build_simulator(&grp_manifest("e7", sized_rgg(n), dmax, warmup), seed);
     sim.run_rounds(warmup as u64);
 
     let ids = sim.node_ids();
@@ -157,8 +157,7 @@ mod tests {
     /// the simulator API as well.
     #[test]
     fn direct_corruption_is_visible_in_snapshot() {
-        let topology = sized_rgg(6, 2);
-        let mut sim = grp_simulator(&topology, 3, 2);
+        let mut sim = build_simulator(&grp_manifest("e7", sized_rgg(6), 3, 30), 2);
         sim.run_rounds(30);
         let before = SystemSnapshot::from_simulator(&sim);
         assert!(before.agreement());

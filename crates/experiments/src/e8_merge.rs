@@ -8,38 +8,27 @@
 //! apart.
 
 use crate::report::ExperimentOutput;
-use crate::runner::{convergence_budget, grp_simulator, Scale};
-use dyngraph::generators::path;
-use dyngraph::{Graph, NodeId, TopologyEvent};
+use crate::runner::{convergence_budget, grp_manifest, Scale};
+use dyngraph::{GraphGenerator, NodeId, TopologyEvent};
 use grp_core::predicates::SystemSnapshot;
 use metrics::{Summary, Table};
+use scenarios::build_simulator;
 
 /// Two path segments of `half` nodes each, disconnected; node ids are
 /// 0..half and 100..100+half.
-fn two_segments(half: usize) -> (Graph, NodeId, NodeId) {
-    let mut g = path(half);
-    let mut right_ids = Vec::new();
-    for i in 0..half {
-        let id = NodeId(100 + i as u64);
-        g.add_node(id);
-        right_ids.push(id);
-        if i > 0 {
-            g.add_edge(NodeId(100 + i as u64 - 1), id);
-        }
-    }
-    // the bridge will connect the right end of the left segment to the left
-    // end of the right segment
-    (g, NodeId(half as u64 - 1), NodeId(100))
+fn two_segments(half: usize) -> GraphGenerator {
+    let segment = |first: u64| (first + 1..first + half as u64).map(|id| (id - 1, id));
+    GraphGenerator::Edges(segment(0).chain(segment(100)).collect())
 }
 
-/// Converge the two segments, add the bridge, and return
+/// Converge the two segments, add the bridge from the right end of the
+/// left segment to the left end of the right one, and return
 /// `(rounds_until_single_group, final_group_count)`.
 fn merge_latency(half: usize, dmax: usize, seed: u64) -> (Option<usize>, usize) {
-    let (topology, left_end, right_end) = two_segments(half);
-    let mut sim = grp_simulator(&topology, dmax, seed);
     let warmup = convergence_budget(2 * half, dmax);
+    let mut sim = build_simulator(&grp_manifest("e8", two_segments(half), dmax, warmup), seed);
     sim.run_rounds(warmup as u64);
-    sim.apply_topology_event(TopologyEvent::LinkUp(left_end, right_end));
+    sim.apply_topology_event(TopologyEvent::LinkUp(NodeId(half as u64 - 1), NodeId(100)));
     let budget = 2 * convergence_budget(2 * half, dmax);
     let mut merged_at = None;
     for round in 0..budget {
@@ -131,6 +120,15 @@ mod tests {
         let (merged, final_count) = merge_latency(3, 3, 1);
         assert!(merged.is_none(), "a 6-node path has diameter 5 > 3");
         assert!(final_count >= 2);
+    }
+
+    #[test]
+    fn two_segments_are_two_paths() {
+        let g = two_segments(3).generate(0);
+        assert_eq!(g.node_vec(), [0, 1, 2, 100, 101, 102].map(NodeId));
+        assert_eq!(g.edge_count(), 4);
+        assert!(g.contains_edge(NodeId(101), NodeId(102)));
+        assert!(!g.contains_edge(NodeId(2), NodeId(100)));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! `e10_compat_ablation` below (each module doc names the paper claim it
 //! measures). Every experiment
 //!
-//! * builds its workload from the `dyngraph` generators or a `netsim`
-//!   mobility model,
-//! * runs GRP (and, where relevant, the baselines) on the simulator,
-//! * evaluates the specification predicates each round,
+//! * describes each GRP run as a [`scenarios::ScenarioManifest`] (in code,
+//!   with [`ScenarioManifest::simulate`](scenarios::ScenarioManifest::simulate))
+//!   and builds it through [`scenarios::build_simulator`], the code path
+//!   the golden digests pin — except E5 and E6, whose GRP runs share a
+//!   hand-built trace or graph with the baselines;
+//! * evaluates the specification predicates each round;
 //! * and returns [`metrics::Table`]s / [`metrics::TimeSeries`] that the
 //!   `grp-experiments` binary prints and writes under `results/`.
 //!
@@ -31,7 +33,7 @@ pub mod report;
 pub mod runner;
 
 pub use report::{run_experiment, ExperimentOutput};
-pub use runner::{GrpRun, Scale};
+pub use runner::Scale;
 
 /// The identifiers of every experiment, in presentation order.
 pub const ALL_EXPERIMENTS: &[&str] = &["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"];

@@ -1,19 +1,19 @@
-//! Shared machinery: building simulators, the observer-driven history
-//! collectors, and the quick/full scale switch.
+//! Shared machinery: the quick/full scale switch, the convergence budget,
+//! and the drive helpers the experiments compose over the manifest front
+//! end.
 //!
-//! Since the observer redesign this module owns no drive loop: history is
-//! collected by `grp_core::observers` probes riding `netsim`'s single
-//! observed event loop, and the entry points here ([`run_grp`],
-//! [`run_grp_on`], [`run_with_snapshots`]) are thin compositions kept for
-//! the e1–e10 experiments.
+//! There is no simulator builder here: every GRP run of E1–E4 and E7–E10
+//! is a [`ScenarioManifest`] (usually [`ScenarioManifest::simulate`]) turned
+//! into a simulator by [`scenarios::build_simulator`], the code path the
+//! golden digests pin.
 
-use dyngraph::{Graph, NodeId};
-use grp_core::observers::{ConvergenceProbe, GrpPipeline, SnapshotRecorder};
-use grp_core::predicates::{GroupMembership, SystemSnapshot};
-use grp_core::{ConvergenceDetector, GrpConfig, GrpNode};
-use netsim::mobility::MobilityModel;
-use netsim::radio::RadioModel;
-use netsim::{SimBuilder, SimConfig, Simulator};
+use dyngraph::GraphGenerator;
+use grp_core::observers::SnapshotRecorder;
+use grp_core::predicates::SystemSnapshot;
+use grp_core::GrpConfig;
+use metrics::ChurnAccumulator;
+use scenarios::manifest::WorkloadSpec;
+use scenarios::{build_simulator, drive_manifest, ScenarioManifest};
 
 /// How heavy an experiment run should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,107 +43,40 @@ impl Scale {
     }
 }
 
-/// The per-round history of one GRP run.
-pub struct GrpRun {
-    /// One snapshot per recorded round (the last entry is the final state).
-    pub snapshots: Vec<SystemSnapshot>,
-    /// The convergence detector fed with one verdict per snapshot.
-    pub detector: ConvergenceDetector,
-    /// Message statistics at the end of the run.
-    pub stats: netsim::MessageStats,
-    /// Number of nodes.
-    pub nodes: usize,
-}
-
-impl GrpRun {
-    /// The round at which the closed legitimate suffix starts, if the run
-    /// ends legitimate.
-    pub fn convergence_round(&self) -> Option<usize> {
-        self.detector.convergence_round()
-    }
-
-    /// The final snapshot.
-    pub fn last(&self) -> &SystemSnapshot {
-        // detlint::allow(D004): every constructor records the initial snapshot
-        self.snapshots.last().expect("at least one snapshot")
-    }
-}
-
-/// Build a GRP simulator on an explicit topology.
-pub fn grp_simulator(topology: &Graph, dmax: usize, seed: u64) -> Simulator<GrpNode> {
-    grp_simulator_with(topology, GrpConfig::new(dmax), seed)
-}
-
-/// Build a GRP simulator on an explicit topology with a custom config
-/// (used by the ablation experiments).
-pub fn grp_simulator_with(topology: &Graph, config: GrpConfig, seed: u64) -> Simulator<GrpNode> {
-    SimBuilder::new()
-        .config(SimConfig {
-            seed,
-            ..Default::default()
-        })
-        .explicit(topology.clone())
-        .nodes_from_topology(|id| GrpNode::new(id, config.clone()))
-        .build()
-}
-
-/// Build a GRP simulator in spatial mode (mobility + radio).
-pub fn grp_spatial_simulator(
-    node_ids: &[NodeId],
+/// A `rounds`-round GRP run at `dmax` on a generated topology, everything
+/// else at the manifest defaults.
+pub fn grp_manifest(
+    name: &str,
+    generator: GraphGenerator,
     dmax: usize,
-    radio: Box<dyn RadioModel>,
-    mobility: Box<dyn MobilityModel>,
-    seed: u64,
-) -> Simulator<GrpNode> {
-    let config = GrpConfig::new(dmax);
-    SimBuilder::new()
-        .config(SimConfig {
-            seed,
-            ..Default::default()
-        })
-        .spatial(radio, mobility)
-        .nodes(node_ids.iter().map(|&id| GrpNode::new(id, config.clone())))
-        .build()
+    rounds: usize,
+) -> ScenarioManifest {
+    let workload = WorkloadSpec::Explicit(generator);
+    ScenarioManifest::simulate(name, workload, GrpConfig::new(dmax), rounds as u64)
 }
 
-/// Run any protocol simulator for `rounds` rounds, recording one
-/// copy-on-write snapshot per round (active nodes only — the unified
-/// snapshot semantics; see `SystemSnapshot::from_simulator`).
-pub fn run_with_snapshots<P>(sim: &mut Simulator<P>, rounds: usize) -> Vec<SystemSnapshot>
-where
-    P: GroupMembership,
-{
+/// Run `manifest` under `seed` and return one snapshot per round (active
+/// nodes only; see `SystemSnapshot::from_simulator`).
+pub fn snapshots(manifest: &ScenarioManifest, seed: u64) -> Vec<SystemSnapshot> {
+    let mut sim = build_simulator(manifest, seed);
     let mut recorder = SnapshotRecorder::new();
-    sim.run_rounds_observed(rounds as u64, &mut recorder);
+    drive_manifest(&mut sim, manifest, &mut recorder);
     recorder.into_snapshots()
 }
 
-/// Run GRP on an explicit topology for `rounds` rounds and collect the full
-/// history plus the convergence verdicts.
-pub fn run_grp(topology: &Graph, dmax: usize, rounds: usize, seed: u64) -> GrpRun {
-    let mut sim = grp_simulator(topology, dmax, seed);
-    run_grp_on(&mut sim, dmax, rounds)
-}
-
-/// Same as [`run_grp`] but over an already-built simulator (spatial mode,
-/// pre-injected faults, custom config, …).
-pub fn run_grp_on(sim: &mut Simulator<GrpNode>, dmax: usize, rounds: usize) -> GrpRun {
-    let mut pipeline = GrpPipeline::new().with_convergence(dmax);
-    sim.run_rounds_observed(rounds as u64, &mut pipeline);
-    let GrpPipeline {
-        recorder,
-        convergence,
-        ..
-    } = pipeline;
-    GrpRun {
-        nodes: sim.node_ids().len(),
-        stats: sim.stats(),
-        snapshots: recorder.into_snapshots(),
-        detector: convergence
-            .map(ConvergenceProbe::into_detector)
-            // detlint::allow(D004): run_grp_on builds its pipeline with_convergence
-            .expect("pipeline built with convergence"),
+/// Run `manifest` under `seed` and account ΠT, ΠC and view removals over
+/// every snapshot transition after the first `warmup` rounds.
+pub fn churn_after_warmup(
+    manifest: &ScenarioManifest,
+    seed: u64,
+    warmup: usize,
+) -> ChurnAccumulator {
+    let dmax = manifest.protocol.dmax;
+    let mut acc = ChurnAccumulator::new();
+    for pair in snapshots(manifest, seed)[warmup..].windows(2) {
+        acc.record(&pair[0], &pair[1], dmax);
     }
+    acc
 }
 
 /// A generous default for "long enough to converge" on an n-node topology.
@@ -154,7 +87,6 @@ pub fn convergence_budget(n: usize, dmax: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyngraph::generators::path;
 
     #[test]
     fn scale_pick_and_seeds() {
@@ -164,21 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn run_grp_converges_on_a_short_path() {
-        let topology = path(4);
-        let run = run_grp(&topology, 3, convergence_budget(4, 3), 7);
-        assert!(run.convergence_round().is_some(), "no convergence detected");
-        assert!(run.last().legitimate(3));
-        assert_eq!(run.last().group_count(), 1);
-        assert_eq!(run.nodes, 4);
-        assert!(run.stats.delivered > 0);
-    }
-
-    #[test]
     fn snapshots_are_recorded_every_round() {
-        let topology = path(3);
-        let run = run_grp(&topology, 2, 10, 1);
-        assert_eq!(run.snapshots.len(), 10);
-        assert_eq!(run.detector.len(), 10);
+        let manifest = grp_manifest("t", GraphGenerator::Path { n: 3 }, 2, 10);
+        assert_eq!(snapshots(&manifest, 1).len(), 10);
+        let acc = churn_after_warmup(&manifest, 1, 4);
+        assert_eq!(acc.transitions, 5);
     }
 }

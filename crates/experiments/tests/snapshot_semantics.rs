@@ -9,8 +9,8 @@
 //! schedule that would have exposed the divergence.
 
 use dyngraph::NodeId;
-use grp_core::observers::{GrpPipeline, SnapshotRecorder};
-use grp_core::predicates::SystemSnapshot;
+use experiments::runner::snapshots;
+use grp_core::observers::GrpPipeline;
 use scenarios::{build_simulator, drive_manifest, ScenarioManifest};
 
 const CHURN_MANIFEST: &str = r#"
@@ -34,15 +34,6 @@ node = 4
 links = [3]
 "#;
 
-/// The history a bare [`SnapshotRecorder`] captures over the manifest's
-/// schedule, churn included.
-fn recorded_history(manifest: &ScenarioManifest, seed: u64) -> Vec<SystemSnapshot> {
-    let mut sim = build_simulator(manifest, seed);
-    let mut recorder = SnapshotRecorder::new();
-    drive_manifest(&mut sim, manifest, &mut recorder);
-    recorder.into_snapshots()
-}
-
 /// The regression that would have caught the historical mismatch: after
 /// `node_leave`, the departed node must vanish from every captured
 /// snapshot (its frozen view must not feed the predicates or the churn
@@ -50,7 +41,7 @@ fn recorded_history(manifest: &ScenarioManifest, seed: u64) -> Vec<SystemSnapsho
 #[test]
 fn departed_nodes_leave_the_captured_history() {
     let manifest = ScenarioManifest::parse(CHURN_MANIFEST).expect("manifest parses");
-    let snapshots = recorded_history(&manifest, 11);
+    let snapshots = snapshots(&manifest, 11);
     assert_eq!(snapshots.len(), 40);
     let gone = NodeId(4);
     for (round, snapshot) in snapshots.iter().enumerate() {
@@ -77,8 +68,8 @@ fn departed_nodes_leave_the_captured_history() {
     }
 }
 
-/// The experiments' capture (a bare [`SnapshotRecorder`], as in
-/// `experiments::runner::run_with_snapshots`) and the scenario runner's
+/// The experiments' capture (a bare `SnapshotRecorder`, as in
+/// [`experiments::runner::snapshots`]) and the scenario runner's
 /// probe pipeline must record the *same* history for the same manifest and
 /// seed. (Under the pre-redesign split semantics this assertion fails at
 /// the first post-leave round.)
@@ -86,7 +77,7 @@ fn departed_nodes_leave_the_captured_history() {
 fn experiment_and_scenario_harnesses_capture_identical_histories() {
     let manifest = ScenarioManifest::parse(CHURN_MANIFEST).expect("manifest parses");
     let seed = 11;
-    let recorded = recorded_history(&manifest, seed);
+    let recorded = snapshots(&manifest, seed);
 
     let mut sim = build_simulator(&manifest, seed);
     let dmax = manifest.protocol.dmax;

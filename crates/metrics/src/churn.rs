@@ -17,8 +17,9 @@ pub struct ChurnAccumulator {
     pub pi_t_held: u64,
     /// Transitions during which ΠC held (no node left any group).
     pub pi_c_held: u64,
-    /// Transitions where ΠT held but ΠC did not — the paper proves this
-    /// never happens for GRP (Proposition 14), so this counter must stay 0.
+    /// Transitions where ΠT held but ΠC did not — Proposition 14 rules
+    /// these out for GRP (`docs/SCENARIOS.md` lists where the reproduction
+    /// still counts some).
     pub best_effort_violations: u64,
     /// Total number of (node, lost member) pairs across all transitions.
     pub total_view_removals: u64,

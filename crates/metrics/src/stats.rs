@@ -43,12 +43,6 @@ impl Summary {
         }
     }
 
-    /// Summarise an iterator of integer samples.
-    pub fn of_counts<I: IntoIterator<Item = usize>>(samples: I) -> Summary {
-        let as_f64: Vec<f64> = samples.into_iter().map(|x| x as f64).collect();
-        Summary::of(&as_f64)
-    }
-
     /// Compact human-readable rendering ("mean ± std [min, max]").
     pub fn display_compact(&self) -> String {
         format!(
@@ -95,13 +89,6 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.95), 95.0);
         assert_eq!(percentile(&sorted, 0.0), 1.0);
         assert_eq!(percentile(&sorted, 1.0), 100.0);
-    }
-
-    #[test]
-    fn of_counts_converts_integers() {
-        let s = Summary::of_counts(vec![2usize, 4, 6]);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-        assert_eq!(s.count, 3);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! system: a scenario is a 20-line TOML manifest instead of a new Rust
 //! module. A manifest declares
 //!
-//! * the workload — an explicit topology generator, or a mobility model
-//!   plus a radio model (spatial mode);
+//! * the workload — an explicit topology generator or edge list, or a
+//!   mobility model plus a radio model (spatial mode);
 //! * the protocol parameters (`Dmax`, ablation switches) and simulator
 //!   timing (`τ1`/`τ2`, loss, delays, seeds);
 //! * an optional transient-fault plan and a churn schedule (topology

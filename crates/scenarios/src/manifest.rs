@@ -377,6 +377,36 @@ pub struct ScenarioManifest {
 }
 
 impl ScenarioManifest {
+    /// A `mode = "simulate"` manifest of `rounds` rounds running `protocol`
+    /// on `workload`; every other field is the parser's default (seed 1,
+    /// default timing, no faults, churn or assertions). This is how the
+    /// experiments describe a run in code.
+    pub fn simulate(
+        name: impl Into<String>,
+        workload: WorkloadSpec,
+        protocol: GrpConfig,
+        rounds: u64,
+    ) -> Self {
+        ScenarioManifest {
+            name: name.into(),
+            description: String::new(),
+            mode: RunMode::Simulate,
+            workload,
+            protocol,
+            sim: SimSpec {
+                rounds,
+                ..SimSpec::default()
+            },
+            report: ReportSpec::default(),
+            modelcheck: None,
+            campaign: None,
+            faults: Vec::new(),
+            churn: Vec::new(),
+            assertions: AssertionSpec::default(),
+            golden: GoldenSpec::default(),
+        }
+    }
+
     /// Load from a TOML string.
     pub fn parse(input: &str) -> Result<Self, ManifestError> {
         toml::parse(input)
@@ -587,10 +617,27 @@ fn parse_topology(mut t: Table) -> Result<GraphGenerator, ParseError> {
             side: t.req("side")?,
             radius: t.req("radius")?,
         },
+        "edges" => GraphGenerator::Edges(parse_edges(&mut t)?),
         other => return Err(unknown(&t, "kind", other)),
     };
     t.finish()?;
     Ok(spec)
+}
+
+/// `edges = [[a, b], …]`: a non-empty list of id pairs without self-loops.
+fn parse_edges(t: &mut Table) -> Result<Vec<(u64, u64)>, ParseError> {
+    let pairs: Vec<Vec<u64>> = t.req("edges")?;
+    if pairs.is_empty() {
+        return Err(t.error("edges", "`edges` must not be empty"));
+    }
+    (1..)
+        .zip(&pairs)
+        .map(|(i, pair)| match pair[..] {
+            [a, b] if a != b => Ok((a, b)),
+            [a, _] => Err(t.error("edges", format!("`edges` #{i}: [{a}, {a}] is a self-loop"))),
+            _ => Err(t.error("edges", format!("`edges` #{i}: expected a pair [a, b]"))),
+        })
+        .collect()
 }
 
 fn parse_mobility(mut t: Table) -> Result<MobilitySpec, ParseError> {
@@ -971,6 +1018,34 @@ n = 4
         ))
         .expect("parses");
         assert_eq!(m.protocol.dmax, 3);
+    }
+
+    #[test]
+    fn simulate_is_the_minimal_manifest_in_code() {
+        let parsed = ScenarioManifest::parse(
+            "name = \"e\"\n[topology]\nkind = \"path\"\nn = 4\n[protocol]\ndmax = 2\n[sim]\nrounds = 30\n",
+        )
+        .expect("parses");
+        let built = ScenarioManifest::simulate(
+            "e",
+            WorkloadSpec::Explicit(GraphGenerator::Path { n: 4 }),
+            GrpConfig::new(2),
+            30,
+        );
+        assert_eq!(built, parsed);
+    }
+
+    #[test]
+    fn edge_list_topology_parses() {
+        let m = ScenarioManifest::parse(
+            "name = \"e\"\n[topology]\nkind = \"edges\"\nedges = [[1, 3], [3, 8],\n  [1, 14]]\n",
+        )
+        .expect("parses");
+        assert_eq!(
+            m.workload,
+            WorkloadSpec::Explicit(GraphGenerator::Edges(vec![(1, 3), (3, 8), (1, 14)]))
+        );
+        assert_eq!(m.workload.node_count(), 4);
     }
 
     /// A typo must not silently fall back to the default: every table
@@ -1467,6 +1542,23 @@ digests = ["only-one"]
             (
                 "name = \"x\"\n[topology]\nkind = \"erdos_renyi\"\nn = 4\np = 1.5",
                 "[topology]: `p`: expected probability in [0, 1]",
+            ),
+            // an edge list names distinct ids in pairs, and at least one
+            (
+                "name = \"x\"\n[topology]\nkind = \"edges\"\nedges = [[0, 1], [2, 2]]",
+                "[topology]: `edges` #2: [2, 2] is a self-loop",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"edges\"\nedges = [[0, 1, 2]]",
+                "[topology]: `edges` #1: expected a pair [a, b]",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"edges\"\nedges = [[0, -1]]",
+                "[topology]: `edges`: expected non-negative integer",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"edges\"\nedges = []",
+                "[topology]: `edges` must not be empty",
             ),
             (
                 "name = \"x\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n[radio]\nkind = \"lossy_disk\"\nrange = 6.0\nloss = -0.1",

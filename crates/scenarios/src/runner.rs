@@ -275,8 +275,10 @@ fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Option<Box<d
 
 /// Build a ready-to-run simulator for one (manifest, seed) pair: topology or
 /// mobility+radio, GRP nodes, and the scheduled fault plan — one
-/// [`SimBuilder`] expression. Exposed so the `experiments` crate can drive
-/// manifest-defined workloads through its own measurement harness.
+/// [`SimBuilder`] expression. This is the one place a GRP simulator is
+/// built from a workload description: the conformance runner and the
+/// E1–E4 and E7–E10 experiments (which describe their runs with
+/// [`ScenarioManifest::simulate`]) all start here.
 pub fn build_simulator(manifest: &ScenarioManifest, seed: u64) -> Simulator<GrpNode> {
     let sim_spec = &manifest.sim;
     let config = SimConfig {
@@ -316,9 +318,9 @@ pub fn grp_config_of(manifest: &ScenarioManifest) -> GrpConfig {
     manifest.protocol.clone()
 }
 
-/// Apply one churn action to a running simulator (public so the
-/// `experiments` crate can replay manifest churn schedules through its own
-/// measurement loops).
+/// Apply one churn action to a running simulator. [`drive_manifest`]
+/// applies a manifest's schedule through it; it is public so tests can
+/// replay a schedule by hand against the driven path.
 pub fn apply_churn_action(
     sim: &mut Simulator<GrpNode>,
     action: &ChurnAction,
@@ -358,7 +360,7 @@ pub fn apply_churn_action(
 /// Drive a built simulator through a manifest's full round schedule:
 /// churn actions are applied at their round boundaries and `obs` sees
 /// every round. This is the *only* manifest drive path — the conformance
-/// runner, the experiment bridge and the tests all funnel through it into
+/// runner, the experiments and the tests all funnel through it into
 /// `netsim`'s single observed event loop.
 pub fn drive_manifest(
     sim: &mut Simulator<GrpNode>,

@@ -2,35 +2,43 @@
 //! through the simulator, the GRP protocol, the predicate checkers and the
 //! metrics layer.
 
-use dyngraph::generators::{clustered, grid, path};
-use dyngraph::{NodeId, TopologyEvent};
-use experiments::runner::{convergence_budget, grp_simulator, run_grp, run_grp_on};
+use dyngraph::{GraphGenerator, NodeId, TopologyEvent};
+use experiments::runner::{churn_after_warmup, convergence_budget, grp_manifest};
 use grp_core::predicates::{pi_c, pi_t, SystemSnapshot};
-use grp_core::{GrpConfig, GrpNode};
-use metrics::ChurnAccumulator;
-use netsim::{SimConfig, Simulator, TopologyMode};
+use scenarios::{build_simulator, run_seed};
 
 #[test]
 fn grid_converges_to_a_legitimate_partition() {
     let dmax = 3;
-    let topology = grid(3, 4);
+    let grid = GraphGenerator::Grid { rows: 3, cols: 4 };
     // Seed 5 -> 6 when the shared RNG stream was retired: with the per-node
     // timer phases seed 5 now draws, the 3x4 grid has not reached agreement
     // within the budget.
-    let run = run_grp(&topology, dmax, convergence_budget(12, dmax), 6);
-    let last = run.last();
+    let run = run_seed(
+        &grp_manifest("e2e", grid.clone(), dmax, convergence_budget(12, dmax)),
+        6,
+        None,
+    );
+    let last = &run.final_snapshot;
     assert!(last.agreement(), "views: {:?}", last.views);
     assert!(last.safety(dmax));
-    assert!(run.convergence_round().is_some());
-    assert!(last.partition().is_partition_of(&topology));
+    assert!(run.converged_round.is_some());
+    assert!(last.partition().is_partition_of(&grid.generate(6)));
 }
 
 #[test]
 fn clustered_topology_groups_follow_the_pockets() {
     let dmax = 2;
-    let topology = clustered(3, 4);
-    let run = run_grp(&topology, dmax, convergence_budget(12, dmax), 3);
-    let last = run.last();
+    let clustered = GraphGenerator::Clustered {
+        clusters: 3,
+        cluster_size: 4,
+    };
+    let run = run_seed(
+        &grp_manifest("e2e", clustered, dmax, convergence_budget(12, dmax)),
+        3,
+        None,
+    );
+    let last = &run.final_snapshot;
     assert!(last.safety(dmax), "no group may exceed the diameter bound");
     // each clique has diameter 1, so groups of at least clique size exist
     assert!(last.mean_group_size() >= 2.0, "groups: {:?}", last.groups());
@@ -39,8 +47,8 @@ fn clustered_topology_groups_follow_the_pockets() {
 #[test]
 fn link_removal_splits_and_link_addition_remerges() {
     let dmax = 3;
-    let topology = path(4);
-    let mut sim = grp_simulator(&topology, dmax, 9);
+    let path = grp_manifest("e2e", GraphGenerator::Path { n: 4 }, dmax, 0);
+    let mut sim = build_simulator(&path, 9);
     sim.run_rounds(convergence_budget(4, dmax) as u64);
     assert_eq!(SystemSnapshot::from_simulator(&sim).group_count(), 1);
 
@@ -65,8 +73,8 @@ fn benign_link_addition_preserves_the_group_after_the_handshake() {
     // hold is that the topology predicate is preserved and the group heals
     // back to the full membership in O(Dmax) rounds.
     let dmax = 3;
-    let topology = path(4);
-    let mut sim = grp_simulator(&topology, dmax, 11);
+    let path = grp_manifest("e2e", GraphGenerator::Path { n: 4 }, dmax, 0);
+    let mut sim = build_simulator(&path, 11);
     sim.run_rounds(convergence_budget(4, dmax) as u64);
     let before = SystemSnapshot::from_simulator(&sim);
     assert_eq!(before.group_count(), 1);
@@ -87,14 +95,14 @@ fn benign_link_addition_preserves_the_group_after_the_handshake() {
 #[test]
 fn churn_accumulator_sees_a_converged_run_as_quiet() {
     let dmax = 3;
-    let topology = grid(2, 3);
-    let mut sim = grp_simulator(&topology, dmax, 13);
-    sim.run_rounds(convergence_budget(6, dmax) as u64);
-    let run = run_grp_on(&mut sim, dmax, 10);
-    let mut acc = ChurnAccumulator::new();
-    for pair in run.snapshots.windows(2) {
-        acc.record(&pair[0], &pair[1], dmax);
-    }
+    let warmup = convergence_budget(6, dmax);
+    let grid = grp_manifest(
+        "e2e",
+        GraphGenerator::Grid { rows: 2, cols: 3 },
+        dmax,
+        warmup + 10,
+    );
+    let acc = churn_after_warmup(&grid, 13, warmup);
     assert_eq!(acc.transitions, 9);
     assert_eq!(acc.best_effort_violations, 0);
     assert_eq!(acc.total_view_removals, 0, "steady state must be silent");
@@ -103,19 +111,12 @@ fn churn_accumulator_sees_a_converged_run_as_quiet() {
 #[test]
 fn message_loss_delays_but_does_not_prevent_convergence() {
     let dmax = 3;
-    let topology = path(4);
-    let mut sim: Simulator<GrpNode> = Simulator::new(
-        SimConfig {
-            // 17 -> 18 when the shared RNG stream was retired: under seed
-            // 17's per-sender loss draws the line is not yet one agreed
-            // group at the deadline
-            seed: 18,
-            loss_probability: 0.3,
-            ..Default::default()
-        },
-        TopologyMode::Explicit(topology.clone()),
-    );
-    sim.add_nodes((0..4).map(|i| GrpNode::new(NodeId(i), GrpConfig::new(dmax))));
+    let mut lossy = grp_manifest("e2e", GraphGenerator::Path { n: 4 }, dmax, 0);
+    lossy.sim.loss = 0.3;
+    // 17 -> 18 when the shared RNG stream was retired: under seed 17's
+    // per-sender loss draws the line is not yet one agreed group at the
+    // deadline
+    let mut sim = build_simulator(&lossy, 18);
     sim.run_rounds(3 * convergence_budget(4, dmax) as u64);
     let snapshot = SystemSnapshot::from_simulator(&sim);
     assert!(snapshot.agreement(), "views: {:?}", snapshot.views);
