@@ -20,15 +20,17 @@
 //!
 //! The list is stored CSR-style: one flat entry array sorted by `(level,
 //! node)` plus a level-offset array (`offsets[i]..offsets[i + 1]` is level
-//! `i`). The `⊕` fold is then a k-way merge of sorted runs into a reusable
-//! [`MergeScratch`] buffer — no per-level map allocation, no tree
-//! rebalancing — which is what keeps `compute()` on the fast path at
-//! 100k-node scale. The observable semantics (level contents, entry
+//! `i`). Every `⊕` — a pairwise [`merge`](AncestorList::merge) or the whole
+//! neighbour fold of `compute()` ([`ant_fold`](AncestorList::ant_fold)) —
+//! is one pass: gather `(node, level, mark)` rows from all operands, sort
+//! them by `(node, level)`, keep each node's smallest level (combining the
+//! marks met there), and lay the survivors out level by level with a
+//! counting sort. The observable semantics (level contents, entry
 //! iteration order, equality) are identical to the historical
-//! `Vec<BTreeMap<NodeId, Mark>>` layout, which survives as the executable
-//! reference implementation in `tests/property_flat_list.rs`, where it pins
-//! the equivalence operation by operation; the golden trace digests pin it
-//! end to end.
+//! `Vec<BTreeMap<NodeId, Mark>>` layout and its pairwise fold, which survive
+//! as the executable reference implementation in
+//! `tests/property_flat_list.rs`, where they pin the equivalence operation
+//! by operation; the golden trace digests pin it end to end.
 
 use crate::marks::Mark;
 use dyngraph::NodeId;
@@ -48,7 +50,7 @@ pub type Entry = (NodeId, Mark);
 /// directly. A serialization format, when one is needed, goes through
 /// `to_levels`/`from_levels` so the `{levels: [...]}` encoding — and
 /// validation on the way in — is preserved.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct AncestorList {
     /// Entries in `(level, ascending node id)` order.
     entries: Vec<Entry>,
@@ -65,30 +67,27 @@ impl Default for AncestorList {
     }
 }
 
-/// Reusable buffers for the k-way merge behind `⊕`/`ant`. A [`GrpNode`]
-/// holds one and threads it through every fold of its `compute()` round, so
-/// the whole ant-fold chain performs no allocation once the buffers have
-/// grown to the working-set size.
-///
-/// [`GrpNode`]: crate::node::GrpNode
-#[derive(Clone, Debug, Default)]
-pub struct MergeScratch {
-    entries: Vec<Entry>,
-    offsets: Vec<u32>,
-}
-
-impl MergeScratch {
-    /// Move the buffers out as a finished list (one-shot merge API).
-    fn take_result(&mut self) -> AncestorList {
+impl Clone for AncestorList {
+    fn clone(&self) -> Self {
         AncestorList {
-            entries: std::mem::take(&mut self.entries),
-            offsets: std::mem::take(&mut self.offsets),
+            entries: self.entries.clone(),
+            offsets: self.offsets.clone(),
         }
+    }
+
+    /// Reuses `self`'s buffers: `compute()` copies every received list into
+    /// the same few lists, round after round.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.offsets.clone_from(&source.offsets);
     }
 }
 
+/// A `(node, level, mark)` row, the unit the one-pass `⊕` sorts.
+type Row = (NodeId, u32, Mark);
+
 impl AncestorList {
-    /// The empty list (no levels). Only used as a folding identity.
+    /// The empty list (no levels): a folding identity and a blank buffer.
     pub fn empty() -> Self {
         AncestorList {
             entries: Vec::new(),
@@ -108,6 +107,15 @@ impl AncestorList {
             entries: vec![(node, mark)],
             offsets: vec![0, 1],
         }
+    }
+
+    /// Overwrite the list with `(u)` marked `mark`, keeping its buffers —
+    /// the in-place [`marked_singleton`](Self::marked_singleton).
+    pub(crate) fn assign_marked_singleton(&mut self, node: NodeId, mark: Mark) {
+        self.entries.clear();
+        self.entries.push((node, mark));
+        self.offsets.clear();
+        self.offsets.extend([0, 1]);
     }
 
     /// Build from explicit levels (mostly for tests and corruption).
@@ -317,96 +325,98 @@ impl AncestorList {
         }
     }
 
-    /// The merge core: `a ⊕ r^shift(b)` written into `scratch`. Every
-    /// output level is a two-pointer union of two sorted runs (combining
-    /// marks when the same node meets itself at the same position); the
-    /// cross-level dedup keeps a node at its smallest position by binary-
-    /// searching the already-emitted (sorted) output levels — O(L·log k)
-    /// per entry with L ≤ Dmax+1 levels, no auxiliary set. Trailing empty
-    /// levels are trimmed, internal ones kept — exactly the historical
-    /// semantics.
-    fn merge_shifted_into(
-        a: &AncestorList,
-        b: &AncestorList,
-        shift: usize,
-        scratch: &mut MergeScratch,
-    ) {
-        scratch.entries.clear();
-        scratch.offsets.clear();
-        scratch.offsets.push(0);
-        // r^shift(b) has b.len() + shift levels (shift empty sets prepended)
-        let depth = a.len().max(b.len() + shift);
-        for i in 0..depth {
-            let ra = a.level(i).unwrap_or(&[]);
-            let rb = if i >= shift {
-                b.level(i - shift).unwrap_or(&[])
-            } else {
-                &[]
-            };
-            // the union of two sorted runs never repeats a node within the
-            // level, so dedup only has to consult the levels emitted before
-            // this one
-            let emitted_before = scratch.entries.len();
-            let (mut ia, mut ib) = (0usize, 0usize);
-            while ia < ra.len() || ib < rb.len() {
-                let take_a = ib >= rb.len() || (ia < ra.len() && ra[ia].0 <= rb[ib].0);
-                let (node, mark) = if take_a {
-                    let (n, m) = ra[ia];
-                    ia += 1;
-                    if ib < rb.len() && rb[ib].0 == n {
-                        let combined = m.combine(rb[ib].1);
-                        ib += 1;
-                        (n, combined)
-                    } else {
-                        (n, m)
-                    }
-                } else {
-                    let e = rb[ib];
-                    ib += 1;
-                    e
-                };
-                let seen = scratch.offsets.windows(2).any(|w| {
-                    let level =
-                        &scratch.entries[w[0] as usize..(w[1] as usize).min(emitted_before)];
-                    level.binary_search_by_key(&node, |&(n, _)| n).is_ok()
-                });
-                if !seen {
-                    scratch.entries.push((node, mark));
-                }
+    /// Push every entry as a `(node, level + shift, mark)` row: the rows
+    /// of `r^shift(self)`.
+    fn gather(&self, shift: u32, rows: &mut Vec<Row>) {
+        for level in 0..self.len() {
+            let run = &self.entries[self.offsets[level] as usize..self.offsets[level + 1] as usize];
+            rows.extend(run.iter().map(|&(n, m)| (n, level as u32 + shift, m)));
+        }
+    }
+
+    /// Overwrite the list with the `⊕` of the gathered rows, reusing its
+    /// buffers: each node is kept at its smallest level with the marks met
+    /// there combined, and trailing empty levels never arise (internal ones
+    /// do, exactly as the pairwise fold keeps them). `⊕` may fold all its
+    /// operands at once because it keeps the smallest position and
+    /// `combine` is associative and commutative. O(m log m) for m rows.
+    fn assemble(&mut self, rows: &mut Vec<Row>) {
+        rows.sort_unstable_by_key(|&(n, level, _)| (n, level));
+        // `dedup_by` hands over (later row, kept row) of the same node
+        rows.dedup_by(|row, kept| {
+            if row.0 != kept.0 {
+                return false;
             }
-            scratch.offsets.push(scratch.entries.len() as u32);
+            if row.1 == kept.1 {
+                kept.2 = kept.2.combine(row.2);
+            }
+            true
+        });
+        // counting sort by level; stable, so every level stays sorted by id
+        let levels = rows
+            .iter()
+            .map(|&(_, level, _)| level as usize + 1)
+            .max()
+            .unwrap_or(0);
+        self.offsets.clear();
+        self.offsets.resize(levels + 1, 0);
+        for &(_, level, _) in rows.iter() {
+            self.offsets[level as usize + 1] += 1;
         }
-        while scratch.offsets.len() > 1
-            && scratch.offsets[scratch.offsets.len() - 1]
-                == scratch.offsets[scratch.offsets.len() - 2]
-        {
-            scratch.offsets.pop();
+        for i in 1..=levels {
+            self.offsets[i] += self.offsets[i - 1];
         }
+        // offsets[l] starts level l; placing a row advances it to the start
+        // of level l + 1, so one shift right restores the starts
+        self.entries.clear();
+        self.entries.resize(rows.len(), (NodeId(0), Mark::Clear));
+        for &(n, level, m) in rows.iter() {
+            let next = &mut self.offsets[level as usize];
+            self.entries[*next as usize] = (n, m);
+            *next += 1;
+        }
+        self.offsets.copy_within(0..levels, 1);
+        self.offsets[0] = 0;
+    }
+
+    /// `a ⊕ r^shift(b)` as a new list.
+    fn fold_pair(a: &AncestorList, b: &AncestorList, shift: u32) -> AncestorList {
+        let mut rows = Vec::with_capacity(a.entries.len() + b.entries.len());
+        a.gather(0, &mut rows);
+        b.gather(shift, &mut rows);
+        let mut out = AncestorList::empty();
+        out.assemble(&mut rows);
+        out
     }
 
     /// `⊕`: position-wise union, deduplication keeping the smallest
     /// position (combining marks when the same node meets itself at the same
     /// position), and removal of trailing empty sets.
     pub fn merge(&self, other: &AncestorList) -> AncestorList {
-        let mut scratch = MergeScratch::default();
-        Self::merge_shifted_into(self, other, 0, &mut scratch);
-        scratch.take_result()
+        Self::fold_pair(self, other, 0)
     }
 
     /// The `ant` r-operator: `ant(l1, l2) = l1 ⊕ r(l2)`.
     pub fn ant(&self, other: &AncestorList) -> AncestorList {
-        let mut scratch = MergeScratch::default();
-        Self::merge_shifted_into(self, other, 1, &mut scratch);
-        scratch.take_result()
+        Self::fold_pair(self, other, 1)
     }
 
-    /// `self ← ant(self, other)` through reusable buffers — the
-    /// allocation-light fold `compute()` runs per neighbour. After the call
-    /// `scratch` holds the previous value's buffers, ready for reuse.
-    pub fn ant_assign(&mut self, other: &AncestorList, scratch: &mut MergeScratch) {
-        Self::merge_shifted_into(self, other, 1, scratch);
-        std::mem::swap(&mut self.entries, &mut scratch.entries);
-        std::mem::swap(&mut self.offsets, &mut scratch.offsets);
+    /// `self ← ant(…ant(ant((own), l₁), l₂)…, lₖ)` — lines 10–13 of
+    /// `compute()` — in one pass over all the lists instead of k pairwise
+    /// folds, reusing the list's buffers and `rows` (whose contents are
+    /// scratch). Equal to the pairwise chain in any order of the lists.
+    pub fn ant_fold<'a>(
+        &mut self,
+        own: NodeId,
+        lists: impl IntoIterator<Item = &'a AncestorList>,
+        rows: &mut Vec<(NodeId, u32, Mark)>,
+    ) {
+        rows.clear();
+        rows.push((own, 0, Mark::Clear));
+        for list in lists {
+            list.gather(1, rows);
+        }
+        self.assemble(rows);
     }
 
     fn trim_trailing_empty(&mut self) {
@@ -501,20 +511,6 @@ mod tests {
         assert_eq!(result.position_of(n(2)), Some(1));
         assert_eq!(result.position_of(n(3)), Some(2));
         assert_eq!(result.len(), 3);
-    }
-
-    #[test]
-    fn ant_assign_matches_ant_and_reuses_buffers() {
-        let me = AncestorList::singleton(n(1));
-        let neighbours = [clear_levels(&[&[2], &[3]]), clear_levels(&[&[4], &[1, 5]])];
-        let mut folded = me.clone();
-        let mut scratch = MergeScratch::default();
-        let mut reference = me;
-        for lu in &neighbours {
-            folded.ant_assign(lu, &mut scratch);
-            reference = reference.ant(lu);
-        }
-        assert_eq!(folded, reference);
     }
 
     #[test]

@@ -11,8 +11,14 @@
 //! quarantine counters — are [`NodeTable`]s, flat vectors sorted by node
 //! id: a compute round updates known ids in place and adds new ones in one
 //! ordered merge, instead of inserting into trees.
+//!
+//! `compute()`'s working buffers — the checked copies of the received
+//! lists, the rows of the one-pass `ant` fold and the sorted unmarked ids —
+//! live in one set per thread, shared by every node the thread runs, so a
+//! node's own footprint is only its semantic state and its cached
+//! broadcast.
 
-use crate::ancestor_list::{AncestorList, MergeScratch};
+use crate::ancestor_list::AncestorList;
 use crate::checks::{compatible_list, good_list, naive_compatible_list};
 use crate::config::GrpConfig;
 use crate::marks::Mark;
@@ -20,8 +26,26 @@ use crate::message::{GrpMessage, PriorityInfo};
 use crate::priority::{group_priority, Priority};
 use crate::table::NodeTable;
 use dyngraph::NodeId;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// The working buffers of [`GrpNode::compute`], reused round after round.
+#[derive(Default)]
+struct ComputeScratch {
+    /// Lines 1–9: one `(sender, checked list)` slot per sender. Slots past
+    /// the current round's sender count keep their buffers for later rounds.
+    checked: Vec<(NodeId, AncestorList)>,
+    /// Lines 10–13 and 24–27: the rows of [`AncestorList::ant_fold`].
+    rows: Vec<(NodeId, u32, Mark)>,
+    /// Lines 30–31: the unmarked ids of the new `listv`, sorted.
+    unmarked: Vec<NodeId>,
+}
+
+thread_local! {
+    /// One [`ComputeScratch`] per thread, shared by all its nodes.
+    static SCRATCH: Cell<ComputeScratch> = Cell::default();
+}
 
 /// One GRP protocol instance (the local algorithm of node `v`).
 #[derive(Clone, Debug)]
@@ -53,8 +77,6 @@ pub struct GrpNode {
     known_priorities: NodeTable<PriorityInfo>,
     /// Number of compute-timer expirations so far (diagnostics).
     compute_count: u64,
-    /// Reusable buffers for the `ant` folds of `compute()`.
-    scratch: MergeScratch,
     /// The broadcast built at the first `Ts` expiration since the last
     /// state change; every input of [`build_message`](Self::build_message)
     /// only moves inside `compute()`/`corrupt()`/`reboot()`, so repeated
@@ -78,7 +100,6 @@ impl GrpNode {
             was_in_group: false,
             known_priorities: NodeTable::new(),
             compute_count: 0,
-            scratch: MergeScratch::default(),
             cached_message: None,
         }
     }
@@ -204,86 +225,93 @@ impl GrpNode {
 
     /// The `compute()` procedure of Section 4.3.
     ///
-    /// A round allocates the checked-list `Vec`, a copy of every received
-    /// list (line 2 edits it), the new `listv` plus a marked singleton per
-    /// rejected sender, the sorted unmarked ids of `listv`, the view's set
-    /// when the view changes, and a new priority or quarantine table when
-    /// ids join it. The `ant` merge buffers and `msgSetv` are reused.
+    /// The checked lists, the fold rows and the unmarked ids go through
+    /// buffers kept per thread, and the fold writes `listv` in place, so
+    /// a round allocates only when a buffer must grow, when the view changes
+    /// (its set is rebuilt), and when ids join the priority or quarantine
+    /// table (the batch of new ids and the merged table).
     pub fn compute(&mut self) {
         self.compute_count += 1;
         let dmax = self.config.dmax;
         self.absorb_priorities();
+        let mut scratch = SCRATCH.take();
+        let ComputeScratch {
+            checked,
+            rows,
+            unmarked,
+        } = &mut scratch;
 
         // ------------------------------------------------------- lines 1-9
         // Checking the received lists, in sender order.
-        let mut checked: Vec<(NodeId, AncestorList)> = Vec::with_capacity(self.msg_set.len());
-        for &(sender, ref msg) in &self.msg_set {
-            let mut lu = (*msg.list).clone();
+        let senders = self.msg_set.len();
+        if checked.len() < senders {
+            checked.resize_with(senders, || (self.id, AncestorList::empty()));
+        }
+        let checked = &mut checked[..senders];
+        for ((u, lu), &(sender, ref msg)) in checked.iter_mut().zip(&self.msg_set) {
+            *u = sender;
+            lu.clone_from(&msg.list);
             // line 2: marked nodes are only useful between neighbours
             lu.remove_marked_except(self.id);
-            if !good_list(self.id, &lu, dmax) {
+            if !good_list(self.id, lu, dmax) {
                 // lines 3-4: the list cannot be used, only the sender is kept
-                lu = AncestorList::marked_singleton(sender, Mark::Pending);
-            } else if !self.view.contains(&sender) && !self.is_compatible(&lu) {
+                lu.assign_marked_singleton(sender, Mark::Pending);
+            } else if !self.view.contains(&sender) && !self.is_compatible(lu) {
                 // lines 6-8: new sender whose list cannot be accepted
-                lu = AncestorList::marked_singleton(sender, Mark::Incompatible);
+                lu.assign_marked_singleton(sender, Mark::Incompatible);
             }
-            checked.push((sender, lu));
         }
 
         // ---------------------------------------------------- lines 10-13
-        // Computing the list of ancestors' sets of v with the ant operator,
-        // through the node's reusable merge buffers.
-        let mut lv = AncestorList::singleton(self.id);
-        for (_, lu) in &checked {
-            lv.ant_assign(lu, &mut self.scratch);
-        }
+        // Computing the list of ancestors' sets of v with the ant operator.
+        // The fold writes `listv` in place: the checks above were its last
+        // readers.
+        self.list
+            .ant_fold(self.id, checked.iter().map(|(_, lu)| lu), rows);
 
         // ---------------------------------------------------- lines 14-29
         // Removal of incoming lists containing too-far nodes with priority.
-        if lv.len() > dmax + 1 {
-            for &(w, _) in lv.level(dmax + 1).unwrap_or(&[]) {
+        if self.list.len() > dmax + 1 {
+            for &(w, _) in self.list.level(dmax + 1).unwrap_or(&[]) {
                 if self.far_node_has_priority(w) {
                     // lines 17-21: the neighbours that provided w (w in the
                     // last place of their list) are ignored and double-marked
-                    for (u, lu) in &mut checked {
+                    for (u, lu) in checked.iter_mut() {
                         if lu.level_contains(dmax, w) {
-                            *lu = AncestorList::marked_singleton(*u, Mark::Incompatible);
+                            lu.assign_marked_singleton(*u, Mark::Incompatible);
                         }
                     }
                 }
             }
             // lines 24-27: recompute without the offending lists
-            lv = AncestorList::singleton(self.id);
-            for (_, lu) in &checked {
-                lv.ant_assign(lu, &mut self.scratch);
-            }
+            self.list
+                .ant_fold(self.id, checked.iter().map(|(_, lu)| lu), rows);
             // line 28: the remaining too-far nodes have less priority — cut
-            lv.truncate(dmax + 1);
+            self.list.truncate(dmax + 1);
         }
 
-        self.list = lv;
-
         // -------------------------------------------------------- line 30
-        // the unmarked nodes of listv, sorted once for lines 30 and 31
-        let mut unmarked: Vec<NodeId> = self
-            .list
-            .entries()
-            .filter(|&(_, _, mark)| !mark.is_marked())
-            .map(|(node, _, _)| node)
-            .collect();
+        // the unmarked nodes of listv (each quoted once), sorted once for
+        // lines 30 and 31
+        unmarked.clear();
+        unmarked.extend(
+            self.list
+                .entries()
+                .filter(|&(_, _, mark)| !mark.is_marked())
+                .map(|(node, _, _)| node),
+        );
         unmarked.sort_unstable();
-        unmarked.dedup();
-        self.update_quarantines(&unmarked);
+        self.update_quarantines(unmarked);
 
         // -------------------------------------------------------- line 31
         // viewv ← non-marked nodes of listv with null quarantine. Our own
         // id is unmarked at level 0 of every computed list, so it is in.
         let own_id = self.id;
         unmarked.retain(|&x| x == own_id || self.quarantine.get(x).is_none_or(|&q| q == 0));
-        if !self.view.iter().eq(&unmarked) {
-            self.view = unmarked.into_iter().collect();
+        if !self.view.iter().eq(unmarked.iter()) {
+            self.view = unmarked.iter().copied().collect();
         }
+        SCRATCH.set(scratch);
 
         // -------------------------------------------------------- line 32
         // Priorities only move while the node is not in a group: the
@@ -419,12 +447,11 @@ impl GrpNode {
     }
 
     /// A lean copy of the node for state stores (the model checker keeps
-    /// thousands of these): the reusable merge buffers and the cached
-    /// broadcast are dropped — they are derived data, rebuilt on demand —
-    /// so a snapshot carries exactly the semantic state.
+    /// thousands of these): the cached broadcast is dropped — it is derived
+    /// data, rebuilt on demand — so a snapshot carries exactly the semantic
+    /// state.
     pub fn snapshot(&self) -> GrpNode {
         let mut snap = self.clone();
-        snap.scratch = MergeScratch::default();
         snap.cached_message = None;
         snap
     }
@@ -433,8 +460,7 @@ impl GrpNode {
     /// [`netsim::CanonicalState`] encoding. Two nodes feed identical bytes
     /// iff they are behaviourally indistinguishable: `listv`, `viewv`,
     /// `msgSetv`, the quarantine counters, the priority clock and the learnt
-    /// priorities all enter; the compute counter, the merge scratch and the
-    /// cached broadcast (diagnostics and derived caches) do not — including
+    /// priorities all enter; the compute counter and the cached broadcast (diagnostics and derived caches) do not — including
     /// them would make every reachable state unique and the explorer's
     /// visited-set useless.
     pub fn feed_canonical(&self, hasher: &mut netsim::CanonicalHasher) {

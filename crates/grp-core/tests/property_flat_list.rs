@@ -4,10 +4,11 @@
 //! including *raw* (non-canonical) lists with internal empty levels and
 //! cross-level duplicates, which `from_levels` admits and `goodList` is
 //! supposed to reject downstream. Also pins the `to_levels`/`from_levels`
-//! round trip, the shape the serialized form exposes.
+//! round trip, the shape the serialized form exposes, and the one-pass
+//! `ant_fold` of `compute()` against the pairwise `ant` chain it replaces.
 
 use dyngraph::NodeId;
-use grp_core::ancestor_list::{AncestorList, MergeScratch};
+use grp_core::ancestor_list::AncestorList;
 use grp_core::marks::Mark;
 use naive::NaiveList;
 use proptest::prelude::*;
@@ -110,6 +111,14 @@ mod naive {
     }
 }
 
+fn mark(code: u8) -> Mark {
+    match code {
+        0 => Mark::Clear,
+        1 => Mark::Pending,
+        _ => Mark::Incompatible,
+    }
+}
+
 /// An arbitrary *raw* levels value: up to 5 levels of up to 4 entries over
 /// ids 0..20, arbitrary marks, duplicates and empty levels allowed.
 fn arb_levels() -> impl Strategy<Value = Vec<Vec<(NodeId, Mark)>>> {
@@ -119,14 +128,7 @@ fn arb_levels() -> impl Strategy<Value = Vec<Vec<(NodeId, Mark)>>> {
                 .into_iter()
                 .map(|lvl| {
                     lvl.into_iter()
-                        .map(|(id, mark)| {
-                            let mark = match mark {
-                                0 => Mark::Clear,
-                                1 => Mark::Pending,
-                                _ => Mark::Incompatible,
-                            };
-                            (NodeId(id), mark)
-                        })
+                        .map(|(id, code)| (NodeId(id), mark(code)))
                         .collect()
                 })
                 .collect()
@@ -193,21 +195,41 @@ proptest! {
         prop_assert!(agree(&fa.ant(&fb), &na.ant(&nb)));
     }
 
-    /// The scratch-buffered fold `compute()` actually runs: folding a chain
-    /// of lists through one reused `MergeScratch` equals both the one-shot
-    /// `ant` and the naive reference, whatever stale state the buffers
-    /// carry between folds.
+    /// The one-pass fold `compute()` runs equals the pairwise `ant` chain
+    /// of the reference, folded in sender order and in reverse. Every list
+    /// also quotes `shared` at `shared_level` under its own mark (padding
+    /// with empty levels when the list is shorter), so one node meets
+    /// itself at one position under different marks and internal holes
+    /// occur; ids and `me` share the range 0..20, so lists quote the
+    /// receiver too. The output list starts with stale contents.
     #[test]
-    fn ant_assign_fold_agrees(chain in proptest::collection::vec(arb_levels(), 1..4), me in 0u64..20) {
-        let mut flat = AncestorList::singleton(NodeId(me));
-        let mut naive = NaiveList::singleton(NodeId(me));
-        let mut scratch = MergeScratch::default();
-        for levels in chain {
-            let (fl, nl) = both(levels);
-            flat.ant_assign(&fl, &mut scratch);
-            naive = naive.ant(&nl);
-            prop_assert!(agree(&flat, &naive));
-        }
+    fn ant_fold_matches_pairwise_chain(
+        chain in proptest::collection::vec((arb_levels(), 0u8..3), 0..9),
+        me in 0u64..20,
+        shared in 0u64..20,
+        shared_level in 0usize..4,
+    ) {
+        let lists: Vec<Vec<Vec<(NodeId, Mark)>>> = chain
+            .into_iter()
+            .map(|(mut levels, code)| {
+                while levels.len() <= shared_level {
+                    levels.push(Vec::new());
+                }
+                levels[shared_level].push((NodeId(shared), mark(code)));
+                levels
+            })
+            .collect();
+        let flat: Vec<AncestorList> =
+            lists.iter().cloned().map(AncestorList::from_levels).collect();
+        let naive: Vec<NaiveList> = lists.into_iter().map(NaiveList::from_levels).collect();
+        let mut folded = AncestorList::from_levels(vec![vec![(NodeId(99), Mark::Pending)]; 3]);
+        let mut rows = vec![(NodeId(98), 7, Mark::Incompatible)];
+        folded.ant_fold(NodeId(me), &flat, &mut rows);
+        let start = NaiveList::singleton(NodeId(me));
+        let forward = naive.iter().fold(start.clone(), |acc, l| acc.ant(l));
+        let backward = naive.iter().rev().fold(start, |acc, l| acc.ant(l));
+        prop_assert!(agree(&folded, &forward));
+        prop_assert!(agree(&folded, &backward));
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Default for ExploreConfig {
 }
 
 /// A replayable scheduler trace with the hash of the state it ends in.
-/// [`replay`](crate::replay) from the same initial configuration must
+/// [`replay`] from the same initial configuration must
 /// reproduce `end_hash` — that round-trip is the trace's integrity check.
 #[derive(Clone, Debug)]
 pub struct Trace {

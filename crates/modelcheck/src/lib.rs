@@ -14,7 +14,7 @@
 //! * [`Choice`] — the scheduler's transition alphabet (deliver, compute,
 //!   drop, duplicate, crash, reboot), with a stable textual form so traces
 //!   can be checked in as files;
-//! * [`explore`] — exhaustive BFS with hash-based visited-state
+//! * [`explore()`] — exhaustive BFS with hash-based visited-state
 //!   deduplication, goal-pruning at legitimate states, post-hoc acyclicity
 //!   checking of the non-goal subgraph, and seeded random walks past the
 //!   bounds ([`ExploreConfig`], [`Report`], [`Outcome`], [`Violation`]);

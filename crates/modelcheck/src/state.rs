@@ -44,7 +44,7 @@ pub const CHANNEL_CAP: usize = 2;
 
 /// One scheduler move. The sequence of choices from the initial
 /// configuration *is* the counterexample format: traces re-execute through
-/// [`replay`](crate::replay) and print/parse as one line per choice
+/// [`replay`] and print/parse as one line per choice
 /// (`deliver 2 0`, `compute 1`, …).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Choice {
@@ -76,7 +76,7 @@ impl fmt::Display for Choice {
 }
 
 impl Choice {
-    /// Parse the [`Display`] form back (used by checked-in trace files).
+    /// Parse the [`Display`](fmt::Display) form back (used by checked-in trace files).
     pub fn parse(line: &str) -> Option<Choice> {
         let mut parts = line.split_whitespace();
         let kind = parts.next()?;
@@ -107,7 +107,7 @@ impl Choice {
 }
 
 /// Parse a checked-in trace file: one [`Choice`] per line in its
-/// [`Display`] form, with blank lines and `#` comment lines ignored.
+/// [`Display`](fmt::Display) form, with blank lines and `#` comment lines ignored.
 /// Errors name the offending 1-based line.
 pub fn parse_trace(text: &str) -> Result<Vec<Choice>, String> {
     let mut choices = Vec::new();

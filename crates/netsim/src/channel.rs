@@ -62,6 +62,7 @@ use dyngraph::NodeId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Everything a channel model may inspect when deciding one link of a
 /// broadcast sweep. Built by the simulator per `(sender, neighbour)` pair.
@@ -221,6 +222,38 @@ struct RecentTx {
     cell: (i64, i64),
 }
 
+/// A fixed, seed-free hasher for the contention counts' keys, which are
+/// small integers (cell coordinates and node ids): one multiply-rotate per
+/// word. Under the default `RandomState` (SipHash-1-3) hashing was the
+/// largest part of a link decision. The keys come from simulated positions,
+/// not from untrusted input, so SipHash's resistance to crafted collisions
+/// buys nothing here.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// A count per key, hashed with [`CellHasher`].
+type CountMap<K> = HashMap<K, u32, BuildHasherDefault<CellHasher>>;
+
 /// Shared-medium contention channel for spatial workloads.
 ///
 /// The plane is bucketed into square cells of side `range` (the same
@@ -242,10 +275,12 @@ struct RecentTx {
 /// the channel keeps live transmission counts per cell and per
 /// `(cell, sender)`, maintained incrementally as transmissions enter and
 /// leave the window. A link decision then reads the nine cells around the
-/// receiver instead of walking every windowed transmission — O(1) per
-/// link instead of O(window). The counts are held in `HashMap`s but only
-/// ever read by key (never iterated), so hash order cannot perturb the
-/// decision stream and the pinned digests are unchanged.
+/// receiver instead of walking every windowed transmission: at most 18
+/// keyed lookups, whatever the window holds. The counts are held in
+/// `HashMap`s under a fixed hasher and only ever read by key (never
+/// iterated), so neither hash order nor a hash seed can perturb the
+/// decision stream. `tests/proptest_channel.rs` pins the link outcomes and
+/// RNG draws against walking the whole window.
 ///
 /// ```
 /// use netsim::channel::{ChannelModel, Contention, ContentionConfig, LinkEnv};
@@ -286,10 +321,10 @@ pub struct Contention {
     recent: VecDeque<RecentTx>,
     /// Live transmissions per interference cell. Keyed lookup only —
     /// D001 forbids iterating it, and nothing does.
-    cell_load: HashMap<(i64, i64), u32>,
+    cell_load: CountMap<(i64, i64)>,
     /// Live transmissions per (cell, sender) — subtracted from the cell
     /// total so a node never contends with itself.
-    sender_load: HashMap<((i64, i64), NodeId), u32>,
+    sender_load: CountMap<((i64, i64), NodeId)>,
 }
 
 impl Contention {
@@ -303,8 +338,8 @@ impl Contention {
         Contention {
             cfg,
             recent: VecDeque::new(),
-            cell_load: HashMap::new(),
-            sender_load: HashMap::new(),
+            cell_load: CountMap::default(),
+            sender_load: CountMap::default(),
         }
     }
 
@@ -325,10 +360,10 @@ impl Contention {
     /// `hidden` reports whether any of them is outside the sender's own
     /// ring.
     ///
-    /// Reads the nine bucket counts around `rcell` — equivalent to (and
-    /// pinned against) walking the whole window, because every windowed
-    /// transmission in a cell contributes exactly its count and all
-    /// transmissions in one cell share the same `near` verdicts.
+    /// Reads the nine bucket counts around `rcell` — equivalent to walking
+    /// the whole window (`tests/proptest_channel.rs` pins this), because
+    /// every windowed transmission in a cell contributes exactly its count
+    /// and all transmissions in one cell share the same `near` verdicts.
     fn observe(&self, sender: NodeId, sender_cell: (i64, i64), rcell: (i64, i64)) -> (u32, bool) {
         let near = |a: (i64, i64), b: (i64, i64)| (a.0 - b.0).abs() <= 1 && (a.1 - b.1).abs() <= 1;
         let mut load = 0u32;
