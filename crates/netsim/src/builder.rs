@@ -77,8 +77,9 @@ impl<P: Protocol> SimBuilder<P> {
         self
     }
 
-    /// Spatial topology mode: positions come from a mobility model and the
-    /// topology is recomputed by a radio model at every mobility tick.
+    /// Spatial topology mode: positions come from a mobility model, advanced
+    /// at every mobility tick, and a radio model derives the topology from
+    /// them.
     pub fn spatial(mut self, radio: Box<dyn RadioModel>, mobility: Box<dyn MobilityModel>) -> Self {
         self.mode = TopologyMode::Spatial { radio, mobility };
         self

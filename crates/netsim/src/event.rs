@@ -31,7 +31,7 @@ pub enum EventKind<M> {
         /// Receiver slots of this delivery sweep, in schedule order.
         recipients: Vec<u32>,
     },
-    /// Positions advance and the topology is recomputed (spatial mode only).
+    /// Positions advance, and with them the topology (spatial mode only).
     MobilityTick,
     /// An injected fault fires (index into the simulator's fault plan).
     Fault(usize),

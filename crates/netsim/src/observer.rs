@@ -40,8 +40,8 @@ use dyngraph::NodeId;
 ///   delivered to an active protocol instance (after loss);
 /// * [`on_fault`](Observer::on_fault) — once per scheduled fault applied;
 /// * [`on_topology_change`](Observer::on_topology_change) — once per
-///   mobility tick that actually recomputed the topology (ticks where no
-///   node moved are skipped, matching the engine's own skip);
+///   mobility tick on which a node moved (ticks where no node moved are
+///   skipped, matching the engine's own skip);
 /// * [`on_round_end`](Observer::on_round_end) — once per compute period
 ///   driven through [`Simulator::run_rounds_observed`] /
 ///   [`Simulator::run_rounds_driven`]; `round` is the simulator's global
@@ -67,7 +67,8 @@ pub trait Observer<P: Protocol> {
         let _ = (fault, sim);
     }
 
-    /// A mobility tick recomputed the communication topology.
+    /// A mobility tick on which a node moved, so the communication
+    /// topology may have changed.
     fn on_topology_change(&mut self, now: SimTime) {
         let _ = now;
     }

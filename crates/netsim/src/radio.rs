@@ -76,7 +76,7 @@ pub trait RadioModel {
         let mut g = Graph::with_nodes(positions.ids().iter().copied());
         for (i, (a, pa)) in positions.iter().enumerate() {
             for (b, pb) in positions.iter().skip(i + 1) {
-                if self.in_vicinity(pa, pb) && self.in_vicinity(pb, pa) {
+                if linked(self, pa, pb) {
                     g.add_edge(a, b);
                 }
             }
@@ -90,14 +90,7 @@ pub trait RadioModel {
     /// [`max_range`](RadioModel::max_range); the simulator guarantees this
     /// by construction.
     fn refresh_grid_topology(&self, grid: &mut SpatialGrid) {
-        let range = self
-            .max_range()
-            // detlint::allow(D004): documented API precondition — the
-            // simulator only routes bounded-range models through the grid
-            .expect("refresh_grid_topology requires a bounded-range radio model");
-        grid.rebuild_topology(range, |pa, pb| {
-            self.in_vicinity(pa, pb) && self.in_vicinity(pb, pa)
-        });
+        grid.rebuild_topology(grid_range(self), |pa, pb| linked(self, pa, pb));
     }
 
     /// Topology from an already-synchronised [`SpatialGrid`], materialised
@@ -106,6 +99,35 @@ pub trait RadioModel {
         self.refresh_grid_topology(grid);
         grid.graph()
     }
+}
+
+/// The grid path's interaction bound: [`RadioModel::max_range`], which
+/// it requires to be finite.
+fn grid_range<R: RadioModel + ?Sized>(radio: &R) -> f64 {
+    radio
+        .max_range()
+        // detlint::allow(D004): documented API precondition — the
+        // simulator only routes bounded-range models through the grid
+        .expect("the grid path requires a bounded-range radio model")
+}
+
+/// The link predicate of every topology: each position is in the other's
+/// vicinity.
+fn linked<R: RadioModel + ?Sized>(radio: &R, a: Point, b: Point) -> bool {
+    radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
+}
+
+/// One row of [`RadioModel::refresh_grid_topology`]'s CSR, answered from
+/// the grid's cells without building it: `slot`'s neighbours and their
+/// positions, ascending by slot, into `found` (see
+/// [`SpatialGrid::query_neighbors`]). Same precondition.
+pub(crate) fn grid_neighbors(
+    radio: &dyn RadioModel,
+    grid: &SpatialGrid,
+    slot: usize,
+    found: &mut Vec<(u32, Point)>,
+) {
+    grid.query_neighbors(slot, grid_range(radio), |a, b| linked(radio, a, b), found);
 }
 
 /// Ideal unit-disk radio: a node hears every transmitter within `range`.

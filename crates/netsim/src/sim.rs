@@ -4,17 +4,17 @@
 //! deterministic discrete-event loop implementing the paper's system model:
 //! per-node send (`Ts = τ2`) and compute (`Tc = τ1`) timers, broadcast
 //! transmissions delivered to every active node whose vicinity contains the
-//! sender, message loss, mobility ticks that recompute the topology, and an
-//! injected fault plan.
+//! sender, message loss, mobility ticks that move the nodes (and with them
+//! the topology), and an injected fault plan.
 //!
 //! Two topology modes are supported:
 //!
 //! * [`TopologyMode::Explicit`] — the experiment provides (and may mutate)
 //!   the communication graph directly; used by the fixed-topology
 //!   stabilization experiments and the unit tests.
-//! * spatial — node positions come from a [`MobilityModel`] and the topology
-//!   is recomputed by a [`RadioModel`] at every mobility tick; used by the
-//!   VANET-style continuity experiments.
+//! * spatial — node positions come from a [`MobilityModel`], advanced at
+//!   every mobility tick, and a [`RadioModel`] derives the topology from
+//!   them; used by the VANET-style continuity experiments.
 //!
 //! The nodes live in an arena ordered by ascending [`NodeId`]; a node's
 //! index there is its *slot*, and events, broadcast recipients and the
@@ -29,7 +29,7 @@ use crate::mobility::MobilityModel;
 use crate::node::SimNode;
 use crate::observer::{NullObserver, Observer};
 use crate::protocol::Protocol;
-use crate::radio::RadioModel;
+use crate::radio::{grid_neighbors, RadioModel};
 use crate::rng::{NodeStreams, StreamTag};
 use crate::space::{Point, SpatialGrid};
 use crate::time::SimTime;
@@ -79,8 +79,8 @@ pub struct SimConfig {
     /// Compute timer period `Tc = τ1` (ticks); the paper requires
     /// `Ts ≤ Tc` so several transmissions fit in one compute period.
     pub compute_period: u64,
-    /// How often positions advance and the topology is recomputed
-    /// (spatial mode only).
+    /// How often positions advance, and with them the topology (spatial
+    /// mode only).
     pub mobility_period: u64,
     /// Propagation + MAC delay applied to every delivery.
     pub delivery_delay: u64,
@@ -123,15 +123,22 @@ impl SimConfig {
 /// How spatial-mode neighbour discovery is accelerated between mobility
 /// ticks.
 enum SpatialIndex {
-    /// Uniform-grid spatial hash, updated incrementally; ticks where no
-    /// node moved skip topology recomputation entirely. The authoritative
-    /// topology lives in the grid's CSR form — per-send neighbour queries
-    /// are answered from it directly, and the `Graph` the rest of the
-    /// system observes is re-materialised lazily (`dirty`) at most once
-    /// per `run_until`, not once per mobility tick.
-    Grid { grid: Box<SpatialGrid>, dirty: bool },
+    /// Uniform-grid spatial hash, synchronised incrementally at every
+    /// mobility tick; the topology is derived from it only when read. An
+    /// *epoch* runs from one tick that moved a node to the next. While
+    /// the grid's CSR topology predates the epoch (`dirty`), each send
+    /// queries the cells for its own neighbours; the CSR is rebuilt only
+    /// when the `Graph` the rest of the system observes is materialised
+    /// from it (at the end of a run and before a fault hook), and serves
+    /// the sends after that until the next move. Both reads give the same neighbours in
+    /// the same order, so the choice never changes output.
+    Grid {
+        grid: Box<SpatialGrid>,
+        /// The CSR and the observed `Graph` predate the epoch.
+        dirty: bool,
+    },
     /// The radio model has no finite range, so the scan stays all-pairs,
-    /// but unchanged positions still skip recomputation.
+    /// once per tick that moved a node; unchanged positions skip it.
     DiffOnly(Vec<Point>),
 }
 
@@ -199,6 +206,8 @@ pub struct Simulator<P: Protocol> {
     topology: Arc<Graph>,
     /// Spatial mode's models and index; `None` in explicit mode.
     spatial: Option<Spatial>,
+    /// The neighbours a grid query found for the current send.
+    found: Vec<(u32, Point)>,
     /// Spatial mode: the mobility model's position slot of each node slot
     /// and the node slot of each position slot, [`NO_SLOT`] where the id is
     /// unknown on the other side. The two slot spaces coincide once every
@@ -228,6 +237,15 @@ pub struct Simulator<P: Protocol> {
     rounds_completed: u64,
 }
 
+/// How a grid-mode send finds its neighbours.
+#[derive(Clone, Copy)]
+enum GridRead<'a> {
+    /// The CSR row: the topology is current.
+    Csr(&'a SpatialGrid),
+    /// A query over the cells: the CSR predates the epoch.
+    Query(&'a SpatialGrid),
+}
+
 /// Everything the link decisions of one instant read, borrowed field by
 /// field from the simulator so that the sender's `channel` stream and the
 /// event queue stay mutably borrowable beside it.
@@ -237,8 +255,8 @@ struct Medium<'a> {
     topology: &'a Graph,
     /// Spatial mode: the radio model and the positions, by position slot.
     spatial: Option<(&'a dyn RadioModel, Positions<'a>)>,
-    /// Grid mode: the CSR topology, in position slots.
-    grid: Option<&'a SpatialGrid>,
+    /// Grid mode: the index, in position slots, and how to read it.
+    grid: Option<GridRead<'a>>,
     position_slot: &'a [u32],
     node_slot: &'a [u32],
     channel: &'a dyn ChannelModel,
@@ -277,9 +295,16 @@ impl Medium<'_> {
 
     /// Decide every link of one broadcast, in ascending receiver order (the
     /// RNG consumption order is part of the pinned golden traces), drawing
-    /// from `rng`. In grid mode the neighbours come from the CSR index —
-    /// the same order a materialised `Graph` iterates in.
-    fn sweep(&self, rng: &mut ChaCha8Rng, sender: u32, sender_pos: Option<Point>) -> SendOutcome {
+    /// from `rng`. In grid mode the neighbours are gathered into `found`
+    /// from the grid — its CSR row or a query — in the order a
+    /// materialised `Graph` iterates in.
+    fn sweep(
+        &self,
+        rng: &mut ChaCha8Rng,
+        sender: u32,
+        sender_pos: Option<Point>,
+        found: &mut Vec<(u32, Point)>,
+    ) -> SendOutcome {
         let mut out = SendOutcome::default();
         let from = self.ids[sender as usize];
         let mut decide = |to: u32, receiver_pos: Option<Point>| {
@@ -308,13 +333,22 @@ impl Medium<'_> {
             }
         };
         match (self.grid, self.spatial) {
-            (Some(grid), Some((_, positions))) => {
-                let at = self.position_slot[sender as usize];
-                for &j in grid.neighbor_slots(at as usize) {
+            (Some(read), Some((radio, positions))) => {
+                let at = self.position_slot[sender as usize] as usize;
+                match read {
+                    GridRead::Csr(grid) => {
+                        let points = positions.points();
+                        let row = grid.neighbor_slots(at).iter();
+                        found.clear();
+                        found.extend(row.map(|&j| (j, points[j as usize])));
+                    }
+                    GridRead::Query(grid) => grid_neighbors(radio, grid, at, found),
+                }
+                for &(j, receiver_pos) in found.iter() {
                     // a positioned id without a node hears nothing
                     let to = self.node_slot[j as usize];
                     if to != NO_SLOT {
-                        decide(to, Some(positions.points()[j as usize]));
+                        decide(to, Some(receiver_pos));
                     }
                 }
             }
@@ -349,6 +383,7 @@ impl<P: Protocol> Simulator<P> {
             nodes: Vec::new(),
             topology: Arc::new(topology),
             spatial,
+            found: Vec::new(),
             position_slot: Vec::new(),
             node_slot: Vec::new(),
             slot_maps_stale: false,
@@ -722,7 +757,8 @@ impl<P: Protocol> Simulator<P> {
             }) => (
                 Some((radio.as_ref(), mobility.positions())),
                 match index {
-                    SpatialIndex::Grid { grid, .. } => Some(&**grid),
+                    SpatialIndex::Grid { grid, dirty: true } => Some(GridRead::Query(grid)),
+                    SpatialIndex::Grid { grid, .. } => Some(GridRead::Csr(grid)),
                     SpatialIndex::DiffOnly(_) => None,
                 },
             ),
@@ -746,7 +782,7 @@ impl<P: Protocol> Simulator<P> {
             let rng = self
                 .streams
                 .stream(StreamTag::Channel, p.sender as usize, id);
-            let out = medium.sweep(rng, p.sender, p.sender_pos);
+            let out = medium.sweep(rng, p.sender, p.sender_pos, &mut self.found);
             self.stats.attempted += out.attempted;
             self.stats.dropped += out.dropped;
             let sweeps = out.groups.len();
@@ -774,7 +810,9 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Advance mobility one period and resynchronise the topology.
+    /// Advance mobility one period and resynchronise the spatial index. In
+    /// grid mode a move only opens a new epoch: the topology is rebuilt
+    /// when it is read.
     fn handle_mobility(&mut self, obs: &mut dyn Observer<P>) {
         if let Some(Spatial {
             radio,
@@ -787,12 +825,9 @@ impl<P: Protocol> Simulator<P> {
             let changed = match index {
                 SpatialIndex::Grid { grid, dirty } => {
                     // incremental cell updates; unchanged positions
-                    // (e.g. stationary nodes) skip recomputation
+                    // (e.g. stationary nodes) keep the epoch open
                     let moved = grid.sync(positions);
-                    if moved {
-                        radio.refresh_grid_topology(grid);
-                        *dirty = true;
-                    }
+                    *dirty |= moved;
                     moved
                 }
                 SpatialIndex::DiffOnly(last) => {
@@ -828,19 +863,21 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Re-materialise the observed `Graph` from the grid's CSR if mobility
-    /// ticks left it stale. Called at the end of every run (so the lazy
-    /// grid path stays at most one materialisation per `run_until`,
-    /// however many mobility ticks elapsed — in-run sends read the CSR
-    /// directly) and before observer hooks that hand out `&Simulator`
-    /// mid-run.
+    /// Rebuild the grid's CSR and re-materialise the observed `Graph` from
+    /// it if mobility ticks left them stale. Called at the end of every
+    /// run (so the lazy grid path stays at most one rebuild per
+    /// `run_until`, however many mobility ticks elapsed — in-run sends
+    /// query the grid instead) and before observer hooks that hand out
+    /// `&Simulator` mid-run.
     fn materialise_topology(&mut self) {
         if let Some(Spatial {
+            radio,
             index: SpatialIndex::Grid { grid, dirty },
             ..
         }) = &mut self.spatial
         {
             if *dirty {
+                radio.refresh_grid_topology(grid);
                 self.topology = Arc::new(grid.graph());
                 *dirty = false;
             }
@@ -1468,5 +1505,62 @@ mod tests {
             "the blocking faults were actually exercised"
         );
         assert_eq!(first, run());
+    }
+
+    /// Both ways a grid-mode send reads its neighbours — the per-send
+    /// query while a tick's moves are not yet materialised, and the CSR a
+    /// round end rebuilds when it materialises the topology —
+    /// reproduce the all-pairs path byte for byte: same neighbours, same
+    /// order, same RNG draws (a jittered contention channel draws per
+    /// link). Ticks every 150 and rounds of 1 000 leave the sends between
+    /// a round end and the next tick on the CSR and every other send on a
+    /// query.
+    #[test]
+    fn grid_reads_reproduce_the_all_pairs_path() {
+        use crate::channel::{Contention, ContentionConfig};
+        use crate::digest::CanonicalHasher;
+        use crate::mobility::RandomWalk;
+        use crate::observer::TraceProbe;
+        use crate::radio::{RadioModel, UnitDisk};
+        use rand::SeedableRng;
+        /// The same radio without a range bound: the engine falls back to
+        /// the all-pairs scan and the materialised graph.
+        struct Unbounded(UnitDisk);
+        impl RadioModel for Unbounded {
+            fn in_vicinity(&self, sender: Point, receiver: Point) -> bool {
+                self.0.in_vicinity(sender, receiver)
+            }
+        }
+        let run = |radio: Box<dyn RadioModel>| {
+            let mut placement = ChaCha8Rng::seed_from_u64(5);
+            let mobility = RandomWalk::new(40, 120.0, 120.0, 0.05, &mut placement);
+            let mut sim: Simulator<Flood> = Simulator::new(
+                SimConfig {
+                    seed: 17,
+                    send_period: 50,
+                    mobility_period: 150,
+                    ..Default::default()
+                },
+                TopologyMode::Spatial {
+                    radio,
+                    mobility: Box::new(mobility),
+                },
+            );
+            sim.add_nodes((0..40).map(|i| Flood::new(NodeId(i))));
+            sim.set_channel(Box::new(Contention::new(ContentionConfig {
+                jitter: 5,
+                ..ContentionConfig::new(25.0)
+            })));
+            let mut probe = TraceProbe::new();
+            sim.run_rounds_observed(8, &mut probe);
+            let mut hasher = CanonicalHasher::new();
+            probe.trace().feed_digest(&mut hasher);
+            let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
+            (hasher.finalize(), sim.stats(), known)
+        };
+        let radio = UnitDisk::new(25.0);
+        let grid = run(Box::new(radio));
+        assert!(grid.1.dropped > 0 && grid.1.delivered > 0);
+        assert_eq!(grid, run(Box::new(Unbounded(radio))));
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::arena::{slot_of, Positions, NO_SLOT};
 use dyngraph::{Graph, NodeId};
+use std::ops::Range;
 
 /// A position in the plane (metres, but the unit is arbitrary).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -80,8 +81,9 @@ struct Scratch {
     cursor: Vec<u32>,
     /// Slots that changed cell during a sync, keyed by their new cell.
     moved: Vec<(Cell, u32)>,
-    /// The merge target `entries` is swapped with.
-    merged: Vec<(Cell, u32)>,
+    /// Every slot keyed by its cell, sorted: what the buckets are indexed
+    /// from.
+    sorted: Vec<(Cell, u32)>,
 }
 
 /// A uniform-grid spatial hash over node positions.
@@ -91,20 +93,22 @@ struct Scratch {
 /// differ by at most `ceil(r / cell_size)` on each axis, so range queries
 /// only visit a constant-size neighbourhood of cells instead of all nodes.
 ///
-/// The nodes live in slot order and the cells are one flat array of
-/// `(cell, slot)` entries sorted by cell then slot, so a cell's bucket is a
-/// contiguous, slot-ascending run and the occupied cells ascend with it.
-/// The pair loop reaches a cell's neighbour cells with cursors that only
-/// move forward over that array — no keyed lookup — and memory is
-/// O(nodes) whatever box the coordinates span. The grid remembers the
-/// positions it was last synchronised with, which enables two things the
-/// simulator relies on:
+/// The nodes live in slot order and the cells are flat arrays sorted by
+/// cell then slot: the *entries* list every slot (and its position) so
+/// that a cell's bucket is a contiguous, slot-ascending run, and the
+/// occupied cells ascend with the buckets. The pair loop reaches a cell's
+/// neighbour cells with cursors that only move forward over the buckets —
+/// no keyed lookup — and memory is O(nodes) whatever box the coordinates
+/// span. One node's neighbourhood is also answerable on its own
+/// ([`query_neighbors`](Self::query_neighbors)), by galloping outward from
+/// the node's bucket. The grid remembers the positions it was last
+/// synchronised with, which enables two things the simulator relies on:
 ///
 /// * [`SpatialGrid::sync`] updates incrementally — a steady-state tick is
 ///   a zip over two slices with in-place position writes, and the nodes
 ///   that crossed a cell boundary are merged back into the sorted entries
 ///   in one pass — and reports whether anything changed, so a stationary
-///   tick skips topology recomputation entirely;
+///   tick leaves the topology as it is;
 /// * entry order is a pure function of the positions, so every result (and
 ///   downstream trace digest) is independent of update history.
 #[derive(Clone, Debug)]
@@ -116,11 +120,23 @@ pub struct SpatialGrid {
     points: Vec<Point>,
     /// `cell_of[slot]`, the cell `points[slot]` falls in.
     cell_of: Vec<Cell>,
-    /// Every slot keyed by its cell, sorted.
-    entries: Vec<(Cell, u32)>,
-    /// Bucket `k` is `entries[starts[k]..starts[k + 1]]`; one trailing
-    /// entry holds `entries.len()`.
+    /// Every slot, sorted by cell then slot.
+    entry_slots: Vec<u32>,
+    /// `points` in entry order: `entry_points[i]` is where
+    /// `entry_slots[i]` stands, so a bucket scan reads contiguous memory.
+    entry_points: Vec<Point>,
+    /// Bucket `k` is entries `starts[k]..starts[k + 1]`; one trailing
+    /// entry holds the entry count.
     starts: Vec<u32>,
+    /// `cells[k]`, the cell of bucket `k`: the occupied cells, ascending,
+    /// in one compact array for searches to probe.
+    cells: Vec<Cell>,
+    /// `bucket_of[slot]`: the bucket holding the slot, where a query
+    /// starts its search, and the slot's entry index.
+    bucket_of: Vec<(u32, u32)>,
+    /// Occupied buckets per column of the occupied span, rounded down:
+    /// how far a query guesses the next column's window lies.
+    stride: usize,
     /// The derived topology in CSR form, valid after
     /// [`rebuild_topology`](Self::rebuild_topology): `topo_offsets` has
     /// length n + 1 and `topo_flat[topo_offsets[i]..topo_offsets[i + 1]]`
@@ -137,7 +153,8 @@ impl PartialEq for SpatialGrid {
         self.cell_size == other.cell_size
             && self.ids == other.ids
             && self.points == other.points
-            && self.entries == other.entries
+            && self.entry_slots == other.entry_slots
+            && self.cells == other.cells
             && self.starts == other.starts
     }
 }
@@ -156,8 +173,12 @@ impl SpatialGrid {
             ids: Vec::new(),
             points: Vec::new(),
             cell_of: Vec::new(),
-            entries: Vec::new(),
+            entry_slots: Vec::new(),
+            entry_points: Vec::new(),
             starts: vec![0],
+            cells: Vec::new(),
+            bucket_of: Vec::new(),
+            stride: 0,
             topo_offsets: Vec::new(),
             topo_flat: Vec::new(),
             scratch: Scratch::default(),
@@ -179,17 +200,34 @@ impl SpatialGrid {
         Positions::new(&self.ids, &self.points)
     }
 
-    /// Recompute the bucket boundaries from the sorted entries.
+    /// Recompute the entries, the buckets and `bucket_of` from
+    /// `scratch.sorted` and `points`.
     fn index_buckets(&mut self) {
+        let sorted = &self.scratch.sorted;
+        self.entry_slots.clear();
+        self.entry_slots
+            .extend(sorted.iter().map(|&(_, slot)| slot));
+        self.entry_points.clear();
+        let points = sorted.iter().map(|&(_, slot)| self.points[slot as usize]);
+        self.entry_points.extend(points);
         self.starts.clear();
-        let mut last = None;
-        for (i, &(cell, _)) in self.entries.iter().enumerate() {
-            if last != Some(cell) {
+        self.cells.clear();
+        self.bucket_of.resize(sorted.len(), (0, 0));
+        for (i, &(cell, slot)) in sorted.iter().enumerate() {
+            if self.cells.last() != Some(&cell) {
                 self.starts.push(i as u32);
-                last = Some(cell);
+                self.cells.push(cell);
             }
+            self.bucket_of[slot as usize] = (self.cells.len() as u32 - 1, i as u32);
         }
-        self.starts.push(self.entries.len() as u32);
+        self.starts.push(sorted.len() as u32);
+        self.stride = match (self.cells.first(), self.cells.last()) {
+            (Some(first), Some(last)) => {
+                let columns = last.0.abs_diff(first.0).saturating_add(1);
+                usize::try_from(self.cells.len() as u64 / columns).unwrap_or(0)
+            }
+            _ => 0,
+        };
     }
 
     /// Drop everything and re-index `positions` from scratch. Invalidates
@@ -208,10 +246,10 @@ impl SpatialGrid {
         self.cell_of.clear();
         self.cell_of
             .extend(self.points.iter().map(|&p| cell_index(cell_size, p)));
-        self.entries.clear();
-        self.entries
-            .extend(self.cell_of.iter().copied().zip(0u32..));
-        self.entries.sort_unstable();
+        let sorted = &mut self.scratch.sorted;
+        sorted.clear();
+        sorted.extend(self.cell_of.iter().copied().zip(0u32..));
+        sorted.sort_unstable();
         self.index_buckets();
         self.topo_offsets.clear();
         self.topo_flat.clear();
@@ -243,31 +281,145 @@ impl SpatialGrid {
                 if *cell != to {
                     *cell = to;
                     moved.push((to, slot as u32));
+                } else {
+                    let (_, entry) = self.bucket_of[slot];
+                    self.entry_points[entry as usize] = new;
                 }
             }
         }
         if !moved.is_empty() {
             moved.sort_unstable();
-            let mut merged = std::mem::take(&mut self.scratch.merged);
+            let merged = &mut self.scratch.sorted;
             merged.clear();
             let mut arriving = moved.iter().copied().peekable();
-            for &entry in &self.entries {
-                let (cell, slot) = entry;
-                if self.cell_of[slot as usize] != cell {
-                    continue; // the slot left this cell
+            for (k, &cell) in self.cells.iter().enumerate() {
+                let run = self.starts[k] as usize..self.starts[k + 1] as usize;
+                for &slot in &self.entry_slots[run] {
+                    if self.cell_of[slot as usize] != cell {
+                        continue; // the slot left this cell
+                    }
+                    let entry = (cell, slot);
+                    while let Some(next) = arriving.next_if(|&next| next < entry) {
+                        merged.push(next);
+                    }
+                    merged.push(entry);
                 }
-                while let Some(next) = arriving.next_if(|&next| next < entry) {
-                    merged.push(next);
-                }
-                merged.push(entry);
             }
             merged.extend(arriving);
-            std::mem::swap(&mut self.entries, &mut merged);
-            self.scratch.merged = merged;
             self.index_buckets();
         }
         self.scratch.moved = moved;
         changed
+    }
+
+    /// How many cells a radius spans on each axis (at least one).
+    fn reach(&self, radius: f64) -> i64 {
+        ((radius / self.cell_size).ceil() as i64).max(1)
+    }
+
+    /// The first bucket whose cell is not below `target` (the bucket count
+    /// when there is none), found by galloping from bucket `from` in
+    /// whichever direction the answer lies and then bisecting the last
+    /// stride: O(log d) probes for an answer `d` buckets away, all near
+    /// `from`, where a search over every bucket would touch cold memory.
+    fn seek(&self, from: usize, target: Cell) -> usize {
+        let cells = &self.cells;
+        let from = from.min(cells.len());
+        // the answer lies in lo..=hi
+        let (lo, hi) = if from < cells.len() && cells[from] < target {
+            let (mut lo, mut step) = (from + 1, 1);
+            let hi = loop {
+                let probe = from + step;
+                if probe >= cells.len() {
+                    break cells.len();
+                }
+                if cells[probe] >= target {
+                    break probe;
+                }
+                lo = probe + 1;
+                step *= 2;
+            };
+            (lo, hi)
+        } else {
+            let (mut hi, mut step) = (from, 1);
+            let lo = loop {
+                if step > from {
+                    break 0;
+                }
+                let probe = from - step;
+                if cells[probe] < target {
+                    break probe + 1;
+                }
+                hi = probe;
+                step *= 2;
+            };
+            (lo, hi)
+        };
+        lo + cells[lo..hi].partition_point(|&cell| cell < target)
+    }
+
+    /// The neighbours of `slot` within `radius` under `accept`, answered
+    /// from the cells alone: every other slot of the cells within
+    /// `ceil(radius / cell_size)` rings of `slot`'s cell for which
+    /// `accept(position of slot, its position)` holds, into `found` as
+    /// `(slot, position)`, ascending by slot. Given the radius and the
+    /// symmetric predicate [`rebuild_topology`](Self::rebuild_topology)
+    /// was given, that is exactly
+    /// [`neighbor_slots`](Self::neighbor_slots)`(slot)`, in the same
+    /// order, without building the CSR. `found` is cleared first and left
+    /// empty for an unknown slot.
+    ///
+    /// The occupied columns in reach are visited in order. Each column's
+    /// window of rows is found by galloping from `slot`'s own bucket,
+    /// shifted by one column's worth of buckets per column away, so the
+    /// probes stay near the answer.
+    pub fn query_neighbors(
+        &self,
+        slot: usize,
+        radius: f64,
+        mut accept: impl FnMut(Point, Point) -> bool,
+        found: &mut Vec<(u32, Point)>,
+    ) {
+        found.clear();
+        let Some(&(home, entry)) = self.bucket_of.get(slot) else {
+            return;
+        };
+        let here = self.entry_points[entry as usize];
+        let (cx, cy) = self.cells[home as usize];
+        let reach = self.reach(radius);
+        let (low, high) = (cy.saturating_sub(reach), cy.saturating_add(reach));
+        let last = cx.saturating_add(reach);
+        let guess = |column: i64| {
+            let shift = column.saturating_sub(cx).saturating_mul(self.stride as i64);
+            (home as i64).saturating_add(shift).max(0) as usize
+        };
+        let first = cx.saturating_sub(reach);
+        let mut k = self.seek(guess(first), (first, low));
+        while let Some(&(column, row)) = self.cells.get(k) {
+            if column > last {
+                break;
+            }
+            if row < low {
+                k = self.seek(k, (column, low));
+                continue;
+            }
+            if row > high {
+                match column.checked_add(1) {
+                    Some(next) if column < last => k = self.seek(guess(next), (next, low)),
+                    _ => break,
+                }
+                continue;
+            }
+            let run = self.starts[k] as usize..self.starts[k + 1] as usize;
+            let entries = self.entry_slots[run.clone()].iter();
+            for (&other, &at) in entries.zip(&self.entry_points[run]) {
+                if other as usize != slot && accept(here, at) {
+                    found.push((other, at));
+                }
+            }
+            k += 1;
+        }
+        found.sort_unstable_by_key(|&(other, _)| other);
     }
 
     /// Visit every unordered candidate *slot* pair exactly once: all pairs
@@ -279,21 +431,21 @@ impl SpatialGrid {
         radius: f64,
         mut f: F,
     ) {
-        let buckets = self.starts.len() - 1;
+        let buckets = self.cells.len();
         if buckets == 0 {
             return;
         }
-        let key = |k: usize| self.entries[self.starts[k] as usize].0;
-        let bucket = |k: usize| &self.entries[self.starts[k] as usize..self.starts[k + 1] as usize];
-        let mut cross = |here: &[(Cell, u32)], there: &[(Cell, u32)]| {
-            for &(_, a) in here {
-                let pa = self.points[a as usize];
-                for &(_, b) in there {
-                    f(a, pa, b, self.points[b as usize]);
+        let key = |k: usize| self.cells[k];
+        let bucket = |k: usize| self.starts[k] as usize..self.starts[k + 1] as usize;
+        let (slots, points) = (&self.entry_slots, &self.entry_points);
+        let mut cross = |here: Range<usize>, there: Range<usize>| {
+            for (&a, &pa) in slots[here.clone()].iter().zip(&points[here]) {
+                for (&b, &pb) in slots[there.clone()].iter().zip(&points[there.clone()]) {
+                    f(a, pa, b, pb);
                 }
             }
         };
-        let reach = ((radius / self.cell_size).ceil() as i64).max(1);
+        let reach = self.reach(radius);
         // Each pair is visited from its earlier cell, so only "later"
         // cells are paired: the rows above in this column, and the rows
         // within reach in the next `reach` columns. Cells ascend by
@@ -305,12 +457,12 @@ impl SpatialGrid {
         for k in 0..buckets {
             let (cx, cy) = key(k);
             let here = bucket(k);
-            for (i, &entry) in here.iter().enumerate() {
-                cross(&[entry], &here[i + 1..]);
+            for a in here.clone() {
+                cross(a..a + 1, a + 1..here.end);
             }
             let mut j = k + 1;
             while j < buckets && key(j).0 == cx && key(j).1.saturating_sub(cy) <= reach {
-                cross(here, bucket(j));
+                cross(here.clone(), bucket(j));
                 j += 1;
             }
             let (low, high) = (cy.saturating_sub(reach), cy.saturating_add(reach));
@@ -323,7 +475,7 @@ impl SpatialGrid {
                 }
                 let mut j = *cursor;
                 while j < buckets && key(j) <= (column, high) {
-                    cross(here, bucket(j));
+                    cross(here.clone(), bucket(j));
                     j += 1;
                 }
             }
@@ -561,7 +713,10 @@ mod tests {
             .collect();
         let mut grid = SpatialGrid::new(1.0);
         grid.rebuild(pos.view());
-        assert_eq!(grid.entries.len(), 40);
+        assert_eq!(grid.entry_slots.len(), 40);
+        assert_eq!(grid.entry_points.len(), 40);
+        assert_eq!(grid.bucket_of.len(), 40);
+        assert!(grid.cells.len() <= 40);
         assert!(grid.starts.len() <= 41);
         assert_eq!(grid.cell_of.len(), 40);
         let g = grid.build_topology(1.0, |a, b| a.distance(&b) <= 1.0);

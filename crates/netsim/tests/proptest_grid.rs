@@ -4,6 +4,8 @@
 //! coordinates, cells much smaller than the radius, coincident nodes and
 //! clusters a billion units apart included — and incremental `sync` must
 //! leave the grid in exactly the state a from-scratch rebuild produces.
+//! The per-node neighbour query must return, for every node, exactly the
+//! CSR row, in the same order, with the tracked positions.
 
 use dyngraph::NodeId;
 use netsim::radio::{RadioModel, UnitDisk};
@@ -12,6 +14,44 @@ use netsim::Point;
 use netsim::PositionTable;
 use proptest::prelude::*;
 
+/// For every slot: the grid query equals the CSR row and the brute-force
+/// neighbour list, slot for slot, and each returned position is the one
+/// the grid tracks for that slot.
+fn assert_queries_equal_rows(
+    grid: &SpatialGrid,
+    range: f64,
+    brute: &dyngraph::Graph,
+) -> Result<(), TestCaseError> {
+    let radio = UnitDisk::new(range);
+    let linked = |a, b| radio.in_vicinity(a, b) && radio.in_vicinity(b, a);
+    let positions = grid.positions();
+    let mut found = Vec::new();
+    for (slot, &node) in positions.ids().iter().enumerate() {
+        grid.query_neighbors(slot, range, linked, &mut found);
+        let slots: Vec<u32> = found.iter().map(|&(j, _)| j).collect();
+        prop_assert_eq!(
+            &slots[..],
+            grid.neighbor_slots(slot),
+            "query ≠ CSR row of slot {}",
+            slot
+        );
+        let ids: Vec<NodeId> = slots.iter().map(|&j| positions.ids()[j as usize]).collect();
+        let graph: Vec<NodeId> = brute.neighbors(node).collect();
+        prop_assert_eq!(&ids, &graph, "query ≠ all-pairs row of {:?}", node);
+        for &(j, at) in &found {
+            prop_assert_eq!(
+                at,
+                positions.points()[j as usize],
+                "stale position for slot {}",
+                j
+            );
+        }
+    }
+    grid.query_neighbors(positions.len(), range, linked, &mut found);
+    prop_assert!(found.is_empty(), "an unknown slot has no neighbours");
+    Ok(())
+}
+
 fn positions_of(pts: impl IntoIterator<Item = (f64, f64)>) -> PositionTable {
     pts.into_iter()
         .enumerate()
@@ -19,8 +59,8 @@ fn positions_of(pts: impl IntoIterator<Item = (f64, f64)>) -> PositionTable {
         .collect()
 }
 
-/// Grid topology ≡ all-pairs topology, and the CSR neighbour view agrees
-/// with the materialised graph.
+/// Grid topology ≡ all-pairs topology, and the CSR neighbour view and the
+/// per-node query agree with the materialised graph.
 fn assert_grid_equals_brute_force(
     pos: &PositionTable,
     range: f64,
@@ -45,7 +85,7 @@ fn assert_grid_equals_brute_force(
         prop_assert_eq!(&csr, &graph);
         prop_assert_eq!(&by_slot, &graph);
     }
-    Ok(())
+    assert_queries_equal_rows(&grid, range, &brute)
 }
 
 proptest! {
@@ -98,8 +138,8 @@ proptest! {
 
     /// A chain of incremental syncs (moves of varying amplitude, including
     /// cell-boundary crossings and excursions below zero) leaves the grid
-    /// equal to a from-scratch rebuild, and its topology equal to brute
-    /// force, at every step.
+    /// equal to a from-scratch rebuild, and its topology and per-node
+    /// queries equal to brute force, at every step.
     #[test]
     fn incremental_sync_matches_fresh_rebuild(
         pts in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..40),
@@ -127,7 +167,9 @@ proptest! {
             let incremental = grid.build_topology(range, |a, b| {
                 radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
             });
-            prop_assert_eq!(&incremental, &radio.topology_all_pairs(pos.view()));
+            let brute = radio.topology_all_pairs(pos.view());
+            prop_assert_eq!(&incremental, &brute);
+            assert_queries_equal_rows(&grid, range, &brute)?;
         }
     }
 

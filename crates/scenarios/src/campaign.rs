@@ -83,9 +83,11 @@ impl fmt::Display for CampaignScore {
 impl FromStr for CampaignScore {
     type Err = String;
 
-    /// Parse the `Display` form back (campaign-file `# score` line).
+    /// Parse the `Display` form back (campaign-file `# score` line): each
+    /// of the four fields exactly once, in any order.
     fn from_str(s: &str) -> Result<Self, String> {
         let mut score = CampaignScore::default();
+        // one bit per field already set
         let mut seen = 0u8;
         for token in s.split_whitespace() {
             let (key, value) = token
@@ -94,19 +96,22 @@ impl FromStr for CampaignScore {
             let value: u64 = value
                 .parse()
                 .map_err(|_| format!("score: `{key}`: bad count `{value}`"))?;
-            match key {
-                "unrecovered" => score.unrecovered = value,
-                "disrupted" => score.disrupted_rounds = value,
-                "max_mttr" => score.max_mttr = value,
-                "mean_mttr_milli" => score.mean_mttr_milli = value,
+            let (field, bit) = match key {
+                "unrecovered" => (&mut score.unrecovered, 1),
+                "disrupted" => (&mut score.disrupted_rounds, 2),
+                "max_mttr" => (&mut score.max_mttr, 4),
+                "mean_mttr_milli" => (&mut score.mean_mttr_milli, 8),
                 other => return Err(format!("score: unknown field `{other}`")),
+            };
+            if seen & bit != 0 {
+                return Err(format!("score: duplicate field `{key}`"));
             }
-            seen += 1;
+            seen |= bit;
+            *field = value;
         }
-        if seen == 4 {
-            Ok(score)
-        } else {
-            Err(format!("score: expected 4 fields, got {seen}"))
+        match seen.count_ones() {
+            4 => Ok(score),
+            fields => Err(format!("score: expected 4 fields, got {fields}")),
         }
     }
 }
@@ -564,6 +569,17 @@ max_faults = 4
         assert!("unrecovered=x disrupted=0 max_mttr=0 mean_mttr_milli=0"
             .parse::<CampaignScore>()
             .is_err());
+        // a repeated field is not a missing one, however often it repeats
+        let repeated = "unrecovered=1 unrecovered=1 unrecovered=1 unrecovered=1";
+        assert_eq!(
+            repeated.parse::<CampaignScore>(),
+            Err("score: duplicate field `unrecovered`".to_string())
+        );
+        let long = vec!["max_mttr=3"; 256].join(" ");
+        assert_eq!(
+            long.parse::<CampaignScore>(),
+            Err("score: duplicate field `max_mttr`".to_string())
+        );
     }
 
     #[test]
@@ -601,6 +617,13 @@ max_faults = 4
 
         assert!(parse_campaign_file("12 exploded 3").is_err());
         assert!(parse_campaign_file("nonsense").is_err());
+        for score in [
+            "# score unrecovered=1 unrecovered=1 unrecovered=1 unrecovered=1".to_string(),
+            format!("# score {}", vec!["disrupted=0"; 256].join(" ")),
+        ] {
+            let err = parse_campaign_file(&format!("{score}\n100 crash 2\n")).unwrap_err();
+            assert!(err.starts_with("line 1: score: duplicate field"), "{err}");
+        }
         let (none, empty) = parse_campaign_file("# just a comment\n\n").unwrap();
         assert_eq!(none, None);
         assert!(empty.is_empty());
