@@ -54,9 +54,9 @@ impl Protocol for GrpNode {
     fn corrupt_message(&mut self, msg: &mut GrpMessage, rng: &mut ChaCha8Rng) {
         // the paper's "message" half of transient faults: splice a ghost
         // into the quoted ancestors' list and scramble the advertised
-        // group priority. Strictly copy-on-write — both payloads are
-        // `Arc`-shared with the sender's cached broadcast, which must
-        // survive intact (the fault hit the wire, not the sender).
+        // group priority. Strictly copy-on-write — the body is shared
+        // with the sender's cached broadcast, which must survive intact
+        // (the fault hit the wire, not the sender).
         // Ghost range 300_000..400_000 is distinct from `corrupt_state`'s
         // 100_000..200_000 so tests can tell which fault planted a ghost.
         let ghost = NodeId(rng.gen_range(300_000..400_000));
@@ -67,10 +67,11 @@ impl Protocol for GrpNode {
             let level = rng.gen_range(0..levels.len());
             levels[level].push((ghost, Mark::Clear));
         }
-        msg.list = Arc::new(AncestorList::from_levels(levels));
         let scrambled = Priority::new(rng.gen_range(0..1000), ghost);
-        Arc::make_mut(&mut msg.priorities).insert(ghost, PriorityInfo::solo(scrambled));
-        msg.group_priority = Priority::min_of(msg.group_priority, scrambled);
+        let body = Arc::make_mut(&mut msg.0);
+        body.list = AncestorList::from_levels(levels);
+        body.priorities.insert(ghost, PriorityInfo::solo(scrambled));
+        body.group_priority = Priority::min_of(body.group_priority, scrambled);
     }
 
     fn reset(&mut self) {
@@ -151,13 +152,14 @@ mod tests {
     }
 
     /// In-flight corruption plants a ghost in the quoted list and never
-    /// writes through the `Arc`s shared with the sender's cached message.
+    /// writes through the body shared with the sender's cached message.
     #[test]
     fn corrupt_message_is_copy_on_write() {
         let mut node = GrpNode::new(NodeId(1), GrpConfig::new(2));
-        let original = node.build_message();
+        let original = node.message_for_send();
+        let original_body = Arc::as_ptr(&original.0);
         let mut in_flight = original.clone();
-        assert!(Arc::ptr_eq(&in_flight.list, &original.list));
+        assert!(Arc::ptr_eq(&in_flight.0, &original.0));
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         node.corrupt_message(&mut in_flight, &mut rng);
         let ghosts: Vec<u64> = in_flight
@@ -169,9 +171,12 @@ mod tests {
             .collect();
         assert_eq!(ghosts.len(), 1, "one ghost spliced into the payload");
         assert!(in_flight.priorities.get(NodeId(ghosts[0])).is_some());
-        // the sender's copy survives byte-for-byte
-        assert_eq!(original, node.build_message());
-        assert!(!Arc::ptr_eq(&in_flight.list, &original.list));
+        // corruption cloned the body; the sender's cached message keeps its
+        // pointer and its bytes
+        assert!(!Arc::ptr_eq(&in_flight.0, &original.0));
+        let cached = node.message_for_send();
+        assert!(std::ptr::eq(Arc::as_ptr(&cached.0), original_body));
+        assert_eq!(cached, node.build_message());
         assert!(!original.list.contains(NodeId(ghosts[0])));
     }
 }

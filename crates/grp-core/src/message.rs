@@ -6,11 +6,17 @@
 //! group priority the sender currently associates with that node. These are
 //! exactly the inputs the far-node arbitration of `compute()` needs on the
 //! receiving side.
+//!
+//! A [`GrpMessage`] is one `Arc` around an immutable [`MessageBody`]:
+//! building a broadcast allocates the body once, and the fan-out to `k`
+//! neighbours and every `msgSetv` insertion only touch its reference
+//! count.
 
 use crate::ancestor_list::AncestorList;
 use crate::priority::Priority;
 use crate::table::NodeTable;
 use dyngraph::NodeId;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The priorities the sender knows about one quoted node.
@@ -34,27 +40,47 @@ impl PriorityInfo {
     }
 }
 
-/// The message broadcast by a GRP node at every `Ts` expiration.
-///
-/// The two payloads — the ancestors' list and the priority table — are
-/// behind `Arc`s: a broadcast to `k` neighbours clones `k` pointers, not
-/// `k` deep copies, and `msgSetv` insertion on the receiving side is
-/// equally free. The payloads are immutable once built (a receiver that
-/// needs to edit the list, as line 2 of `compute()` does, clones it out of
-/// the `Arc` first), so sharing is safe by construction.
+/// What one broadcast says; shared, never edited, by every copy of the
+/// [`GrpMessage`] that carries it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct GrpMessage {
+pub struct MessageBody {
     /// The sender's identity.
     pub sender: NodeId,
     /// The sender's ordered list of ancestors' sets (with marks).
-    pub list: Arc<AncestorList>,
+    pub list: AncestorList,
     /// Per-quoted-node priorities, in ascending id order.
-    pub priorities: Arc<NodeTable<PriorityInfo>>,
+    pub priorities: NodeTable<PriorityInfo>,
     /// The priority of the sender's group (minimum over its view).
     pub group_priority: Priority,
 }
 
+/// The message broadcast by a GRP node at every `Ts` expiration.
+///
+/// A clone shares the body: a broadcast to `k` neighbours clones `k`
+/// pointers, not `k` deep copies. The body is immutable once built (a
+/// receiver that needs to edit the list, as line 2 of `compute()` does,
+/// copies it out first), so sharing is safe by construction. The fields
+/// read through [`Deref`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct GrpMessage(pub(crate) Arc<MessageBody>);
+
 impl GrpMessage {
+    /// The broadcast of `sender`: its list, the priorities of the nodes the
+    /// list quotes, and its group priority.
+    pub fn new(
+        sender: NodeId,
+        list: AncestorList,
+        priorities: NodeTable<PriorityInfo>,
+        group_priority: Priority,
+    ) -> Self {
+        GrpMessage(Arc::new(MessageBody {
+            sender,
+            list,
+            priorities,
+            group_priority,
+        }))
+    }
+
     /// Approximate wire size: one byte of header plus, per entry, a node id
     /// (8 bytes), a level (1 byte), a mark (1 byte) and the two priorities
     /// (16 bytes). Used only by the overhead experiment — relative numbers
@@ -69,6 +95,14 @@ impl GrpMessage {
     }
 }
 
+impl Deref for GrpMessage {
+    type Target = MessageBody;
+
+    fn deref(&self) -> &MessageBody {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,42 +114,41 @@ mod tests {
 
     #[test]
     fn wire_size_grows_with_entries() {
-        let small = GrpMessage {
-            sender: n(1),
-            list: Arc::new(AncestorList::singleton(n(1))),
-            priorities: Arc::new(NodeTable::new()),
-            group_priority: Priority::new(0, n(1)),
-        };
+        let small = GrpMessage::new(
+            n(1),
+            AncestorList::singleton(n(1)),
+            NodeTable::new(),
+            Priority::new(0, n(1)),
+        );
         let priorities = [1, 2]
             .map(|i| (n(i), PriorityInfo::solo(Priority::new(0, n(i)))))
             .into_iter()
             .collect();
-        let big = GrpMessage {
-            sender: n(1),
-            list: Arc::new(AncestorList::from_levels(vec![
+        let big = GrpMessage::new(
+            n(1),
+            AncestorList::from_levels(vec![
                 vec![(n(1), Mark::Clear)],
                 vec![(n(2), Mark::Clear), (n(3), Mark::Clear)],
-            ])),
-            priorities: Arc::new(priorities),
-            group_priority: Priority::new(0, n(1)),
-        };
+            ]),
+            priorities,
+            Priority::new(0, n(1)),
+        );
         assert!(big.wire_size() > small.wire_size());
-        // zero-copy fan-out: a clone shares both payload allocations
+        // zero-copy fan-out: a clone shares the one body allocation
         let copy = big.clone();
-        assert!(Arc::ptr_eq(&copy.list, &big.list));
-        assert!(Arc::ptr_eq(&copy.priorities, &big.priorities));
+        assert!(Arc::ptr_eq(&copy.0, &big.0));
     }
 
     #[test]
     fn priority_lookup() {
         let p = PriorityInfo::new(Priority::new(3, n(2)), Priority::new(1, n(9)));
         let priorities = [(n(2), p)].into_iter().collect();
-        let msg = GrpMessage {
-            sender: n(1),
-            list: Arc::new(AncestorList::singleton(n(1))),
-            priorities: Arc::new(priorities),
-            group_priority: Priority::new(0, n(1)),
-        };
+        let msg = GrpMessage::new(
+            n(1),
+            AncestorList::singleton(n(1)),
+            priorities,
+            Priority::new(0, n(1)),
+        );
         assert_eq!(msg.priority_of(n(2)), Some(p));
         assert_eq!(msg.priority_of(n(5)), None);
     }

@@ -13,8 +13,9 @@
 //! ordered merge, instead of inserting into trees.
 //!
 //! `compute()`'s working buffers — the checked copies of the received
-//! lists, the rows of the one-pass `ant` fold and the sorted unmarked ids —
-//! live in one set per thread, shared by every node the thread runs, so a
+//! lists, the rows of the one-pass `ant` fold, the sorted unmarked ids and
+//! the batches of ids new to the priority and quarantine tables — live in
+//! one set per thread, shared by every node the thread runs, so a
 //! node's own footprint is only its semantic state and its cached
 //! broadcast.
 
@@ -28,7 +29,6 @@ use crate::table::NodeTable;
 use dyngraph::NodeId;
 use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// The working buffers of [`GrpNode::compute`], reused round after round.
 #[derive(Default)]
@@ -40,6 +40,10 @@ struct ComputeScratch {
     rows: Vec<(NodeId, u32, Mark)>,
     /// Lines 30–31: the unmarked ids of the new `listv`, sorted.
     unmarked: Vec<NodeId>,
+    /// The priorities of ids `absorb_priorities` learns this round.
+    learnt: Vec<(NodeId, PriorityInfo)>,
+    /// Line 30: the quarantine counters of this round's new candidates.
+    arrivals: Vec<(NodeId, u32)>,
 }
 
 thread_local! {
@@ -189,17 +193,20 @@ impl GrpNode {
                 PriorityInfo::solo(Priority::new(u64::MAX, node))
             }
         };
-        let priorities = self
-            .list
-            .entries()
-            .map(|(node, _, _)| (node, info_of(node)))
-            .collect();
-        GrpMessage {
-            sender: self.id,
-            list: Arc::new(self.list.clone()),
-            priorities: Arc::new(priorities),
-            group_priority: my_group_priority,
-        }
+        // one entry per quoted node: sized exactly, the table never
+        // grows and never shrinks
+        let mut priorities = Vec::with_capacity(self.list.entry_count());
+        priorities.extend(
+            self.list
+                .entries()
+                .map(|(node, _, _)| (node, info_of(node))),
+        );
+        GrpMessage::new(
+            self.id,
+            self.list.clone(),
+            NodeTable::from_vec(priorities),
+            my_group_priority,
+        )
     }
 
     /// [`build_message`](Self::build_message) with caching: every input of
@@ -225,21 +232,24 @@ impl GrpNode {
 
     /// The `compute()` procedure of Section 4.3.
     ///
-    /// The checked lists, the fold rows and the unmarked ids go through
-    /// buffers kept per thread, and the fold writes `listv` in place, so
-    /// a round allocates only when a buffer must grow, when the view changes
+    /// The checked lists, the fold rows, the unmarked ids and the batches
+    /// of new table ids go through buffers kept per thread, the fold writes
+    /// `listv` in place and new ids merge into their table in place, so a
+    /// round allocates only when a buffer must grow, when the view changes
     /// (its set is rebuilt), and when ids join the priority or quarantine
-    /// table (the batch of new ids and the merged table).
+    /// table (which grows by exactly those ids).
     pub fn compute(&mut self) {
         self.compute_count += 1;
         let dmax = self.config.dmax;
-        self.absorb_priorities();
         let mut scratch = SCRATCH.take();
         let ComputeScratch {
             checked,
             rows,
             unmarked,
+            learnt,
+            arrivals,
         } = &mut scratch;
+        self.absorb_priorities(learnt);
 
         // ------------------------------------------------------- lines 1-9
         // Checking the received lists, in sender order.
@@ -301,7 +311,7 @@ impl GrpNode {
                 .map(|(node, _, _)| node),
         );
         unmarked.sort_unstable();
-        self.update_quarantines(unmarked);
+        self.update_quarantines(unmarked, arrivals);
 
         // -------------------------------------------------------- line 31
         // viewv ← non-marked nodes of listv with null quarantine. Our own
@@ -360,10 +370,10 @@ impl GrpNode {
     /// Learn priorities quoted in the received messages. A sender is the
     /// authority on its own priority; for third-party nodes any quote is
     /// accepted (the newest message wins by iteration order). Known ids are
-    /// updated in place; the ids learnt this round enter in one merge.
-    fn absorb_priorities(&mut self) {
+    /// updated in place; the ids learnt this round gather in `learnt` and
+    /// enter in one merge.
+    fn absorb_priorities(&mut self, learnt: &mut Vec<(NodeId, PriorityInfo)>) {
         let own_id = self.id;
-        let mut learnt = Vec::new();
         for (_, msg) in &self.msg_set {
             for &(node, info) in msg.priorities.iter() {
                 if node == own_id {
@@ -375,7 +385,7 @@ impl GrpNode {
                 }
             }
         }
-        self.known_priorities.extend(learnt);
+        self.known_priorities.merge_batch(learnt);
         for (sender, msg) in &self.msg_set {
             if let Some(&self_info) = msg.priorities.get(*sender) {
                 self.known_priorities.insert(*sender, self_info);
@@ -385,7 +395,8 @@ impl GrpNode {
 
     /// Line 30: the quarantine of new nodes is `Dmax`; non-null quarantines
     /// of already-known candidates decrease by one. `unmarked` holds the
-    /// unmarked nodes of the new `listv`, sorted.
+    /// unmarked nodes of the new `listv`, sorted; the new candidates gather
+    /// in `arrivals` and enter the table in one merge.
     ///
     /// A candidate that briefly drops out of the list (e.g. while a boundary
     /// neighbour momentarily rejects us) keeps its quarantine entry and
@@ -393,7 +404,7 @@ impl GrpNode {
     /// resets the counter for ever and freezes mergeable groups apart.
     /// Entries of nodes that stay absent age out and are dropped once they
     /// reach zero, so the table stays bounded by the recently-seen nodes.
-    fn update_quarantines(&mut self, unmarked: &[NodeId]) {
+    fn update_quarantines(&mut self, unmarked: &[NodeId], arrivals: &mut Vec<(NodeId, u32)>) {
         let own_id = self.id;
         self.quarantine.retain_mut(|node, q| {
             if unmarked.binary_search(&node).is_ok() {
@@ -411,12 +422,13 @@ impl GrpNode {
             node != own_id && *q > 0
         });
         let fresh = self.config.quarantine_rounds();
-        let arrivals: Vec<(NodeId, u32)> = unmarked
-            .iter()
-            .filter(|&&x| x != own_id && self.quarantine.get(x).is_none())
-            .map(|&x| (x, if self.view.contains(&x) { 0 } else { fresh }))
-            .collect();
-        self.quarantine.extend(arrivals);
+        arrivals.extend(
+            unmarked
+                .iter()
+                .filter(|&&x| x != own_id && self.quarantine.get(x).is_none())
+                .map(|&x| (x, if self.view.contains(&x) { 0 } else { fresh })),
+        );
+        self.quarantine.merge_batch(arrivals);
     }
 
     /// Overwrite the local state with arbitrary values (transient fault).

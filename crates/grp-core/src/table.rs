@@ -7,7 +7,8 @@
 //! the canonical encoding and the wire size read them that way. A
 //! [`NodeTable`] is one `Vec` sorted by id: lookup is a binary search,
 //! iteration is a slice walk in exactly the key order a `BTreeMap` would
-//! give, and adding a batch of ids is one sort of the batch and one merge.
+//! give, and adding a batch of ids is one sort of the batch and one merge
+//! into the table's own vector (`NodeTable::merge_batch`).
 //!
 //! The entries are private, so "sorted by id, each id once" holds by
 //! construction: every method that adds an id keeps it.
@@ -82,6 +83,56 @@ impl<V> NodeTable<V> {
     pub fn iter(&self) -> std::slice::Iter<'_, (NodeId, V)> {
         self.entries.iter()
     }
+
+    /// The table of `entries`, given in any order: sorted by id, and a
+    /// repeated id keeps its last value. The vector becomes the table's
+    /// storage as it is, so a caller that sized it exactly gets a table
+    /// that never grows and never shrinks.
+    pub(crate) fn from_vec(mut entries: Vec<(NodeId, V)>) -> Self {
+        sort_keep_last(&mut entries);
+        NodeTable { entries }
+    }
+}
+
+impl<V: Clone> NodeTable<V> {
+    /// Insert every entry of `batch` as repeated [`insert`](Self::insert)
+    /// would — a later entry for an id replaces an earlier one — and hand
+    /// `batch` back empty, its capacity kept for the caller's next batch.
+    ///
+    /// In place: the batch is sorted, ids the table holds are overwritten,
+    /// and the new ids are merged in from the back after one `reserve_exact`
+    /// for them, so the table grows only by what it gains.
+    pub(crate) fn merge_batch(&mut self, batch: &mut Vec<(NodeId, V)>) {
+        sort_keep_last(batch);
+        batch.retain_mut(|(node, value)| match self.find(*node) {
+            Ok(i) => {
+                std::mem::swap(&mut self.entries[i].1, value);
+                false
+            }
+            Err(_) => true,
+        });
+        if batch.is_empty() {
+            return;
+        }
+        // old entries in [0, old), new ones in `batch`: fill the table from
+        // its end, taking the larger id first; the slots past `old` start
+        // as copies of the batch and are overwritten before they are read
+        let old = self.entries.len();
+        self.entries.reserve_exact(batch.len());
+        self.entries.extend_from_slice(batch);
+        let (mut i, mut j) = (old, batch.len());
+        while j > 0 {
+            let write = i + j - 1;
+            if i > 0 && self.entries[i - 1].0 > batch[j - 1].0 {
+                self.entries.swap(write, i - 1);
+                i -= 1;
+            } else {
+                std::mem::swap(&mut self.entries[write], &mut batch[j - 1]);
+                j -= 1;
+            }
+        }
+        batch.clear();
+    }
 }
 
 impl<'a, V> IntoIterator for &'a NodeTable<V> {
@@ -93,52 +144,33 @@ impl<'a, V> IntoIterator for &'a NodeTable<V> {
     }
 }
 
-/// Inserts like repeated [`NodeTable::insert`] — a later entry for an id
-/// replaces an earlier one — with one sort of the new entries and one merge,
-/// into a table sized to the result.
-impl<V> Extend<(NodeId, V)> for NodeTable<V> {
-    fn extend<I: IntoIterator<Item = (NodeId, V)>>(&mut self, iter: I) {
-        let new: NodeTable<V> = iter.into_iter().collect();
-        if new.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.len() + new.len());
-        let mut old = std::mem::take(&mut self.entries).into_iter().peekable();
-        for (node, value) in new.entries {
-            while let Some(entry) = old.next_if(|&(n, _)| n < node) {
-                merged.push(entry);
-            }
-            old.next_if(|&(n, _)| n == node);
-            merged.push((node, value));
-        }
-        merged.extend(old);
-        self.entries = merged;
-    }
-}
-
 /// Collects like `BTreeMap::from_iter`: the entries end up sorted by id and
 /// a repeated id keeps its last value.
 impl<V> FromIterator<(NodeId, V)> for NodeTable<V> {
     fn from_iter<I: IntoIterator<Item = (NodeId, V)>>(iter: I) -> Self {
-        let mut entries: Vec<(NodeId, V)> = iter.into_iter().collect();
-        // stable, so the entries of a repeated id stay in arrival order
-        entries.sort_by_key(|&(n, _)| n);
-        // keep the last of each run of equal ids
-        entries.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                std::mem::swap(later, kept);
-            }
-            same
-        });
-        entries.shrink_to_fit();
-        NodeTable { entries }
+        let mut table = NodeTable::from_vec(iter.into_iter().collect());
+        table.entries.shrink_to_fit();
+        table
     }
+}
+
+/// Sort `entries` by id and keep the last of each run of equal ids.
+fn sort_keep_last<V>(entries: &mut Vec<(NodeId, V)>) {
+    // stable, so the entries of a repeated id stay in arrival order
+    entries.sort_by_key(|&(n, _)| n);
+    entries.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
@@ -167,21 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_matches_repeated_insert() {
-        let start = [(2, 'a'), (5, 'b'), (8, 'c')];
-        let batch = [(9, 'd'), (5, 'e'), (1, 'f'), (9, 'g'), (3, 'h')];
-        let mut table: NodeTable<char> = start.iter().map(|&(id, v)| (n(id), v)).collect();
-        let mut reference = table.clone();
-        table.extend(batch.iter().map(|&(id, v)| (n(id), v)));
-        for &(id, v) in &batch {
-            reference.insert(n(id), v);
-        }
-        assert_eq!(table, reference);
-        assert_eq!(table.len(), 6);
-        assert_eq!(table.get(n(9)), Some(&'g'), "the later entry wins");
-    }
-
-    #[test]
     fn retain_mut_updates_and_drops() {
         let mut table: NodeTable<u32> = (1..=4).map(|i| (n(i), i as u32)).collect();
         table.retain_mut(|id, v| {
@@ -194,5 +211,53 @@ mod tests {
         assert_eq!(table.get(n(3)), Some(&7));
         table.clear();
         assert!(table.is_empty());
+    }
+
+    type Entries = Vec<(u64, u32)>;
+
+    /// A table and a batch over a small id range, so batches repeat ids and
+    /// overlap the table; either may be empty.
+    fn table_and_batch() -> impl Strategy<Value = (Entries, Entries)> {
+        let entries = || proptest::collection::vec((0u64..24, 0u32..1000), 0..16);
+        (entries(), entries())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merge_batch_matches_repeated_insert(case in table_and_batch()) {
+            let (start, batch) = case;
+            let mut table: NodeTable<u32> = start.iter().map(|&(id, v)| (n(id), v)).collect();
+            let mut reference = table.clone();
+            let mut buffer: Vec<(NodeId, u32)> = batch.iter().map(|&(id, v)| (n(id), v)).collect();
+            table.merge_batch(&mut buffer);
+            for &(id, v) in &batch {
+                reference.insert(n(id), v);
+            }
+            prop_assert_eq!(&table, &reference);
+            prop_assert!(buffer.is_empty(), "the buffer comes back empty");
+            prop_assert!(table.iter().zip(table.iter().skip(1)).all(|(a, b)| a.0 < b.0));
+        }
+    }
+
+    #[test]
+    fn merge_batch_later_entry_wins_and_grows_exactly() {
+        let mut table: NodeTable<char> = [(2, 'a'), (5, 'b'), (8, 'c')]
+            .iter()
+            .map(|&(id, v)| (n(id), v))
+            .collect();
+        let mut buffer = Vec::with_capacity(8);
+        buffer.extend([(9, 'd'), (5, 'e'), (1, 'f'), (9, 'g'), (3, 'h')].map(|(id, v)| (n(id), v)));
+        table.merge_batch(&mut buffer);
+        let entries: Vec<(u64, char)> = table.iter().map(|&(id, v)| (id.raw(), v)).collect();
+        assert_eq!(
+            entries,
+            [(1, 'f'), (2, 'a'), (3, 'h'), (5, 'e'), (8, 'c'), (9, 'g')]
+        );
+        assert_eq!(table.entries.capacity(), 6, "grown by the new ids only");
+        assert!(buffer.is_empty() && buffer.capacity() >= 8, "capacity kept");
+        table.merge_batch(&mut buffer);
+        assert_eq!(table.len(), 6, "the empty batch is a no-op");
     }
 }

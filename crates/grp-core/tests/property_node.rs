@@ -35,7 +35,6 @@ mod oracle {
     use grp_core::{GrpConfig, GrpMessage, PriorityInfo};
     use netsim::CanonicalHasher;
     use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::Arc;
 
     fn core_len(list: &AncestorList, exclude: &BTreeSet<NodeId>) -> usize {
         let mut deepest = None;
@@ -126,19 +125,19 @@ mod oracle {
         pub fn of(msg: &GrpMessage) -> Self {
             RefMessage {
                 sender: msg.sender,
-                list: (*msg.list).clone(),
+                list: msg.list.clone(),
                 priorities: msg.priorities.iter().copied().collect(),
                 group_priority: msg.group_priority,
             }
         }
 
         pub fn to_grp(&self) -> GrpMessage {
-            GrpMessage {
-                sender: self.sender,
-                list: Arc::new(self.list.clone()),
-                priorities: Arc::new(self.priorities.iter().map(|(&n, &i)| (n, i)).collect()),
-                group_priority: self.group_priority,
-            }
+            GrpMessage::new(
+                self.sender,
+                self.list.clone(),
+                self.priorities.iter().map(|(&n, &i)| (n, i)).collect(),
+                self.group_priority,
+            )
         }
     }
 

@@ -83,9 +83,13 @@ impl<M> Ord for Event<M> {
 /// lifts a whole same-instant batch out in one operation
 /// ([`pop_bucket`](Self::pop_bucket)) and sorts it into its phases,
 /// something a heap can only do by popping and re-inspecting every entry.
+/// A drained bucket handed back through [`recycle`](Self::recycle) holds
+/// the next new instant's events, so steady-state pushes reuse buffers.
 #[derive(Debug)]
 pub struct CalendarQueue<M> {
     buckets: BTreeMap<SimTime, VecDeque<Event<M>>>,
+    /// Drained buckets, emptied, waiting for a new instant.
+    spare: Vec<VecDeque<Event<M>>>,
     len: usize,
 }
 
@@ -100,6 +104,7 @@ impl<M> CalendarQueue<M> {
     pub fn new() -> Self {
         CalendarQueue {
             buckets: BTreeMap::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -118,7 +123,10 @@ impl<M> CalendarQueue<M> {
     /// monotonically increasing `seq` (the simulator's `schedule` does) for
     /// the FIFO-within-bucket order to equal the `(time, seq)` total order.
     pub fn push(&mut self, event: Event<M>) {
-        self.buckets.entry(event.time).or_default().push_back(event);
+        self.buckets
+            .entry(event.time)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push_back(event);
         self.len += 1;
     }
 
@@ -134,6 +142,13 @@ impl<M> CalendarQueue<M> {
         let bucket = self.buckets.remove(&time)?;
         self.len -= bucket.len();
         Some((time, bucket))
+    }
+
+    /// Hand back a bucket [`pop_bucket`](Self::pop_bucket) returned, once
+    /// its events are taken: its buffer serves a later new instant.
+    pub fn recycle(&mut self, mut bucket: VecDeque<Event<M>>) {
+        bucket.clear();
+        self.spare.push(bucket);
     }
 
     /// Apply `f` to the payload of every queued [`EventKind::Broadcast`]
@@ -325,6 +340,25 @@ mod tests {
         ));
         assert!(matches!(kinds[1], EventKind::ComputeTimer(2)));
         assert!(matches!(kinds[2], EventKind::SendTimer(0)));
+    }
+
+    #[test]
+    fn recycled_buckets_serve_new_instants() {
+        let mut cal = CalendarQueue::new();
+        for seq in 0..8 {
+            cal.push(ev(10, seq));
+        }
+        let (_, mut bucket) = cal.pop_bucket().expect("non-empty");
+        let capacity = bucket.capacity();
+        assert_eq!(bucket.drain(..).count(), 8);
+        cal.recycle(bucket);
+        cal.push(ev(20, 8));
+        cal.push(ev(30, 9));
+        let (time, bucket) = cal.pop_bucket().expect("the reused bucket");
+        assert_eq!(time, SimTime(20));
+        assert_eq!(bucket.capacity(), capacity, "the drained buffer came back");
+        assert_eq!(bucket.iter().map(|e| e.seq).collect::<Vec<_>>(), [8]);
+        assert_eq!(drain(&mut cal).len(), 1);
     }
 
     #[test]

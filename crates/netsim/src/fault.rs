@@ -44,6 +44,41 @@ impl Region {
     pub fn contains(&self, x: f64, y: f64) -> bool {
         x >= self.min_x && x <= self.max_x && y >= self.min_y && y <= self.max_y
     }
+
+    /// A blackout rectangle has four finite bounds, the maxima not below
+    /// the minima.
+    fn validate(&self) -> Result<(), InvalidFault> {
+        let bounds = [
+            ("min_x", self.min_x),
+            ("min_y", self.min_y),
+            ("max_x", self.max_x),
+            ("max_y", self.max_y),
+        ];
+        if let Some(&(key, _)) = bounds.iter().find(|(_, v)| !v.is_finite()) {
+            let message = format!("`region_blackout`: `{key}` must be a finite number");
+            return Err(InvalidFault { key, message });
+        }
+        if self.max_x < self.min_x || self.max_y < self.min_y {
+            return Err(InvalidFault {
+                key: "max_x",
+                message: "`region_blackout` rectangle is inverted \
+                          (max_x/max_y below min_x/min_y)"
+                    .to_string(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A fault that is well formed but cannot be scheduled. `key` names the
+/// `[[faults]]` manifest key the error is about, and `message` says why;
+/// campaign files report the same message.
+#[derive(Clone, Debug, PartialEq)]
+pub struct InvalidFault {
+    /// The manifest key at fault.
+    pub key: &'static str,
+    /// What is wrong, in the words every parser reports.
+    pub message: String,
 }
 
 /// The kinds of transient faults the simulator can inject.
@@ -96,6 +131,22 @@ pub enum FaultKind {
     },
 }
 
+impl FaultKind {
+    /// The checks every parser applies before a fault is scheduled: a
+    /// partition names at least two groups, and a blackout rectangle has
+    /// finite bounds in order.
+    pub fn validate(&self) -> Result<(), InvalidFault> {
+        match self {
+            FaultKind::Partition { groups } if groups.len() < 2 => Err(InvalidFault {
+                key: "groups",
+                message: "`partition` needs at least two groups".to_string(),
+            }),
+            FaultKind::RegionBlackout { region, .. } => region.validate(),
+            _ => Ok(()),
+        }
+    }
+}
+
 impl fmt::Display for FaultKind {
     /// The textual form used by campaign files (docs/FAULTS.md) and the
     /// resilience report: `<kind> <args…>`, kind names matching the
@@ -137,7 +188,8 @@ impl fmt::Display for FaultKind {
 impl FromStr for FaultKind {
     type Err = String;
 
-    /// Parse the campaign-file form produced by `Display`.
+    /// Parse the campaign-file form produced by `Display`; the result
+    /// passes [`FaultKind::validate`].
     fn from_str(s: &str) -> Result<Self, String> {
         let mut words = s.split_whitespace();
         let kind = words.next().ok_or_else(|| "empty fault".to_string())?;
@@ -159,22 +211,17 @@ impl FromStr for FaultKind {
                 _ => Err(format!("`{kind}` takes exactly one {what}")),
             }
         };
-        match kind {
-            "corrupt" => Ok(FaultKind::CorruptState(one_node(&rest)?)),
-            "corrupt_message" => Ok(FaultKind::CorruptMessage(one_node(&rest)?)),
-            "crash" => Ok(FaultKind::Crash(one_node(&rest)?)),
-            "restart" => Ok(FaultKind::Restart(one_node(&rest)?)),
-            "restart_stale" => Ok(FaultKind::RestartStale(one_node(&rest)?)),
-            "loss_burst" => Ok(FaultKind::LossBurst {
+        let fault = match kind {
+            "corrupt" => FaultKind::CorruptState(one_node(&rest)?),
+            "corrupt_message" => FaultKind::CorruptMessage(one_node(&rest)?),
+            "crash" => FaultKind::Crash(one_node(&rest)?),
+            "restart" => FaultKind::Restart(one_node(&rest)?),
+            "restart_stale" => FaultKind::RestartStale(one_node(&rest)?),
+            "loss_burst" => FaultKind::LossBurst {
                 duration: one_u64(&rest, "duration")?,
-            }),
-            "heal" => {
-                if rest.is_empty() {
-                    Ok(FaultKind::Heal)
-                } else {
-                    Err("`heal` takes no arguments".to_string())
-                }
-            }
+            },
+            "heal" if rest.is_empty() => FaultKind::Heal,
+            "heal" => return Err("`heal` takes no arguments".to_string()),
             "partition" => {
                 let spec = rest.join("");
                 let mut groups = Vec::new();
@@ -188,7 +235,7 @@ impl FromStr for FaultKind {
                     }
                     groups.push(members);
                 }
-                Ok(FaultKind::Partition { groups })
+                FaultKind::Partition { groups }
             }
             "region_blackout" => match rest.as_slice() {
                 [min_x, min_y, max_x, max_y, duration] => {
@@ -196,7 +243,7 @@ impl FromStr for FaultKind {
                         t.parse::<f64>()
                             .map_err(|_| format!("`region_blackout`: bad coordinate `{t}`"))
                     };
-                    Ok(FaultKind::RegionBlackout {
+                    FaultKind::RegionBlackout {
                         region: Region {
                             min_x: coord(min_x)?,
                             min_y: coord(min_y)?,
@@ -206,12 +253,17 @@ impl FromStr for FaultKind {
                         duration: duration
                             .parse::<u64>()
                             .map_err(|_| format!("`region_blackout`: bad duration `{duration}`"))?,
-                    })
+                    }
                 }
-                _ => Err("`region_blackout` takes `min_x min_y max_x max_y duration`".to_string()),
+                _ => {
+                    let usage = "`region_blackout` takes `min_x min_y max_x max_y duration`";
+                    return Err(usage.to_string());
+                }
             },
-            other => Err(format!("unknown fault kind `{other}`")),
-        }
+            other => return Err(format!("unknown fault kind `{other}`")),
+        };
+        fault.validate().map_err(|e| e.message)?;
+        Ok(fault)
     }
 }
 
@@ -348,6 +400,11 @@ mod tests {
             "heal now",
             "loss_burst",
             "region_blackout 1 2 3",
+            "partition",
+            "partition 1,2,3",
+            "region_blackout 5 0 1 1 100",
+            "region_blackout NaN 0 1 1 100",
+            "region_blackout 0 0 inf 1 100",
         ] {
             assert!(bad.parse::<FaultKind>().is_err(), "accepted `{bad}`");
         }

@@ -183,14 +183,44 @@ struct Pending<M> {
     sender_pos: Option<Point>,
 }
 
-/// The link decisions of one broadcast: counters, and the receiver slots
-/// grouped by extra delay, ascending, so sweep events are scheduled (and
-/// sequence numbers assigned) in delay order.
+/// The link counters of one broadcast.
 #[derive(Default)]
 struct SendOutcome {
     attempted: u64,
     dropped: u64,
-    groups: BTreeMap<u64, Vec<u32>>,
+}
+
+/// Cut one sweep's `(extra_delay, receiver)` hits into one exact-size
+/// recipient list per distinct delay, ascending by delay, so sweep events
+/// are scheduled (and sequence numbers assigned) in delay order. Within a
+/// delay the receivers keep their sweep order: the sort is stable, and it
+/// runs only when the delays differ.
+fn delay_groups(hits: &mut [(u64, u32)]) -> impl Iterator<Item = (u64, Vec<u32>)> + '_ {
+    if hits.windows(2).any(|pair| pair[0].0 != pair[1].0) {
+        hits.sort_by_key(|&(delay, _)| delay);
+    }
+    hits.chunk_by(|a, b| a.0 == b.0)
+        .map(|run| (run[0].0, run.iter().map(|&(_, to)| to).collect()))
+}
+
+/// The lists one bucket sorts its events into, one per phase; kept on the
+/// simulator and cleared after every bucket, so the loop reuses them.
+struct Phases<M> {
+    faults: Vec<usize>,
+    deliveries: Vec<(u32, M, Vec<u32>)>,
+    computes: Vec<u32>,
+    sends: Vec<u32>,
+}
+
+impl<M> Default for Phases<M> {
+    fn default() -> Self {
+        Phases {
+            faults: Vec::new(),
+            deliveries: Vec::new(),
+            computes: Vec::new(),
+            sends: Vec::new(),
+        }
+    }
 }
 
 /// The discrete-event simulator.
@@ -206,8 +236,14 @@ pub struct Simulator<P: Protocol> {
     topology: Arc<Graph>,
     /// Spatial mode's models and index; `None` in explicit mode.
     spatial: Option<Spatial>,
-    /// The neighbours a grid query found for the current send.
+    /// The event loop's reused buffers: the phase lists of the current
+    /// bucket, the broadcasts of a send batch, the neighbours a grid read
+    /// found for the current send and the `(extra_delay, receiver)` hits
+    /// of its sweep.
+    phases: Phases<P::Message>,
+    pending: Vec<Pending<P::Message>>,
     found: Vec<(u32, Point)>,
+    hits: Vec<(u64, u32)>,
     /// Spatial mode: the mobility model's position slot of each node slot
     /// and the node slot of each position slot, [`NO_SLOT`] where the id is
     /// unknown on the other side. The two slot spaces coincide once every
@@ -295,8 +331,9 @@ impl Medium<'_> {
 
     /// Decide every link of one broadcast, in ascending receiver order (the
     /// RNG consumption order is part of the pinned golden traces), drawing
-    /// from `rng`. In grid mode the neighbours are gathered into `found`
-    /// from the grid — its CSR row or a query — in the order a
+    /// from `rng`; `hits` is refilled with one `(extra_delay, receiver)`
+    /// pair per received link. In grid mode the neighbours are gathered
+    /// into `found` from the grid — its CSR row or a query — in the order a
     /// materialised `Graph` iterates in.
     fn sweep(
         &self,
@@ -304,8 +341,10 @@ impl Medium<'_> {
         sender: u32,
         sender_pos: Option<Point>,
         found: &mut Vec<(u32, Point)>,
+        hits: &mut Vec<(u64, u32)>,
     ) -> SendOutcome {
         let mut out = SendOutcome::default();
+        hits.clear();
         let from = self.ids[sender as usize];
         let mut decide = |to: u32, receiver_pos: Option<Point>| {
             out.attempted += 1;
@@ -327,7 +366,7 @@ impl Medium<'_> {
                 },
             );
             if outcome.received {
-                out.groups.entry(outcome.extra_delay).or_default().push(to);
+                hits.push((outcome.extra_delay, to));
             } else {
                 out.dropped += 1;
             }
@@ -383,7 +422,10 @@ impl<P: Protocol> Simulator<P> {
             nodes: Vec::new(),
             topology: Arc::new(topology),
             spatial,
+            phases: Phases::default(),
+            pending: Vec::new(),
             found: Vec::new(),
+            hits: Vec::new(),
             position_slot: Vec::new(),
             node_slot: Vec::new(),
             slot_maps_stale: false,
@@ -632,27 +674,30 @@ impl<P: Protocol> Simulator<P> {
     /// order is part of the pinned trace contract (docs/DETERMINISM.md);
     /// sweeps a send phase schedules with zero total delay land in a fresh
     /// bucket at the same instant and are processed as the next bucket.
-    fn handle_bucket(&mut self, bucket: VecDeque<Event<P::Message>>, obs: &mut dyn Observer<P>) {
-        let mut faults: Vec<usize> = Vec::new();
+    /// The phase lists and the drained bucket are kept for later buckets.
+    fn handle_bucket(
+        &mut self,
+        mut bucket: VecDeque<Event<P::Message>>,
+        obs: &mut dyn Observer<P>,
+    ) {
+        let mut phases = std::mem::take(&mut self.phases);
         let mut mobility_ticks = 0usize;
-        let mut deliveries: Vec<(u32, P::Message, Vec<u32>)> = Vec::new();
-        let mut computes: Vec<u32> = Vec::new();
-        let mut sends: Vec<u32> = Vec::new();
-        for ev in bucket {
+        for ev in bucket.drain(..) {
             self.events_processed += 1;
             match ev.kind {
-                EventKind::Fault(idx) => faults.push(idx),
+                EventKind::Fault(idx) => phases.faults.push(idx),
                 EventKind::MobilityTick => mobility_ticks += 1,
                 EventKind::Broadcast {
                     from,
                     message,
                     recipients,
-                } => deliveries.push((from, message, recipients)),
-                EventKind::ComputeTimer(slot) => computes.push(slot),
-                EventKind::SendTimer(slot) => sends.push(slot),
+                } => phases.deliveries.push((from, message, recipients)),
+                EventKind::ComputeTimer(slot) => phases.computes.push(slot),
+                EventKind::SendTimer(slot) => phases.sends.push(slot),
             }
         }
-        for idx in faults {
+        self.events.recycle(bucket);
+        for idx in phases.faults.drain(..) {
             if let Some(fault) = self.faults.get(idx).cloned() {
                 self.apply_fault(&fault);
                 // the hook hands out &Simulator mid-run: make sure the
@@ -664,15 +709,18 @@ impl<P: Protocol> Simulator<P> {
         for _ in 0..mobility_ticks {
             self.handle_mobility(obs);
         }
-        if !deliveries.is_empty() {
-            self.handle_delivery_batch(deliveries, obs);
+        if !phases.deliveries.is_empty() {
+            self.handle_delivery_batch(phases.deliveries.drain(..), obs);
         }
-        if !computes.is_empty() {
-            self.handle_compute_batch(&computes);
+        if !phases.computes.is_empty() {
+            self.handle_compute_batch(&phases.computes);
+            phases.computes.clear();
         }
-        if !sends.is_empty() {
-            self.handle_send_batch(&sends);
+        if !phases.sends.is_empty() {
+            self.handle_send_batch(&phases.sends);
+            phases.sends.clear();
         }
+        self.phases = phases;
     }
 
     /// Deliver a batch of same-instant broadcast sweeps, sweep after sweep
@@ -682,7 +730,7 @@ impl<P: Protocol> Simulator<P> {
     /// reaches each receiver.
     fn handle_delivery_batch(
         &mut self,
-        sweeps: Vec<(u32, P::Message, Vec<u32>)>,
+        sweeps: impl Iterator<Item = (u32, P::Message, Vec<u32>)>,
         obs: &mut dyn Observer<P>,
     ) {
         let now = self.now;
@@ -729,7 +777,6 @@ impl<P: Protocol> Simulator<P> {
     /// sequence numbers). Last, reschedule the timers.
     fn handle_send_batch(&mut self, slots: &[u32]) {
         let now = self.now;
-        let mut pending: Vec<Pending<P::Message>> = Vec::new();
         for &slot in slots {
             let node = &mut self.nodes[slot as usize];
             if !node.active {
@@ -742,7 +789,7 @@ impl<P: Protocol> Simulator<P> {
             let sender_pos = self.position_of(slot as usize);
             self.channel
                 .begin_broadcast(now, self.ids[slot as usize], sender_pos);
-            pending.push(Pending {
+            self.pending.push(Pending {
                 sender: slot,
                 message,
                 sender_pos,
@@ -777,19 +824,19 @@ impl<P: Protocol> Simulator<P> {
             partition: self.partition.as_ref(),
             blackouts: &self.region_blackouts,
         };
-        for p in pending {
+        for p in self.pending.drain(..) {
             let id = self.ids[p.sender as usize];
             let rng = self
                 .streams
                 .stream(StreamTag::Channel, p.sender as usize, id);
-            let out = medium.sweep(rng, p.sender, p.sender_pos, &mut self.found);
+            let out = medium.sweep(rng, p.sender, p.sender_pos, &mut self.found, &mut self.hits);
             self.stats.attempted += out.attempted;
             self.stats.dropped += out.dropped;
-            let sweeps = out.groups.len();
             let mut message = Some(p.message);
-            for (i, (extra_delay, recipients)) in out.groups.into_iter().enumerate() {
+            let mut groups = delay_groups(&mut self.hits).peekable();
+            while let Some((extra_delay, recipients)) = groups.next() {
                 // the message moves into the last sweep
-                let Some(message) = next_copy(&mut message, i + 1 == sweeps) else {
+                let Some(message) = next_copy(&mut message, groups.peek().is_none()) else {
                     break;
                 };
                 // `schedule` spelled out: `medium` still borrows the rest
@@ -1006,6 +1053,45 @@ mod tests {
     use super::*;
     use crate::protocol::test_support::Flood;
     use dyngraph::generators::path;
+    use proptest::prelude::*;
+
+    /// The grouping `delay_groups` replaced: every received link pushed
+    /// into a `BTreeMap` keyed by extra delay, in sweep order.
+    fn btreemap_groups(hits: &[(u64, u32)]) -> Vec<(u64, Vec<u32>)> {
+        let mut groups: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        for &(delay, to) in hits {
+            groups.entry(delay).or_default().push(to);
+        }
+        groups.into_iter().collect()
+    }
+
+    /// A sweep's hits, shaped by `shape`: random delays from a few values,
+    /// one delay for all, all-distinct delays in no order, or none at all.
+    fn sweep_hits() -> impl Strategy<Value = Vec<(u64, u32)>> {
+        let raw = proptest::collection::vec((0u64..5, 0u32..60), 0..40);
+        (0u8..4, raw).prop_map(|(shape, raw)| match shape {
+            0 => raw,
+            1 => raw.into_iter().map(|(_, to)| (3, to)).collect(),
+            2 => (0u64..)
+                .zip(raw)
+                .map(|(i, (_, to))| (i * 37 % 101, to))
+                .collect(),
+            _ => Vec::new(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn delay_groups_match_the_btreemap_grouping(hits in sweep_hits()) {
+            let expected = btreemap_groups(&hits);
+            let mut buffer = hits.clone();
+            let groups: Vec<(u64, Vec<u32>)> = delay_groups(&mut buffer).collect();
+            prop_assert!(groups.iter().all(|(_, to)| to.capacity() == to.len()));
+            prop_assert_eq!(groups, expected);
+        }
+    }
 
     fn flood_sim(n: usize, seed: u64) -> Simulator<Flood> {
         let g = path(n);

@@ -881,14 +881,9 @@ fn parse_fault(mut t: Table, spatial: bool) -> Result<ScheduledFault, ParseError
         "loss_burst" => FaultKind::LossBurst {
             duration: t.req("duration")?,
         },
-        "partition" => {
-            let groups: Vec<Vec<NodeId>> = t.req("groups")?;
-            if groups.len() < 2 {
-                let message = "`partition` needs at least two groups";
-                return Err(t.error("groups", message));
-            }
-            FaultKind::Partition { groups }
-        }
+        "partition" => FaultKind::Partition {
+            groups: t.req("groups")?,
+        },
         "heal" => FaultKind::Heal,
         // RegionBlackout silences nodes by position — meaningless on an
         // explicit topology, so fail loudly instead of running an inert fault.
@@ -897,25 +892,19 @@ fn parse_fault(mut t: Table, spatial: bool) -> Result<ScheduledFault, ParseError
                  — explicit topologies have no positions";
             return Err(t.error("kind", message));
         }
-        "region_blackout" => {
-            let region = Region {
+        "region_blackout" => FaultKind::RegionBlackout {
+            region: Region {
                 min_x: t.req("min_x")?,
                 min_y: t.req("min_y")?,
                 max_x: t.req("max_x")?,
                 max_y: t.req("max_y")?,
-            };
-            if region.max_x < region.min_x || region.max_y < region.min_y {
-                let message = "`region_blackout` rectangle is inverted \
-                     (max_x/max_y below min_x/min_y)";
-                return Err(t.error("max_x", message));
-            }
-            FaultKind::RegionBlackout {
-                region,
-                duration: t.req("duration")?,
-            }
-        }
+            },
+            duration: t.req("duration")?,
+        },
         other => return Err(unknown(&t, "kind", other)),
     };
+    // the checks campaign-file lines pass too
+    kind.validate().map_err(|e| t.error(e.key, e.message))?;
     t.finish()?;
     Ok(ScheduledFault::new(at, kind))
 }
@@ -1852,6 +1841,38 @@ duration = 1000
             let m = ScenarioManifest::parse(&manifest).expect(line);
             let (_, faults) = crate::parse_campaign_file(&format!("4200 {line}\n")).expect(line);
             assert_eq!(m.faults, faults, "{line}");
+        }
+        // ...and reject the same faults with the same message
+        let rejected = [
+            (
+                "kind = \"partition\"\ngroups = [[1, 2, 3]]",
+                "partition 1,2,3",
+            ),
+            ("kind = \"partition\"\ngroups = []", "partition"),
+            (
+                "kind = \"region_blackout\"\nmin_x = 5.0\nmin_y = 0.0\nmax_x = 1.0\nmax_y = 1.0\nduration = 100",
+                "region_blackout 5 0 1 1 100",
+            ),
+            (
+                "kind = \"region_blackout\"\nmin_x = -1e999\nmin_y = 0.0\nmax_x = 1.0\nmax_y = 1.0\nduration = 100",
+                "region_blackout NaN 0 1 1 100",
+            ),
+        ];
+        for (table, line) in rejected {
+            let manifest = format!("{spatial}[[faults]]\nat = 0\n{table}\n");
+            let from_table = ScenarioManifest::parse(&manifest).expect_err(line).0;
+            let from_line = crate::parse_campaign_file(&format!("0 {line}\n")).expect_err(line);
+            let message = from_line
+                .strip_prefix("line 1: ")
+                .unwrap_or_else(|| panic!("`{from_line}` names no line"));
+            assert!(
+                from_table.starts_with("line "),
+                "`{from_table}` names no line"
+            );
+            assert!(
+                from_table.ends_with(message),
+                "`{line}`: the table says `{from_table}`, the line `{from_line}`"
+            );
         }
     }
 

@@ -10,8 +10,9 @@ use grp_core::observers::ConvergenceProbe;
 use grp_core::predicates::SystemSnapshot;
 use grp_core::{GrpConfig, GrpNode};
 use netsim::{FaultKind, ScheduledFault, SimBuilder, SimConfig};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let dmax = 3;
     let mut sim = SimBuilder::new()
         .config(SimConfig::rounds(13))
@@ -62,8 +63,9 @@ fn main() {
                     .map(|g| g.iter().map(|n| n.raw()).collect::<Vec<_>>())
                     .collect::<Vec<_>>()
             );
-            return;
+            return ExitCode::SUCCESS;
         }
     }
-    println!("system did not recover within the budget (unexpected)");
+    eprintln!("system did not recover within the budget (unexpected)");
+    ExitCode::FAILURE
 }
