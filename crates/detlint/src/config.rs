@@ -1,9 +1,9 @@
-//! `detlint.toml` — crate-level scoping for the determinism rules.
+//! `detlint.toml` — path-level scoping for the determinism rules.
 //!
-//! The config answers exactly three questions the rules cannot answer from
+//! The config answers exactly two questions the rules cannot answer from
 //! a single file's tokens: *which* paths are determinism-critical (D001),
-//! *which* crates are allowed to read the wall clock (D002), and *which*
-//! paths count as library code for the unwrap/expect budget (D004).
+//! and *which* paths count as library code for the unwrap/expect budget
+//! (D004).
 //! Everything else — the suppression syntax, the rule logic — is fixed in
 //! code so the contract cannot be quietly widened from config.
 //!
@@ -24,8 +24,6 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// D001 scope: path prefixes of determinism-critical code.
     pub d001_paths: Vec<String>,
-    /// D002 allowlist: crate directory names that may read the wall clock.
-    pub d002_allow_crates: Vec<String>,
     /// D004 scope: path prefixes whose `src/` counts as library code.
     pub d004_library_paths: Vec<String>,
     /// `--rng-audit` scope: path prefixes inventoried for RNG draw sites.
@@ -67,14 +65,13 @@ impl Config {
         let mut rules = root.sub("rules")?;
         let mut rng_audit = root.sub("rng_audit")?;
         root.finish()?;
-        // only D001/D002/D004 take config; D003 and D005 are unconditional
-        let (d001, d002, d004) = (rules.sub("D001")?, rules.sub("D002")?, rules.sub("D004")?);
+        // only D001/D004 take config; D002, D003 and D005 are unconditional
+        let (d001, d004) = (rules.sub("D001")?, rules.sub("D004")?);
         rules.finish()?;
         let cfg = Config {
             include: scan.req("include")?,
             exclude: scan.or("exclude", Vec::new())?,
             d001_paths: rule_list(d001, "paths")?,
-            d002_allow_crates: rule_list(d002, "allow_crates")?,
             d004_library_paths: rule_list(d004, "library_paths")?,
             rng_audit_paths: rng_audit.or("paths", Vec::new())?,
         };
@@ -108,9 +105,6 @@ mod tests {
         [rules.D001]
         paths = ["crates/netsim/src"]
 
-        [rules.D002]
-        allow_crates = ["runtime"]
-
         [rules.D004]
         library_paths = ["crates/netsim/src"]
 
@@ -122,20 +116,23 @@ mod tests {
     fn minimal_config_parses() {
         let cfg = Config::parse(MINIMAL).unwrap();
         assert_eq!(cfg.include, ["crates"]);
-        assert_eq!(cfg.d002_allow_crates, ["runtime"]);
+        assert_eq!(cfg.d004_library_paths, ["crates/netsim/src"]);
         assert_eq!(cfg.rng_audit_paths, ["crates/netsim/src"]);
     }
 
     #[test]
     fn unknown_rule_table_is_rejected() {
-        let bad = MINIMAL.replace("[rules.D002]", "[rules.D009]");
-        let err = Config::parse(&bad).unwrap_err();
-        assert!(err.0.contains("D009"), "{err}");
+        // D002 is unconditional, so it takes no table either
+        for id in ["D009", "D002"] {
+            let bad = format!("{MINIMAL}\n[rules.{id}]\npaths = [\"crates\"]\n");
+            let err = Config::parse(&bad).unwrap_err();
+            assert!(err.0.contains(id), "{err}");
+        }
     }
 
     #[test]
     fn typoed_key_is_rejected_not_ignored() {
-        let bad = MINIMAL.replace("allow_crates", "alow_crates");
+        let bad = MINIMAL.replace("library_paths", "libary_paths");
         assert!(Config::parse(&bad).is_err());
     }
 

@@ -9,7 +9,7 @@
 //! | rule | violation |
 //! |------|-----------|
 //! | D001 | `HashMap`/`HashSet` *iteration* on determinism-scoped paths (keyed lookup is fine) |
-//! | D002 | wall-clock reads (`Instant`, `SystemTime`) outside the crate allowlist |
+//! | D002 | wall-clock reads (`Instant`, `SystemTime`) anywhere |
 //! | D003 | unseeded randomness (`thread_rng`, `from_entropy`, `rand::random`, `OsRng`) anywhere |
 //! | D004 | `unwrap()`/`expect()` on library paths without a justification |
 //! | D005 | `unsafe` outside `vendor/` |
@@ -17,7 +17,7 @@
 //! Suppression is explicit: `// detlint::allow(D00x): reason` on the
 //! offending line or on its own line directly above it. Reasons are
 //! mandatory and unused suppressions are findings, so the audit trail
-//! cannot rot. Crate-level scoping lives in `detlint.toml` at the repo
+//! cannot rot. Path-level scoping lives in `detlint.toml` at the repo
 //! root. See `docs/DETERMINISM.md` for the contract in prose.
 //!
 //! The scanner is deliberately token-level (comments, strings, char

@@ -23,7 +23,7 @@ use std::fmt;
 pub enum RuleId {
     /// HashMap/HashSet iteration in determinism-scoped paths.
     D001,
-    /// Wall-clock reads outside the crate allowlist.
+    /// Wall-clock reads.
     D002,
     /// Unseeded randomness, anywhere.
     D003,
@@ -106,8 +106,6 @@ pub struct FileScope<'a> {
     pub rel_path: &'a str,
     /// Under a `[rules.D001].paths` prefix?
     pub d001: bool,
-    /// Crate is on the `[rules.D002].allow_crates` wall-clock allowlist?
-    pub d002_allowed: bool,
     /// Under a `[rules.D004].library_paths` prefix?
     pub d004: bool,
 }
@@ -130,9 +128,7 @@ pub fn lint_file(scope: FileScope<'_>, tokens: &[Token]) -> Vec<Finding> {
     if scope.d001 {
         d001_hash_iteration(scope.rel_path, tokens, &mut raw);
     }
-    if !scope.d002_allowed {
-        d002_wall_clock(scope.rel_path, tokens, &mut raw);
-    }
+    d002_wall_clock(scope.rel_path, tokens, &mut raw);
     d003_unseeded_rng(scope.rel_path, tokens, &mut raw);
     if scope.d004 && !in_bin {
         d004_unwrap_budget(scope.rel_path, tokens, &mut raw, &|line| in_test(line));
@@ -564,7 +560,7 @@ fn d002_wall_clock(rel: &str, tokens: &[Token], out: &mut Vec<Finding>) {
                 line: tok.line,
                 message: format!(
                     "`{}` reads the wall clock — simulation code must use SimTime; \
-                     only the crates on the D002 allowlist may time real execution",
+                     time real execution from outside the scanned roots",
                     tok.text
                 ),
             });
@@ -670,7 +666,6 @@ mod tests {
         FileScope {
             rel_path: rel,
             d001: true,
-            d002_allowed: false,
             d004: true,
         }
     }
@@ -767,12 +762,6 @@ mod tests {
     fn d002_flags_clock_unless_crate_allowlisted() {
         let src = "fn f() { let t = Instant::now(); }";
         assert!(lint(src).iter().any(|f| f.rule == RuleId::D002));
-        let allowed = FileScope {
-            d002_allowed: true,
-            ..scope("crates/runtime/src/lib.rs")
-        };
-        let findings = lint_file(allowed, &tokenize(src));
-        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]

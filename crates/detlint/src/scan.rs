@@ -72,17 +72,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// The crate directory name a repo-relative path belongs to
-/// (`crates/netsim/src/sim.rs` → `netsim`); the workspace root package
-/// for everything else.
-pub fn crate_of(rel: &str) -> &str {
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        rest.split('/').next().unwrap_or(rel)
-    } else {
-        "grp-repro"
-    }
-}
-
 fn under_any(rel: &str, prefixes: &[String]) -> bool {
     prefixes
         .iter()
@@ -100,23 +89,9 @@ pub fn run_check(root: &Path, cfg: &Config) -> std::io::Result<(Vec<Finding>, us
         let scope = FileScope {
             rel_path: rel,
             d001: under_any(rel, &cfg.d001_paths),
-            d002_allowed: cfg.d002_allow_crates.iter().any(|c| c == crate_of(rel)),
             d004: under_any(rel, &cfg.d004_library_paths),
         };
         findings.extend(lint_file(scope, &tokens));
     }
     Ok((findings, files.len()))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crate_of_maps_paths_to_crate_dirs() {
-        assert_eq!(crate_of("crates/netsim/src/sim.rs"), "netsim");
-        assert_eq!(crate_of("crates/runtime/src/cluster.rs"), "runtime");
-        assert_eq!(crate_of("src/lib.rs"), "grp-repro");
-        assert_eq!(crate_of("tests/end_to_end.rs"), "grp-repro");
-    }
 }

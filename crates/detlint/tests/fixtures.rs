@@ -19,12 +19,11 @@ fn fixture(name: &str) -> String {
 }
 
 /// Lint a fixture as if it lived on a fully determinism-scoped library
-/// path (D001 and D004 both armed, wall clock not allowlisted).
+/// path (D001 and D004 both armed).
 fn lint(name: &str) -> Vec<detlint::Finding> {
     let scope = FileScope {
         rel_path: "crates/demo/src/lib.rs",
         d001: true,
-        d002_allowed: false,
         d004: true,
     };
     lint_file(scope, &tokenize(&fixture(name)))

@@ -8,7 +8,8 @@
 //!
 //! GRP and the baseline must run on one hand-built graph under the same
 //! seed, and a manifest describes GRP runs only, so this experiment builds
-//! its simulators with `SimBuilder` instead of `scenarios::build_simulator`.
+//! its simulators with `Simulator::new` instead of
+//! `scenarios::build_simulator`.
 
 use crate::e1_convergence::sized_rgg;
 use crate::report::ExperimentOutput;
@@ -17,7 +18,7 @@ use baselines::KHopClustering;
 use dyngraph::Graph;
 use grp_core::{GrpConfig, GrpNode};
 use metrics::Table;
-use netsim::{MessageStats, Protocol, SimBuilder, SimConfig, StatsProbe};
+use netsim::{MessageStats, Protocol, SimConfig, Simulator, StatsProbe, TopologyMode};
 
 /// Run one protocol and collect overhead accounting through the streaming
 /// [`StatsProbe`] — the observer sums `Protocol::message_size` per
@@ -29,14 +30,12 @@ where
     P: Protocol,
     F: FnMut(dyngraph::NodeId) -> P,
 {
-    let mut sim = SimBuilder::new()
-        .config(SimConfig {
-            seed,
-            ..Default::default()
-        })
-        .explicit(topology.clone())
-        .nodes_from_topology(make)
-        .build();
+    let config = SimConfig {
+        seed,
+        ..Default::default()
+    };
+    let mut sim = Simulator::new(config, TopologyMode::Explicit(topology.clone()));
+    sim.add_nodes(topology.nodes().map(make));
     let mut probe = StatsProbe::new();
     sim.run_rounds_observed(rounds as u64, &mut probe);
     let stats = sim.stats();

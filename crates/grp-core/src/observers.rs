@@ -539,14 +539,15 @@ mod tests {
     use super::*;
     use crate::{GrpConfig, GrpNode};
     use dyngraph::generators::path;
-    use netsim::{SimBuilder, SimConfig};
+    use netsim::{SimConfig, TopologyMode};
 
     fn grp_sim(n: usize, seed: u64) -> Simulator<GrpNode> {
-        SimBuilder::new()
-            .config(SimConfig::rounds(seed))
-            .explicit(path(n))
-            .nodes_from_topology(|id| GrpNode::new(id, GrpConfig::new(3)))
-            .build()
+        let topology = path(n);
+        let ids = topology.node_vec();
+        let mut sim = Simulator::new(SimConfig::rounds(seed), TopologyMode::Explicit(topology));
+        let node = |id| GrpNode::new(id, GrpConfig::new(3));
+        sim.add_nodes(ids.into_iter().map(node));
+        sim
     }
 
     #[test]

@@ -23,8 +23,12 @@
 //! implement [`protocol::ViewProtocol`], the capability the generic
 //! observer probes read.
 //!
-//! Simulators are assembled fluently with [`builder::SimBuilder`] and
-//! instrumented streaming through the [`observer`] pipeline —
+//! A simulator is assembled with [`Simulator::new`](sim::Simulator::new)
+//! (configuration and topology mode), then
+//! [`set_channel`](sim::Simulator::set_channel),
+//! [`add_nodes`](sim::Simulator::add_nodes) and
+//! [`schedule_faults`](sim::Simulator::schedule_faults), and instrumented
+//! streaming through the [`observer`] pipeline —
 //! [`Simulator::run_rounds_observed`](sim::Simulator::run_rounds_observed)
 //! drives the single event loop and notifies [`observer::Observer`] hooks
 //! inline, so harnesses never hand-roll capture loops (see
@@ -42,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod builder;
 pub mod channel;
 pub mod digest;
 pub mod event;
@@ -59,7 +62,6 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{PositionTable, Positions};
-pub use builder::SimBuilder;
 pub use channel::{Bernoulli, ChannelModel, Contention, ContentionConfig, LinkEnv, LinkOutcome};
 pub use digest::{CanonicalHasher, NodeSetDigest, TraceDigest};
 pub use event::{Event, EventKind};

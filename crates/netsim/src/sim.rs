@@ -408,6 +408,25 @@ impl Medium<'_> {
 
 impl<P: Protocol> Simulator<P> {
     /// Create a simulator with the given configuration and topology mode.
+    ///
+    /// Every harness assembles a run the same way: `new`, then
+    /// [`set_channel`](Self::set_channel) if the medium is not
+    /// [`Bernoulli`], [`add_nodes`](Self::add_nodes) and
+    /// [`schedule_faults`](Self::schedule_faults).
+    ///
+    /// ```
+    /// use dyngraph::generators::path;
+    /// use netsim::protocol::Beacon;
+    /// use netsim::{FaultKind, ScheduledFault, SimConfig, SimTime, Simulator, TopologyMode};
+    ///
+    /// let topology = path(4);
+    /// let ids = topology.node_vec();
+    /// let mut sim = Simulator::new(SimConfig::rounds(7), TopologyMode::Explicit(topology));
+    /// sim.add_nodes(ids.iter().copied().map(Beacon::new));
+    /// sim.schedule_faults([ScheduledFault::new(SimTime(5_000), FaultKind::Crash(ids[0]))]);
+    /// sim.run_rounds(3);
+    /// assert!(sim.stats().delivered > 0);
+    /// ```
     pub fn new(config: SimConfig, mode: TopologyMode) -> Self {
         let (spatial, topology) = match mode {
             TopologyMode::Explicit(graph) => (None, graph),

@@ -14,12 +14,12 @@
 //! so the digests — and the printed report, which is flushed in suite
 //! order after the workers finish — are byte-identical for any job count.
 //!
-//! `--update-golden` re-pins the golden digests: the `[golden]` section of
-//! each manifest is rewritten in place with the digests of this execution.
-//! The section must be the last one in the file (the curated manifests keep
-//! it there). Stale-digest mismatches are expected while re-pinning, but a
-//! failing *behavioural* assertion still fails the process — a broken run
-//! is never silently pinned over.
+//! `--update-golden` re-pins the golden digests: the `[golden]` table of
+//! each manifest is rewritten in place with the digests of this execution,
+//! and every other line of the file is kept. Stale-digest mismatches are
+//! expected while re-pinning, but a manifest with a failing *behavioural*
+//! assertion is left untouched and fails the process — a broken run is
+//! never silently pinned over.
 //!
 //! `--emit-campaign FILE` takes exactly one `mode = "campaign"` manifest,
 //! runs the worst-schedule search (ignoring any `[campaign] replay` pin)
@@ -31,9 +31,9 @@
 
 use scenarios::{
     discover_manifests, emit_worst_case, passes_ignoring_golden, run_suite, suite_dir, RunMode,
-    ScenarioManifest,
+    ScenarioManifest, ScenarioOutcome,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -122,20 +122,12 @@ fn main() -> ExitCode {
             continue;
         };
         if update_golden {
-            // the old pinned digest is allowed to mismatch while re-pinning,
-            // but behavioural assertion failures must not be pinned over
-            if !passes_ignoring_golden(&outcome) {
-                eprintln!(
-                    "refusing exit 0: {} has failing behavioural assertions",
-                    outcome.manifest.name
-                );
-                all_pass = false;
-            }
-            if let Err(err) = rewrite_golden(path, &outcome) {
-                eprintln!("cannot update golden digests in {}: {err}", path.display());
-                all_pass = false;
-            } else {
-                println!("     pinned {} golden digest(s)", outcome.runs.len());
+            match repin(path, &outcome) {
+                Ok(()) => println!("     pinned {} golden digest(s)", outcome.runs.len()),
+                Err(err) => {
+                    eprintln!("{err}");
+                    all_pass = false;
+                }
             }
         } else if !outcome.pass {
             all_pass = false;
@@ -174,36 +166,100 @@ fn emit_campaign_file(manifests: &[PathBuf], file: &PathBuf) -> Result<(), Strin
     Ok(())
 }
 
-/// Replace (or append) the manifest's trailing `[golden]` section with the
-/// digests of this execution. The section is located by a line-anchored
-/// header match, so `[golden]` appearing in a comment or a string earlier
-/// in the file is never mistaken for it.
-fn rewrite_golden(path: &PathBuf, outcome: &scenarios::ScenarioOutcome) -> std::io::Result<()> {
-    let original = std::fs::read_to_string(path)?;
-    let header_offset = {
-        let mut offset = 0usize;
-        let mut found = None;
-        for line in original.split_inclusive('\n') {
-            if line.trim() == "[golden]" {
-                found = Some(offset);
-                break;
-            }
-            offset += line.len();
-        }
-        found
+/// Re-pin one manifest's golden digests. The old pinned digest is allowed
+/// to mismatch, but a run with a failing behavioural assertion must not be
+/// pinned over: the file is then left as it was.
+fn repin(path: &Path, outcome: &ScenarioOutcome) -> Result<(), String> {
+    if !passes_ignoring_golden(outcome) {
+        return Err(format!(
+            "not pinning {}: {} has failing behavioural assertions",
+            path.display(),
+            outcome.manifest.name
+        ));
+    }
+    let digests: Vec<String> = outcome.runs.iter().map(|r| r.digest.to_hex()).collect();
+    std::fs::read_to_string(path)
+        .and_then(|original| std::fs::write(path, with_golden(&original, &digests)))
+        .map_err(|err| format!("cannot update golden digests in {}: {err}", path.display()))
+}
+
+/// `manifest` with its `[golden]` table replaced by one pinning `digests`,
+/// or with that table appended when there is none. The table is found by a
+/// line-anchored header match, so `[golden]` in a comment or a string is
+/// never mistaken for it. It runs to the next table header (the next line
+/// opening with `[`: a digest list holds only strings) or EOF. Every line
+/// outside it is kept, including the comments and blank lines that lead
+/// into the next table.
+fn with_golden(manifest: &str, digests: &[String]) -> String {
+    let quoted: Vec<String> = digests.iter().map(|d| format!("\"{d}\"")).collect();
+    let table = format!("[golden]\ndigests = [\n    {}\n]\n", quoted.join(",\n    "));
+    let lines: Vec<&str> = manifest.split_inclusive('\n').collect();
+    let Some(start) = lines.iter().position(|line| line.trim() == "[golden]") else {
+        return format!("{}\n\n{table}", manifest.trim_end());
     };
-    let body = match header_offset {
-        Some(idx) => original[..idx].trim_end().to_string(),
-        None => original.trim_end().to_string(),
-    };
-    let digests: Vec<String> = outcome
-        .runs
+    let body = &lines[start + 1..];
+    let next_header = body
         .iter()
-        .map(|r| format!("\"{}\"", r.digest.to_hex()))
-        .collect();
-    let updated = format!(
-        "{body}\n\n[golden]\ndigests = [\n    {}\n]\n",
-        digests.join(",\n    ")
-    );
-    std::fs::write(path, updated)
+        .position(|line| line.trim_start().starts_with('['))
+        .unwrap_or(body.len());
+    let end = body[..next_header]
+        .iter()
+        .rposition(|line| !line.trim().is_empty() && !line.trim_start().starts_with('#'))
+        .map_or(0, |last| last + 1);
+    let before = lines[..start].concat();
+    let after = body[end..].concat();
+    let after = if after.trim().is_empty() { "" } else { &after };
+    format!("{}\n\n{table}{after}", before.trim_end())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PINNED_THEN_ASSERTIONS: &str = "name = \"repin\"\n\n[topology]\nkind = \"path\"\nn = 4\n\n[sim]\nrounds = 10\n\n[golden]\ndigests = [\n    \"00\"\n]\n\n# kept\n[assertions]\nmax_groups = MAX\n";
+
+    fn manifest_file(name: &str, text: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "scenario-runner-{}-{name}.toml",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).expect("temp manifest written");
+        path
+    }
+
+    #[test]
+    fn repin_replaces_only_the_golden_table() {
+        let text = PINNED_THEN_ASSERTIONS.replace("MAX", "4");
+        let path = manifest_file("keeps-tables", &text);
+        let outcome = scenarios::run_scenario(&ScenarioManifest::load(&path).expect("loads"));
+        repin(&path, &outcome).expect("a passing run is pinned");
+        let updated = std::fs::read_to_string(&path).expect("manifest readable");
+        std::fs::remove_file(&path).ok();
+        let digest = outcome.runs[0].digest.to_hex();
+        let expected = text.replace("\"00\"", &format!("\"{digest}\""));
+        assert_eq!(updated, expected);
+        // appended when absent; a trailing table keeps the old layout
+        let head = "name = \"x\"\n";
+        let pinned = with_golden(head, &["ab".into()]);
+        assert_eq!(
+            pinned,
+            "name = \"x\"\n\n[golden]\ndigests = [\n    \"ab\"\n]\n"
+        );
+        assert_eq!(
+            with_golden(&pinned, &["cd".into()]),
+            pinned.replace("ab", "cd")
+        );
+    }
+
+    #[test]
+    fn repin_leaves_a_failing_manifest_untouched() {
+        let text = PINNED_THEN_ASSERTIONS.replace("MAX", "0");
+        let path = manifest_file("refuses", &text);
+        let outcome = scenarios::run_scenario(&ScenarioManifest::load(&path).expect("loads"));
+        let err = repin(&path, &outcome).expect_err("max_groups = 0 fails");
+        let after = std::fs::read_to_string(&path).expect("manifest readable");
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("failing behavioural assertions"), "{err}");
+        assert_eq!(after, text);
+    }
 }

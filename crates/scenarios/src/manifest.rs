@@ -866,6 +866,16 @@ fn parse_sim(mut t: Table) -> Result<SimSpec, ParseError> {
         loss: t.or("loss", Probability(d.loss))?.0,
         stagger_phases: t.or("stagger_phases", d.stagger_phases)?,
     };
+    // a zero period re-arms its timer at the same instant forever
+    for (key, value) in [
+        ("send_period", spec.send_period),
+        ("compute_period", spec.compute_period),
+        ("mobility_period", spec.mobility_period),
+    ] {
+        if value == 0 {
+            return Err(t.error(key, format!("`{key}` must be at least 1")));
+        }
+    }
     t.finish()?;
     Ok(spec)
 }
@@ -1522,6 +1532,19 @@ digests = ["only-one"]
             (
                 "name = \"x\"\n[topology]\nkind = \"path\"\nn = 2\n[protocol]\ndmax = 0",
                 "[protocol]: `dmax` must be at least 1",
+            ),
+            // a zero timer period would re-arm at the same instant forever
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 4\n[sim]\nsend_period = 0",
+                "[sim]: `send_period` must be at least 1",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 4\n[sim]\ncompute_period = 0",
+                "[sim]: `compute_period` must be at least 1",
+            ),
+            (
+                "name = \"x\"\n[topology]\nkind = \"path\"\nn = 4\n[sim]\nmobility_period = 0",
+                "[sim]: `mobility_period` must be at least 1",
             ),
             // every loss and ratio is a probability
             (

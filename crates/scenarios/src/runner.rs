@@ -29,8 +29,8 @@ use modelcheck::{
 use netsim::mobility::{CityGrid, Highway, MixedHighway, RandomWalk, RandomWaypoint, Stationary};
 use netsim::radio::{DistanceLossDisk, LossyDisk, UnitDisk};
 use netsim::{
-    CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, SimBuilder, SimConfig,
-    Simulator, TopologyMode, TraceDigest,
+    CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, SimConfig, Simulator,
+    TopologyMode, TraceDigest,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -274,8 +274,8 @@ fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Option<Box<d
 }
 
 /// Build a ready-to-run simulator for one (manifest, seed) pair: topology or
-/// mobility+radio, GRP nodes, and the scheduled fault plan — one
-/// [`SimBuilder`] expression. This is the one place a GRP simulator is
+/// mobility+radio, GRP nodes, and the scheduled fault plan, assembled with
+/// [`Simulator::new`]. This is the one place a GRP simulator is
 /// built from a workload description: the conformance runner and the
 /// E1–E4 and E7–E10 experiments (which describe their runs with
 /// [`ScenarioManifest::simulate`]) all start here.
@@ -298,18 +298,17 @@ pub fn build_simulator(manifest: &ScenarioManifest, seed: u64) -> Simulator<GrpN
             .collect(),
     };
     let grp_config = &manifest.protocol;
-    let mut builder = SimBuilder::new().config(config).mode(mode);
+    let mut sim = Simulator::new(config, mode);
     if let Some(channel) = channel {
-        builder = builder.channel(channel);
+        sim.set_channel(channel);
     }
-    builder
-        .nodes(
-            node_ids
-                .iter()
-                .map(|&id| GrpNode::new(id, grp_config.clone())),
-        )
-        .faults(manifest.faults.iter().cloned())
-        .build()
+    sim.add_nodes(
+        node_ids
+            .iter()
+            .map(|&id| GrpNode::new(id, grp_config.clone())),
+    );
+    sim.schedule_faults(manifest.faults.iter().cloned());
+    sim
 }
 
 /// The `GrpConfig` a manifest's `[protocol]` section describes, ablations

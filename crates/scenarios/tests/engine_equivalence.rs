@@ -8,7 +8,7 @@
 
 use grp_core::observers::{RecordedRound, SnapshotRecorder};
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{CanonicalHasher, SimBuilder, SimConfig, TraceProbe};
+use netsim::{CanonicalHasher, SimConfig, Simulator, TopologyMode, TraceProbe};
 use scenarios::manifest::ScenarioManifest;
 use scenarios::{build_simulator, drive_manifest, suite_dir};
 
@@ -40,7 +40,7 @@ cols = 4
 "#,
     )
     .expect("parses");
-    let observed = |probe: TraceProbe, sim: &netsim::Simulator<GrpNode>| {
+    let observed = |probe: TraceProbe, sim: &Simulator<GrpNode>| {
         let mut hasher = CanonicalHasher::new();
         probe.trace().feed_digest(&mut hasher);
         let views: Vec<_> = sim.protocols().map(|(_, p)| p.view().clone()).collect();
@@ -52,14 +52,15 @@ cols = 4
     drive_manifest(&mut from_manifest, &manifest, &mut probe);
     let from_manifest = observed(probe, &from_manifest);
 
-    let mut embedded = SimBuilder::new()
-        .config(SimConfig {
-            loss_probability: 0.1,
-            ..SimConfig::rounds(7)
-        })
-        .explicit(dyngraph::generators::grid(3, 4))
-        .nodes_from_topology(|id| GrpNode::new(id, GrpConfig::new(3)))
-        .build();
+    let topology = dyngraph::generators::grid(3, 4);
+    let ids = topology.node_vec();
+    let config = SimConfig {
+        loss_probability: 0.1,
+        ..SimConfig::rounds(7)
+    };
+    let mut embedded = Simulator::new(config, TopologyMode::Explicit(topology));
+    let node = |id| GrpNode::new(id, GrpConfig::new(3));
+    embedded.add_nodes(ids.into_iter().map(node));
     let mut probe = TraceProbe::new();
     embedded.run_rounds_observed(20, &mut probe);
     let embedded = observed(probe, &embedded);

@@ -15,7 +15,7 @@ use dyngraph::generators::clustered;
 use dyngraph::NodeId;
 use grp_core::predicates::SystemSnapshot;
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{Observer, SimBuilder, SimConfig, Simulator};
+use netsim::{Observer, SimConfig, Simulator, TopologyMode};
 
 /// The chat application as an observer: it reads each round's views and
 /// counts group-wide message deliveries, streaming, with no snapshot vector.
@@ -59,11 +59,11 @@ fn main() {
     let dmax = 2;
     // three dense pockets of 4 nodes chained by bridges — typical "groups of
     // vehicles at a junction"
-    let mut sim = SimBuilder::new()
-        .config(SimConfig::rounds(5))
-        .explicit(clustered(3, 4))
-        .nodes_from_topology(|id| GrpNode::new(id, GrpConfig::new(dmax)))
-        .build();
+    let topology = clustered(3, 4);
+    let ids = topology.node_vec();
+    let mut sim = Simulator::new(SimConfig::rounds(5), TopologyMode::Explicit(topology));
+    let node = |id| GrpNode::new(id, GrpConfig::new(dmax));
+    sim.add_nodes(ids.into_iter().map(node));
 
     let mut app = ChatApp::default();
     sim.run_rounds_observed(50, &mut app);

@@ -9,16 +9,16 @@ use dyngraph::generators::grid;
 use grp_core::observers::ConvergenceProbe;
 use grp_core::predicates::SystemSnapshot;
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{FaultKind, ScheduledFault, SimBuilder, SimConfig};
+use netsim::{FaultKind, ScheduledFault, SimConfig, Simulator, TopologyMode};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let dmax = 3;
-    let mut sim = SimBuilder::new()
-        .config(SimConfig::rounds(13))
-        .explicit(grid(3, 4))
-        .nodes_from_topology(|id| GrpNode::new(id, GrpConfig::new(dmax)))
-        .build();
+    let topology = grid(3, 4);
+    let ids = topology.node_vec();
+    let mut sim = Simulator::new(SimConfig::rounds(13), TopologyMode::Explicit(topology));
+    let node = |id| GrpNode::new(id, GrpConfig::new(dmax));
+    sim.add_nodes(ids.into_iter().map(node));
 
     // let the 3x4 grid converge
     sim.run_rounds(60);

@@ -6,18 +6,18 @@
 
 use dyngraph::generators::path;
 use grp_core::{GrpConfig, GrpNode, SnapshotRecorder};
-use netsim::{SimBuilder, SimConfig};
+use netsim::{SimConfig, Simulator, TopologyMode};
 
 fn main() {
     // Six nodes on a line; the application tolerates groups of diameter 2.
     let dmax = 2;
-    let mut sim = SimBuilder::new()
-        // seed 42 -> 43 when the shared RNG stream was retired: 42's per-node
-        // timer phases settle on a non-maximal partition within 40 rounds
-        .config(SimConfig::rounds(43))
-        .explicit(path(6))
-        .nodes_from_topology(|id| GrpNode::new(id, GrpConfig::new(dmax)))
-        .build();
+    let topology = path(6);
+    let ids = topology.node_vec();
+    // seed 42 -> 43 when the shared RNG stream was retired: 42's per-node
+    // timer phases settle on a non-maximal partition within 40 rounds
+    let mut sim = Simulator::new(SimConfig::rounds(43), TopologyMode::Explicit(topology));
+    let node = |id| GrpNode::new(id, GrpConfig::new(dmax));
+    sim.add_nodes(ids.into_iter().map(node));
 
     println!("topology: a line of 6 nodes, Dmax = {dmax}");
     println!("round | groups (each node's view)");

@@ -17,7 +17,7 @@ use grp_core::predicates::{pi_c_violations, pi_t_violations, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use netsim::mobility::Highway;
 use netsim::radio::UnitDisk;
-use netsim::{Observer, SimBuilder, SimConfig, Simulator};
+use netsim::{Observer, SimConfig, Simulator, TopologyMode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -65,13 +65,12 @@ fn main() {
     let mobility = Highway::new(vehicles, 2, 1_200.0, 15.0, (0.002, 0.008), &mut rng);
     let radio = UnitDisk::new(40.0);
 
-    let mut sim = SimBuilder::new()
-        .config(SimConfig::rounds(7))
-        .spatial(Box::new(radio), Box::new(mobility))
-        .nodes_by_id(vehicles as u64, |i| {
-            GrpNode::new(NodeId(i.raw()), GrpConfig::new(dmax))
-        })
-        .build();
+    let mode = TopologyMode::Spatial {
+        radio: Box::new(radio),
+        mobility: Box::new(mobility),
+    };
+    let mut sim = Simulator::new(SimConfig::rounds(7), mode);
+    sim.add_nodes((0..vehicles as u64).map(|i| GrpNode::new(NodeId(i), GrpConfig::new(dmax))));
 
     println!("{vehicles} vehicles, two lanes, Dmax = {dmax}");
     println!("round | groups | ΠT held | ΠC held | note");

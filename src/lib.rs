@@ -11,7 +11,6 @@ pub use baselines;
 pub use dyngraph;
 pub use experiments;
 pub use grp_core;
-pub use grp_runtime;
 pub use metrics;
 pub use netsim;
 pub use scenarios;
