@@ -63,17 +63,14 @@ pub fn distance(graph: &Graph, from: NodeId, to: NodeId) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TopologyEvent;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
     }
 
     fn path(len: u64) -> Graph {
-        let mut g = Graph::new();
-        for i in 0..len {
-            g.add_edge(n(i), n(i + 1));
-        }
-        g
+        Graph::from_edges([], (0..len).map(|i| (n(i), n(i + 1))))
     }
 
     #[test]
@@ -96,8 +93,7 @@ mod tests {
 
     #[test]
     fn unreachable_nodes_absent() {
-        let mut g = path(2);
-        g.add_node(n(50));
+        let g = path(2).apply(TopologyEvent::NodeJoin(n(50)));
         let d = bfs_distances(&g, n(0));
         assert!(!d.contains_key(&n(50)));
         assert_eq!(distance(&g, n(0), n(50)), None);
@@ -119,10 +115,7 @@ mod tests {
 
     #[test]
     fn distance_on_cycle_takes_shorter_arc() {
-        let mut g = Graph::new();
-        for i in 0..6u64 {
-            g.add_edge(n(i), n((i + 1) % 6));
-        }
+        let g = Graph::from_edges([], (0..6u64).map(|i| (n(i), n((i + 1) % 6))));
         assert_eq!(distance(&g, n(0), n(3)), Some(3));
         assert_eq!(distance(&g, n(0), n(5)), Some(1));
     }

@@ -48,9 +48,7 @@ mod tests {
 
     #[test]
     fn two_components_are_found() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        g.add_edge(n(3), n(4));
+        let g = Graph::from_edges([], [(n(1), n(2)), (n(3), n(4))]);
         let comps = connected_components(&g);
         assert_eq!(comps.len(), 2);
         assert!(comps[0].contains(&n(1)) && comps[0].contains(&n(2)));
@@ -62,9 +60,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_are_singleton_components() {
-        let mut g = Graph::new();
-        g.add_node(n(1));
-        g.add_node(n(2));
+        let g = Graph::from_edges([n(1), n(2)], []);
         let comps = connected_components(&g);
         assert_eq!(comps.len(), 2);
         assert!(comps.iter().all(|c| c.len() == 1));
@@ -72,9 +68,7 @@ mod tests {
 
     #[test]
     fn single_component_graph() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        g.add_edge(n(2), n(3));
+        let g = Graph::from_edges([], [(n(1), n(2)), (n(2), n(3))]);
         assert!(is_connected(&g));
         assert_eq!(connected_components(&g).len(), 1);
     }

@@ -64,17 +64,14 @@ pub fn radius(graph: &Graph) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TopologyEvent;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
     }
 
     fn path(len: u64) -> Graph {
-        let mut g = Graph::new();
-        for i in 0..len {
-            g.add_edge(n(i), n(i + 1));
-        }
-        g
+        Graph::from_edges([], (0..len).map(|i| (n(i), n(i + 1))))
     }
 
     #[test]
@@ -88,8 +85,7 @@ mod tests {
 
     #[test]
     fn single_node_has_zero_diameter() {
-        let mut g = Graph::new();
-        g.add_node(n(1));
+        let g = Graph::from_edges([n(1)], []);
         assert_eq!(diameter(&g), Some(0));
         assert_eq!(radius(&g), Some(0));
     }
@@ -103,8 +99,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_yields_none() {
-        let mut g = path(2);
-        g.add_node(n(10));
+        let g = path(2).apply(TopologyEvent::NodeJoin(n(10)));
         assert_eq!(diameter(&g), None);
         assert_eq!(radius(&g), None);
         assert_eq!(eccentricity(&g, n(0)), None);
@@ -118,12 +113,10 @@ mod tests {
 
     #[test]
     fn complete_graph_diameter_is_one() {
-        let mut g = Graph::new();
-        for i in 0..5u64 {
-            for j in (i + 1)..5 {
-                g.add_edge(n(i), n(j));
-            }
-        }
+        let g = Graph::from_edges(
+            [],
+            (0..5u64).flat_map(|i| ((i + 1)..5).map(move |j| (n(i), n(j)))),
+        );
         assert_eq!(diameter(&g), Some(1));
         assert_eq!(radius(&g), Some(1));
     }

@@ -27,20 +27,14 @@ use std::collections::BTreeSet;
 /// of `nodes` that exist in `graph` and every edge of `graph` whose two
 /// endpoints are members (the paper's definition of a subgraph `H`).
 pub fn induced_subgraph(graph: &Graph, nodes: &BTreeSet<NodeId>) -> Graph {
-    let mut sub = Graph::new();
-    for &n in nodes {
-        if graph.contains_node(n) {
-            sub.add_node(n);
-        }
-    }
-    for &a in nodes {
-        for b in graph.neighbors(a) {
-            if nodes.contains(&b) {
-                sub.add_edge(a, b);
-            }
-        }
-    }
-    sub
+    let members = present_members(graph, nodes);
+    let internal = members.iter().flat_map(|&a| {
+        graph
+            .neighbors(a)
+            .filter(|b| nodes.contains(b))
+            .map(move |b| (a, b))
+    });
+    Graph::from_edges(members.iter().copied(), internal)
 }
 
 /// Distance of a member the BFS has not reached.
@@ -177,12 +171,8 @@ mod tests {
 
     /// 0-1-2-3-4 path plus a chord 0-4.
     fn path_with_chord() -> Graph {
-        let mut g = Graph::new();
-        for i in 0..4u64 {
-            g.add_edge(n(i), n(i + 1));
-        }
-        g.add_edge(n(0), n(4));
-        g
+        let chord = (n(0), n(4));
+        Graph::from_edges([], (0..4u64).map(|i| (n(i), n(i + 1))).chain([chord]))
     }
 
     #[test]

@@ -46,11 +46,7 @@ impl GraphGenerator {
     pub fn generate(&self, seed: u64) -> Graph {
         match *self {
             GraphGenerator::Edges(ref edges) => {
-                let mut g = Graph::new();
-                for &(a, b) in edges {
-                    g.add_edge(NodeId(a), NodeId(b));
-                }
-                g
+                Graph::from_edges([], edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))))
             }
             GraphGenerator::Path { n } => path(n),
             GraphGenerator::Ring { n } => ring(n),
@@ -88,6 +84,18 @@ impl GraphGenerator {
         }
     }
 
+    /// Will the generated graph contain `node`, whatever the seed? Every
+    /// family but an edge list has the nodes `0..n`; an edge list has its
+    /// endpoints.
+    pub fn has_node(&self, node: NodeId) -> bool {
+        match self {
+            GraphGenerator::Edges(edges) => edges
+                .iter()
+                .any(|&(a, b)| node.raw() == a || node.raw() == b),
+            other => node.raw() < other.node_count() as u64,
+        }
+    }
+
     /// Number of nodes the generated graph will contain.
     pub fn node_count(&self) -> usize {
         match *self {
@@ -107,68 +115,41 @@ impl GraphGenerator {
     }
 }
 
+/// The graph over `0..n` linked by `edges`, given as raw ids.
+fn over(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+    let edges = edges
+        .into_iter()
+        .map(|(a, b)| (NodeId(a as u64), NodeId(b as u64)));
+    Graph::from_edges((0..n as u64).map(NodeId), edges)
+}
+
 /// A path of `n` nodes.
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::new();
-    for i in 0..n {
-        g.add_node(NodeId(i as u64));
-        if i > 0 {
-            g.add_edge(NodeId((i - 1) as u64), NodeId(i as u64));
-        }
-    }
-    g
+    over(n, (1..n).map(|i| (i - 1, i)))
 }
 
 /// A cycle of `n` nodes (a path for n < 3).
 pub fn ring(n: usize) -> Graph {
-    let mut g = path(n);
-    if n >= 3 {
-        g.add_edge(NodeId(0), NodeId((n - 1) as u64));
-    }
-    g
+    let closing = (n >= 3).then(|| (0, n - 1));
+    over(n, (1..n).map(|i| (i - 1, i)).chain(closing))
 }
 
 /// A `rows` × `cols` grid with 4-connectivity.
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    let mut g = Graph::new();
-    let id = |r: usize, c: usize| NodeId((r * cols + c) as u64);
-    for r in 0..rows {
-        for c in 0..cols {
-            g.add_node(id(r, c));
-            if r > 0 {
-                g.add_edge(id(r - 1, c), id(r, c));
-            }
-            if c > 0 {
-                g.add_edge(id(r, c - 1), id(r, c));
-            }
-        }
-    }
-    g
+    let id = |r: usize, c: usize| r * cols + c;
+    let down = (1..rows).flat_map(|r| (0..cols).map(move |c| (id(r - 1, c), id(r, c))));
+    let right = (0..rows).flat_map(|r| (1..cols).map(move |c| (id(r, c - 1), id(r, c))));
+    over(rows * cols, down.chain(right))
 }
 
 /// A complete graph over `n` nodes.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new();
-    for i in 0..n {
-        g.add_node(NodeId(i as u64));
-        for j in 0..i {
-            g.add_edge(NodeId(j as u64), NodeId(i as u64));
-        }
-    }
-    g
+    over(n, (0..n).flat_map(|i| (0..i).map(move |j| (j, i))))
 }
 
 /// A star with node 0 at the centre.
 pub fn star(n: usize) -> Graph {
-    let mut g = Graph::new();
-    if n == 0 {
-        return g;
-    }
-    g.add_node(NodeId(0));
-    for i in 1..n {
-        g.add_edge(NodeId(0), NodeId(i as u64));
-    }
-    g
+    over(n, (1..n).map(|i| (0, i)))
 }
 
 /// Random geometric graph (unit-disk connectivity in a square).
@@ -177,58 +158,44 @@ pub fn random_geometric(n: usize, side: f64, radius: f64, seed: u64) -> Graph {
     let points: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
         .collect();
-    let mut g = Graph::new();
-    for i in 0..n {
-        g.add_node(NodeId(i as u64));
-    }
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             let dx = points[i].0 - points[j].0;
             let dy = points[i].1 - points[j].1;
             if (dx * dx + dy * dy).sqrt() <= radius {
-                g.add_edge(NodeId(i as u64), NodeId(j as u64));
+                edges.push((i, j));
             }
         }
     }
-    g
+    over(n, edges)
 }
 
 /// Erdős–Rényi G(n, p).
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = Graph::new();
-    for i in 0..n {
-        g.add_node(NodeId(i as u64));
-    }
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                g.add_edge(NodeId(i as u64), NodeId(j as u64));
+                edges.push((i, j));
             }
         }
     }
-    g
+    over(n, edges)
 }
 
 /// Cliques of `cluster_size` nodes chained by single bridge edges.
 pub fn clustered(clusters: usize, cluster_size: usize) -> Graph {
-    let mut g = Graph::new();
-    for c in 0..clusters {
+    let cliques = (0..clusters).flat_map(|c| {
         let base = c * cluster_size;
-        for i in 0..cluster_size {
-            g.add_node(NodeId((base + i) as u64));
-            for j in 0..i {
-                g.add_edge(NodeId((base + j) as u64), NodeId((base + i) as u64));
-            }
-        }
-        if c > 0 && cluster_size > 0 {
-            // bridge: last node of previous clique to first node of this one
-            let prev_last = (c * cluster_size - 1) as u64;
-            let this_first = base as u64;
-            g.add_edge(NodeId(prev_last), NodeId(this_first));
-        }
-    }
-    g
+        (0..cluster_size).flat_map(move |i| (0..i).map(move |j| (base + j, base + i)))
+    });
+    // bridge: last node of the previous clique to the first of this one
+    let bridges = (1..clusters)
+        .filter(|_| cluster_size > 0)
+        .map(|c| (c * cluster_size - 1, c * cluster_size));
+    over(clusters * cluster_size, cliques.chain(bridges))
 }
 
 #[cfg(test)]
@@ -313,6 +280,8 @@ mod tests {
         );
         assert_eq!(GraphGenerator::Path { n: 4 }.node_count(), 4);
         assert_eq!(GraphGenerator::Grid { rows: 2, cols: 3 }.node_count(), 6);
+        assert!(GraphGenerator::Path { n: 4 }.has_node(NodeId(3)));
+        assert!(!GraphGenerator::Path { n: 4 }.has_node(NodeId(4)));
         assert!(GraphGenerator::Ring { n: 8 }.label().contains("ring"));
     }
 
@@ -323,6 +292,8 @@ mod tests {
         let generator = GraphGenerator::Edges(edges);
         assert_eq!(generator.generate(9), g);
         assert_eq!(generator.node_count(), 6);
+        assert!(g.nodes().all(|node| generator.has_node(node)));
+        assert!(!generator.has_node(NodeId(6)));
         assert_eq!(generator.label(), "edges(7)");
     }
 }

@@ -1,4 +1,4 @@
-//! Undirected graph with set-based adjacency.
+//! Undirected graph in compressed sparse row (CSR) form.
 //!
 //! A configuration of the distributed system has exactly one topology
 //! (Section 2 of the paper); `Graph` is that topology. Communication links
@@ -7,166 +7,222 @@
 //! filtered by the mark mechanism — so the substrate keeps an undirected
 //! graph and lets the radio model of `netsim` introduce asymmetry explicitly
 //! when needed.
+//!
+//! A graph is immutable once built. Its nodes ascend, and a node's index
+//! among them is its *slot*; each node's row lists its neighbours' slots,
+//! ascending. Slot order is NodeId order, so every iteration order is a
+//! function of the graph alone.
 
-use crate::id::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::dynamic::TopologyEvent;
+use crate::id::{slot_of, NodeId};
 
 /// An undirected graph over [`NodeId`]s with deterministic iteration order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Rows ascend and hold no duplicates or self-loops, so two graphs are
+/// equal exactly when they have the same nodes and edges.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
-    adjacency: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// The nodes, ascending: `ids[slot]`.
+    ids: Vec<NodeId>,
+    /// Slot `i`'s row is `targets[offsets[i]..offsets[i + 1]]`; n + 1
+    /// entries.
+    offsets: Vec<u32>,
+    /// Every row's neighbour slots, row after row.
+    targets: Vec<u32>,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph {
+            ids: Vec::new(),
+            offsets: vec![0],
+            targets: Vec::new(),
+        }
+    }
 }
 
 impl Graph {
     /// Empty graph.
     pub fn new() -> Self {
-        Graph {
-            adjacency: BTreeMap::new(),
+        Graph::default()
+    }
+
+    /// The graph over `nodes` and the endpoints of `edges`, linked by
+    /// `edges`. Repeated edges (in either orientation) count once and
+    /// self-loops only insert their node: the communication model has
+    /// neither.
+    ///
+    /// ```
+    /// use dyngraph::{Graph, NodeId};
+    ///
+    /// let g = Graph::from_edges([NodeId(9)], [(NodeId(2), NodeId(1)), (NodeId(1), NodeId(2))]);
+    /// assert_eq!(g.node_vec(), vec![NodeId(1), NodeId(2), NodeId(9)]);
+    /// assert_eq!(g.edges().collect::<Vec<_>>(), vec![(NodeId(1), NodeId(2))]);
+    /// ```
+    pub fn from_edges(
+        nodes: impl IntoIterator<Item = NodeId>,
+        edges: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> Self {
+        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+        let mut ids: Vec<NodeId> = nodes.into_iter().collect();
+        ids.extend(edges.iter().flat_map(|&(a, b)| [a, b]));
+        ids.sort_unstable();
+        ids.dedup();
+        // every endpoint is in `ids`, so the search always hits
+        let slot = |id: NodeId| ids.binary_search(&id).unwrap_or_default() as u32;
+        let mut pairs: Vec<(u32, u32)> = edges
+            .into_iter()
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| (slot(a.min(b)), slot(a.max(b))))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Graph::from_slot_pairs(ids, &pairs)
+    }
+
+    /// The graph over `ids` (ascending, distinct) whose edges are `pairs`,
+    /// given by slot: each unordered pair at most once, no self-loops.
+    /// This is the one CSR fill every graph is built by — a counting sort
+    /// by slot (degrees, prefix sums, scatter), then one sort per row —
+    /// and the hot constructor of the spatial-index topology rebuild.
+    pub fn from_slot_pairs(ids: Vec<NodeId>, pairs: &[(u32, u32)]) -> Self {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
+        let n = ids.len();
+        assert!(n < u32::MAX as usize, "fewer than u32::MAX nodes");
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, b) in pairs {
+            debug_assert!(a != b && (a as usize) < n && (b as usize) < n);
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-    }
-
-    /// Graph containing `nodes` and no edges.
-    pub fn with_nodes<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
-        let mut g = Graph::new();
-        for n in nodes {
-            g.add_node(n);
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
         }
-        g
-    }
-
-    /// Add an isolated node (no-op if it already exists).
-    pub fn add_node(&mut self, node: NodeId) {
-        self.adjacency.entry(node).or_default();
-    }
-
-    /// Bulk-build a graph from complete, sorted adjacency lists: the outer
-    /// iterator ascends by node, each inner iterator ascends and names the
-    /// node's full neighbourhood, and edges appear in both endpoints'
-    /// lists. Neighbour lists stream straight into the BTree bulk build
-    /// without intermediate vectors, which is substantially cheaper than
-    /// per-edge `add_edge` inserts — this is the hot constructor of the
-    /// spatial-index topology rebuild. The result is content-identical to
-    /// the incremental build; debug builds assert the symmetry contract.
-    pub fn from_sorted_adjacency_iter<I, N>(adjacency: I) -> Self
-    where
-        I: Iterator<Item = (NodeId, N)>,
-        N: Iterator<Item = NodeId>,
-    {
-        let graph = Graph {
-            adjacency: adjacency
-                .map(|(node, neighbours)| {
-                    let set: BTreeSet<NodeId> = neighbours.filter(|&n| n != node).collect();
-                    (node, set)
-                })
-                .collect(),
-        };
+        // `offsets[i]` serves as row i's write cursor, ending at the start
+        // of row i + 1; one shift restores the row starts afterwards
+        let mut targets = vec![0u32; 2 * pairs.len()];
+        for &(a, b) in pairs {
+            targets[offsets[a as usize] as usize] = b;
+            offsets[a as usize] += 1;
+            targets[offsets[b as usize] as usize] = a;
+            offsets[b as usize] += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        for i in 0..n {
+            targets[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+        }
         debug_assert!(
-            graph.adjacency.iter().all(|(&node, neighbours)| {
-                neighbours.iter().all(|n| {
-                    graph
-                        .adjacency
-                        .get(n)
-                        .is_some_and(|back| back.contains(&node))
-                })
-            }),
-            "adjacency lists must be symmetric"
+            (0..n).all(|i| targets[offsets[i] as usize..offsets[i + 1] as usize]
+                .windows(2)
+                .all(|w| w[0] < w[1])),
+            "each unordered pair at most once"
         );
-        graph
+        Graph {
+            ids,
+            offsets,
+            targets,
+        }
     }
 
-    /// Remove a node and all its incident edges. Returns true if it existed.
-    pub fn remove_node(&mut self, node: NodeId) -> bool {
-        if self.adjacency.remove(&node).is_none() {
-            return false;
+    /// The graph one topology event turns this one into: a link appears
+    /// (inserting its endpoints) or disappears, a node joins isolated (no
+    /// change if it exists) or leaves with its links. Every event rebuilds
+    /// the whole graph from its already-sorted node and edge lists, which
+    /// suits explicit-mode churn: a handful of events per run.
+    pub fn apply(&self, event: TopologyEvent) -> Graph {
+        let (nodes, edges) = (self.nodes(), self.edges());
+        match event {
+            TopologyEvent::LinkUp(a, b) => Graph::from_edges(nodes, edges.chain([(a, b)])),
+            TopologyEvent::LinkDown(a, b) => {
+                let cut = (a.min(b), a.max(b));
+                Graph::from_edges(nodes, edges.filter(|&e| e != cut))
+            }
+            TopologyEvent::NodeJoin(n) => Graph::from_edges(nodes.chain([n]), edges),
+            TopologyEvent::NodeLeave(n) => Graph::from_edges(
+                nodes.filter(|&m| m != n),
+                edges.filter(|&(a, b)| a != n && b != n),
+            ),
         }
-        for neighbours in self.adjacency.values_mut() {
-            neighbours.remove(&node);
-        }
-        true
     }
 
-    /// Add an undirected edge, inserting endpoints if necessary.
-    /// Self-loops are ignored (the communication model has none).
-    pub fn add_edge(&mut self, a: NodeId, b: NodeId) {
-        if a == b {
-            self.add_node(a);
-            return;
-        }
-        self.adjacency.entry(a).or_default().insert(b);
-        self.adjacency.entry(b).or_default().insert(a);
+    /// The nodes, ascending: a node's index here is its slot.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
     }
 
-    /// Remove an edge. Returns true if it existed.
-    pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let mut removed = false;
-        if let Some(s) = self.adjacency.get_mut(&a) {
-            removed |= s.remove(&b);
+    /// Slot of `node`, if it is in the graph.
+    pub fn slot_of(&self, node: NodeId) -> Option<usize> {
+        slot_of(&self.ids, node)
+    }
+
+    /// Neighbour slots of `slot`, ascending; empty for an unknown slot.
+    pub fn row(&self, slot: usize) -> &[u32] {
+        match (self.offsets.get(slot), self.offsets.get(slot + 1)) {
+            (Some(&from), Some(&to)) => &self.targets[from as usize..to as usize],
+            _ => &[],
         }
-        if let Some(s) = self.adjacency.get_mut(&b) {
-            removed |= s.remove(&a);
-        }
-        removed
+    }
+
+    /// Neighbour slots of `node`, ascending; empty if it is absent.
+    fn row_of(&self, node: NodeId) -> &[u32] {
+        self.slot_of(node).map_or(&[], |slot| self.row(slot))
     }
 
     /// Does the graph contain this node?
     pub fn contains_node(&self, node: NodeId) -> bool {
-        self.adjacency.contains_key(&node)
+        self.slot_of(node).is_some()
     }
 
     /// Does the graph contain the undirected edge (a, b)?
     pub fn contains_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.adjacency
-            .get(&a)
-            .map(|s| s.contains(&b))
-            .unwrap_or(false)
+        self.slot_of(b)
+            .is_some_and(|b| self.row_of(a).binary_search(&(b as u32)).is_ok())
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adjacency.len()
+        self.ids.len()
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adjacency.values().map(|s| s.len()).sum::<usize>() / 2
+        self.targets.len() / 2
     }
 
     /// Iterator over nodes in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.adjacency.keys().copied()
+        self.ids.iter().copied()
     }
 
     /// All nodes collected into a vector (ascending id order).
     pub fn node_vec(&self) -> Vec<NodeId> {
-        self.nodes().collect()
+        self.ids.clone()
     }
 
-    /// Iterator over undirected edges, each reported once with `a < b`.
+    /// Iterator over undirected edges, each reported once with `a < b`,
+    /// ascending.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.adjacency.iter().flat_map(|(&a, nbrs)| {
-            nbrs.iter()
-                .copied()
-                .filter(move |&b| a < b)
-                .map(move |b| (a, b))
+        self.ids.iter().enumerate().flat_map(move |(slot, &a)| {
+            let row = self.row(slot);
+            let later = row.partition_point(|&j| (j as usize) <= slot);
+            row[later..].iter().map(move |&j| (a, self.ids[j as usize]))
         })
     }
 
     /// Neighbours of a node (empty iterator if the node is absent).
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adjacency
-            .get(&node)
-            .into_iter()
-            .flat_map(|s| s.iter().copied())
+        self.row_of(node).iter().map(|&j| self.ids[j as usize])
     }
 
     /// Degree of a node (0 if absent).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.adjacency.get(&node).map(|s| s.len()).unwrap_or(0)
+        self.row_of(node).len()
     }
 
     /// Average degree over all nodes (0 for the empty graph).
     pub fn mean_degree(&self) -> f64 {
-        if self.adjacency.is_empty() {
+        if self.ids.is_empty() {
             return 0.0;
         }
         2.0 * self.edge_count() as f64 / self.node_count() as f64
@@ -192,18 +248,22 @@ mod tests {
         NodeId(i)
     }
 
+    fn graph(edges: &[(u64, u64)]) -> Graph {
+        Graph::from_edges([], edges.iter().map(|&(a, b)| (n(a), n(b))))
+    }
+
     #[test]
     fn empty_graph_has_no_nodes_or_edges() {
         let g = Graph::new();
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.diameter(), None);
+        assert_eq!(g, Graph::from_edges([], []));
     }
 
     #[test]
-    fn add_edge_creates_endpoints() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
+    fn an_edge_creates_its_endpoints() {
+        let g = graph(&[(1, 2)]);
         assert!(g.contains_node(n(1)));
         assert!(g.contains_node(n(2)));
         assert!(g.contains_edge(n(1), n(2)));
@@ -213,51 +273,61 @@ mod tests {
 
     #[test]
     fn self_loops_are_ignored() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(1));
+        let g = graph(&[(1, 1), (3, 2), (2, 3), (2, 3)]);
         assert!(g.contains_node(n(1)));
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(n(1)), 0);
+        assert_eq!(g, graph(&[(2, 3), (1, 1)]));
     }
 
     #[test]
-    fn remove_node_removes_incident_edges() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        g.add_edge(n(2), n(3));
-        assert!(g.remove_node(n(2)));
+    fn node_leave_removes_incident_edges() {
+        let g = graph(&[(1, 2), (2, 3)]).apply(TopologyEvent::NodeLeave(n(2)));
         assert!(!g.contains_edge(n(1), n(2)));
         assert!(!g.contains_edge(n(2), n(3)));
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 0);
-        assert!(!g.remove_node(n(2)));
+        assert_eq!(g.apply(TopologyEvent::NodeLeave(n(2))), g);
     }
 
     #[test]
-    fn remove_edge_keeps_nodes() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        assert!(g.remove_edge(n(1), n(2)));
-        assert!(!g.remove_edge(n(1), n(2)));
+    fn link_down_keeps_nodes() {
+        let g = graph(&[(1, 2)]).apply(TopologyEvent::LinkDown(n(2), n(1)));
+        assert_eq!(g.edge_count(), 0);
         assert!(g.contains_node(n(1)));
         assert!(g.contains_node(n(2)));
+        assert_eq!(g.apply(TopologyEvent::LinkDown(n(1), n(2))), g);
+    }
+
+    #[test]
+    fn link_up_and_node_join_insert_nodes() {
+        let g = graph(&[(1, 2)]).apply(TopologyEvent::LinkUp(n(3), n(1)));
+        assert_eq!(g, graph(&[(1, 2), (1, 3)]));
+        let g = g.apply(TopologyEvent::NodeJoin(n(0)));
+        assert_eq!(g.node_vec(), vec![n(0), n(1), n(2), n(3)]);
+        assert_eq!(g.apply(TopologyEvent::NodeJoin(n(2))), g);
+    }
+
+    #[test]
+    fn slots_index_the_ascending_ids() {
+        let g = graph(&[(10, 30), (20, 30)]);
+        assert_eq!(g.ids(), &[n(10), n(20), n(30)]);
+        assert_eq!(g.slot_of(n(30)), Some(2));
+        assert_eq!(g.slot_of(n(1)), None);
+        assert_eq!(g.row(2), &[0, 1]);
+        assert_eq!(g.row(3), &[] as &[u32]);
     }
 
     #[test]
     fn edges_are_reported_once() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        g.add_edge(n(2), n(3));
-        g.add_edge(n(1), n(3));
+        let g = graph(&[(2, 3), (1, 3), (1, 2)]);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(n(1), n(2)), (n(1), n(3)), (n(2), n(3))]);
     }
 
     #[test]
     fn degree_and_mean_degree() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        g.add_edge(n(1), n(3));
+        let g = graph(&[(1, 2), (1, 3)]);
         assert_eq!(g.degree(n(1)), 2);
         assert_eq!(g.degree(n(2)), 1);
         assert_eq!(g.degree(n(99)), 0);
@@ -266,10 +336,7 @@ mod tests {
 
     #[test]
     fn distance_and_diameter_on_path() {
-        let mut g = Graph::new();
-        for i in 0..5 {
-            g.add_edge(n(i), n(i + 1));
-        }
+        let g = graph(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         assert_eq!(g.distance(n(0), n(5)), Some(5));
         assert_eq!(g.distance(n(2), n(2)), Some(0));
         assert_eq!(g.diameter(), Some(5));
@@ -277,9 +344,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_has_no_diameter() {
-        let mut g = Graph::new();
-        g.add_edge(n(1), n(2));
-        g.add_node(n(3));
+        let g = Graph::from_edges([n(3)], [(n(1), n(2))]);
         assert_eq!(g.distance(n(1), n(3)), None);
         assert_eq!(g.diameter(), None);
     }

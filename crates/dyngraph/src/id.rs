@@ -27,6 +27,17 @@ impl NodeId {
     }
 }
 
+/// Slot of `id` in a NodeId-ascending table — its index there. Ids `0..n`
+/// — the conventional assignment — sit at slot == id, so the guess hits
+/// without a search.
+pub fn slot_of(ids: &[NodeId], id: NodeId) -> Option<usize> {
+    let guess = id.raw() as usize;
+    if ids.get(guess) == Some(&id) {
+        return Some(guess);
+    }
+    ids.binary_search(&id).ok()
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)

@@ -1,7 +1,7 @@
 //! # dyngraph — dynamic graph substrate
 //!
 //! This crate provides the graph-theoretic substrate used by the GRP
-//! reproduction: plain undirected graphs with set-based adjacency, the
+//! reproduction: immutable undirected graphs in compressed sparse row form, the
 //! topology events that move one configuration's graph to the next, the
 //! distance and diameter computations the Dynamic Group Service
 //! specification relies on (including distances restricted to an induced
@@ -9,23 +9,25 @@
 //! a `Partition` type with the disjointness/coverage checks needed by the
 //! agreement predicate.
 //!
-//! The crate is intentionally dependency-light and deterministic: all
-//! iteration orders are stable (BTree-based adjacency) so that simulations
-//! and experiments are reproducible from a seed.
+//! The crate is intentionally dependency-light and deterministic: nodes
+//! and every adjacency row are stored sorted, so all iteration orders are
+//! a function of the graph alone and simulations and experiments are
+//! reproducible from a seed.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use dyngraph::{Graph, NodeId};
+//! use dyngraph::{Graph, NodeId, TopologyEvent};
 //!
-//! let mut g = Graph::new();
 //! let a = NodeId(1);
 //! let b = NodeId(2);
 //! let c = NodeId(3);
-//! g.add_edge(a, b);
-//! g.add_edge(b, c);
+//! let g = Graph::from_edges([], [(a, b), (b, c)]);
 //! assert_eq!(g.distance(a, c), Some(2));
 //! assert_eq!(g.diameter(), Some(2));
+//! // a graph never changes in place: an event yields the next one
+//! let g = g.apply(TopologyEvent::LinkUp(a, c));
+//! assert_eq!(g.diameter(), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,5 +48,5 @@ pub use algo::subgraph::{
 pub use dynamic::TopologyEvent;
 pub use generators::GraphGenerator;
 pub use graph::Graph;
-pub use id::NodeId;
+pub use id::{slot_of, NodeId};
 pub use partition::Partition;

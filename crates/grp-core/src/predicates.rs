@@ -436,6 +436,7 @@ pub fn view_removals(prev: &SystemSnapshot, next: &SystemSnapshot) -> usize {
 mod tests {
     use super::*;
     use dyngraph::generators::path;
+    use dyngraph::TopologyEvent;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
@@ -556,8 +557,7 @@ mod tests {
             &[(0, &[0, 1, 2]), (1, &[0, 1, 2]), (2, &[0, 1, 2])],
         );
         // after: the link 1-2 disappears, 2 is unreachable within the group
-        let mut broken = path(3);
-        broken.remove_edge(n(1), n(2));
+        let broken = path(3).apply(TopologyEvent::LinkDown(n(1), n(2)));
         let after_topology_only =
             SystemSnapshot::from_shared(Arc::new(broken.clone()), before.views.clone());
         assert!(!pi_t(&before, &after_topology_only, 2));
@@ -579,8 +579,7 @@ mod tests {
             &[(0, &[0, 1, 2]), (1, &[0, 1, 2]), (2, &[0, 1, 2])],
         );
         // adding a chord never hurts
-        let mut richer = path(3);
-        richer.add_edge(n(0), n(2));
+        let richer = path(3).apply(TopologyEvent::LinkUp(n(0), n(2)));
         let after = SystemSnapshot::from_shared(Arc::new(richer), before.views.clone());
         assert!(pi_t(&before, &after, 2));
         assert!(pi_c(&before, &after));

@@ -11,7 +11,9 @@
 //! members the topology does not have (crashed ghosts), disconnected
 //! groups and singletons.
 
-use dyngraph::{bfs_distances, connected_components, diameter, induced_subgraph, Graph, NodeId};
+use dyngraph::{
+    bfs_distances, connected_components, diameter, induced_subgraph, Graph, NodeId, TopologyEvent,
+};
 use grp_core::predicates::{pi_c_violations, pi_t_violations, SystemSnapshot};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -149,10 +151,10 @@ fn id(i: usize) -> NodeId {
 }
 
 fn build((n, edges, labels, mode, noise, in_topology): ConfigSpec) -> SystemSnapshot {
-    let mut full = Graph::with_nodes((0..n).map(id));
-    for (a, b) in edges {
-        full.add_edge(NodeId(a % n as u64), NodeId(b % n as u64));
-    }
+    let edges = edges
+        .into_iter()
+        .map(|(a, b)| (NodeId(a % n as u64), NodeId(b % n as u64)));
+    let full = Graph::from_edges((0..n).map(id), edges);
     let blocks: Vec<BTreeSet<NodeId>> = if mode & 1 == 1 {
         connected_components(&full)
     } else {
@@ -192,7 +194,8 @@ fn build((n, edges, labels, mode, noise, in_topology): ConfigSpec) -> SystemSnap
         .take(n)
         .filter(|&(_, &p)| p == 0)
     {
-        topology.remove_node(id(i)); // its view, if any, is a ghost's
+        // its view, if any, is a ghost's
+        topology = topology.apply(TopologyEvent::NodeLeave(id(i)));
     }
     SystemSnapshot::new(topology, views)
 }

@@ -89,7 +89,7 @@ fn rate(num: u64, denom: u64) -> f64 {
 mod tests {
     use super::*;
     use dyngraph::generators::path;
-    use dyngraph::{Graph, NodeId};
+    use dyngraph::{Graph, NodeId, TopologyEvent};
     use std::collections::{BTreeMap, BTreeSet};
 
     fn views(spec: &[(u64, &[u64])]) -> BTreeMap<NodeId, BTreeSet<NodeId>> {
@@ -128,8 +128,7 @@ mod tests {
             path(3),
             &[(0, &[0, 1, 2]), (1, &[0, 1, 2]), (2, &[0, 1, 2])],
         );
-        let mut broken = path(3);
-        broken.remove_edge(NodeId(1), NodeId(2));
+        let broken = path(3).apply(TopologyEvent::LinkDown(NodeId(1), NodeId(2)));
         let after = SystemSnapshot::new(broken, views(&[(0, &[0, 1]), (1, &[0, 1]), (2, &[2])]));
         let mut acc = ChurnAccumulator::new();
         acc.record(&before, &after, 2);

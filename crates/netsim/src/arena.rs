@@ -2,28 +2,20 @@
 //!
 //! Every per-node array in this crate — the simulator's nodes, a mobility
 //! model's positions, the per-node RNG stream columns, the spatial grid's
-//! entries and adjacency — is ordered by ascending [`NodeId`]; a node's
-//! index in such an array is its *slot*. Slot order is therefore NodeId
-//! order, which is the canonical order of every trace: determinism holds
-//! by construction, not by tree iteration. This module holds what those
-//! arrays have in common: the id → slot lookup and the slot-ordered
+//! entries, the topology graph's rows — is ordered by ascending
+//! [`NodeId`]; a node's index in such an array is its *slot*. Slot order
+//! is therefore NodeId order, which is the canonical order of every trace:
+//! determinism holds by construction, not by tree iteration. This module
+//! holds what those arrays have in common: the id → slot lookup (shared
+//! with `dyngraph`, whose graphs are slot-ordered too) and the slot-ordered
 //! position table every mobility model stores and hands out.
 
 use crate::space::Point;
+pub use dyngraph::slot_of;
 use dyngraph::NodeId;
 
 /// "No slot": the id has no entry in the table in question.
 pub const NO_SLOT: u32 = u32::MAX;
-
-/// Slot of `id` in a NodeId-ascending table. Ids `0..n` — the conventional
-/// assignment — sit at slot == id, so the guess hits without a search.
-pub fn slot_of(ids: &[NodeId], id: NodeId) -> Option<usize> {
-    let guess = id.raw() as usize;
-    if ids.get(guess) == Some(&id) {
-        return Some(guess);
-    }
-    ids.binary_search(&id).ok()
-}
 
 /// Slot-ordered view of node positions: `ids` ascends and `points[i]` is
 /// the position of `ids[i]`.

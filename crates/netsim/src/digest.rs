@@ -496,10 +496,10 @@ mod tests {
     #[test]
     fn graph_encoding_matches_streaming_feed() {
         use dyngraph::Graph;
-        let mut g = Graph::new();
-        for i in 0..20u64 {
-            g.add_edge(NodeId(i), NodeId((i * 7 + 3) % 20));
-        }
+        let g = Graph::from_edges(
+            [],
+            (0..20u64).map(|i| (NodeId(i), NodeId((i * 7 + 3) % 20))),
+        );
         let mut streamed = CanonicalHasher::new();
         streamed.feed_graph(&g);
         let mut replayed = CanonicalHasher::new();
@@ -509,19 +509,18 @@ mod tests {
 
     #[test]
     fn graph_digest_tracks_structure() {
-        use dyngraph::Graph;
-        let mut g1 = Graph::new();
-        g1.add_edge(NodeId(1), NodeId(2));
-        g1.add_edge(NodeId(2), NodeId(3));
-        let mut g2 = g1.clone();
+        use dyngraph::{Graph, TopologyEvent};
+        let g1 = Graph::from_edges([], [(NodeId(1), NodeId(2)), (NodeId(2), NodeId(3))]);
+        let g2 = g1.clone();
         let digest = |g: &Graph| {
             let mut h = CanonicalHasher::new();
             h.feed_graph(g);
             h.finalize()
         };
         assert_eq!(digest(&g1), digest(&g2));
-        g2.remove_edge(NodeId(2), NodeId(3));
-        g2.add_edge(NodeId(1), NodeId(3));
+        let g2 = g2
+            .apply(TopologyEvent::LinkDown(NodeId(2), NodeId(3)))
+            .apply(TopologyEvent::LinkUp(NodeId(1), NodeId(3)));
         assert_ne!(digest(&g1), digest(&g2));
     }
 

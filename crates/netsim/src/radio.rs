@@ -56,14 +56,15 @@ pub trait RadioModel {
     /// When the model has a finite [`max_range`](RadioModel::max_range) the
     /// scan runs through a one-shot spatial grid in O(n · k); otherwise it
     /// falls back to [`topology_all_pairs`](RadioModel::topology_all_pairs).
-    /// Both paths produce the identical edge set (adjacency is BTree-based,
-    /// so insertion order cannot leak into any digest).
+    /// Both paths produce the identical graph: a [`Graph`] stores every
+    /// adjacency row sorted, so the order in which links are found cannot
+    /// leak into any digest.
     fn topology(&self, positions: Positions<'_>) -> Graph {
         match self.max_range() {
             Some(range) if range.is_finite() && range > 0.0 => {
                 let mut grid = SpatialGrid::new(range);
                 grid.rebuild(positions);
-                self.topology_from_grid(&mut grid)
+                self.grid_topology(&mut grid)
             }
             _ => self.topology_all_pairs(positions),
         }
@@ -73,31 +74,25 @@ pub trait RadioModel {
     /// measure the pre-index baseline and property tests can cross-check
     /// the grid path against it.
     fn topology_all_pairs(&self, positions: Positions<'_>) -> Graph {
-        let mut g = Graph::with_nodes(positions.ids().iter().copied());
-        for (i, (a, pa)) in positions.iter().enumerate() {
-            for (b, pb) in positions.iter().skip(i + 1) {
+        let points = positions.points();
+        let mut pairs = Vec::new();
+        for (i, &pa) in points.iter().enumerate() {
+            for (j, &pb) in points.iter().enumerate().skip(i + 1) {
                 if linked(self, pa, pb) {
-                    g.add_edge(a, b);
+                    pairs.push((i as u32, j as u32));
                 }
             }
         }
-        g
+        Graph::from_slot_pairs(positions.ids().to_vec(), &pairs)
     }
 
-    /// Recompute the grid's internal CSR topology from an
-    /// already-synchronised [`SpatialGrid`]: only pairs in neighbouring
-    /// cells are distance-tested. Requires a finite
+    /// The topology over an already-synchronised [`SpatialGrid`], whose
+    /// slots it shares: only pairs in neighbouring cells are
+    /// distance-tested. Requires a finite
     /// [`max_range`](RadioModel::max_range); the simulator guarantees this
     /// by construction.
-    fn refresh_grid_topology(&self, grid: &mut SpatialGrid) {
-        grid.rebuild_topology(grid_range(self), |pa, pb| linked(self, pa, pb));
-    }
-
-    /// Topology from an already-synchronised [`SpatialGrid`], materialised
-    /// as a [`Graph`].
-    fn topology_from_grid(&self, grid: &mut SpatialGrid) -> Graph {
-        self.refresh_grid_topology(grid);
-        grid.graph()
+    fn grid_topology(&self, grid: &mut SpatialGrid) -> Graph {
+        grid.rebuild_topology(grid_range(self), |pa, pb| linked(self, pa, pb))
     }
 }
 
@@ -117,8 +112,8 @@ fn linked<R: RadioModel + ?Sized>(radio: &R, a: Point, b: Point) -> bool {
     radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
 }
 
-/// One row of [`RadioModel::refresh_grid_topology`]'s CSR, answered from
-/// the grid's cells without building it: `slot`'s neighbours and their
+/// One row of [`RadioModel::grid_topology`]'s graph, answered from the
+/// grid's cells without building it: `slot`'s neighbours and their
 /// positions, ascending by slot, into `found` (see
 /// [`SpatialGrid::query_neighbors`]). Same precondition.
 pub(crate) fn grid_neighbors(
@@ -301,13 +296,14 @@ mod tests {
         assert_eq!(brute, routed, "topology() routes through the grid");
         let mut grid = crate::space::SpatialGrid::new(7.5);
         grid.rebuild(pos.view());
-        let via_grid = radio.topology_from_grid(&mut grid);
+        let via_grid = radio.grid_topology(&mut grid);
         assert_eq!(brute, via_grid);
-        // CSR neighbour queries agree with the materialised graph
-        for (node, _) in grid.positions().iter() {
-            let from_grid: Vec<NodeId> = grid.neighbors(node).collect();
-            let from_graph: Vec<NodeId> = brute.neighbors(node).collect();
-            assert_eq!(from_grid, from_graph, "neighbours of {node:?}");
+        // per-node grid queries agree with the graph's rows
+        let mut found = Vec::new();
+        for slot in 0..grid.len() {
+            grid_neighbors(&radio, &grid, slot, &mut found);
+            let queried: Vec<u32> = found.iter().map(|&(j, _)| j).collect();
+            assert_eq!(queried, brute.row(slot), "neighbours of slot {slot}");
         }
     }
 

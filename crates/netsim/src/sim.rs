@@ -19,7 +19,10 @@
 //! The nodes live in an arena ordered by ascending [`NodeId`]; a node's
 //! index there is its *slot*, and events, broadcast recipients and the
 //! per-node RNG streams all name nodes by slot. Slot order is NodeId order
-//! is the canonical order of every trace (see [`crate::arena`]).
+//! is the canonical order of every trace (see [`crate::arena`]). The
+//! topology [`Graph`] has slots of its own — in spatial mode they are the
+//! mobility model's position slots — and a pair of maps translates
+//! between the two.
 
 use crate::arena::{slot_of, Positions, NO_SLOT};
 use crate::channel::{Bernoulli, ChannelModel, LinkEnv};
@@ -48,14 +51,6 @@ fn next_copy<M: Clone>(message: &mut Option<M>, last: bool) -> Option<M> {
     } else {
         message.clone()
     }
-}
-
-/// Position of the node in node-slot `slot`: `points` by position slot,
-/// through the node → position slot map. `None` off the map (explicit
-/// mode keeps it empty) or where the node has no position.
-fn position_at(position_slot: &[u32], points: &[Point], slot: usize) -> Option<Point> {
-    let at = *position_slot.get(slot)?;
-    (at != NO_SLOT).then(|| points[at as usize])
 }
 
 /// Where the communication topology comes from.
@@ -126,15 +121,15 @@ enum SpatialIndex {
     /// Uniform-grid spatial hash, synchronised incrementally at every
     /// mobility tick; the topology is derived from it only when read. An
     /// *epoch* runs from one tick that moved a node to the next. While
-    /// the grid's CSR topology predates the epoch (`dirty`), each send
-    /// queries the cells for its own neighbours; the CSR is rebuilt only
-    /// when the `Graph` the rest of the system observes is materialised
-    /// from it (at the end of a run and before a fault hook), and serves
-    /// the sends after that until the next move. Both reads give the same neighbours in
-    /// the same order, so the choice never changes output.
+    /// the observed `Graph` predates the epoch (`dirty`), each send
+    /// queries the cells for its own neighbours; the graph is rebuilt from
+    /// the grid only when the rest of the system observes it (at the end
+    /// of a run and before a fault hook), and its rows serve the sends
+    /// after that until the next move. Both reads give the same neighbours
+    /// in the same order, so the choice never changes output.
     Grid {
         grid: Box<SpatialGrid>,
-        /// The CSR and the observed `Graph` predate the epoch.
+        /// The observed `Graph` predates the epoch.
         dirty: bool,
     },
     /// The radio model has no finite range, so the scan stays all-pairs,
@@ -158,8 +153,7 @@ impl Spatial {
             Some(range) if range.is_finite() && range > 0.0 => {
                 let mut grid = Box::new(SpatialGrid::new(range));
                 grid.rebuild(mobility.positions());
-                radio.refresh_grid_topology(&mut grid);
-                let topology = grid.graph();
+                let topology = radio.grid_topology(&mut grid);
                 (SpatialIndex::Grid { grid, dirty: false }, topology)
             }
             _ => (
@@ -230,9 +224,11 @@ pub struct Simulator<P: Protocol> {
     ids: Vec<NodeId>,
     nodes: Vec<SimNode<P>>,
     /// The observed communication graph, shared with observers: recording a
-    /// configuration is an `Arc` clone, and explicit-mode mutation is
-    /// copy-on-write (`Arc::make_mut`), so a still-referenced past topology
-    /// is never overwritten in place. In explicit mode it is the topology.
+    /// configuration is an `Arc` clone, and a change installs a new graph,
+    /// so a still-referenced past topology is never overwritten. In
+    /// explicit mode it is the topology; in spatial mode its slots are the
+    /// mobility model's position slots, whose node set is fixed for the
+    /// run.
     topology: Arc<Graph>,
     /// Spatial mode's models and index; `None` in explicit mode.
     spatial: Option<Spatial>,
@@ -244,11 +240,12 @@ pub struct Simulator<P: Protocol> {
     pending: Vec<Pending<P::Message>>,
     found: Vec<(u32, Point)>,
     hits: Vec<(u64, u32)>,
-    /// Spatial mode: the mobility model's position slot of each node slot
-    /// and the node slot of each position slot, [`NO_SLOT`] where the id is
-    /// unknown on the other side. The two slot spaces coincide once every
-    /// positioned id has its node; rebuilt lazily after `add_node`.
-    position_slot: Vec<u32>,
+    /// The topology slot of each node slot and the node slot of each
+    /// topology slot, [`NO_SLOT`] where the id is unknown on the other
+    /// side. The two slot spaces coincide once every topology node has its
+    /// protocol; rebuilt lazily after `add_node` and explicit topology
+    /// changes.
+    topology_slot: Vec<u32>,
     node_slot: Vec<u32>,
     slot_maps_stale: bool,
     /// The per-link medium model; [`Bernoulli`] by default, which
@@ -273,15 +270,6 @@ pub struct Simulator<P: Protocol> {
     rounds_completed: u64,
 }
 
-/// How a grid-mode send finds its neighbours.
-#[derive(Clone, Copy)]
-enum GridRead<'a> {
-    /// The CSR row: the topology is current.
-    Csr(&'a SpatialGrid),
-    /// A query over the cells: the CSR predates the epoch.
-    Query(&'a SpatialGrid),
-}
-
 /// Everything the link decisions of one instant read, borrowed field by
 /// field from the simulator so that the sender's `channel` stream and the
 /// event queue stay mutably borrowable beside it.
@@ -289,11 +277,12 @@ struct Medium<'a> {
     now: SimTime,
     ids: &'a [NodeId],
     topology: &'a Graph,
-    /// Spatial mode: the radio model and the positions, by position slot.
+    /// Spatial mode: the radio model and the positions, by topology slot.
     spatial: Option<(&'a dyn RadioModel, Positions<'a>)>,
-    /// Grid mode: the index, in position slots, and how to read it.
-    grid: Option<GridRead<'a>>,
-    position_slot: &'a [u32],
+    /// Grid mode while `topology` predates the last move: the index to
+    /// query instead.
+    stale: Option<&'a SpatialGrid>,
+    topology_slot: &'a [u32],
     node_slot: &'a [u32],
     channel: &'a dyn ChannelModel,
     loss_probability: f64,
@@ -332,9 +321,9 @@ impl Medium<'_> {
     /// Decide every link of one broadcast, in ascending receiver order (the
     /// RNG consumption order is part of the pinned golden traces), drawing
     /// from `rng`; `hits` is refilled with one `(extra_delay, receiver)`
-    /// pair per received link. In grid mode the neighbours are gathered
-    /// into `found` from the grid — its CSR row or a query — in the order a
-    /// materialised `Graph` iterates in.
+    /// pair per received link. The neighbours are the sender's `topology`
+    /// row or, while that predates the last move, a grid query gathered
+    /// into `found`: the same slots in the same order either way.
     fn sweep(
         &self,
         rng: &mut ChaCha8Rng,
@@ -371,34 +360,23 @@ impl Medium<'_> {
                 out.dropped += 1;
             }
         };
-        match (self.grid, self.spatial) {
-            (Some(read), Some((radio, positions))) => {
-                let at = self.position_slot[sender as usize] as usize;
-                match read {
-                    GridRead::Csr(grid) => {
-                        let points = positions.points();
-                        let row = grid.neighbor_slots(at).iter();
-                        found.clear();
-                        found.extend(row.map(|&j| (j, points[j as usize])));
-                    }
-                    GridRead::Query(grid) => grid_neighbors(radio, grid, at, found),
-                }
-                for &(j, receiver_pos) in found.iter() {
-                    // a positioned id without a node hears nothing
-                    let to = self.node_slot[j as usize];
-                    if to != NO_SLOT {
-                        decide(to, Some(receiver_pos));
-                    }
+        // an unknown slot (NO_SLOT) has no row and no grid entry; a
+        // neighbour without a node hears nothing
+        let at = self.topology_slot[sender as usize] as usize;
+        if let (Some(grid), Some((radio, _))) = (self.stale, self.spatial) {
+            grid_neighbors(radio, grid, at, found);
+            for &(j, receiver_pos) in found.iter() {
+                let to = self.node_slot[j as usize];
+                if to != NO_SLOT {
+                    decide(to, Some(receiver_pos));
                 }
             }
-            _ => {
-                for to in self.topology.neighbors(from) {
-                    if let Some(to) = slot_of(self.ids, to) {
-                        let at = self.spatial.and_then(|(_, positions)| {
-                            position_at(self.position_slot, positions.points(), to)
-                        });
-                        decide(to as u32, at);
-                    }
+        } else {
+            let points = self.spatial.map(|(_, positions)| positions.points());
+            for &j in self.topology.row(at) {
+                let to = self.node_slot[j as usize];
+                if to != NO_SLOT {
+                    decide(to, points.map(|points| points[j as usize]));
                 }
             }
         }
@@ -445,7 +423,7 @@ impl<P: Protocol> Simulator<P> {
             pending: Vec::new(),
             found: Vec::new(),
             hits: Vec::new(),
-            position_slot: Vec::new(),
+            topology_slot: Vec::new(),
             node_slot: Vec::new(),
             slot_maps_stale: false,
             channel: Box::new(Bernoulli),
@@ -495,8 +473,8 @@ impl<P: Protocol> Simulator<P> {
             node.send_phase = rng.gen_range(0..self.config.send_period.max(1));
             node.compute_phase = rng.gen_range(0..self.config.compute_period.max(1));
         }
-        if self.spatial.is_none() {
-            Arc::make_mut(&mut self.topology).add_node(id);
+        if self.spatial.is_none() && !self.topology.contains_node(id) {
+            self.topology = Arc::new(self.topology.apply(TopologyEvent::NodeJoin(id)));
         }
         self.schedule(node.send_phase + 1, EventKind::SendTimer(slot as u32));
         self.schedule(
@@ -560,9 +538,9 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// The current topology as a shared handle — the zero-copy way for an
-    /// [`Observer`] to retain a configuration's graph. Subsequent
-    /// explicit-mode mutations copy-on-write, so the handle stays frozen at
-    /// the configuration it was taken from.
+    /// [`Observer`] to retain a configuration's graph. A graph never
+    /// changes in place, so the handle stays frozen at the configuration it
+    /// was taken from.
     pub fn topology_shared(&self) -> Arc<Graph> {
         Arc::clone(&self.topology)
     }
@@ -614,24 +592,14 @@ impl<P: Protocol> Simulator<P> {
     pub fn set_topology(&mut self, graph: Graph) {
         if self.spatial.is_none() {
             self.topology = Arc::new(graph);
+            self.slot_maps_stale = true;
         }
     }
 
     /// Apply a single topology event in explicit mode.
     pub fn apply_topology_event(&mut self, event: TopologyEvent) {
-        if self.spatial.is_some() {
-            return;
-        }
-        let topology = Arc::make_mut(&mut self.topology);
-        match event {
-            TopologyEvent::LinkUp(a, b) => topology.add_edge(a, b),
-            TopologyEvent::LinkDown(a, b) => {
-                topology.remove_edge(a, b);
-            }
-            TopologyEvent::NodeJoin(n) => topology.add_node(n),
-            TopologyEvent::NodeLeave(n) => {
-                topology.remove_node(n);
-            }
+        if self.spatial.is_none() {
+            self.set_topology(self.topology.apply(event));
         }
     }
 
@@ -660,28 +628,25 @@ impl<P: Protocol> Simulator<P> {
         self.materialise_topology();
     }
 
-    /// Re-derive the node slot ↔ position slot maps: one merge walk over
+    /// Re-derive the node slot ↔ topology slot maps: one merge walk over
     /// the two ascending id lists.
     fn refresh_slot_maps(&mut self) {
         self.slot_maps_stale = false;
-        let Some(Spatial { mobility, .. }) = &self.spatial else {
-            return;
-        };
-        let placed = mobility.positions().ids();
-        self.position_slot.clear();
-        self.position_slot.resize(self.ids.len(), NO_SLOT);
+        let linked = self.topology.ids();
+        self.topology_slot.clear();
+        self.topology_slot.resize(self.ids.len(), NO_SLOT);
         self.node_slot.clear();
-        self.node_slot.resize(placed.len(), NO_SLOT);
-        let (mut n, mut p) = (0, 0);
-        while n < self.ids.len() && p < placed.len() {
-            match self.ids[n].cmp(&placed[p]) {
+        self.node_slot.resize(linked.len(), NO_SLOT);
+        let (mut n, mut t) = (0, 0);
+        while n < self.ids.len() && t < linked.len() {
+            match self.ids[n].cmp(&linked[t]) {
                 std::cmp::Ordering::Less => n += 1,
-                std::cmp::Ordering::Greater => p += 1,
+                std::cmp::Ordering::Greater => t += 1,
                 std::cmp::Ordering::Equal => {
-                    self.position_slot[n] = p as u32;
-                    self.node_slot[p] = n as u32;
+                    self.topology_slot[n] = t as u32;
+                    self.node_slot[t] = n as u32;
                     n += 1;
-                    p += 1;
+                    t += 1;
                 }
             }
         }
@@ -776,12 +741,14 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Position of the node in `slot`, if it has one (spatial mode).
+    /// Position of the node in `slot`, if it has one (spatial mode, where
+    /// topology slots are position slots).
     fn position_of(&self, slot: usize) -> Option<Point> {
         let Some(Spatial { mobility, .. }) = &self.spatial else {
             return None;
         };
-        position_at(&self.position_slot, mobility.positions().points(), slot)
+        let at = self.topology_slot[slot];
+        (at != NO_SLOT).then(|| mobility.positions().points()[at as usize])
     }
 
     /// Run a batch of same-instant send-timer expirations, in two passes
@@ -814,7 +781,7 @@ impl<P: Protocol> Simulator<P> {
                 sender_pos,
             });
         }
-        let (spatial, grid) = match &self.spatial {
+        let (spatial, stale) = match &self.spatial {
             None => (None, None),
             Some(Spatial {
                 radio,
@@ -823,9 +790,8 @@ impl<P: Protocol> Simulator<P> {
             }) => (
                 Some((radio.as_ref(), mobility.positions())),
                 match index {
-                    SpatialIndex::Grid { grid, dirty: true } => Some(GridRead::Query(grid)),
-                    SpatialIndex::Grid { grid, .. } => Some(GridRead::Csr(grid)),
-                    SpatialIndex::DiffOnly(_) => None,
+                    SpatialIndex::Grid { grid, dirty: true } => Some(&**grid),
+                    SpatialIndex::Grid { .. } | SpatialIndex::DiffOnly(_) => None,
                 },
             ),
         };
@@ -834,8 +800,8 @@ impl<P: Protocol> Simulator<P> {
             ids: &self.ids,
             topology: &self.topology,
             spatial,
-            grid,
-            position_slot: &self.position_slot,
+            stale,
+            topology_slot: &self.topology_slot,
             node_slot: &self.node_slot,
             channel: &*self.channel,
             loss_probability: self.config.loss_probability,
@@ -929,12 +895,11 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Rebuild the grid's CSR and re-materialise the observed `Graph` from
-    /// it if mobility ticks left them stale. Called at the end of every
-    /// run (so the lazy grid path stays at most one rebuild per
-    /// `run_until`, however many mobility ticks elapsed — in-run sends
-    /// query the grid instead) and before observer hooks that hand out
-    /// `&Simulator` mid-run.
+    /// Rebuild the observed `Graph` from the grid if mobility ticks left it
+    /// stale. Called at the end of every run (so the lazy grid path stays
+    /// at most one rebuild per `run_until`, however many mobility ticks
+    /// elapsed — in-run sends query the grid instead) and before observer
+    /// hooks that hand out `&Simulator` mid-run.
     fn materialise_topology(&mut self) {
         if let Some(Spatial {
             radio,
@@ -943,8 +908,7 @@ impl<P: Protocol> Simulator<P> {
         }) = &mut self.spatial
         {
             if *dirty {
-                radio.refresh_grid_topology(grid);
-                self.topology = Arc::new(grid.graph());
+                self.topology = Arc::new(radio.grid_topology(grid));
                 *dirty = false;
             }
         }
@@ -1613,13 +1577,12 @@ mod tests {
     }
 
     /// Both ways a grid-mode send reads its neighbours — the per-send
-    /// query while a tick's moves are not yet materialised, and the CSR a
-    /// round end rebuilds when it materialises the topology —
-    /// reproduce the all-pairs path byte for byte: same neighbours, same
-    /// order, same RNG draws (a jittered contention channel draws per
-    /// link). Ticks every 150 and rounds of 1 000 leave the sends between
-    /// a round end and the next tick on the CSR and every other send on a
-    /// query.
+    /// query while a tick's moves are not yet materialised, and the row of
+    /// the graph a round end rebuilds from the grid — reproduce the
+    /// all-pairs path byte for byte: same neighbours, same order, same RNG
+    /// draws (a jittered contention channel draws per link). Ticks every
+    /// 150 and rounds of 1 000 leave the sends between a round end and the
+    /// next tick on graph rows and every other send on a query.
     #[test]
     fn grid_reads_reproduce_the_all_pairs_path() {
         use crate::channel::{Contention, ContentionConfig};

@@ -1,7 +1,7 @@
 //! Two-dimensional Euclidean space in which the nodes move, and the
 //! uniform-grid spatial index used to make neighbour discovery O(n · k).
 
-use crate::arena::{slot_of, Positions, NO_SLOT};
+use crate::arena::{Positions, NO_SLOT};
 use dyngraph::{Graph, NodeId};
 use std::ops::Range;
 
@@ -77,8 +77,6 @@ pub fn cell_index(cell_size: f64, p: Point) -> Cell {
 struct Scratch {
     /// Accepted pairs of the last topology rebuild.
     pairs: Vec<(u32, u32)>,
-    /// Per-slot write cursors of the CSR fill.
-    cursor: Vec<u32>,
     /// Slots that changed cell during a sync, keyed by their new cell.
     moved: Vec<(Cell, u32)>,
     /// Every slot keyed by its cell, sorted: what the buckets are indexed
@@ -137,19 +135,12 @@ pub struct SpatialGrid {
     /// Occupied buckets per column of the occupied span, rounded down:
     /// how far a query guesses the next column's window lies.
     stride: usize,
-    /// The derived topology in CSR form, valid after
-    /// [`rebuild_topology`](Self::rebuild_topology): `topo_offsets` has
-    /// length n + 1 and `topo_flat[topo_offsets[i]..topo_offsets[i + 1]]`
-    /// holds slot i's neighbour slots, ascending. Kept in slot form so the
-    /// simulator answers per-send neighbour queries with one slice borrow.
-    topo_offsets: Vec<u32>,
-    topo_flat: Vec<u32>,
     scratch: Scratch,
 }
 
 impl PartialEq for SpatialGrid {
     fn eq(&self, other: &Self) -> bool {
-        // the CSR topology and scratch are derived state, not identity
+        // scratch is derived state, not identity
         self.cell_size == other.cell_size
             && self.ids == other.ids
             && self.points == other.points
@@ -179,8 +170,6 @@ impl SpatialGrid {
             cells: Vec::new(),
             bucket_of: Vec::new(),
             stride: 0,
-            topo_offsets: Vec::new(),
-            topo_flat: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -230,9 +219,7 @@ impl SpatialGrid {
         };
     }
 
-    /// Drop everything and re-index `positions` from scratch. Invalidates
-    /// the CSR topology until the next
-    /// [`rebuild_topology`](Self::rebuild_topology).
+    /// Drop everything and re-index `positions` from scratch.
     pub fn rebuild(&mut self, positions: Positions<'_>) {
         assert!(
             positions.len() < NO_SLOT as usize,
@@ -251,8 +238,6 @@ impl SpatialGrid {
         sorted.extend(self.cell_of.iter().copied().zip(0u32..));
         sorted.sort_unstable();
         self.index_buckets();
-        self.topo_offsets.clear();
-        self.topo_flat.clear();
     }
 
     /// Bring the grid in line with `positions` and report whether any
@@ -364,10 +349,9 @@ impl SpatialGrid {
     /// `accept(position of slot, its position)` holds, into `found` as
     /// `(slot, position)`, ascending by slot. Given the radius and the
     /// symmetric predicate [`rebuild_topology`](Self::rebuild_topology)
-    /// was given, that is exactly
-    /// [`neighbor_slots`](Self::neighbor_slots)`(slot)`, in the same
-    /// order, without building the CSR. `found` is cleared first and left
-    /// empty for an unknown slot.
+    /// is given, that is exactly the row of `slot` in the graph it builds,
+    /// in the same order, without building the graph. `found` is cleared
+    /// first and left empty for an unknown slot.
     ///
     /// The occupied columns in reach are visited in order. Each column's
     /// window of rows is found by galloping from `slot`'s own bucket,
@@ -482,14 +466,19 @@ impl SpatialGrid {
         }
     }
 
-    /// Recompute the symmetric-link topology over the indexed nodes into
-    /// the internal CSR form: an edge is present when `accept(pa, pb)`
-    /// holds for the candidate pair. The adjacency is assembled slot-side
-    /// (no global edge sort — slot order *is* NodeId order);
-    /// [`neighbor_slots`](Self::neighbor_slots) answers queries from it and
-    /// [`graph`](Self::graph) materialises it on demand.
-    pub fn rebuild_topology(&mut self, radius: f64, mut accept: impl FnMut(Point, Point) -> bool) {
-        let n = self.ids.len();
+    /// The symmetric-link topology over the indexed nodes: an edge is
+    /// present when `accept(pa, pb)` holds for the candidate pair. Grid
+    /// slot is graph slot (both ascend by NodeId), so the accepted slot
+    /// pairs go straight into [`Graph::from_slot_pairs`] — no global edge
+    /// sort, and the result is content-identical to what a brute-force
+    /// all-pairs scan with the same accept predicate produces. The
+    /// simulator calls this once per observation boundary, not once per
+    /// mobility tick.
+    pub fn rebuild_topology(
+        &mut self,
+        radius: f64,
+        mut accept: impl FnMut(Point, Point) -> bool,
+    ) -> Graph {
         let mut pairs = std::mem::take(&mut self.scratch.pairs);
         pairs.clear();
         self.for_each_candidate_slot_pair(radius, |a, pa, b, pb| {
@@ -497,74 +486,9 @@ impl SpatialGrid {
                 pairs.push((a, b));
             }
         });
-        // counting sort by slot: degrees → prefix sums → fill
-        let offsets = &mut self.topo_offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for &(a, b) in pairs.iter() {
-            offsets[a as usize + 1] += 1;
-            offsets[b as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let flat = &mut self.topo_flat;
-        flat.clear();
-        flat.resize(2 * pairs.len(), 0);
-        let cursor = &mut self.scratch.cursor;
-        cursor.clear();
-        cursor.extend_from_slice(&offsets[..n]);
-        for &(a, b) in pairs.iter() {
-            flat[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-            flat[cursor[b as usize] as usize] = a;
-            cursor[b as usize] += 1;
-        }
-        for i in 0..n {
-            flat[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
-        }
+        let graph = Graph::from_slot_pairs(self.ids.clone(), &pairs);
         self.scratch.pairs = pairs;
-    }
-
-    /// Neighbour slots of `slot` per the last
-    /// [`rebuild_topology`](Self::rebuild_topology), ascending — which is
-    /// ascending NodeId order, the order a materialised [`Graph`] iterates
-    /// in. Empty when the slot is unknown or no topology has been built.
-    pub fn neighbor_slots(&self, slot: usize) -> &[u32] {
-        match (self.topo_offsets.get(slot), self.topo_offsets.get(slot + 1)) {
-            (Some(&from), Some(&to)) => &self.topo_flat[from as usize..to as usize],
-            _ => &[],
-        }
-    }
-
-    /// [`neighbor_slots`](Self::neighbor_slots) by and as NodeId.
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let run = slot_of(&self.ids, node).map_or(&[][..], |slot| self.neighbor_slots(slot));
-        run.iter().map(|&j| self.ids[j as usize])
-    }
-
-    /// Materialise the CSR topology as a [`Graph`] — content-identical to
-    /// what a brute-force all-pairs scan with the same accept predicate
-    /// produces. The simulator calls this once per observation boundary,
-    /// not once per mobility tick.
-    pub fn graph(&self) -> Graph {
-        if self.topo_offsets.is_empty() {
-            return Graph::with_nodes(self.ids.iter().copied());
-        }
-        Graph::from_sorted_adjacency_iter(self.ids.iter().enumerate().map(|(slot, &node)| {
-            let run = self.neighbor_slots(slot);
-            (node, run.iter().map(|&j| self.ids[j as usize]))
-        }))
-    }
-
-    /// Convenience wrapper: rebuild the CSR topology and materialise it.
-    pub fn build_topology(
-        &mut self,
-        radius: f64,
-        accept: impl FnMut(Point, Point) -> bool,
-    ) -> Graph {
-        self.rebuild_topology(radius, accept);
-        self.graph()
+        graph
     }
 }
 
@@ -674,11 +598,11 @@ mod tests {
     }
 
     #[test]
-    fn build_topology_equals_pairwise_filter() {
+    fn rebuild_topology_equals_pairwise_filter() {
         let pos = grid_positions(&[(1, 0.0, 0.0), (2, 3.0, 0.0), (3, 3.0, 3.5), (4, 50.0, 50.0)]);
         let mut grid = SpatialGrid::new(4.0);
         grid.rebuild(pos.view());
-        let g = grid.build_topology(4.0, |a, b| a.distance(&b) <= 4.0);
+        let g = grid.rebuild_topology(4.0, |a, b| a.distance(&b) <= 4.0);
         assert!(g.contains_edge(NodeId(1), NodeId(2)));
         assert!(g.contains_edge(NodeId(2), NodeId(3)));
         assert!(!g.contains_edge(NodeId(1), NodeId(3))); // distance ~4.6
@@ -719,7 +643,7 @@ mod tests {
         assert!(grid.cells.len() <= 40);
         assert!(grid.starts.len() <= 41);
         assert_eq!(grid.cell_of.len(), 40);
-        let g = grid.build_topology(1.0, |a, b| a.distance(&b) <= 1.0);
+        let g = grid.rebuild_topology(1.0, |a, b| a.distance(&b) <= 1.0);
         assert!(g.contains_edge(NodeId(0), NodeId(2)), "0.85 apart");
         assert!(g.contains_edge(NodeId(1), NodeId(3)));
         assert!(!g.contains_edge(NodeId(0), NodeId(1)), "a billion apart");

@@ -144,9 +144,7 @@ mod tests {
     fn trace_records_and_diffs_snapshots() {
         let mut trace = Trace::new();
         assert!(trace.is_empty());
-        let mut g = Graph::new();
-        g.add_edge(NodeId(1), NodeId(2));
-        let g = Arc::new(g);
+        let g = Arc::new(Graph::from_edges([], [(NodeId(1), NodeId(2))]));
         trace.record(
             SimTime(10),
             Arc::clone(&g),

@@ -3,7 +3,7 @@
 //! whatever order nodes arrive in, and a simulator's trace must not depend
 //! on the order its nodes were added in.
 
-use dyngraph::{Graph, NodeId};
+use dyngraph::{Graph, NodeId, TopologyEvent};
 use netsim::mobility::RandomWalk;
 use netsim::protocol::Beacon;
 use netsim::radio::LossyDisk;
@@ -147,11 +147,11 @@ fn observe(mut sim: Simulator<Beacon>, rounds: u64) -> Observed {
 }
 
 fn ring_over(ids: &[u64]) -> Graph {
-    let mut g = Graph::new();
-    for (i, &id) in ids.iter().enumerate() {
-        g.add_edge(NodeId(id), NodeId(ids[(i + 1) % ids.len()]));
-    }
-    g
+    let next = |i: usize| NodeId(ids[(i + 1) % ids.len()]);
+    Graph::from_edges(
+        [],
+        ids.iter().enumerate().map(|(i, &id)| (NodeId(id), next(i))),
+    )
 }
 
 /// Slot order is NodeId order whatever the insertion order: a simulator
@@ -211,8 +211,7 @@ fn a_mid_run_arrival_below_present_ids_keeps_every_timer_with_its_node() {
         stagger_phases: false,
         ..Default::default()
     };
-    let mut topology = ring_over(&ids);
-    topology.add_edge(NodeId(15), NodeId(10));
+    let topology = ring_over(&ids).apply(TopologyEvent::LinkUp(NodeId(15), NodeId(10)));
     let mut sim: Simulator<Beacon> = Simulator::new(config, TopologyMode::Explicit(topology));
     sim.add_nodes(ids.iter().map(|&id| Beacon::new(NodeId(id))));
     // stop between a send (t = 2751) and its delivery (t = 2761)

@@ -5,7 +5,7 @@
 //! clusters a billion units apart included — and incremental `sync` must
 //! leave the grid in exactly the state a from-scratch rebuild produces.
 //! The per-node neighbour query must return, for every node, exactly the
-//! CSR row, in the same order, with the tracked positions.
+//! graph's row, in the same order, with the tracked positions.
 
 use dyngraph::NodeId;
 use netsim::radio::{RadioModel, UnitDisk};
@@ -14,9 +14,9 @@ use netsim::Point;
 use netsim::PositionTable;
 use proptest::prelude::*;
 
-/// For every slot: the grid query equals the CSR row and the brute-force
-/// neighbour list, slot for slot, and each returned position is the one
-/// the grid tracks for that slot.
+/// For every slot: the grid query equals the brute-force graph's row, slot
+/// for slot, and each returned position is the one the grid tracks for
+/// that slot.
 fn assert_queries_equal_rows(
     grid: &SpatialGrid,
     range: f64,
@@ -31,13 +31,10 @@ fn assert_queries_equal_rows(
         let slots: Vec<u32> = found.iter().map(|&(j, _)| j).collect();
         prop_assert_eq!(
             &slots[..],
-            grid.neighbor_slots(slot),
-            "query ≠ CSR row of slot {}",
-            slot
+            brute.row(slot),
+            "query ≠ all-pairs row of {:?}",
+            node
         );
-        let ids: Vec<NodeId> = slots.iter().map(|&j| positions.ids()[j as usize]).collect();
-        let graph: Vec<NodeId> = brute.neighbors(node).collect();
-        prop_assert_eq!(&ids, &graph, "query ≠ all-pairs row of {:?}", node);
         for &(j, at) in &found {
             prop_assert_eq!(
                 at,
@@ -59,8 +56,8 @@ fn positions_of(pts: impl IntoIterator<Item = (f64, f64)>) -> PositionTable {
         .collect()
 }
 
-/// Grid topology ≡ all-pairs topology, and the CSR neighbour view and the
-/// per-node query agree with the materialised graph.
+/// Grid topology ≡ all-pairs topology, slot for slot, and the per-node
+/// query agrees with its rows.
 fn assert_grid_equals_brute_force(
     pos: &PositionTable,
     range: f64,
@@ -70,21 +67,15 @@ fn assert_grid_equals_brute_force(
     let brute = radio.topology_all_pairs(pos.view());
     let mut grid = SpatialGrid::new(cell);
     grid.rebuild(pos.view());
-    let via_grid = grid.build_topology(range, |a, b| {
+    let via_grid = grid.rebuild_topology(range, |a, b| {
         radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
     });
     prop_assert_eq!(&brute, &via_grid);
-    for (slot, &node) in pos.view().ids().iter().enumerate() {
-        let csr: Vec<NodeId> = grid.neighbors(node).collect();
-        let by_slot: Vec<NodeId> = grid
-            .neighbor_slots(slot)
-            .iter()
-            .map(|&j| pos.view().ids()[j as usize])
-            .collect();
-        let graph: Vec<NodeId> = brute.neighbors(node).collect();
-        prop_assert_eq!(&csr, &graph);
-        prop_assert_eq!(&by_slot, &graph);
-    }
+    prop_assert_eq!(
+        via_grid.ids(),
+        grid.positions().ids(),
+        "grid slot is graph slot"
+    );
     assert_queries_equal_rows(&grid, range, &brute)
 }
 
@@ -164,7 +155,7 @@ proptest! {
             let mut fresh = SpatialGrid::new(cell);
             fresh.rebuild(pos.view());
             prop_assert_eq!(&grid, &fresh, "synced grid diverged from rebuild");
-            let incremental = grid.build_topology(range, |a, b| {
+            let incremental = grid.rebuild_topology(range, |a, b| {
                 radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
             });
             let brute = radio.topology_all_pairs(pos.view());

@@ -19,6 +19,7 @@ use dyngraph::{GraphGenerator, NodeId};
 use grp_core::GrpConfig;
 use modelcheck::{ExploreConfig, FaultBudget};
 use netsim::{ContentionConfig, FaultKind, Region, ScheduledFault, SimTime};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 
@@ -478,10 +479,7 @@ impl ScenarioManifest {
             for t in root.array("faults")? {
                 faults.push(parse_fault(t, spatial)?);
             }
-            for t in root.array("churn")? {
-                churn.push(parse_churn(t)?);
-            }
-            churn.sort_by_key(|c: &ChurnSpec| c.at_round);
+            churn = parse_churn_schedule(root.array("churn")?, &workload)?;
         }
         let assertions = parse_assertions(root.sub("assertions")?, mode_name, &report)?;
         let modelcheck = match mode {
@@ -521,6 +519,50 @@ impl ScenarioManifest {
             golden: GoldenSpec { digests },
         })
     }
+}
+
+/// A length (`width`, `side`, `range`, …): a finite number above 0.
+struct Length(f64);
+
+impl FromValue<'_> for Length {
+    const WHAT: &'static str = "finite number above 0";
+    fn from_value(value: &Value) -> Result<Self, &'static str> {
+        let x = value.as_float().filter(|x| x.is_finite() && *x > 0.0);
+        x.map(Length).ok_or(Self::WHAT)
+    }
+}
+
+/// A step, speed, gap or radius: a finite number, 0 or above.
+struct Extent(f64);
+
+impl FromValue<'_> for Extent {
+    const WHAT: &'static str = "finite number, 0 or above";
+    fn from_value(value: &Value) -> Result<Self, &'static str> {
+        let x = value.as_float().filter(|x| x.is_finite() && *x >= 0.0);
+        x.map(Extent).ok_or(Self::WHAT)
+    }
+}
+
+/// A count of lanes or blocks: an integer, 1 or above.
+struct AtLeastOne(usize);
+
+impl FromValue<'_> for AtLeastOne {
+    const WHAT: &'static str = "integer, 1 or above";
+    fn from_value(value: &Value) -> Result<Self, &'static str> {
+        let n = usize::from_value(value).ok().filter(|&n| n >= 1);
+        n.map(AtLeastOne).ok_or(Self::WHAT)
+    }
+}
+
+/// `speed_min` and `speed_max`: extents, the first not above the second.
+fn speeds(t: &mut Table) -> Result<(f64, f64), ParseError> {
+    let min = t.req::<Extent>("speed_min")?.0;
+    let max = t.req::<Extent>("speed_max")?.0;
+    if min > max {
+        let message = format!("`speed_max` ({max}) is below `speed_min` ({min})");
+        return Err(t.error("speed_max", message));
+    }
+    Ok((min, max))
 }
 
 /// A loss or ratio: a number in [0, 1].
@@ -614,8 +656,8 @@ fn parse_topology(mut t: Table) -> Result<GraphGenerator, ParseError> {
         },
         "random_geometric" => GraphGenerator::RandomGeometric {
             n: t.req("n")?,
-            side: t.req("side")?,
-            radius: t.req("radius")?,
+            side: t.req::<Length>("side")?.0,
+            radius: t.req::<Extent>("radius")?.0,
         },
         "edges" => GraphGenerator::Edges(parse_edges(&mut t)?),
         other => return Err(unknown(&t, "kind", other)),
@@ -644,53 +686,65 @@ fn parse_mobility(mut t: Table) -> Result<MobilitySpec, ParseError> {
     let spec = match t.select("kind", None)? {
         "stationary_line" => MobilitySpec::StationaryLine {
             n: t.req("n")?,
-            spacing: t.req("spacing")?,
+            spacing: t.req::<Length>("spacing")?.0,
         },
         "stationary_uniform" => MobilitySpec::StationaryUniform {
             n: t.req("n")?,
-            width: t.req("width")?,
-            height: t.req("height")?,
+            width: t.req::<Length>("width")?.0,
+            height: t.req::<Length>("height")?.0,
         },
         "random_walk" => MobilitySpec::RandomWalk {
             n: t.req("n")?,
-            width: t.req("width")?,
-            height: t.req("height")?,
-            max_step: t.req("max_step")?,
+            width: t.req::<Length>("width")?.0,
+            height: t.req::<Length>("height")?.0,
+            max_step: t.req::<Extent>("max_step")?.0,
         },
-        "waypoint" => MobilitySpec::Waypoint {
-            n: t.req("n")?,
-            width: t.req("width")?,
-            height: t.req("height")?,
-            speed_min: t.req("speed_min")?,
-            speed_max: t.req("speed_max")?,
-        },
-        "highway" => MobilitySpec::Highway {
-            n: t.req("n")?,
-            lanes: t.req("lanes")?,
-            road_length: t.req("road_length")?,
-            initial_gap: t.req("initial_gap")?,
-            speed_min: t.req("speed_min")?,
-            speed_max: t.req("speed_max")?,
-        },
-        "city_grid" => MobilitySpec::CityGrid {
-            n: t.req("n")?,
-            blocks: t.req("blocks")?,
-            block_size: t.req("block_size")?,
-            speed_min: t.req("speed_min")?,
-            speed_max: t.req("speed_max")?,
-            light_period: t.req("light_period")?,
-        },
-        "mixed_highway" => MobilitySpec::MixedHighway {
-            n_roadside: t.req("n_roadside")?,
-            rsu_spacing: t.req("rsu_spacing")?,
-            rsu_setback: t.or("rsu_setback", 8.0)?,
-            n: t.req("n")?,
-            lanes: t.req("lanes")?,
-            road_length: t.req("road_length")?,
-            initial_gap: t.req("initial_gap")?,
-            speed_min: t.req("speed_min")?,
-            speed_max: t.req("speed_max")?,
-        },
+        "waypoint" => {
+            let (speed_min, speed_max) = speeds(&mut t)?;
+            MobilitySpec::Waypoint {
+                n: t.req("n")?,
+                width: t.req::<Length>("width")?.0,
+                height: t.req::<Length>("height")?.0,
+                speed_min,
+                speed_max,
+            }
+        }
+        "highway" => {
+            let (speed_min, speed_max) = speeds(&mut t)?;
+            MobilitySpec::Highway {
+                n: t.req("n")?,
+                lanes: t.req::<AtLeastOne>("lanes")?.0,
+                road_length: t.req::<Length>("road_length")?.0,
+                initial_gap: t.req::<Extent>("initial_gap")?.0,
+                speed_min,
+                speed_max,
+            }
+        }
+        "city_grid" => {
+            let (speed_min, speed_max) = speeds(&mut t)?;
+            MobilitySpec::CityGrid {
+                n: t.req("n")?,
+                blocks: t.req::<AtLeastOne>("blocks")?.0,
+                block_size: t.req::<Length>("block_size")?.0,
+                speed_min,
+                speed_max,
+                light_period: t.req("light_period")?,
+            }
+        }
+        "mixed_highway" => {
+            let (speed_min, speed_max) = speeds(&mut t)?;
+            MobilitySpec::MixedHighway {
+                n_roadside: t.req("n_roadside")?,
+                rsu_spacing: t.req::<Length>("rsu_spacing")?.0,
+                rsu_setback: t.or("rsu_setback", Extent(8.0))?.0,
+                n: t.req("n")?,
+                lanes: t.req::<AtLeastOne>("lanes")?.0,
+                road_length: t.req::<Length>("road_length")?.0,
+                initial_gap: t.req::<Extent>("initial_gap")?.0,
+                speed_min,
+                speed_max,
+            }
+        }
         other => return Err(unknown(&t, "kind", other)),
     };
     t.finish()?;
@@ -701,14 +755,14 @@ fn parse_mobility(mut t: Table) -> Result<MobilitySpec, ParseError> {
 fn parse_radio(mut t: Table) -> Result<(RadioSpec, Option<ContentionConfig>), ParseError> {
     let radio = match t.select("kind", None)? {
         "unit_disk" => RadioSpec::UnitDisk {
-            range: t.req("range")?,
+            range: t.req::<Length>("range")?.0,
         },
         "lossy_disk" => RadioSpec::LossyDisk {
-            range: t.req("range")?,
+            range: t.req::<Length>("range")?.0,
             loss: t.req::<Probability>("loss")?.0,
         },
         "distance_loss" => RadioSpec::DistanceLoss {
-            range: t.req("range")?,
+            range: t.req::<Length>("range")?.0,
             edge_loss: t.req::<Probability>("edge_loss")?.0,
         },
         other => return Err(unknown(&t, "kind", other)),
@@ -919,7 +973,34 @@ fn parse_fault(mut t: Table, spatial: bool) -> Result<ScheduledFault, ParseError
     Ok(ScheduledFault::new(at, kind))
 }
 
-fn parse_churn(mut t: Table) -> Result<ChurnSpec, ParseError> {
+/// The `[[churn]]` tables, in schedule order: by round, then file order.
+/// Every id an action names must be a node of the topology or one an
+/// earlier `node_join` added, and no action may link a node to itself.
+fn parse_churn_schedule(
+    tables: Vec<Table>,
+    workload: &WorkloadSpec,
+) -> Result<Vec<ChurnSpec>, ParseError> {
+    let mut schedule = Vec::with_capacity(tables.len());
+    for mut t in tables {
+        schedule.push((parse_churn(&mut t)?, t));
+    }
+    schedule.sort_by_key(|(c, _)| c.at_round);
+    // churn requires an explicit topology, checked before this is called
+    let WorkloadSpec::Explicit(generator) = workload else {
+        return Ok(Vec::new());
+    };
+    let mut joined = BTreeSet::new();
+    schedule
+        .into_iter()
+        .map(|(spec, t)| {
+            check_churn_ids(&spec.action, &t, generator, &mut joined)?;
+            t.finish()?;
+            Ok(spec)
+        })
+        .collect()
+}
+
+fn parse_churn(t: &mut Table) -> Result<ChurnSpec, ParseError> {
     let at_round = t.req("at_round")?;
     let action = match t.select("action", None)? {
         "link_up" => ChurnAction::LinkUp {
@@ -937,10 +1018,52 @@ fn parse_churn(mut t: Table) -> Result<ChurnSpec, ParseError> {
         "node_leave" => ChurnAction::NodeLeave {
             node: t.req("node")?,
         },
-        other => return Err(unknown(&t, "action", other)),
+        other => return Err(unknown(t, "action", other)),
     };
-    t.finish()?;
     Ok(ChurnSpec { at_round, action })
+}
+
+/// Check one action's ids against the topology `generator` builds and
+/// the nodes `joined` so far, then add the node a `node_join` brings.
+fn check_churn_ids(
+    action: &ChurnAction,
+    t: &Table,
+    generator: &GraphGenerator,
+    joined: &mut BTreeSet<u64>,
+) -> Result<(), ParseError> {
+    let known = |id: u64| generator.has_node(NodeId(id)) || joined.contains(&id);
+    let unknown = |key: &str, id: u64| {
+        let message = format!(
+            "`{key}`: node {id} is neither in the topology nor added by an earlier `node_join`"
+        );
+        Err(t.error(key, message))
+    };
+    match *action {
+        ChurnAction::LinkUp { a, b } | ChurnAction::LinkDown { a, b } => {
+            if a == b {
+                return Err(t.error("b", format!("`a` = `b` = {a} is a self-loop")));
+            }
+            for (key, id) in [("a", a), ("b", b)] {
+                if !known(id) {
+                    return unknown(key, id);
+                }
+            }
+        }
+        ChurnAction::NodeJoin { node, ref links } => {
+            for &peer in links {
+                if peer == node {
+                    return Err(t.error("links", format!("`links` names node {node} itself")));
+                }
+                if !known(peer) {
+                    return unknown("links", peer);
+                }
+            }
+            joined.insert(node);
+        }
+        ChurnAction::NodeLeave { node } if !known(node) => return unknown("node", node),
+        ChurnAction::NodeLeave { .. } => {}
+    }
+    Ok(())
 }
 
 fn parse_assertions(
@@ -1596,6 +1719,205 @@ digests = ["only-one"]
                 "expected a located error containing `{expected}`, got `{err}`"
             );
         }
+    }
+
+    /// Every rule on a geometry key, one row each: a value the mobility,
+    /// radio or generator code cannot use is a located error, not a panic
+    /// (`random_walk width = -10`) or a silently meaningless run
+    /// (`lanes = 0`).
+    #[test]
+    fn geometry_keys_report_one_uniform_error_shape() {
+        let radio = "[radio]\nkind = \"unit_disk\"\nrange = 10.0";
+        let line = "kind = \"stationary_line\"\nn = 3\nspacing = 5.0";
+        let uniform = "kind = \"stationary_uniform\"\nn = 3\nwidth = 9.0\nheight = 9.0";
+        let walk = "kind = \"random_walk\"\nn = 3\nwidth = 9.0\nheight = 9.0\nmax_step = 1.0";
+        let waypoint =
+            "kind = \"waypoint\"\nn = 3\nwidth = 9.0\nheight = 9.0\nspeed_min = 1.0\nspeed_max = 2.0";
+        let highway = "kind = \"highway\"\nn = 3\nlanes = 2\nroad_length = 90.0\n\
+                       initial_gap = 5.0\nspeed_min = 1.0\nspeed_max = 2.0";
+        let city = "kind = \"city_grid\"\nn = 3\nblocks = 2\nblock_size = 50.0\n\
+                    speed_min = 1.0\nspeed_max = 2.0\nlight_period = 10";
+        let mixed = "kind = \"mixed_highway\"\nn_roadside = 2\nrsu_spacing = 40.0\n\
+                     rsu_setback = 8.0\nn = 3\nlanes = 2\nroad_length = 90.0\n\
+                     initial_gap = 5.0\nspeed_min = 1.0\nspeed_max = 2.0";
+        // (mobility body, key = value replacing its line, expected)
+        let mobility_cases: &[(&str, &str, &str)] = &[
+            (
+                line,
+                "spacing = -3.0",
+                "`spacing`: expected finite number above 0",
+            ),
+            (
+                uniform,
+                "width = 0.0",
+                "`width`: expected finite number above 0",
+            ),
+            (
+                uniform,
+                "height = -1",
+                "`height`: expected finite number above 0",
+            ),
+            (
+                walk,
+                "width = -10.0",
+                "`width`: expected finite number above 0",
+            ),
+            (
+                walk,
+                "max_step = -1.0",
+                "`max_step`: expected finite number, 0 or above",
+            ),
+            (
+                waypoint,
+                "speed_min = -1.0",
+                "`speed_min`: expected finite number, 0 or above",
+            ),
+            (
+                waypoint,
+                "speed_min = 3.0",
+                "`speed_max` (2) is below `speed_min` (3)",
+            ),
+            (
+                highway,
+                "lanes = 0",
+                "`lanes`: expected integer, 1 or above",
+            ),
+            (
+                highway,
+                "road_length = 0",
+                "`road_length`: expected finite number above 0",
+            ),
+            (
+                highway,
+                "initial_gap = -5.0",
+                "`initial_gap`: expected finite number, 0 or above",
+            ),
+            (
+                highway,
+                "speed_max = -2.0",
+                "`speed_max`: expected finite number, 0 or above",
+            ),
+            (city, "blocks = 0", "`blocks`: expected integer, 1 or above"),
+            (
+                city,
+                "block_size = -50.0",
+                "`block_size`: expected finite number above 0",
+            ),
+            (
+                city,
+                "speed_max = 0.5",
+                "`speed_max` (0.5) is below `speed_min` (1)",
+            ),
+            (
+                mixed,
+                "rsu_spacing = 0.0",
+                "`rsu_spacing`: expected finite number above 0",
+            ),
+            (
+                mixed,
+                "rsu_setback = -8.0",
+                "`rsu_setback`: expected finite number, 0 or above",
+            ),
+        ];
+        for &(body, replacement, expected) in mobility_cases {
+            let key = replacement.split(" =").next().unwrap();
+            let body: Vec<&str> = body
+                .lines()
+                .map(|l| {
+                    if l.starts_with(&format!("{key} =")) {
+                        replacement
+                    } else {
+                        l
+                    }
+                })
+                .collect();
+            let input = format!("name = \"x\"\n[mobility]\n{}\n{radio}", body.join("\n"));
+            expect_located(&input, &format!("[mobility]: {expected}"));
+        }
+        let other_cases: &[(&str, &str)] = &[
+            (
+                "[topology]\nkind = \"random_geometric\"\nn = 5\nside = -1.0\nradius = 2.0",
+                "[topology]: `side`: expected finite number above 0",
+            ),
+            (
+                "[topology]\nkind = \"random_geometric\"\nn = 5\nside = 10.0\nradius = -2.0",
+                "[topology]: `radius`: expected finite number, 0 or above",
+            ),
+            (
+                "[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n[radio]\nkind = \"unit_disk\"\nrange = -5.0",
+                "[radio]: `range`: expected finite number above 0",
+            ),
+            (
+                "[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n[radio]\nkind = \"unit_disk\"\nrange = 0.0\nmodel = \"contention\"",
+                "[radio]: `range`: expected finite number above 0",
+            ),
+        ];
+        for (body, expected) in other_cases {
+            expect_located(&format!("name = \"x\"\n{body}"), expected);
+        }
+    }
+
+    fn expect_located(input: &str, expected: &str) {
+        let err = ScenarioManifest::parse(input).expect_err(expected).0;
+        assert!(
+            err.starts_with("line ") && err.contains(expected),
+            "expected a located error containing `{expected}`, got `{err}`"
+        );
+    }
+
+    /// A churn action names only nodes that exist by its round: the
+    /// topology's, or one an earlier `node_join` added — whatever the
+    /// tables' file order — and never links a node to itself.
+    #[test]
+    fn churn_names_only_known_nodes() {
+        let path4 = "name = \"x\"\n[topology]\nkind = \"path\"\nn = 4";
+        let churn = |tables: &[&str]| {
+            let tables: Vec<String> = tables.iter().map(|t| format!("[[churn]]\n{t}")).collect();
+            format!("{path4}\n{}", tables.join("\n"))
+        };
+        let unknown = "is neither in the topology nor added by an earlier `node_join`";
+        let cases: &[(&[&str], String)] = &[
+            (
+                &["at_round = 1\naction = \"link_up\"\na = 0\nb = 77"],
+                format!("[[churn]] #1: `b`: node 77 {unknown}"),
+            ),
+            (
+                &["at_round = 1\naction = \"link_down\"\na = 2\nb = 2"],
+                "[[churn]] #1: `a` = `b` = 2 is a self-loop".to_string(),
+            ),
+            (
+                &["at_round = 1\naction = \"node_leave\"\nnode = 42"],
+                format!("[[churn]] #1: `node`: node 42 {unknown}"),
+            ),
+            (
+                &["at_round = 1\naction = \"node_join\"\nnode = 9\nlinks = [9, 0]"],
+                "[[churn]] #1: `links` names node 9 itself".to_string(),
+            ),
+            (
+                &["at_round = 1\naction = \"node_join\"\nnode = 9\nlinks = [0, 55]"],
+                format!("[[churn]] #1: `links`: node 55 {unknown}"),
+            ),
+            // the join comes later in the schedule than the link naming it
+            (
+                &[
+                    "at_round = 3\naction = \"node_join\"\nnode = 9\nlinks = [0]",
+                    "at_round = 2\naction = \"link_up\"\na = 9\nb = 1",
+                ],
+                format!("[[churn]] #2: `a`: node 9 {unknown}"),
+            ),
+        ];
+        for (tables, expected) in cases {
+            expect_located(&churn(tables), expected);
+        }
+        // a join earlier in the schedule than in the file, then its links
+        let m = ScenarioManifest::parse(&churn(&[
+            "at_round = 5\naction = \"link_up\"\na = 9\nb = 3",
+            "at_round = 2\naction = \"node_join\"\nnode = 9\nlinks = [0]",
+            "at_round = 6\naction = \"node_leave\"\nnode = 9",
+        ]))
+        .expect("parses");
+        let rounds: Vec<u64> = m.churn.iter().map(|c| c.at_round).collect();
+        assert_eq!(rounds, [2, 5, 6]);
     }
 
     #[test]
