@@ -5,12 +5,14 @@
 //! three kinds of transient faults — corruption of a fraction of the nodes'
 //! local state, a crash-and-restart of a fraction of the nodes, and a radio
 //! blackout — and measures how many rounds the system needs to be legitimate
-//! again.
+//! again. After each round the snapshot's verdict goes into a
+//! `ConvergenceDetector`, which finds the first 3-round legitimate window.
 
 use crate::e1_convergence::sized_rgg;
 use crate::report::ExperimentOutput;
 use crate::runner::{convergence_budget, grp_manifest, Scale};
-use grp_core::observers::ConvergenceProbe;
+use grp_core::predicates::SystemSnapshot;
+use grp_core::ConvergenceDetector;
 use metrics::{Summary, Table};
 use netsim::{FaultKind, ScheduledFault, SimTime};
 use scenarios::build_simulator;
@@ -79,12 +81,13 @@ fn recovery_rounds(scenario: FaultScenario, n: usize, dmax: usize, seed: u64) ->
     }
 
     let budget = 2 * convergence_budget(n, dmax);
-    // stream legitimacy verdicts instead of materialising snapshots; the
-    // early exit fires on the first 3-round legitimate window
-    let mut probe = ConvergenceProbe::new(dmax);
+    // judge each round's snapshot as it closes, keeping only the verdicts;
+    // the early exit fires on the first 3-round legitimate window
+    let mut detector = ConvergenceDetector::new(dmax);
     for _ in 0..budget {
-        sim.run_rounds_observed(1, &mut probe);
-        if let Some(start) = probe.detector().first_stable_run(3) {
+        sim.run_rounds(1);
+        detector.record(&SystemSnapshot::from_simulator(&sim));
+        if let Some(start) = detector.first_stable_run(3) {
             return Some(start + 1);
         }
     }
@@ -136,7 +139,6 @@ pub fn run(scale: Scale) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grp_core::predicates::SystemSnapshot;
 
     #[test]
     fn corruption_of_one_node_recovers() {

@@ -85,8 +85,8 @@ pub use marks::Mark;
 pub use message::{GrpMessage, PriorityInfo};
 pub use node::GrpNode;
 pub use observers::{
-    ContinuityProbe, ContinuityStats, ConvergenceProbe, FaultRecovery, GrpPipeline, RecordedRound,
-    ResilienceProbe, ResilienceStats, SnapshotRecorder, RECOVERY_BUCKETS,
+    ContinuityProbe, ContinuityStats, FaultRecovery, GrpPipeline, RecordedRound, ResilienceProbe,
+    ResilienceStats, SnapshotRecorder, RECOVERY_BUCKETS,
 };
 pub use predicates::{OmegaPartition, SystemSnapshot};
 pub use priority::Priority;

@@ -1,22 +1,22 @@
-//! View-aware observers: the streaming probes every harness composes
-//! instead of hand-rolling per-round capture loops.
+//! View-aware observation: the one per-round recorder every harness
+//! drives.
 //!
-//! `netsim::observer` defines the [`Observer`] trait and the
-//! protocol-agnostic probes; this module adds the probes that need to read
-//! protocol *views* (via [`ViewProtocol`]) and evaluate the paper's
-//! predicates:
+//! `netsim::observer` defines the [`Observer`] trait; this module adds the
+//! pieces that read protocol *views* (via [`ViewProtocol`]) and evaluate the
+//! paper's predicates:
 //!
 //! * [`SnapshotRecorder`] — retains one [`SystemSnapshot`] per round with
 //!   copy-on-write capture: a node's view is deep-copied only in rounds
 //!   where it changed, and the topology is shared with the simulator, so a
 //!   converged system records a round in O(n) pointer work;
-//! * [`ConvergenceProbe`] — streams legitimacy verdicts into a
-//!   [`ConvergenceDetector`] without retaining snapshots;
-//! * [`ContinuityProbe`] — streams the ΠT/ΠC transition accounting
-//!   ([`ContinuityStats`]) keeping only the previous round's groups;
-//! * [`GrpPipeline`] — the composition the scenario and experiment runners
-//!   use: capture once per round, partition the snapshot into its groups
-//!   once, feed every enabled probe from that one [`OmegaPartition`].
+//! * [`ContinuityProbe`] — the ΠT/ΠC transition accounting
+//!   ([`ContinuityStats`]), keeping only the previous round's groups;
+//! * [`ResilienceProbe`] — per-fault recovery and availability
+//!   ([`ResilienceStats`]);
+//! * [`GrpPipeline`] — the recorder `scenarios::run_seed`, the campaigns
+//!   and `grp-bench` drive: capture once per round, partition the snapshot
+//!   into its groups once, and feed a [`ConvergenceDetector`] and the
+//!   enabled probes from that one [`OmegaPartition`].
 
 use crate::predicates::{OmegaPartition, SystemSnapshot};
 use crate::stabilization::ConvergenceDetector;
@@ -114,8 +114,7 @@ impl SnapshotRecorder {
     }
 
     /// Feed the engine-trace part of the canonical digest — `(time,
-    /// topology, cumulative stats)` per round under the `"trace"` list tag
-    /// — byte-identically to how the historical `netsim::Trace` fed it.
+    /// topology, cumulative stats)` per round under the `"trace"` list tag.
     ///
     /// **Delta-encoded:** copy-on-write capture shares one `Arc<Graph>`
     /// across every round whose topology did not change, so the graph is
@@ -173,52 +172,6 @@ impl<P: ViewProtocol> Observer<P> for SnapshotRecorder {
     }
 }
 
-/// Streams per-round legitimacy verdicts into a [`ConvergenceDetector`]
-/// without retaining any snapshot history.
-#[derive(Clone, Debug)]
-pub struct ConvergenceProbe {
-    detector: ConvergenceDetector,
-}
-
-impl ConvergenceProbe {
-    pub fn new(dmax: usize) -> Self {
-        ConvergenceProbe {
-            detector: ConvergenceDetector::new(dmax),
-        }
-    }
-
-    /// Record one already-captured snapshot (avoids a second capture when
-    /// a recorder already took one this round).
-    pub fn record(&mut self, snapshot: &SystemSnapshot) {
-        self.detector.record(snapshot);
-    }
-
-    pub fn detector(&self) -> &ConvergenceDetector {
-        &self.detector
-    }
-
-    pub fn into_detector(self) -> ConvergenceDetector {
-        self.detector
-    }
-
-    /// Index of the first snapshot of the closed legitimate suffix.
-    pub fn convergence_round(&self) -> Option<usize> {
-        self.detector.convergence_round()
-    }
-
-    /// Was the last observed round legitimate?
-    pub fn is_currently_legitimate(&self) -> bool {
-        self.detector.is_currently_legitimate()
-    }
-}
-
-impl<P: ViewProtocol> Observer<P> for ConvergenceProbe {
-    fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
-        let snapshot = SystemSnapshot::from_simulator(sim);
-        self.record(&snapshot);
-    }
-}
-
 /// Continuity bookkeeping over a run's consecutive-round transitions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ContinuityStats {
@@ -242,9 +195,11 @@ impl ContinuityStats {
     }
 }
 
-/// Streams the ΠT/ΠC transition accounting, retaining only the previous
-/// round's groups: ΠT measures them in the new topology, ΠC looks for them
-/// in the new partition, and neither reads anything else of the old round.
+/// The ΠT/ΠC transition accounting, retaining only the previous round's
+/// groups: ΠT measures them in the new topology, ΠC looks for them in the
+/// new partition, and neither reads anything else of the old round.
+/// [`GrpPipeline`] feeds it every round; [`record`](Self::record) feeds it
+/// snapshots a caller captured itself.
 #[derive(Clone, Debug)]
 pub struct ContinuityProbe {
     dmax: usize,
@@ -283,13 +238,6 @@ impl ContinuityProbe {
 
     pub fn stats(&self) -> ContinuityStats {
         self.stats
-    }
-}
-
-impl<P: ViewProtocol> Observer<P> for ContinuityProbe {
-    fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
-        let snapshot = SystemSnapshot::from_simulator(sim);
-        self.record(&snapshot);
     }
 }
 
@@ -387,10 +335,10 @@ impl ResilienceStats {
 /// (rounds from injection to the first legitimate round), availability
 /// (fraction of legitimate rounds) and a recovery histogram.
 ///
-/// The probe is an *observer* — it reads snapshots and fault
-/// notifications, draws no randomness, and therefore never perturbs the
-/// execution: a manifest produces the same trace digest with or without
-/// resilience measurement.
+/// [`GrpPipeline`] feeds it the fault notifications and one legitimacy
+/// verdict per round. It draws no randomness and therefore never perturbs
+/// the execution: a manifest produces the same trace digest with or
+/// without resilience measurement.
 #[derive(Clone, Debug)]
 pub struct ResilienceProbe {
     dmax: usize,
@@ -398,15 +346,15 @@ pub struct ResilienceProbe {
 }
 
 impl ResilienceProbe {
-    pub fn new(dmax: usize) -> Self {
+    fn new(dmax: usize) -> Self {
         ResilienceProbe {
             dmax,
             stats: ResilienceStats::default(),
         }
     }
 
-    /// Record an injected fault (the pipelined path).
-    pub fn note_fault(&mut self, fault: &ScheduledFault) {
+    /// Record an injected fault.
+    fn note_fault(&mut self, fault: &ScheduledFault) {
         self.stats.faults.push(FaultRecovery {
             kind: fault.kind.to_string(),
             at: fault.at,
@@ -416,13 +364,7 @@ impl ResilienceProbe {
         });
     }
 
-    /// Record one already-captured snapshot.
-    pub fn record(&mut self, at: SimTime, snapshot: &SystemSnapshot) {
-        self.record_verdict(at, snapshot.legitimate(self.dmax));
-    }
-
-    /// Record one round from its already-computed legitimacy verdict (the
-    /// pipelined path).
+    /// Record one round from its legitimacy verdict.
     fn record_verdict(&mut self, at: SimTime, legitimate: bool) {
         self.stats.rounds_observed += 1;
         if legitimate {
@@ -446,27 +388,15 @@ impl ResilienceProbe {
     }
 }
 
-impl<P: ViewProtocol> Observer<P> for ResilienceProbe {
-    fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
-        let snapshot = SystemSnapshot::from_simulator(sim);
-        self.record(sim.now(), &snapshot);
-    }
-
-    fn on_fault(&mut self, fault: &ScheduledFault, _sim: &Simulator<P>) {
-        self.note_fault(fault);
-    }
-}
-
-/// The standard harness composition: one copy-on-write capture and one
-/// [`OmegaPartition`] per round, fed to every enabled probe — the
-/// convergence and resilience probes share one legitimacy verdict, the
-/// continuity probe keeps the partition as next round's "before". Used by
-/// the scenario conformance runner and the experiment harness; builds
-/// incrementally via the `with_*` methods.
+/// The one per-round recorder: one copy-on-write capture and one
+/// [`OmegaPartition`] per round, fed to every enabled consumer — the
+/// convergence detector and the resilience probe share one legitimacy
+/// verdict, the continuity probe keeps the partition as next round's
+/// "before". Built incrementally via the `with_*` methods.
 #[derive(Clone, Debug, Default)]
 pub struct GrpPipeline {
     pub recorder: SnapshotRecorder,
-    pub convergence: Option<ConvergenceProbe>,
+    pub convergence: Option<ConvergenceDetector>,
     pub continuity: Option<ContinuityProbe>,
     pub resilience: Option<ResilienceProbe>,
 }
@@ -479,7 +409,7 @@ impl GrpPipeline {
 
     /// Also stream legitimacy verdicts.
     pub fn with_convergence(mut self, dmax: usize) -> Self {
-        self.convergence = Some(ConvergenceProbe::new(dmax));
+        self.convergence = Some(ConvergenceDetector::new(dmax));
         self
     }
 
@@ -515,9 +445,8 @@ impl<P: ViewProtocol> Observer<P> for GrpPipeline {
                 answer
             }
         };
-        if let Some(probe) = &mut self.convergence {
-            let dmax = probe.detector.dmax();
-            probe.detector.record_verdict(legitimate(dmax));
+        if let Some(detector) = &mut self.convergence {
+            detector.record_verdict(legitimate(detector.dmax()));
         }
         if let Some(probe) = &mut self.resilience {
             probe.record_verdict(round.at, legitimate(probe.dmax));
@@ -569,32 +498,75 @@ mod tests {
         }
     }
 
+    /// Every streamed verdict equals an independent evaluation of the
+    /// recorded history: a fresh detector, each snapshot's own
+    /// `legitimate`, and the ΠT/ΠC predicates over consecutive snapshots.
     #[test]
     fn pipeline_probes_agree_with_post_hoc_evaluation() {
+        use crate::predicates::{pi_c_violations, pi_t_violations};
+        use netsim::FaultKind;
         let mut sim = grp_sim(4, 2);
-        let mut pipeline = GrpPipeline::new().with_convergence(3).with_continuity(3);
-        sim.run_rounds_observed(40, &mut pipeline);
+        // converge, then corrupt a node's state mid-round
+        let fault_at = SimTime(40_500);
+        sim.schedule_faults(vec![ScheduledFault::new(
+            fault_at,
+            FaultKind::CorruptState(NodeId(2)),
+        )]);
+        let mut pipeline = GrpPipeline::new()
+            .with_convergence(3)
+            .with_continuity(3)
+            .with_resilience(3);
+        sim.run_rounds_observed(80, &mut pipeline);
+        let rounds = pipeline.recorder.rounds();
+
         let convergence = pipeline.convergence.as_ref().unwrap();
         assert!(convergence.convergence_round().is_some());
-        // recompute from the recorded history and compare
         let mut detector = ConvergenceDetector::new(3);
-        let mut continuity = ContinuityProbe::new(3);
-        for s in pipeline.recorder.snapshots() {
-            detector.record(s);
-            continuity.record(s);
-        }
+        pipeline
+            .recorder
+            .snapshots()
+            .for_each(|s| detector.record(s));
         assert_eq!(
             detector.convergence_round(),
             convergence.convergence_round()
         );
-        let streamed = pipeline.continuity.as_ref().unwrap().stats();
-        let recomputed = continuity.stats();
-        assert_eq!(streamed.transitions, recomputed.transitions);
-        assert_eq!(streamed.pi_t_held, recomputed.pi_t_held);
+
+        let legitimate: Vec<bool> = pipeline
+            .recorder
+            .snapshots()
+            .map(|s| s.legitimate(3))
+            .collect();
+        let injected_after = rounds.iter().filter(|r| r.at < fault_at).count();
+        let recovered = (legitimate[injected_after..].iter())
+            .position(|&l| l)
+            .map(|i| i as u64 + 1);
+        let resilience = pipeline.resilience.as_ref().unwrap().stats();
+        assert_eq!(resilience.rounds_observed, rounds.len() as u64);
         assert_eq!(
-            streamed.pi_c_held_given_pi_t,
-            recomputed.pi_c_held_given_pi_t
+            resilience.legitimate_rounds,
+            legitimate.iter().filter(|&&l| l).count() as u64
         );
+        let [fault] = resilience.faults.as_slice() else {
+            panic!("one fault injected: {:?}", resilience.faults);
+        };
+        assert_eq!(fault.injected_after_round, injected_after as u64);
+        assert!(recovered.is_some(), "the system reconverges");
+        assert_eq!(fault.rounds_to_recover, recovered);
+
+        let (mut pi_t_held, mut pi_c_held) = (0, 0);
+        for pair in rounds.windows(2) {
+            let (prev, next) = (&pair[0].snapshot, &pair[1].snapshot);
+            if pi_t_violations(prev, next, 3) == 0 {
+                pi_t_held += 1;
+                if pi_c_violations(prev, next) == 0 {
+                    pi_c_held += 1;
+                }
+            }
+        }
+        let streamed = pipeline.continuity.as_ref().unwrap().stats();
+        assert_eq!(streamed.transitions, rounds.len() as u64 - 1);
+        assert_eq!(streamed.pi_t_held, pi_t_held);
+        assert_eq!(streamed.pi_c_held_given_pi_t, pi_c_held);
     }
 
     #[test]

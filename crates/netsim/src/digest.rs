@@ -14,9 +14,9 @@
 //!   list (`a < b`), which is exactly the deterministic iteration order
 //!   `dyngraph::Graph` already guarantees.
 //!
-//! [`Trace::digest`](crate::trace::Trace::digest) uses this to summarise a
-//! recorded run; the `scenarios` crate extends the same hasher with
-//! protocol-level views to produce the golden digests checked in CI.
+//! `grp_core::observers::SnapshotRecorder` feeds a recorded run through it
+//! (topologies and statistics under `"trace"`, views under `"views"`); the
+//! `scenarios` crate folds that into the golden digests checked in CI.
 
 use crate::time::SimTime;
 use crate::trace::MessageStats;

@@ -15,20 +15,20 @@
 //! * transient-fault injection (node crash/restart, state corruption,
 //!   message loss bursts) used by the self-stabilization experiments
 //!   ([`fault`]);
-//! * a per-round trace of topologies and message statistics ([`trace`]).
+//! * cumulative message statistics ([`trace`]).
 //!
 //! Protocols are plugged in through the [`protocol::Protocol`] trait: GRP and
 //! the baseline algorithms all implement it, so every experiment runs the
 //! same simulation loop. Protocols that expose a group view additionally
-//! implement [`protocol::ViewProtocol`], the capability the generic
-//! observer probes read.
+//! implement [`protocol::ViewProtocol`], the capability the view-aware
+//! observers of `grp_core::observers` read.
 //!
 //! A simulator is assembled with [`Simulator::new`](sim::Simulator::new)
 //! (configuration and topology mode), then
 //! [`set_channel`](sim::Simulator::set_channel),
 //! [`add_nodes`](sim::Simulator::add_nodes) and
 //! [`schedule_faults`](sim::Simulator::schedule_faults), and instrumented
-//! streaming through the [`observer`] pipeline —
+//! streaming through the [`observer`] hook —
 //! [`Simulator::run_rounds_observed`](sim::Simulator::run_rounds_observed)
 //! drives the single event loop and notifies [`observer::Observer`] hooks
 //! inline, so harnesses never hand-roll capture loops (see
@@ -68,11 +68,11 @@ pub use event::{Event, EventKind};
 pub use fault::{FaultKind, Region, ScheduledFault};
 pub use mobility::MobilityModel;
 pub use node::SimNode;
-pub use observer::{NullObserver, Observer, StatsProbe, TraceProbe};
+pub use observer::{NullObserver, Observer};
 pub use protocol::{CanonicalState, Protocol, ViewProtocol};
 pub use radio::RadioModel;
 pub use rng::{stream_seed, NodeStreams, StreamTag};
 pub use sim::{SimConfig, Simulator, TopologyMode};
 pub use space::Point;
 pub use time::SimTime;
-pub use trace::{MessageStats, Trace};
+pub use trace::MessageStats;

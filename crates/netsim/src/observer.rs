@@ -1,24 +1,24 @@
-//! The observer pipeline: streaming instrumentation of a running simulation.
+//! The observer hook: streaming instrumentation of a running simulation.
 //!
 //! The paper's evaluation is defined over *configurations* — per-round
-//! snapshots of topology + protocol outputs. Historically every harness
-//! (scenario runner, experiment runner, bench runner, threaded cluster)
-//! re-implemented snapshot capture by cloning the full graph and every view
-//! once per round. An [`Observer`] instead rides inside the simulator's
-//! single event loop ([`crate::Simulator::run_rounds_observed`]) and sees the
-//! run as it happens, so metrics are computed *streaming* and whatever must
-//! be retained can be retained incrementally (copy-on-write, deltas) instead
-//! of by wholesale cloning.
+//! snapshots of topology + protocol outputs. An [`Observer`] rides inside
+//! the simulator's single event loop
+//! ([`crate::Simulator::run_rounds_observed`]) and sees the run as it
+//! happens, so metrics are computed *streaming* and whatever must be
+//! retained is retained incrementally (copy-on-write) instead of by
+//! wholesale cloning.
 //!
 //! Layering:
 //!
-//! * this module defines the [`Observer`] trait plus the protocol-agnostic
-//!   built-ins ([`TraceProbe`], [`StatsProbe`], [`NullObserver`]);
-//! * `grp_core::observers` adds the view-aware probes (`SnapshotRecorder`,
-//!   `ConvergenceProbe`, `ContinuityProbe`) on top of
-//!   [`ViewProtocol`](crate::protocol::ViewProtocol);
-//! * the harnesses (`scenarios`, `experiments`, `bench`) compose observers
-//!   and never hand-roll capture loops.
+//! * this module defines the [`Observer`] trait and the no-op
+//!   [`NullObserver`]; the engine's own traffic counters are
+//!   [`Simulator::stats`];
+//! * `grp_core::observers::GrpPipeline` is the one per-round recorder: a
+//!   copy-on-write `SnapshotRecorder` plus the convergence, continuity and
+//!   resilience accounting, all fed from one capture per round;
+//! * the harnesses (`scenarios`, `experiments`, `grp-bench`) drive a
+//!   `GrpPipeline` (or its `SnapshotRecorder` alone), or an observer of
+//!   their own that wraps one.
 //!
 //! Observers are deliberately kept out of the deterministic core: they
 //! receive `&Simulator` (never `&mut`), they cannot touch the RNG, and the
@@ -28,7 +28,6 @@ use crate::fault::ScheduledFault;
 use crate::protocol::Protocol;
 use crate::sim::Simulator;
 use crate::time::SimTime;
-use crate::trace::Trace;
 use dyngraph::NodeId;
 
 /// Streaming hooks into a simulation run. All hooks default to no-ops, so an
@@ -86,119 +85,6 @@ pub struct NullObserver;
 
 impl<P: Protocol> Observer<P> for NullObserver {}
 
-/// Forwarding impl so observers can be passed by mutable reference (e.g.
-/// into a tuple composition without moving them).
-impl<P: Protocol, O: Observer<P> + ?Sized> Observer<P> for &mut O {
-    fn on_round_end(&mut self, round: u64, sim: &Simulator<P>) {
-        (**self).on_round_end(round, sim);
-    }
-    fn on_delivery(&mut self, from: NodeId, to: NodeId, size: usize, now: SimTime) {
-        (**self).on_delivery(from, to, size, now);
-    }
-    fn on_fault(&mut self, fault: &ScheduledFault, sim: &Simulator<P>) {
-        (**self).on_fault(fault, sim);
-    }
-    fn on_topology_change(&mut self, now: SimTime) {
-        (**self).on_topology_change(now);
-    }
-    fn on_run_end(&mut self, sim: &Simulator<P>) {
-        (**self).on_run_end(sim);
-    }
-}
-
-/// Tuples of observers observe in member order, so independent probes
-/// compose without a dedicated combinator type.
-macro_rules! impl_observer_tuple {
-    ($($name:ident),+) => {
-        #[allow(non_snake_case)]
-        impl<P: Protocol, $($name: Observer<P>),+> Observer<P> for ($($name,)+) {
-            fn on_round_end(&mut self, round: u64, sim: &Simulator<P>) {
-                let ($($name,)+) = self;
-                $($name.on_round_end(round, sim);)+
-            }
-            fn on_delivery(&mut self, from: NodeId, to: NodeId, size: usize, now: SimTime) {
-                let ($($name,)+) = self;
-                $($name.on_delivery(from, to, size, now);)+
-            }
-            fn on_fault(&mut self, fault: &ScheduledFault, sim: &Simulator<P>) {
-                let ($($name,)+) = self;
-                $($name.on_fault(fault, sim);)+
-            }
-            fn on_topology_change(&mut self, now: SimTime) {
-                let ($($name,)+) = self;
-                $($name.on_topology_change(now);)+
-            }
-            fn on_run_end(&mut self, sim: &Simulator<P>) {
-                let ($($name,)+) = self;
-                $($name.on_run_end(sim);)+
-            }
-        }
-    };
-}
-
-impl_observer_tuple!(A);
-impl_observer_tuple!(A, B);
-impl_observer_tuple!(A, B, C);
-impl_observer_tuple!(A, B, C, D);
-impl_observer_tuple!(A, B, C, D, E);
-
-/// Records the per-round engine trace (topology + cumulative message
-/// statistics) the way every harness used to do by hand — except the
-/// topology is shared with the simulator ([`Simulator::topology_shared`]),
-/// so recording a round costs two `Arc` clones and a stats copy instead of
-/// a full graph clone.
-///
-/// The recorded [`Trace`] feeds the canonical digest byte-identically to
-/// the historical `Simulator::snapshot()` path.
-#[derive(Clone, Debug, Default)]
-pub struct TraceProbe {
-    trace: Trace,
-}
-
-impl TraceProbe {
-    /// An empty probe.
-    pub fn new() -> Self {
-        TraceProbe::default()
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-}
-
-impl<P: Protocol> Observer<P> for TraceProbe {
-    fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
-        self.trace
-            .record(sim.now(), sim.topology_shared(), sim.stats());
-    }
-}
-
-/// Streams message-overhead accounting: wire bytes (via
-/// [`Protocol::message_size`]) and delivery counts, accumulated from the
-/// delivery hook alone — no stored snapshots at all.
-#[derive(Clone, Debug, Default)]
-pub struct StatsProbe {
-    /// Deliveries seen by the hook.
-    pub delivered: u64,
-    /// Sum of [`Protocol::message_size`] over delivered messages.
-    pub delivered_bytes: u64,
-}
-
-impl StatsProbe {
-    /// A probe with zeroed counters.
-    pub fn new() -> Self {
-        StatsProbe::default()
-    }
-}
-
-impl<P: Protocol> Observer<P> for StatsProbe {
-    fn on_delivery(&mut self, _from: NodeId, _to: NodeId, size: usize, _now: SimTime) {
-        self.delivered += 1;
-        self.delivered_bytes += size as u64;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,46 +105,44 @@ mod tests {
         sim
     }
 
-    #[test]
-    fn trace_probe_matches_round_count_and_shares_topology() {
-        let mut sim = beacon_sim(4, 1);
-        let mut probe = TraceProbe::new();
-        sim.run_rounds_observed(5, &mut probe);
-        assert_eq!(probe.trace().len(), 5);
-        // explicit mode, no churn: every recorded round shares one topology
-        let first = &probe.trace().snapshots()[0].topology;
-        for s in probe.trace().snapshots() {
-            assert!(std::sync::Arc::ptr_eq(first, &s.topology));
+    /// Counts hook calls: a test-local observer, so the hook cadence is
+    /// pinned without a shipping probe.
+    #[derive(Default)]
+    struct Tally {
+        rounds: u64,
+        deliveries: u64,
+        delivered_bytes: u64,
+    }
+
+    impl Observer<Beacon> for Tally {
+        fn on_round_end(&mut self, round: u64, _sim: &Simulator<Beacon>) {
+            assert_eq!(round, self.rounds, "rounds are numbered 0, 1, …");
+            self.rounds += 1;
+        }
+        fn on_delivery(&mut self, _from: NodeId, _to: NodeId, size: usize, _now: SimTime) {
+            self.deliveries += 1;
+            self.delivered_bytes += size as u64;
         }
     }
 
-    /// Satellite test: `Protocol::message_size` overhead accounting flows
-    /// through the probe — pinned for a non-unit-size message (a [`Beacon`]
-    /// identity is 8 bytes on the wire).
+    /// `on_delivery` fires once per delivery the engine counts, with
+    /// [`Protocol::message_size`] as its size — pinned for a non-unit-size
+    /// message (a [`Beacon`] identity is 8 bytes on the wire).
     #[test]
-    fn stats_probe_pins_delivered_bytes_for_non_unit_messages() {
+    fn on_delivery_matches_the_engine_counters_for_non_unit_messages() {
         let mut sim = beacon_sim(3, 2);
-        let mut probe = StatsProbe::new();
-        sim.run_rounds_observed(4, &mut probe);
+        let mut tally = Tally::default();
+        sim.run_rounds_observed(4, &mut tally);
         let engine = sim.stats();
-        assert!(probe.delivered > 0);
-        assert_eq!(probe.delivered, engine.delivered);
-        assert_eq!(probe.delivered_bytes, engine.delivered_bytes);
+        assert_eq!(tally.rounds, 4);
+        assert!(tally.deliveries > 0);
+        assert_eq!(tally.deliveries, engine.delivered);
+        assert_eq!(tally.delivered_bytes, engine.delivered_bytes);
         assert_eq!(
-            probe.delivered_bytes,
-            8 * probe.delivered,
+            tally.delivered_bytes,
+            8 * tally.deliveries,
             "beacons are 8 wire bytes each"
         );
-    }
-
-    #[test]
-    fn observers_compose_as_tuples() {
-        let mut sim = beacon_sim(3, 3);
-        let mut pipeline = (TraceProbe::new(), StatsProbe::new());
-        sim.run_rounds_observed(3, &mut pipeline);
-        let (trace, stats) = pipeline;
-        assert_eq!(trace.trace().len(), 3);
-        assert_eq!(stats.delivered, sim.stats().delivered);
     }
 
     /// An `on_fault` hook hands out `&Simulator` mid-run: in spatial-grid
@@ -333,8 +217,9 @@ mod tests {
         let digest_of = |observed: bool| {
             let mut sim = beacon_sim(5, 7);
             if observed {
-                let mut probe = (TraceProbe::new(), StatsProbe::new());
-                sim.run_rounds_observed(6, &mut probe);
+                let mut tally = Tally::default();
+                sim.run_rounds_observed(6, &mut tally);
+                assert_eq!(tally.rounds, 6);
             } else {
                 sim.run_rounds(6);
             }

@@ -1076,6 +1076,21 @@ mod tests {
         }
     }
 
+    /// `(now, topology, stats)` at every round boundary: collected in
+    /// `run_rounds_driven`'s `before_round` closure, plus once after the
+    /// run. Two runs that agree on it agree round for round.
+    fn round_history<P: Protocol>(
+        sim: &mut Simulator<P>,
+        rounds: u64,
+    ) -> Vec<(SimTime, Graph, MessageStats)> {
+        let mut history = Vec::new();
+        sim.run_rounds_driven(rounds, &mut NullObserver, &mut |_, sim| {
+            history.push((sim.now(), sim.topology().clone(), sim.stats()));
+        });
+        history.push((sim.now(), sim.topology().clone(), sim.stats()));
+        history
+    }
+
     fn flood_sim(n: usize, seed: u64) -> Simulator<Flood> {
         let g = path(n);
         let mut sim = Simulator::new(
@@ -1251,7 +1266,6 @@ mod tests {
     #[test]
     fn discovery_payload_runs_without_nodes() {
         use crate::mobility::RandomWalk;
-        use crate::observer::TraceProbe;
         use crate::radio::UnitDisk;
         use rand::SeedableRng;
         let mut placement = ChaCha8Rng::seed_from_u64(11);
@@ -1268,13 +1282,12 @@ mod tests {
             },
         );
         let before = sim.topology().clone();
-        let mut probe = TraceProbe::new();
-        sim.run_rounds_observed(3, &mut probe);
+        sim.run_rounds_observed(3, &mut NullObserver);
         assert_eq!(sim.events_processed(), 30, "ten mobility ticks a round");
         assert_eq!(sim.stats(), MessageStats::default(), "no traffic");
         assert_eq!(sim.topology().node_count(), 80);
         assert_ne!(*sim.topology(), before, "the walkers rewired the graph");
-        assert_eq!(probe.trace().len(), 3);
+        assert_eq!(sim.rounds_completed(), 3);
     }
 
     #[test]
@@ -1288,13 +1301,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_probe_records_observed_rounds() {
-        use crate::observer::TraceProbe;
+    fn observed_rounds_advance_the_clock_and_the_counter() {
         let mut sim = flood_sim(3, 11);
-        let mut probe = TraceProbe::new();
-        sim.run_rounds_observed(2, &mut probe);
-        assert_eq!(probe.trace().len(), 2);
-        assert!(probe.trace().last().unwrap().at > SimTime::ZERO);
+        let history = round_history(&mut sim, 2);
+        assert_eq!(history.len(), 3, "two boundaries before, one after");
+        assert_eq!(history[0].0, SimTime::ZERO);
+        assert!(history.windows(2).all(|pair| pair[0].0 < pair[1].0));
         assert_eq!(sim.rounds_completed(), 2);
     }
 
@@ -1514,9 +1526,7 @@ mod tests {
     /// a blackout window and a partition are active mid-run.
     #[test]
     fn blocking_faults_on_a_mobile_network_rerun_identically() {
-        use crate::digest::CanonicalHasher;
         use crate::mobility::RandomWalk;
-        use crate::observer::TraceProbe;
         use crate::radio::UnitDisk;
         use rand::SeedableRng;
         let run = || {
@@ -1556,17 +1566,9 @@ mod tests {
                 ),
                 ScheduledFault::new(SimTime(6_000), FaultKind::Heal),
             ]);
-            let mut probe = TraceProbe::new();
-            sim.run_rounds_observed(10, &mut probe);
-            let mut hasher = CanonicalHasher::new();
-            probe.trace().feed_digest(&mut hasher);
+            let history = round_history(&mut sim, 10);
             let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-            (
-                hasher.finalize(),
-                sim.stats(),
-                sim.events_processed(),
-                known,
-            )
+            (history, sim.stats(), sim.events_processed(), known)
         };
         let first = run();
         assert!(
@@ -1586,9 +1588,7 @@ mod tests {
     #[test]
     fn grid_reads_reproduce_the_all_pairs_path() {
         use crate::channel::{Contention, ContentionConfig};
-        use crate::digest::CanonicalHasher;
         use crate::mobility::RandomWalk;
-        use crate::observer::TraceProbe;
         use crate::radio::{RadioModel, UnitDisk};
         use rand::SeedableRng;
         /// The same radio without a range bound: the engine falls back to
@@ -1619,12 +1619,9 @@ mod tests {
                 jitter: 5,
                 ..ContentionConfig::new(25.0)
             })));
-            let mut probe = TraceProbe::new();
-            sim.run_rounds_observed(8, &mut probe);
-            let mut hasher = CanonicalHasher::new();
-            probe.trace().feed_digest(&mut hasher);
+            let history = round_history(&mut sim, 8);
             let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-            (hasher.finalize(), sim.stats(), known)
+            (history, sim.stats(), known)
         };
         let radio = UnitDisk::new(25.0);
         let grid = run(Box::new(radio));

@@ -8,8 +8,8 @@ use netsim::mobility::RandomWalk;
 use netsim::protocol::Beacon;
 use netsim::radio::LossyDisk;
 use netsim::{
-    stream_seed, CanonicalHasher, NodeStreams, Point, SimConfig, Simulator, StreamTag,
-    TopologyMode, TraceDigest, TraceProbe,
+    stream_seed, MessageStats, NodeStreams, NullObserver, Point, SimConfig, SimTime, Simulator,
+    StreamTag, TopologyMode,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -124,22 +124,25 @@ proptest! {
     }
 }
 
-/// Everything observable about a finished run.
+/// Everything observable about a finished run: `(now, topology, stats)`
+/// at every round boundary, the final statistics, the event count and
+/// every node's counters.
 type Observed = (
-    TraceDigest,
-    netsim::MessageStats,
+    Vec<(SimTime, Graph, MessageStats)>,
+    MessageStats,
     u64,
     Vec<(NodeId, u64, u64)>,
 );
 
 fn observe(mut sim: Simulator<Beacon>, rounds: u64) -> Observed {
-    let mut probe = TraceProbe::new();
-    sim.run_rounds_observed(rounds, &mut probe);
-    let mut hasher = CanonicalHasher::new();
-    probe.trace().feed_digest(&mut hasher);
+    let mut history = Vec::new();
+    sim.run_rounds_driven(rounds, &mut NullObserver, &mut |_, sim| {
+        history.push((sim.now(), sim.topology().clone(), sim.stats()));
+    });
+    history.push((sim.now(), sim.topology().clone(), sim.stats()));
     let nodes = sim.protocols().map(|(id, p)| (id, p.heard, p.computes));
     (
-        hasher.finalize(),
+        history,
         sim.stats(),
         sim.events_processed(),
         nodes.collect(),

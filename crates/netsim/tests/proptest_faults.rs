@@ -8,11 +8,10 @@
 
 use dyngraph::NodeId;
 use netsim::mobility::RandomWalk;
-use netsim::observer::TraceProbe;
 use netsim::radio::UnitDisk;
 use netsim::{
-    CanonicalHasher, FaultKind, Protocol, Region, ScheduledFault, SimConfig, SimTime, Simulator,
-    TopologyMode, ViewProtocol,
+    FaultKind, MessageStats, NullObserver, Protocol, Region, ScheduledFault, SimConfig, SimTime,
+    Simulator, TopologyMode, ViewProtocol,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -121,18 +120,16 @@ fn fault_schedule() -> impl Strategy<Value = Vec<ScheduledFault>> {
     )
 }
 
-/// One spatial run; returns every observable: trace digest, message
-/// statistics, event count and final node states.
+/// `(now, topology, stats)` at every round boundary.
+type History = Vec<(SimTime, dyngraph::Graph, MessageStats)>;
+
+/// One spatial run; returns every observable: the per-round history,
+/// message statistics, event count and final node states.
 fn run(
     faults: &[ScheduledFault],
     seed: u64,
     stagger_phases: bool,
-) -> (
-    netsim::TraceDigest,
-    netsim::MessageStats,
-    u64,
-    Vec<BTreeSet<NodeId>>,
-) {
+) -> (History, MessageStats, u64, Vec<BTreeSet<NodeId>>) {
     let mut seed_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
     let mobility = RandomWalk::new(N as usize, 60.0, 60.0, 0.004, &mut seed_rng);
     let mut sim: Simulator<Gossip> = Simulator::new(
@@ -149,17 +146,13 @@ fn run(
     );
     sim.add_nodes((0..N).map(|i| Gossip::new(NodeId(i))));
     sim.schedule_faults(faults.to_vec());
-    let mut probe = TraceProbe::new();
-    sim.run_rounds_observed(8, &mut probe);
-    let mut hasher = CanonicalHasher::new();
-    probe.trace().feed_digest(&mut hasher);
+    let mut history = Vec::new();
+    sim.run_rounds_driven(8, &mut NullObserver, &mut |_, sim| {
+        history.push((sim.now(), sim.topology().clone(), sim.stats()));
+    });
+    history.push((sim.now(), sim.topology().clone(), sim.stats()));
     let known = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-    (
-        hasher.finalize(),
-        sim.stats(),
-        sim.events_processed(),
-        known,
-    )
+    (history, sim.stats(), sim.events_processed(), known)
 }
 
 proptest! {

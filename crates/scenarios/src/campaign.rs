@@ -3,7 +3,7 @@
 //! A campaign answers the robustness question the fixed `[[faults]]` plans
 //! cannot: *which* schedule of transient faults hurts this workload most?
 //! The searcher samples `schedules` random fault plans from a seeded RNG,
-//! executes each one under the resilience probe
+//! executes each one under a [`GrpPipeline`] with resilience accounting
 //! ([`grp_core::observers::ResilienceProbe`]), scores the outcome, and
 //! keeps the worst offender. The
 //! worst schedule can be written to a campaign file (`--emit-campaign`) and
@@ -185,7 +185,7 @@ fn run_schedule(manifest: &ScenarioManifest, seed: u64, faults: &[ScheduledFault
         .unwrap_or_else(|| SystemSnapshot::from_simulator(&sim));
     ScheduleRun {
         recorder,
-        converged_round: convergence.and_then(|probe| probe.convergence_round()),
+        converged_round: convergence.and_then(|detector| detector.convergence_round()),
         continuity: continuity.map(|probe| probe.stats()).unwrap_or_default(),
         stats,
         score,

@@ -470,7 +470,7 @@ impl ScenarioManifest {
             return Err(root.error("churn", message));
         }
         let protocol = parse_protocol(root.sub("protocol")?)?;
-        let sim = parse_sim(root.sub("sim")?)?;
+        let sim = parse_sim(root.sub("sim")?, spatial)?;
         let report = parse_report(root.sub("report")?, mode)?;
         // The timed schedules are simulation-only: the other modes do not
         // read them, so `finish` rejects them.
@@ -769,6 +769,13 @@ fn parse_radio(mut t: Table) -> Result<(RadioSpec, Option<ContentionConfig>), Pa
     };
     let channel = match t.select("model", Some("bernoulli"))? {
         "bernoulli" => None,
+        // the contention channel decides every link itself and never asks
+        // the radio, so a lossy disk's own loss would be silently dropped
+        "contention" if !matches!(radio, RadioSpec::UnitDisk { .. }) => {
+            let message = "model = \"contention\" requires kind = \"unit_disk\": the \
+                 contention channel does not apply the radio's own loss";
+            return Err(t.error("model", message));
+        }
         "contention" => {
             let d = ContentionConfig::new(radio.range());
             Some(ContentionConfig {
@@ -895,12 +902,18 @@ fn parse_protocol(mut t: Table) -> Result<GrpConfig, ParseError> {
     Ok(spec)
 }
 
-fn parse_sim(mut t: Table) -> Result<SimSpec, ParseError> {
+fn parse_sim(mut t: Table, spatial: bool) -> Result<SimSpec, ParseError> {
     for key in REMOVED_SIM_KEYS {
         if t.has(key) {
             let message = format!("`{key}` was removed — the engine has one regime");
             return Err(t.error(key, message));
         }
+    }
+    // only the explicit-topology channel draws against `[sim] loss`
+    if spatial && t.has("loss") {
+        let message = "`loss` applies to an explicit [topology] only; a spatial \
+             workload's loss comes from its [radio]";
+        return Err(t.error("loss", message));
     }
     let d = SimSpec::default();
     let seeds = match t.opt::<Vec<u64>>("seeds")? {
@@ -1279,6 +1292,22 @@ n = 4
             (
                 format!("{MINIMAL}[modelcheck]\ndepth = 8\n"),
                 "line 8: manifest: unknown key `modelcheck` for mode = \"simulate\"",
+            ),
+            // `[sim] loss` is the explicit-topology channel's; spatial
+            // workloads take their loss from the radio
+            (
+                format!("{spatial}[sim]\nrounds = 3\nloss = 1.0\n[radio]\nkind = \"unit_disk\"\nrange = 15.0\n"),
+                "line 8: [sim]: `loss` applies to an explicit [topology] only; a spatial workload's loss comes from its [radio]",
+            ),
+            // the contention channel never asks the radio, so only the
+            // lossless disk combines with it
+            (
+                format!("{spatial}[radio]\nkind = \"lossy_disk\"\nrange = 15.0\nloss = 1.0\nmodel = \"contention\"\n"),
+                "line 10: [radio]: model = \"contention\" requires kind = \"unit_disk\": the contention channel does not apply the radio's own loss",
+            ),
+            (
+                format!("{spatial}[radio]\nkind = \"distance_loss\"\nrange = 15.0\nedge_loss = 0.5\nmodel = \"contention\"\n"),
+                "line 10: [radio]: model = \"contention\" requires kind = \"unit_disk\": the contention channel does not apply the radio's own loss",
             ),
         ] {
             let err = ScenarioManifest::parse(&input).expect_err(expected).0;

@@ -10,8 +10,9 @@
 //! Since the observer redesign this module contains no drive loop of its
 //! own: [`drive_manifest`] hands the manifest's churn schedule and an
 //! [`Observer`] to `netsim`'s single observed event loop, and [`run_seed`]
-//! composes the standard [`GrpPipeline`] (copy-on-write snapshot recorder +
-//! convergence + continuity probes) on top of it.
+//! drives the one per-round recorder, [`GrpPipeline`] (copy-on-write
+//! snapshot recorder + convergence detector + continuity and resilience
+//! probes), on top of it.
 
 use crate::campaign::{self, CampaignReport};
 use crate::manifest::{
@@ -432,7 +433,7 @@ pub fn run_seed(manifest: &ScenarioManifest, seed: u64, golden: Option<&String>)
         .cloned()
         .unwrap_or_else(|| SystemSnapshot::from_simulator(&sim));
     let stats = sim.stats();
-    let converged_round = convergence.and_then(|probe| probe.convergence_round());
+    let converged_round = convergence.and_then(|detector| detector.convergence_round());
     let continuity = continuity.map(|probe| probe.stats()).unwrap_or_default();
     let resilience = resilience.map(|probe| probe.into_stats());
 

@@ -8,7 +8,7 @@
 
 use grp_core::observers::{RecordedRound, SnapshotRecorder};
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{CanonicalHasher, SimConfig, Simulator, TopologyMode, TraceProbe};
+use netsim::{CanonicalHasher, SimConfig, Simulator, TopologyMode};
 use scenarios::manifest::ScenarioManifest;
 use scenarios::{build_simulator, drive_manifest, suite_dir};
 
@@ -17,8 +17,9 @@ fn load(name: &str) -> ScenarioManifest {
 }
 
 /// `netsim`'s defaults and the manifest defaults are the same engine: the
-/// same topology, seed, timing, loss and `GrpConfig` give the same trace
-/// and the same final views whichever way the simulator is assembled.
+/// same topology, seed, timing, loss and `GrpConfig` give the same
+/// recorded trace and views, round for round, whichever way the simulator
+/// is assembled.
 #[test]
 fn embedders_and_manifests_run_the_same_engine() {
     let manifest = ScenarioManifest::parse(
@@ -40,17 +41,17 @@ cols = 4
 "#,
     )
     .expect("parses");
-    let observed = |probe: TraceProbe, sim: &Simulator<GrpNode>| {
+    let observed = |recorder: SnapshotRecorder, sim: &Simulator<GrpNode>| {
         let mut hasher = CanonicalHasher::new();
-        probe.trace().feed_digest(&mut hasher);
-        let views: Vec<_> = sim.protocols().map(|(_, p)| p.view().clone()).collect();
-        (hasher.finalize(), views, sim.stats())
+        recorder.feed_trace_digest(&mut hasher);
+        recorder.feed_views_digest(&mut hasher);
+        (hasher.finalize(), recorder.len(), sim.stats())
     };
 
     let mut from_manifest = build_simulator(&manifest, 7);
-    let mut probe = TraceProbe::new();
-    drive_manifest(&mut from_manifest, &manifest, &mut probe);
-    let from_manifest = observed(probe, &from_manifest);
+    let mut recorder = SnapshotRecorder::new();
+    drive_manifest(&mut from_manifest, &manifest, &mut recorder);
+    let from_manifest = observed(recorder, &from_manifest);
 
     let topology = dyngraph::generators::grid(3, 4);
     let ids = topology.node_vec();
@@ -61,10 +62,11 @@ cols = 4
     let mut embedded = Simulator::new(config, TopologyMode::Explicit(topology));
     let node = |id| GrpNode::new(id, GrpConfig::new(3));
     embedded.add_nodes(ids.into_iter().map(node));
-    let mut probe = TraceProbe::new();
-    embedded.run_rounds_observed(20, &mut probe);
-    let embedded = observed(probe, &embedded);
+    let mut recorder = SnapshotRecorder::new();
+    embedded.run_rounds_observed(20, &mut recorder);
+    let embedded = observed(recorder, &embedded);
 
+    assert_eq!(from_manifest.1, 20);
     assert!(from_manifest.2.dropped > 0, "the lossy channel drew");
     assert_eq!(from_manifest, embedded);
 }

@@ -1,14 +1,14 @@
 //! Self-stabilization in action: corrupt half of the nodes and watch the
-//! system repair itself.
+//! system repair itself. After every round the snapshot's legitimacy
+//! verdict goes into a `ConvergenceDetector`.
 //!
 //! ```text
 //! cargo run --example fault_recovery
 //! ```
 
 use dyngraph::generators::grid;
-use grp_core::observers::ConvergenceProbe;
 use grp_core::predicates::SystemSnapshot;
-use grp_core::{GrpConfig, GrpNode};
+use grp_core::{ConvergenceDetector, GrpConfig, GrpNode};
 use netsim::{FaultKind, ScheduledFault, SimConfig, Simulator, TopologyMode};
 use std::process::ExitCode;
 
@@ -47,14 +47,15 @@ fn main() -> ExitCode {
         corrupted.agreement()
     );
 
-    // stream legitimacy verdicts until the system is legitimate again —
+    // record one verdict per round until the system is legitimate again —
     // no snapshot history retained at all
-    let mut probe = ConvergenceProbe::new(dmax);
+    let mut detector = ConvergenceDetector::new(dmax);
     for round in 1..=120u64 {
-        sim.run_rounds_observed(1, &mut probe);
-        if probe.is_currently_legitimate() {
+        sim.run_rounds(1);
+        let snapshot = SystemSnapshot::from_simulator(&sim);
+        detector.record(&snapshot);
+        if detector.is_currently_legitimate() {
             println!("system legitimate again after {round} rounds");
-            let snapshot = SystemSnapshot::from_simulator(&sim);
             println!(
                 "final groups: {:?}",
                 snapshot

@@ -4,8 +4,9 @@
 //! motivated the paper: groups survive as long as their members stay within
 //! `Dmax` hops, and only break when the convoy physically stretches apart.
 //! The per-transition ΠT/ΠC accounting is implemented as a custom
-//! [`Observer`] streaming over the run, with the built-in
-//! [`ContinuityProbe`] cross-checking the aggregate.
+//! [`Observer`] streaming over the run; it hands each snapshot it takes to
+//! a built-in [`ContinuityProbe`] as well, which cross-checks the
+//! aggregate.
 //!
 //! ```text
 //! cargo run --example vanet_convoy
@@ -22,11 +23,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Streams per-transition ΠT/ΠC violation counts, keeping only the
-/// previous round's (Arc-shared) snapshot.
+/// previous round's (Arc-shared) snapshot, and feeds the same snapshots
+/// to `continuity`.
 struct ConvoyWatch {
     dmax: usize,
     previous: Option<SystemSnapshot>,
     best_effort_violations: u64,
+    continuity: ContinuityProbe,
 }
 
 impl Observer<GrpNode> for ConvoyWatch {
@@ -53,6 +56,7 @@ impl Observer<GrpNode> for ConvoyWatch {
                 );
             }
         }
+        self.continuity.record(&snapshot);
         self.previous = Some(snapshot);
     }
 }
@@ -79,15 +83,15 @@ fn main() {
         dmax,
         previous: None,
         best_effort_violations: 0,
+        continuity: ContinuityProbe::new(dmax),
     };
-    let mut probe = ContinuityProbe::new(dmax);
-    sim.run_rounds_observed(80, &mut (&mut watch, &mut probe));
+    sim.run_rounds_observed(80, &mut watch);
 
     println!(
         "\ntransitions where continuity was lost although the topology allowed it: {}",
         watch.best_effort_violations
     );
-    let stats = probe.stats();
+    let stats = watch.continuity.stats();
     println!(
         "built-in ContinuityProbe agrees: ΠC held in {}/{} ΠT-transitions ({:.1}% conformance)",
         stats.pi_c_held_given_pi_t,
