@@ -83,8 +83,11 @@ impl GrpMessage {
 
     /// Approximate wire size: one byte of header plus, per entry, a node id
     /// (8 bytes), a level (1 byte), a mark (1 byte) and the two priorities
-    /// (16 bytes). Used only by the overhead experiment — relative numbers
-    /// are what matters.
+    /// (16 bytes). It is GRP's `Protocol::message_size`, so every delivery
+    /// adds it to `MessageStats::delivered_bytes`. That counter enters the
+    /// pinned `"trace"` digest (each round's stats) and `grp-bench`'s
+    /// `protocol.bytes_per_message`, so a change to this formula moves
+    /// golden digests, not only the overhead experiment's tables.
     pub fn wire_size(&self) -> usize {
         1 + self.list.entry_count() * (8 + 1 + 1) + self.priorities.len() * 16
     }

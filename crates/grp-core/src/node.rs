@@ -12,12 +12,19 @@
 //! id: a compute round updates known ids in place and adds new ones in one
 //! ordered merge, instead of inserting into trees.
 //!
-//! `compute()`'s working buffers — the checked copies of the received
-//! lists, the rows of the one-pass `ant` fold, the sorted unmarked ids and
-//! the batches of ids new to the priority and quarantine tables — live in
-//! one set per thread, shared by every node the thread runs, so a
-//! node's own footprint is only its semantic state and its cached
-//! broadcast.
+//! `compute()` reads each received message once. Its first step is one
+//! pass over `msgSetv` that copies every received list and every quoted
+//! priority into working buffers, in sender order; the priority absorption
+//! and the checks of lines 1–9 then read those copies, not the message
+//! bodies other nodes built. The copying pass takes the cache misses on
+//! those bodies back to back, instead of one at a time between dependent
+//! table lookups.
+//!
+//! `compute()`'s working buffers — the gathered lists and quotes, the rows
+//! of the one-pass `ant` fold, the sorted unmarked ids and the batches of
+//! ids new to the priority and quarantine tables — live in one set per
+//! thread, shared by every node the thread runs, so a node's own
+//! footprint is only its semantic state and its cached broadcast.
 
 use crate::ancestor_list::AncestorList;
 use crate::checks::{compatible_list, good_list, naive_compatible_list};
@@ -33,9 +40,18 @@ use std::collections::BTreeSet;
 /// The working buffers of [`GrpNode::compute`], reused round after round.
 #[derive(Default)]
 struct ComputeScratch {
-    /// Lines 1–9: one `(sender, checked list)` slot per sender. Slots past
-    /// the current round's sender count keep their buffers for later rounds.
+    /// One `(sender, list)` slot per sender: the gather pass copies each
+    /// received list in, lines 1–9 check the copy in place. Slots past the
+    /// current round's sender count keep their buffers for later rounds.
     checked: Vec<(NodeId, AncestorList)>,
+    /// Every `(node, priorities)` the received messages quote, in sender
+    /// order and then id order: the gather pass copies each message's
+    /// priority table in, `absorb_priorities` reads it.
+    quotes: Vec<(NodeId, PriorityInfo)>,
+    /// Each sender's quote of itself, in sender order: the gather pass
+    /// finds it in the copy it just made, `absorb_priorities` applies it
+    /// after `quotes`.
+    self_quotes: Vec<(NodeId, PriorityInfo)>,
     /// Lines 10–13 and 24–27: the rows of [`AncestorList::ant_fold`].
     rows: Vec<(NodeId, u32, Mark)>,
     /// Lines 30–31: the unmarked ids of the new `listv`, sorted.
@@ -232,8 +248,9 @@ impl GrpNode {
 
     /// The `compute()` procedure of Section 4.3.
     ///
-    /// The checked lists, the fold rows, the unmarked ids and the batches
-    /// of new table ids go through buffers kept per thread, the fold writes
+    /// A first pass copies the received lists and priority tables into
+    /// buffers kept per thread. The fold rows, the unmarked ids and the
+    /// batches of new table ids use such buffers too, the fold writes
     /// `listv` in place and new ids merge into their table in place, so a
     /// round allocates only when a buffer must grow, when the view changes
     /// (its set is rebuilt), and when ids join the priority or quarantine
@@ -241,29 +258,48 @@ impl GrpNode {
     pub fn compute(&mut self) {
         self.compute_count += 1;
         let dmax = self.config.dmax;
+        let own_id = self.id;
         let mut scratch = SCRATCH.take();
         let ComputeScratch {
             checked,
+            quotes,
+            self_quotes,
             rows,
             unmarked,
             learnt,
             arrivals,
         } = &mut scratch;
-        self.absorb_priorities(learnt);
 
-        // ------------------------------------------------------- lines 1-9
-        // Checking the received lists, in sender order.
+        // ---------------------------------------------------------- gather
+        // Read each received message once, in sender order: its list into
+        // a checked slot, its priority table onto `quotes`, and the
+        // sender's quote of itself, found in that copy, onto `self_quotes`.
         let senders = self.msg_set.len();
         if checked.len() < senders {
-            checked.resize_with(senders, || (self.id, AncestorList::empty()));
+            checked.resize_with(senders, || (own_id, AncestorList::empty()));
         }
         let checked = &mut checked[..senders];
+        quotes.clear();
+        self_quotes.clear();
         for ((u, lu), &(sender, ref msg)) in checked.iter_mut().zip(&self.msg_set) {
             *u = sender;
             lu.clone_from(&msg.list);
+            let start = quotes.len();
+            quotes.extend_from_slice(msg.priorities.as_slice());
+            let own_quote = quotes[start..].binary_search_by_key(&sender, |&(node, _)| node);
+            if let Ok(i) = own_quote {
+                self_quotes.push(quotes[start + i]);
+            }
+        }
+        self.absorb_priorities(quotes, self_quotes, learnt);
+
+        // ------------------------------------------------------- lines 1-9
+        // Checking the received lists, in sender order.
+        for (u, lu) in checked.iter_mut() {
+            let sender = *u;
             // line 2: marked nodes are only useful between neighbours
-            lu.remove_marked_except(self.id);
-            if !good_list(self.id, lu, dmax) {
+            lu.remove_marked_except(own_id);
+            if !good_list(own_id, lu, dmax) {
                 // lines 3-4: the list cannot be used, only the sender is kept
                 lu.assign_marked_singleton(sender, Mark::Pending);
             } else if !self.view.contains(&sender) && !self.is_compatible(lu) {
@@ -316,7 +352,6 @@ impl GrpNode {
         // -------------------------------------------------------- line 31
         // viewv ← non-marked nodes of listv with null quarantine. Our own
         // id is unmarked at level 0 of every computed list, so it is in.
-        let own_id = self.id;
         unmarked.retain(|&x| x == own_id || self.quarantine.get(x).is_none_or(|&q| q == 0));
         if !self.view.iter().eq(unmarked.iter()) {
             self.view = unmarked.iter().copied().collect();
@@ -367,29 +402,32 @@ impl GrpNode {
         }
     }
 
-    /// Learn priorities quoted in the received messages. A sender is the
+    /// Learn priorities quoted in the received messages, from the copies
+    /// the gather pass made: `quotes` holds every quote in sender order,
+    /// `self_quotes` each sender's quote of itself. A sender is the
     /// authority on its own priority; for third-party nodes any quote is
-    /// accepted (the newest message wins by iteration order). Known ids are
-    /// updated in place; the ids learnt this round gather in `learnt` and
-    /// enter in one merge.
-    fn absorb_priorities(&mut self, learnt: &mut Vec<(NodeId, PriorityInfo)>) {
+    /// accepted (the highest sender id wins by iteration order), and quotes
+    /// of this node are skipped. Known ids are updated in place; the ids
+    /// learnt this round gather in `learnt` and enter in one merge.
+    fn absorb_priorities(
+        &mut self,
+        quotes: &[(NodeId, PriorityInfo)],
+        self_quotes: &[(NodeId, PriorityInfo)],
+        learnt: &mut Vec<(NodeId, PriorityInfo)>,
+    ) {
         let own_id = self.id;
-        for (_, msg) in &self.msg_set {
-            for &(node, info) in msg.priorities.iter() {
-                if node == own_id {
-                    continue;
-                }
-                match self.known_priorities.get_mut(node) {
-                    Some(known) => *known = info,
-                    None => learnt.push((node, info)),
-                }
+        for &(node, info) in quotes {
+            if node == own_id {
+                continue;
+            }
+            match self.known_priorities.get_mut(node) {
+                Some(known) => *known = info,
+                None => learnt.push((node, info)),
             }
         }
         self.known_priorities.merge_batch(learnt);
-        for (sender, msg) in &self.msg_set {
-            if let Some(&self_info) = msg.priorities.get(*sender) {
-                self.known_priorities.insert(*sender, self_info);
-            }
+        for &(sender, info) in self_quotes {
+            self.known_priorities.insert(sender, info);
         }
     }
 
@@ -978,6 +1016,110 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A forged broadcast from `sender`: `levels` as its list, every entry
+    /// clear, and `quotes` as its priority table.
+    fn forged(sender: u64, levels: &[&[u64]], quotes: &[(u64, PriorityInfo)]) -> GrpMessage {
+        let levels = levels
+            .iter()
+            .map(|level| level.iter().map(|&i| (n(i), Mark::Clear)).collect())
+            .collect();
+        GrpMessage::new(
+            n(sender),
+            AncestorList::from_levels(levels),
+            quotes.iter().map(|&(i, info)| (n(i), info)).collect(),
+            Priority::new(0, n(sender)),
+        )
+    }
+
+    fn info(value: u64, id: u64) -> PriorityInfo {
+        PriorityInfo::solo(Priority::new(value, n(id)))
+    }
+
+    fn canonical(node: &GrpNode) -> netsim::TraceDigest {
+        let mut hasher = netsim::CanonicalHasher::new();
+        node.feed_canonical(&mut hasher);
+        hasher.finalize()
+    }
+
+    #[test]
+    fn learnt_priorities_follow_sender_order_and_self_authority() {
+        // node 1 hears 2 and 5; both quote 9, node 1 and each other. The
+        // quote that must win is never the strongest priority on offer
+        let quotes_of_2 = [
+            (1, info(50, 1)),
+            (2, info(6, 2)),
+            (5, info(2, 5)),
+            (9, info(3, 9)),
+        ];
+        let quotes_of_5 = [
+            (1, info(51, 1)),
+            (2, info(1, 2)),
+            (5, info(4, 5)),
+            (9, info(7, 9)),
+        ];
+        let hear = |own_quoted: bool| {
+            let keep = |quotes: &[(u64, PriorityInfo)]| -> Vec<(u64, PriorityInfo)> {
+                quotes
+                    .iter()
+                    .copied()
+                    .filter(|&(i, _)| own_quoted || i != 1)
+                    .collect()
+            };
+            // round 1 learns every id in one batch, round 2 updates the
+            // ids it already holds in place: the order must hold on both
+            let mut node = GrpNode::new(n(1), cfg(3));
+            for _ in 0..2 {
+                node.receive(forged(2, &[&[2], &[1, 9], &[5]], &keep(&quotes_of_2)));
+                node.receive(forged(5, &[&[5], &[1, 9], &[2]], &keep(&quotes_of_5)));
+                node.on_round();
+            }
+            node
+        };
+        let node = hear(true);
+        let msg = node.build_message();
+        // none of 2, 5 or 9 is in the view yet, so the broadcast relays
+        // exactly what was learnt about each
+        assert!(!node.view().contains(&n(9)) && !node.in_group());
+        for (quoted, learnt, why) in [
+            (9, info(7, 9), "the highest sender wins"),
+            (5, info(4, 5), "5 speaks for itself"),
+            (2, info(6, 2), "2 speaks for itself, after 5 quoted it"),
+        ] {
+            assert_eq!(msg.priority_of(n(quoted)), Some(learnt), "{why}");
+        }
+        // the quotes of node 1 moved nothing: it learns no priority of its own
+        assert_eq!(canonical(&node), canonical(&hear(false)));
+    }
+
+    #[test]
+    fn compute_buffers_carry_nothing_between_nodes() {
+        let busy = || {
+            let mut node = GrpNode::new(n(1), cfg(3));
+            for s in 2..8 {
+                let far = 10 + s;
+                node.receive(forged(
+                    s,
+                    &[&[s], &[1, far]],
+                    &[(1, info(9, 1)), (s, info(s, s)), (far, info(far, far))],
+                ));
+            }
+            node.compute();
+            node
+        };
+        let small = || {
+            let mut node = GrpNode::new(n(30), cfg(3));
+            for s in [31, 32] {
+                node.receive(forged(s, &[&[s], &[30]], &[(s, info(1, s))]));
+            }
+            node.compute();
+            canonical(&node)
+        };
+        assert!(busy().list().contains(n(17)), "the six lists were folded");
+        let after_busy = small();
+        let fresh = std::thread::spawn(small).join().unwrap();
+        assert_eq!(after_busy, fresh);
     }
 
     #[test]

@@ -84,6 +84,11 @@ impl<V> NodeTable<V> {
         self.entries.iter()
     }
 
+    /// The entries in ascending id order, as one slice.
+    pub(crate) fn as_slice(&self) -> &[(NodeId, V)] {
+        &self.entries
+    }
+
     /// The table of `entries`, given in any order: sorted by id, and a
     /// repeated id keeps its last value. The vector becomes the table's
     /// storage as it is, so a caller that sized it exactly gets a table

@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Summarise alternating parent/change runs of the grp-bench driver.
+
+Reads JSON lines: each is one driver line (the last line the
+`BENCHMARK.json` command prints: `correct`, `failed`, `metrics`) with keys
+added by whoever ran it: `label` ("parent" or "change"), `workload`, and
+optionally `seed` and `pair`. Lines that are not JSON objects with a
+`label` are skipped, so a raw log can be fed as it is.
+
+For every workload (and seed) and every metric it prints one row of the
+table format CHANGES.md uses:
+
+  | workload (seed) | metric | parent median [q1–q3] | change median [q1–q3]
+  | Δ median | pairs won | parent IQR | verdict |
+
+The i-th parent run is paired with the i-th change run (or by `pair`, when
+given). A pair is won when the change reads better; ties count for
+neither side. The verdict is the rule for claiming a gain: the change wins
+at least nine tenths of the pairs, and the medians differ by more than the
+parent's interquartile range. Which way is better comes from the
+metric's `better` in BENCHMARK.json (lower when it is not listed there). A
+group with a run that is not `correct` or that has `failed` > 0 reads
+"invalid".
+
+Usage:
+  python3 scripts/ab_summary.py [FILE]...   (stdin if none)
+  python3 scripts/ab_summary.py --self-test
+"""
+
+import json
+import os
+import statistics
+import sys
+
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCHMARK.json")
+
+HEADER = (
+    "  | workload (seed) | metric | parent median [q1–q3] | change median [q1–q3] "
+    "| Δ median | pairs won | parent IQR | verdict |\n"
+    "  |---|---|---|---|---|---|---|---|"
+)
+
+
+def quartiles(xs):
+    """(q1, median, q3), linearly interpolated between order statistics."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def num(x):
+    return f"{x:.4g}"
+
+
+def signed_percent(x):
+    return f"{x:+.1f} %".replace("-", "−")
+
+
+def load(lines):
+    """{(workload, seed): {"parent": [run], "change": [run]}} in input order."""
+    groups = {}
+    for line in lines:
+        line = line.strip()
+        if not line.startswith("{"):
+            continue
+        try:
+            run = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        label = run.get("label")
+        if label not in ("parent", "change"):
+            continue
+        key = (run.get("workload", "?"), run.get("seed"))
+        groups.setdefault(key, {"parent": [], "change": []})[label].append(run)
+    return groups
+
+
+def pairs_of(parents, changes):
+    if all("pair" in r for r in parents + changes):
+        by_pair = {r["pair"]: r for r in changes}
+        return [(p, by_pair[p["pair"]]) for p in parents if p["pair"] in by_pair]
+    return list(zip(parents, changes))
+
+
+def higher_is_better():
+    """The metrics BENCHMARK.json marks `"better": "higher"`."""
+    with open(BENCHMARK_JSON, encoding="utf-8") as f:
+        bench = json.load(f)
+    metrics = bench.get("end_to_end", []) + bench.get("per_layer", [])
+    return {m["name"] for m in metrics if m.get("better") == "higher"}
+
+
+def summarise(lines, higher=frozenset()):
+    rows = [HEADER]
+    for (workload, seed), sides in load(lines).items():
+        name = workload if seed is None else f"{workload} ({seed})"
+        runs = sides["parent"] + sides["change"]
+        invalid = sum(1 for r in runs if not r.get("correct") or r.get("failed", 0) > 0)
+        metrics = []
+        for run in runs:
+            for metric in run.get("metrics", {}):
+                if metric not in metrics:
+                    metrics.append(metric)
+        for metric in metrics:
+            value = lambda run: run["metrics"][metric]["value"]
+            parent = [value(r) for r in sides["parent"] if metric in r.get("metrics", {})]
+            change = [value(r) for r in sides["change"] if metric in r.get("metrics", {})]
+            if not parent or not change:
+                continue
+            p1, pm, p3 = quartiles(parent)
+            c1, cm, c3 = quartiles(change)
+            sign = -1 if metric in higher else 1
+            won = tied = total = 0
+            for p, c in pairs_of(sides["parent"], sides["change"]):
+                if metric not in p.get("metrics", {}) or metric not in c.get("metrics", {}):
+                    continue
+                total += 1
+                gap = sign * (value(p) - value(c))
+                won += gap > 0
+                tied += gap == 0
+            iqr = p3 - p1
+            if invalid:
+                verdict = f"invalid ({invalid} runs not correct)"
+            elif total and won * 10 >= total * 9 and sign * (pm - cm) > iqr:
+                verdict = "gain"
+            else:
+                verdict = "no gain"
+            delta = signed_percent((cm - pm) / pm * 100) if pm else "n/a"
+            ties = f", {tied} tie" + ("s" if tied > 1 else "") if tied else ""
+            rows.append(
+                f"  | {name} | {metric} | {num(pm)} [{num(p1)}–{num(p3)}] "
+                f"| {num(cm)} [{num(c1)}–{num(c3)}] | {delta} | {won}/{total}{ties} "
+                f"| {num(iqr)} | {verdict} |"
+            )
+    return "\n".join(rows)
+
+
+def driver_line(label, pair, wall, rss, correct=True):
+    return json.dumps(
+        {
+            "correct": correct,
+            "attempted": 3,
+            "failed": 0,
+            "metrics": {
+                "wall_s": {"value": wall, "unit": "s"},
+                "peak_rss_mb": {"value": rss, "unit": "MiB"},
+            },
+            "label": label,
+            "workload": "metropolis",
+            "seed": 2010,
+            "pair": pair,
+        }
+    )
+
+
+SELF_TEST_INPUT = (
+    ["progress lines and blank lines are skipped", ""]
+    + [
+        driver_line(label, i, wall, 70.0 + i % 2 * 0.1)
+        for i, (pw, cw) in enumerate(
+            [(1.00, 0.90), (1.02, 0.91), (0.98, 0.89), (1.01, 0.92), (0.99, 0.90),
+             (1.03, 0.88), (1.00, 0.91), (0.97, 0.90), (1.01, 0.89), (0.96, 0.97)]
+        )
+        for label, wall in (("parent", pw), ("change", cw))
+    ]
+    + [
+        json.dumps({"correct": False, "failed": 1, "metrics": {}, "label": "change",
+                    "workload": "drift", "seed": 7}),
+        json.dumps({"correct": True, "failed": 0, "label": "parent", "workload": "drift",
+                    "seed": 7, "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}),
+        json.dumps({"correct": True, "failed": 0, "label": "change", "workload": "drift",
+                    "seed": 7, "metrics": {"wall_s": {"value": 0.4, "unit": "s"}}}),
+    ]
+)
+
+SELF_TEST_EXPECTED = HEADER + """
+  | metropolis (2010) | wall_s | 1 [0.9825–1.01] | 0.9 [0.8925–0.91] | −10.0 % | 9/10 | 0.0275 | gain |
+  | metropolis (2010) | peak_rss_mb | 70.05 [70–70.1] | 70.05 [70–70.1] | +0.0 % | 0/10, 10 ties | 0.1 | no gain |
+  | drift (7) | wall_s | 0.5 [0.5–0.5] | 0.4 [0.4–0.4] | −20.0 % | 0/0 | 0 | invalid (1 runs not correct) |"""
+
+
+def self_test():
+    got = summarise(SELF_TEST_INPUT)
+    if got != SELF_TEST_EXPECTED:
+        print("ab_summary self-test FAILED\n--- expected\n" + SELF_TEST_EXPECTED
+              + "\n--- got\n" + got, file=sys.stderr)
+        return 1
+    print("ab_summary self-test passed")
+    return 0
+
+
+def main(argv):
+    if argv == ["--self-test"]:
+        return self_test()
+    if any(arg.startswith("-") for arg in argv):
+        print(__doc__, file=sys.stderr)
+        return 2
+    lines = [] if argv else sys.stdin.read().splitlines()
+    for path in argv:
+        with open(path, encoding="utf-8") as f:
+            lines.extend(f.read().splitlines())
+    print(summarise(lines, higher_is_better()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
