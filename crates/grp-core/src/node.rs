@@ -14,17 +14,25 @@
 //!
 //! `compute()` reads each received message once. Its first step is one
 //! pass over `msgSetv` that copies every received list and every quoted
-//! priority into working buffers, in sender order; the priority absorption
-//! and the checks of lines 1–9 then read those copies, not the message
-//! bodies other nodes built. The copying pass takes the cache misses on
-//! those bodies back to back, instead of one at a time between dependent
-//! table lookups.
+//! priority into working buffers, in sender order; the checks of lines 1–9
+//! and the priority merge then read those copies, not the message bodies
+//! other nodes built. The copying pass takes the cache misses on those
+//! bodies back to back, instead of one at a time between dependent table
+//! lookups.
+//!
+//! The learnt-priority table holds only what `compute()` and the next
+//! broadcast read: the priorities of the ids of the first `ant` fold of
+//! lines 10–13 and of the previous view. Right after that fold it is
+//! rewritten whole: those ids, sorted, take their old values, and then
+//! each sender's id-sorted quotes in one merge each, so the table never
+//! keeps an id nothing reads again.
 //!
 //! `compute()`'s working buffers — the gathered lists and quotes, the rows
-//! of the one-pass `ant` fold, the sorted unmarked ids and the batches of
-//! ids new to the priority and quarantine tables — live in one set per
-//! thread, shared by every node the thread runs, so a node's own
-//! footprint is only its semantic state and its cached broadcast.
+//! of the one-pass `ant` fold, the ids whose priorities are kept, the
+//! sorted unmarked ids and the batch of new quarantine candidates — live
+//! in one set per thread, shared by every node the thread runs, so a
+//! node's own footprint is only its semantic state and its cached
+//! broadcast.
 
 use crate::ancestor_list::AncestorList;
 use crate::checks::{compatible_list, good_list, naive_compatible_list};
@@ -46,18 +54,23 @@ struct ComputeScratch {
     checked: Vec<(NodeId, AncestorList)>,
     /// Every `(node, priorities)` the received messages quote, in sender
     /// order and then id order: the gather pass copies each message's
-    /// priority table in, `absorb_priorities` reads it.
+    /// priority table in, `learn_priorities` merges it.
     quotes: Vec<(NodeId, PriorityInfo)>,
+    /// Where each sender's run of `quotes` starts, in sender order.
+    runs: Vec<usize>,
     /// Each sender's quote of itself, in sender order: the gather pass
-    /// finds it in the copy it just made, `absorb_priorities` applies it
+    /// finds it in the copy it just made, `learn_priorities` applies it
     /// after `quotes`.
     self_quotes: Vec<(NodeId, PriorityInfo)>,
     /// Lines 10–13 and 24–27: the rows of [`AncestorList::ant_fold`].
     rows: Vec<(NodeId, u32, Mark)>,
+    /// The ids whose priorities the table keeps this round, sorted, each
+    /// with the value `learn_priorities` has found for it so far.
+    needed: Vec<(NodeId, Option<PriorityInfo>)>,
+    /// The known entries of `needed`: the new learnt-priority table.
+    learnt: Vec<(NodeId, PriorityInfo)>,
     /// Lines 30–31: the unmarked ids of the new `listv`, sorted.
     unmarked: Vec<NodeId>,
-    /// The priorities of ids `absorb_priorities` learns this round.
-    learnt: Vec<(NodeId, PriorityInfo)>,
     /// Line 30: the quarantine counters of this round's new candidates.
     arrivals: Vec<(NodeId, u32)>,
 }
@@ -93,7 +106,11 @@ pub struct GrpNode {
     /// Was the node part of a group of two or more at the end of the last
     /// compute? Used to detect the in-group → alone transition.
     was_in_group: bool,
-    /// Priorities learnt from received messages, per quoted node.
+    /// Priorities learnt from received messages, for exactly the ids the
+    /// last compute's first `ant` fold produced and the members of the
+    /// view before it, this node excepted: every id that compute's
+    /// far-node arbitration, the group priority or the next broadcast can
+    /// read. Rewritten whole by every compute.
     known_priorities: NodeTable<PriorityInfo>,
     /// Number of compute-timer expirations so far (diagnostics).
     compute_count: u64,
@@ -175,9 +192,16 @@ impl GrpNode {
         group_priority(members).unwrap_or_else(|| self.priority())
     }
 
-    /// Remaining quarantine of a candidate, if it is being tracked.
-    pub fn quarantine_of(&self, node: NodeId) -> Option<u32> {
-        self.quarantine.get(node).copied()
+    /// The learnt priorities, in ascending id order (see `compute()` for
+    /// which ids the table keeps).
+    pub fn known_priorities(&self) -> &NodeTable<PriorityInfo> {
+        &self.known_priorities
+    }
+
+    /// The quarantine counters of the candidates being tracked (rounds
+    /// remaining before each may enter the view), in ascending id order.
+    pub fn quarantines(&self) -> &NodeTable<u32> {
+        &self.quarantine
     }
 
     /// "Upon reception of a message msg sent by a node u: update message of
@@ -249,12 +273,18 @@ impl GrpNode {
     /// The `compute()` procedure of Section 4.3.
     ///
     /// A first pass copies the received lists and priority tables into
-    /// buffers kept per thread. The fold rows, the unmarked ids and the
-    /// batches of new table ids use such buffers too, the fold writes
-    /// `listv` in place and new ids merge into their table in place, so a
-    /// round allocates only when a buffer must grow, when the view changes
-    /// (its set is rebuilt), and when ids join the priority or quarantine
-    /// table (which grows by exactly those ids).
+    /// buffers kept per thread. The fold rows, the kept priority ids, the
+    /// unmarked ids and the batch of new quarantine ids use such buffers
+    /// too, the fold writes `listv` in place, the learnt priorities are
+    /// copied into the table's own vector and new quarantine ids merge into
+    /// their table in place, so a round allocates only when a buffer must
+    /// grow, when the view changes (its set is rebuilt), and when the
+    /// priority or quarantine table outgrows its allocation.
+    ///
+    /// The learnt priorities are rewritten right after the first fold of
+    /// lines 10–13, which is where the table's ids are first known: no
+    /// check of lines 1–9 reads it, and the far-node arbitration of lines
+    /// 14–29 reads it only for ids of that fold and of the previous view.
     pub fn compute(&mut self) {
         self.compute_count += 1;
         let dmax = self.config.dmax;
@@ -263,35 +293,39 @@ impl GrpNode {
         let ComputeScratch {
             checked,
             quotes,
+            runs,
             self_quotes,
             rows,
-            unmarked,
+            needed,
             learnt,
+            unmarked,
             arrivals,
         } = &mut scratch;
 
         // ---------------------------------------------------------- gather
         // Read each received message once, in sender order: its list into
-        // a checked slot, its priority table onto `quotes`, and the
-        // sender's quote of itself, found in that copy, onto `self_quotes`.
+        // a checked slot, its priority table onto `quotes` as one run, and
+        // the sender's quote of itself, found in that copy, onto
+        // `self_quotes`.
         let senders = self.msg_set.len();
         if checked.len() < senders {
             checked.resize_with(senders, || (own_id, AncestorList::empty()));
         }
         let checked = &mut checked[..senders];
         quotes.clear();
+        runs.clear();
         self_quotes.clear();
         for ((u, lu), &(sender, ref msg)) in checked.iter_mut().zip(&self.msg_set) {
             *u = sender;
             lu.clone_from(&msg.list);
             let start = quotes.len();
+            runs.push(start);
             quotes.extend_from_slice(msg.priorities.as_slice());
             let own_quote = quotes[start..].binary_search_by_key(&sender, |&(node, _)| node);
             if let Ok(i) = own_quote {
                 self_quotes.push(quotes[start + i]);
             }
         }
-        self.absorb_priorities(quotes, self_quotes, learnt);
 
         // ------------------------------------------------------- lines 1-9
         // Checking the received lists, in sender order.
@@ -314,12 +348,17 @@ impl GrpNode {
         // readers.
         self.list
             .ant_fold(self.id, checked.iter().map(|(_, lu)| lu), rows);
+        // the fold's ids, sorted, and the previous view are every id whose
+        // priority this compute or the next broadcast reads
+        self.learn_priorities(rows, quotes, runs, self_quotes, needed, learnt);
 
         // ---------------------------------------------------- lines 14-29
         // Removal of incoming lists containing too-far nodes with priority.
         if self.list.len() > dmax + 1 {
+            // neither the view nor the table moves inside the loop
+            let group_priority = self.group_priority();
             for &(w, _) in self.list.level(dmax + 1).unwrap_or(&[]) {
-                if self.far_node_has_priority(w) {
+                if self.far_node_has_priority(w, group_priority) {
                     // lines 17-21: the neighbours that provided w (w in the
                     // last place of their list) are ignored and double-marked
                     for (u, lu) in checked.iter_mut() {
@@ -385,8 +424,9 @@ impl GrpNode {
     /// compared inside a group; across groups the group priorities are
     /// compared (this is a merge arbitration). Unknown priorities never win,
     /// which biases towards preserving the local group — the conservative
-    /// choice for continuity.
-    fn far_node_has_priority(&self, w: NodeId) -> bool {
+    /// choice for continuity. `group_priority` is this node's
+    /// [`group_priority`](Self::group_priority).
+    fn far_node_has_priority(&self, w: NodeId, group_priority: Priority) -> bool {
         if w == self.id {
             return false;
         }
@@ -395,40 +435,74 @@ impl GrpNode {
                 if self.view.contains(&w) {
                     info.node.beats(&self.priority())
                 } else {
-                    info.group.beats(&self.group_priority())
+                    info.group.beats(&group_priority)
                 }
             }
             None => false,
         }
     }
 
-    /// Learn priorities quoted in the received messages, from the copies
-    /// the gather pass made: `quotes` holds every quote in sender order,
-    /// `self_quotes` each sender's quote of itself. A sender is the
-    /// authority on its own priority; for third-party nodes any quote is
-    /// accepted (the highest sender id wins by iteration order), and quotes
-    /// of this node are skipped. Known ids are updated in place; the ids
-    /// learnt this round gather in `learnt` and enter in one merge.
-    fn absorb_priorities(
+    /// Rewrite the learnt-priority table from the copies the gather pass
+    /// made. The table keeps the ids of the first fold (`rows`, sorted by
+    /// id) and of the previous view, this node excepted. Each starts from
+    /// its old value, if any; then every sender's run of `quotes` (`runs`
+    /// holds where each starts), in sender order, overwrites the ids it
+    /// quotes, so for a third-party node the highest sender id wins; last,
+    /// `self_quotes` apply, since a sender is the authority on its own
+    /// priority. An id nobody quoted this round keeps its old value, or
+    /// stays unknown.
+    ///
+    /// Every broadcast quotes every node its list names (`build_message`
+    /// quotes its whole list, `corrupt_message` quotes its ghost), so every
+    /// id of the fold was quoted this round by the sender whose list
+    /// carried it; and the previous view was in the previous fold. Every
+    /// value that is read is then the one a table of every id ever quoted
+    /// would give. A forged list naming a node it does not quote, or a
+    /// corrupted state naming a node the table no longer holds, makes
+    /// that node read as unknown.
+    fn learn_priorities(
         &mut self,
+        rows: &[(NodeId, u32, Mark)],
         quotes: &[(NodeId, PriorityInfo)],
+        runs: &[usize],
         self_quotes: &[(NodeId, PriorityInfo)],
+        needed: &mut Vec<(NodeId, Option<PriorityInfo>)>,
         learnt: &mut Vec<(NodeId, PriorityInfo)>,
     ) {
         let own_id = self.id;
-        for &(node, info) in quotes {
-            if node == own_id {
-                continue;
+        needed.clear();
+        let mut push = |node: NodeId| {
+            if node != own_id {
+                needed.push((node, None));
             }
-            match self.known_priorities.get_mut(node) {
-                Some(known) => *known = info,
-                None => learnt.push((node, info)),
+        };
+        // merge the two sorted sets
+        let mut view = self.view.iter().copied().peekable();
+        for &(node, _, _) in rows {
+            while let Some(member) = view.next_if(|&member| member < node) {
+                push(member);
             }
+            view.next_if_eq(&node);
+            push(node);
         }
-        self.known_priorities.merge_batch(learnt);
+        view.for_each(push);
+        overwrite_known(needed, self.known_priorities.as_slice());
+        for (k, &start) in runs.iter().enumerate() {
+            let end = runs.get(k + 1).copied().unwrap_or(quotes.len());
+            overwrite_known(needed, &quotes[start..end]);
+        }
         for &(sender, info) in self_quotes {
-            self.known_priorities.insert(sender, info);
+            if let Ok(i) = needed.binary_search_by_key(&sender, |&(node, _)| node) {
+                needed[i].1 = Some(info);
+            }
         }
+        learnt.clear();
+        learnt.extend(
+            needed
+                .iter()
+                .filter_map(|&(node, info)| info.map(|info| (node, info))),
+        );
+        self.known_priorities.assign(learnt);
     }
 
     /// Line 30: the quarantine of new nodes is `Dmax`; non-null quarantines
@@ -510,9 +584,12 @@ impl GrpNode {
     /// [`netsim::CanonicalState`] encoding. Two nodes feed identical bytes
     /// iff they are behaviourally indistinguishable: `listv`, `viewv`,
     /// `msgSetv`, the quarantine counters, the priority clock and the learnt
-    /// priorities all enter; the compute counter and the cached broadcast (diagnostics and derived caches) do not — including
-    /// them would make every reachable state unique and the explorer's
-    /// visited-set useless.
+    /// priorities all enter; the compute counter and the cached broadcast
+    /// (diagnostics and derived caches) do not — including them would make
+    /// every reachable state unique and the explorer's visited-set useless.
+    /// The learnt priorities name only the ids of the last compute's first
+    /// fold and of the view before it, so two states that differ only in
+    /// priorities no compute reads again hash equal.
     pub fn feed_canonical(&self, hasher: &mut netsim::CanonicalHasher) {
         hasher.begin_list("grp-node");
         hasher.feed_u64(self.id.raw());
@@ -642,6 +719,22 @@ impl GrpNode {
         variants.push(("pending-marks".to_string(), single));
 
         variants
+    }
+}
+
+/// Give every id of `needed` that `run` quotes the quoted value, in one
+/// merge: both are sorted by id, and `run` names each id once.
+fn overwrite_known(needed: &mut [(NodeId, Option<PriorityInfo>)], run: &[(NodeId, PriorityInfo)]) {
+    let mut i = 0;
+    for &(node, info) in run {
+        while i < needed.len() && needed[i].0 < node {
+            i += 1;
+        }
+        match needed.get_mut(i) {
+            Some(slot) if slot.0 == node => slot.1 = Some(info),
+            Some(_) => {}
+            None => break,
+        }
     }
 }
 
@@ -1067,8 +1160,8 @@ mod tests {
                     .filter(|&(i, _)| own_quoted || i != 1)
                     .collect()
             };
-            // round 1 learns every id in one batch, round 2 updates the
-            // ids it already holds in place: the order must hold on both
+            // round 1 starts from an empty table, round 2 from what round
+            // 1 kept: the order must hold on both
             let mut node = GrpNode::new(n(1), cfg(3));
             for _ in 0..2 {
                 node.receive(forged(2, &[&[2], &[1, 9], &[5]], &keep(&quotes_of_2)));

@@ -8,10 +8,12 @@
 //! [`NodeTable`] is one `Vec` sorted by id: lookup is a binary search,
 //! iteration is a slice walk in exactly the key order a `BTreeMap` would
 //! give, and adding a batch of ids is one sort of the batch and one merge
-//! into the table's own vector (`NodeTable::merge_batch`).
+//! into the table's own vector (`NodeTable::merge_batch`); replacing the
+//! whole table with an already sorted set is one copy (`NodeTable::assign`).
 //!
 //! The entries are private, so "sorted by id, each id once" holds by
-//! construction: every method that adds an id keeps it.
+//! construction: every method that adds an id keeps it (`assign`, which
+//! takes an already sorted set, checks it in debug builds).
 
 use dyngraph::NodeId;
 
@@ -100,6 +102,16 @@ impl<V> NodeTable<V> {
 }
 
 impl<V: Clone> NodeTable<V> {
+    /// Make `entries` — sorted by id, each id once — the whole table, in
+    /// the table's own allocation: it grows to exactly the largest set it
+    /// has been given and is not handed any other vector's spare capacity.
+    pub(crate) fn assign(&mut self, entries: &[(NodeId, V)]) {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        self.entries.clear();
+        self.entries.reserve_exact(entries.len());
+        self.entries.extend_from_slice(entries);
+    }
+
     /// Insert every entry of `batch` as repeated [`insert`](Self::insert)
     /// would — a later entry for an id replaces an earlier one — and hand
     /// `batch` back empty, its capacity kept for the caller's next batch.
@@ -244,6 +256,30 @@ mod tests {
             prop_assert!(buffer.is_empty(), "the buffer comes back empty");
             prop_assert!(table.iter().zip(table.iter().skip(1)).all(|(a, b)| a.0 < b.0));
         }
+    }
+
+    #[test]
+    fn assign_replaces_the_table_in_its_own_allocation() {
+        let mut table: NodeTable<char> = NodeTable::new();
+        let mut source = Vec::with_capacity(16);
+        source.extend([(1, 'a'), (4, 'b'), (7, 'c')].map(|(id, v)| (n(id), v)));
+        table.assign(&source);
+        assert_eq!(table.as_slice(), source.as_slice());
+        assert_eq!(
+            table.entries.capacity(),
+            3,
+            "sized to the set, not the source"
+        );
+        table.assign(&source[1..]);
+        let ids: Vec<u64> = table.iter().map(|&(id, _)| id.raw()).collect();
+        assert_eq!(ids, [4, 7]);
+        assert_eq!(
+            table.entries.capacity(),
+            3,
+            "a smaller set reuses the allocation"
+        );
+        table.assign(&[]);
+        assert!(table.is_empty());
     }
 
     #[test]

@@ -9,7 +9,15 @@
 //! twice, forged messages whose priority tables quote the receiver and
 //! contradict each other, in-flight `corrupt_message` ghosts, `corrupt`, and
 //! every `enumerate_corruptions` state. After every step each node's view,
-//! list, built message and canonical encoding must agree with the oracle's.
+//! list, built message and canonical encoding must agree with the oracle's,
+//! and after every compute the learnt-priority table may name only ids of
+//! that compute's first fold or of the view before it.
+//!
+//! The oracle also keeps the learnt-priority table the node kept before
+//! that table was bounded: every id any message ever quoted
+//! ([`Absorption::Full`]). On executions whose messages quote every node
+//! they list, the bounded node must read exactly as that one: same lists,
+//! views, quarantines, priority clocks and broadcasts.
 
 use dyngraph::NodeId;
 use grp_core::ancestor_list::AncestorList;
@@ -18,10 +26,11 @@ use grp_core::marks::Mark;
 use grp_core::priority::Priority;
 use grp_core::{GrpConfig, GrpNode, PriorityInfo};
 use netsim::{CanonicalHasher, Protocol, TraceDigest};
-use oracle::{RefMessage, RefNode};
+use oracle::{Absorption, RefMessage, RefNode};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The bookkeeping `GrpNode` kept before its tables went flat, transcribed
 /// line for line: `BTreeMap` tables, `BTreeSet` views and a set-building
@@ -35,6 +44,16 @@ mod oracle {
     use grp_core::{GrpConfig, GrpMessage, PriorityInfo};
     use netsim::CanonicalHasher;
     use std::collections::{BTreeMap, BTreeSet};
+
+    /// Which ids the learnt-priority table keeps after a compute.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub enum Absorption {
+        /// The ids of the first fold of lines 10–13 and of the view before
+        /// the compute, the node's own id excepted: `GrpNode`'s rule.
+        Bounded,
+        /// Every id any received message ever quoted.
+        Full,
+    }
 
     fn core_len(list: &AncestorList, exclude: &BTreeSet<NodeId>) -> usize {
         let mut deepest = None;
@@ -145,22 +164,26 @@ mod oracle {
     pub struct RefNode {
         id: NodeId,
         config: GrpConfig,
+        absorption: Absorption,
         pub list: AncestorList,
         pub view: BTreeSet<NodeId>,
         msg_set: BTreeMap<NodeId, RefMessage>,
-        quarantine: BTreeMap<NodeId, u32>,
+        pub quarantine: BTreeMap<NodeId, u32>,
         priority_value: u64,
         was_in_group: bool,
         known_priorities: BTreeMap<NodeId, PriorityInfo>,
+        /// The ids of the last compute's first fold (not node state).
+        pub first_fold: BTreeSet<NodeId>,
     }
 
     impl RefNode {
-        pub fn new(id: NodeId, config: GrpConfig) -> Self {
+        pub fn new(id: NodeId, config: GrpConfig, absorption: Absorption) -> Self {
             let mut view = BTreeSet::new();
             view.insert(id);
             RefNode {
                 id,
                 config,
+                absorption,
                 list: AncestorList::singleton(id),
                 view,
                 msg_set: BTreeMap::new(),
@@ -168,10 +191,11 @@ mod oracle {
                 priority_value: 0,
                 was_in_group: false,
                 known_priorities: BTreeMap::new(),
+                first_fold: BTreeSet::new(),
             }
         }
 
-        fn priority(&self) -> Priority {
+        pub fn priority(&self) -> Priority {
             Priority::new(self.priority_value, self.id)
         }
 
@@ -231,7 +255,6 @@ mod oracle {
 
         fn compute(&mut self) {
             let dmax = self.config.dmax;
-            self.absorb_priorities();
             let mut checked: BTreeMap<NodeId, AncestorList> = BTreeMap::new();
             for (&sender, msg) in &self.msg_set {
                 let mut lu = msg.list.clone();
@@ -247,6 +270,8 @@ mod oracle {
             for lu in checked.values() {
                 lv = lv.ant(lu);
             }
+            self.first_fold = lv.all_nodes();
+            self.absorb_priorities();
             if lv.len() > dmax + 1 {
                 let far_nodes = lv.level_nodes(dmax + 1);
                 for w in far_nodes {
@@ -307,6 +332,9 @@ mod oracle {
             }
         }
 
+        /// Learn every quote, in sender order, then each sender's quote of
+        /// itself; a bounded table then forgets every id outside the first
+        /// fold and the view before this compute, and its own id.
         fn absorb_priorities(&mut self) {
             let own_id = self.id;
             for msg in self.msg_set.values() {
@@ -321,6 +349,12 @@ mod oracle {
                 if let Some(&self_info) = msg.priorities.get(&msg.sender) {
                     self.known_priorities.insert(msg.sender, self_info);
                 }
+            }
+            if self.absorption == Absorption::Bounded {
+                let (fold, view) = (&self.first_fold, &self.view);
+                self.known_priorities.retain(|&node, _| {
+                    node != own_id && (fold.contains(&node) || view.contains(&node))
+                });
             }
         }
 
@@ -379,7 +413,7 @@ mod oracle {
         }
 
         pub fn reboot(&mut self) {
-            *self = RefNode::new(self.id, self.config.clone());
+            *self = RefNode::new(self.id, self.config.clone(), self.absorption);
         }
 
         pub fn enumerate_corruptions(&self, universe: &[NodeId]) -> Vec<(String, RefNode)> {
@@ -638,6 +672,48 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// [`arb_step`] with every node a list names quoted, as the broadcasts of
+/// `build_message` and `corrupt_message` quote theirs: a `Forge` quotes
+/// exactly its list's nodes and its sender (whose own list always names
+/// it), with values drawn as before.
+fn arb_quoting_step() -> impl Strategy<Value = Step> {
+    arb_step().prop_map(|step| match step {
+        Step::Forge {
+            to,
+            sender,
+            list,
+            quotes,
+            group,
+        } => {
+            let drawn = |i: usize| {
+                quotes
+                    .get(i % quotes.len().max(1))
+                    .map_or((0, 0, 0), |&(_, value, group_value, group_id)| {
+                        (value, group_value, group_id)
+                    })
+            };
+            let mut quoted = list.all_nodes();
+            quoted.insert(NodeId(sender));
+            let quotes = quoted
+                .into_iter()
+                .enumerate()
+                .map(|(i, node)| {
+                    let (value, group_value, group_id) = drawn(i);
+                    (node.raw(), value, group_value, group_id)
+                })
+                .collect();
+            Step::Forge {
+                to,
+                sender,
+                list,
+                quotes,
+                group,
+            }
+        }
+        other => other,
+    })
+}
+
 /// A graph on `n` nodes, the config knobs and a script of steps.
 #[derive(Clone, Debug)]
 struct Run {
@@ -649,13 +725,13 @@ struct Run {
     steps: Vec<Step>,
 }
 
-fn arb_run() -> impl Strategy<Value = Run> {
+fn arb_run(step: impl Strategy<Value = Step>) -> impl Strategy<Value = Run> {
     (
         2usize..11,
         proptest::collection::vec((0usize..10, 0usize..10), 0..20),
         1usize..4,
         (0u8..4, 0u8..4),
-        proptest::collection::vec(arb_step(), 1..120),
+        proptest::collection::vec(step, 1..120),
     )
         .prop_map(|(n, pairs, dmax, (naive, quarantine), steps)| Run {
             n,
@@ -672,14 +748,35 @@ fn arb_run() -> impl Strategy<Value = Run> {
         })
 }
 
+/// A run of [`arb_quoting_step`]s whose `corrupt` steps splice in only
+/// ghosts no earlier step named (100 000 and up, distinct per step), so no
+/// node has heard them quoted before.
+fn arb_quoting_run() -> impl Strategy<Value = Run> {
+    arb_run(arb_quoting_step()).prop_map(|mut run| {
+        for (i, step) in run.steps.iter_mut().enumerate() {
+            if let Step::Corrupt { ghosts, .. } = step {
+                for ghost in ghosts.iter_mut() {
+                    *ghost += 100_000 + 16 * i as u64;
+                }
+            }
+        }
+        run
+    })
+}
+
 fn digest(feed: impl FnOnce(&mut CanonicalHasher)) -> TraceDigest {
     let mut hasher = CanonicalHasher::new();
     feed(&mut hasher);
     hasher.finalize()
 }
 
-/// Every observable the two implementations share, node by node.
-fn check_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestCaseResult {
+/// How a lockstep run compares the nodes with their oracles after a step.
+type Check = fn(&[GrpNode], &[RefNode], &Step) -> TestCaseResult;
+
+/// Everything a node's behaviour reads, against the [`Absorption::Full`]
+/// oracle: the canonical states differ only in the priorities the bounded
+/// table dropped.
+fn check_reads_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestCaseResult {
     for (node, reference) in nodes.iter().zip(refs) {
         let id = node.node_id();
         prop_assert_eq!(
@@ -696,6 +793,21 @@ fn check_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestCaseRes
             id,
             after
         );
+        let quarantine: BTreeMap<NodeId, u32> = node.quarantines().iter().copied().collect();
+        prop_assert_eq!(
+            &quarantine,
+            &reference.quarantine,
+            "quarantines of {} after {:?}",
+            id,
+            after
+        );
+        prop_assert_eq!(
+            node.priority(),
+            reference.priority(),
+            "priority of {} after {:?}",
+            id,
+            after
+        );
         prop_assert_eq!(
             RefMessage::of(&node.build_message()),
             reference.build_message(),
@@ -703,12 +815,42 @@ fn check_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestCaseRes
             id,
             after
         );
+    }
+    Ok(())
+}
+
+/// Every observable the two implementations share, node by node, against
+/// the [`Absorption::Bounded`] oracle: what the node reads, and its
+/// canonical state.
+fn check_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestCaseResult {
+    check_reads_agree(nodes, refs, after)?;
+    for (node, reference) in nodes.iter().zip(refs) {
         prop_assert_eq!(
             digest(|h| node.feed_canonical(h)),
             digest(|h| reference.feed_canonical(h)),
             "canonical state of {} after {:?}",
-            id,
+            node.node_id(),
             after
+        );
+    }
+    Ok(())
+}
+
+/// After a compute: the learnt-priority table names only ids of that
+/// compute's first fold or of the view before it, never the node itself.
+fn check_table_bound(
+    node: &GrpNode,
+    first_fold: &BTreeSet<NodeId>,
+    previous_view: &BTreeSet<NodeId>,
+) -> TestCaseResult {
+    for &(id, _) in node.known_priorities() {
+        prop_assert!(
+            id != node.node_id() && (first_fold.contains(&id) || previous_view.contains(&id)),
+            "{} keeps the priority of {}: fold {:?}, previous view {:?}",
+            node.node_id(),
+            id,
+            first_fold,
+            previous_view
         );
     }
     Ok(())
@@ -725,9 +867,11 @@ fn neighbours(run: &Run, u: usize) -> Vec<usize> {
     out
 }
 
-/// Run the script on both implementations, checking agreement after every
-/// step; the `GrpNode`s as they end.
-fn execute(run: &Run) -> Result<Vec<GrpNode>, TestCaseError> {
+/// Run the script on `GrpNode`s and on oracles that absorb priorities as
+/// `absorption` says, comparing them with `check` after every step and
+/// bounding the learnt-priority table after every compute; the `GrpNode`s
+/// as they end.
+fn execute(run: &Run, absorption: Absorption, check: Check) -> Result<Vec<GrpNode>, TestCaseError> {
     let mut config = GrpConfig::new(run.dmax);
     config.naive_compatibility = run.naive;
     config.disable_quarantine = run.no_quarantine;
@@ -738,7 +882,7 @@ fn execute(run: &Run) -> Result<Vec<GrpNode>, TestCaseError> {
         .collect();
     let mut refs: Vec<RefNode> = ids
         .iter()
-        .map(|&id| RefNode::new(id, config.clone()))
+        .map(|&id| RefNode::new(id, config.clone(), absorption))
         .collect();
     for step in &run.steps {
         match step {
@@ -754,8 +898,11 @@ fn execute(run: &Run) -> Result<Vec<GrpNode>, TestCaseError> {
                 }
             }
             &Step::Compute { node } => {
-                nodes[node % run.n].on_round();
-                refs[node % run.n].on_round();
+                let u = node % run.n;
+                let previous_view = nodes[u].view().clone();
+                nodes[u].on_round();
+                refs[u].on_round();
+                check_table_bound(&nodes[u], &refs[u].first_fold, &previous_view)?;
             }
             &Step::Duplicate { from, to } => {
                 let (u, v) = (from % run.n, to % run.n);
@@ -811,13 +958,23 @@ fn execute(run: &Run) -> Result<Vec<GrpNode>, TestCaseError> {
             }
             &Step::Corruption { node, pick } => {
                 let u = node % run.n;
-                let variants = nodes[u].enumerate_corruptions(&ids);
-                let ref_variants = refs[u].enumerate_corruptions(&ids);
+                // `premature-member` and `ghost-member` splice in a node the
+                // full table may have heard quoted long ago (a real node, or
+                // the ghost an earlier corruption spread): it reads as
+                // unknown where the bounded table dropped it
+                let comparable = |name: &str| {
+                    absorption == Absorption::Bounded
+                        || !matches!(name, "premature-member" | "ghost-member")
+                };
+                let mut variants = nodes[u].enumerate_corruptions(&ids);
+                variants.retain(|(name, _)| comparable(name));
+                let mut ref_variants = refs[u].enumerate_corruptions(&ids);
+                ref_variants.retain(|(name, _)| comparable(name));
                 let names: Vec<&String> = variants.iter().map(|(name, _)| name).collect();
                 let ref_names: Vec<&String> = ref_variants.iter().map(|(name, _)| name).collect();
                 prop_assert_eq!(names, ref_names);
                 for ((_, variant), (_, ref_variant)) in variants.iter().zip(&ref_variants) {
-                    check_agree(
+                    check(
                         std::slice::from_ref(variant),
                         std::slice::from_ref(ref_variant),
                         step,
@@ -832,7 +989,7 @@ fn execute(run: &Run) -> Result<Vec<GrpNode>, TestCaseError> {
                 refs[node % run.n].reboot();
             }
         }
-        check_agree(&nodes, &refs, step)?;
+        check(&nodes, &refs, step)?;
     }
     Ok(nodes)
 }
@@ -843,8 +1000,16 @@ proptest! {
     /// The flat node and the `BTreeMap` oracle agree on every observable
     /// after every step of a random, partly hostile execution.
     #[test]
-    fn flat_node_matches_btreemap_oracle(run in arb_run()) {
-        execute(&run)?;
+    fn flat_node_matches_btreemap_oracle(run in arb_run(arb_step())) {
+        execute(&run, Absorption::Bounded, check_agree)?;
+    }
+
+    /// When every message quotes every node it lists, keeping only the
+    /// priorities of the first fold and the previous view changes nothing
+    /// a node reads or sends.
+    #[test]
+    fn bounded_priorities_read_as_full_absorption(run in arb_quoting_run()) {
+        execute(&run, Absorption::Full, check_reads_agree)?;
     }
 
     /// The set-free compatibility tests answer exactly as the set-building
@@ -887,7 +1052,7 @@ fn lockstep_runs_reach_groups() {
             })
             .collect(),
     };
-    let nodes = execute(&run).unwrap();
+    let nodes = execute(&run, Absorption::Bounded, check_agree).unwrap();
     assert!(nodes.iter().all(|node| node.in_group()), "groups formed");
     let msg = nodes[0].build_message();
     assert!(msg.priorities.len() > 2, "third-party priorities quoted");

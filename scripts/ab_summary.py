@@ -14,13 +14,15 @@ table format CHANGES.md uses:
   | Δ median | pairs won | parent IQR | verdict |
 
 The i-th parent run is paired with the i-th change run (or by `pair`, when
-given). A pair is won when the change reads better; ties count for
-neither side. The verdict is the rule for claiming a gain: the change wins
-at least nine tenths of the pairs, and the medians differ by more than the
-parent's interquartile range. Which way is better comes from the
-metric's `better` in BENCHMARK.json (lower when it is not listed there). A
-group with a run that is not `correct` or that has `failed` > 0 reads
-"invalid".
+given). A pair is won when the change reads better and lost when it reads
+worse; ties count for neither side. The verdict is "gain" when the change
+wins at least nine tenths of the pairs and the medians differ by more than
+the parent's interquartile range, "worse" when the change loses as many
+pairs by such a gap, and "no gain" otherwise. A row whose median moved the
+wrong way by more than the metric's `bound` in BENCHMARK.json (a relative
+change) is flagged "past the bound". Which way is better comes from the
+metric's `better` there (lower when it is not listed). A group with a run
+that is not `correct` or that has `failed` > 0 reads "invalid".
 
 Usage:
   python3 scripts/ab_summary.py [FILE]...   (stdin if none)
@@ -83,15 +85,19 @@ def pairs_of(parents, changes):
     return list(zip(parents, changes))
 
 
-def higher_is_better():
-    """The metrics BENCHMARK.json marks `"better": "higher"`."""
+def metric_rules():
+    """From BENCHMARK.json: the metrics marked `"better": "higher"`, and
+    each metric's `bound`, where it has one."""
     with open(BENCHMARK_JSON, encoding="utf-8") as f:
         bench = json.load(f)
     metrics = bench.get("end_to_end", []) + bench.get("per_layer", [])
-    return {m["name"] for m in metrics if m.get("better") == "higher"}
+    higher = {m["name"] for m in metrics if m.get("better") == "higher"}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
+    return higher, bounds
 
 
-def summarise(lines, higher=frozenset()):
+def summarise(lines, higher=frozenset(), bounds=None):
+    bounds = bounds or {}
     rows = [HEADER]
     for (workload, seed), sides in load(lines).items():
         name = workload if seed is None else f"{workload} ({seed})"
@@ -111,21 +117,27 @@ def summarise(lines, higher=frozenset()):
             p1, pm, p3 = quartiles(parent)
             c1, cm, c3 = quartiles(change)
             sign = -1 if metric in higher else 1
-            won = tied = total = 0
+            won = lost = tied = total = 0
             for p, c in pairs_of(sides["parent"], sides["change"]):
                 if metric not in p.get("metrics", {}) or metric not in c.get("metrics", {}):
                     continue
                 total += 1
                 gap = sign * (value(p) - value(c))
                 won += gap > 0
+                lost += gap < 0
                 tied += gap == 0
             iqr = p3 - p1
             if invalid:
                 verdict = f"invalid ({invalid} runs not correct)"
             elif total and won * 10 >= total * 9 and sign * (pm - cm) > iqr:
                 verdict = "gain"
+            elif total and lost * 10 >= total * 9 and sign * (cm - pm) > iqr:
+                verdict = "worse"
             else:
                 verdict = "no gain"
+            bound = bounds.get(metric)
+            if bound is not None and pm and sign * (cm - pm) / abs(pm) > bound:
+                verdict += f", past the {bound:.0%} bound"
             delta = signed_percent((cm - pm) / pm * 100) if pm else "n/a"
             ties = f", {tied} tie" + ("s" if tied > 1 else "") if tied else ""
             rows.append(
@@ -136,10 +148,10 @@ def summarise(lines, higher=frozenset()):
     return "\n".join(rows)
 
 
-def driver_line(label, pair, wall, rss, correct=True):
+def driver_line(label, pair, wall, rss, workload="metropolis"):
     return json.dumps(
         {
-            "correct": correct,
+            "correct": True,
             "attempted": 3,
             "failed": 0,
             "metrics": {
@@ -147,7 +159,7 @@ def driver_line(label, pair, wall, rss, correct=True):
                 "peak_rss_mb": {"value": rss, "unit": "MiB"},
             },
             "label": label,
-            "workload": "metropolis",
+            "workload": workload,
             "seed": 2010,
             "pair": pair,
         }
@@ -165,6 +177,16 @@ SELF_TEST_INPUT = (
         for label, wall in (("parent", pw), ("change", cw))
     ]
     + [
+        driver_line(label, i, wall, rss, workload="concourse")
+        for i, (pw, cw, pr, cr) in enumerate(
+            [(0.10, 0.11, 7.0, 7.9), (0.10, 0.12, 7.1, 7.8), (0.11, 0.12, 7.0, 8.0),
+             (0.10, 0.11, 7.2, 7.9), (0.10, 0.11, 7.0, 8.1), (0.09, 0.11, 7.1, 7.9),
+             (0.10, 0.12, 7.0, 7.8), (0.11, 0.11, 7.1, 8.0), (0.10, 0.11, 7.0, 7.9),
+             (0.10, 0.11, 7.1, 7.9)]
+        )
+        for label, wall, rss in (("parent", pw, pr), ("change", cw, cr))
+    ]
+    + [
         json.dumps({"correct": False, "failed": 1, "metrics": {}, "label": "change",
                     "workload": "drift", "seed": 7}),
         json.dumps({"correct": True, "failed": 0, "label": "parent", "workload": "drift",
@@ -177,11 +199,13 @@ SELF_TEST_INPUT = (
 SELF_TEST_EXPECTED = HEADER + """
   | metropolis (2010) | wall_s | 1 [0.9825–1.01] | 0.9 [0.8925–0.91] | −10.0 % | 9/10 | 0.0275 | gain |
   | metropolis (2010) | peak_rss_mb | 70.05 [70–70.1] | 70.05 [70–70.1] | +0.0 % | 0/10, 10 ties | 0.1 | no gain |
+  | concourse (2010) | wall_s | 0.1 [0.1–0.1] | 0.11 [0.11–0.1175] | +10.0 % | 0/10, 1 tie | 0 | worse |
+  | concourse (2010) | peak_rss_mb | 7.05 [7–7.1] | 7.9 [7.9–7.975] | +12.1 % | 0/10 | 0.1 | worse, past the 10% bound |
   | drift (7) | wall_s | 0.5 [0.5–0.5] | 0.4 [0.4–0.4] | −20.0 % | 0/0 | 0 | invalid (1 runs not correct) |"""
 
 
 def self_test():
-    got = summarise(SELF_TEST_INPUT)
+    got = summarise(SELF_TEST_INPUT, bounds={"wall_s": 0.25, "peak_rss_mb": 0.1})
     if got != SELF_TEST_EXPECTED:
         print("ab_summary self-test FAILED\n--- expected\n" + SELF_TEST_EXPECTED
               + "\n--- got\n" + got, file=sys.stderr)
@@ -200,7 +224,7 @@ def main(argv):
     for path in argv:
         with open(path, encoding="utf-8") as f:
             lines.extend(f.read().splitlines())
-    print(summarise(lines, higher_is_better()))
+    print(summarise(lines, *metric_rules()))
     return 0
 
 
