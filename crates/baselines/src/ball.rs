@@ -11,28 +11,25 @@
 use crate::discovery::{Discovery, DiscoveryMessage};
 use dyngraph::NodeId;
 use grp_core::predicates::GroupMembership;
-use netsim::{Protocol, SimTime};
+use netsim::{Protocol, SimTime, View};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// One node of the neighbourhood-ball baseline.
 #[derive(Clone, Debug)]
 pub struct NeighborhoodBall {
     discovery: Discovery,
     radius: u32,
-    view: BTreeSet<NodeId>,
+    view: View,
 }
 
 impl NeighborhoodBall {
     /// A node whose pseudo-group is its `⌊Dmax/2⌋`-hop ball.
     pub fn new(id: NodeId, dmax: usize) -> Self {
         let radius = (dmax as u32 / 2).max(1);
-        let mut view = BTreeSet::new();
-        view.insert(id);
         NeighborhoodBall {
             discovery: Discovery::new(id, radius),
             radius,
-            view,
+            view: View::singleton(id),
         }
     }
 
@@ -42,7 +39,7 @@ impl NeighborhoodBall {
     }
 
     /// The current pseudo-group.
-    pub fn view(&self) -> &BTreeSet<NodeId> {
+    pub fn view(&self) -> &View {
         &self.view
     }
 }
@@ -60,8 +57,16 @@ impl Protocol for NeighborhoodBall {
 
     fn on_compute(&mut self, _now: SimTime) {
         self.discovery.recompute();
-        self.view = self.discovery.within(self.radius).map(|(n, _)| n).collect();
-        self.view.insert(self.discovery.id);
+        let view: View = self
+            .discovery
+            .within(self.radius)
+            .map(|(n, _)| n)
+            .chain([self.discovery.id])
+            .collect();
+        // an unchanged ball keeps its allocation, shared with snapshots
+        if view != self.view {
+            self.view = view;
+        }
     }
 
     fn on_send(&mut self, _now: SimTime) -> Option<DiscoveryMessage> {
@@ -76,7 +81,7 @@ impl Protocol for NeighborhoodBall {
         use rand::Rng;
         let ghost = NodeId(rng.gen_range(100_000..200_000));
         std::sync::Arc::make_mut(&mut self.discovery.distances).insert(ghost, 1);
-        self.view.insert(ghost);
+        self.view = self.view.with(ghost);
     }
 
     fn reset(&mut self) {
@@ -87,7 +92,7 @@ impl Protocol for NeighborhoodBall {
 }
 
 impl GroupMembership for NeighborhoodBall {
-    fn view(&self) -> &BTreeSet<NodeId> {
+    fn view(&self) -> &View {
         &self.view
     }
 }
@@ -115,8 +120,8 @@ mod tests {
         let mut sim = sim(7, 4, 1);
         sim.run_rounds(15);
         // radius 2 around node 3 on a path: {1, 2, 3, 4, 5}
-        let view = sim.protocol(NodeId(3)).unwrap().current_view();
-        let expected: BTreeSet<NodeId> = (1..=5).map(NodeId).collect();
+        let view = sim.protocol(NodeId(3)).unwrap().view().clone();
+        let expected: View = (1..=5).map(NodeId).collect();
         assert_eq!(view, expected);
     }
 
@@ -124,8 +129,8 @@ mod tests {
     fn neighbouring_balls_disagree() {
         let mut sim = sim(7, 4, 2);
         sim.run_rounds(15);
-        let v2 = sim.protocol(NodeId(2)).unwrap().current_view();
-        let v3 = sim.protocol(NodeId(3)).unwrap().current_view();
+        let v2 = sim.protocol(NodeId(2)).unwrap().view().clone();
+        let v3 = sim.protocol(NodeId(3)).unwrap().view().clone();
         assert_ne!(v2, v3, "no agreement by construction");
     }
 
@@ -134,7 +139,7 @@ mod tests {
         let mut sim = sim(4, 2, 3);
         sim.run_rounds(10);
         for (id, node) in sim.protocols() {
-            assert!(node.current_view().contains(&id));
+            assert!(node.view().clone().contains(&id));
         }
         let mut node = NeighborhoodBall::new(NodeId(9), 2);
         let mut rng = rand::SeedableRng::seed_from_u64(4);

@@ -12,9 +12,8 @@
 use crate::discovery::{Discovery, DiscoveryMessage};
 use dyngraph::NodeId;
 use grp_core::predicates::GroupMembership;
-use netsim::{Protocol, SimTime};
+use netsim::{Protocol, SimTime, View};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// One node of the min-id k-clustering baseline.
 #[derive(Clone, Debug)]
@@ -23,22 +22,20 @@ pub struct KHopClustering {
     /// Cluster radius `k` (heads gather nodes within `k` hops).
     k: u32,
     head: NodeId,
-    view: BTreeSet<NodeId>,
+    view: View,
 }
 
 impl KHopClustering {
     /// A node configured for groups of diameter at most `dmax`.
     pub fn new(id: NodeId, dmax: usize) -> Self {
         let k = (dmax as u32 / 2).max(1);
-        let mut view = BTreeSet::new();
-        view.insert(id);
         KHopClustering {
             // the discovery horizon must cover the head (≤ k hops) plus the
             // other members of its ball (k more hops)
             discovery: Discovery::new(id, 2 * k),
             k,
             head: id,
-            view,
+            view: View::singleton(id),
         }
     }
 
@@ -53,7 +50,7 @@ impl KHopClustering {
     }
 
     /// The current view.
-    pub fn view(&self) -> &BTreeSet<NodeId> {
+    pub fn view(&self) -> &View {
         &self.view
     }
 
@@ -67,7 +64,7 @@ impl KHopClustering {
             .min()
             .unwrap_or(self.discovery.id);
         // group = nodes that advertised the same head, plus ourselves
-        let mut view: BTreeSet<NodeId> = self
+        let mut members: Vec<NodeId> = self
             .discovery
             .advertised_heads
             .iter()
@@ -78,11 +75,15 @@ impl KHopClustering {
         // itself and anything the discovery saw within k of the head is a
         // plausible member); keep it simple and honest: only ourselves plus
         // explicit confirmations
-        view.insert(self.discovery.id);
+        members.push(self.discovery.id);
         if self.discovery.distances.contains_key(&self.head) {
-            view.insert(self.head);
+            members.push(self.head);
         }
-        self.view = view;
+        let view: View = members.into_iter().collect();
+        // an unchanged view keeps its allocation, shared with snapshots
+        if view != self.view {
+            self.view = view;
+        }
     }
 }
 
@@ -114,7 +115,7 @@ impl Protocol for KHopClustering {
         let ghost = NodeId(rng.gen_range(100_000..200_000));
         std::sync::Arc::make_mut(&mut self.discovery.distances).insert(ghost, 1);
         self.head = ghost;
-        self.view.insert(ghost);
+        self.view = self.view.with(ghost);
     }
 
     fn reset(&mut self) {
@@ -125,7 +126,7 @@ impl Protocol for KHopClustering {
 }
 
 impl GroupMembership for KHopClustering {
-    fn view(&self) -> &BTreeSet<NodeId> {
+    fn view(&self) -> &View {
         &self.view
     }
 }
@@ -173,7 +174,7 @@ mod tests {
         sim.run_rounds(20);
         for (id, node) in sim.protocols() {
             assert!(node.view().contains(&id));
-            assert!(node.current_view().contains(&id));
+            assert!(node.view().clone().contains(&id));
         }
     }
 

@@ -14,9 +14,8 @@
 use crate::discovery::{Discovery, DiscoveryMessage};
 use dyngraph::NodeId;
 use grp_core::predicates::GroupMembership;
-use netsim::{Protocol, SimTime};
+use netsim::{Protocol, SimTime, View};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// One node of the Max-Min d-cluster baseline.
 #[derive(Clone, Debug)]
@@ -25,20 +24,18 @@ pub struct MaxMinDCluster {
     /// Cluster radius `d`.
     d: u32,
     head: NodeId,
-    view: BTreeSet<NodeId>,
+    view: View,
 }
 
 impl MaxMinDCluster {
     /// A node configured for groups of diameter at most `dmax`.
     pub fn new(id: NodeId, dmax: usize) -> Self {
         let d = (dmax as u32 / 2).max(1);
-        let mut view = BTreeSet::new();
-        view.insert(id);
         MaxMinDCluster {
             discovery: Discovery::new(id, 2 * d),
             d,
             head: id,
-            view,
+            view: View::singleton(id),
         }
     }
 
@@ -53,7 +50,7 @@ impl MaxMinDCluster {
     }
 
     /// The current view.
-    pub fn view(&self) -> &BTreeSet<NodeId> {
+    pub fn view(&self) -> &View {
         &self.view
     }
 
@@ -87,18 +84,22 @@ impl MaxMinDCluster {
             Some((n, _)) => n,
             None => max_head,
         };
-        let mut view: BTreeSet<NodeId> = self
+        let mut members: Vec<NodeId> = self
             .discovery
             .advertised_heads
             .iter()
             .filter(|(_, &h)| h == self.head)
             .map(|(&n, _)| n)
             .collect();
-        view.insert(me);
+        members.push(me);
         if self.discovery.distances.contains_key(&self.head) {
-            view.insert(self.head);
+            members.push(self.head);
         }
-        self.view = view;
+        let view: View = members.into_iter().collect();
+        // an unchanged view keeps its allocation, shared with snapshots
+        if view != self.view {
+            self.view = view;
+        }
     }
 }
 
@@ -129,7 +130,7 @@ impl Protocol for MaxMinDCluster {
         use rand::Rng;
         let ghost = NodeId(rng.gen_range(100_000..200_000));
         std::sync::Arc::make_mut(&mut self.discovery.distances).insert(ghost, 1);
-        self.view.insert(ghost);
+        self.view = self.view.with(ghost);
     }
 
     fn reset(&mut self) {
@@ -140,7 +141,7 @@ impl Protocol for MaxMinDCluster {
 }
 
 impl GroupMembership for MaxMinDCluster {
-    fn view(&self) -> &BTreeSet<NodeId> {
+    fn view(&self) -> &View {
         &self.view
     }
 }
@@ -150,6 +151,7 @@ mod tests {
     use super::*;
     use dyngraph::generators::path;
     use netsim::{SimConfig, Simulator, TopologyMode};
+    use std::collections::BTreeSet;
 
     fn sim(n: usize, dmax: usize, seed: u64) -> Simulator<MaxMinDCluster> {
         let mut sim = Simulator::new(
@@ -186,7 +188,7 @@ mod tests {
         let mut sim = sim(7, 2, 2);
         sim.run_rounds(20);
         for (id, node) in sim.protocols() {
-            assert!(node.current_view().contains(&id));
+            assert!(node.view().clone().contains(&id));
         }
     }
 

@@ -5,9 +5,7 @@
 //! topology events that move one configuration's graph to the next, the
 //! distance and diameter computations the Dynamic Group Service
 //! specification relies on (including distances restricted to an induced
-//! subgraph, `d_X(u, v)`), topology generators used by the experiments, and
-//! a `Partition` type with the disjointness/coverage checks needed by the
-//! agreement predicate.
+//! subgraph, `d_X(u, v)`), and topology generators used by the experiments.
 //!
 //! The crate is intentionally dependency-light and deterministic: nodes
 //! and every adjacency row are stored sorted, so all iteration orders are
@@ -37,7 +35,6 @@ pub mod dynamic;
 pub mod generators;
 pub mod graph;
 pub mod id;
-pub mod partition;
 
 pub use algo::bfs::{bfs_distances, bfs_order, distance};
 pub use algo::components::{connected_components, is_connected, same_component};
@@ -49,4 +46,3 @@ pub use dynamic::TopologyEvent;
 pub use generators::GraphGenerator;
 pub use graph::Graph;
 pub use id::{slot_of, NodeId};
-pub use partition::Partition;

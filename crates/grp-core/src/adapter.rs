@@ -99,7 +99,6 @@ mod tests {
     use dyngraph::generators::path;
     use netsim::{SimConfig, Simulator, TopologyMode};
     use rand::SeedableRng;
-    use std::collections::BTreeSet;
 
     fn grp_sim(n: usize, dmax: usize, seed: u64) -> Simulator<GrpNode> {
         let mut sim = Simulator::new(
@@ -117,7 +116,7 @@ mod tests {
     fn small_path_converges_to_one_group_on_simulator() {
         let mut sim = grp_sim(4, 3, 1);
         sim.run_rounds(30);
-        let all: BTreeSet<NodeId> = (0..4).map(NodeId).collect();
+        let all: netsim::View = (0..4).map(NodeId).collect();
         for (_, node) in sim.protocols() {
             assert_eq!(node.view(), &all);
         }

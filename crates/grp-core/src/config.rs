@@ -42,12 +42,6 @@ impl GrpConfig {
         self
     }
 
-    /// The maximal number of levels a well-formed list may have
-    /// (`Dmax + 1`: distances 0..=Dmax).
-    pub fn max_list_len(&self) -> usize {
-        self.dmax + 1
-    }
-
     /// The quarantine duration, in compute rounds, imposed on newcomers.
     pub fn quarantine_rounds(&self) -> u32 {
         if self.disable_quarantine {
@@ -74,7 +68,6 @@ mod tests {
         assert_eq!(c.dmax, 3);
         assert!(!c.naive_compatibility);
         assert!(!c.disable_quarantine);
-        assert_eq!(c.max_list_len(), 4);
         assert_eq!(c.quarantine_rounds(), 3);
     }
 

@@ -28,11 +28,6 @@ impl Mark {
         self != Mark::Clear
     }
 
-    /// Is this the double mark?
-    pub fn is_incompatible(self) -> bool {
-        self == Mark::Incompatible
-    }
-
     /// Combine two marks for the same node at the same distance: the
     /// "stronger" knowledge wins (Incompatible > Pending > Clear).
     pub fn combine(self, other: Mark) -> Mark {
@@ -50,8 +45,6 @@ mod tests {
         assert!(!Mark::Clear.is_marked());
         assert!(Mark::Pending.is_marked());
         assert!(Mark::Incompatible.is_marked());
-        assert!(Mark::Incompatible.is_incompatible());
-        assert!(!Mark::Pending.is_incompatible());
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! pieces that read protocol *views* (via [`ViewProtocol`]) and evaluate the
 //! paper's predicates:
 //!
-//! * [`SnapshotRecorder`] — retains one [`SystemSnapshot`] per round with
-//!   copy-on-write capture: a node's view is deep-copied only in rounds
-//!   where it changed, and the topology is shared with the simulator, so a
-//!   converged system records a round in O(n) pointer work;
+//! * [`SnapshotRecorder`] — retains one [`SystemSnapshot`] per round: the
+//!   simulator's topology handle and one clone of each node's shared
+//!   [`View`] handle, so a round costs O(n) pointer work and
+//!   no view is ever copied;
 //! * [`ContinuityProbe`] — the ΠT/ΠC transition accounting
 //!   ([`ContinuityStats`]), keeping only the previous round's groups;
 //! * [`ResilienceProbe`] — per-fault recovery and availability
@@ -23,9 +23,8 @@ use crate::stabilization::ConvergenceDetector;
 use dyngraph::{Graph, NodeId};
 use netsim::{
     CanonicalHasher, MessageStats, NodeSetDigest, Observer, ScheduledFault, SimTime, Simulator,
-    ViewProtocol,
+    View, ViewProtocol,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One captured round: when, the configuration, and the cumulative message
@@ -37,8 +36,7 @@ pub struct RecordedRound {
     pub stats: MessageStats,
 }
 
-/// Records a [`SystemSnapshot`] per observed round with copy-on-write
-/// capture.
+/// Records a [`SystemSnapshot`] per observed round.
 ///
 /// **Snapshot semantics:** only *active* nodes contribute views — a
 /// crashed or departed node has no view in the paper's model. Every
@@ -55,28 +53,13 @@ impl SnapshotRecorder {
         SnapshotRecorder::default()
     }
 
-    /// Capture the simulator's current configuration as one round. Views
-    /// that are unchanged since the previous capture share their allocation
-    /// with it; the topology handle is shared with the simulator.
+    /// Capture the simulator's current configuration as one round
+    /// ([`SystemSnapshot::from_simulator`]): every view and the topology
+    /// are shared with the simulator, not copied.
     pub fn capture<P: ViewProtocol>(&mut self, sim: &Simulator<P>) -> &RecordedRound {
-        let mut views: BTreeMap<NodeId, Arc<BTreeSet<NodeId>>> = BTreeMap::new();
-        {
-            let prev = self.rounds.last().map(|r| &r.snapshot.views);
-            for (id, p) in sim.protocols() {
-                if !sim.is_active(id) {
-                    continue;
-                }
-                let view = p.view();
-                let shared = match prev.and_then(|m| m.get(&id)) {
-                    Some(last) if **last == *view => Arc::clone(last),
-                    _ => Arc::new(view.clone()),
-                };
-                views.insert(id, shared);
-            }
-        }
         self.rounds.push(RecordedRound {
             at: sim.now(),
-            snapshot: SystemSnapshot::from_shared(sim.topology_shared(), views),
+            snapshot: SystemSnapshot::from_simulator(sim),
             stats: sim.stats(),
         });
         // detlint::allow(D004): pushed by the statement directly above
@@ -116,24 +99,27 @@ impl SnapshotRecorder {
     /// Feed the engine-trace part of the canonical digest — `(time,
     /// topology, cumulative stats)` per round under the `"trace"` list tag.
     ///
-    /// **Delta-encoded:** copy-on-write capture shares one `Arc<Graph>`
-    /// across every round whose topology did not change, so the graph is
-    /// encoded once per *distinct* allocation and the cached bytes are
-    /// replayed for every round that shares it. The digest is bit-for-bit
-    /// the full walk (the reference walk in
+    /// **Delta-encoded:** consecutive rounds whose topology did not change
+    /// hold the simulator's one `Arc<Graph>`, so the graph is encoded when
+    /// the handle differs from the previous round's and the bytes are
+    /// replayed while it stays the same. The digest is bit-for-bit the full
+    /// walk (the reference walk in
     /// `crates/scenarios/tests/engine_equivalence.rs` pins the equivalence)
     /// — only the re-walking is skipped, which is what makes digesting a
     /// converged 10k-node run graph-bound no more.
     pub fn feed_trace_digest(&self, hasher: &mut CanonicalHasher) {
-        let mut encodings: HashMap<*const Graph, Vec<u8>> = HashMap::new();
+        let mut encoded: Option<&Arc<Graph>> = None;
+        let mut encoding = Vec::new();
         hasher.begin_list("trace");
         hasher.feed_u64(self.rounds.len() as u64);
         for round in &self.rounds {
             hasher.feed_time(round.at);
-            let encoding = encodings
-                .entry(Arc::as_ptr(&round.snapshot.topology))
-                .or_insert_with(|| CanonicalHasher::graph_encoding(&round.snapshot.topology));
-            hasher.feed_graph_encoding(encoding);
+            let topology = &round.snapshot.topology;
+            if !encoded.is_some_and(|last| Arc::ptr_eq(last, topology)) {
+                encoding = CanonicalHasher::graph_encoding(topology);
+                encoded = Some(topology);
+            }
+            hasher.feed_graph_encoding(&encoding);
             hasher.feed_stats(&round.stats);
         }
         hasher.end_list();
@@ -142,25 +128,32 @@ impl SnapshotRecorder {
     /// Feed the per-round views under the `"views"` list tag —
     /// byte-identically to the historical scenario-runner encoding.
     ///
-    /// **Delta-encoded:** each view's fixed-size [`NodeSetDigest`] summary
-    /// is computed once per distinct `Arc` allocation; rounds in which a
-    /// node's view did not change (the overwhelming majority once the
-    /// system converges) replay the cached summary instead of re-hashing
-    /// the set. Byte-identical to re-hashing every view of every round (the
+    /// **Delta-encoded:** a node's fixed-size [`NodeSetDigest`] summary is
+    /// computed when its [`View`] handle differs from the one it held in
+    /// the previous round, and replayed while the node keeps it (the
+    /// overwhelming majority of rounds once the system converges).
+    /// Byte-identical to re-hashing every view of every round (the
     /// reference walk in `crates/scenarios/tests/engine_equivalence.rs`).
     pub fn feed_views_digest(&self, hasher: &mut CanonicalHasher) {
-        let mut summaries: HashMap<*const BTreeSet<NodeId>, NodeSetDigest> = HashMap::new();
+        let mut last: Vec<(NodeId, &View, NodeSetDigest)> = Vec::new();
+        let mut next = Vec::new();
         hasher.begin_list("views");
         hasher.feed_u64(self.rounds.len() as u64);
         for (index, round) in self.rounds.iter().enumerate() {
             hasher.feed_u64(index as u64);
+            let mut before = last.iter().peekable();
             for (&node, view) in &round.snapshot.views {
                 hasher.feed_u64(node.raw());
-                let summary = summaries
-                    .entry(Arc::as_ptr(view))
-                    .or_insert_with(|| CanonicalHasher::node_set_digest(view.iter().copied()));
-                hasher.feed_node_set_digest(summary);
+                while before.next_if(|&&(other, _, _)| other < node).is_some() {}
+                let summary = match before.next_if(|&&(other, _, _)| other == node) {
+                    Some(&(_, held, summary)) if View::ptr_eq(held, view) => summary,
+                    _ => CanonicalHasher::node_set_digest(view.iter().copied()),
+                };
+                hasher.feed_node_set_digest(&summary);
+                next.push((node, view, summary));
             }
+            std::mem::swap(&mut last, &mut next);
+            next.clear();
         }
         hasher.end_list();
     }
@@ -388,7 +381,7 @@ impl ResilienceProbe {
     }
 }
 
-/// The one per-round recorder: one copy-on-write capture and one
+/// The one per-round recorder: one shared-view capture and one
 /// [`OmegaPartition`] per round, fed to every enabled consumer — the
 /// convergence detector and the resilience probe share one legitimacy
 /// verdict, the continuity probe keeps the partition as next round's
@@ -494,7 +487,7 @@ mod tests {
         let last_two: Vec<_> = recorder.rounds().iter().rev().take(2).collect();
         for (&id, view) in &last_two[0].snapshot.views {
             let prev = &last_two[1].snapshot.views[&id];
-            assert!(Arc::ptr_eq(view, prev), "node {id} view re-allocated");
+            assert!(View::ptr_eq(view, prev), "node {id} view re-allocated");
         }
     }
 

@@ -29,8 +29,8 @@
 //! `tests/property_predicates.rs`.
 
 use crate::node::GrpNode;
-use dyngraph::{restricted_diameter, Graph, NodeId, Partition};
-use netsim::{Simulator, ViewProtocol};
+use dyngraph::{restricted_diameter, Graph, NodeId};
+use netsim::{Simulator, View, ViewProtocol};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ use std::sync::Arc;
 pub use netsim::ViewProtocol as GroupMembership;
 
 impl ViewProtocol for GrpNode {
-    fn view(&self) -> &BTreeSet<NodeId> {
+    fn view(&self) -> &View {
         GrpNode::view(self)
     }
 }
@@ -49,45 +49,33 @@ impl ViewProtocol for GrpNode {
 /// A global snapshot of one configuration: the topology and every node's
 /// view at that instant.
 ///
-/// Both the graph and the per-node views are behind `Arc`s: snapshots of
-/// consecutive rounds share whatever did not change, so retaining the full
-/// history of a run (the observer pipeline's `SnapshotRecorder`) costs
-/// pointer clones once the system has converged, not a deep copy per round.
-/// The predicate checkers read through the `Arc`s transparently.
+/// Both parts are shared, not copied: the graph is the simulator's `Arc`,
+/// and each [`View`] is the node's own. Snapshots of consecutive rounds
+/// hold the same allocations for whatever did not change, so retaining the
+/// full history of a run (the observer pipeline's `SnapshotRecorder`)
+/// costs one pointer clone per node and round.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SystemSnapshot {
     pub topology: Arc<Graph>,
-    pub views: BTreeMap<NodeId, Arc<BTreeSet<NodeId>>>,
+    pub views: BTreeMap<NodeId, View>,
 }
 
 impl SystemSnapshot {
-    /// Build from explicit (owned) views.
-    pub fn new(topology: impl Into<Arc<Graph>>, views: BTreeMap<NodeId, BTreeSet<NodeId>>) -> Self {
+    /// A configuration of `views` on `topology`.
+    pub fn new(topology: impl Into<Arc<Graph>>, views: BTreeMap<NodeId, View>) -> Self {
         SystemSnapshot {
             topology: topology.into(),
-            views: views.into_iter().map(|(id, v)| (id, Arc::new(v))).collect(),
+            views,
         }
     }
 
-    /// Build from already-shared parts (the zero-copy constructor the
-    /// observer pipeline uses).
-    pub fn from_shared(
-        topology: Arc<Graph>,
-        views: BTreeMap<NodeId, Arc<BTreeSet<NodeId>>>,
-    ) -> Self {
-        SystemSnapshot { topology, views }
-    }
-
     /// Capture the current configuration of a simulator running any
-    /// [`ViewProtocol`] protocol.
+    /// [`ViewProtocol`] protocol: the simulator's topology handle and a
+    /// clone of every active node's [`View`] handle.
     ///
-    /// **Snapshot semantics (unified):** only *active* nodes contribute a
-    /// view. A crashed or departed node has no view in the paper's model,
-    /// so its frozen protocol state must not enter the predicate checks.
-    /// (Historically the experiment harness captured all nodes while the
-    /// scenario runner captured active ones; every capture path now goes
-    /// through this rule.) The topology handle is shared with the
-    /// simulator, not cloned.
+    /// **Snapshot semantics:** only *active* nodes contribute a view. A
+    /// crashed or departed node has no view in the paper's model, so its
+    /// frozen protocol state must not enter the predicate checks.
     pub fn from_simulator<P>(sim: &Simulator<P>) -> Self
     where
         P: ViewProtocol,
@@ -95,12 +83,9 @@ impl SystemSnapshot {
         let views = sim
             .protocols()
             .filter(|&(id, _)| sim.is_active(id))
-            .map(|(id, p)| (id, Arc::new(p.current_view())))
+            .map(|(id, p)| (id, p.view().clone()))
             .collect();
-        SystemSnapshot {
-            topology: sim.topology_shared(),
-            views,
-        }
+        SystemSnapshot::new(sim.topology_shared(), views)
     }
 
     /// The nodes of this configuration.
@@ -110,10 +95,10 @@ impl SystemSnapshot {
 
     /// The group `Ω_v` of the paper: the view when the node belongs to it
     /// and every member agrees on it, the singleton `{v}` otherwise.
-    pub fn omega(&self, v: NodeId) -> BTreeSet<NodeId> {
+    pub fn omega(&self, v: NodeId) -> View {
         match self.views.get(&v) {
-            Some(view) if view_is_agreed(&self.views, v, view) => (**view).clone(),
-            _ => [v].into_iter().collect(),
+            Some(view) if view_is_agreed(&self.views, v, view) => view.clone(),
+            _ => View::singleton(v),
         }
     }
 
@@ -121,11 +106,6 @@ impl SystemSnapshot {
     /// smallest member.
     pub fn groups(&self) -> Vec<BTreeSet<NodeId>> {
         OmegaPartition::of(self).to_sets()
-    }
-
-    /// The groups as a [`Partition`] (useful for metrics).
-    pub fn partition(&self) -> Partition {
-        Partition::from_blocks(self.groups())
     }
 
     /// **ΠA**: every node belongs to its own view and all quoted members
@@ -182,17 +162,11 @@ impl SystemSnapshot {
 
 /// Is `view` the agreed group of `v`: `v` belongs to it, and every member
 /// it quotes exists and holds an equal view?
-fn view_is_agreed(
-    views: &BTreeMap<NodeId, Arc<BTreeSet<NodeId>>>,
-    v: NodeId,
-    view: &Arc<BTreeSet<NodeId>>,
-) -> bool {
+fn view_is_agreed(views: &BTreeMap<NodeId, View>, v: NodeId, view: &View) -> bool {
     view.contains(&v)
-        && view.iter().all(|member| {
-            views
-                .get(member)
-                .is_some_and(|other| Arc::ptr_eq(other, view) || other == view)
-        })
+        && view
+            .iter()
+            .all(|member| views.get(member).is_some_and(|other| other == view))
 }
 
 /// Diameter of the subgraph `group` induces on `topology`, under the ΠS
@@ -426,7 +400,7 @@ pub fn view_removals(prev: &SystemSnapshot, next: &SystemSnapshot) -> usize {
     prev.views
         .iter()
         .map(|(v, before)| match next.views.get(v) {
-            Some(after) => before.difference(after).count(),
+            Some(after) => before.iter().filter(|m| !after.contains(m)).count(),
             None => before.len(),
         })
         .sum()
@@ -442,7 +416,7 @@ mod tests {
         NodeId(i)
     }
 
-    fn views(spec: &[(u64, &[u64])]) -> BTreeMap<NodeId, BTreeSet<NodeId>> {
+    fn views(spec: &[(u64, &[u64])]) -> BTreeMap<NodeId, View> {
         spec.iter()
             .map(|&(v, members)| (n(v), members.iter().map(|&m| n(m)).collect()))
             .collect()
@@ -558,8 +532,7 @@ mod tests {
         );
         // after: the link 1-2 disappears, 2 is unreachable within the group
         let broken = path(3).apply(TopologyEvent::LinkDown(n(1), n(2)));
-        let after_topology_only =
-            SystemSnapshot::from_shared(Arc::new(broken.clone()), before.views.clone());
+        let after_topology_only = SystemSnapshot::new(broken.clone(), before.views.clone());
         assert!(!pi_t(&before, &after_topology_only, 2));
         assert!(pi_t_violations(&before, &after_topology_only, 2) > 0);
 
@@ -580,7 +553,7 @@ mod tests {
         );
         // adding a chord never hurts
         let richer = path(3).apply(TopologyEvent::LinkUp(n(0), n(2)));
-        let after = SystemSnapshot::from_shared(Arc::new(richer), before.views.clone());
+        let after = SystemSnapshot::new(richer, before.views.clone());
         assert!(pi_t(&before, &after, 2));
         assert!(pi_c(&before, &after));
         assert_eq!(view_removals(&before, &after), 0);
@@ -622,6 +595,9 @@ mod tests {
         assert_eq!(s.group_count(), 2);
         assert!((s.mean_group_size() - 2.0).abs() < 1e-12);
         assert_eq!(s.max_group_diameter(), Some(1));
-        assert!(s.partition().is_partition_of(&s.topology));
+        // the groups partition the nodes: disjoint, and covering all of them
+        let mut covered: Vec<NodeId> = OmegaPartition::of(&s).iter().flatten().copied().collect();
+        covered.sort_unstable();
+        assert_eq!(covered, s.topology.node_vec());
     }
 }

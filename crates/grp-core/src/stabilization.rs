@@ -89,14 +89,6 @@ impl ConvergenceDetector {
         }
         None
     }
-
-    /// Fraction of recorded snapshots that were legitimate.
-    pub fn legitimate_fraction(&self) -> f64 {
-        if self.legitimacy.is_empty() {
-            return 0.0;
-        }
-        self.legitimacy.iter().filter(|&&b| b).count() as f64 / self.legitimacy.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +123,6 @@ mod tests {
         let d = ConvergenceDetector::new(2);
         assert!(d.is_empty());
         assert_eq!(d.convergence_round(), None);
-        assert_eq!(d.legitimate_fraction(), 0.0);
         assert_eq!(d.dmax(), 2);
     }
 
@@ -139,7 +130,6 @@ mod tests {
     fn legitimate_from_the_start() {
         let d = detector_from(&[true, true, true]);
         assert_eq!(d.convergence_round(), Some(0));
-        assert_eq!(d.legitimate_fraction(), 1.0);
     }
 
     #[test]
@@ -150,11 +140,5 @@ mod tests {
         assert_eq!(d.first_stable_run(3), Some(5));
         assert_eq!(d.first_stable_run(4), None);
         assert_eq!(d.first_stable_run(0), Some(0));
-    }
-
-    #[test]
-    fn fraction_counts_legitimate_share() {
-        let d = detector_from(&[true, false, true, false]);
-        assert!((d.legitimate_fraction() - 0.5).abs() < 1e-12);
     }
 }

@@ -25,7 +25,7 @@ use grp_core::checks::{compatible_list, naive_compatible_list};
 use grp_core::marks::Mark;
 use grp_core::priority::Priority;
 use grp_core::{GrpConfig, GrpNode, PriorityInfo};
-use netsim::{CanonicalHasher, Protocol, TraceDigest};
+use netsim::{CanonicalHasher, Protocol, TraceDigest, View};
 use oracle::{Absorption, RefMessage, RefNode};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -780,8 +780,8 @@ fn check_reads_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestC
     for (node, reference) in nodes.iter().zip(refs) {
         let id = node.node_id();
         prop_assert_eq!(
-            node.view(),
-            &reference.view,
+            node.view().iter().copied().collect::<BTreeSet<_>>(),
+            reference.view.clone(),
             "view of {} after {:?}",
             id,
             after
@@ -841,7 +841,7 @@ fn check_agree(nodes: &[GrpNode], refs: &[RefNode], after: &Step) -> TestCaseRes
 fn check_table_bound(
     node: &GrpNode,
     first_fold: &BTreeSet<NodeId>,
-    previous_view: &BTreeSet<NodeId>,
+    previous_view: &View,
 ) -> TestCaseResult {
     for &(id, _) in node.known_priorities() {
         prop_assert!(

@@ -90,16 +90,12 @@ mod tests {
     use super::*;
     use dyngraph::generators::path;
     use dyngraph::{Graph, NodeId, TopologyEvent};
-    use std::collections::{BTreeMap, BTreeSet};
+    use netsim::View;
+    use std::collections::BTreeMap;
 
-    fn views(spec: &[(u64, &[u64])]) -> BTreeMap<NodeId, BTreeSet<NodeId>> {
+    fn views(spec: &[(u64, &[u64])]) -> BTreeMap<NodeId, View> {
         spec.iter()
-            .map(|&(v, members)| {
-                (
-                    NodeId(v),
-                    members.iter().map(|&m| NodeId(m)).collect::<BTreeSet<_>>(),
-                )
-            })
+            .map(|&(v, members)| (NodeId(v), members.iter().map(|&m| NodeId(m)).collect()))
             .collect()
     }
 

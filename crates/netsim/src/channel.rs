@@ -59,8 +59,7 @@ use crate::radio::RadioModel;
 use crate::space::{cell_index, Point};
 use crate::time::SimTime;
 use dyngraph::NodeId;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -125,7 +124,7 @@ pub trait ChannelModel {
     /// ascending NodeId order — the RNG consumption order is part of the
     /// pinned golden traces, so implementations must consume randomness as
     /// a pure function of `env` and their own deterministic state.
-    fn link(&self, rng: &mut ChaCha8Rng, env: &LinkEnv<'_>) -> LinkOutcome;
+    fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome;
 }
 
 /// The historical iid-loss channel (the default).
@@ -140,7 +139,7 @@ pub trait ChannelModel {
 pub struct Bernoulli;
 
 impl ChannelModel for Bernoulli {
-    fn link(&self, rng: &mut ChaCha8Rng, env: &LinkEnv<'_>) -> LinkOutcome {
+    fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
         let received = match env.radio {
             None => {
                 env.loss_probability <= 0.0 || !rng.gen_bool(env.loss_probability.clamp(0.0, 1.0))
@@ -436,7 +435,7 @@ impl ChannelModel for Contention {
         }
     }
 
-    fn link(&self, rng: &mut ChaCha8Rng, env: &LinkEnv<'_>) -> LinkOutcome {
+    fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
         // positions are mandatory: the contention model is spatial-only
         // (manifests enforce this; a missing position drops the link, the
         // same posture the spatial Bernoulli path takes)
@@ -476,6 +475,7 @@ mod tests {
     use super::*;
     use crate::radio::{LossyDisk, UnitDisk};
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn env<'a>(
         sender: u64,

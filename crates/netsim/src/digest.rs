@@ -166,9 +166,6 @@ impl Sha256 {
 #[repr(u8)]
 enum Tag {
     U64 = 1,
-    I64 = 2,
-    F64 = 3,
-    Bytes = 4,
     Str = 5,
     Bool = 6,
     Graph = 7,
@@ -201,20 +198,6 @@ impl TraceDigest {
             s.push_str(&format!("{b:02x}"));
         }
         s
-    }
-
-    /// Parse from lowercase/uppercase hex.
-    pub fn from_hex(hex: &str) -> Option<Self> {
-        let hex = hex.trim();
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, chunk) in hex.as_bytes().chunks_exact(2).enumerate() {
-            let s = std::str::from_utf8(chunk).ok()?;
-            out[i] = u8::from_str_radix(s, 16).ok()?;
-        }
-        Some(TraceDigest(out))
     }
 }
 
@@ -269,31 +252,10 @@ impl CanonicalHasher {
         self.inner.update(&value.to_le_bytes());
     }
 
-    /// Hash a signed integer (8-byte little-endian, type-tagged).
-    pub fn feed_i64(&mut self, value: i64) {
-        self.tag(Tag::I64);
-        self.inner.update(&value.to_le_bytes());
-    }
-
-    /// Floats are hashed by bit pattern (canonicalising the two zeros), so
-    /// a digest never depends on decimal formatting.
-    pub fn feed_f64(&mut self, value: f64) {
-        self.tag(Tag::F64);
-        let bits = if value == 0.0 { 0u64 } else { value.to_bits() };
-        self.inner.update(&bits.to_le_bytes());
-    }
-
     /// Hash a boolean as one type-tagged byte.
     pub fn feed_bool(&mut self, value: bool) {
         self.tag(Tag::Bool);
         self.inner.update(&[value as u8]);
-    }
-
-    /// Hash a length-prefixed byte string.
-    pub fn feed_bytes(&mut self, bytes: &[u8]) {
-        self.tag(Tag::Bytes);
-        self.inner.update(&(bytes.len() as u64).to_le_bytes());
-        self.inner.update(bytes);
     }
 
     /// Hash a length-prefixed UTF-8 string.
@@ -476,19 +438,12 @@ mod tests {
         let mut a = CanonicalHasher::new();
         a.feed_str("ab");
         let mut b = CanonicalHasher::new();
-        b.feed_bytes(b"ab");
-        assert_ne!(a.finalize(), b.finalize(), "str and bytes are tagged apart");
-    }
-
-    #[test]
-    fn float_hash_ignores_negative_zero_but_not_value() {
-        let one = |v: f64| {
-            let mut h = CanonicalHasher::new();
-            h.feed_f64(v);
-            h.finalize()
-        };
-        assert_eq!(one(0.0), one(-0.0));
-        assert_ne!(one(0.5), one(0.25));
+        b.begin_list("ab");
+        assert_ne!(
+            a.finalize(),
+            b.finalize(),
+            "a str and a list are tagged apart"
+        );
     }
 
     /// The cached-bytes feed and the streaming feed must be byte-identical
@@ -530,7 +485,13 @@ mod tests {
         h.feed_u64(42);
         let d = h.finalize();
         let hex = d.to_hex();
-        assert_eq!(TraceDigest::from_hex(&hex), Some(d));
-        assert_eq!(TraceDigest::from_hex("zz"), None);
+        assert_eq!(hex, d.to_string());
+        assert!(hex
+            .bytes()
+            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b)));
+        let parsed: Vec<u8> = (0..32)
+            .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(parsed, d.0);
     }
 }

@@ -69,7 +69,7 @@ pub use fault::{FaultKind, Region, ScheduledFault};
 pub use mobility::MobilityModel;
 pub use node::SimNode;
 pub use observer::{NullObserver, Observer};
-pub use protocol::{CanonicalState, Protocol, ViewProtocol};
+pub use protocol::{CanonicalState, Protocol, View, ViewProtocol};
 pub use radio::RadioModel;
 pub use rng::{stream_seed, NodeStreams, StreamTag};
 pub use sim::{SimConfig, Simulator, TopologyMode};

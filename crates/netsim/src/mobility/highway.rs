@@ -44,9 +44,10 @@ pub struct Highway {
     lanes: usize,
     table: PositionTable,
     vehicles: Vec<Vehicle>,
-    /// Probability per advance that a vehicle changes lane.
-    lane_change_prob: f64,
 }
+
+/// Probability per advance that a vehicle changes lane.
+const LANE_CHANGE_PROB: f64 = 0.01;
 
 impl Highway {
     /// Create a convoy of `n` vehicles (ids 0..n) spread over `lanes` lanes,
@@ -75,16 +76,9 @@ impl Highway {
             lanes,
             table: (0..n).map(|i| (NodeId(i as u64), Point::ORIGIN)).collect(),
             vehicles,
-            lane_change_prob: 0.01,
         };
         model.refresh_positions();
         model
-    }
-
-    /// Set the per-advance lane change probability.
-    pub fn with_lane_change_prob(mut self, p: f64) -> Self {
-        self.lane_change_prob = p.clamp(0.0, 1.0);
-        self
     }
 
     fn refresh_positions(&mut self) {
@@ -113,18 +107,12 @@ impl Highway {
         first_slot: usize,
         id_offset: u64,
     ) {
-        let (road, p) = ((self.road_length, self.lanes), self.lane_change_prob);
-        if p > 0.0 {
-            let ids = self.table.view().ids().iter();
-            let public = ids.map(|id| NodeId(id.raw() + id_offset));
-            let rngs = streams.lockstep(StreamTag::Mobility, first_slot, public);
-            for (v, rng) in self.vehicles.iter_mut().zip(rngs) {
-                v.drive(dt, road, rng.gen_bool(p));
-            }
-        } else {
-            self.vehicles
-                .iter_mut()
-                .for_each(|v| v.drive(dt, road, false));
+        let road = (self.road_length, self.lanes);
+        let ids = self.table.view().ids().iter();
+        let public = ids.map(|id| NodeId(id.raw() + id_offset));
+        let rngs = streams.lockstep(StreamTag::Mobility, first_slot, public);
+        for (v, rng) in self.vehicles.iter_mut().zip(rngs) {
+            v.drive(dt, road, rng.gen_bool(LANE_CHANGE_PROB));
         }
         self.refresh_positions();
     }
@@ -181,8 +169,7 @@ mod tests {
     #[test]
     fn vehicles_advance_and_wrap() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut m =
-            Highway::new(2, 1, 100.0, 10.0, (1.0, 1.0), &mut rng).with_lane_change_prob(0.0);
+        let mut m = Highway::new(2, 1, 100.0, 10.0, (1.0, 1.0), &mut rng);
         let mut streams = NodeStreams::new(1);
         m.advance(95, &mut streams);
         // vehicle 0 started at 0, speed 1.0/tick, after 95 ticks → 95
@@ -195,8 +182,7 @@ mod tests {
     #[test]
     fn speed_spread_stretches_the_convoy() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut m =
-            Highway::new(10, 1, 10000.0, 10.0, (0.1, 1.0), &mut rng).with_lane_change_prob(0.0);
+        let mut m = Highway::new(10, 1, 10000.0, 10.0, (0.1, 1.0), &mut rng);
         let spread = |m: &Highway| {
             let xs: Vec<f64> = m.positions().points().iter().map(|p| p.x).collect();
             let max = xs.iter().cloned().fold(f64::MIN, f64::max);

@@ -67,11 +67,6 @@ impl MixedHighway {
         model
     }
 
-    /// Is this id a fixed roadside unit?
-    pub fn is_roadside(&self, node: NodeId) -> bool {
-        node.raw() < self.first_vehicle && self.roadside.view().get(node).is_some()
-    }
-
     fn refresh_positions(&mut self) {
         let first_vehicle = self.first_vehicle;
         let vehicles = self.convoy.positions().iter();
@@ -130,13 +125,12 @@ mod tests {
     #[test]
     fn id_spaces_are_disjoint_and_complete() {
         let m = mixed(1);
-        assert_eq!(m.positions().len(), 10);
-        for i in 0..4 {
-            assert!(m.is_roadside(NodeId(i)));
-        }
-        for i in 4..10 {
-            assert!(!m.is_roadside(NodeId(i)));
-        }
+        assert_eq!(m.positions().ids(), (0..10).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(
+            m.roadside.view().ids(),
+            (0..4).map(NodeId).collect::<Vec<_>>()
+        );
+        assert_eq!(m.first_vehicle, 4);
     }
 
     #[test]
@@ -171,6 +165,9 @@ mod tests {
         assert_eq!(m.positions().len(), 8);
         m.insert(NodeId(2), Point::new(500.0, -8.0));
         assert_eq!(m.positions().len(), 9);
-        assert!(m.is_roadside(NodeId(2)));
+        assert!(
+            m.roadside.view().get(NodeId(2)).is_some(),
+            "back among the RSUs"
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! the simulator's single event loop
 //! ([`crate::Simulator::run_rounds_observed`]) and sees the run as it
 //! happens, so metrics are computed *streaming* and whatever must be
-//! retained is retained incrementally (copy-on-write) instead of by
-//! wholesale cloning.
+//! retained is shared with the simulator (the topology `Arc`, each node's
+//! [`View`](crate::View)) instead of cloned.
 //!
 //! Layering:
 //!
@@ -14,7 +14,7 @@
 //!   [`NullObserver`]; the engine's own traffic counters are
 //!   [`Simulator::stats`];
 //! * `grp_core::observers::GrpPipeline` is the one per-round recorder: a
-//!   copy-on-write `SnapshotRecorder` plus the convergence, continuity and
+//!   shared-view `SnapshotRecorder` plus the convergence, continuity and
 //!   resilience accounting, all fed from one capture per round;
 //! * the harnesses (`scenarios`, `experiments`, `grp-bench`) drive a
 //!   `GrpPipeline` (or its `SnapshotRecorder` alone), or an observer of

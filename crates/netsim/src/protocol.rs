@@ -8,6 +8,7 @@
 use crate::time::SimTime;
 use dyngraph::NodeId;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// A node-local protocol instance driven by the simulator.
 ///
@@ -63,8 +64,88 @@ pub trait Protocol {
     fn reset(&mut self) {}
 }
 
-/// A protocol whose output is a *view*: the set of nodes the instance
-/// currently believes to be in its group. This is the capability the
+/// A view: the set of nodes a protocol instance currently believes to be
+/// in its group (the paper's `viewv`), sorted ascending and without
+/// duplicates.
+///
+/// One allocation is shared by the node that holds the view and by every
+/// snapshot that records it: cloning a `View` clones an `Arc`, so a round
+/// in which a view did not change costs a pointer copy, and
+/// [`View::ptr_eq`] tells "the very same view as last round" without
+/// comparing members.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct View(Arc<[NodeId]>);
+
+impl View {
+    /// The view `{id}` of a node alone in its group.
+    pub fn singleton(id: NodeId) -> Self {
+        View(Arc::from([id]))
+    }
+
+    /// Is `node` a member? A binary search.
+    pub fn contains(&self, node: &NodeId) -> bool {
+        self.0.binary_search(node).is_ok()
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> std::slice::Iter<'_, NodeId> {
+        self.0.iter()
+    }
+
+    /// The members as an ascending slice.
+    pub fn as_slice(&self) -> &[NodeId] {
+        &self.0
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for the view with no member.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// This view with `node` added.
+    pub fn with(&self, node: NodeId) -> Self {
+        self.iter().copied().chain([node]).collect()
+    }
+
+    /// Do `a` and `b` share one allocation? Shared views are equal; equal
+    /// views need not be shared.
+    pub fn ptr_eq(a: &View, b: &View) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+/// Collects any members, in any order and with repeats, into a view.
+impl FromIterator<NodeId> for View {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(nodes: I) -> Self {
+        let mut members: Vec<NodeId> = nodes.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        View(members.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a View {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Formats as a set, `{a, b}`.
+impl std::fmt::Debug for View {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// A protocol whose output is a [`View`]. This is the capability the
 /// generic observer pipeline reads — `SnapshotRecorder` and the predicate
 /// probes work against `ViewProtocol`, so no harness needs to know the
 /// concrete protocol type. Implemented by `grp_core::GrpNode` and every
@@ -73,15 +154,11 @@ pub trait Protocol {
 /// (`grp_core::predicates::GroupMembership` is a re-export of this trait,
 /// kept under its historical name.)
 pub trait ViewProtocol: Protocol {
-    /// Borrow the current view. Observers compare this against the
-    /// previously captured view to decide whether a fresh copy is needed,
-    /// which is what makes copy-on-write snapshot capture possible.
-    fn view(&self) -> &std::collections::BTreeSet<NodeId>;
-
-    /// An owned copy of the current view.
-    fn current_view(&self) -> std::collections::BTreeSet<NodeId> {
-        self.view().clone()
-    }
+    /// Borrow the current view. A snapshot records it by cloning the
+    /// handle, so an implementation that keeps its `View` whenever the
+    /// members did not change shares one allocation with every round that
+    /// recorded it.
+    fn view(&self) -> &View;
 }
 
 /// A [`ViewProtocol`] whose complete semantic state can be folded into a
@@ -226,10 +303,32 @@ pub(crate) mod test_support {
             *self = Flood::new(me);
         }
     }
+}
 
-    impl ViewProtocol for Flood {
-        fn view(&self) -> &BTreeSet<NodeId> {
-            &self.known
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A view is one fat pointer: nodes and snapshots hold 16 bytes each
+    /// on 64-bit targets, whatever the group size.
+    #[test]
+    fn a_view_is_a_shared_slice_handle() {
+        assert_eq!(std::mem::size_of::<View>(), 16);
+    }
+
+    #[test]
+    fn views_are_sorted_sets_shared_by_clones() {
+        let view: View = [NodeId(5), NodeId(1), NodeId(5), NodeId(3)]
+            .into_iter()
+            .collect();
+        assert_eq!(view.as_slice(), [NodeId(1), NodeId(3), NodeId(5)]);
+        assert!(view.contains(&NodeId(3)) && !view.contains(&NodeId(4)));
+        assert_eq!(format!("{view:?}"), "{NodeId(1), NodeId(3), NodeId(5)}");
+        let copy = view.clone();
+        assert!(View::ptr_eq(&view, &copy));
+        let rebuilt: View = view.iter().copied().collect();
+        assert!(rebuilt == view && !View::ptr_eq(&rebuilt, &view));
+        assert_eq!(view.with(NodeId(2)).len(), 4);
+        assert_eq!(View::singleton(NodeId(9)).as_slice(), [NodeId(9)]);
     }
 }

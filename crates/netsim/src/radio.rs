@@ -8,8 +8,7 @@
 use crate::arena::Positions;
 use crate::space::{Point, SpatialGrid};
 use dyngraph::Graph;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore};
 
 /// A radio / vicinity model.
 ///
@@ -37,7 +36,7 @@ pub trait RadioModel {
 
     /// Per-reception loss decision (fading, collisions). Returns true when
     /// the message is successfully received. The default never loses.
-    fn receives(&self, _rng: &mut ChaCha8Rng, _sender: Point, _receiver: Point) -> bool {
+    fn receives(&self, _rng: &mut dyn RngCore, _sender: Point, _receiver: Point) -> bool {
         true
     }
 
@@ -174,7 +173,7 @@ impl RadioModel for LossyDisk {
         sender.distance(&receiver) <= self.range
     }
 
-    fn receives(&self, rng: &mut ChaCha8Rng, _sender: Point, _receiver: Point) -> bool {
+    fn receives(&self, rng: &mut dyn RngCore, _sender: Point, _receiver: Point) -> bool {
         !rng.gen_bool(self.loss)
     }
 
@@ -210,7 +209,7 @@ impl RadioModel for DistanceLossDisk {
         sender.distance(&receiver) <= self.range
     }
 
-    fn receives(&self, rng: &mut ChaCha8Rng, sender: Point, receiver: Point) -> bool {
+    fn receives(&self, rng: &mut dyn RngCore, sender: Point, receiver: Point) -> bool {
         let d = sender.distance(&receiver);
         if d > self.range {
             return false;
@@ -230,6 +229,7 @@ mod tests {
     use crate::arena::PositionTable;
     use dyngraph::NodeId;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn positions(pts: &[(u64, f64, f64)]) -> PositionTable {
         pts.iter()

@@ -8,15 +8,16 @@
 //! the rest of the population does.
 //!
 //! Streams live in one dense column per [`StreamTag`], indexed by slot (see
-//! [`crate::arena`]), and are created lazily, so the *set* of streams a run
-//! materialises may depend on the schedule but their contents never do.
+//! [`crate::arena`]), and are created lazily — a `LazyStream` not before
+//! its first draw — so the *set* of streams a run materialises may depend
+//! on the schedule but their contents never do.
 //! Seeds are derived through the same canonical SHA-256 the trace digests
 //! use ([`CanonicalHasher`]), keeping the derivation stable across
 //! platforms and refactors.
 
 use crate::digest::CanonicalHasher;
 use dyngraph::NodeId;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// What a per-node stream is for. Each purpose is its own column of
@@ -88,6 +89,25 @@ impl NodeStreams {
         ChaCha8Rng::seed_from_u64(stream_seed(run_seed, node, tag))
     }
 
+    /// A copy of `node`'s stream `tag` at its start, not kept in the table:
+    /// for draws the table need not remember.
+    pub(crate) fn detached(&self, tag: StreamTag, node: NodeId) -> ChaCha8Rng {
+        Self::fresh(self.run_seed, node, tag)
+    }
+
+    /// Has the stream at `slot` of the column `tag` been created?
+    pub(crate) fn is_seeded(&self, tag: StreamTag, slot: usize) -> bool {
+        self.columns[tag as usize]
+            .get(slot)
+            .is_some_and(Option::is_some)
+    }
+
+    /// Number of streams of the column `tag` created so far.
+    #[cfg(test)]
+    pub(crate) fn seeded(&self, tag: StreamTag) -> usize {
+        self.columns[tag as usize].iter().flatten().count()
+    }
+
     fn cell(&mut self, tag: StreamTag, slot: usize) -> &mut Option<ChaCha8Rng> {
         let column = &mut self.columns[tag as usize];
         if column.len() <= slot {
@@ -102,6 +122,18 @@ impl NodeStreams {
         let run_seed = self.run_seed;
         self.cell(tag, slot)
             .get_or_insert_with(|| Self::fresh(run_seed, node, tag))
+    }
+
+    /// The stream of `node`, which sits at `slot`, as a bit source that
+    /// creates it on its first draw: a caller that may draw nothing (a
+    /// loss-free link decision) leaves no stream behind.
+    pub(crate) fn lazy(&mut self, tag: StreamTag, slot: usize, node: NodeId) -> LazyStream<'_> {
+        LazyStream {
+            streams: self,
+            tag,
+            slot,
+            node,
+        }
     }
 
     /// The streams of the nodes `ids`, which occupy consecutive slots from
@@ -133,6 +165,30 @@ impl NodeStreams {
         if slot < column.len() {
             column.insert(slot, None);
         }
+    }
+}
+
+/// One node's stream, created at its derived seed on the first draw (see
+/// [`NodeStreams::lazy`]). Draws are those of the stream itself, so a lazy
+/// and an eagerly created stream give the same values.
+pub(crate) struct LazyStream<'a> {
+    streams: &'a mut NodeStreams,
+    tag: StreamTag,
+    slot: usize,
+    node: NodeId,
+}
+
+impl RngCore for LazyStream<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.streams
+            .stream(self.tag, self.slot, self.node)
+            .next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.streams
+            .stream(self.tag, self.slot, self.node)
+            .next_u64()
     }
 }
 

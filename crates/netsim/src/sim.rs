@@ -38,7 +38,7 @@ use crate::space::{Point, SpatialGrid};
 use crate::time::SimTime;
 use crate::trace::MessageStats;
 use dyngraph::{Graph, NodeId, TopologyEvent};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -326,7 +326,7 @@ impl Medium<'_> {
     /// into `found`: the same slots in the same order either way.
     fn sweep(
         &self,
-        rng: &mut ChaCha8Rng,
+        rng: &mut dyn RngCore,
         sender: u32,
         sender_pos: Option<Point>,
         found: &mut Vec<(u32, Point)>,
@@ -468,10 +468,26 @@ impl<P: Protocol> Simulator<P> {
         }
         if self.config.stagger_phases {
             // the node's own `phase` stream: its timer offsets don't depend
-            // on how many nodes were added before it
-            let rng = self.streams.stream(StreamTag::Phase, slot, id);
-            node.send_phase = rng.gen_range(0..self.config.send_period.max(1));
-            node.compute_phase = rng.gen_range(0..self.config.compute_period.max(1));
+            // on how many nodes were added before it. A first add takes the
+            // stream's first two draws from a copy it drops; a re-add
+            // continues the stream, which the table keeps from then on.
+            let (send, compute) = (self.config.send_period, self.config.compute_period);
+            let draw = |rng: &mut ChaCha8Rng| {
+                (
+                    rng.gen_range(0..send.max(1)),
+                    rng.gen_range(0..compute.max(1)),
+                )
+            };
+            (node.send_phase, node.compute_phase) = if found.is_ok() {
+                let replay_first_add = !self.streams.is_seeded(StreamTag::Phase, slot);
+                let rng = self.streams.stream(StreamTag::Phase, slot, id);
+                if replay_first_add {
+                    draw(rng);
+                }
+                draw(rng)
+            } else {
+                draw(&mut self.streams.detached(StreamTag::Phase, id))
+            };
         }
         if self.spatial.is_none() && !self.topology.contains_node(id) {
             self.topology = Arc::new(self.topology.apply(TopologyEvent::NodeJoin(id)));
@@ -811,10 +827,15 @@ impl<P: Protocol> Simulator<P> {
         };
         for p in self.pending.drain(..) {
             let id = self.ids[p.sender as usize];
-            let rng = self
-                .streams
-                .stream(StreamTag::Channel, p.sender as usize, id);
-            let out = medium.sweep(rng, p.sender, p.sender_pos, &mut self.found, &mut self.hits);
+            // seeded on its first draw: a loss-free medium never makes it
+            let mut rng = self.streams.lazy(StreamTag::Channel, p.sender as usize, id);
+            let out = medium.sweep(
+                &mut rng,
+                p.sender,
+                p.sender_pos,
+                &mut self.found,
+                &mut self.hits,
+            );
             self.stats.attempted += out.attempted;
             self.stats.dropped += out.dropped;
             let mut message = Some(p.message);
@@ -1035,6 +1056,7 @@ impl<P: Protocol> Simulator<P> {
 mod tests {
     use super::*;
     use crate::protocol::test_support::Flood;
+    use crate::rng::stream_seed;
     use dyngraph::generators::path;
     use proptest::prelude::*;
 
@@ -1576,6 +1598,112 @@ mod tests {
             "the blocking faults were actually exercised"
         );
         assert_eq!(first, run());
+    }
+
+    /// Under `stagger_phases`, a re-added id draws its new timer phases as
+    /// the continuation of its `phase` stream: the first add takes draws one
+    /// and two, each re-add the next two, whichever ids arrive in between.
+    #[test]
+    fn a_re_added_id_continues_its_phase_stream() {
+        use rand::SeedableRng;
+        let config = SimConfig {
+            seed: 31,
+            ..Default::default()
+        };
+        let mut sim: Simulator<Flood> = Simulator::new(config, TopologyMode::Explicit(path(4)));
+        sim.add_nodes((1..4).map(|i| Flood::new(NodeId(i))));
+        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(31, NodeId(2), StreamTag::Phase));
+        let mut next_pair = || {
+            (
+                replay.gen_range(0..config.send_period),
+                replay.gen_range(0..config.compute_period),
+            )
+        };
+        let phases = |sim: &Simulator<Flood>| {
+            let node = &sim.nodes[sim.slot(NodeId(2)).unwrap()];
+            (node.send_phase, node.compute_phase)
+        };
+        assert_eq!(phases(&sim), next_pair(), "first add");
+        sim.add_node(Flood::new(NodeId(2)));
+        assert_eq!(phases(&sim), next_pair(), "first re-add");
+        // an arrival below 2 moves it up a slot; its stream moves with it
+        sim.add_node(Flood::new(NodeId(0)));
+        sim.run_rounds(2);
+        sim.add_node(Flood::new(NodeId(2)));
+        assert_eq!(phases(&sim), next_pair(), "second re-add");
+    }
+
+    /// A medium that never loses draws nothing, so no `channel` stream is
+    /// ever created — on an explicit topology and on a unit disk — and no
+    /// first add keeps its `phase` stream; a lossy disk creates one
+    /// `channel` stream per sender.
+    #[test]
+    fn streams_are_created_by_their_first_draw() {
+        use crate::mobility::RandomWalk;
+        use crate::radio::{LossyDisk, RadioModel, UnitDisk};
+        use rand::SeedableRng;
+        let spatial = |radio: Box<dyn RadioModel>| {
+            let mut placement = ChaCha8Rng::seed_from_u64(3);
+            let mut sim: Simulator<Flood> = Simulator::new(
+                SimConfig {
+                    seed: 12,
+                    ..Default::default()
+                },
+                TopologyMode::Spatial {
+                    radio,
+                    mobility: Box::new(RandomWalk::new(20, 60.0, 60.0, 0.01, &mut placement)),
+                },
+            );
+            sim.add_nodes((0..20).map(|i| Flood::new(NodeId(i))));
+            sim.run_rounds(4);
+            sim
+        };
+        let mut explicit = flood_sim(6, 4);
+        explicit.run_rounds(4);
+        let disk = spatial(Box::new(UnitDisk::new(25.0)));
+        for sim in [&explicit.streams, &disk.streams] {
+            assert_eq!(sim.seeded(StreamTag::Channel), 0);
+            assert_eq!(sim.seeded(StreamTag::Phase), 0);
+        }
+        assert!(explicit.stats().delivered > 0 && disk.stats().delivered > 0);
+        assert_eq!(disk.stats().dropped, 0);
+        let lossy = spatial(Box::new(LossyDisk::new(25.0, 0.3)));
+        assert!(lossy.stats().dropped > 0);
+        assert_eq!(lossy.streams.seeded(StreamTag::Channel), 20);
+    }
+
+    /// Link decisions drawn through lazily created streams, interleaved
+    /// across senders, equal those drawn from streams seeded up front.
+    #[test]
+    fn lazy_streams_decide_links_as_eager_ones() {
+        use crate::radio::LossyDisk;
+        use rand::SeedableRng;
+        let radio = LossyDisk::new(10.0, 0.4);
+        let env = |sender: u64| LinkEnv {
+            now: SimTime::ZERO,
+            sender: NodeId(sender),
+            receiver: NodeId(sender + 1),
+            sender_pos: Some(Point::ORIGIN),
+            receiver_pos: Some(Point::new(1.0, 0.0)),
+            radio: Some(&radio),
+            loss_probability: 0.0,
+        };
+        let senders = [7u64, 2, 9];
+        let mut lazy = NodeStreams::new(5);
+        let mut eager: Vec<ChaCha8Rng> = senders
+            .iter()
+            .map(|&id| ChaCha8Rng::seed_from_u64(stream_seed(5, NodeId(id), StreamTag::Channel)))
+            .collect();
+        let mut lost = 0;
+        for turn in 0..300 {
+            let k = turn * 7 % senders.len();
+            let id = NodeId(senders[k]);
+            let got = Bernoulli.link(&mut lazy.lazy(StreamTag::Channel, k, id), &env(senders[k]));
+            let want = Bernoulli.link(&mut eager[k], &env(senders[k]));
+            assert_eq!(got, want, "turn {turn}");
+            lost += usize::from(!got.received);
+        }
+        assert!(lost > 0 && lost < 300);
     }
 
     /// Both ways a grid-mode send reads its neighbours — the per-send

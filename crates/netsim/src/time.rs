@@ -16,11 +16,6 @@ impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Construct from raw ticks.
-    pub fn from_ticks(t: u64) -> Self {
-        SimTime(t)
-    }
-
     /// Raw tick count.
     pub fn ticks(self) -> u64 {
         self.0
@@ -77,6 +72,6 @@ mod tests {
     #[test]
     fn ordering_and_display() {
         assert!(SimTime(3) < SimTime(7));
-        assert_eq!(SimTime::from_ticks(7).to_string(), "t7");
+        assert_eq!(SimTime(7).to_string(), "t7");
     }
 }

@@ -11,7 +11,7 @@ use netsim::mobility::RandomWalk;
 use netsim::radio::UnitDisk;
 use netsim::{
     FaultKind, MessageStats, NullObserver, Protocol, Region, ScheduledFault, SimConfig, SimTime,
-    Simulator, TopologyMode, ViewProtocol,
+    Simulator, TopologyMode,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -66,12 +66,6 @@ impl Protocol for Gossip {
 
     fn reset(&mut self) {
         *self = Gossip::new(self.me);
-    }
-}
-
-impl ViewProtocol for Gossip {
-    fn view(&self) -> &BTreeSet<NodeId> {
-        &self.known
     }
 }
 

@@ -10,7 +10,7 @@
 //! Since the observer redesign this module contains no drive loop of its
 //! own: [`drive_manifest`] hands the manifest's churn schedule and an
 //! [`Observer`] to `netsim`'s single observed event loop, and [`run_seed`]
-//! drives the one per-round recorder, [`GrpPipeline`] (copy-on-write
+//! drives the one per-round recorder, [`GrpPipeline`] (shared-view
 //! snapshot recorder + convergence detector + continuity and resilience
 //! probes), on top of it.
 

@@ -6,9 +6,13 @@
 //! * `SnapshotRecorder`'s delta-encoded digest folding must hash to exactly
 //!   the bytes of the naive full walk.
 
+use dyngraph::{NodeId, TopologyEvent};
 use grp_core::observers::{RecordedRound, SnapshotRecorder};
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{CanonicalHasher, SimConfig, Simulator, TopologyMode};
+use netsim::{
+    CanonicalHasher, FaultKind, Protocol, ScheduledFault, SimConfig, SimTime, Simulator,
+    TopologyMode, View, ViewProtocol,
+};
 use scenarios::manifest::ScenarioManifest;
 use scenarios::{build_simulator, drive_manifest, suite_dir};
 
@@ -128,4 +132,116 @@ fn delta_digest_folding_is_byte_identical_to_full_walk() {
             "{name}: delta-encoded digest diverged from the full walk"
         );
     }
+}
+
+/// A node whose view follows a script, one entry per compute, cycled. An
+/// entry equal to the current view keeps its allocation; any other entry
+/// is a fresh one, even when an earlier round held the same members.
+#[derive(Clone, Debug)]
+struct Scripted {
+    id: NodeId,
+    script: Vec<Vec<u64>>,
+    computes: usize,
+    view: View,
+}
+
+impl Scripted {
+    fn new(id: u64, script: &[&[u64]]) -> Self {
+        Scripted {
+            id: NodeId(id),
+            script: script.iter().map(|entry| entry.to_vec()).collect(),
+            computes: 0,
+            view: View::singleton(NodeId(id)),
+        }
+    }
+}
+
+impl Protocol for Scripted {
+    type Message = ();
+
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    fn on_message(&mut self, _from: NodeId, _msg: (), _now: SimTime) {}
+
+    fn on_compute(&mut self, _now: SimTime) {
+        let entry = &self.script[self.computes % self.script.len()];
+        self.computes += 1;
+        if !self.view.iter().map(|m| m.raw()).eq(entry.iter().copied()) {
+            self.view = entry.iter().copied().map(NodeId).collect();
+        }
+    }
+
+    fn on_send(&mut self, _now: SimTime) -> Option<()> {
+        None
+    }
+
+    fn reset(&mut self) {
+        self.view = View::singleton(self.id);
+    }
+}
+
+impl ViewProtocol for Scripted {
+    fn view(&self) -> &View {
+        &self.view
+    }
+}
+
+/// The folds compare each round with the one before it only. A view that
+/// returns to members it held two rounds ago (A → B → A), a topology that
+/// returns to an earlier graph (G1 → G2 → G1), each in a fresh allocation,
+/// and a node missing from the round before (crashed) must all hash as the
+/// full walk does.
+#[test]
+fn digest_folds_match_the_full_walk_when_a_state_returns() {
+    let mut sim: Simulator<Scripted> = Simulator::new(
+        SimConfig {
+            seed: 3,
+            stagger_phases: false,
+            ..Default::default()
+        },
+        TopologyMode::Explicit(dyngraph::generators::path(3)),
+    );
+    sim.add_nodes([
+        Scripted::new(0, &[&[0, 1], &[0, 2], &[0, 1], &[0, 1]]),
+        Scripted::new(1, &[&[1]]),
+        Scripted::new(2, &[&[0, 2], &[2]]),
+    ]);
+    // node 2 is down at the end of the second round (t = 2 000)
+    sim.schedule_faults([
+        ScheduledFault::new(SimTime(1_100), FaultKind::Crash(NodeId(2))),
+        ScheduledFault::new(SimTime(2_100), FaultKind::Restart(NodeId(2))),
+    ]);
+    let mut recorder = SnapshotRecorder::new();
+    sim.run_rounds_observed(1, &mut recorder);
+    sim.apply_topology_event(TopologyEvent::LinkDown(NodeId(1), NodeId(2)));
+    sim.run_rounds_observed(1, &mut recorder);
+    sim.apply_topology_event(TopologyEvent::LinkUp(NodeId(1), NodeId(2)));
+    sim.run_rounds_observed(2, &mut recorder);
+
+    let rounds = recorder.rounds();
+    let view = |round: usize, node: u64| &rounds[round].snapshot.views[&NodeId(node)];
+    let topology = |round: usize| &rounds[round].snapshot.topology;
+    // A → B → A, the second A a fresh allocation, then kept
+    assert_eq!(view(0, 0), view(2, 0));
+    assert_ne!(view(0, 0), view(1, 0));
+    assert!(!View::ptr_eq(view(0, 0), view(2, 0)));
+    assert!(View::ptr_eq(view(2, 0), view(3, 0)));
+    // G1 → G2 → G1, the second G1 a fresh allocation, then kept
+    assert_eq!(topology(0), topology(2));
+    assert_ne!(topology(0), topology(1));
+    assert!(!std::sync::Arc::ptr_eq(topology(0), topology(2)));
+    assert!(std::sync::Arc::ptr_eq(topology(2), topology(3)));
+    // node 2 is absent from the second round only
+    let present = |round: usize| rounds[round].snapshot.views.contains_key(&NodeId(2));
+    assert_eq!([0, 1, 2, 3].map(present), [true, false, true, true]);
+
+    let mut delta = CanonicalHasher::new();
+    recorder.feed_trace_digest(&mut delta);
+    recorder.feed_views_digest(&mut delta);
+    let mut full = CanonicalHasher::new();
+    feed_trace_digest_full(rounds, &mut full);
+    feed_views_digest_full(rounds, &mut full);
+    assert_eq!(delta.finalize(), full.finalize());
 }

@@ -4,7 +4,7 @@
 //! deep-cloning the topology and every active view into materialised
 //! vectors. These tests replicate that legacy loop *inline, verbatim* and
 //! assert that the observer pipeline — `drive_manifest` + the
-//! copy-on-write `SnapshotRecorder` — records the exact same per-round
+//! shared-view `SnapshotRecorder` — records the exact same per-round
 //! history and produces byte-identical canonical digests on golden
 //! manifests (including one with a churn schedule), against the pinned
 //! golden values.
@@ -46,7 +46,7 @@ fn legacy_run(manifest: &ScenarioManifest, seed: u64) -> (Vec<LegacyRound>, Stri
         let views = sim
             .protocols()
             .filter(|&(id, _)| sim.is_active(id))
-            .map(|(id, p)| (id, p.view().clone()))
+            .map(|(id, p)| (id, p.view().iter().copied().collect()))
             .collect();
         rounds.push(LegacyRound {
             at: sim.now(),
@@ -118,7 +118,8 @@ fn pipeline_history_equals_legacy_loop_on_golden_manifests() {
             );
             for (id, view) in &new.snapshot.views {
                 assert_eq!(
-                    **view, old.views[id],
+                    view.iter().copied().collect::<BTreeSet<_>>(),
+                    old.views[id],
                     "{name} round {i}: view of {id} differs"
                 );
             }

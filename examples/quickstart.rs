@@ -21,7 +21,8 @@ fn main() {
 
     println!("topology: a line of 6 nodes, Dmax = {dmax}");
     println!("round | groups (each node's view)");
-    // one copy-on-write recorder observes the whole run; we print its
+    // one recorder, sharing every view with the nodes, observes the whole
+    // run; we print its
     // latest snapshot every 5 rounds
     let mut recorder = SnapshotRecorder::new();
     for round in (5..=40u64).step_by(5) {

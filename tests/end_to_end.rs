@@ -4,7 +4,7 @@
 
 use dyngraph::{GraphGenerator, NodeId, TopologyEvent};
 use experiments::runner::{churn_after_warmup, convergence_budget, grp_manifest};
-use grp_core::predicates::{pi_c, pi_t, SystemSnapshot};
+use grp_core::predicates::{pi_c, pi_t, OmegaPartition, SystemSnapshot};
 use scenarios::{build_simulator, run_seed};
 
 #[test]
@@ -23,7 +23,10 @@ fn grid_converges_to_a_legitimate_partition() {
     assert!(last.agreement(), "views: {:?}", last.views);
     assert!(last.safety(dmax));
     assert!(run.converged_round.is_some());
-    assert!(last.partition().is_partition_of(&grid.generate(6)));
+    // the groups partition the grid's nodes: disjoint, and covering all
+    let mut covered: Vec<NodeId> = OmegaPartition::of(last).iter().flatten().copied().collect();
+    covered.sort_unstable();
+    assert_eq!(covered, grid.generate(6).node_vec());
 }
 
 #[test]

@@ -7,8 +7,7 @@ use dyngraph::generators::path;
 use dyngraph::{NodeId, TopologyEvent};
 use grp_core::predicates::SystemSnapshot;
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{FaultKind, ScheduledFault, SimConfig, SimTime, Simulator, TopologyMode};
-use std::collections::BTreeSet;
+use netsim::{FaultKind, ScheduledFault, SimConfig, SimTime, Simulator, TopologyMode, View};
 
 fn grp_sim(n: usize, dmax: usize, seed: u64) -> Simulator<GrpNode> {
     let topology = path(n);
@@ -39,7 +38,7 @@ fn crash_mid_run_shrinks_the_group_and_restart_reforms_it() {
     let dmax = 3;
     let mut sim = grp_sim(4, dmax, 101);
     sim.run_rounds(40);
-    let all: BTreeSet<NodeId> = (0..4).map(NodeId).collect();
+    let all: View = (0..4).map(NodeId).collect();
     assert_eq!(
         sim.protocol(NodeId(0)).unwrap().view(),
         &all,
@@ -139,7 +138,7 @@ fn partition_splits_the_view_and_heal_remerges_it() {
     let dmax = 3;
     let mut sim = grp_sim(4, dmax, 113);
     sim.run_rounds(40);
-    let all: BTreeSet<NodeId> = (0..4).map(NodeId).collect();
+    let all: View = (0..4).map(NodeId).collect();
     assert_eq!(
         sim.protocol(NodeId(0)).unwrap().view(),
         &all,
