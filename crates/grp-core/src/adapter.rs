@@ -133,6 +133,27 @@ mod tests {
         }
     }
 
+    /// Once a path has converged, its nodes send the same broadcasts period
+    /// after period, and their compute timers skip `compute()`.
+    #[test]
+    fn a_converged_run_skips_its_computes() {
+        let mut sim = grp_sim(5, 4, 3);
+        sim.run_rounds(40);
+        let timers = |sim: &Simulator<GrpNode>| -> u64 {
+            sim.protocols().map(|(_, node)| node.compute_count()).sum()
+        };
+        let (timers_before, runs_before) = (timers(&sim), crate::node::computes_run());
+        sim.run_rounds(20);
+        let all: netsim::View = (0..5).map(NodeId).collect();
+        for (_, node) in sim.protocols() {
+            assert_eq!(node.view(), &all);
+        }
+        let fired = timers(&sim) - timers_before;
+        let ran = crate::node::computes_run() - runs_before;
+        assert!(fired >= 5 * 19, "{fired} compute timers fired");
+        assert!(ran * 10 < fired, "{ran} of {fired} timers ran compute()");
+    }
+
     #[test]
     fn protocol_hooks_corrupt_and_reset() {
         let mut node = GrpNode::new(NodeId(1), GrpConfig::new(2));

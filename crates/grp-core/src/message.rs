@@ -96,6 +96,12 @@ impl GrpMessage {
     pub fn priority_of(&self, node: NodeId) -> Option<PriorityInfo> {
         self.priorities.get(node).copied()
     }
+
+    /// Is `other` a copy of this very broadcast, sharing its body? A body
+    /// is never edited while shared, so the two then say the same.
+    pub(crate) fn same_body(&self, other: &GrpMessage) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl Deref for GrpMessage {

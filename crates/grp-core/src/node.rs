@@ -7,10 +7,10 @@
 //! transcription of the `compute()` pseudo-code (the line numbers quoted in
 //! the comments refer to the paper's listing).
 //!
-//! The per-node tables — `msgSetv`, the learnt priorities and the
-//! quarantine counters — are [`NodeTable`]s, flat vectors sorted by node
-//! id: a compute round updates known ids in place and adds new ones in one
-//! ordered merge, instead of inserting into trees.
+//! The per-node tables are flat vectors sorted by node id, not trees: the
+//! learnt priorities and the quarantine counters are [`NodeTable`]s, and
+//! `msgSetv` is the sorted head of one vector of `(sender, message)`
+//! entries (see the memo below).
 //!
 //! `compute()` reads each received message once. Its first step is one
 //! pass over `msgSetv` that copies every received list and every quoted
@@ -29,10 +29,23 @@
 //!
 //! `compute()`'s working buffers — the gathered lists and quotes, the rows
 //! of the one-pass `ant` fold, the ids whose priorities are kept, the
-//! sorted unmarked ids and the batch of new quarantine candidates — live
-//! in one set per thread, shared by every node the thread runs, so a
-//! node's own footprint is only its semantic state and its cached
-//! broadcast.
+//! sorted unmarked ids, the batch of new quarantine candidates and a copy
+//! of the old `listv` — live in one set per thread, shared by every node
+//! the thread runs, so a node's own footprint is only its semantic state
+//! and its cached broadcast.
+//!
+//! A settled node skips its compute. `compute()` reports, as a by-product
+//! of its steps, whether it moved any of the node's state; when it moved
+//! nothing, the broadcast cached for the last period stays (unless the
+//! node heard no one), and the messages the compute read stay in the
+//! vector behind `msgSetv` instead of being dropped. A message heard again from one of those senders is
+//! moved back into `msgSetv` only when it is the very one that compute
+//! read (the same `Arc`); any other message, from a new sender or a
+//! changed one, drops the memo. When the compute timer then finds
+//! `msgSetv` holding exactly the last compute's inputs, [`GrpNode::on_round`]
+//! skips `compute()`: the same procedure on the same state and the same
+//! inputs would again move nothing. A settled sender re-sends the same
+//! `Arc`, so a neighbourhood at a fixpoint stays settled node by node.
 
 use crate::ancestor_list::AncestorList;
 use crate::checks::{compatible_list, good_list, naive_compatible_list};
@@ -73,11 +86,26 @@ struct ComputeScratch {
     unmarked: Vec<NodeId>,
     /// Line 30: the quarantine counters of this round's new candidates.
     arrivals: Vec<(NodeId, u32)>,
+    /// `listv` as the compute found it, to tell whether the folds moved it.
+    old_list: AncestorList,
 }
 
 thread_local! {
     /// One [`ComputeScratch`] per thread, shared by all its nodes.
     static SCRATCH: Cell<ComputeScratch> = Cell::default();
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times `compute()` ran on this thread: the compute timers
+    /// `on_round` did not skip.
+    static COMPUTES_RUN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times `compute()` has run on the calling thread.
+#[cfg(test)]
+pub(crate) fn computes_run() -> u64 {
+    COMPUTES_RUN.get()
 }
 
 /// One GRP protocol instance (the local algorithm of node `v`).
@@ -91,9 +119,19 @@ pub struct GrpNode {
     /// `viewv`: the output of the protocol — the composition of the group as
     /// exposed to the application.
     view: View,
-    /// `msgSetv`: last message received from each neighbour since the last
-    /// compute (only the most recent per sender is kept).
-    msg_set: NodeTable<GrpMessage>,
+    /// `msgSetv`, then the memo of the last compute's inputs. The first
+    /// `heard` entries, sorted by sender id, are `msgSetv`: the last message
+    /// received from each neighbour since the last compute. While
+    /// `settled`, the entries past them, also sorted, are the messages the
+    /// last compute read whose senders have not been heard again.
+    msg_set: Vec<(NodeId, GrpMessage)>,
+    /// How many entries of `msg_set` are `msgSetv`.
+    heard: u32,
+    /// The last compute moved none of the node's state, and every message
+    /// heard since is the very one (the same `Arc`) that compute read from
+    /// its sender: once `msgSetv` holds all of them, a compute would again
+    /// move nothing.
+    settled: bool,
     /// Quarantine counters of candidate members (rounds remaining before
     /// they may enter the view).
     quarantine: NodeTable<u32>,
@@ -117,7 +155,8 @@ pub struct GrpNode {
     /// The broadcast built at the first `Ts` expiration since the last
     /// state change; every input of [`build_message`](Self::build_message)
     /// only moves inside `compute()`/`corrupt()`/`reboot()`, so repeated
-    /// sends within one compute period reuse the same `Arc`-shared payload.
+    /// sends reuse the same `Arc`-shared payload, across the compute
+    /// periods of a settled node too.
     cached_message: Option<GrpMessage>,
 }
 
@@ -129,7 +168,9 @@ impl GrpNode {
             config,
             list: AncestorList::singleton(id),
             view: View::singleton(id),
-            msg_set: NodeTable::new(),
+            msg_set: Vec::new(),
+            heard: 0,
+            settled: false,
             quarantine: NodeTable::new(),
             priority_value: 0,
             was_in_group: false,
@@ -204,8 +245,44 @@ impl GrpNode {
 
     /// "Upon reception of a message msg sent by a node u: update message of
     /// u in msgSetv" — only the latest message per sender is kept.
+    ///
+    /// While the node is settled, a message is checked against the memo: the
+    /// one the last compute read from `u`, heard again, moves back into
+    /// `msgSetv`; any other message drops the memo.
     pub fn receive(&mut self, msg: GrpMessage) {
-        self.msg_set.insert(msg.sender, msg);
+        let sender = msg.sender;
+        let heard = self.heard as usize;
+        let (fresh, memo) = self.msg_set.split_at(heard);
+        match fresh.binary_search_by_key(&sender, |&(u, _)| u) {
+            Ok(i) => {
+                if self.settled && !fresh[i].1.same_body(&msg) {
+                    self.forget_inputs();
+                }
+                self.msg_set[i].1 = msg;
+            }
+            Err(i) => {
+                if self.settled {
+                    match memo.binary_search_by_key(&sender, |&(u, _)| u) {
+                        Ok(j) if memo[j].1.same_body(&msg) => {
+                            // heard again, unchanged: into msgSetv, in order
+                            self.msg_set[i..=heard + j].rotate_right(1);
+                            self.heard += 1;
+                            return;
+                        }
+                        _ => self.forget_inputs(),
+                    }
+                }
+                self.msg_set.insert(i, (sender, msg));
+                self.heard += 1;
+            }
+        }
+    }
+
+    /// Drop the memo of the last compute's inputs: the next compute timer
+    /// runs `compute()`.
+    fn forget_inputs(&mut self) {
+        self.msg_set.truncate(self.heard as usize);
+        self.settled = false;
     }
 
     /// "Upon Ts timer expiration: send(listv with priorities)" — build the
@@ -263,9 +340,31 @@ impl GrpNode {
 
     /// "Upon Tc timer expiration: compute(); reset msgSetv" — the whole
     /// round handler.
+    ///
+    /// `compute()` is skipped when the node is settled and `msgSetv` holds
+    /// every sender the last compute read, each with the same `Arc`: that
+    /// compute moved nothing, and this one would read the same state and
+    /// the same messages. A node that stays settled keeps the messages it
+    /// just read, behind the emptied `msgSetv`, as the memo for the next
+    /// timer.
+    ///
+    /// A node that heard no one drops its cached broadcast all the same, as
+    /// every node did before the memo: no neighbour that could confirm the
+    /// pointer was heard from, and an isolated walker would otherwise hold
+    /// its broadcast through the part of each period where it holds none.
     pub fn on_round(&mut self) {
-        self.compute();
-        self.msg_set.clear();
+        if self.settled && self.heard as usize == self.msg_set.len() {
+            self.compute_count += 1;
+        } else {
+            self.compute();
+        }
+        if !self.settled {
+            self.msg_set.clear();
+        }
+        if self.msg_set.is_empty() {
+            self.cached_message = None;
+        }
+        self.heard = 0;
     }
 
     /// The `compute()` procedure of Section 4.3.
@@ -283,8 +382,18 @@ impl GrpNode {
     /// lines 10–13, which is where the table's ids are first known: no
     /// check of lines 1–9 reads it, and the far-node arbitration of lines
     /// 14–29 reads it only for ids of that fold and of the previous view.
+    ///
+    /// Each step also tells whether it moved the node's state: `listv`
+    /// against a copy of the old one, the learnt priorities, the
+    /// quarantine counters, the view and the priority clock. A compute that
+    /// moved nothing leaves the node settled and keeps its cached
+    /// broadcast.
     pub fn compute(&mut self) {
+        #[cfg(test)]
+        COMPUTES_RUN.set(COMPUTES_RUN.get() + 1);
         self.compute_count += 1;
+        // only msgSetv is read: the memo behind it is not an input
+        self.msg_set.truncate(self.heard as usize);
         let dmax = self.config.dmax;
         let own_id = self.id;
         let mut scratch = SCRATCH.take();
@@ -298,7 +407,9 @@ impl GrpNode {
             learnt,
             unmarked,
             arrivals,
+            old_list,
         } = &mut scratch;
+        old_list.clone_from(&self.list);
 
         // ---------------------------------------------------------- gather
         // Read each received message once, in sender order: its list into
@@ -348,7 +459,7 @@ impl GrpNode {
             .ant_fold(self.id, checked.iter().map(|(_, lu)| lu), rows);
         // the fold's ids, sorted, and the previous view are every id whose
         // priority this compute or the next broadcast reads
-        self.learn_priorities(rows, quotes, runs, self_quotes, needed, learnt);
+        let mut moved = self.learn_priorities(rows, quotes, runs, self_quotes, needed, learnt);
 
         // ---------------------------------------------------- lines 14-29
         // Removal of incoming lists containing too-far nodes with priority.
@@ -384,7 +495,7 @@ impl GrpNode {
                 .map(|(node, _, _)| node),
         );
         unmarked.sort_unstable();
-        self.update_quarantines(unmarked, arrivals);
+        moved |= self.update_quarantines(unmarked, arrivals);
 
         // -------------------------------------------------------- line 31
         // viewv ← non-marked nodes of listv with null quarantine. Our own
@@ -392,7 +503,9 @@ impl GrpNode {
         unmarked.retain(|&x| x == own_id || self.quarantine.get(x).is_none_or(|&q| q == 0));
         if !self.view.iter().eq(unmarked.iter()) {
             self.view = unmarked.iter().copied().collect();
+            moved = true;
         }
+        moved |= self.list != *old_list;
         SCRATCH.set(scratch);
 
         // -------------------------------------------------------- line 32
@@ -400,13 +513,18 @@ impl GrpNode {
         // "oldness" clock advances on the in-group → alone transition and is
         // frozen for group members, so established members always beat
         // newcomers.
+        let clock = (self.priority_value, self.was_in_group);
         if self.was_in_group && !self.in_group() {
             self.priority_value = self.priority_value.saturating_add(1);
         }
         self.was_in_group = self.in_group();
+        moved |= (self.priority_value, self.was_in_group) != clock;
 
-        // every broadcast input may have moved: rebuild on the next send
-        self.cached_message = None;
+        self.settled = !moved;
+        if moved {
+            // a broadcast input may have moved: rebuild on the next send
+            self.cached_message = None;
+        }
     }
 
     /// The compatibility test, honouring the E10 ablation switch.
@@ -458,6 +576,8 @@ impl GrpNode {
     /// would give. A forged list naming a node it does not quote, or a
     /// corrupted state naming a node the table no longer holds, makes
     /// that node read as unknown.
+    ///
+    /// Returns whether the table changed; an unchanged one is not copied.
     fn learn_priorities(
         &mut self,
         rows: &[(NodeId, u32, Mark)],
@@ -466,7 +586,7 @@ impl GrpNode {
         self_quotes: &[(NodeId, PriorityInfo)],
         needed: &mut Vec<(NodeId, Option<PriorityInfo>)>,
         learnt: &mut Vec<(NodeId, PriorityInfo)>,
-    ) {
+    ) -> bool {
         let own_id = self.id;
         needed.clear();
         let mut push = |node: NodeId| {
@@ -500,7 +620,11 @@ impl GrpNode {
                 .iter()
                 .filter_map(|&(node, info)| info.map(|info| (node, info))),
         );
-        self.known_priorities.assign(learnt);
+        let moved = learnt.as_slice() != self.known_priorities.as_slice();
+        if moved {
+            self.known_priorities.assign(learnt);
+        }
+        moved
     }
 
     /// Line 30: the quarantine of new nodes is `Dmax`; non-null quarantines
@@ -514,10 +638,18 @@ impl GrpNode {
     /// resets the counter for ever and freezes mergeable groups apart.
     /// Entries of nodes that stay absent age out and are dropped once they
     /// reach zero, so the table stays bounded by the recently-seen nodes.
-    fn update_quarantines(&mut self, unmarked: &[NodeId], arrivals: &mut Vec<(NodeId, u32)>) {
+    ///
+    /// Returns whether any counter moved, left or joined the table.
+    fn update_quarantines(
+        &mut self,
+        unmarked: &[NodeId],
+        arrivals: &mut Vec<(NodeId, u32)>,
+    ) -> bool {
         let own_id = self.id;
+        let mut moved = false;
         self.quarantine.retain_mut(|node, q| {
-            if unmarked.binary_search(&node).is_ok() {
+            let before = *q;
+            let kept = if unmarked.binary_search(&node).is_ok() {
                 if node != own_id {
                     *q = if self.view.contains(&node) {
                         0
@@ -525,11 +657,14 @@ impl GrpNode {
                         q.saturating_sub(1)
                     };
                 }
-                return true;
-            }
-            // absent candidate: age the entry and forget it once expired
-            *q = q.saturating_sub(1);
-            node != own_id && *q > 0
+                true
+            } else {
+                // absent candidate: age the entry and forget it once expired
+                *q = q.saturating_sub(1);
+                node != own_id && *q > 0
+            };
+            moved |= !kept || *q != before;
+            kept
         });
         let fresh = self.config.quarantine_rounds();
         arrivals.extend(
@@ -538,7 +673,9 @@ impl GrpNode {
                 .filter(|&&x| x != own_id && self.quarantine.get(x).is_none())
                 .map(|&x| (x, if self.view.contains(&x) { 0 } else { fresh })),
         );
+        moved |= !arrivals.is_empty();
         self.quarantine.merge_batch(arrivals);
+        moved
     }
 
     /// Overwrite the local state with arbitrary values (transient fault).
@@ -565,6 +702,7 @@ impl GrpNode {
         }
         self.priority_value = scramble_priority;
         self.cached_message = None;
+        self.forget_inputs();
     }
 
     /// Reset to the freshly-booted state (crash/restart).
@@ -573,12 +711,13 @@ impl GrpNode {
     }
 
     /// A lean copy of the node for state stores (the model checker keeps
-    /// thousands of these): the cached broadcast is dropped — it is derived
-    /// data, rebuilt on demand — so a snapshot carries exactly the semantic
-    /// state.
+    /// thousands of these): the cached broadcast and the memo of the last
+    /// compute's inputs are dropped — derived data, rebuilt on demand — so
+    /// a snapshot carries exactly the semantic state.
     pub fn snapshot(&self) -> GrpNode {
         let mut snap = self.clone();
         snap.cached_message = None;
+        snap.forget_inputs();
         snap
     }
 
@@ -600,8 +739,9 @@ impl GrpNode {
         hasher.feed_bool(self.config.disable_quarantine);
         feed_list(&self.list, hasher);
         hasher.feed_node_set(self.view.iter().copied());
-        hasher.feed_u64(self.msg_set.len() as u64);
-        for (sender, msg) in &self.msg_set {
+        let msg_set = &self.msg_set[..self.heard as usize];
+        hasher.feed_u64(msg_set.len() as u64);
+        for (sender, msg) in msg_set {
             hasher.feed_u64(sender.raw());
             Self::feed_message_canonical(msg, hasher);
         }
@@ -1223,6 +1363,133 @@ mod tests {
         let after_busy = small();
         let fresh = std::thread::spawn(small).join().unwrap();
         assert_eq!(after_busy, fresh);
+    }
+
+    /// The links of the path 0 – 1 – 2, each way.
+    const PATH: [(u64, u64); 4] = [(0, 1), (1, 0), (1, 2), (2, 1)];
+
+    /// Every node sends its cached broadcast, as the simulator's send timer
+    /// does, over each directed link `(from, to)`.
+    fn deliver(nodes: &mut BTreeMap<NodeId, GrpNode>, links: &[(u64, u64)]) {
+        let messages: BTreeMap<NodeId, GrpMessage> = nodes
+            .iter_mut()
+            .map(|(&id, node)| (id, node.message_for_send()))
+            .collect();
+        for &(from, to) in links {
+            let msg = messages[&n(from)].clone();
+            nodes.get_mut(&n(to)).unwrap().receive(msg);
+        }
+    }
+
+    /// Does this compute timer run `compute()`?
+    fn computes(node: &mut GrpNode) -> bool {
+        let before = computes_run();
+        node.on_round();
+        computes_run() > before
+    }
+
+    /// The path 0 – 1 – 2 at Dmax 3, run until it is one group and every
+    /// node is settled.
+    fn settled_path() -> BTreeMap<NodeId, GrpNode> {
+        let mut nodes = make_nodes(&[0, 1, 2], 3);
+        for _ in 0..20 {
+            deliver(&mut nodes, &PATH);
+            for node in nodes.values_mut() {
+                node.on_round();
+            }
+        }
+        let all: View = (0..3).map(n).collect();
+        for node in nodes.values() {
+            assert_eq!(node.view(), &all);
+            assert!(node.settled, "{} settled", node.node_id());
+        }
+        nodes
+    }
+
+    #[test]
+    fn a_settled_node_skips_its_compute() {
+        let mut nodes = settled_path();
+        // a duplicate is the same broadcast again
+        deliver(&mut nodes, &PATH);
+        deliver(&mut nodes, &PATH);
+        for node in nodes.values_mut() {
+            let sent = node.message_for_send();
+            let count = node.compute_count();
+            let mut twin = node.snapshot();
+            assert!(!computes(node), "{} skips", node.node_id());
+            assert!(computes(&mut twin), "a snapshot has no memo");
+            assert_eq!(node.compute_count(), count + 1, "a skipped timer counts");
+            assert_eq!(canonical(node), canonical(&twin));
+            assert!(node.message_for_send().same_body(&sent));
+        }
+    }
+
+    /// Node 1 of a settled path, after `disturb`: its compute timer runs
+    /// `compute()` and ends where a node without memo ends.
+    fn assert_recomputes(disturb: impl FnOnce(&mut BTreeMap<NodeId, GrpNode>)) {
+        let mut nodes = settled_path();
+        disturb(&mut nodes);
+        let node = nodes.get_mut(&n(1)).unwrap();
+        let mut twin = node.snapshot();
+        assert!(computes(node), "node 1 recomputes");
+        twin.on_round();
+        assert_eq!(canonical(node), canonical(&twin));
+        assert_eq!(node.message_for_send(), twin.build_message());
+    }
+
+    #[test]
+    fn a_lost_message_makes_a_settled_node_recompute() {
+        assert_recomputes(|nodes| deliver(nodes, &[(0, 1), (1, 0), (1, 2)]));
+    }
+
+    #[test]
+    fn a_changed_message_makes_a_settled_node_recompute() {
+        assert_recomputes(|nodes| {
+            nodes.get_mut(&n(2)).unwrap().corrupt(&[n(9)], 5);
+            deliver(nodes, &PATH);
+        });
+        // heard unchanged, then changed within the same period
+        assert_recomputes(|nodes| {
+            deliver(nodes, &PATH);
+            nodes.get_mut(&n(2)).unwrap().corrupt(&[n(9)], 5);
+            deliver(nodes, &[(2, 1)]);
+        });
+        // the same content in a body of its own is not the message read
+        assert_recomputes(|nodes| {
+            deliver(nodes, &[(0, 1), (1, 0), (1, 2)]);
+            let copy = nodes[&n(2)].build_message();
+            nodes.get_mut(&n(1)).unwrap().receive(copy);
+        });
+    }
+
+    #[test]
+    fn a_new_sender_makes_a_settled_node_recompute() {
+        assert_recomputes(|nodes| {
+            nodes.insert(n(3), GrpNode::new(n(3), cfg(3)));
+            deliver(nodes, &[(0, 1), (1, 0), (1, 2), (2, 1), (3, 1)]);
+        });
+    }
+
+    #[test]
+    fn corrupt_reboot_and_snapshot_clear_the_memo() {
+        assert_recomputes(|nodes| {
+            deliver(nodes, &PATH);
+            nodes.get_mut(&n(1)).unwrap().corrupt(&[n(9)], 5);
+        });
+        assert_recomputes(|nodes| {
+            deliver(nodes, &PATH);
+            nodes.get_mut(&n(1)).unwrap().reboot();
+        });
+        assert_recomputes(|nodes| {
+            deliver(nodes, &PATH);
+            let node = nodes.get_mut(&n(1)).unwrap();
+            *node = node.snapshot();
+        });
+        let mut nodes = settled_path();
+        deliver(&mut nodes, &PATH);
+        for (_, variant) in nodes[&n(1)].enumerate_corruptions(&[n(0), n(1), n(2), n(3)]) {
+            assert!(!variant.settled && variant.msg_set.len() == variant.heard as usize);
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Flat tables keyed by node id.
 //!
-//! A [`GrpNode`](crate::node::GrpNode) keeps `msgSetv`, the learnt
-//! priorities and the quarantine counters per node id, and every
+//! A [`GrpNode`](crate::node::GrpNode) keeps the learnt priorities and the
+//! quarantine counters per node id, and every
 //! [`GrpMessage`](crate::message::GrpMessage) carries a priority table. All
-//! four are small (a neighbourhood or a group) and are walked in id order —
+//! three are small (a neighbourhood or a group) and are walked in id order —
 //! the canonical encoding and the wire size read them that way. A
 //! [`NodeTable`] is one `Vec` sorted by id: lookup is a binary search,
 //! iteration is a slice walk in exactly the key order a `BTreeMap` would
@@ -74,11 +74,6 @@ impl<V> NodeTable<V> {
     /// the value. Ids are visited in ascending order.
     pub fn retain_mut(&mut self, mut keep: impl FnMut(NodeId, &mut V) -> bool) {
         self.entries.retain_mut(|(node, value)| keep(*node, value));
-    }
-
-    /// Remove every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Iterate over the entries in ascending id order.
@@ -226,8 +221,6 @@ mod tests {
         assert_eq!(entries, vec![(n(1), 10), (n(3), 30), (n(4), 40)]);
         *table.get_mut(n(3)).unwrap() = 7;
         assert_eq!(table.get(n(3)), Some(&7));
-        table.clear();
-        assert!(table.is_empty());
     }
 
     type Entries = Vec<(u64, u32)>;

@@ -18,6 +18,10 @@
 //! ([`Absorption::Full`]). On executions whose messages quote every node
 //! they list, the bounded node must read exactly as that one: same lists,
 //! views, quarantines, priority clocks and broadcasts.
+//!
+//! A node whose compute timer may skip `compute()` (the fixpoint memo of
+//! `GrpNode::on_round`) is also run beside a twin whose timer always runs
+//! it, and the two must stay indistinguishable.
 
 use dyngraph::NodeId;
 use grp_core::ancestor_list::AncestorList;
@@ -867,6 +871,28 @@ fn neighbours(run: &Run, u: usize) -> Vec<usize> {
     out
 }
 
+/// The message a [`Step::Forge`] delivers.
+fn forged(
+    sender: u64,
+    list: &AncestorList,
+    quotes: &[(u64, u64, u64, u64)],
+    group: (u64, u64),
+) -> RefMessage {
+    RefMessage {
+        sender: NodeId(sender),
+        list: list.clone(),
+        priorities: quotes
+            .iter()
+            .map(|&(node, value, group_value, group_id)| {
+                let node = NodeId(node);
+                let group = Priority::new(group_value, NodeId(group_id));
+                (node, PriorityInfo::new(Priority::new(value, node), group))
+            })
+            .collect(),
+        group_priority: Priority::new(group.0, NodeId(group.1)),
+    }
+}
+
 /// Run the script on `GrpNode`s and on oracles that absorb priorities as
 /// `absorption` says, comparing them with `check` after every step and
 /// bounding the learnt-priority table after every compute; the `GrpNode`s
@@ -920,19 +946,7 @@ fn execute(run: &Run, absorption: Absorption, check: Check) -> Result<Vec<GrpNod
                 quotes,
                 group,
             } => {
-                let forged = RefMessage {
-                    sender: NodeId(*sender),
-                    list: list.clone(),
-                    priorities: quotes
-                        .iter()
-                        .map(|&(node, value, group_value, group_id)| {
-                            let node = NodeId(node);
-                            let group = Priority::new(group_value, NodeId(group_id));
-                            (node, PriorityInfo::new(Priority::new(value, node), group))
-                        })
-                        .collect(),
-                    group_priority: Priority::new(group.0, NodeId(group.1)),
-                };
+                let forged = forged(*sender, list, quotes, *group);
                 nodes[to % run.n].receive(forged.to_grp());
                 refs[to % run.n].receive(forged);
             }
@@ -1034,6 +1048,173 @@ proptest! {
     }
 }
 
+/// [`arb_step`]s spliced into periods of calm: in each of `periods`
+/// periods every node broadcasts without loss, then every compute timer
+/// fires, starting from a drawn node, each followed by its node's next
+/// broadcast, and every third period one drawn step follows. Between
+/// disturbances the nodes settle, so their compute timers skip, and each
+/// disturbance meets settled nodes; a node that moves re-sends before some
+/// of its neighbours compute, so they hear it twice in one period.
+fn arb_settling_run() -> impl Strategy<Value = Run> {
+    (arb_run(arb_step()), 8usize..24, 0usize..10).prop_map(|(run, periods, first)| {
+        let n = run.n;
+        let mut drawn = run.steps.iter().cycle();
+        let steps = (0..periods)
+            .flat_map(|p| {
+                let sends = (0..n).map(|node| Step::Send { node, loss: 0 });
+                let computes = (0..n).flat_map(move |k| {
+                    let node = (first + p + k) % n;
+                    [Step::Compute { node }, Step::Send { node, loss: 0 }]
+                });
+                let disturbance = (p % 3 == 2).then(|| drawn.next().cloned()).flatten();
+                sends.chain(computes).chain(disturbance).collect::<Vec<_>>()
+            })
+            .collect();
+        Run { steps, ..run }
+    })
+}
+
+/// Run the script on `GrpNode`s driven as the simulator drives them and on
+/// twins whose every compute timer runs `compute()`: a twin's compute timer
+/// fires on a fresh [`GrpNode::snapshot`], which holds no memo of its last
+/// compute's inputs. Every message a node sends goes through
+/// `message_for_send`, as the simulator's does, so settled nodes re-send
+/// the same `Arc` and their neighbours can skip. After every step each
+/// node's canonical state and cached broadcast must equal its twin's.
+/// Returns how many compute timers left their node's broadcast in place,
+/// which only a timer that moved nothing does.
+fn execute_beside_twins(run: &Run) -> Result<usize, TestCaseError> {
+    let mut config = GrpConfig::new(run.dmax);
+    config.naive_compatibility = run.naive;
+    config.disable_quarantine = run.no_quarantine;
+    let ids: Vec<NodeId> = (0..run.n as u64).map(NodeId).collect();
+    let mut nodes: Vec<GrpNode> = ids
+        .iter()
+        .map(|&id| GrpNode::new(id, config.clone()))
+        .collect();
+    let mut twins = nodes.clone();
+    let mut kept = 0;
+    for step in &run.steps {
+        match step {
+            &Step::Send { node, loss } => {
+                let u = node % run.n;
+                let msg = nodes[u].message_for_send();
+                let twin_msg = twins[u].message_for_send();
+                for v in neighbours(run, u) {
+                    if loss & (1 << v) == 0 {
+                        nodes[v].receive(msg.clone());
+                        twins[v].receive(twin_msg.clone());
+                    }
+                }
+            }
+            &Step::Compute { node } => {
+                let u = node % run.n;
+                let sent = nodes[u].message_for_send();
+                nodes[u].on_round();
+                twins[u] = twins[u].snapshot();
+                twins[u].on_round();
+                if std::ptr::eq(&*sent, &*nodes[u].message_for_send()) {
+                    kept += 1;
+                }
+                prop_assert_eq!(nodes[u].compute_count(), twins[u].compute_count());
+            }
+            &Step::Duplicate { from, to } => {
+                let (u, v) = (from % run.n, to % run.n);
+                let msg = nodes[u].message_for_send();
+                let twin_msg = twins[u].message_for_send();
+                for _ in 0..2 {
+                    nodes[v].receive(msg.clone());
+                    twins[v].receive(twin_msg.clone());
+                }
+            }
+            Step::Forge {
+                to,
+                sender,
+                list,
+                quotes,
+                group,
+            } => {
+                let forged = forged(*sender, list, quotes, *group).to_grp();
+                nodes[to % run.n].receive(forged.clone());
+                twins[to % run.n].receive(forged);
+            }
+            &Step::CorruptInFlight { node, seed } => {
+                let u = node % run.n;
+                let mut msg = nodes[u].message_for_send();
+                nodes[u].corrupt_message(&mut msg, &mut ChaCha8Rng::seed_from_u64(seed));
+                let mut twin_msg = twins[u].message_for_send();
+                twins[u].corrupt_message(&mut twin_msg, &mut ChaCha8Rng::seed_from_u64(seed));
+                for v in neighbours(run, u) {
+                    nodes[v].receive(msg.clone());
+                    twins[v].receive(twin_msg.clone());
+                }
+            }
+            Step::Corrupt {
+                node,
+                ghosts,
+                priority,
+            } => {
+                let ghosts: Vec<NodeId> = ghosts.iter().map(|&g| NodeId(g)).collect();
+                nodes[node % run.n].corrupt(&ghosts, *priority);
+                twins[node % run.n].corrupt(&ghosts, *priority);
+            }
+            &Step::Corruption { node, pick } => {
+                let u = node % run.n;
+                let variants = nodes[u].enumerate_corruptions(&ids);
+                let twin_variants = twins[u].enumerate_corruptions(&ids);
+                prop_assert_eq!(variants.len(), twin_variants.len());
+                let pick = pick % variants.len();
+                nodes[u] = variants[pick].1.clone();
+                twins[u] = twin_variants[pick].1.clone();
+            }
+            &Step::Reboot { node } => {
+                nodes[node % run.n].reboot();
+                twins[node % run.n].reboot();
+            }
+        }
+        for (node, twin) in nodes.iter_mut().zip(&mut twins) {
+            prop_assert_eq!(
+                digest(|h| node.feed_canonical(h)),
+                digest(|h| twin.feed_canonical(h)),
+                "canonical state of {} after {:?}",
+                node.node_id(),
+                step
+            );
+            // the twin's cache is built afresh after every compute
+            prop_assert_eq!(
+                node.message_for_send(),
+                twin.message_for_send(),
+                "broadcast of {} after {:?}",
+                node.node_id(),
+                step
+            );
+        }
+    }
+    Ok(kept)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// A node whose compute timer may skip `compute()` and a twin whose
+    /// timer always runs it stay indistinguishable, whatever the run: loss,
+    /// duplicates, forgeries, corruption in flight and in memory, reboots.
+    #[test]
+    fn skipping_computes_matches_always_computing(run in arb_run(arb_step())) {
+        execute_beside_twins(&run)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The same, on runs that settle between disturbances.
+    #[test]
+    fn skipping_computes_matches_always_computing_when_settled(run in arb_settling_run()) {
+        execute_beside_twins(&run)?;
+    }
+}
+
 /// Lockstep runs only prove something if they reach the interesting
 /// states: a connected graph run long enough to form groups, quarantine
 /// newcomers and learn third-party priorities.
@@ -1056,4 +1237,7 @@ fn lockstep_runs_reach_groups() {
     assert!(nodes.iter().all(|node| node.in_group()), "groups formed");
     let msg = nodes[0].build_message();
     assert!(msg.priorities.len() > 2, "third-party priorities quoted");
+    // the same run settles: its last computes move nothing
+    let kept = execute_beside_twins(&run).unwrap();
+    assert!(kept >= 10, "{kept} of 40 computes kept their broadcast");
 }

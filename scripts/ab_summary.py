@@ -18,11 +18,15 @@ given). A pair is won when the change reads better and lost when it reads
 worse; ties count for neither side. The verdict is "gain" when the change
 wins at least nine tenths of the pairs and the medians differ by more than
 the parent's interquartile range, "worse" when the change loses as many
-pairs by such a gap, and "no gain" otherwise. A row whose median moved the
-wrong way by more than the metric's `bound` in BENCHMARK.json (a relative
-change) is flagged "past the bound". Which way is better comes from the
-metric's `better` there (lower when it is not listed). A group with a run
-that is not `correct` or that has `failed` > 0 reads "invalid".
+pairs by such a gap, and "no gain" otherwise. A row whose parent runs
+spread wider than the metric's `bound` in BENCHMARK.json (IQR / median, a
+relative change) reads "unresolved" instead: the runs cannot tell a move
+of that size from noise, unless every change run reads better than every
+parent run, which keeps the verdict. A row whose median moved the wrong
+way by more than the bound is flagged "past the bound". Which way is
+better comes from the metric's `better` there (lower when it is not
+listed). A group with a run that is not `correct` or that has `failed` > 0
+reads "invalid".
 
 Usage:
   python3 scripts/ab_summary.py [FILE]...   (stdin if none)
@@ -136,6 +140,9 @@ def summarise(lines, higher=frozenset(), bounds=None):
             else:
                 verdict = "no gain"
             bound = bounds.get(metric)
+            if not invalid and bound is not None and pm and iqr / abs(pm) > bound:
+                if not all(sign * (p - c) > 0 for p in parent for c in change):
+                    verdict = "unresolved"
             if bound is not None and pm and sign * (cm - pm) / abs(pm) > bound:
                 verdict += f", past the {bound:.0%} bound"
             delta = signed_percent((cm - pm) / pm * 100) if pm else "n/a"
@@ -187,6 +194,25 @@ SELF_TEST_INPUT = (
         for label, wall, rss in (("parent", pw, pr), ("change", cw, cr))
     ]
     + [
+        # parent spread wider than the 25 % bound; no side beats the other
+        # run for run
+        driver_line(label, i, wall, 4.0, workload="archipelago")
+        for i, (pw, cw) in enumerate(
+            [(0.6, 0.55), (1.4, 1.3), (0.7, 0.6), (1.3, 1.25), (0.8, 0.7),
+             (1.2, 1.1), (0.65, 0.6), (1.35, 1.3), (1.0, 0.9), (1.0, 0.95)]
+        )
+        for label, wall in (("parent", pw), ("change", cw))
+    ]
+    + [
+        # as wide, but every change run beats every parent run
+        driver_line(label, i, wall, 4.0, workload="campaign")
+        for i, (pw, cw) in enumerate(
+            [(1.0, 0.5), (2.0, 0.9), (1.1, 0.6), (1.9, 0.8), (1.2, 0.7),
+             (1.8, 0.75), (1.3, 0.65), (1.7, 0.7), (1.4, 0.55), (1.6, 0.85)]
+        )
+        for label, wall in (("parent", pw), ("change", cw))
+    ]
+    + [
         json.dumps({"correct": False, "failed": 1, "metrics": {}, "label": "change",
                     "workload": "drift", "seed": 7}),
         json.dumps({"correct": True, "failed": 0, "label": "parent", "workload": "drift",
@@ -201,6 +227,10 @@ SELF_TEST_EXPECTED = HEADER + """
   | metropolis (2010) | peak_rss_mb | 70.05 [70–70.1] | 70.05 [70–70.1] | +0.0 % | 0/10, 10 ties | 0.1 | no gain |
   | concourse (2010) | wall_s | 0.1 [0.1–0.1] | 0.11 [0.11–0.1175] | +10.0 % | 0/10, 1 tie | 0 | worse |
   | concourse (2010) | peak_rss_mb | 7.05 [7–7.1] | 7.9 [7.9–7.975] | +12.1 % | 0/10 | 0.1 | worse, past the 10% bound |
+  | archipelago (2010) | wall_s | 1 [0.725–1.275] | 0.925 [0.625–1.212] | −7.5 % | 10/10 | 0.55 | unresolved |
+  | archipelago (2010) | peak_rss_mb | 4 [4–4] | 4 [4–4] | +0.0 % | 0/10, 10 ties | 0 | no gain |
+  | campaign (2010) | wall_s | 1.5 [1.225–1.775] | 0.7 [0.6125–0.7875] | −53.3 % | 10/10 | 0.55 | gain |
+  | campaign (2010) | peak_rss_mb | 4 [4–4] | 4 [4–4] | +0.0 % | 0/10, 10 ties | 0 | no gain |
   | drift (7) | wall_s | 0.5 [0.5–0.5] | 0.4 [0.4–0.4] | −20.0 % | 0/0 | 0 | invalid (1 runs not correct) |"""
 
 
