@@ -10,8 +10,7 @@
 
 use crate::discovery::{Discovery, DiscoveryMessage};
 use dyngraph::NodeId;
-use grp_core::predicates::GroupMembership;
-use netsim::{Protocol, SimTime, View};
+use netsim::{Protocol, SimTime, View, ViewProtocol};
 use rand_chacha::ChaCha8Rng;
 
 /// One node of the neighbourhood-ball baseline.
@@ -91,7 +90,7 @@ impl Protocol for NeighborhoodBall {
     }
 }
 
-impl GroupMembership for NeighborhoodBall {
+impl ViewProtocol for NeighborhoodBall {
     fn view(&self) -> &View {
         &self.view
     }

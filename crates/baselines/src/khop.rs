@@ -11,8 +11,7 @@
 
 use crate::discovery::{Discovery, DiscoveryMessage};
 use dyngraph::NodeId;
-use grp_core::predicates::GroupMembership;
-use netsim::{Protocol, SimTime, View};
+use netsim::{Protocol, SimTime, View, ViewProtocol};
 use rand_chacha::ChaCha8Rng;
 
 /// One node of the min-id k-clustering baseline.
@@ -125,7 +124,7 @@ impl Protocol for KHopClustering {
     }
 }
 
-impl GroupMembership for KHopClustering {
+impl ViewProtocol for KHopClustering {
     fn view(&self) -> &View {
         &self.view
     }

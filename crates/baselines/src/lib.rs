@@ -19,7 +19,7 @@
 //!   coverage, no agreement, no continuity).
 //!
 //! All baselines implement [`netsim::Protocol`] and
-//! [`grp_core::predicates::GroupMembership`], so every experiment and metric
+//! [`netsim::ViewProtocol`], so every experiment and metric
 //! of the evaluation applies to them unchanged.
 
 #![forbid(unsafe_code)]

@@ -13,8 +13,7 @@
 
 use crate::discovery::{Discovery, DiscoveryMessage};
 use dyngraph::NodeId;
-use grp_core::predicates::GroupMembership;
-use netsim::{Protocol, SimTime, View};
+use netsim::{Protocol, SimTime, View, ViewProtocol};
 use rand_chacha::ChaCha8Rng;
 
 /// One node of the Max-Min d-cluster baseline.
@@ -140,7 +139,7 @@ impl Protocol for MaxMinDCluster {
     }
 }
 
-impl GroupMembership for MaxMinDCluster {
+impl ViewProtocol for MaxMinDCluster {
     fn view(&self) -> &View {
         &self.view
     }

@@ -5,7 +5,7 @@
 //! RNG — and be conditioned on deterministic state only. This pass lists
 //! where to look: every direct draw (`rng.gen_bool(…)`,
 //! `self.rng.gen_range(…)`) and every handoff that lends an RNG to a callee
-//! (`radio.receives(&mut rng, …)`), with file, line, receiver chain and
+//! (`channel.link(&mut rng, …)`), with file, line, receiver chain and
 //! method. On its own it is an inventory (exit code 0); with `--baseline`
 //! the binary turns it into a gate on new sites.
 

@@ -5,8 +5,7 @@
 //! in the model are oriented (u may hear v while v does not hear u), but the
 //! GRP algorithm only ever *uses* symmetric links — asymmetric links are
 //! filtered by the mark mechanism — so the substrate keeps an undirected
-//! graph and lets the radio model of `netsim` introduce asymmetry explicitly
-//! when needed.
+//! graph; `netsim`'s unit-disk radio is symmetric, so no link is lost.
 //!
 //! A graph is immutable once built. Its nodes ascend, and a node's index
 //! among them is its *slot*; each node's row lists its neighbours' slots,

@@ -12,7 +12,8 @@ use crate::report::ExperimentOutput;
 use crate::runner::{churn_after_warmup, Scale};
 use grp_core::GrpConfig;
 use metrics::{ChurnAccumulator, Table};
-use scenarios::manifest::{MobilitySpec, RadioSpec, WorkloadSpec};
+use netsim::radio::UnitDisk;
+use scenarios::manifest::{ChannelSpec, MobilitySpec, WorkloadSpec};
 use scenarios::ScenarioManifest;
 
 /// One measurement cell: run the convoy at a given speed spread and
@@ -36,8 +37,8 @@ fn measure(
             speed_min: base,
             speed_max: base + speed_spread,
         },
-        radio: RadioSpec::UnitDisk { range: 30.0 },
-        channel: None,
+        radio: UnitDisk::new(30.0),
+        channel: ChannelSpec::Bernoulli,
     };
     let manifest = ScenarioManifest::simulate("e4", workload, GrpConfig::new(dmax), rounds as u64);
     churn_after_warmup(&manifest, seed, warmup)

@@ -16,12 +16,12 @@ use crate::runner::Scale;
 use baselines::{KHopClustering, MaxMinDCluster, NeighborhoodBall};
 use dyngraph::NodeId;
 use grp_core::observers::SnapshotRecorder;
-use grp_core::predicates::{view_removals, GroupMembership, SystemSnapshot};
+use grp_core::predicates::{view_removals, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use metrics::Table;
 use netsim::mobility::RandomWaypoint;
 use netsim::radio::UnitDisk;
-use netsim::{Protocol, SimConfig, Simulator, TopologyMode};
+use netsim::{Protocol, SimConfig, Simulator, TopologyMode, ViewProtocol};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -35,14 +35,13 @@ where
 {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mobility = RandomWaypoint::new(n, ARENA, ARENA, (speed, speed), &mut rng);
-    let radio = UnitDisk::new(RANGE);
     let mut sim = Simulator::new(
         SimConfig {
             seed,
             ..Default::default()
         },
         TopologyMode::Spatial {
-            radio: Box::new(radio),
+            radio: UnitDisk::new(RANGE),
             mobility: Box::new(mobility),
         },
     );
@@ -86,7 +85,7 @@ fn measure<P, F>(
     make: F,
 ) -> (f64, f64)
 where
-    P: Protocol + GroupMembership,
+    P: Protocol + ViewProtocol,
     F: Fn(NodeId) -> P,
 {
     let mut sim = spatial_sim(n, speed, seed, make);

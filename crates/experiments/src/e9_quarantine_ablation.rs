@@ -11,7 +11,8 @@ use crate::report::ExperimentOutput;
 use crate::runner::{churn_after_warmup, Scale};
 use grp_core::GrpConfig;
 use metrics::{ChurnAccumulator, Table};
-use scenarios::manifest::{MobilitySpec, RadioSpec, WorkloadSpec};
+use netsim::radio::UnitDisk;
+use scenarios::manifest::{ChannelSpec, MobilitySpec, WorkloadSpec};
 use scenarios::ScenarioManifest;
 
 fn measure(
@@ -30,8 +31,8 @@ fn measure(
             speed_min: speed,
             speed_max: speed,
         },
-        radio: RadioSpec::UnitDisk { range: 35.0 },
-        channel: None,
+        radio: UnitDisk::new(35.0),
+        channel: ChannelSpec::Bernoulli,
     };
     let manifest = ScenarioManifest::simulate("e9", workload, config, rounds as u64);
     churn_after_warmup(&manifest, seed, warmup)

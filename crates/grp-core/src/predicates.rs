@@ -34,12 +34,6 @@ use netsim::{Simulator, View, ViewProtocol};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// The historical name of the view capability, kept as an alias so existing
-/// bounds (`P: Protocol + GroupMembership`) keep compiling. The trait itself
-/// now lives in `netsim` as [`ViewProtocol`], where the generic observer
-/// pipeline can see it.
-pub use netsim::ViewProtocol as GroupMembership;
-
 impl ViewProtocol for GrpNode {
     fn view(&self) -> &View {
         GrpNode::view(self)

@@ -1,19 +1,21 @@
 //! Channel models: who actually receives a broadcast, and when.
 //!
-//! The radio model ([`RadioModel`]) answers the *geometric* question — which
-//! nodes are in the sender's vicinity — and owns the topology. The channel
-//! model answers the *medium* question: given that a neighbour is in range,
-//! does this particular transmission reach it, and with how much extra
-//! latency? Splitting the two lets a scenario combine any disk geometry
-//! with any medium behaviour.
+//! The radio ([`UnitDisk`]) answers the *geometric* question — which nodes
+//! are in the sender's vicinity — and owns the topology. The channel model
+//! answers the *medium* question: given that a neighbour is in range, does
+//! this particular transmission reach it, and with how much extra latency?
+//! Every loss decision lives here, so a scenario combines the disk
+//! geometry with any medium behaviour.
 //!
-//! Two models are provided:
+//! Three models are provided:
 //!
-//! * [`Bernoulli`] — the historical default. Per-link iid loss: explicit
-//!   mode draws against [`SimConfig::loss_probability`], spatial mode
-//!   delegates to [`RadioModel::receives`]. Its RNG consumption is
-//!   bit-for-bit the pre-channel-trait behaviour, so every pinned golden
-//!   trace digest is unchanged.
+//! * [`Bernoulli`] — the default. Per-link iid loss at
+//!   [`SimConfig::loss_probability`], in both topology modes; a manifest's
+//!   `lossy_disk` is a unit disk under this channel at its `loss`.
+//! * [`DistanceLoss`] — a crude path-loss model: the loss probability grows
+//!   linearly with the link's length, from 0 beside the sender to
+//!   `edge_loss` at the edge of the radio's range (a manifest's
+//!   `distance_loss`).
 //! * [`Contention`] — a shared-medium approximation for VANET workloads:
 //!   loss probability rises with the number of concurrent transmitters
 //!   near the receiver, two senders that cannot hear each other but share
@@ -55,7 +57,7 @@
 //!
 //! [`SimConfig::loss_probability`]: crate::sim::SimConfig::loss_probability
 
-use crate::radio::RadioModel;
+use crate::radio::UnitDisk;
 use crate::space::{cell_index, Point};
 use crate::time::SimTime;
 use dyngraph::NodeId;
@@ -77,9 +79,9 @@ pub struct LinkEnv<'a> {
     pub sender_pos: Option<Point>,
     /// Receiver position — `None` in explicit-topology mode.
     pub receiver_pos: Option<Point>,
-    /// The radio model — `None` in explicit-topology mode.
-    pub radio: Option<&'a dyn RadioModel>,
-    /// The explicit-mode iid loss probability
+    /// The radio — `None` in explicit-topology mode.
+    pub radio: Option<&'a UnitDisk>,
+    /// The [`Bernoulli`] channel's iid loss probability
     /// ([`SimConfig::loss_probability`](crate::sim::SimConfig::loss_probability)).
     pub loss_probability: f64,
 }
@@ -127,31 +129,83 @@ pub trait ChannelModel {
     fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome;
 }
 
-/// The historical iid-loss channel (the default).
-///
-/// Explicit mode: each link independently survives with probability
-/// `1 − loss_probability` (the RNG is only consumed when the probability is
-/// positive). Spatial mode: the decision is delegated to
-/// [`RadioModel::receives`], which is where `lossy_disk` / `distance_loss`
-/// implement their per-reception fading. Both paths reproduce the
-/// pre-channel-trait RNG stream exactly; the golden digests pin this.
+/// The iid-loss channel (the default): each link independently survives
+/// with probability `1 − loss_probability`, in both topology modes. The
+/// RNG is consumed only when the probability is positive, one draw per
+/// link; the golden digests pin this.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Bernoulli;
 
 impl ChannelModel for Bernoulli {
     fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
-        let received = match env.radio {
-            None => {
-                env.loss_probability <= 0.0 || !rng.gen_bool(env.loss_probability.clamp(0.0, 1.0))
-            }
-            Some(radio) => match (env.sender_pos, env.receiver_pos) {
-                (Some(ps), Some(pr)) => radio.receives(rng, ps, pr),
-                _ => false,
-            },
+        let p = env.loss_probability;
+        if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
+            LinkOutcome::LOST
+        } else {
+            LinkOutcome::DELIVERED
+        }
+    }
+}
+
+/// Distance-proportional loss for spatial workloads: a link of length `d`
+/// under a radio of range `r` is lost with probability
+/// `edge_loss · d / r` — 0 beside the sender, `edge_loss` at the edge of
+/// the range — so long links are flakier than short ones, as in a real
+/// VANET. One draw per in-range link, whatever its length; a link without
+/// positions or beyond the range is lost without one.
+///
+/// ```
+/// use netsim::channel::{ChannelModel, DistanceLoss, LinkEnv};
+/// use netsim::radio::UnitDisk;
+/// use netsim::{Point, SimTime};
+/// use dyngraph::NodeId;
+/// use rand::SeedableRng;
+/// use rand_chacha::ChaCha8Rng;
+///
+/// let radio = UnitDisk::new(10.0);
+/// let env = LinkEnv {
+///     now: SimTime(0),
+///     sender: NodeId(0),
+///     receiver: NodeId(1),
+///     sender_pos: Some(Point::new(0.0, 0.0)),
+///     receiver_pos: Some(Point::new(10.0, 0.0)),
+///     radio: Some(&radio),
+///     loss_probability: 0.0,
+/// };
+/// // at the edge of the range the loss is `edge_loss`: certain here
+/// let mut rng = ChaCha8Rng::seed_from_u64(1);
+/// assert!(!DistanceLoss::new(1.0).link(&mut rng, &env).received);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DistanceLoss {
+    edge_loss: f64,
+}
+
+impl DistanceLoss {
+    /// The channel with loss probability `edge_loss` at the edge of the
+    /// range, clamped into `[0, 1]`.
+    pub fn new(edge_loss: f64) -> Self {
+        DistanceLoss {
+            edge_loss: edge_loss.clamp(0.0, 1.0),
+        }
+    }
+}
+
+impl ChannelModel for DistanceLoss {
+    fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
+        let (Some(radio), Some(ps), Some(pr)) = (env.radio, env.sender_pos, env.receiver_pos)
+        else {
+            return LinkOutcome::LOST;
         };
-        LinkOutcome {
-            received,
-            extra_delay: 0,
+        let d = ps.distance(&pr);
+        if d > radio.range() {
+            return LinkOutcome::LOST;
+        }
+        let p_loss = self.edge_loss * (d / radio.range());
+        if rng.gen_bool(p_loss.clamp(0.0, 1.0)) {
+            LinkOutcome::LOST
+        } else {
+            LinkOutcome::DELIVERED
         }
     }
 }
@@ -438,7 +492,7 @@ impl ChannelModel for Contention {
     fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
         // positions are mandatory: the contention model is spatial-only
         // (manifests enforce this; a missing position drops the link, the
-        // same posture the spatial Bernoulli path takes)
+        // same posture `DistanceLoss` takes)
         let (Some(ps), Some(pr)) = (env.sender_pos, env.receiver_pos) else {
             return LinkOutcome::LOST;
         };
@@ -473,17 +527,10 @@ impl ChannelModel for Contention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radio::{LossyDisk, UnitDisk};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn env<'a>(
-        sender: u64,
-        receiver: u64,
-        sp: Point,
-        rp: Point,
-        radio: &'a dyn RadioModel,
-    ) -> LinkEnv<'a> {
+    fn env(sender: u64, receiver: u64, sp: Point, rp: Point, radio: &UnitDisk) -> LinkEnv<'_> {
         LinkEnv {
             now: SimTime(0),
             sender: NodeId(sender),
@@ -537,30 +584,67 @@ mod tests {
         assert_eq!(via_channel.gen::<u64>(), direct.gen::<u64>());
     }
 
+    /// Spatial mode draws against `loss_probability` exactly as explicit
+    /// mode does: the radio plays no part in the decision.
     #[test]
-    fn bernoulli_spatial_delegates_to_radio() {
-        let radio = LossyDisk::new(10.0, 0.5);
-        let ch = Bernoulli;
-        let e = env(0, 1, Point::ORIGIN, Point::new(3.0, 0.0), &radio);
-        let mut via_channel = ChaCha8Rng::seed_from_u64(21);
-        let mut direct = ChaCha8Rng::seed_from_u64(21);
+    fn bernoulli_spatial_applies_loss_probability() {
+        let radio = UnitDisk::new(10.0);
+        let spatial = LinkEnv {
+            loss_probability: 0.5,
+            ..env(0, 1, Point::ORIGIN, Point::new(3.0, 0.0), &radio)
+        };
+        let explicit = LinkEnv {
+            sender_pos: None,
+            receiver_pos: None,
+            radio: None,
+            ..spatial
+        };
+        let mut via_spatial = ChaCha8Rng::seed_from_u64(21);
+        let mut via_explicit = ChaCha8Rng::seed_from_u64(21);
+        let mut lost = 0;
         for _ in 0..64 {
-            let got = ch.link(&mut via_channel, &e).received;
-            let want = radio.receives(&mut direct, Point::ORIGIN, Point::new(3.0, 0.0));
-            assert_eq!(got, want);
+            let got = Bernoulli.link(&mut via_spatial, &spatial);
+            assert_eq!(got, Bernoulli.link(&mut via_explicit, &explicit));
+            lost += usize::from(!got.received);
         }
+        assert!(lost > 0 && lost < 64, "{lost} of 64 lost");
     }
 
+    /// `DistanceLoss` is spatial-only: a link without positions is lost
+    /// without a draw.
     #[test]
-    fn bernoulli_spatial_without_positions_drops() {
+    fn distance_loss_without_positions_drops() {
         let radio = UnitDisk::new(10.0);
-        let ch = Bernoulli;
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let e = LinkEnv {
             receiver_pos: None,
             ..env(0, 1, Point::ORIGIN, Point::ORIGIN, &radio)
         };
-        assert_eq!(ch.link(&mut rng, &e), LinkOutcome::LOST);
+        assert_eq!(DistanceLoss::new(0.5).link(&mut rng, &e), LinkOutcome::LOST);
+        let mut fresh = ChaCha8Rng::seed_from_u64(1);
+        assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
+    }
+
+    /// One draw per in-range link against `edge_loss · d / range`, clamped
+    /// — checked draw for draw against the formula over a direct stream,
+    /// at lengths from 0 to the range.
+    #[test]
+    fn distance_loss_draws_match_the_formula() {
+        let radio = UnitDisk::new(8.0);
+        let mut via_channel = ChaCha8Rng::seed_from_u64(31);
+        let mut direct = ChaCha8Rng::seed_from_u64(31);
+        for edge_loss in [0.0, 0.35, 1.0] {
+            let channel = DistanceLoss::new(edge_loss);
+            for step in 0..=16 {
+                let d = 0.5 * f64::from(step);
+                let e = env(0, 1, Point::new(1.0, 2.0), Point::new(1.0, 2.0 + d), &radio);
+                let got = channel.link(&mut via_channel, &e).received;
+                let want = !direct.gen_bool((edge_loss * d / 8.0).clamp(0.0, 1.0));
+                assert_eq!(got, want, "edge_loss {edge_loss}, d {d}");
+            }
+        }
+        // identical RNG stream: the next draws still agree
+        assert_eq!(via_channel.gen::<u64>(), direct.gen::<u64>());
     }
 
     fn quiet_contention(range: f64) -> Contention {

@@ -6,8 +6,10 @@
 //!
 //! * nodes spread in a Euclidean space, active or inactive, each with a
 //!   processor and a communication device ([`node`], [`space`]);
-//! * a **vicinity**-based radio model — a node hears another when it lies in
-//!   its vicinity — with optional message loss ([`radio`]);
+//! * a **vicinity**-based radio — a node hears another when it lies in its
+//!   vicinity, a disk of bounded range ([`radio`]) — under a channel model
+//!   that decides message loss, collisions and extra latency per link
+//!   ([`channel`]);
 //! * timer-driven message sending with the fair-channel hypothesis: a node
 //!   sends every `τ2` and every neighbour hears it at least once per `τ1`
 //!   ([`sim`], [`SimConfig`]);
@@ -62,7 +64,9 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{PositionTable, Positions};
-pub use channel::{Bernoulli, ChannelModel, Contention, ContentionConfig, LinkEnv, LinkOutcome};
+pub use channel::{
+    Bernoulli, ChannelModel, Contention, ContentionConfig, DistanceLoss, LinkEnv, LinkOutcome,
+};
 pub use digest::{CanonicalHasher, NodeSetDigest, TraceDigest};
 pub use event::{Event, EventKind};
 pub use fault::{FaultKind, Region, ScheduledFault};
@@ -70,7 +74,6 @@ pub use mobility::MobilityModel;
 pub use node::SimNode;
 pub use observer::{NullObserver, Observer};
 pub use protocol::{CanonicalState, Protocol, View, ViewProtocol};
-pub use radio::RadioModel;
 pub use rng::{stream_seed, NodeStreams, StreamTag};
 pub use sim::{SimConfig, Simulator, TopologyMode};
 pub use space::Point;

@@ -3,7 +3,7 @@
 //! A mobility model owns the node positions — one slot-ordered
 //! [`PositionTable`](crate::arena::PositionTable), with any further
 //! per-node state in vectors parallel to it — and advances them by a time
-//! step; the simulator then asks the radio model for the implied topology.
+//! step; the simulator then asks the radio for the implied topology.
 //! Six models are provided:
 //!
 //! * [`Stationary`] — nodes never move (fixed topologies / stabilization

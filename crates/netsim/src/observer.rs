@@ -175,7 +175,7 @@ mod tests {
                     ..Default::default()
                 },
                 TopologyMode::Spatial {
-                    radio: Box::new(UnitDisk::new(30.0)),
+                    radio: UnitDisk::new(30.0),
                     mobility: Box::new(RandomWalk::new(30, 100.0, 100.0, 0.5, &mut placement)),
                 },
             );
@@ -202,7 +202,7 @@ mod tests {
                 ..Default::default()
             },
             TopologyMode::Spatial {
-                radio: Box::new(UnitDisk::new(30.0)),
+                radio: UnitDisk::new(30.0),
                 mobility: Box::new(RandomWalk::new(30, 100.0, 100.0, 0.5, &mut placement)),
             },
         );

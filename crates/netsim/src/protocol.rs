@@ -150,9 +150,6 @@ impl std::fmt::Debug for View {
 /// probes work against `ViewProtocol`, so no harness needs to know the
 /// concrete protocol type. Implemented by `grp_core::GrpNode` and every
 /// baseline algorithm.
-///
-/// (`grp_core::predicates::GroupMembership` is a re-export of this trait,
-/// kept under its historical name.)
 pub trait ViewProtocol: Protocol {
     /// Borrow the current view. A snapshot records it by cloning the
     /// handle, so an implementation that keeps its `View` whenever the

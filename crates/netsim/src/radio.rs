@@ -1,234 +1,104 @@
-//! Vicinity (radio) models.
+//! The vicinity (radio) model.
 //!
 //! The paper defines the *vicinity* of a node `v` as the region of space
-//! from which a message can be received by `v`. The radio model turns node
-//! positions into a topology and decides, per transmission, whether a given
-//! neighbour actually receives the message (loss, collisions).
+//! from which a message can be received by `v`. The radio answers that
+//! geometric question only — which positions are in each other's vicinity —
+//! and with it the topology; whether a given transmission then arrives
+//! (loss, collisions) is the channel's decision ([`crate::channel`]).
 
-use crate::arena::Positions;
 use crate::space::{Point, SpatialGrid};
 use dyngraph::Graph;
-use rand::{Rng, RngCore};
 
-/// A radio / vicinity model.
+/// The unit-disk radio: a node hears every transmitter within `range`.
+///
+/// The range is finite and positive by construction, so every radio has a
+/// bounded interaction distance and neighbour discovery always runs
+/// through the spatial grid.
 ///
 /// ```
-/// use netsim::radio::{RadioModel, UnitDisk};
-/// use netsim::PositionTable;
+/// use netsim::radio::UnitDisk;
 /// use netsim::Point;
-/// use dyngraph::NodeId;
 ///
 /// let radio = UnitDisk::new(10.0);
+/// assert_eq!(radio.range(), 10.0);
 /// assert!(radio.in_vicinity(Point::new(0.0, 0.0), Point::new(6.0, 0.0)));
-/// assert_eq!(radio.max_range(), Some(10.0));
-///
-/// // three nodes on a line, 6 apart: a path topology (0–1, 1–2, not 0–2)
-/// let positions: PositionTable = (0..3)
-///     .map(|i| (NodeId(i), Point::new(6.0 * i as f64, 0.0)))
-///     .collect();
-/// let g = radio.topology(positions.view());
-/// assert!(g.contains_edge(NodeId(0), NodeId(1)));
-/// assert!(!g.contains_edge(NodeId(0), NodeId(2)));
+/// assert!(!radio.in_vicinity(Point::new(0.0, 0.0), Point::new(12.0, 0.0)));
 /// ```
-pub trait RadioModel {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct UnitDisk {
+    range: f64,
+}
+
+impl UnitDisk {
+    /// A unit-disk radio with the given vicinity radius, which must be
+    /// finite and positive.
+    pub fn new(range: f64) -> Self {
+        assert!(
+            range.is_finite() && range > 0.0,
+            "radio range must be finite and positive, got {range}"
+        );
+        UnitDisk { range }
+    }
+
+    /// The vicinity radius in space units: `in_vicinity` is false for every
+    /// pair farther apart than this.
+    pub fn range(&self) -> f64 {
+        self.range
+    }
+
     /// Can a transmission by `sender` be heard at `receiver`'s position?
-    fn in_vicinity(&self, sender: Point, receiver: Point) -> bool;
-
-    /// Per-reception loss decision (fading, collisions). Returns true when
-    /// the message is successfully received. The default never loses.
-    fn receives(&self, _rng: &mut dyn RngCore, _sender: Point, _receiver: Point) -> bool {
-        true
-    }
-
-    /// An upper bound on the interaction distance: `in_vicinity` is false
-    /// for every pair farther apart than this. `None` (the default) means
-    /// no finite bound is known and neighbour discovery must fall back to
-    /// the all-pairs scan. All disk models report their range.
-    fn max_range(&self) -> Option<f64> {
-        None
-    }
-
-    /// Build the communication topology implied by a set of positions: an
-    /// undirected edge is present when each node is in the other's vicinity
-    /// (the GRP algorithm only exploits symmetric links).
-    ///
-    /// When the model has a finite [`max_range`](RadioModel::max_range) the
-    /// scan runs through a one-shot spatial grid in O(n · k); otherwise it
-    /// falls back to [`topology_all_pairs`](RadioModel::topology_all_pairs).
-    /// Both paths produce the identical graph: a [`Graph`] stores every
-    /// adjacency row sorted, so the order in which links are found cannot
-    /// leak into any digest.
-    fn topology(&self, positions: Positions<'_>) -> Graph {
-        match self.max_range() {
-            Some(range) if range.is_finite() && range > 0.0 => {
-                let mut grid = SpatialGrid::new(range);
-                grid.rebuild(positions);
-                self.grid_topology(&mut grid)
-            }
-            _ => self.topology_all_pairs(positions),
-        }
-    }
-
-    /// The reference O(n²) topology scan. Kept public so benchmarks can
-    /// measure the pre-index baseline and property tests can cross-check
-    /// the grid path against it.
-    fn topology_all_pairs(&self, positions: Positions<'_>) -> Graph {
-        let points = positions.points();
-        let mut pairs = Vec::new();
-        for (i, &pa) in points.iter().enumerate() {
-            for (j, &pb) in points.iter().enumerate().skip(i + 1) {
-                if linked(self, pa, pb) {
-                    pairs.push((i as u32, j as u32));
-                }
-            }
-        }
-        Graph::from_slot_pairs(positions.ids().to_vec(), &pairs)
+    /// The disk is symmetric — `Point::distance` is exactly symmetric — so
+    /// this is also the link predicate of the topology: an undirected edge
+    /// joins two nodes each in the other's vicinity.
+    pub fn in_vicinity(&self, sender: Point, receiver: Point) -> bool {
+        sender.distance(&receiver) <= self.range
     }
 
     /// The topology over an already-synchronised [`SpatialGrid`], whose
     /// slots it shares: only pairs in neighbouring cells are
-    /// distance-tested. Requires a finite
-    /// [`max_range`](RadioModel::max_range); the simulator guarantees this
-    /// by construction.
-    fn grid_topology(&self, grid: &mut SpatialGrid) -> Graph {
-        grid.rebuild_topology(grid_range(self), |pa, pb| linked(self, pa, pb))
+    /// distance-tested.
+    pub(crate) fn grid_topology(&self, grid: &mut SpatialGrid) -> Graph {
+        grid.rebuild_topology(self.range, |a, b| self.in_vicinity(a, b))
+    }
+
+    /// One row of [`grid_topology`](Self::grid_topology)'s graph, answered
+    /// from the grid's cells without building it: `slot`'s neighbours and
+    /// their positions, ascending by slot, into `found` (see
+    /// [`SpatialGrid::query_neighbors`]).
+    pub(crate) fn grid_neighbors(
+        &self,
+        grid: &SpatialGrid,
+        slot: usize,
+        found: &mut Vec<(u32, Point)>,
+    ) {
+        grid.query_neighbors(slot, self.range, |a, b| self.in_vicinity(a, b), found);
     }
 }
 
-/// The grid path's interaction bound: [`RadioModel::max_range`], which
-/// it requires to be finite.
-fn grid_range<R: RadioModel + ?Sized>(radio: &R) -> f64 {
-    radio
-        .max_range()
-        // detlint::allow(D004): documented API precondition — the
-        // simulator only routes bounded-range models through the grid
-        .expect("the grid path requires a bounded-range radio model")
-}
-
-/// The link predicate of every topology: each position is in the other's
-/// vicinity.
-fn linked<R: RadioModel + ?Sized>(radio: &R, a: Point, b: Point) -> bool {
-    radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
-}
-
-/// One row of [`RadioModel::grid_topology`]'s graph, answered from the
-/// grid's cells without building it: `slot`'s neighbours and their
-/// positions, ascending by slot, into `found` (see
-/// [`SpatialGrid::query_neighbors`]). Same precondition.
-pub(crate) fn grid_neighbors(
-    radio: &dyn RadioModel,
-    grid: &SpatialGrid,
-    slot: usize,
-    found: &mut Vec<(u32, Point)>,
-) {
-    grid.query_neighbors(slot, grid_range(radio), |a, b| linked(radio, a, b), found);
-}
-
-/// Ideal unit-disk radio: a node hears every transmitter within `range`.
-#[derive(Clone, Copy, Debug)]
-pub struct UnitDisk {
-    /// Vicinity radius in space units.
-    pub range: f64,
-}
-
-impl UnitDisk {
-    /// A unit-disk radio with the given vicinity radius.
-    pub fn new(range: f64) -> Self {
-        UnitDisk { range }
-    }
-}
-
-impl RadioModel for UnitDisk {
-    fn in_vicinity(&self, sender: Point, receiver: Point) -> bool {
-        sender.distance(&receiver) <= self.range
-    }
-
-    fn max_range(&self) -> Option<f64> {
-        Some(self.range)
-    }
-}
-
-/// Unit-disk radio with distance-independent random loss, modelling
-/// collisions and fading under the one-message-channel hypothesis.
-#[derive(Clone, Copy, Debug)]
-pub struct LossyDisk {
-    /// Vicinity radius in space units.
-    pub range: f64,
-    /// Probability that an individual reception fails, in `[0, 1]`.
-    pub loss: f64,
-}
-
-impl LossyDisk {
-    /// A lossy disk radio; `loss` is clamped into `[0, 1]`.
-    pub fn new(range: f64, loss: f64) -> Self {
-        LossyDisk {
-            range,
-            loss: loss.clamp(0.0, 1.0),
+/// The reference O(n²) topology scan, the oracle the grid paths are
+/// checked against: every pair of positions, each in the other's vicinity.
+#[cfg(test)]
+pub(crate) fn topology_all_pairs(radio: &UnitDisk, positions: crate::Positions<'_>) -> Graph {
+    let points = positions.points();
+    let mut pairs = Vec::new();
+    for (i, &pa) in points.iter().enumerate() {
+        for (j, &pb) in points.iter().enumerate().skip(i + 1) {
+            if radio.in_vicinity(pa, pb) && radio.in_vicinity(pb, pa) {
+                pairs.push((i as u32, j as u32));
+            }
         }
     }
-}
-
-impl RadioModel for LossyDisk {
-    fn in_vicinity(&self, sender: Point, receiver: Point) -> bool {
-        sender.distance(&receiver) <= self.range
-    }
-
-    fn receives(&self, rng: &mut dyn RngCore, _sender: Point, _receiver: Point) -> bool {
-        !rng.gen_bool(self.loss)
-    }
-
-    fn max_range(&self) -> Option<f64> {
-        Some(self.range)
-    }
-}
-
-/// Unit-disk radio whose loss probability grows linearly from 0 at distance
-/// 0 to `edge_loss` at the edge of the range — a crude path-loss model that
-/// makes long links flakier than short ones, as in a real VANET.
-#[derive(Clone, Copy, Debug)]
-pub struct DistanceLossDisk {
-    /// Vicinity radius in space units.
-    pub range: f64,
-    /// Loss probability at the edge of the range, in `[0, 1]`.
-    pub edge_loss: f64,
-}
-
-impl DistanceLossDisk {
-    /// A distance-proportional lossy radio; `edge_loss` is clamped into
-    /// `[0, 1]`.
-    pub fn new(range: f64, edge_loss: f64) -> Self {
-        DistanceLossDisk {
-            range,
-            edge_loss: edge_loss.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl RadioModel for DistanceLossDisk {
-    fn in_vicinity(&self, sender: Point, receiver: Point) -> bool {
-        sender.distance(&receiver) <= self.range
-    }
-
-    fn receives(&self, rng: &mut dyn RngCore, sender: Point, receiver: Point) -> bool {
-        let d = sender.distance(&receiver);
-        if d > self.range {
-            return false;
-        }
-        let p_loss = self.edge_loss * (d / self.range);
-        !rng.gen_bool(p_loss.clamp(0.0, 1.0))
-    }
-
-    fn max_range(&self) -> Option<f64> {
-        Some(self.range)
-    }
+    Graph::from_slot_pairs(positions.ids().to_vec(), &pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arena::PositionTable;
+    use crate::channel::{Bernoulli, ChannelModel, DistanceLoss, LinkEnv, LinkOutcome};
+    use crate::time::SimTime;
     use dyngraph::NodeId;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn positions(pts: &[(u64, f64, f64)]) -> PositionTable {
@@ -237,11 +107,32 @@ mod tests {
             .collect()
     }
 
+    /// The link from the origin to `receiver` under `radio`, with the
+    /// Bernoulli channel's `loss_probability`.
+    fn link_env(radio: &UnitDisk, receiver: Point, loss_probability: f64) -> LinkEnv<'_> {
+        LinkEnv {
+            now: SimTime(0),
+            sender: NodeId(0),
+            receiver: NodeId(1),
+            sender_pos: Some(Point::ORIGIN),
+            receiver_pos: Some(receiver),
+            radio: Some(radio),
+            loss_probability,
+        }
+    }
+
+    /// The topology one grid pass builds over `pos`.
+    fn grid_topology_of(radio: &UnitDisk, pos: &PositionTable) -> Graph {
+        let mut grid = SpatialGrid::new(radio.range());
+        grid.rebuild(pos.view());
+        radio.grid_topology(&mut grid)
+    }
+
     #[test]
     fn unit_disk_topology_links_nodes_within_range() {
         let radio = UnitDisk::new(5.0);
         let pos = positions(&[(1, 0.0, 0.0), (2, 3.0, 0.0), (3, 20.0, 0.0)]);
-        let g = radio.topology(pos.view());
+        let g = grid_topology_of(&radio, &pos);
         assert!(g.contains_edge(NodeId(1), NodeId(2)));
         assert!(!g.contains_edge(NodeId(1), NodeId(3)));
         assert!(!g.contains_edge(NodeId(2), NodeId(3)));
@@ -249,38 +140,57 @@ mod tests {
     }
 
     #[test]
+    fn unit_disk_rejects_an_unbounded_or_empty_range() {
+        for range in [0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let built = std::panic::catch_unwind(|| UnitDisk::new(range));
+            assert!(built.is_err(), "UnitDisk::new({range}) must panic");
+        }
+        assert_eq!(UnitDisk::new(f64::MIN_POSITIVE).range(), f64::MIN_POSITIVE);
+    }
+
+    /// The radio itself loses nothing: under a zero-loss channel every
+    /// in-range link is delivered and no randomness is drawn.
+    #[test]
     fn unit_disk_never_loses() {
         let radio = UnitDisk::new(5.0);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(radio.receives(&mut rng, Point::ORIGIN, Point::new(1.0, 0.0)));
+        let env = link_env(&radio, Point::new(1.0, 0.0), 0.0);
+        assert_eq!(Bernoulli.link(&mut rng, &env), LinkOutcome::DELIVERED);
+        let mut fresh = ChaCha8Rng::seed_from_u64(1);
+        assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
     }
 
+    /// A manifest's `lossy_disk` is a unit disk under the Bernoulli channel
+    /// at its `loss`.
     #[test]
     fn lossy_disk_loses_roughly_at_configured_rate() {
-        let radio = LossyDisk::new(5.0, 0.3);
+        let radio = UnitDisk::new(5.0);
+        let env = link_env(&radio, Point::new(1.0, 0.0), 0.3);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let trials = 5000;
-        let mut ok = 0;
-        for _ in 0..trials {
-            if radio.receives(&mut rng, Point::ORIGIN, Point::new(1.0, 0.0)) {
-                ok += 1;
-            }
-        }
+        let ok = (0..trials)
+            .filter(|_| Bernoulli.link(&mut rng, &env).received)
+            .count();
         let rate = ok as f64 / trials as f64;
         assert!((rate - 0.7).abs() < 0.05, "observed success rate {rate}");
     }
 
+    /// A loss probability outside `[0, 1]` is clamped at the draw: above 1
+    /// every link is lost, below 0 every link arrives.
     #[test]
     fn lossy_disk_clamps_probability() {
-        let radio = LossyDisk::new(5.0, 7.0);
-        assert_eq!(radio.loss, 1.0);
-        let radio = LossyDisk::new(5.0, -3.0);
-        assert_eq!(radio.loss, 0.0);
+        let radio = UnitDisk::new(5.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let lost = link_env(&radio, Point::new(1.0, 0.0), 7.0);
+        let kept = link_env(&radio, Point::new(1.0, 0.0), -3.0);
+        for _ in 0..64 {
+            assert_eq!(Bernoulli.link(&mut rng, &lost), LinkOutcome::LOST);
+            assert_eq!(Bernoulli.link(&mut rng, &kept), LinkOutcome::DELIVERED);
+        }
     }
 
     #[test]
     fn grid_topology_equals_all_pairs_topology() {
-        use rand::Rng;
         let radio = UnitDisk::new(7.5);
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let pos: PositionTable = (0..120)
@@ -291,17 +201,14 @@ mod tests {
                 )
             })
             .collect();
-        let brute = radio.topology_all_pairs(pos.view());
-        let routed = radio.topology(pos.view());
-        assert_eq!(brute, routed, "topology() routes through the grid");
-        let mut grid = crate::space::SpatialGrid::new(7.5);
+        let brute = topology_all_pairs(&radio, pos.view());
+        let mut grid = SpatialGrid::new(7.5);
         grid.rebuild(pos.view());
-        let via_grid = radio.grid_topology(&mut grid);
-        assert_eq!(brute, via_grid);
+        assert_eq!(brute, radio.grid_topology(&mut grid));
         // per-node grid queries agree with the graph's rows
         let mut found = Vec::new();
         for slot in 0..grid.len() {
-            grid_neighbors(&radio, &grid, slot, &mut found);
+            radio.grid_neighbors(&grid, slot, &mut found);
             let queried: Vec<u32> = found.iter().map(|&(j, _)| j).collect();
             assert_eq!(queried, brute.row(slot), "neighbours of slot {slot}");
         }
@@ -309,28 +216,30 @@ mod tests {
 
     #[test]
     fn disk_models_report_their_range() {
-        assert_eq!(UnitDisk::new(5.0).max_range(), Some(5.0));
-        assert_eq!(LossyDisk::new(6.0, 0.1).max_range(), Some(6.0));
-        assert_eq!(DistanceLossDisk::new(7.0, 0.2).max_range(), Some(7.0));
+        assert_eq!(UnitDisk::new(5.0).range(), 5.0);
+        assert_eq!(UnitDisk::new(7.0).range(), 7.0);
     }
 
+    /// A manifest's `distance_loss` is a unit disk under the
+    /// [`DistanceLoss`] channel: near links survive more often than far
+    /// ones.
     #[test]
     fn distance_loss_grows_with_distance() {
-        let radio = DistanceLossDisk::new(10.0, 1.0);
+        let radio = UnitDisk::new(10.0);
+        let channel = DistanceLoss::new(1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let near = link_env(&radio, Point::new(1.0, 0.0), 0.0);
+        let far = link_env(&radio, Point::new(9.5, 0.0), 0.0);
         let trials = 4000;
         let mut near_ok = 0;
         let mut far_ok = 0;
         for _ in 0..trials {
-            if radio.receives(&mut rng, Point::ORIGIN, Point::new(1.0, 0.0)) {
-                near_ok += 1;
-            }
-            if radio.receives(&mut rng, Point::ORIGIN, Point::new(9.5, 0.0)) {
-                far_ok += 1;
-            }
+            near_ok += usize::from(channel.link(&mut rng, &near).received);
+            far_ok += usize::from(channel.link(&mut rng, &far).received);
         }
         assert!(near_ok > far_ok, "near {near_ok} vs far {far_ok}");
         // out of range is never received
-        assert!(!radio.receives(&mut rng, Point::ORIGIN, Point::new(20.0, 0.0)));
+        let out = link_env(&radio, Point::new(20.0, 0.0), 0.0);
+        assert_eq!(channel.link(&mut rng, &out), LinkOutcome::LOST);
     }
 }

@@ -13,8 +13,8 @@
 //!   the communication graph directly; used by the fixed-topology
 //!   stabilization experiments and the unit tests.
 //! * spatial — node positions come from a [`MobilityModel`], advanced at
-//!   every mobility tick, and a [`RadioModel`] derives the topology from
-//!   them; used by the VANET-style continuity experiments.
+//!   every mobility tick, and a [`UnitDisk`] radio derives the topology
+//!   from them; used by the VANET-style continuity experiments.
 //!
 //! The nodes live in an arena ordered by ascending [`NodeId`]; a node's
 //! index there is its *slot*, and events, broadcast recipients and the
@@ -32,7 +32,7 @@ use crate::mobility::MobilityModel;
 use crate::node::SimNode;
 use crate::observer::{NullObserver, Observer};
 use crate::protocol::Protocol;
-use crate::radio::{grid_neighbors, RadioModel};
+use crate::radio::UnitDisk;
 use crate::rng::{NodeStreams, StreamTag};
 use crate::space::{Point, SpatialGrid};
 use crate::time::SimTime;
@@ -57,10 +57,10 @@ fn next_copy<M: Clone>(message: &mut Option<M>, last: bool) -> Option<M> {
 pub enum TopologyMode {
     /// The experiment provides the graph directly.
     Explicit(Graph),
-    /// The topology is derived from positions via a radio model.
+    /// The topology is derived from positions via the radio.
     Spatial {
         /// Decides which positions are in each other's vicinity.
-        radio: Box<dyn RadioModel>,
+        radio: UnitDisk,
         /// Owns and advances the node positions.
         mobility: Box<dyn MobilityModel>,
     },
@@ -79,8 +79,8 @@ pub struct SimConfig {
     pub mobility_period: u64,
     /// Propagation + MAC delay applied to every delivery.
     pub delivery_delay: u64,
-    /// Message loss probability used in explicit mode (spatial mode asks the
-    /// radio model instead).
+    /// Per-link iid loss probability of the default [`Bernoulli`] channel,
+    /// in both topology modes (other channels decide loss themselves).
     pub loss_probability: f64,
     /// Run seed: every per-node stream is derived from it (see
     /// [`crate::rng`]).
@@ -115,56 +115,39 @@ impl SimConfig {
     }
 }
 
-/// How spatial-mode neighbour discovery is accelerated between mobility
-/// ticks.
-enum SpatialIndex {
-    /// Uniform-grid spatial hash, synchronised incrementally at every
-    /// mobility tick; the topology is derived from it only when read. An
-    /// *epoch* runs from one tick that moved a node to the next. While
-    /// the observed `Graph` predates the epoch (`dirty`), each send
-    /// queries the cells for its own neighbours; the graph is rebuilt from
-    /// the grid only when the rest of the system observes it (at the end
-    /// of a run and before a fault hook), and its rows serve the sends
-    /// after that until the next move. Both reads give the same neighbours
-    /// in the same order, so the choice never changes output.
-    Grid {
-        grid: Box<SpatialGrid>,
-        /// The observed `Graph` predates the epoch.
-        dirty: bool,
-    },
-    /// The radio model has no finite range, so the scan stays all-pairs,
-    /// once per tick that moved a node; unchanged positions skip it.
-    DiffOnly(Vec<Point>),
-}
-
 /// Spatial mode's half of the engine: the models the topology derives
-/// from and the index kept over their positions. Explicit mode has none.
+/// from and the uniform-grid spatial hash kept over their positions.
+/// Explicit mode has none.
+///
+/// The grid is synchronised incrementally at every mobility tick; the
+/// topology is derived from it only when read. An *epoch* runs from one
+/// tick that moved a node to the next. While the observed `Graph`
+/// predates the epoch (`dirty`), each send queries the cells for its own
+/// neighbours; the graph is rebuilt from the grid only when the rest of
+/// the system observes it (at the end of a run and before a fault hook),
+/// and its rows serve the sends after that until the next move. Both reads
+/// give the same neighbours in the same order, so the choice never changes
+/// output.
 struct Spatial {
-    radio: Box<dyn RadioModel>,
+    radio: UnitDisk,
     mobility: Box<dyn MobilityModel>,
-    index: SpatialIndex,
+    grid: Box<SpatialGrid>,
+    /// The observed `Graph` predates the epoch.
+    dirty: bool,
 }
 
 impl Spatial {
     /// Index the models' initial positions; returns the initial topology
     /// beside.
-    fn new(radio: Box<dyn RadioModel>, mobility: Box<dyn MobilityModel>) -> (Spatial, Graph) {
-        let (index, topology) = match radio.max_range() {
-            Some(range) if range.is_finite() && range > 0.0 => {
-                let mut grid = Box::new(SpatialGrid::new(range));
-                grid.rebuild(mobility.positions());
-                let topology = radio.grid_topology(&mut grid);
-                (SpatialIndex::Grid { grid, dirty: false }, topology)
-            }
-            _ => (
-                SpatialIndex::DiffOnly(mobility.positions().points().to_vec()),
-                radio.topology_all_pairs(mobility.positions()),
-            ),
-        };
+    fn new(radio: UnitDisk, mobility: Box<dyn MobilityModel>) -> (Spatial, Graph) {
+        let mut grid = Box::new(SpatialGrid::new(radio.range()));
+        grid.rebuild(mobility.positions());
+        let topology = radio.grid_topology(&mut grid);
         let spatial = Spatial {
             radio,
             mobility,
-            index,
+            grid,
+            dirty: false,
         };
         (spatial, topology)
     }
@@ -277,9 +260,9 @@ struct Medium<'a> {
     now: SimTime,
     ids: &'a [NodeId],
     topology: &'a Graph,
-    /// Spatial mode: the radio model and the positions, by topology slot.
-    spatial: Option<(&'a dyn RadioModel, Positions<'a>)>,
-    /// Grid mode while `topology` predates the last move: the index to
+    /// Spatial mode: the radio and the positions, by topology slot.
+    spatial: Option<(&'a UnitDisk, Positions<'a>)>,
+    /// Spatial mode while `topology` predates the last move: the grid to
     /// query instead.
     stale: Option<&'a SpatialGrid>,
     topology_slot: &'a [u32],
@@ -364,7 +347,7 @@ impl Medium<'_> {
         // neighbour without a node hears nothing
         let at = self.topology_slot[sender as usize] as usize;
         if let (Some(grid), Some((radio, _))) = (self.stale, self.spatial) {
-            grid_neighbors(radio, grid, at, found);
+            radio.grid_neighbors(grid, at, found);
             for &(j, receiver_pos) in found.iter() {
                 let to = self.node_slot[j as usize];
                 if to != NO_SLOT {
@@ -802,13 +785,11 @@ impl<P: Protocol> Simulator<P> {
             Some(Spatial {
                 radio,
                 mobility,
-                index,
+                grid,
+                dirty,
             }) => (
-                Some((radio.as_ref(), mobility.positions())),
-                match index {
-                    SpatialIndex::Grid { grid, dirty: true } => Some(&**grid),
-                    SpatialIndex::Grid { .. } | SpatialIndex::DiffOnly(_) => None,
-                },
+                Some((radio, mobility.positions())),
+                dirty.then_some(&**grid),
             ),
         };
         let medium = Medium {
@@ -863,37 +844,22 @@ impl<P: Protocol> Simulator<P> {
         }
     }
 
-    /// Advance mobility one period and resynchronise the spatial index. In
-    /// grid mode a move only opens a new epoch: the topology is rebuilt
-    /// when it is read.
+    /// Advance mobility one period and resynchronise the grid. A move only
+    /// opens a new epoch: the topology is rebuilt when it is read.
     fn handle_mobility(&mut self, obs: &mut dyn Observer<P>) {
         if let Some(Spatial {
-            radio,
             mobility,
-            index,
+            grid,
+            dirty,
+            ..
         }) = &mut self.spatial
         {
             mobility.advance(self.config.mobility_period, &mut self.streams);
-            let positions = mobility.positions();
-            let changed = match index {
-                SpatialIndex::Grid { grid, dirty } => {
-                    // incremental cell updates; unchanged positions
-                    // (e.g. stationary nodes) keep the epoch open
-                    let moved = grid.sync(positions);
-                    *dirty |= moved;
-                    moved
-                }
-                SpatialIndex::DiffOnly(last) => {
-                    let moved = last.as_slice() != positions.points();
-                    if moved {
-                        last.clear();
-                        last.extend_from_slice(positions.points());
-                        self.topology = Arc::new(radio.topology_all_pairs(positions));
-                    }
-                    moved
-                }
-            };
-            if changed {
+            // incremental cell updates; unchanged positions (e.g.
+            // stationary nodes) keep the epoch open
+            let moved = grid.sync(mobility.positions());
+            *dirty |= moved;
+            if moved {
                 obs.on_topology_change(self.now);
             }
         }
@@ -923,9 +889,7 @@ impl<P: Protocol> Simulator<P> {
     /// hooks that hand out `&Simulator` mid-run.
     fn materialise_topology(&mut self) {
         if let Some(Spatial {
-            radio,
-            index: SpatialIndex::Grid { grid, dirty },
-            ..
+            radio, grid, dirty, ..
         }) = &mut self.spatial
         {
             if *dirty {
@@ -1055,6 +1019,7 @@ impl<P: Protocol> Simulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::LinkOutcome;
     use crate::protocol::test_support::Flood;
     use crate::rng::stream_seed;
     use dyngraph::generators::path;
@@ -1266,7 +1231,7 @@ mod tests {
                 ..Default::default()
             },
             TopologyMode::Spatial {
-                radio: Box::new(radio),
+                radio,
                 mobility: Box::new(mobility),
             },
         );
@@ -1299,7 +1264,7 @@ mod tests {
                 ..Default::default()
             },
             TopologyMode::Spatial {
-                radio: Box::new(UnitDisk::new(30.0)),
+                radio: UnitDisk::new(30.0),
                 mobility: Box::new(mobility),
             },
         );
@@ -1392,7 +1357,7 @@ mod tests {
                 ..Default::default()
             },
             TopologyMode::Spatial {
-                radio: Box::new(UnitDisk::new(12.0)),
+                radio: UnitDisk::new(12.0),
                 mobility: Box::new(Stationary::line(4, 10.0)),
             },
         );
@@ -1543,25 +1508,26 @@ mod tests {
     }
 
     /// Every *blocking* fault (`LossBurst`, `Partition`/`Heal`,
-    /// `RegionBlackout`) composed on one mobile network: links really are
-    /// cut, and a rerun reproduces every byte of the execution even while
-    /// a blackout window and a partition are active mid-run.
+    /// `RegionBlackout`) composed on one mobile network with lossy links:
+    /// links really are cut, the channel loses more besides, and a rerun
+    /// reproduces every byte of the execution even while a blackout window
+    /// and a partition are active mid-run.
     #[test]
     fn blocking_faults_on_a_mobile_network_rerun_identically() {
         use crate::mobility::RandomWalk;
         use crate::radio::UnitDisk;
         use rand::SeedableRng;
-        let run = || {
+        let run = |loss_probability| {
             let mut seed_rng = ChaCha8Rng::seed_from_u64(91);
             let mobility = RandomWalk::new(18, 60.0, 60.0, 0.004, &mut seed_rng);
             let mut sim: Simulator<Flood> = Simulator::new(
                 SimConfig {
                     seed: 23,
-                    loss_probability: 0.1,
+                    loss_probability,
                     ..Default::default()
                 },
                 TopologyMode::Spatial {
-                    radio: Box::new(UnitDisk::new(25.0)),
+                    radio: UnitDisk::new(25.0),
                     mobility: Box::new(mobility),
                 },
             );
@@ -1592,12 +1558,17 @@ mod tests {
             let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
             (history, sim.stats(), sim.events_processed(), known)
         };
-        let first = run();
+        let first = run(0.1);
+        let lossless = run(0.0);
         assert!(
-            first.1.dropped > 0,
+            lossless.1.dropped > 0,
             "the blocking faults were actually exercised"
         );
-        assert_eq!(first, run());
+        assert!(
+            first.1.dropped > lossless.1.dropped,
+            "the channel loses links besides"
+        );
+        assert_eq!(first, run(0.1));
     }
 
     /// Under `stagger_phases`, a re-added id draws its new timer phases as
@@ -1635,22 +1606,23 @@ mod tests {
 
     /// A medium that never loses draws nothing, so no `channel` stream is
     /// ever created — on an explicit topology and on a unit disk — and no
-    /// first add keeps its `phase` stream; a lossy disk creates one
-    /// `channel` stream per sender.
+    /// first add keeps its `phase` stream; lossy links on the disk create
+    /// one `channel` stream per sender.
     #[test]
     fn streams_are_created_by_their_first_draw() {
         use crate::mobility::RandomWalk;
-        use crate::radio::{LossyDisk, RadioModel, UnitDisk};
+        use crate::radio::UnitDisk;
         use rand::SeedableRng;
-        let spatial = |radio: Box<dyn RadioModel>| {
+        let spatial = |loss_probability| {
             let mut placement = ChaCha8Rng::seed_from_u64(3);
             let mut sim: Simulator<Flood> = Simulator::new(
                 SimConfig {
                     seed: 12,
+                    loss_probability,
                     ..Default::default()
                 },
                 TopologyMode::Spatial {
-                    radio,
+                    radio: UnitDisk::new(25.0),
                     mobility: Box::new(RandomWalk::new(20, 60.0, 60.0, 0.01, &mut placement)),
                 },
             );
@@ -1660,14 +1632,14 @@ mod tests {
         };
         let mut explicit = flood_sim(6, 4);
         explicit.run_rounds(4);
-        let disk = spatial(Box::new(UnitDisk::new(25.0)));
+        let disk = spatial(0.0);
         for sim in [&explicit.streams, &disk.streams] {
             assert_eq!(sim.seeded(StreamTag::Channel), 0);
             assert_eq!(sim.seeded(StreamTag::Phase), 0);
         }
         assert!(explicit.stats().delivered > 0 && disk.stats().delivered > 0);
         assert_eq!(disk.stats().dropped, 0);
-        let lossy = spatial(Box::new(LossyDisk::new(25.0, 0.3)));
+        let lossy = spatial(0.3);
         assert!(lossy.stats().dropped > 0);
         assert_eq!(lossy.streams.seeded(StreamTag::Channel), 20);
     }
@@ -1676,9 +1648,9 @@ mod tests {
     /// across senders, equal those drawn from streams seeded up front.
     #[test]
     fn lazy_streams_decide_links_as_eager_ones() {
-        use crate::radio::LossyDisk;
+        use crate::radio::UnitDisk;
         use rand::SeedableRng;
-        let radio = LossyDisk::new(10.0, 0.4);
+        let radio = UnitDisk::new(10.0);
         let env = |sender: u64| LinkEnv {
             now: SimTime::ZERO,
             sender: NodeId(sender),
@@ -1686,7 +1658,7 @@ mod tests {
             sender_pos: Some(Point::ORIGIN),
             receiver_pos: Some(Point::new(1.0, 0.0)),
             radio: Some(&radio),
-            loss_probability: 0.0,
+            loss_probability: 0.4,
         };
         let senders = [7u64, 2, 9];
         let mut lazy = NodeStreams::new(5);
@@ -1706,54 +1678,97 @@ mod tests {
         assert!(lost > 0 && lost < 300);
     }
 
-    /// Both ways a grid-mode send reads its neighbours — the per-send
-    /// query while a tick's moves are not yet materialised, and the row of
-    /// the graph a round end rebuilds from the grid — reproduce the
-    /// all-pairs path byte for byte: same neighbours, same order, same RNG
-    /// draws (a jittered contention channel draws per link). Ticks every
-    /// 150 and rounds of 1 000 leave the sends between a round end and the
-    /// next tick on graph rows and every other send on a query.
+    /// One broadcast as a channel saw it: when, who, and every link it was
+    /// asked to decide, as `(receiver, sender_pos, receiver_pos)`.
+    type Sweep = (SimTime, NodeId, Vec<(NodeId, Point, Point)>);
+
+    /// A lossless channel that logs every broadcast and link decision.
+    struct Recording(std::rc::Rc<std::cell::RefCell<Vec<Sweep>>>);
+
+    impl ChannelModel for Recording {
+        fn begin_broadcast(&mut self, now: SimTime, sender: NodeId, _pos: Option<Point>) {
+            self.0.borrow_mut().push((now, sender, Vec::new()));
+        }
+
+        fn link(&self, _rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
+            let mut log = self.0.borrow_mut();
+            // a batch announces all its broadcasts before deciding links
+            let (_, _, links) = log
+                .iter_mut()
+                .rev()
+                .find(|(at, sender, _)| (*at, *sender) == (env.now, env.sender))
+                .expect("a link follows its broadcast");
+            let (Some(from), Some(to)) = (env.sender_pos, env.receiver_pos) else {
+                panic!("a spatial link carries both positions");
+            };
+            links.push((env.receiver, from, to));
+            LinkOutcome::DELIVERED
+        }
+    }
+
+    /// Both ways a send reads its neighbours — the per-send grid query
+    /// while a tick's moves are not yet materialised, and the row of the
+    /// graph a round end rebuilds from the grid — give, send by send, the
+    /// all-pairs row of that instant's positions: same neighbours, same
+    /// order, same positions. The instant's positions come from replaying
+    /// the mobility model beside the run. Ticks every 150 and rounds of
+    /// 1 000 leave the sends between a round end and the next tick on
+    /// graph rows and every other send on a query; both kinds are counted.
     #[test]
     fn grid_reads_reproduce_the_all_pairs_path() {
-        use crate::channel::{Contention, ContentionConfig};
         use crate::mobility::RandomWalk;
-        use crate::radio::{RadioModel, UnitDisk};
+        use crate::radio::{topology_all_pairs, UnitDisk};
         use rand::SeedableRng;
-        /// The same radio without a range bound: the engine falls back to
-        /// the all-pairs scan and the materialised graph.
-        struct Unbounded(UnitDisk);
-        impl RadioModel for Unbounded {
-            fn in_vicinity(&self, sender: Point, receiver: Point) -> bool {
-                self.0.in_vicinity(sender, receiver)
+        let (seed, tick, round) = (17, 150, 1_000);
+        let walk = || RandomWalk::new(40, 120.0, 120.0, 0.05, &mut ChaCha8Rng::seed_from_u64(5));
+        let radio = UnitDisk::new(25.0);
+        let log = std::rc::Rc::default();
+        let mut sim: Simulator<Flood> = Simulator::new(
+            SimConfig {
+                seed,
+                send_period: 50,
+                compute_period: round,
+                mobility_period: tick,
+                ..Default::default()
+            },
+            TopologyMode::Spatial {
+                radio,
+                mobility: Box::new(walk()),
+            },
+        );
+        sim.add_nodes((0..40).map(|i| Flood::new(NodeId(i))));
+        sim.set_channel(Box::new(Recording(std::rc::Rc::clone(&log))));
+        sim.run_rounds_observed(8, &mut NullObserver);
+
+        let mut replay = walk();
+        let mut streams = NodeStreams::new(seed);
+        let mut ticked = 0;
+        let mut oracle = topology_all_pairs(&radio, replay.positions());
+        let (mut on_rows, mut on_queries) = (0, 0);
+        for (now, sender, links) in log.borrow().iter() {
+            // a tick at a send's instant moves the nodes before it sends
+            while ticked + tick <= now.ticks() {
+                replay.advance(tick, &mut streams);
+                ticked += tick;
+                oracle = topology_all_pairs(&radio, replay.positions());
+            }
+            let points = replay.positions().points();
+            let at = sender.raw() as usize;
+            let expected: Vec<_> = oracle
+                .row(at)
+                .iter()
+                .map(|&j| (NodeId(u64::from(j)), points[at], points[j as usize]))
+                .collect();
+            assert_eq!(links, &expected, "{sender:?} at {now:?}");
+            // the graph was rebuilt at the last round end before this send
+            // iff no tick has moved a node since
+            if (now.ticks() - 1) / round * round >= ticked {
+                on_rows += 1;
+            } else {
+                on_queries += 1;
             }
         }
-        let run = |radio: Box<dyn RadioModel>| {
-            let mut placement = ChaCha8Rng::seed_from_u64(5);
-            let mobility = RandomWalk::new(40, 120.0, 120.0, 0.05, &mut placement);
-            let mut sim: Simulator<Flood> = Simulator::new(
-                SimConfig {
-                    seed: 17,
-                    send_period: 50,
-                    mobility_period: 150,
-                    ..Default::default()
-                },
-                TopologyMode::Spatial {
-                    radio,
-                    mobility: Box::new(mobility),
-                },
-            );
-            sim.add_nodes((0..40).map(|i| Flood::new(NodeId(i))));
-            sim.set_channel(Box::new(Contention::new(ContentionConfig {
-                jitter: 5,
-                ..ContentionConfig::new(25.0)
-            })));
-            let history = round_history(&mut sim, 8);
-            let known: Vec<_> = sim.protocols().map(|(_, p)| p.known.clone()).collect();
-            (history, sim.stats(), known)
-        };
-        let radio = UnitDisk::new(25.0);
-        let grid = run(Box::new(radio));
-        assert!(grid.1.dropped > 0 && grid.1.delivered > 0);
-        assert_eq!(grid, run(Box::new(Unbounded(radio))));
+        assert!(on_rows > 0 && on_queries > 0, "{on_rows} / {on_queries}");
+        assert!(sim.stats().delivered > 0);
     }
 }

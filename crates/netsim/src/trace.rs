@@ -14,7 +14,8 @@ pub struct MessageStats {
     pub attempted: u64,
     /// Deliveries that reached the destination protocol.
     pub delivered: u64,
-    /// Deliveries dropped by the radio model or a loss burst.
+    /// Deliveries dropped by the channel model, a blocking fault or an
+    /// inactive receiver.
     pub dropped: u64,
     /// Sum of message sizes over delivered messages (abstract units).
     pub delivered_bytes: u64,

@@ -6,7 +6,7 @@
 use dyngraph::{Graph, NodeId, TopologyEvent};
 use netsim::mobility::RandomWalk;
 use netsim::protocol::Beacon;
-use netsim::radio::LossyDisk;
+use netsim::radio::UnitDisk;
 use netsim::{
     stream_seed, MessageStats, NodeStreams, NullObserver, Point, SimConfig, SimTime, Simulator,
     StreamTag, TopologyMode,
@@ -180,7 +180,7 @@ fn add_order_does_not_change_the_trace() {
             (NodeId(id), at)
         });
         let mode = TopologyMode::Spatial {
-            radio: Box::new(LossyDisk::new(12.0, 0.2)),
+            radio: UnitDisk::new(12.0),
             mobility: Box::new(RandomWalk::from_positions(placed, 30.0, 30.0, 0.002)),
         };
         let mut sim = Simulator::new(config, mode);

@@ -117,8 +117,9 @@ fn fault_schedule() -> impl Strategy<Value = Vec<ScheduledFault>> {
 /// `(now, topology, stats)` at every round boundary.
 type History = Vec<(SimTime, dyngraph::Graph, MessageStats)>;
 
-/// One spatial run; returns every observable: the per-round history,
-/// message statistics, event count and final node states.
+/// One spatial run on lossy links (loss 0.1); returns every observable:
+/// the per-round history, message statistics, event count and final node
+/// states.
 fn run(
     faults: &[ScheduledFault],
     seed: u64,
@@ -134,7 +135,7 @@ fn run(
             ..Default::default()
         },
         TopologyMode::Spatial {
-            radio: Box::new(UnitDisk::new(25.0)),
+            radio: UnitDisk::new(25.0),
             mobility: Box::new(mobility),
         },
     );
@@ -147,6 +148,14 @@ fn run(
     history.push((sim.now(), sim.topology().clone(), sim.stats()));
     let known = sim.protocols().map(|(_, p)| p.known.clone()).collect();
     (history, sim.stats(), sim.events_processed(), known)
+}
+
+/// The links really are lossy: with no fault to block them, the channel
+/// alone drops some.
+#[test]
+fn a_fault_free_run_loses_links() {
+    let (_, stats, _, _) = run(&[], 7, true);
+    assert!(stats.delivered > 0 && stats.dropped > 0, "{stats:?}");
 }
 
 proptest! {

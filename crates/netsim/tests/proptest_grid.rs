@@ -7,12 +7,27 @@
 //! The per-node neighbour query must return, for every node, exactly the
 //! graph's row, in the same order, with the tracked positions.
 
-use dyngraph::NodeId;
-use netsim::radio::{RadioModel, UnitDisk};
+use dyngraph::{Graph, NodeId};
+use netsim::radio::UnitDisk;
 use netsim::space::SpatialGrid;
 use netsim::Point;
-use netsim::PositionTable;
+use netsim::{PositionTable, Positions};
 use proptest::prelude::*;
+
+/// The brute-force oracle: every pair of positions, linked when each is in
+/// the other's vicinity.
+fn all_pairs(radio: &UnitDisk, positions: Positions<'_>) -> Graph {
+    let points = positions.points();
+    let mut pairs = Vec::new();
+    for (i, &pa) in points.iter().enumerate() {
+        for (j, &pb) in points.iter().enumerate().skip(i + 1) {
+            if radio.in_vicinity(pa, pb) && radio.in_vicinity(pb, pa) {
+                pairs.push((i as u32, j as u32));
+            }
+        }
+    }
+    Graph::from_slot_pairs(positions.ids().to_vec(), &pairs)
+}
 
 /// For every slot: the grid query equals the brute-force graph's row, slot
 /// for slot, and each returned position is the one the grid tracks for
@@ -20,7 +35,7 @@ use proptest::prelude::*;
 fn assert_queries_equal_rows(
     grid: &SpatialGrid,
     range: f64,
-    brute: &dyngraph::Graph,
+    brute: &Graph,
 ) -> Result<(), TestCaseError> {
     let radio = UnitDisk::new(range);
     let linked = |a, b| radio.in_vicinity(a, b) && radio.in_vicinity(b, a);
@@ -64,7 +79,7 @@ fn assert_grid_equals_brute_force(
     cell: f64,
 ) -> Result<(), TestCaseError> {
     let radio = UnitDisk::new(range);
-    let brute = radio.topology_all_pairs(pos.view());
+    let brute = all_pairs(&radio, pos.view());
     let mut grid = SpatialGrid::new(cell);
     grid.rebuild(pos.view());
     let via_grid = grid.rebuild_topology(range, |a, b| {
@@ -121,7 +136,7 @@ proptest! {
         let pts = near.into_iter().chain(far.into_iter().map(|(x, y)| (x + gap, y - gap)));
         let pos = positions_of(pts);
         assert_grid_equals_brute_force(&pos, range, range * cell_scale)?;
-        let g = UnitDisk::new(range).topology(pos.view());
+        let g = all_pairs(&UnitDisk::new(range), pos.view());
         for (a, b) in g.edges() {
             prop_assert_eq!(a.raw() < split, b.raw() < split, "edge {:?}-{:?} spans the gap", a, b);
         }
@@ -158,7 +173,7 @@ proptest! {
             let incremental = grid.rebuild_topology(range, |a, b| {
                 radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
             });
-            let brute = radio.topology_all_pairs(pos.view());
+            let brute = all_pairs(&radio, pos.view());
             prop_assert_eq!(&incremental, &brute);
             assert_queries_equal_rows(&grid, range, &brute)?;
         }

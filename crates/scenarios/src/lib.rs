@@ -5,7 +5,7 @@
 //! module. A manifest declares
 //!
 //! * the workload — an explicit topology generator or edge list, or a
-//!   mobility model plus a radio model (spatial mode);
+//!   mobility model plus a radio and its channel (spatial mode);
 //! * the protocol parameters (`Dmax`, ablation switches) and simulator
 //!   timing (`τ1`/`τ2`, loss, delays, seeds);
 //! * an optional transient-fault plan and a churn schedule (topology

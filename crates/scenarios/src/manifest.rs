@@ -8,17 +8,20 @@
 //! documentation of every field.
 //!
 //! Where the library already has a type for a table, the manifest holds
-//! that type: [`GraphGenerator`] for `[topology]`, [`GrpConfig`] for
-//! `[protocol]`, [`ScheduledFault`] for each `[[faults]]` entry,
-//! [`ContentionConfig`] for the contention channel and [`ExploreConfig`]
-//! for the explorer's half of `[modelcheck]`. Their defaults are the
-//! manifest's defaults.
+//! that type: [`GraphGenerator`] for `[topology]`, [`UnitDisk`] for the
+//! geometry of `[radio]`, [`DistanceLoss`] and [`ContentionConfig`] for
+//! its channels, [`GrpConfig`] for `[protocol]`, [`ScheduledFault`] for
+//! each `[[faults]]` entry and [`ExploreConfig`] for the explorer's half of
+//! `[modelcheck]`. Their defaults are the manifest's defaults.
 
 use crate::toml::{self, FromValue, ParseError, Table, Value};
 use dyngraph::{GraphGenerator, NodeId};
 use grp_core::GrpConfig;
 use modelcheck::{ExploreConfig, FaultBudget};
-use netsim::{ContentionConfig, FaultKind, Region, ScheduledFault, SimTime};
+use netsim::radio::UnitDisk;
+use netsim::{
+    ContentionConfig, DistanceLoss, FaultKind, Region, ScheduledFault, SimConfig, SimTime,
+};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
@@ -106,24 +109,17 @@ impl MobilitySpec {
     }
 }
 
-/// Radio (vicinity) models for spatial mode.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RadioSpec {
-    UnitDisk { range: f64 },
-    LossyDisk { range: f64, loss: f64 },
-    DistanceLoss { range: f64, edge_loss: f64 },
-}
-
-impl RadioSpec {
-    /// The disk range — also the interference cell size of the contention
-    /// channel.
-    pub fn range(&self) -> f64 {
-        match *self {
-            RadioSpec::UnitDisk { range }
-            | RadioSpec::LossyDisk { range, .. }
-            | RadioSpec::DistanceLoss { range, .. } => range,
-        }
-    }
+/// The medium layered on a spatial workload's radio geometry: what the
+/// `[radio]` kind and `model` keys select together (`docs/CHANNELS.md`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ChannelSpec {
+    /// Per-link iid loss at `[sim] loss` — `unit_disk`, and `lossy_disk`,
+    /// whose `loss` is that probability.
+    Bernoulli,
+    /// `distance_loss`: loss growing with the link's length.
+    DistanceLoss(DistanceLoss),
+    /// `model = "contention"`: the shared-medium channel.
+    Contention(ContentionConfig),
 }
 
 /// Either an explicit generator or a mobility + radio pair.
@@ -132,12 +128,8 @@ pub enum WorkloadSpec {
     Explicit(GraphGenerator),
     Spatial {
         mobility: MobilitySpec,
-        radio: RadioSpec,
-        /// The medium layered on the radio geometry, the `[radio] model`
-        /// key: `None` for `"bernoulli"` (the default, per-link iid loss
-        /// from the radio kind), or the `"contention"` channel's parameters
-        /// (`docs/CHANNELS.md`).
-        channel: Option<ContentionConfig>,
+        radio: UnitDisk,
+        channel: ChannelSpec,
     },
 }
 
@@ -179,8 +171,9 @@ pub enum ChurnAction {
     },
 }
 
-/// Simulator timing/channel parameters. Defaults mirror
-/// `netsim::SimConfig::default()`.
+/// Simulator timing/channel parameters. The run parameters `seeds` and
+/// `rounds` are the manifest's own; every other default is
+/// `netsim::SimConfig::default()`'s.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimSpec {
     pub seeds: Vec<u64>,
@@ -195,15 +188,16 @@ pub struct SimSpec {
 
 impl Default for SimSpec {
     fn default() -> Self {
+        let d = SimConfig::default();
         SimSpec {
             seeds: vec![1],
             rounds: 60,
-            send_period: 250,
-            compute_period: 1000,
-            mobility_period: 1000,
-            delivery_delay: 10,
-            loss: 0.0,
-            stagger_phases: true,
+            send_period: d.send_period,
+            compute_period: d.compute_period,
+            mobility_period: d.mobility_period,
+            delivery_delay: d.delivery_delay,
+            loss: d.loss_probability,
+            stagger_phases: d.stagger_phases,
         }
     }
 }
@@ -457,7 +451,7 @@ impl ScenarioManifest {
             }
         };
 
-        let workload = parse_workload(&mut root)?;
+        let (workload, radio_loss) = parse_workload(&mut root)?;
         let spatial = matches!(workload, WorkloadSpec::Spatial { .. });
         if spatial && mode == RunMode::ModelCheck {
             let message = "mode = \"modelcheck\" requires an explicit [topology]; spatial \
@@ -470,7 +464,12 @@ impl ScenarioManifest {
             return Err(root.error("churn", message));
         }
         let protocol = parse_protocol(root.sub("protocol")?)?;
-        let sim = parse_sim(root.sub("sim")?, spatial)?;
+        let mut sim = parse_sim(root.sub("sim")?, spatial)?;
+        // a lossy disk is a unit disk under the Bernoulli channel at its
+        // `loss`, which `[sim]` may not set beside it
+        if let Some(loss) = radio_loss {
+            sim.loss = loss;
+        }
         let report = parse_report(root.sub("report")?, mode)?;
         // The timed schedules are simulation-only: the other modes do not
         // read them, so `finish` rejects them.
@@ -609,14 +608,16 @@ const ASSERTION_MODES: [(&str, &[&str]); 11] = [
     ("reconverges", &["modelcheck"]),
 ];
 
-fn parse_workload(root: &mut Table) -> Result<WorkloadSpec, ParseError> {
+/// The workload, and the Bernoulli loss its `[radio]` sets, if any.
+fn parse_workload(root: &mut Table) -> Result<(WorkloadSpec, Option<f64>), ParseError> {
     let (mobility, radio) = (root.has("mobility"), root.has("radio"));
     if root.has("topology") {
         if mobility || radio {
             let message = "[topology] is mutually exclusive with [mobility]/[radio]";
             return Err(root.error("topology", message));
         }
-        return parse_topology(root.sub("topology")?).map(WorkloadSpec::Explicit);
+        let generator = parse_topology(root.sub("topology")?)?;
+        return Ok((WorkloadSpec::Explicit(generator), None));
     }
     if !(mobility && radio) {
         let key = if mobility { "mobility" } else { "radio" };
@@ -624,12 +625,13 @@ fn parse_workload(root: &mut Table) -> Result<WorkloadSpec, ParseError> {
         return Err(root.error(key, message));
     }
     let mobility = parse_mobility(root.sub("mobility")?)?;
-    let (radio, channel) = parse_radio(root.sub("radio")?)?;
-    Ok(WorkloadSpec::Spatial {
+    let (radio, channel, loss) = parse_radio(root.sub("radio")?)?;
+    let workload = WorkloadSpec::Spatial {
         mobility,
         radio,
         channel,
-    })
+    };
+    Ok((workload, loss))
 }
 
 fn unknown(t: &Table, key: &str, value: &str) -> ParseError {
@@ -751,34 +753,38 @@ fn parse_mobility(mut t: Table) -> Result<MobilitySpec, ParseError> {
     Ok(spec)
 }
 
-/// `[radio]`: the geometry (`kind`) and the medium layered on it (`model`).
-fn parse_radio(mut t: Table) -> Result<(RadioSpec, Option<ContentionConfig>), ParseError> {
-    let radio = match t.select("kind", None)? {
-        "unit_disk" => RadioSpec::UnitDisk {
-            range: t.req::<Length>("range")?.0,
-        },
-        "lossy_disk" => RadioSpec::LossyDisk {
-            range: t.req::<Length>("range")?.0,
-            loss: t.req::<Probability>("loss")?.0,
-        },
-        "distance_loss" => RadioSpec::DistanceLoss {
-            range: t.req::<Length>("range")?.0,
-            edge_loss: t.req::<Probability>("edge_loss")?.0,
-        },
+/// `[radio]`: the geometry, always a unit disk of `range`, and the medium
+/// layered on it — the loss a `kind` adds, or the `model`. Returns the
+/// disk, the channel and the Bernoulli loss of a `lossy_disk`.
+fn parse_radio(mut t: Table) -> Result<(UnitDisk, ChannelSpec, Option<f64>), ParseError> {
+    let kind = t.select("kind", None)?;
+    let (range, channel, loss) = match kind {
+        "unit_disk" => (t.req::<Length>("range")?.0, ChannelSpec::Bernoulli, None),
+        "lossy_disk" => (
+            t.req::<Length>("range")?.0,
+            ChannelSpec::Bernoulli,
+            Some(t.req::<Probability>("loss")?.0),
+        ),
+        "distance_loss" => (
+            t.req::<Length>("range")?.0,
+            ChannelSpec::DistanceLoss(DistanceLoss::new(t.req::<Probability>("edge_loss")?.0)),
+            None,
+        ),
         other => return Err(unknown(&t, "kind", other)),
     };
+    let radio = UnitDisk::new(range);
     let channel = match t.select("model", Some("bernoulli"))? {
-        "bernoulli" => None,
-        // the contention channel decides every link itself and never asks
-        // the radio, so a lossy disk's own loss would be silently dropped
-        "contention" if !matches!(radio, RadioSpec::UnitDisk { .. }) => {
+        "bernoulli" => channel,
+        // the contention channel replaces the one a lossy kind selects, so
+        // that kind's loss would be silently dropped
+        "contention" if kind != "unit_disk" => {
             let message = "model = \"contention\" requires kind = \"unit_disk\": the \
                  contention channel does not apply the radio's own loss";
             return Err(t.error("model", message));
         }
         "contention" => {
             let d = ContentionConfig::new(radio.range());
-            Some(ContentionConfig {
+            ChannelSpec::Contention(ContentionConfig {
                 base_loss: t.or("base_loss", Probability(d.base_loss))?.0,
                 load_loss: t.or("load_loss", Probability(d.load_loss))?.0,
                 max_loss: t.or("max_loss", Probability(d.max_loss))?.0,
@@ -795,7 +801,7 @@ fn parse_radio(mut t: Table) -> Result<(RadioSpec, Option<ContentionConfig>), Pa
         }
     };
     t.finish()?;
-    Ok((radio, channel))
+    Ok((radio, channel, loss))
 }
 
 fn parse_report(mut t: Table, mode: RunMode) -> Result<ReportSpec, ParseError> {
@@ -909,7 +915,7 @@ fn parse_sim(mut t: Table, spatial: bool) -> Result<SimSpec, ParseError> {
             return Err(t.error(key, message));
         }
     }
-    // only the explicit-topology channel draws against `[sim] loss`
+    // a spatial workload's loss is set by its `[radio]` alone
     if spatial && t.has("loss") {
         let message = "`loss` applies to an explicit [topology] only; a spatial \
              workload's loss comes from its [radio]";
@@ -1293,14 +1299,13 @@ n = 4
                 format!("{MINIMAL}[modelcheck]\ndepth = 8\n"),
                 "line 8: manifest: unknown key `modelcheck` for mode = \"simulate\"",
             ),
-            // `[sim] loss` is the explicit-topology channel's; spatial
-            // workloads take their loss from the radio
+            // a spatial workload's loss is set by its `[radio]` alone
             (
                 format!("{spatial}[sim]\nrounds = 3\nloss = 1.0\n[radio]\nkind = \"unit_disk\"\nrange = 15.0\n"),
                 "line 8: [sim]: `loss` applies to an explicit [topology] only; a spatial workload's loss comes from its [radio]",
             ),
-            // the contention channel never asks the radio, so only the
-            // lossless disk combines with it
+            // the contention channel would replace a lossy kind's channel,
+            // so only the lossless disk combines with it
             (
                 format!("{spatial}[radio]\nkind = \"lossy_disk\"\nrange = 15.0\nloss = 1.0\nmodel = \"contention\"\n"),
                 "line 10: [radio]: model = \"contention\" requires kind = \"unit_disk\": the contention channel does not apply the radio's own loss",
@@ -1444,10 +1449,11 @@ loss = 0.1
                     lanes: 2,
                     ..
                 },
-                radio: RadioSpec::LossyDisk { .. },
-                channel: None,
+                channel: ChannelSpec::Bernoulli,
+                ..
             }
         ));
+        assert_eq!(m.sim.loss, 0.1, "a lossy disk's loss is the Bernoulli loss");
     }
 
     #[test]
@@ -1472,7 +1478,7 @@ model = "contention"
             panic!("spatial workload expected");
         };
         assert_eq!(radio.range(), 45.0);
-        assert_eq!(*channel, Some(ContentionConfig::new(45.0)));
+        assert_eq!(*channel, ChannelSpec::Contention(ContentionConfig::new(45.0)));
 
         let tuned = format!(
             "{base}base_loss = 0.01\nload_loss = 0.05\nmax_loss = 0.9\nwindow = 500\njitter = 6\nhidden_terminal = false\n"
@@ -1483,7 +1489,7 @@ model = "contention"
         };
         assert_eq!(
             *channel,
-            Some(ContentionConfig {
+            ChannelSpec::Contention(ContentionConfig {
                 range: 45.0,
                 base_loss: 0.01,
                 load_loss: 0.05,

@@ -16,7 +16,7 @@
 
 use crate::campaign::{self, CampaignReport};
 use crate::manifest::{
-    AssertionSpec, ChurnAction, MobilitySpec, RadioSpec, RunMode, ScenarioManifest, StartSpec,
+    AssertionSpec, ChannelSpec, ChurnAction, MobilitySpec, RunMode, ScenarioManifest, StartSpec,
     WorkloadSpec,
 };
 use dyngraph::{NodeId, TopologyEvent};
@@ -28,10 +28,9 @@ use modelcheck::{
     ExploreConfig, GrpChecker, Outcome, Report, Violation,
 };
 use netsim::mobility::{CityGrid, Highway, MixedHighway, RandomWalk, RandomWaypoint, Stationary};
-use netsim::radio::{DistanceLossDisk, LossyDisk, UnitDisk};
 use netsim::{
-    CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, SimConfig, Simulator,
-    TopologyMode, TraceDigest,
+    Bernoulli, CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, SimConfig,
+    Simulator, TopologyMode, TraceDigest,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -160,15 +159,15 @@ pub fn run_scenario_with(
     }
 }
 
-/// Topology mode plus the channel model a workload asks for. `None` keeps the
-/// simulator's built-in [`netsim::Bernoulli`] default (the legacy behaviour,
-/// byte-identical golden digests). Seeded generators fold the run seed in,
-/// so different seeds explore different graphs.
-fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Option<Box<dyn ChannelModel>>) {
+/// Topology mode plus the channel model a workload asks for: an explicit
+/// topology runs on the [`Bernoulli`] default. Seeded generators fold the
+/// run seed in, so different seeds explore different graphs.
+fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Box<dyn ChannelModel>) {
     match workload {
-        WorkloadSpec::Explicit(generator) => {
-            (TopologyMode::Explicit(generator.generate(seed)), None)
-        }
+        WorkloadSpec::Explicit(generator) => (
+            TopologyMode::Explicit(generator.generate(seed)),
+            Box::new(Bernoulli),
+        ),
         WorkloadSpec::Spatial {
             mobility,
             radio,
@@ -261,15 +260,16 @@ fn build_mode(workload: &WorkloadSpec, seed: u64) -> (TopologyMode, Option<Box<d
                     &mut placement_rng,
                 )),
             };
-            let channel = channel.map(|c| Box::new(Contention::new(c)) as Box<dyn ChannelModel>);
-            let radio: Box<dyn netsim::RadioModel> = match *radio {
-                RadioSpec::UnitDisk { range } => Box::new(UnitDisk::new(range)),
-                RadioSpec::LossyDisk { range, loss } => Box::new(LossyDisk::new(range, loss)),
-                RadioSpec::DistanceLoss { range, edge_loss } => {
-                    Box::new(DistanceLossDisk::new(range, edge_loss))
-                }
+            let channel: Box<dyn ChannelModel> = match *channel {
+                ChannelSpec::Bernoulli => Box::new(Bernoulli),
+                ChannelSpec::DistanceLoss(channel) => Box::new(channel),
+                ChannelSpec::Contention(cfg) => Box::new(Contention::new(cfg)),
             };
-            (TopologyMode::Spatial { radio, mobility }, channel)
+            let mode = TopologyMode::Spatial {
+                radio: *radio,
+                mobility,
+            };
+            (mode, channel)
         }
     }
 }
@@ -300,9 +300,7 @@ pub fn build_simulator(manifest: &ScenarioManifest, seed: u64) -> Simulator<GrpN
     };
     let grp_config = &manifest.protocol;
     let mut sim = Simulator::new(config, mode);
-    if let Some(channel) = channel {
-        sim.set_channel(channel);
-    }
+    sim.set_channel(channel);
     sim.add_nodes(
         node_ids
             .iter()
@@ -1093,6 +1091,39 @@ max_groups = 1
         assert!(
             outcome.pass,
             "stationary line under unit disk behaves like a path"
+        );
+    }
+
+    /// A `lossy_disk` is a unit disk under the Bernoulli channel at its
+    /// `loss`, one draw per in-range link from the sender's `channel`
+    /// stream: the pinned digest catches any change in that stream.
+    #[test]
+    fn lossy_disk_manifest_reproduces_its_pinned_digest() {
+        let m = manifest(
+            r#"
+name = "lossy-pin"
+[protocol]
+dmax = 2
+[sim]
+seeds = [3]
+rounds = 30
+[mobility]
+kind = "random_walk"
+n = 14
+width = 80.0
+height = 80.0
+max_step = 0.005
+[radio]
+kind = "lossy_disk"
+range = 30.0
+loss = 0.1
+"#,
+        );
+        let run = run_seed(&m, 3, None);
+        assert!(run.stats.dropped > 0, "the links are lossy");
+        assert_eq!(
+            run.digest.to_hex(),
+            "f4476fe393de100a603a98ad814bde96613bb2ab1492acb6c8dc1ad56345ade8"
         );
     }
 }

@@ -67,10 +67,8 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
     // speeds between 2 and 8 m per tick-equivalent: the convoy stretches
     let mobility = Highway::new(vehicles, 2, 1_200.0, 15.0, (0.002, 0.008), &mut rng);
-    let radio = UnitDisk::new(40.0);
-
     let mode = TopologyMode::Spatial {
-        radio: Box::new(radio),
+        radio: UnitDisk::new(40.0),
         mobility: Box::new(mobility),
     };
     let mut sim = Simulator::new(SimConfig::rounds(7), mode);

@@ -4,13 +4,13 @@
 use baselines::{KHopClustering, MaxMinDCluster, NeighborhoodBall};
 use dyngraph::generators::path;
 use dyngraph::{NodeId, TopologyEvent};
-use grp_core::predicates::{view_removals, GroupMembership, SystemSnapshot};
+use grp_core::predicates::{view_removals, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
-use netsim::{Protocol, SimConfig, Simulator, TopologyMode};
+use netsim::{Protocol, SimConfig, Simulator, TopologyMode, ViewProtocol};
 
 fn run_and_snapshot<P, F>(n: usize, rounds: u64, make: F) -> (Simulator<P>, SystemSnapshot)
 where
-    P: Protocol + GroupMembership,
+    P: Protocol + ViewProtocol,
     F: Fn(NodeId) -> P,
 {
     let topology = path(n);
