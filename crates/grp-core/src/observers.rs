@@ -165,6 +165,14 @@ impl<P: ViewProtocol> Observer<P> for SnapshotRecorder {
     }
 }
 
+/// Do two snapshots share every handle — one topology and, node for node,
+/// one view? Then they are one configuration.
+fn shares_every_handle(a: &SystemSnapshot, b: &SystemSnapshot) -> bool {
+    Arc::ptr_eq(&a.topology, &b.topology)
+        && a.views.len() == b.views.len()
+        && (a.views.iter().zip(&b.views)).all(|((u, v), (w, x))| u == w && View::ptr_eq(v, x))
+}
+
 /// Continuity bookkeeping over a run's consecutive-round transitions.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ContinuityStats {
@@ -197,6 +205,9 @@ impl ContinuityStats {
 pub struct ContinuityProbe {
     dmax: usize,
     prev: Option<OmegaPartition>,
+    /// The ΠT and ΠC verdicts of `prev`'s transition to itself, once a
+    /// repeated round asked for them; cleared when a new partition comes.
+    repeat: Option<(bool, bool)>,
     stats: ContinuityStats,
 }
 
@@ -205,6 +216,7 @@ impl ContinuityProbe {
         ContinuityProbe {
             dmax,
             prev: None,
+            repeat: None,
             stats: ContinuityStats::default(),
         }
     }
@@ -218,15 +230,37 @@ impl ContinuityProbe {
     /// topology it was captured with (the pipelined path).
     fn record_partition(&mut self, partition: OmegaPartition, topology: &Graph) {
         if let Some(prev) = &self.prev {
-            self.stats.transitions += 1;
-            if prev.pi_t_violations(topology, self.dmax) == 0 {
-                self.stats.pi_t_held += 1;
-                if prev.pi_c_violations(&partition) == 0 {
-                    self.stats.pi_c_held_given_pi_t += 1;
-                }
-            }
+            let pi_t = prev.pi_t_violations(topology, self.dmax) == 0;
+            self.count(pi_t, pi_t && prev.pi_c_violations(&partition) == 0);
         }
         self.prev = Some(partition);
+        self.repeat = None;
+    }
+
+    /// Record a round that repeats the last one (same topology handle,
+    /// same view handles): its partition is `prev` again, so the
+    /// transition is `prev`'s to itself, measured once per run of repeats.
+    fn record_repeat(&mut self, topology: &Graph) {
+        let Some(prev) = &self.prev else {
+            return;
+        };
+        let dmax = self.dmax;
+        let (pi_t, pi_c) = *self.repeat.get_or_insert_with(|| {
+            let pi_t = prev.pi_t_violations(topology, dmax) == 0;
+            (pi_t, pi_t && prev.pi_c_violations(prev) == 0)
+        });
+        self.count(pi_t, pi_c);
+    }
+
+    /// Count one transition; `pi_c` only counts under `pi_t`.
+    fn count(&mut self, pi_t: bool, pi_c: bool) {
+        self.stats.transitions += 1;
+        if pi_t {
+            self.stats.pi_t_held += 1;
+            if pi_c {
+                self.stats.pi_c_held_given_pi_t += 1;
+            }
+        }
     }
 
     pub fn stats(&self) -> ContinuityStats {
@@ -335,6 +369,8 @@ impl ResilienceStats {
 #[derive(Clone, Debug)]
 pub struct ResilienceProbe {
     dmax: usize,
+    /// The last recorded verdict.
+    last_verdict: bool,
     stats: ResilienceStats,
 }
 
@@ -342,6 +378,7 @@ impl ResilienceProbe {
     fn new(dmax: usize) -> Self {
         ResilienceProbe {
             dmax,
+            last_verdict: false,
             stats: ResilienceStats::default(),
         }
     }
@@ -359,6 +396,7 @@ impl ResilienceProbe {
 
     /// Record one round from its legitimacy verdict.
     fn record_verdict(&mut self, at: SimTime, legitimate: bool) {
+        self.last_verdict = legitimate;
         self.stats.rounds_observed += 1;
         if legitimate {
             self.stats.legitimate_rounds += 1;
@@ -386,6 +424,14 @@ impl ResilienceProbe {
 /// convergence detector and the resilience probe share one legitimacy
 /// verdict, the continuity probe keeps the partition as next round's
 /// "before". Built incrementally via the `with_*` methods.
+///
+/// A round that repeats the last one — the same topology handle and, node
+/// for node, the same view handles, as every round of a settled explicit
+/// run does — is the same configuration, so it is not evaluated again:
+/// each consumer repeats its last verdict and the continuity probe counts
+/// the partition's transition to itself, measured once per run of
+/// repeats. The probes are fed every round the recorder holds, so each
+/// one's last verdict is the previous round's.
 #[derive(Clone, Debug, Default)]
 pub struct GrpPipeline {
     pub recorder: SnapshotRecorder,
@@ -421,11 +467,28 @@ impl GrpPipeline {
 
 impl<P: ViewProtocol> Observer<P> for GrpPipeline {
     fn on_round_end(&mut self, _round: u64, sim: &Simulator<P>) {
-        let round = self.recorder.capture(sim);
+        self.recorder.capture(sim);
         if self.convergence.is_none() && self.continuity.is_none() && self.resilience.is_none() {
             return;
         }
+        let (before, round) = match self.recorder.rounds() {
+            [.., before, round] => (Some(before), round),
+            [round] => (None, round),
+            [] => return,
+        };
         let topology = &round.snapshot.topology;
+        if before.is_some_and(|before| shares_every_handle(&before.snapshot, &round.snapshot)) {
+            if let Some(detector) = &mut self.convergence {
+                detector.record_verdict(detector.is_currently_legitimate());
+            }
+            if let Some(probe) = &mut self.resilience {
+                probe.record_verdict(round.at, probe.last_verdict);
+            }
+            if let Some(probe) = &mut self.continuity {
+                probe.record_repeat(topology);
+            }
+            return;
+        }
         let partition = OmegaPartition::of(&round.snapshot);
         // the two legitimacy consumers are normally built with one `dmax`:
         // evaluate once, again only for a bound not yet asked about
@@ -560,6 +623,62 @@ mod tests {
         assert_eq!(streamed.transitions, rounds.len() as u64 - 1);
         assert_eq!(streamed.pi_t_held, pi_t_held);
         assert_eq!(streamed.pi_c_held_given_pi_t, pi_c_held);
+    }
+
+    /// The repeated-round memo is exact: a converged explicit run, with a
+    /// corruption to recover from or a crash that leaves the survivors
+    /// quoting a missing node, streamed through the pipeline reads the
+    /// same convergence round, continuity and resilience as a fresh
+    /// evaluation of every recorded snapshot.
+    #[test]
+    fn repeated_rounds_read_as_a_fresh_evaluation() {
+        use netsim::FaultKind;
+        for kind in [
+            FaultKind::CorruptState(NodeId(2)),
+            FaultKind::Crash(NodeId(2)),
+        ] {
+            let mut sim = grp_sim(4, 2);
+            let fault = ScheduledFault::new(SimTime(40_500), kind);
+            sim.schedule_faults(vec![fault.clone()]);
+            let mut pipeline = GrpPipeline::new()
+                .with_convergence(3)
+                .with_continuity(3)
+                .with_resilience(3);
+            sim.run_rounds_observed(80, &mut pipeline);
+            let rounds = pipeline.recorder.rounds();
+            let repeats = rounds
+                .windows(2)
+                .filter(|pair| shares_every_handle(&pair[0].snapshot, &pair[1].snapshot))
+                .count();
+            assert!(repeats > 20, "{fault:?}: the memo serves {repeats} rounds");
+
+            let mut detector = ConvergenceDetector::new(3);
+            let mut continuity = ContinuityProbe::new(3);
+            let mut resilience = ResilienceProbe::new(3);
+            for round in rounds {
+                if round.at >= fault.at && resilience.stats().faults.is_empty() {
+                    resilience.note_fault(&fault);
+                }
+                detector.record(&round.snapshot);
+                continuity.record(&round.snapshot);
+                resilience.record_verdict(round.at, round.snapshot.legitimate(3));
+            }
+            let streamed = pipeline.convergence.as_ref().unwrap();
+            assert_eq!(streamed.convergence_round(), detector.convergence_round());
+            let (fresh, memo) = (continuity.stats(), pipeline.continuity.unwrap().stats());
+            assert_eq!(
+                (
+                    fresh.transitions,
+                    fresh.pi_t_held,
+                    fresh.pi_c_held_given_pi_t
+                ),
+                (memo.transitions, memo.pi_t_held, memo.pi_c_held_given_pi_t),
+                "{fault:?}"
+            );
+            let memo = pipeline.resilience.unwrap().into_stats();
+            assert_eq!(memo.faults.len(), 1);
+            assert_eq!(format!("{memo:?}"), format!("{:?}", resilience.stats()));
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! answers the *medium* question: given that a neighbour is in range, does
 //! this particular transmission reach it, and with how much extra latency?
 //! Every loss decision lives here, so a scenario combines the disk
-//! geometry with any medium behaviour.
+//! geometry with any medium behaviour. Every model first applies the iid
+//! loss of [`SimConfig::loss_probability`] (one draw per link, only when
+//! it is positive), then makes its own decision.
 //!
 //! Three models are provided:
 //!
@@ -81,7 +83,7 @@ pub struct LinkEnv<'a> {
     pub receiver_pos: Option<Point>,
     /// The radio — `None` in explicit-topology mode.
     pub radio: Option<&'a UnitDisk>,
-    /// The [`Bernoulli`] channel's iid loss probability
+    /// The iid loss probability every channel applies first
     /// ([`SimConfig::loss_probability`](crate::sim::SimConfig::loss_probability)).
     pub loss_probability: f64,
 }
@@ -138,13 +140,19 @@ pub struct Bernoulli;
 
 impl ChannelModel for Bernoulli {
     fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
-        let p = env.loss_probability;
-        if p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0)) {
+        if iid_lost(rng, env) {
             LinkOutcome::LOST
         } else {
             LinkOutcome::DELIVERED
         }
     }
+}
+
+/// The iid loss every channel applies first: one draw against
+/// `env.loss_probability`, made only when it is positive.
+fn iid_lost(rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> bool {
+    let p = env.loss_probability;
+    p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0))
 }
 
 /// Distance-proportional loss for spatial workloads: a link of length `d`
@@ -193,6 +201,9 @@ impl DistanceLoss {
 
 impl ChannelModel for DistanceLoss {
     fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
+        if iid_lost(rng, env) {
+            return LinkOutcome::LOST;
+        }
         let (Some(radio), Some(ps), Some(pr)) = (env.radio, env.sender_pos, env.receiver_pos)
         else {
             return LinkOutcome::LOST;
@@ -490,6 +501,9 @@ impl ChannelModel for Contention {
     }
 
     fn link(&self, rng: &mut dyn RngCore, env: &LinkEnv<'_>) -> LinkOutcome {
+        if iid_lost(rng, env) {
+            return LinkOutcome::LOST;
+        }
         // positions are mandatory: the contention model is spatial-only
         // (manifests enforce this; a missing position drops the link, the
         // same posture `DistanceLoss` takes)

@@ -37,7 +37,10 @@
 //! `docs/ARCHITECTURE.md` at the workspace root).
 //!
 //! The simulator is fully deterministic for a given seed: the event queue is
-//! a calendar of `(time, sequence number)`-ordered buckets, and all
+//! a timing wheel of same-instant buckets — 1024 one-tick slots from the
+//! last instant popped, an ordered far map beyond, whose buckets move
+//! whole into the window so FIFO order within an instant holds — drained
+//! in `(time, sequence number)` order ([`event`]), and all
 //! randomness flows from `ChaCha8` streams derived from the run seed — one
 //! independently-seeded stream per `(node, purpose)` ([`rng`]), so no
 //! node's draws depend on when, or after whom, the engine reaches it. One

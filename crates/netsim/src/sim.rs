@@ -40,7 +40,7 @@ use crate::trace::MessageStats;
 use dyngraph::{Graph, NodeId, TopologyEvent};
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The next copy of a message that fans out to several places: a clone,
@@ -79,8 +79,9 @@ pub struct SimConfig {
     pub mobility_period: u64,
     /// Propagation + MAC delay applied to every delivery.
     pub delivery_delay: u64,
-    /// Per-link iid loss probability of the default [`Bernoulli`] channel,
-    /// in both topology modes (other channels decide loss themselves).
+    /// Per-link iid loss probability, in both topology modes: the whole
+    /// medium of the default [`Bernoulli`] channel, and a first draw every
+    /// other channel makes before its own decision.
     pub loss_probability: f64,
     /// Run seed: every per-node stream is derived from it (see
     /// [`crate::rng`]).
@@ -167,17 +168,16 @@ struct SendOutcome {
     dropped: u64,
 }
 
-/// Cut one sweep's `(extra_delay, receiver)` hits into one exact-size
-/// recipient list per distinct delay, ascending by delay, so sweep events
-/// are scheduled (and sequence numbers assigned) in delay order. Within a
-/// delay the receivers keep their sweep order: the sort is stable, and it
-/// runs only when the delays differ.
-fn delay_groups(hits: &mut [(u64, u32)]) -> impl Iterator<Item = (u64, Vec<u32>)> + '_ {
+/// Cut one sweep's `(extra_delay, receiver)` hits into one run per
+/// distinct delay, ascending by delay, so sweep events are scheduled (and
+/// sequence numbers assigned) in delay order. Within a delay the receivers
+/// keep their sweep order: the sort is stable, and it runs only when the
+/// delays differ.
+fn delay_groups(hits: &mut [(u64, u32)]) -> impl Iterator<Item = &[(u64, u32)]> {
     if hits.windows(2).any(|pair| pair[0].0 != pair[1].0) {
         hits.sort_by_key(|&(delay, _)| delay);
     }
     hits.chunk_by(|a, b| a.0 == b.0)
-        .map(|run| (run[0].0, run.iter().map(|&(_, to)| to).collect()))
 }
 
 /// The lists one bucket sorts its events into, one per phase; kept on the
@@ -217,12 +217,14 @@ pub struct Simulator<P: Protocol> {
     spatial: Option<Spatial>,
     /// The event loop's reused buffers: the phase lists of the current
     /// bucket, the broadcasts of a send batch, the neighbours a grid read
-    /// found for the current send and the `(extra_delay, receiver)` hits
-    /// of its sweep.
+    /// found for the current send, the `(extra_delay, receiver)` hits of
+    /// its sweep, and the delivered sweeps' emptied recipient lists, which
+    /// the next sends fill.
     phases: Phases<P::Message>,
     pending: Vec<Pending<P::Message>>,
     found: Vec<(u32, Point)>,
     hits: Vec<(u64, u32)>,
+    spare_recipients: Vec<Vec<u32>>,
     /// The topology slot of each node slot and the node slot of each
     /// topology slot, [`NO_SLOT`] where the id is unknown on the other
     /// side. The two slot spaces coincide once every topology node has its
@@ -406,6 +408,7 @@ impl<P: Protocol> Simulator<P> {
             pending: Vec::new(),
             found: Vec::new(),
             hits: Vec::new(),
+            spare_recipients: Vec::new(),
             topology_slot: Vec::new(),
             node_slot: Vec::new(),
             slot_maps_stale: false,
@@ -614,12 +617,7 @@ impl<P: Protocol> Simulator<P> {
         if self.slot_maps_stale {
             self.refresh_slot_maps();
         }
-        while let Some(ev) = self.events.peek() {
-            if ev.time > deadline {
-                break;
-            }
-            // detlint::allow(D004): the while-let peek guarantees non-empty
-            let (time, bucket) = self.events.pop_bucket().expect("peeked");
+        while let Some((time, bucket)) = self.events.pop_bucket_until(deadline) {
             self.now = time;
             self.handle_bucket(bucket, obs);
         }
@@ -658,11 +656,7 @@ impl<P: Protocol> Simulator<P> {
     /// sweeps a send phase schedules with zero total delay land in a fresh
     /// bucket at the same instant and are processed as the next bucket.
     /// The phase lists and the drained bucket are kept for later buckets.
-    fn handle_bucket(
-        &mut self,
-        mut bucket: VecDeque<Event<P::Message>>,
-        obs: &mut dyn Observer<P>,
-    ) {
+    fn handle_bucket(&mut self, mut bucket: Vec<Event<P::Message>>, obs: &mut dyn Observer<P>) {
         let mut phases = std::mem::take(&mut self.phases);
         let mut mobility_ticks = 0usize;
         for ev in bucket.drain(..) {
@@ -710,19 +704,20 @@ impl<P: Protocol> Simulator<P> {
     /// in event order and recipient after recipient within a sweep: the
     /// liveness check, delivery/drop statistics, the
     /// [`Observer::on_delivery`] hook and `on_message` all run as the walk
-    /// reaches each receiver.
+    /// reaches each receiver. Each emptied recipient list goes back to the
+    /// send path.
     fn handle_delivery_batch(
         &mut self,
         sweeps: impl Iterator<Item = (u32, P::Message, Vec<u32>)>,
         obs: &mut dyn Observer<P>,
     ) {
         let now = self.now;
-        for (from, message, recipients) in sweeps {
+        for (from, message, mut recipients) in sweeps {
             let size = P::message_size(&message);
             let from = self.ids[from as usize];
             let mut message = Some(message);
-            let mut recipients = recipients.into_iter().peekable();
-            while let Some(to) = recipients.next() {
+            let mut walk = recipients.iter().peekable();
+            while let Some(&to) = walk.next() {
                 let node = &mut self.nodes[to as usize];
                 if !node.active {
                     self.stats.dropped += 1;
@@ -732,11 +727,13 @@ impl<P: Protocol> Simulator<P> {
                 self.stats.delivered_bytes += size as u64;
                 obs.on_delivery(from, self.ids[to as usize], size, now);
                 // the message moves into the last reception
-                let Some(copy) = next_copy(&mut message, recipients.peek().is_none()) else {
+                let Some(copy) = next_copy(&mut message, walk.peek().is_none()) else {
                     break;
                 };
                 node.protocol.on_message(from, copy, now);
             }
+            recipients.clear();
+            self.spare_recipients.push(recipients);
         }
     }
 
@@ -821,15 +818,17 @@ impl<P: Protocol> Simulator<P> {
             self.stats.dropped += out.dropped;
             let mut message = Some(p.message);
             let mut groups = delay_groups(&mut self.hits).peekable();
-            while let Some((extra_delay, recipients)) = groups.next() {
+            while let Some(run) = groups.next() {
                 // the message moves into the last sweep
                 let Some(message) = next_copy(&mut message, groups.peek().is_none()) else {
                     break;
                 };
+                let mut recipients = self.spare_recipients.pop().unwrap_or_default();
+                recipients.extend(run.iter().map(|&(_, to)| to));
                 // `schedule` spelled out: `medium` still borrows the rest
                 self.seq += 1;
                 self.events.push(Event {
-                    time: now + self.config.delivery_delay + extra_delay,
+                    time: now + self.config.delivery_delay + run[0].0,
                     seq: self.seq,
                     kind: EventKind::Broadcast {
                         from: p.sender,
@@ -1057,8 +1056,9 @@ mod tests {
         fn delay_groups_match_the_btreemap_grouping(hits in sweep_hits()) {
             let expected = btreemap_groups(&hits);
             let mut buffer = hits.clone();
-            let groups: Vec<(u64, Vec<u32>)> = delay_groups(&mut buffer).collect();
-            prop_assert!(groups.iter().all(|(_, to)| to.capacity() == to.len()));
+            let groups: Vec<(u64, Vec<u32>)> = delay_groups(&mut buffer)
+                .map(|run| (run[0].0, run.iter().map(|&(_, to)| to).collect()))
+                .collect();
             prop_assert_eq!(groups, expected);
         }
     }

@@ -1478,7 +1478,10 @@ model = "contention"
             panic!("spatial workload expected");
         };
         assert_eq!(radio.range(), 45.0);
-        assert_eq!(*channel, ChannelSpec::Contention(ContentionConfig::new(45.0)));
+        assert_eq!(
+            *channel,
+            ChannelSpec::Contention(ContentionConfig::new(45.0))
+        );
 
         let tuned = format!(
             "{base}base_loss = 0.01\nload_loss = 0.05\nmax_loss = 0.9\nwindow = 500\njitter = 6\nhidden_terminal = false\n"

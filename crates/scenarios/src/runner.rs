@@ -1126,4 +1126,36 @@ loss = 0.1
             "f4476fe393de100a603a98ad814bde96613bb2ab1492acb6c8dc1ad56345ade8"
         );
     }
+
+    /// `[sim] loss` is the iid loss every channel applies first: a
+    /// manifest built in code with certain loss delivers nothing, whichever
+    /// channel decides the links after it.
+    #[test]
+    fn every_channel_honours_the_sim_loss() {
+        use netsim::channel::{ContentionConfig, DistanceLoss};
+        use netsim::radio::UnitDisk;
+        for channel in [
+            ChannelSpec::Bernoulli,
+            ChannelSpec::DistanceLoss(DistanceLoss::new(0.0)),
+            ChannelSpec::Contention(ContentionConfig {
+                base_loss: 0.0,
+                load_loss: 0.0,
+                ..ContentionConfig::new(40.0)
+            }),
+        ] {
+            let workload = WorkloadSpec::Spatial {
+                mobility: MobilitySpec::StationaryLine {
+                    n: 6,
+                    spacing: 10.0,
+                },
+                radio: UnitDisk::new(40.0),
+                channel,
+            };
+            let mut m = ScenarioManifest::simulate("lossy", workload, GrpConfig::new(2), 10);
+            m.sim.loss = 1.0;
+            let run = run_seed(&m, 1, None);
+            assert!(run.stats.attempted > 0, "{channel:?}: links were tried");
+            assert_eq!(run.stats.delivered, 0, "{channel:?}: delivered");
+        }
+    }
 }
