@@ -35,7 +35,14 @@ const DRAW_METHODS: &[&str] = &[
 #[derive(Clone, Debug)]
 pub struct RngSite {
     pub path: String,
+    /// The site's line; a baseline does not record it, so a parsed entry
+    /// reads 0.
     pub line: usize,
+    /// The innermost `fn` whose body holds the site (`-` outside every fn)
+    /// and the site's 1-based rank among that fn's sites: the site's key
+    /// in the baseline, which a line shift elsewhere leaves alone.
+    pub func: String,
+    pub ordinal: usize,
     /// `draw` for a direct method call on an RNG, `handoff` for lending
     /// `&mut rng` to a callee.
     pub kind: SiteKind,
@@ -88,6 +95,36 @@ fn receiver_chain(code: &[&Token], i: usize) -> String {
     parts.join(".")
 }
 
+/// The innermost `fn` whose body encloses each token of `code`, if any.
+/// A `fn name` opens the next `{` unless a `;` at its own bracket depth
+/// (a bodiless trait method) comes first.
+fn enclosing_fns<'a>(code: &[&'a Token]) -> Vec<Option<&'a str>> {
+    let mut out = Vec::with_capacity(code.len());
+    // per open `{`: the fn whose body it opens, if any
+    let mut braces: Vec<Option<&str>> = Vec::new();
+    let mut pending: Option<(&str, usize)> = None;
+    let mut depth = 0usize;
+    for (i, tok) in code.iter().enumerate() {
+        if tok.is_ident("fn") {
+            if let Some(name) = code.get(i + 1).filter(|t| t.kind == TokenKind::Ident) {
+                pending = Some((name.text.as_str(), depth));
+            }
+        } else if tok.is_punct('(') || tok.is_punct('[') {
+            depth += 1;
+        } else if tok.is_punct(')') || tok.is_punct(']') {
+            depth = depth.saturating_sub(1);
+        } else if tok.is_punct('{') {
+            braces.push(pending.take().map(|(name, _)| name));
+        } else if tok.is_punct('}') {
+            braces.pop();
+        } else if tok.is_punct(';') && pending.is_some_and(|(_, at)| at == depth) {
+            pending = None;
+        }
+        out.push(braces.iter().rev().find_map(|&f| f));
+    }
+    out
+}
+
 /// Inventory the RNG consumption sites of every file under the
 /// `[rng_audit].paths` prefixes.
 pub fn rng_audit(root: &Path, cfg: &Config) -> std::io::Result<Vec<RngSite>> {
@@ -95,80 +132,97 @@ pub fn rng_audit(root: &Path, cfg: &Config) -> std::io::Result<Vec<RngSite>> {
         include: cfg.rng_audit_paths.clone(),
         ..cfg.clone()
     };
-    let files = source_files(root, &audit_cfg)?;
     let mut sites = Vec::new();
-    for rel in &files {
-        let text = std::fs::read_to_string(root.join(rel))?;
-        let tokens = tokenize(&text);
-        let code: Vec<&Token> = tokens
-            .iter()
-            .filter(|t| t.kind != TokenKind::LineComment)
-            .collect();
-        for (i, tok) in code.iter().enumerate() {
-            // direct draw: `<chain>.method(` or `<chain>.gen::<T>(`
-            if tok.kind == TokenKind::Ident
-                && DRAW_METHODS.contains(&tok.text.as_str())
-                && i > 0
-                && code[i - 1].is_punct('.')
-                && code
-                    .get(i + 1)
-                    .is_some_and(|t| t.is_punct('(') || t.is_punct(':'))
-            {
-                let chain = receiver_chain(&code, i - 1);
-                if rng_ish(&chain) {
-                    sites.push(RngSite {
-                        path: rel.clone(),
-                        line: tok.line,
-                        kind: SiteKind::Draw,
-                        detail: format!("{chain}.{}", tok.text),
-                    });
-                    continue;
-                }
-                // `slice.choose(&mut rng)`-style draws consume the stream
-                // too; they surface below as handoffs of the argument
+    for rel in source_files(root, &audit_cfg)? {
+        let text = std::fs::read_to_string(root.join(&rel))?;
+        sites.extend(file_sites(&rel, &text));
+    }
+    Ok(sites)
+}
+
+/// The RNG consumption sites of one source file, `rel` its path.
+fn file_sites(rel: &str, text: &str) -> Vec<RngSite> {
+    let tokens = tokenize(text);
+    let code: Vec<&Token> = tokens
+        .iter()
+        .filter(|t| t.kind != TokenKind::LineComment)
+        .collect();
+    let fns = enclosing_fns(&code);
+    let mut sites = Vec::new();
+    for (i, tok) in code.iter().enumerate() {
+        // direct draw: `<chain>.method(` or `<chain>.gen::<T>(`
+        if tok.kind == TokenKind::Ident
+            && DRAW_METHODS.contains(&tok.text.as_str())
+            && i > 0
+            && code[i - 1].is_punct('.')
+            && code
+                .get(i + 1)
+                .is_some_and(|t| t.is_punct('(') || t.is_punct(':'))
+        {
+            let chain = receiver_chain(&code, i - 1);
+            if rng_ish(&chain) {
+                sites.push(RngSite {
+                    path: rel.to_string(),
+                    line: tok.line,
+                    func: fns[i].unwrap_or("-").to_string(),
+                    ordinal: 0,
+                    kind: SiteKind::Draw,
+                    detail: format!("{chain}.{}", tok.text),
+                });
+                continue;
             }
-            // handoff: `callee(… &mut <chain> …)` — an RNG chain in
-            // argument position, passed by value or by &mut
-            if tok.kind == TokenKind::Ident {
-                let chain_end = {
-                    // find the end of a dotted chain starting here
-                    let mut j = i;
-                    while code.get(j + 1).is_some_and(|t| t.is_punct('.'))
-                        && code.get(j + 2).is_some_and(|t| t.kind == TokenKind::Ident)
-                    {
-                        j += 2;
-                    }
-                    j
-                };
-                let chain = receiver_chain(&code, chain_end + 1);
-                if !rng_ish(&chain) {
-                    continue;
+            // `slice.choose(&mut rng)`-style draws consume the stream
+            // too; they surface below as handoffs of the argument
+        }
+        // handoff: `callee(… &mut <chain> …)` — an RNG chain in
+        // argument position, passed by value or by &mut
+        if tok.kind == TokenKind::Ident {
+            let chain_end = {
+                // find the end of a dotted chain starting here
+                let mut j = i;
+                while code.get(j + 1).is_some_and(|t| t.is_punct('.'))
+                    && code.get(j + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+                {
+                    j += 2;
                 }
-                // skip if this chain is a draw receiver (handled above), a
-                // declaration (`let rng = …`), or a parameter/field
-                // declaration (`rng: &mut ChaCha8Rng`) — only call
-                // arguments are consumption sites
-                let next_is_call = code
-                    .get(chain_end + 1)
-                    .is_some_and(|t| t.is_punct('.') || t.is_punct('=') || t.is_punct(':'));
-                let prev = code.get(i.wrapping_sub(1)).copied();
-                let arg_position =
-                    prev.is_some_and(|t| t.is_punct('(') || t.is_punct(',') || t.is_ident("mut"));
-                if arg_position && !next_is_call {
-                    // name the callee: walk back to `ident (` before the
-                    // argument list this chain sits in
-                    let callee = callee_of(&code, i);
-                    sites.push(RngSite {
-                        path: rel.clone(),
-                        line: tok.line,
-                        kind: SiteKind::Handoff,
-                        detail: format!("{}(… {chain} …)", callee.unwrap_or("?".into())),
-                    });
-                }
+                j
+            };
+            let chain = receiver_chain(&code, chain_end + 1);
+            if !rng_ish(&chain) {
+                continue;
+            }
+            // skip if this chain is a draw receiver (handled above), a
+            // declaration (`let rng = …`), or a parameter/field
+            // declaration (`rng: &mut ChaCha8Rng`) — only call
+            // arguments are consumption sites
+            let next_is_call = code
+                .get(chain_end + 1)
+                .is_some_and(|t| t.is_punct('.') || t.is_punct('=') || t.is_punct(':'));
+            let prev = code.get(i.wrapping_sub(1)).copied();
+            let arg_position =
+                prev.is_some_and(|t| t.is_punct('(') || t.is_punct(',') || t.is_ident("mut"));
+            if arg_position && !next_is_call {
+                // name the callee: walk back to `ident (` before the
+                // argument list this chain sits in
+                let callee = callee_of(&code, i);
+                sites.push(RngSite {
+                    path: rel.to_string(),
+                    line: tok.line,
+                    func: fns[i].unwrap_or("-").to_string(),
+                    ordinal: 0,
+                    kind: SiteKind::Handoff,
+                    detail: format!("{}(… {chain} …)", callee.unwrap_or("?".into())),
+                });
             }
         }
     }
-    Ok(sites)
+    let mut ranks: std::collections::BTreeMap<String, usize> = Default::default();
+    for site in &mut sites {
+        let rank = ranks.entry(site.func.clone()).or_default();
+        *rank += 1;
+        site.ordinal = *rank;
+    }
+    sites
 }
 
 /// Best-effort name of the function whose argument list encloses `code[i]`:
@@ -192,14 +246,20 @@ fn callee_of(code: &[&Token], i: usize) -> Option<String> {
 }
 
 /// Serialize the inventory in the checked-in baseline format: one
-/// `path:line kind detail` line per site, in scan order. Lines starting
-/// with `#` and blank lines are ignored by [`parse_baseline`], so the
-/// checked-in file can carry a regeneration hint in a header comment.
+/// `path fn#ordinal kind detail` line per site, in scan order — no line
+/// numbers, so an edit moves only the entries of the fns it touches.
+/// Lines starting with `#` and blank lines are ignored by
+/// [`parse_baseline`], so the checked-in file can carry a regeneration
+/// hint in a header comment.
 pub fn serialize_baseline(sites: &[RngSite]) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     for s in sites {
-        let _ = writeln!(out, "{}:{} {} {}", s.path, s.line, s.kind, s.detail);
+        let _ = writeln!(
+            out,
+            "{} {}#{} {} {}",
+            s.path, s.func, s.ordinal, s.kind, s.detail
+        );
     }
     out
 }
@@ -213,19 +273,24 @@ pub fn parse_baseline(text: &str) -> Result<Vec<RngSite>, String> {
             continue;
         }
         let err = || format!("baseline line {}: malformed `{raw}`", lineno + 1);
-        let mut fields = line.splitn(3, ' ');
-        let loc = fields.next().ok_or_else(err)?;
+        let mut fields = line.splitn(4, ' ');
+        let path = fields.next().ok_or_else(err)?.to_string();
+        let (func, ordinal) = fields
+            .next()
+            .and_then(|key| key.rsplit_once('#'))
+            .ok_or_else(err)?;
+        let ordinal = ordinal.parse::<usize>().map_err(|_| err())?;
         let kind = match fields.next() {
             Some("draw") => SiteKind::Draw,
             Some("handoff") => SiteKind::Handoff,
             _ => return Err(err()),
         };
         let detail = fields.next().ok_or_else(err)?.to_string();
-        let (path, line_str) = loc.rsplit_once(':').ok_or_else(err)?;
-        let line = line_str.parse::<usize>().map_err(|_| err())?;
         sites.push(RngSite {
-            path: path.to_string(),
-            line,
+            path,
+            line: 0,
+            func: func.to_string(),
+            ordinal,
             kind,
             detail,
         });
@@ -297,6 +362,8 @@ mod tests {
         RngSite {
             path: path.to_string(),
             line,
+            func: "f".to_string(),
+            ordinal: line,
             kind,
             detail: detail.to_string(),
         }
@@ -322,16 +389,35 @@ mod tests {
         let parsed = parse_baseline(&text).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].path, sites[0].path);
-        assert_eq!(parsed[0].line, 10);
+        assert_eq!((parsed[0].func.as_str(), parsed[0].ordinal), ("f", 10));
         assert_eq!(parsed[0].kind, SiteKind::Draw);
         assert_eq!(parsed[1].detail, sites[1].detail);
     }
 
+    /// A site is keyed by its fn and rank there: lines inserted above
+    /// move its line, not its baseline entry. A bodiless trait method and
+    /// an array type in a signature open no body.
+    #[test]
+    fn baseline_keys_survive_a_line_shift() {
+        let src = "fn a(rng: &mut R) {\n    rng.gen_bool(0.5);\n    f(rng);\n}\n\
+                   trait T { fn g(&self); }\n\
+                   fn b(x: [u8; 4]) { rng.gen_range(0..2); }\n";
+        let sites = file_sites("a.rs", src);
+        let baseline = serialize_baseline(&sites);
+        assert_eq!(
+            baseline,
+            "a.rs a#1 draw rng.gen_bool\na.rs a#2 handoff f(… rng …)\na.rs b#1 draw rng.gen_range\n"
+        );
+        let shifted = file_sites("a.rs", &format!("// a new line\n\n{src}"));
+        assert_eq!(serialize_baseline(&shifted), baseline);
+        assert_eq!(shifted[0].line, sites[0].line + 2);
+    }
+
     #[test]
     fn malformed_baseline_lines_are_rejected() {
-        assert!(parse_baseline("no-colon draw x").is_err());
-        assert!(parse_baseline("a.rs:12 frobnicate x").is_err());
-        assert!(parse_baseline("a.rs:notaline draw x").is_err());
+        assert!(parse_baseline("a.rs no-ordinal draw x").is_err());
+        assert!(parse_baseline("a.rs f#1 frobnicate x").is_err());
+        assert!(parse_baseline("a.rs f#first draw x").is_err());
     }
 
     #[test]

@@ -95,8 +95,9 @@ fn main() -> ExitCode {
         if update_baseline {
             let header = "\
 # RNG consumption baseline — the sites `detlint --rng-audit` is\n\
-# allowed to find. CI fails on any site not listed here (matched on\n\
-# path/kind/detail; line numbers are informational and may drift).\n\
+# allowed to find, one `path fn#rank kind detail` line each: keyed by\n\
+# the enclosing fn and the site's rank in it, not by line. CI fails on\n\
+# any site not listed here (matched on path/kind/detail).\n\
 # Regenerate after an intentional change with:\n\
 #   cargo run -p detlint -- --rng-audit --baseline rng-audit.baseline --update-baseline\n";
             let body = format!("{header}{}", serialize_baseline(&sites));

@@ -8,12 +8,11 @@
 //! topologies and measures how often the two groups manage to merge under
 //! each variant.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Table};
 use crate::runner::{convergence_budget, Scale};
 use dyngraph::GraphGenerator;
 use grp_core::predicates::SystemSnapshot;
 use grp_core::GrpConfig;
-use metrics::Table;
 use scenarios::manifest::WorkloadSpec;
 use scenarios::{build_simulator, ScenarioManifest};
 

@@ -6,10 +6,9 @@
 //! cold boot on random geometric graphs of increasing size, we count the
 //! rounds until the closed legitimate suffix begins.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Summary, Table};
 use crate::runner::{convergence_budget, grp_manifest, Scale};
 use dyngraph::GraphGenerator;
-use metrics::{Summary, Table};
 use scenarios::run_seed;
 
 /// The RGG family used throughout the sweeps: area grows with n so that the

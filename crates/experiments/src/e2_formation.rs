@@ -6,10 +6,9 @@
 //! and settles at the size of a diameter-constrained partition, while the
 //! maximum diameter never exceeds `Dmax` once the system has stabilized.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, TimeSeries};
 use crate::runner::{convergence_budget, grp_manifest, snapshots, Scale};
 use dyngraph::GraphGenerator;
-use metrics::TimeSeries;
 
 fn formation_series(
     generator: GraphGenerator,

@@ -6,10 +6,9 @@
 //! a fixed topology; this table verifies it empirically and exposes the rare
 //! runs that need more than the budgeted rounds.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Table};
 use crate::runner::{convergence_budget, grp_manifest, Scale};
 use dyngraph::GraphGenerator;
-use metrics::Table;
 use scenarios::run_seed;
 
 /// Run the experiment at the given scale.

@@ -8,24 +8,25 @@
 //! column is zero; `docs/SCENARIOS.md` ("Observed reproduction
 //! behaviours") records where this reproduction counts more.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Table};
 use crate::runner::{churn_after_warmup, Scale};
+use grp_core::observers::ContinuityStats;
 use grp_core::GrpConfig;
-use metrics::{ChurnAccumulator, Table};
 use netsim::radio::UnitDisk;
 use scenarios::manifest::{ChannelSpec, MobilitySpec, WorkloadSpec};
 use scenarios::ScenarioManifest;
 
-/// One measurement cell: run the convoy at a given speed spread and
-/// accumulate the churn counters after the warm-up.
+/// One measurement cell: run the convoy at a given speed spread under
+/// every seed and total the continuity and view removals after the
+/// warm-up.
 fn measure(
     speed_spread: f64,
     dmax: usize,
     n: usize,
     rounds: usize,
     warmup: usize,
-    seed: u64,
-) -> ChurnAccumulator {
+    seeds: &[u64],
+) -> (ContinuityStats, u64) {
     // speeds in [base, base + spread] distance units per tick
     let base = 0.002;
     let workload = WorkloadSpec::Spatial {
@@ -41,7 +42,7 @@ fn measure(
         channel: ChannelSpec::Bernoulli,
     };
     let manifest = ScenarioManifest::simulate("e4", workload, GrpConfig::new(dmax), rounds as u64);
-    churn_after_warmup(&manifest, seed, warmup)
+    churn_after_warmup(&manifest, seeds, warmup)
 }
 
 /// Run the experiment at the given scale.
@@ -69,17 +70,15 @@ pub fn run(scale: Scale) -> ExperimentOutput {
         ],
     );
     for &spread in &spreads {
-        let mut accumulated = ChurnAccumulator::new();
-        for &seed in &seeds {
-            accumulated.merge(&measure(spread, dmax, n, rounds, warmup, seed));
-        }
+        let (continuity, removals) = measure(spread, dmax, n, rounds, warmup, &seeds);
+        let per_transition = |count: u64| count as f64 / continuity.transitions as f64;
         table.push(vec![
             format!("{spread}"),
-            accumulated.transitions.to_string(),
-            format!("{:.3}", accumulated.pi_t_rate()),
-            format!("{:.3}", accumulated.pi_c_rate()),
-            accumulated.best_effort_violations.to_string(),
-            format!("{:.2}", accumulated.removals_per_transition()),
+            continuity.transitions.to_string(),
+            format!("{:.3}", per_transition(continuity.pi_t_held)),
+            format!("{:.3}", per_transition(continuity.pi_c_held)),
+            continuity.best_effort_violations().to_string(),
+            format!("{:.2}", per_transition(removals)),
         ]);
     }
     output.notes.push(
@@ -101,10 +100,13 @@ mod tests {
         // Seed 2: seeds 1, 4 and 6 count one ΠT ∧ ¬ΠC transition after the
         // warm-up even on this static line (docs/SCENARIOS.md, "Observed
         // reproduction behaviours").
-        let acc = measure(0.0, 3, 8, 35, 20, 2);
-        assert!(acc.transitions > 0);
-        assert_eq!(acc.best_effort_violations, 0);
-        assert_eq!(acc.pi_t_rate(), 1.0, "no speed spread → no ΠT violation");
+        let (continuity, _) = measure(0.0, 3, 8, 35, 20, &[2]);
+        assert!(continuity.transitions > 0);
+        assert_eq!(continuity.best_effort_violations(), 0);
+        assert_eq!(
+            continuity.pi_t_held, continuity.transitions,
+            "no speed spread → no ΠT violation"
+        );
     }
 
     #[test]

@@ -11,14 +11,13 @@
 //! manifest describes GRP runs only, so this experiment builds its
 //! simulators itself instead of through `scenarios::build_simulator`.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Table};
 use crate::runner::Scale;
 use baselines::{KHopClustering, MaxMinDCluster, NeighborhoodBall};
 use dyngraph::NodeId;
 use grp_core::observers::SnapshotRecorder;
 use grp_core::predicates::{view_removals, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
-use metrics::Table;
 use netsim::mobility::RandomWaypoint;
 use netsim::radio::UnitDisk;
 use netsim::{Protocol, SimConfig, Simulator, TopologyMode, ViewProtocol};

@@ -12,12 +12,11 @@
 //! `scenarios::build_simulator`.
 
 use crate::e1_convergence::sized_rgg;
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Table};
 use crate::runner::{convergence_budget, Scale};
 use baselines::KHopClustering;
 use dyngraph::Graph;
 use grp_core::{GrpConfig, GrpNode};
-use metrics::Table;
 use netsim::{MessageStats, Protocol, SimConfig, Simulator, TopologyMode};
 
 /// Run one protocol and read its overhead accounting from the engine's

@@ -9,11 +9,10 @@
 //! `ConvergenceDetector`, which finds the first 3-round legitimate window.
 
 use crate::e1_convergence::sized_rgg;
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Summary, Table};
 use crate::runner::{convergence_budget, grp_manifest, Scale};
 use grp_core::predicates::SystemSnapshot;
 use grp_core::ConvergenceDetector;
-use metrics::{Summary, Table};
 use netsim::{FaultKind, ScheduledFault, SimTime};
 use scenarios::build_simulator;
 

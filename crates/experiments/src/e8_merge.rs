@@ -7,11 +7,10 @@
 //! must *not* merge (the merged diameter would exceed `Dmax`) indeed stay
 //! apart.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Summary, Table};
 use crate::runner::{convergence_budget, grp_manifest, Scale};
 use dyngraph::{GraphGenerator, NodeId, TopologyEvent};
 use grp_core::predicates::SystemSnapshot;
-use metrics::{Summary, Table};
 use scenarios::build_simulator;
 
 /// Two path segments of `half` nodes each, disconnected; node ids are

@@ -7,10 +7,10 @@
 //! the distance bound — exactly the best-effort violation ΠT ∧ ¬ΠC that
 //! Proposition 14 rules out for the full protocol.
 
-use crate::report::ExperimentOutput;
+use crate::report::{ExperimentOutput, Table};
 use crate::runner::{churn_after_warmup, Scale};
+use grp_core::observers::ContinuityStats;
 use grp_core::GrpConfig;
-use metrics::{ChurnAccumulator, Table};
 use netsim::radio::UnitDisk;
 use scenarios::manifest::{ChannelSpec, MobilitySpec, WorkloadSpec};
 use scenarios::ScenarioManifest;
@@ -21,8 +21,8 @@ fn measure(
     speed: f64,
     rounds: usize,
     warmup: usize,
-    seed: u64,
-) -> ChurnAccumulator {
+    seeds: &[u64],
+) -> (ContinuityStats, u64) {
     let workload = WorkloadSpec::Spatial {
         mobility: MobilitySpec::Waypoint {
             n,
@@ -35,7 +35,7 @@ fn measure(
         channel: ChannelSpec::Bernoulli,
     };
     let manifest = ScenarioManifest::simulate("e9", workload, config, rounds as u64);
-    churn_after_warmup(&manifest, seed, warmup)
+    churn_after_warmup(&manifest, seeds, warmup)
 }
 
 /// Run the experiment at the given scale.
@@ -69,16 +69,13 @@ pub fn run(scale: Scale) -> ExperimentOutput {
                 GrpConfig::new(dmax).without_quarantine(),
             ),
         ] {
-            let mut acc = ChurnAccumulator::new();
-            for &seed in &seeds {
-                acc.merge(&measure(config.clone(), n, speed, rounds, warmup, seed));
-            }
+            let (continuity, removals) = measure(config, n, speed, rounds, warmup, &seeds);
             table.push(vec![
                 format!("{speed}"),
                 label.to_string(),
-                acc.transitions.to_string(),
-                acc.best_effort_violations.to_string(),
-                format!("{:.2}", acc.removals_per_transition()),
+                continuity.transitions.to_string(),
+                continuity.best_effort_violations().to_string(),
+                format!("{:.2}", removals as f64 / continuity.transitions as f64),
             ]);
         }
     }
@@ -102,8 +99,8 @@ mod tests {
         // continuity theorem is about the converged regime (see the
         // cold-start caveat in docs/SCENARIOS.md, "Observed reproduction
         // behaviours")
-        let acc = measure(GrpConfig::new(3), 8, 0.0, 45, 30, 1);
-        assert_eq!(acc.best_effort_violations, 0);
+        let (continuity, _) = measure(GrpConfig::new(3), 8, 0.0, 45, 30, &[1]);
+        assert_eq!(continuity.best_effort_violations(), 0);
     }
 
     #[test]

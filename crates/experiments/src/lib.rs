@@ -10,7 +10,7 @@
 //!   the golden digests pin — except E5 and E6, whose GRP runs share a
 //!   hand-built trace or graph with the baselines;
 //! * evaluates the specification predicates each round;
-//! * and returns [`metrics::Table`]s / [`metrics::TimeSeries`] that the
+//! * and returns [`report::Table`]s / [`report::TimeSeries`] that the
 //!   `grp-experiments` binary prints and writes under `results/`.
 //!
 //! All experiments accept a [`Scale`] so the same code serves the full
@@ -31,6 +31,9 @@ pub mod e8_merge;
 pub mod e9_quarantine_ablation;
 pub mod report;
 pub mod runner;
+mod series;
+mod stats;
+mod table;
 
 pub use report::{run_experiment, ExperimentOutput};
 pub use runner::Scale;

@@ -1,7 +1,11 @@
-//! Experiment outputs and the dispatch used by the `grp-experiments` binary.
+//! Experiment outputs and the dispatch used by the `grp-experiments` binary,
+//! with the pieces an output is made of: markdown/CSV [`Table`]s, per-round
+//! [`TimeSeries`] and replicate [`Summary`] statistics.
 
 use crate::runner::Scale;
-use metrics::{Table, TimeSeries};
+pub use crate::series::TimeSeries;
+pub use crate::stats::Summary;
+pub use crate::table::Table;
 use std::fs;
 use std::io;
 use std::path::Path;

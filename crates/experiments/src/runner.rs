@@ -8,10 +8,9 @@
 //! golden digests pin.
 
 use dyngraph::GraphGenerator;
-use grp_core::observers::SnapshotRecorder;
-use grp_core::predicates::SystemSnapshot;
+use grp_core::observers::{ContinuityProbe, ContinuityStats, SnapshotRecorder};
+use grp_core::predicates::{view_removals, SystemSnapshot};
 use grp_core::GrpConfig;
-use metrics::ChurnAccumulator;
 use scenarios::manifest::WorkloadSpec;
 use scenarios::{build_simulator, drive_manifest, ScenarioManifest};
 
@@ -64,19 +63,30 @@ pub fn snapshots(manifest: &ScenarioManifest, seed: u64) -> Vec<SystemSnapshot> 
     recorder.into_snapshots()
 }
 
-/// Run `manifest` under `seed` and account ΠT, ΠC and view removals over
-/// every snapshot transition after the first `warmup` rounds.
+/// Run `manifest` under each of `seeds` and account every snapshot
+/// transition after a run's first `warmup` rounds: ΠT and ΠC through a
+/// [`ContinuityProbe`], and the view removals. Returns both totals over
+/// the seeds.
 pub fn churn_after_warmup(
     manifest: &ScenarioManifest,
-    seed: u64,
+    seeds: &[u64],
     warmup: usize,
-) -> ChurnAccumulator {
-    let dmax = manifest.protocol.dmax;
-    let mut acc = ChurnAccumulator::new();
-    for pair in snapshots(manifest, seed)[warmup..].windows(2) {
-        acc.record(&pair[0], &pair[1], dmax);
+) -> (ContinuityStats, u64) {
+    let (mut total, mut removals) = (ContinuityStats::default(), 0);
+    for &seed in seeds {
+        let snapshots = &snapshots(manifest, seed)[warmup..];
+        let mut probe = ContinuityProbe::new(manifest.protocol.dmax);
+        snapshots.iter().for_each(|snapshot| probe.record(snapshot));
+        let stats = probe.stats();
+        total.transitions += stats.transitions;
+        total.pi_t_held += stats.pi_t_held;
+        total.pi_c_held += stats.pi_c_held;
+        total.pi_c_held_given_pi_t += stats.pi_c_held_given_pi_t;
+        for pair in snapshots.windows(2) {
+            removals += view_removals(&pair[0], &pair[1]) as u64;
+        }
     }
-    acc
+    (total, removals)
 }
 
 /// A generous default for "long enough to converge" on an n-node topology.
@@ -99,7 +109,7 @@ mod tests {
     fn snapshots_are_recorded_every_round() {
         let manifest = grp_manifest("t", GraphGenerator::Path { n: 3 }, 2, 10);
         assert_eq!(snapshots(&manifest, 1).len(), 10);
-        let acc = churn_after_warmup(&manifest, 1, 4);
-        assert_eq!(acc.transitions, 5);
+        let (continuity, _) = churn_after_warmup(&manifest, &[1], 4);
+        assert_eq!(continuity.transitions, 5);
     }
 }

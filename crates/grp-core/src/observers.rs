@@ -180,7 +180,9 @@ pub struct ContinuityStats {
     pub transitions: u64,
     /// Transitions whose topology change satisfied ΠT.
     pub pi_t_held: u64,
-    /// Of those, how many also satisfied ΠC (the best-effort promise).
+    /// Transitions that satisfied ΠC, whether ΠT held or not.
+    pub pi_c_held: u64,
+    /// Transitions that satisfied both: ΠC where ΠT promised it.
     pub pi_c_held_given_pi_t: u64,
 }
 
@@ -193,6 +195,13 @@ impl ContinuityStats {
         } else {
             self.pi_c_held_given_pi_t as f64 / self.pi_t_held as f64
         }
+    }
+
+    /// Transitions where ΠT held and ΠC did not — what Proposition 14 rules
+    /// out (`docs/SCENARIOS.md` lists where the reproduction still counts
+    /// some).
+    pub fn best_effort_violations(&self) -> u64 {
+        self.pi_t_held - self.pi_c_held_given_pi_t
     }
 }
 
@@ -231,7 +240,7 @@ impl ContinuityProbe {
     fn record_partition(&mut self, partition: OmegaPartition, topology: &Graph) {
         if let Some(prev) = &self.prev {
             let pi_t = prev.pi_t_violations(topology, self.dmax) == 0;
-            self.count(pi_t, pi_t && prev.pi_c_violations(&partition) == 0);
+            self.count(pi_t, prev.pi_c_violations(&partition) == 0);
         }
         self.prev = Some(partition);
         self.repeat = None;
@@ -247,20 +256,17 @@ impl ContinuityProbe {
         let dmax = self.dmax;
         let (pi_t, pi_c) = *self.repeat.get_or_insert_with(|| {
             let pi_t = prev.pi_t_violations(topology, dmax) == 0;
-            (pi_t, pi_t && prev.pi_c_violations(prev) == 0)
+            (pi_t, prev.pi_c_violations(prev) == 0)
         });
         self.count(pi_t, pi_c);
     }
 
-    /// Count one transition; `pi_c` only counts under `pi_t`.
+    /// Count one transition from its ΠT and ΠC verdicts.
     fn count(&mut self, pi_t: bool, pi_c: bool) {
         self.stats.transitions += 1;
-        if pi_t {
-            self.stats.pi_t_held += 1;
-            if pi_c {
-                self.stats.pi_c_held_given_pi_t += 1;
-            }
-        }
+        self.stats.pi_t_held += u64::from(pi_t);
+        self.stats.pi_c_held += u64::from(pi_c);
+        self.stats.pi_c_held_given_pi_t += u64::from(pi_t && pi_c);
     }
 
     pub fn stats(&self) -> ContinuityStats {
@@ -609,20 +615,21 @@ mod tests {
         assert!(recovered.is_some(), "the system reconverges");
         assert_eq!(fault.rounds_to_recover, recovered);
 
-        let (mut pi_t_held, mut pi_c_held) = (0, 0);
+        let (mut pi_t_held, mut pi_c_held, mut pi_c_held_given_pi_t) = (0, 0, 0);
         for pair in rounds.windows(2) {
             let (prev, next) = (&pair[0].snapshot, &pair[1].snapshot);
+            let pi_c = pi_c_violations(prev, next) == 0;
+            pi_c_held += u64::from(pi_c);
             if pi_t_violations(prev, next, 3) == 0 {
                 pi_t_held += 1;
-                if pi_c_violations(prev, next) == 0 {
-                    pi_c_held += 1;
-                }
+                pi_c_held_given_pi_t += u64::from(pi_c);
             }
         }
         let streamed = pipeline.continuity.as_ref().unwrap().stats();
         assert_eq!(streamed.transitions, rounds.len() as u64 - 1);
         assert_eq!(streamed.pi_t_held, pi_t_held);
-        assert_eq!(streamed.pi_c_held_given_pi_t, pi_c_held);
+        assert_eq!(streamed.pi_c_held, pi_c_held);
+        assert_eq!(streamed.pi_c_held_given_pi_t, pi_c_held_given_pi_t);
     }
 
     /// The repeated-round memo is exact: a converged explicit run, with a
@@ -670,15 +677,80 @@ mod tests {
                 (
                     fresh.transitions,
                     fresh.pi_t_held,
+                    fresh.pi_c_held,
                     fresh.pi_c_held_given_pi_t
                 ),
-                (memo.transitions, memo.pi_t_held, memo.pi_c_held_given_pi_t),
+                (
+                    memo.transitions,
+                    memo.pi_t_held,
+                    memo.pi_c_held,
+                    memo.pi_c_held_given_pi_t
+                ),
                 "{fault:?}"
             );
             let memo = pipeline.resilience.unwrap().into_stats();
             assert_eq!(memo.faults.len(), 1);
             assert_eq!(format!("{memo:?}"), format!("{:?}", resilience.stats()));
         }
+    }
+
+    const TOGETHER: [&[u64]; 3] = [&[0, 1, 2]; 3];
+    const SPLIT: [&[u64]; 3] = [&[0, 1], &[0, 1], &[2]];
+
+    /// The continuity stats of one hand-made transition out of a 3-node
+    /// group on `path(3)` into `after` on `topology`.
+    fn one_transition(topology: Graph, after: [&[u64]; 3]) -> ContinuityStats {
+        let snapshot = |topology: Graph, spec: [&[u64]; 3]| {
+            let views = (0..3).zip(spec).map(|(v, members)| {
+                let view = members.iter().map(|&m| NodeId(m)).collect();
+                (NodeId(v), view)
+            });
+            SystemSnapshot::new(topology, views.collect())
+        };
+        let mut probe = ContinuityProbe::new(2);
+        probe.record(&snapshot(path(3), TOGETHER));
+        probe.record(&snapshot(topology, after));
+        let stats = probe.stats();
+        assert_eq!(stats.transitions, 1);
+        stats
+    }
+
+    #[test]
+    fn stable_transition_counts_as_continuous() {
+        let stats = one_transition(path(3), TOGETHER);
+        assert_eq!(
+            (stats.pi_t_held, stats.pi_c_held, stats.pi_c_held_given_pi_t),
+            (1, 1, 1)
+        );
+        assert_eq!(stats.view_continuity(), 1.0);
+        assert_eq!(stats.best_effort_violations(), 0);
+    }
+
+    #[test]
+    fn link_loss_breaks_pi_t_and_allows_pi_c_violation() {
+        use dyngraph::TopologyEvent;
+        let broken = path(3).apply(TopologyEvent::LinkDown(NodeId(1), NodeId(2)));
+        let stats = one_transition(broken, SPLIT);
+        assert_eq!((stats.pi_t_held, stats.pi_c_held), (0, 0));
+        assert_eq!(
+            stats.best_effort_violations(),
+            0,
+            "ΠT broken, so no best-effort violation"
+        );
+        assert_eq!(stats.view_continuity(), 1.0, "nothing was promised");
+    }
+
+    #[test]
+    fn best_effort_violation_is_detected() {
+        // the topology does not change, but a node vanishes from the views:
+        // that is precisely what Proposition 14 forbids
+        let stats = one_transition(path(3), SPLIT);
+        assert_eq!(
+            (stats.pi_t_held, stats.pi_c_held, stats.pi_c_held_given_pi_t),
+            (1, 0, 0)
+        );
+        assert_eq!(stats.best_effort_violations(), 1);
+        assert_eq!(stats.view_continuity(), 0.0);
     }
 
     #[test]

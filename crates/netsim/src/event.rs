@@ -80,9 +80,9 @@ const NO_BUCKET: u32 = u32::MAX;
 /// the pop that brings it inside the window every push goes to its slot —
 /// after the far bucket moved there whole. So the far bucket holds every
 /// event pushed before the first wheel push, in order, and the wheel
-/// appends the rest behind them. (Pushing an instant *before* `base`,
-/// which only a clock set backwards does, first hands the whole wheel to
-/// the far map and re-bases the window there; the same argument holds.)
+/// appends the rest behind them. Time only moves forward: no push lands
+/// before `base`, since the simulator schedules at or after its clock,
+/// which never runs behind the last instant popped.
 ///
 /// The engine lifts a whole same-instant batch out in one operation
 /// ([`pop_bucket_until`](Self::pop_bucket_until)) and sorts it into its
@@ -163,12 +163,15 @@ impl<M> CalendarQueue<M> {
 
     /// Append an event to its instant's bucket. Callers must push with
     /// monotonically increasing `seq` (the simulator's `schedule` does) for
-    /// the FIFO-within-bucket order to equal the `(time, seq)` total order.
+    /// the FIFO-within-bucket order to equal the `(time, seq)` total order,
+    /// and at or after the last instant popped.
     pub fn push(&mut self, event: Event<M>) {
         let t = event.time.ticks();
-        if t < self.base {
-            self.rebase_before(t);
-        }
+        debug_assert!(
+            t >= self.base,
+            "push at {t} before the window at {}",
+            self.base
+        );
         self.len += 1;
         if t - self.base >= WHEEL_SLOTS as u64 {
             self.far
@@ -218,19 +221,6 @@ impl<M> CalendarQueue<M> {
             debug_assert!(bucket.iter().all(|e| e.time.ticks() == t));
             self.install(t as usize & SLOT_MASK, bucket);
         }
-    }
-
-    /// A push before `base` (only a clock set backwards makes one): hand
-    /// every wheel bucket to the far map, open the window at `t`, and pull
-    /// back what it reaches.
-    fn rebase_before(&mut self, t: u64) {
-        for slot in occupied_from(&self.occupied, self.base).collect::<Vec<_>>() {
-            let instant = self.instant_of(slot);
-            let bucket = self.take_slot(slot);
-            self.far.insert(instant, bucket);
-        }
-        self.base = t;
-        self.pull_far();
     }
 
     /// The window instant that maps to `slot`.
@@ -564,22 +554,6 @@ mod tests {
         let (time, bucket) = cal.pop_bucket_until(SimTime(u64::MAX)).expect("3W");
         assert_eq!(time, SimTime(t));
         assert_eq!(bucket.iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 3, 4]);
-    }
-
-    #[test]
-    fn a_push_before_the_window_rebases_it() {
-        let mut cal = CalendarQueue::new();
-        cal.push(ev(5 * W, 1));
-        cal.push(ev(5 * W + 3, 2));
-        assert_eq!(
-            cal.pop_bucket_until(SimTime(u64::MAX)).unwrap().0,
-            SimTime(5 * W)
-        );
-        cal.push(ev(W + 7, 3));
-        cal.push(ev(5 * W + 3, 4));
-        cal.assert_invariants();
-        let order: Vec<_> = drain(&mut cal).iter().map(|e| e.seq).collect();
-        assert_eq!(order, [3, 2, 4]);
     }
 
     #[test]

@@ -40,11 +40,13 @@
 //! a timing wheel of same-instant buckets — 1024 one-tick slots from the
 //! last instant popped, an ordered far map beyond, whose buckets move
 //! whole into the window so FIFO order within an instant holds — drained
-//! in `(time, sequence number)` order ([`event`]), and all
-//! randomness flows from `ChaCha8` streams derived from the run seed — one
-//! independently-seeded stream per `(node, purpose)` ([`rng`]), so no
-//! node's draws depend on when, or after whom, the engine reaches it. One
-//! simulation runs on one thread. Observers — which get `&Simulator`
+//! in `(time, sequence number)` order ([`event`]). Time only moves
+//! forward — a run's deadline never precedes the clock, so no event is
+//! scheduled before the last instant popped — and each node id is added
+//! once. All randomness flows from `ChaCha8` streams derived from the run
+//! seed — one independently-seeded stream per `(node, purpose)` ([`rng`]),
+//! so no node's draws depend on when, or after whom, the engine reaches
+//! it. One simulation runs on one thread. Observers — which get `&Simulator`
 //! only — cannot perturb the trace.
 
 #![warn(missing_docs)]

@@ -66,10 +66,12 @@ pub fn stream_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
 /// A stream is addressed by its slot and seeded from its NodeId on first
 /// use, so streams are independent of the order in which the engine first
 /// touches them. A column is indexed by the slots of whoever draws from it:
-/// [`StreamTag::Mobility`] by the mobility model's position slots, the
-/// other three by the simulator's node slots (the two coincide whenever
-/// every positioned id has a node). A column grows to the highest slot
-/// touched and costs nothing until then.
+/// [`StreamTag::Mobility`] by the mobility model's position slots,
+/// [`StreamTag::Channel`] and [`StreamTag::Fault`] by the simulator's node
+/// slots (the two coincide whenever every positioned id has a node). The
+/// simulator keeps no [`StreamTag::Phase`] stream: a node's two phase
+/// draws come from a copy the table never holds. A column grows to
+/// the highest slot touched and costs nothing until then.
 #[derive(Debug)]
 pub struct NodeStreams {
     run_seed: u64,
@@ -93,13 +95,6 @@ impl NodeStreams {
     /// for draws the table need not remember.
     pub(crate) fn detached(&self, tag: StreamTag, node: NodeId) -> ChaCha8Rng {
         Self::fresh(self.run_seed, node, tag)
-    }
-
-    /// Has the stream at `slot` of the column `tag` been created?
-    pub(crate) fn is_seeded(&self, tag: StreamTag, slot: usize) -> bool {
-        self.columns[tag as usize]
-            .get(slot)
-            .is_some_and(Option::is_some)
     }
 
     /// Number of streams of the column `tag` created so far.

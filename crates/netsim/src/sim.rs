@@ -39,7 +39,6 @@ use crate::time::SimTime;
 use crate::trace::MessageStats;
 use dyngraph::{Graph, NodeId, TopologyEvent};
 use rand::{Rng, RngCore};
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -432,48 +431,36 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Add a protocol instance. Its identity must be consistent with the
-    /// topology (explicit mode) or have a position (spatial mode). Adding
-    /// an id again replaces the instance and starts a second pair of
-    /// timers beside the first.
+    /// topology (explicit mode) or have a position (spatial mode).
+    ///
+    /// # Panics
+    ///
+    /// If a node with the same id was already added: a node is added once,
+    /// and a returning node is restarted in place
+    /// ([`FaultKind::Restart`], or `set_active` after a protocol reset).
     pub fn add_node(&mut self, protocol: P) {
         let id = protocol.id();
         let mut node = SimNode::new(protocol);
-        let found = self.ids.binary_search(&id);
-        let (Ok(slot) | Err(slot)) = found;
-        if found.is_err() {
-            assert!(slot < NO_SLOT as usize, "at most u32::MAX - 1 nodes");
-            if slot < self.ids.len() {
-                // arriving below existing ids: they all move up a slot, and
-                // every queued event and resident stream moves with them
-                self.events.open_slot(slot as u32);
-                for tag in [StreamTag::Phase, StreamTag::Channel, StreamTag::Fault] {
-                    self.streams.open_slot(tag, slot);
-                }
+        let Err(slot) = self.ids.binary_search(&id) else {
+            panic!("node {id} is already present: add_node adds each id once");
+        };
+        assert!(slot < NO_SLOT as usize, "at most u32::MAX - 1 nodes");
+        if slot < self.ids.len() {
+            // arriving below existing ids: they all move up a slot, and
+            // every queued event and resident stream moves with them
+            self.events.open_slot(slot as u32);
+            for tag in [StreamTag::Channel, StreamTag::Fault] {
+                self.streams.open_slot(tag, slot);
             }
-            self.ids.insert(slot, id);
         }
+        self.ids.insert(slot, id);
         if self.config.stagger_phases {
             // the node's own `phase` stream: its timer offsets don't depend
-            // on how many nodes were added before it. A first add takes the
-            // stream's first two draws from a copy it drops; a re-add
-            // continues the stream, which the table keeps from then on.
-            let (send, compute) = (self.config.send_period, self.config.compute_period);
-            let draw = |rng: &mut ChaCha8Rng| {
-                (
-                    rng.gen_range(0..send.max(1)),
-                    rng.gen_range(0..compute.max(1)),
-                )
-            };
-            (node.send_phase, node.compute_phase) = if found.is_ok() {
-                let replay_first_add = !self.streams.is_seeded(StreamTag::Phase, slot);
-                let rng = self.streams.stream(StreamTag::Phase, slot, id);
-                if replay_first_add {
-                    draw(rng);
-                }
-                draw(rng)
-            } else {
-                draw(&mut self.streams.detached(StreamTag::Phase, id))
-            };
+            // on how many nodes were added before it. They are the stream's
+            // first two draws, taken from a copy the table never keeps.
+            let rng = &mut self.streams.detached(StreamTag::Phase, id);
+            node.send_phase = rng.gen_range(0..self.config.send_period.max(1));
+            node.compute_phase = rng.gen_range(0..self.config.compute_period.max(1));
         }
         if self.spatial.is_none() && !self.topology.contains_node(id) {
             self.topology = Arc::new(self.topology.apply(TopologyEvent::NodeJoin(id)));
@@ -483,10 +470,7 @@ impl<P: Protocol> Simulator<P> {
             node.compute_phase + self.config.send_period + 1,
             EventKind::ComputeTimer(slot as u32),
         );
-        match found {
-            Ok(slot) => self.nodes[slot] = node,
-            Err(slot) => self.nodes.insert(slot, node),
-        }
+        self.nodes.insert(slot, node);
         self.slot_maps_stale = true;
     }
 
@@ -613,7 +597,17 @@ impl<P: Protocol> Simulator<P> {
     /// mobility, deliveries, computes, sends); because every random
     /// decision comes from the stream of the node it concerns, the result
     /// is a pure function of the queue contents.
+    ///
+    /// # Panics
+    ///
+    /// If `deadline` lies before [`now`](Self::now): time only moves
+    /// forward.
     pub fn run_until_observed(&mut self, deadline: SimTime, obs: &mut dyn Observer<P>) {
+        assert!(
+            deadline >= self.now,
+            "run_until: deadline {deadline} lies before now ({}); time only moves forward",
+            self.now
+        );
         if self.slot_maps_stale {
             self.refresh_slot_maps();
         }
@@ -866,9 +860,7 @@ impl<P: Protocol> Simulator<P> {
     }
 
     /// Run a batch of same-instant compute expirations in event order,
-    /// rescheduling each timer as it fires. A node re-added via `add_node`
-    /// carries a second timer, so its slot may appear twice and computes
-    /// twice.
+    /// rescheduling each timer as it fires.
     fn handle_compute_batch(&mut self, slots: &[u32]) {
         let now = self.now;
         for &slot in slots {
@@ -1023,6 +1015,7 @@ mod tests {
     use crate::rng::stream_seed;
     use dyngraph::generators::path;
     use proptest::prelude::*;
+    use rand_chacha::ChaCha8Rng;
 
     /// The grouping `delay_groups` replaced: every received link pushed
     /// into a `BTreeMap` keyed by extra delay, in sweep order.
@@ -1571,42 +1564,30 @@ mod tests {
         assert_eq!(first, run(0.1));
     }
 
-    /// Under `stagger_phases`, a re-added id draws its new timer phases as
-    /// the continuation of its `phase` stream: the first add takes draws one
-    /// and two, each re-add the next two, whichever ids arrive in between.
+    /// Time only moves forward: a deadline before the clock is refused,
+    /// and the panic names both instants.
     #[test]
-    fn a_re_added_id_continues_its_phase_stream() {
-        use rand::SeedableRng;
-        let config = SimConfig {
-            seed: 31,
-            ..Default::default()
-        };
-        let mut sim: Simulator<Flood> = Simulator::new(config, TopologyMode::Explicit(path(4)));
-        sim.add_nodes((1..4).map(|i| Flood::new(NodeId(i))));
-        let mut replay = ChaCha8Rng::seed_from_u64(stream_seed(31, NodeId(2), StreamTag::Phase));
-        let mut next_pair = || {
-            (
-                replay.gen_range(0..config.send_period),
-                replay.gen_range(0..config.compute_period),
-            )
-        };
-        let phases = |sim: &Simulator<Flood>| {
-            let node = &sim.nodes[sim.slot(NodeId(2)).unwrap()];
-            (node.send_phase, node.compute_phase)
-        };
-        assert_eq!(phases(&sim), next_pair(), "first add");
-        sim.add_node(Flood::new(NodeId(2)));
-        assert_eq!(phases(&sim), next_pair(), "first re-add");
-        // an arrival below 2 moves it up a slot; its stream moves with it
-        sim.add_node(Flood::new(NodeId(0)));
+    #[should_panic(expected = "deadline t1500 lies before now (t2000)")]
+    fn a_backwards_deadline_panics() {
+        let mut sim = flood_sim(3, 1);
+        sim.run_until(SimTime(2_000));
+        sim.run_until(SimTime(2_000));
+        sim.run_until(SimTime(1_500));
+    }
+
+    /// A node is added once: adding a present id again is refused, and the
+    /// panic names the id.
+    #[test]
+    #[should_panic(expected = "node n2 is already present")]
+    fn re_adding_a_present_id_panics() {
+        let mut sim = flood_sim(4, 31);
         sim.run_rounds(2);
         sim.add_node(Flood::new(NodeId(2)));
-        assert_eq!(phases(&sim), next_pair(), "second re-add");
     }
 
     /// A medium that never loses draws nothing, so no `channel` stream is
     /// ever created — on an explicit topology and on a unit disk — and no
-    /// first add keeps its `phase` stream; lossy links on the disk create
+    /// add keeps its `phase` stream; lossy links on the disk create
     /// one `channel` stream per sender.
     #[test]
     fn streams_are_created_by_their_first_draw() {

@@ -240,28 +240,3 @@ fn a_mid_run_arrival_below_present_ids_keeps_every_timer_with_its_node() {
     assert_eq!(counters(10), (10, 80 + 29));
     assert_eq!(sim.stats().dropped, 0);
 }
-
-/// A re-added id carries a second pair of timers, so its slot appears twice
-/// in every same-instant compute batch. Such a batch runs per event: the
-/// node computes twice a period.
-#[test]
-fn a_re_added_id_computes_per_event() {
-    let n = 24u64;
-    let config = SimConfig {
-        seed: 8,
-        stagger_phases: false,
-        ..Default::default()
-    };
-    let ids: Vec<u64> = (0..n).collect();
-    let mut sim: Simulator<Beacon> =
-        Simulator::new(config, TopologyMode::Explicit(ring_over(&ids)));
-    sim.add_nodes(ids.iter().map(|&id| Beacon::new(NodeId(id))));
-    sim.add_node(Beacon::new(NodeId(3)));
-    for &(id, heard, computes) in &observe(sim, 6).3 {
-        let twice = if id == NodeId(3) { 2 } else { 1 };
-        assert_eq!(computes, 6 * twice, "{id:?}");
-        // node 3 also sends twice: its ring neighbours hear it double
-        let doubled = [NodeId(2), NodeId(4)].contains(&id);
-        assert_eq!(heard, if doubled { 72 } else { 48 }, "{id:?}");
-    }
-}

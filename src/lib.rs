@@ -11,6 +11,5 @@ pub use baselines;
 pub use dyngraph;
 pub use experiments;
 pub use grp_core;
-pub use metrics;
 pub use netsim;
 pub use scenarios;

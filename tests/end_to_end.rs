@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the full pipeline from topology generation
 //! through the simulator, the GRP protocol, the predicate checkers and the
-//! metrics layer.
+//! experiment harness.
 
 use dyngraph::{GraphGenerator, NodeId, TopologyEvent};
 use experiments::runner::{churn_after_warmup, convergence_budget, grp_manifest};
@@ -105,10 +105,11 @@ fn churn_accumulator_sees_a_converged_run_as_quiet() {
         dmax,
         warmup + 10,
     );
-    let acc = churn_after_warmup(&grid, 13, warmup);
-    assert_eq!(acc.transitions, 9);
-    assert_eq!(acc.best_effort_violations, 0);
-    assert_eq!(acc.total_view_removals, 0, "steady state must be silent");
+    let (continuity, removals) = churn_after_warmup(&grid, &[13], warmup);
+    assert_eq!(continuity.transitions, 9);
+    assert_eq!(continuity.pi_c_held, 9);
+    assert_eq!(continuity.best_effort_violations(), 0);
+    assert_eq!(removals, 0, "steady state must be silent");
 }
 
 #[test]
