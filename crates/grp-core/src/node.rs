@@ -36,8 +36,9 @@
 //!
 //! A settled node skips its compute. `compute()` reports, as a by-product
 //! of its steps, whether it moved any of the node's state; when it moved
-//! nothing, the broadcast cached for the last period stays (unless the
-//! node heard no one), and the messages the compute read stay in the
+//! nothing, or nothing its broadcast shows, the broadcast cached for the
+//! last period stays (unless the node heard no one). When it moved
+//! nothing, the messages the compute read also stay in the
 //! vector behind `msgSetv` instead of being dropped. A message heard again from one of those senders is
 //! moved back into `msgSetv` only when it is the very one that compute
 //! read (the same `Arc`); any other message, from a new sender or a
@@ -45,7 +46,9 @@
 //! `msgSetv` holding exactly the last compute's inputs, [`GrpNode::on_round`]
 //! skips `compute()`: the same procedure on the same state and the same
 //! inputs would again move nothing. A settled sender re-sends the same
-//! `Arc`, so a neighbourhood at a fixpoint stays settled node by node.
+//! `Arc`, and so does one whose compute moved only state its broadcast
+//! does not show, so a neighbourhood at a fixpoint stays settled node by
+//! node.
 
 use crate::ancestor_list::AncestorList;
 use crate::checks::{compatible_list, good_list, naive_compatible_list};
@@ -91,8 +94,11 @@ struct ComputeScratch {
 }
 
 thread_local! {
-    /// One [`ComputeScratch`] per thread, shared by all its nodes.
-    static SCRATCH: Cell<ComputeScratch> = Cell::default();
+    /// One [`ComputeScratch`] per thread, shared by all its nodes. A
+    /// compute takes it out and puts it back; taking leaves `None` behind,
+    /// which allocates nothing (a default scratch would allocate the empty
+    /// `old_list`'s offsets).
+    static SCRATCH: Cell<Option<ComputeScratch>> = const { Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -153,7 +159,7 @@ pub struct GrpNode {
     /// Number of compute-timer expirations so far (diagnostics).
     compute_count: u64,
     /// The broadcast built at the first `Ts` expiration since the last
-    /// state change; every input of [`build_message`](Self::build_message)
+    /// change to what it says; every input of [`build_message`](Self::build_message)
     /// only moves inside `compute()`/`corrupt()`/`reboot()`, so repeated
     /// sends reuse the same `Arc`-shared payload, across the compute
     /// periods of a settled node too.
@@ -288,33 +294,14 @@ impl GrpNode {
     /// "Upon Ts timer expiration: send(listv with priorities)" — build the
     /// broadcast for the neighbourhood.
     pub fn build_message(&self) -> GrpMessage {
-        let my_priority = self.priority();
         let my_group_priority = self.group_priority();
-        let info_of = |node: NodeId| {
-            if node == self.id {
-                PriorityInfo::new(my_priority, my_group_priority)
-            } else if let Some(&known) = self.known_priorities.get(node) {
-                // a view member shares our group priority; otherwise relay
-                // what we learnt about its group
-                let group = if self.view.contains(&node) {
-                    my_group_priority
-                } else {
-                    known.group
-                };
-                PriorityInfo::new(known.node, group)
-            } else {
-                // quoted but of unknown priority: advertise the weakest
-                // possible priority so it never wins an arbitration by error
-                PriorityInfo::solo(Priority::new(u64::MAX, node))
-            }
-        };
         // one entry per quoted node: sized exactly, the table never
         // grows and never shrinks
         let mut priorities = Vec::with_capacity(self.list.entry_count());
         priorities.extend(
             self.list
                 .entries()
-                .map(|(node, _, _)| (node, info_of(node))),
+                .map(|(node, _, _)| (node, self.quote(node, my_group_priority))),
         );
         GrpMessage::new(
             self.id,
@@ -322,6 +309,42 @@ impl GrpNode {
             NodeTable::from_vec(priorities),
             my_group_priority,
         )
+    }
+
+    /// The priorities a broadcast quotes for `node`, one of the list's
+    /// entries; `my_group_priority` is this node's
+    /// [`group_priority`](Self::group_priority).
+    fn quote(&self, node: NodeId, my_group_priority: Priority) -> PriorityInfo {
+        if node == self.id {
+            PriorityInfo::new(self.priority(), my_group_priority)
+        } else if let Some(&known) = self.known_priorities.get(node) {
+            // a view member shares our group priority; otherwise relay
+            // what we learnt about its group
+            let group = if self.view.contains(&node) {
+                my_group_priority
+            } else {
+                known.group
+            };
+            PriorityInfo::new(known.node, group)
+        } else {
+            // quoted but of unknown priority: advertise the weakest
+            // possible priority so it never wins an arbitration by error
+            PriorityInfo::solo(Priority::new(u64::MAX, node))
+        }
+    }
+
+    /// Does `msg` say what [`build_message`](Self::build_message) would
+    /// build now? Compared in place, without building: the same list
+    /// quotes the same ids, so only their priorities and the group
+    /// priority remain.
+    fn still_broadcasts(&self, msg: &GrpMessage) -> bool {
+        let my_group_priority = self.group_priority();
+        msg.list == self.list
+            && msg.group_priority == my_group_priority
+            && msg
+                .priorities
+                .iter()
+                .all(|(node, info)| *info == self.quote(*node, my_group_priority))
     }
 
     /// [`build_message`](Self::build_message) with caching: every input of
@@ -358,11 +381,11 @@ impl GrpNode {
         } else {
             self.compute();
         }
+        if self.heard == 0 {
+            self.cached_message = None;
+        }
         if !self.settled {
             self.msg_set.clear();
-        }
-        if self.msg_set.is_empty() {
-            self.cached_message = None;
         }
         self.heard = 0;
     }
@@ -396,7 +419,7 @@ impl GrpNode {
         self.msg_set.truncate(self.heard as usize);
         let dmax = self.config.dmax;
         let own_id = self.id;
-        let mut scratch = SCRATCH.take();
+        let mut scratch = SCRATCH.take().unwrap_or_default();
         let ComputeScratch {
             checked,
             quotes,
@@ -506,7 +529,7 @@ impl GrpNode {
             moved = true;
         }
         moved |= self.list != *old_list;
-        SCRATCH.set(scratch);
+        SCRATCH.set(Some(scratch));
 
         // -------------------------------------------------------- line 32
         // Priorities only move while the node is not in a group: the
@@ -521,8 +544,17 @@ impl GrpNode {
         moved |= (self.priority_value, self.was_in_group) != clock;
 
         self.settled = !moved;
-        if moved {
-            // a broadcast input may have moved: rebuild on the next send
+        // A compute can move state the broadcast does not show (a
+        // quarantine counter, say). The cached broadcast then stays: its
+        // `Arc`, still the one the neighbours' last computes read, lets
+        // the settled ones skip theirs. Otherwise it is rebuilt on the
+        // next send.
+        if moved
+            && self
+                .cached_message
+                .as_ref()
+                .is_some_and(|msg| !self.still_broadcasts(msg))
+        {
             self.cached_message = None;
         }
     }
@@ -1490,6 +1522,85 @@ mod tests {
         for (_, variant) in nodes[&n(1)].enumerate_corruptions(&[n(0), n(1), n(2), n(3)]) {
             assert!(!variant.settled && variant.msg_set.len() == variant.heard as usize);
         }
+    }
+
+    /// One period: every node sends over `links`, then every compute timer
+    /// fires, in id order. With `rebuild`, a node whose compute moved its
+    /// state drops its cached broadcast, so its next send builds a new
+    /// `Arc` even when the body is equal. Returns the nodes that ran
+    /// `compute()`.
+    fn period(
+        nodes: &mut BTreeMap<NodeId, GrpNode>,
+        links: &[(u64, u64)],
+        rebuild: bool,
+    ) -> Vec<u64> {
+        deliver(nodes, links);
+        let mut ran = Vec::new();
+        for (id, node) in nodes.iter_mut() {
+            if computes(node) {
+                ran.push(id.raw());
+            }
+            if rebuild && !node.settled {
+                node.cached_message = None;
+            }
+        }
+        ran
+    }
+
+    fn canonical_all(nodes: &BTreeMap<NodeId, GrpNode>) -> Vec<netsim::TraceDigest> {
+        nodes.values().map(canonical).collect()
+    }
+
+    /// A compute that moves only state the broadcast does not show keeps
+    /// the broadcast's `Arc`, and the settled neighbours skip their
+    /// computes; a twin that sends a new `Arc` for the same body makes them
+    /// recompute, and every node ends every period as in the twin.
+    #[test]
+    fn an_equal_rebuilt_broadcast_keeps_its_arc() {
+        let mut reuse = settled_path();
+        // node 1 tracks a candidate no list names: its next computes age
+        // the counter, 2 -> 1 -> gone, and move nothing else
+        let node = reuse.get_mut(&n(1)).unwrap();
+        node.quarantine.insert(n(9), 2);
+        node.forget_inputs();
+        let mut rebuild = reuse.clone();
+        let mut runs = Vec::new();
+        for _ in 0..4 {
+            let kept = period(&mut reuse, &PATH, false);
+            let fresh = period(&mut rebuild, &PATH, true);
+            assert_eq!(canonical_all(&reuse), canonical_all(&rebuild));
+            runs.push((kept, fresh));
+        }
+        // node 1 moves in periods 1 and 2 and settles in 3
+        assert_eq!(
+            runs,
+            [
+                (vec![1], vec![1]),
+                (vec![1], vec![0, 1, 2]),
+                (vec![1], vec![0, 1, 2]),
+                (vec![], vec![]),
+            ],
+            "0 and 2 read the same `Arc` again and skip"
+        );
+        let node = &reuse[&n(1)];
+        assert!(node.quarantine.get(n(9)).is_none());
+        assert_eq!(node.clone().message_for_send(), node.build_message());
+
+        // from a cold start, on a path that splits at Dmax 2: every period
+        // ends in the twin's state, with fewer computes
+        let links: Vec<(u64, u64)> = (0..5).flat_map(|i| [(i, i + 1), (i + 1, i)]).collect();
+        let mut reuse = make_nodes(&[0, 1, 2, 3, 4, 5], 2);
+        let mut rebuild = reuse.clone();
+        let (mut kept, mut fresh) = (0, 0);
+        for _ in 0..40 {
+            kept += period(&mut reuse, &links, false).len();
+            fresh += period(&mut rebuild, &links, true).len();
+            assert_eq!(canonical_all(&reuse), canonical_all(&rebuild));
+        }
+        assert!(
+            kept < fresh,
+            "{kept} computes with the kept `Arc`, {fresh} without"
+        );
     }
 
     #[test]

@@ -46,13 +46,68 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+/// The FIPS 180-4 initial hash value.
+pub(crate) const SHA256_IV: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// Expand a block's 16 message words, in `w[..16]`, into the whole
+/// 64-word message schedule.
+#[inline(always)]
+pub(crate) fn sha256_schedule(w: &mut [u32; 64]) {
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+}
+
+/// Run `rounds` of the compression function on the working variables
+/// `vars`, reading the message schedule `w`. Round `i` reads `w[i]`
+/// alone, so the rounds of a block's fixed leading words can run once and
+/// the rest later, from where they stopped.
+#[inline(always)]
+pub(crate) fn sha256_rounds(vars: &mut [u32; 8], w: &[u32; 64], rounds: std::ops::Range<usize>) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *vars;
+    for i in rounds {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = ((f ^ g) & e) ^ g;
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = ((a ^ b) & (b ^ c)) ^ b;
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    *vars = [a, b, c, d, e, f, g, h];
+}
+
+/// Add the working variables `vars` a block's rounds left into the hash
+/// state `state` (the end of one compression).
+#[inline(always)]
+pub(crate) fn sha256_feed_forward(state: &mut [u32; 8], vars: &[u32; 8]) {
+    for (s, v) in state.iter_mut().zip(vars) {
+        *s = s.wrapping_add(*v);
+    }
+}
+
 impl Default for Sha256 {
     fn default() -> Self {
         Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
+            state: SHA256_IV,
             length: 0,
             buffer: [0; 64],
             buffered: 0,
@@ -72,43 +127,10 @@ impl Sha256 {
             // detlint::allow(D004): chunks_exact(4) yields 4-byte slices
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        sha256_schedule(&mut w);
+        let mut vars = self.state;
+        sha256_rounds(&mut vars, &w, 0..64);
+        sha256_feed_forward(&mut self.state, &vars);
     }
 
     /// Absorb `data` into the running hash.
@@ -248,8 +270,15 @@ impl CanonicalHasher {
 
     /// Hash an unsigned integer (8-byte little-endian, type-tagged).
     pub fn feed_u64(&mut self, value: u64) {
-        self.tag(Tag::U64);
-        self.inner.update(&value.to_le_bytes());
+        self.inner.update(&Self::u64_encoding(value));
+    }
+
+    /// The bytes [`feed_u64`](Self::feed_u64) hashes.
+    pub(crate) fn u64_encoding(value: u64) -> [u8; 9] {
+        let mut out = [0; 9];
+        out[0] = Tag::U64 as u8;
+        out[1..].copy_from_slice(&value.to_le_bytes());
+        out
     }
 
     /// Hash a boolean as one type-tagged byte.
@@ -263,6 +292,15 @@ impl CanonicalHasher {
         self.tag(Tag::Str);
         self.inner.update(&(s.len() as u64).to_le_bytes());
         self.inner.update(s.as_bytes());
+    }
+
+    /// The bytes [`feed_str`](Self::feed_str) hashes, as an owned buffer.
+    pub(crate) fn str_encoding(s: &str) -> Vec<u8> {
+        let mut out = Vec::with_capacity(9 + s.len());
+        out.push(Tag::Str as u8);
+        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+        out
     }
 
     /// Hash a simulation time as its tick count.

@@ -49,8 +49,11 @@ pub struct Event<M> {
 
 /// Instants the wheel covers: `[base, base + WHEEL_SLOTS)`. A power of two,
 /// so an instant's slot is its low bits. Every GRP timer (`Ts`, `Tc`) and
-/// delivery delay of the default configuration falls inside one window.
-const WHEEL_SLOTS: usize = 1024;
+/// delivery delay of the default configuration falls inside one window,
+/// and so does every node's first compute timer under the shipped timings
+/// (`send_period + compute_period` is at most 2000 ticks): adding 10 000
+/// nodes fills the wheel, not the far map.
+const WHEEL_SLOTS: usize = 2048;
 const SLOT_MASK: usize = WHEEL_SLOTS - 1;
 const WORDS: usize = WHEEL_SLOTS / 64;
 /// A slot no pending instant maps to.
@@ -66,7 +69,7 @@ const NO_BUCKET: u32 = u32::MAX;
 /// one occupancy bit). Popping scans the occupancy bitmap circularly from
 /// `base`'s slot, which visits the window's instants in ascending order.
 /// Instants at or beyond the window's end wait in an ordered *far* map
-/// (the first compute timers, far faults, long mobility periods); when a
+/// (far faults, long mobility periods, long custom timers); when a
 /// pop advances `base`, the far buckets the window now reaches move whole
 /// into their (necessarily empty) slots, so no far instant ever lies inside
 /// the window.

@@ -37,7 +37,7 @@
 //! `docs/ARCHITECTURE.md` at the workspace root).
 //!
 //! The simulator is fully deterministic for a given seed: the event queue is
-//! a timing wheel of same-instant buckets — 1024 one-tick slots from the
+//! a timing wheel of same-instant buckets — 2048 one-tick slots from the
 //! last instant popped, an ordered far map beyond, whose buckets move
 //! whole into the window so FIFO order within an instant holds — drained
 //! in `(time, sequence number)` order ([`event`]). Time only moves

@@ -11,14 +11,20 @@
 //! [`crate::arena`]), and are created lazily — a `LazyStream` not before
 //! its first draw — so the *set* of streams a run materialises may depend
 //! on the schedule but their contents never do.
-//! Seeds are derived through the same canonical SHA-256 the trace digests
-//! use ([`CanonicalHasher`]), keeping the derivation stable across
-//! platforms and refactors.
+//! Seeds are the canonical SHA-256 the trace digests use
+//! ([`CanonicalHasher`]) of `(run_seed, node, tag)`, keeping the derivation
+//! stable across platforms and refactors. Everything in that message but
+//! the node id is fixed per run and tag, so a [`NodeStreams`] hashes the
+//! fixed part once ([`SeedMidstate`]) and a stream's seed costs the
+//! remaining rounds of two compressions.
 
-use crate::digest::CanonicalHasher;
+use crate::digest::{
+    sha256_feed_forward, sha256_rounds, sha256_schedule, CanonicalHasher, SHA256_IV,
+};
 use dyngraph::NodeId;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::OnceLock;
 
 /// What a per-node stream is for. Each purpose is its own column of
 /// [`NodeStreams`]; the name is what the stream's seed is derived from.
@@ -48,17 +54,143 @@ impl StreamTag {
 
 /// Derive the seed of one per-node stream. Pure function of its inputs:
 /// the canonical SHA-256 of `(domain, run_seed, node, tag name)`, truncated
-/// to the first eight bytes little-endian.
+/// to the first eight bytes little-endian. [`NodeStreams`] seeds its
+/// streams through the same [`SeedMidstate`], built once per run.
 pub fn stream_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
-    let mut hasher = CanonicalHasher::new();
-    hasher.feed_str("netsim-rng-stream");
-    hasher.feed_u64(run_seed);
-    hasher.feed_u64(node.raw());
-    hasher.feed_str(tag.name());
-    let digest = hasher.finalize();
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&digest.0[..8]);
-    u64::from_le_bytes(bytes)
+    SeedMidstate::new(run_seed).seed(node, tag)
+}
+
+/// Every tag, in declaration order.
+const TAGS: [StreamTag; 4] = [
+    StreamTag::Phase,
+    StreamTag::Channel,
+    StreamTag::Mobility,
+    StreamTag::Fault,
+];
+
+/// The domain string that opens every seed message.
+const DOMAIN: &str = "netsim-rng-stream";
+
+/// The message words before the node id: the encoding version, the
+/// domain and the run seed fill exactly 44 bytes of the first block.
+const PREFIX_WORDS: usize = 11;
+
+/// The SHA-256 of one run's seed messages, computed as far as the node id.
+///
+/// The message is [`CanonicalHasher`]'s encoding of `(version, DOMAIN,
+/// run_seed, node, tag name)`: 67 to 70 bytes, so two blocks once padded.
+/// Words 0–10 of the first block are the same for every stream of a run,
+/// and round `i` reads word `i` alone, so the state after rounds 0–10 is
+/// kept. The rest of the message depends on the node and the tag only:
+/// its node-free part is [`TagBlocks`], built once per process. A seed
+/// then costs the schedule and the last 53 rounds of the first block and
+/// the 64 rounds of the second.
+#[derive(Debug)]
+pub(crate) struct SeedMidstate {
+    /// Words 0–10 of the first block.
+    prefix: [u32; PREFIX_WORDS],
+    /// The working variables after the rounds of those words.
+    vars: [u32; 8],
+    tags: &'static [TagBlocks; 4],
+}
+
+/// What one tag's seed messages hold after the prefix, the node aside.
+#[derive(Debug)]
+struct TagBlocks {
+    /// Bytes 44–63 of the first block: the node id's encoding, with its
+    /// eight bytes zero, and the head of the tag name's.
+    head: [u8; 64 - 4 * PREFIX_WORDS],
+    /// The message schedule of the second block: the name's tail, the
+    /// padding and the bit length.
+    schedule: [u32; 64],
+}
+
+impl TagBlocks {
+    /// Every tag's blocks, in [`StreamTag`] order: the same for every run.
+    fn all() -> &'static [TagBlocks; 4] {
+        static ALL: OnceLock<[TagBlocks; 4]> = OnceLock::new();
+        ALL.get_or_init(|| TAGS.map(TagBlocks::new))
+    }
+
+    fn new(tag: StreamTag) -> Self {
+        // the message after the prefix for node 0, padded: 0x80, zeros,
+        // the bit length
+        let mut rest = CanonicalHasher::u64_encoding(0).to_vec();
+        rest.extend(CanonicalHasher::str_encoding(tag.name()));
+        let len = 4 * PREFIX_WORDS + rest.len();
+        assert!(len > 64 && len < 120, "the message fills two blocks");
+        rest.push(0x80);
+        rest.resize(120 - 4 * PREFIX_WORDS, 0);
+        rest.extend((8 * len as u64).to_be_bytes());
+        let (head, second) = rest.split_at(64 - 4 * PREFIX_WORDS);
+        let mut schedule = [0; 64];
+        schedule[..16].copy_from_slice(&be_words::<16>(second));
+        sha256_schedule(&mut schedule);
+        TagBlocks {
+            head: first_bytes(head),
+            schedule,
+        }
+    }
+}
+
+/// The big-endian words of `bytes`.
+fn be_words<const N: usize>(bytes: &[u8]) -> [u32; N] {
+    std::array::from_fn(|i| u32::from_be_bytes(first_bytes(&bytes[4 * i..])))
+}
+
+/// The first `N` bytes of `bytes`.
+fn first_bytes<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    std::array::from_fn(|i| bytes[i])
+}
+
+impl SeedMidstate {
+    /// Hash the part of `run_seed`'s seed messages that precedes the node.
+    pub(crate) fn new(run_seed: u64) -> Self {
+        let mut prefix = CanonicalHasher::u64_encoding(CanonicalHasher::VERSION).to_vec();
+        prefix.extend(CanonicalHasher::str_encoding(DOMAIN));
+        prefix.extend(CanonicalHasher::u64_encoding(run_seed));
+        assert_eq!(
+            prefix.len(),
+            4 * PREFIX_WORDS,
+            "the prefix fills whole words"
+        );
+        let prefix = be_words::<PREFIX_WORDS>(&prefix);
+        let mut w = [0; 64];
+        w[..PREFIX_WORDS].copy_from_slice(&prefix);
+        let mut vars = SHA256_IV;
+        sha256_rounds(&mut vars, &w, 0..PREFIX_WORDS);
+        SeedMidstate {
+            prefix,
+            vars,
+            tags: TagBlocks::all(),
+        }
+    }
+
+    /// The seed of `node`'s stream `tag`: [`stream_seed`] of this run.
+    pub(crate) fn seed(&self, node: NodeId, tag: StreamTag) -> u64 {
+        let TagBlocks { head, schedule } = &self.tags[tag as usize];
+        let mut head = *head;
+        // after the encoding's type tag byte
+        head[1..9].copy_from_slice(&node.raw().to_le_bytes());
+        let mut w = [0; 64];
+        w[..PREFIX_WORDS].copy_from_slice(&self.prefix);
+        w[PREFIX_WORDS..16].copy_from_slice(&be_words::<5>(&head));
+        sha256_schedule(&mut w);
+        let mut vars = self.vars;
+        sha256_rounds(&mut vars, &w, PREFIX_WORDS..64);
+        let mut state = SHA256_IV;
+        sha256_feed_forward(&mut state, &vars);
+        let mut vars = state;
+        sha256_rounds(&mut vars, schedule, 0..64);
+        sha256_feed_forward(&mut state, &vars);
+        // digest bytes 0-7 are words 0 and 1, big-endian; read little-endian
+        u64::from(state[0].swap_bytes()) | u64::from(state[1].swap_bytes()) << 32
+    }
+
+    /// A fresh stream of `node` for `tag`.
+    fn stream(&self, node: NodeId, tag: StreamTag) -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(self.seed(node, tag))
+    }
 }
 
 /// Lazily-materialised per-node streams for one run: a `[tag][slot]` table.
@@ -74,7 +206,7 @@ pub fn stream_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
 /// the highest slot touched and costs nothing until then.
 #[derive(Debug)]
 pub struct NodeStreams {
-    run_seed: u64,
+    seeds: SeedMidstate,
     columns: [Vec<Option<ChaCha8Rng>>; 4],
 }
 
@@ -82,19 +214,15 @@ impl NodeStreams {
     /// Create the (empty) stream set for a run seed.
     pub fn new(run_seed: u64) -> Self {
         NodeStreams {
-            run_seed,
+            seeds: SeedMidstate::new(run_seed),
             columns: Default::default(),
         }
-    }
-
-    fn fresh(run_seed: u64, node: NodeId, tag: StreamTag) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(stream_seed(run_seed, node, tag))
     }
 
     /// A copy of `node`'s stream `tag` at its start, not kept in the table:
     /// for draws the table need not remember.
     pub(crate) fn detached(&self, tag: StreamTag, node: NodeId) -> ChaCha8Rng {
-        Self::fresh(self.run_seed, node, tag)
+        self.seeds.stream(node, tag)
     }
 
     /// Number of streams of the column `tag` created so far.
@@ -103,20 +231,15 @@ impl NodeStreams {
         self.columns[tag as usize].iter().flatten().count()
     }
 
-    fn cell(&mut self, tag: StreamTag, slot: usize) -> &mut Option<ChaCha8Rng> {
+    /// Borrow the stream of `node`, which sits at `slot`, creating it at
+    /// its derived seed on first use.
+    pub fn stream(&mut self, tag: StreamTag, slot: usize, node: NodeId) -> &mut ChaCha8Rng {
         let column = &mut self.columns[tag as usize];
         if column.len() <= slot {
             column.resize_with(slot + 1, || None);
         }
-        &mut column[slot]
-    }
-
-    /// Borrow the stream of `node`, which sits at `slot`, creating it at
-    /// its derived seed on first use.
-    pub fn stream(&mut self, tag: StreamTag, slot: usize, node: NodeId) -> &mut ChaCha8Rng {
-        let run_seed = self.run_seed;
-        self.cell(tag, slot)
-            .get_or_insert_with(|| Self::fresh(run_seed, node, tag))
+        let seeds = &self.seeds;
+        column[slot].get_or_insert_with(|| seeds.stream(node, tag))
     }
 
     /// The stream of `node`, which sits at `slot`, as a bit source that
@@ -140,7 +263,7 @@ impl NodeStreams {
         first_slot: usize,
         ids: impl ExactSizeIterator<Item = NodeId> + 'a,
     ) -> impl Iterator<Item = &'a mut ChaCha8Rng> + 'a {
-        let run_seed = self.run_seed;
+        let seeds = &self.seeds;
         let end = first_slot + ids.len();
         let column = &mut self.columns[tag as usize];
         if column.len() < end {
@@ -149,7 +272,7 @@ impl NodeStreams {
         column[first_slot..end]
             .iter_mut()
             .zip(ids)
-            .map(move |(cell, node)| cell.get_or_insert_with(|| Self::fresh(run_seed, node, tag)))
+            .map(move |(cell, node)| cell.get_or_insert_with(|| seeds.stream(node, tag)))
     }
 
     /// A node was inserted at `slot` of the table `tag`'s column follows:
@@ -190,7 +313,55 @@ impl RngCore for LazyStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::Rng;
+
+    /// [`stream_seed`] spelled through the canonical hasher, field by
+    /// field: the oracle the midstate path is checked against.
+    fn hasher_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
+        let mut hasher = CanonicalHasher::new();
+        hasher.feed_str("netsim-rng-stream");
+        hasher.feed_u64(run_seed);
+        hasher.feed_u64(node.raw());
+        hasher.feed_str(tag.name());
+        let digest = hasher.finalize();
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(&digest.0[..8]);
+        u64::from_le_bytes(bytes)
+    }
+
+    #[test]
+    fn derived_seeds_equal_the_hasher_spelling() {
+        for run_seed in [0, 1, 2010, u64::MAX] {
+            let seeds = SeedMidstate::new(run_seed);
+            for node in [0, 1, 255, 256, 1 << 32, u64::MAX] {
+                for tag in TAGS {
+                    let want = hasher_seed(run_seed, NodeId(node), tag);
+                    assert_eq!(
+                        seeds.seed(NodeId(node), tag),
+                        want,
+                        "{run_seed} {node} {tag:?}"
+                    );
+                    assert_eq!(stream_seed(run_seed, NodeId(node), tag), want);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_derived_seed_equals_the_hasher_spelling(
+            run_seed in 0u64..u64::MAX,
+            node in 0u64..u64::MAX,
+            tag in 0usize..4,
+        ) {
+            let tag = TAGS[tag];
+            let want = hasher_seed(run_seed, NodeId(node), tag);
+            prop_assert_eq!(SeedMidstate::new(run_seed).seed(NodeId(node), tag), want);
+        }
+    }
 
     #[test]
     fn stream_seed_is_a_pure_function() {

@@ -476,6 +476,10 @@ impl<P: Protocol> Simulator<P> {
 
     /// Add many protocol instances at once.
     pub fn add_nodes<I: IntoIterator<Item = P>>(&mut self, protocols: I) {
+        let protocols = protocols.into_iter();
+        let (expected, _) = protocols.size_hint();
+        self.ids.reserve(expected);
+        self.nodes.reserve(expected);
         for p in protocols {
             self.add_node(p);
         }
