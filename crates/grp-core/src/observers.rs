@@ -174,7 +174,7 @@ fn shares_every_handle(a: &SystemSnapshot, b: &SystemSnapshot) -> bool {
 }
 
 /// Continuity bookkeeping over a run's consecutive-round transitions.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ContinuityStats {
     /// Number of consecutive-snapshot transitions examined.
     pub transitions: u64,
@@ -280,7 +280,7 @@ impl ContinuityProbe {
 pub const RECOVERY_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, u64::MAX];
 
 /// One injected fault and how the system recovered from it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultRecovery {
     /// The fault, in its textual campaign form (`crash 3`, `heal`, …).
     pub kind: String,
@@ -298,7 +298,7 @@ pub struct FaultRecovery {
 
 /// The resilience accounting of one run: availability plus per-fault
 /// time-to-reconverge ([`FaultRecovery`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Rounds whose legitimacy was evaluated.
     pub rounds_observed: u64,
@@ -425,11 +425,11 @@ impl ResilienceProbe {
     }
 }
 
-/// The one per-round recorder: one shared-view capture and one
-/// [`OmegaPartition`] per round, fed to every enabled consumer — the
-/// convergence detector and the resilience probe share one legitimacy
-/// verdict, the continuity probe keeps the partition as next round's
-/// "before". Built incrementally via the `with_*` methods.
+/// The one per-round recorder: a shared-view capture and an
+/// [`OmegaPartition`] per round feed each enabled consumer (one legitimacy
+/// verdict serves the detector and resilience probe; the partition is the
+/// continuity probe's next "before"). Built by the `with_*` methods: the
+/// scenario runner picks them from `[report]` in its one simulate core.
 ///
 /// A round that repeats the last one — the same topology handle and, node
 /// for node, the same view handles, as every round of a settled explicit

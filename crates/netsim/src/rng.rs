@@ -15,7 +15,7 @@
 //! ([`CanonicalHasher`]) of `(run_seed, node, tag)`, keeping the derivation
 //! stable across platforms and refactors. Everything in that message but
 //! the node id is fixed per run and tag, so a [`NodeStreams`] hashes the
-//! fixed part once ([`SeedMidstate`]) and a stream's seed costs the
+//! fixed part once (`SeedMidstate`) and a stream's seed costs the
 //! remaining rounds of two compressions.
 
 use crate::digest::{
@@ -55,7 +55,7 @@ impl StreamTag {
 /// Derive the seed of one per-node stream. Pure function of its inputs:
 /// the canonical SHA-256 of `(domain, run_seed, node, tag name)`, truncated
 /// to the first eight bytes little-endian. [`NodeStreams`] seeds its
-/// streams through the same [`SeedMidstate`], built once per run.
+/// streams through the same `SeedMidstate`, built once per run.
 pub fn stream_seed(run_seed: u64, node: NodeId, tag: StreamTag) -> u64 {
     SeedMidstate::new(run_seed).seed(node, tag)
 }

@@ -3,9 +3,9 @@
 //! A campaign answers the robustness question the fixed `[[faults]]` plans
 //! cannot: *which* schedule of transient faults hurts this workload most?
 //! The searcher samples `schedules` random fault plans from a seeded RNG,
-//! executes each one under a [`GrpPipeline`] with resilience accounting
+//! runs each one with resilience accounting
 //! ([`grp_core::observers::ResilienceProbe`]), scores the outcome, and
-//! keeps the worst offender. The
+//! keeps the worst offender, whose outcome becomes the seed's. The
 //! worst schedule can be written to a campaign file (`--emit-campaign`) and
 //! checked in; a manifest with `[campaign] replay = "…"` then re-executes
 //! exactly that schedule forever, pinning the recorded score and the golden
@@ -13,9 +13,10 @@
 //!
 //! Determinism: every schedule is derived from
 //! `search_seed ⊕ mix(run seed) ⊕ index` through its own `ChaCha8Rng`, and
-//! the runs themselves go through the same [`build_simulator`] /
-//! [`drive_manifest`] path as `mode = "simulate"` — same manifest + same
-//! seed ⇒ byte-identical campaign digest.
+//! every run goes through the runner's one simulate core — the function a
+//! `mode = "simulate"` seed runs through ([`build_simulator`] →
+//! [`drive_manifest`](crate::runner::drive_manifest)) — so same manifest +
+//! same seed ⇒ byte-identical campaign digest.
 //!
 //! Campaign-file format (see `docs/FAULTS.md`): `#` comment lines (the
 //! emitter records the manifest name, seed and score), then one fault per
@@ -23,11 +24,10 @@
 //! [`FaultKind`] form (`Display` ↔ `FromStr` round-trip exactly).
 
 use crate::manifest::{CampaignSpec, ScenarioManifest};
-use crate::runner::{build_simulator, drive_manifest, AssertionResult, RunOutcome};
+use crate::runner::{build_simulator, simulate, AssertionResult, RunOutcome};
 use dyngraph::NodeId;
-use grp_core::observers::{ContinuityStats, GrpPipeline, ResilienceStats, SnapshotRecorder};
-use grp_core::predicates::SystemSnapshot;
-use netsim::{CanonicalHasher, FaultKind, MessageStats, ScheduledFault, SimTime};
+use grp_core::observers::{ResilienceStats, SnapshotRecorder};
+use netsim::{CanonicalHasher, FaultKind, ScheduledFault, SimTime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -144,55 +144,27 @@ pub struct CampaignReport {
     pub worst_lines: Vec<String>,
 }
 
-/// Everything one schedule execution observed.
-struct ScheduleRun {
-    recorder: SnapshotRecorder,
-    converged_round: Option<usize>,
-    continuity: ContinuityStats,
-    stats: ResilienceStats,
-    score: CampaignScore,
-    final_snapshot: SystemSnapshot,
-    msg_stats: MessageStats,
-    nodes: usize,
+impl CampaignReport {
+    /// The report on `schedules`, whose worst is the one at `worst_index`.
+    fn new(replay: Option<String>, schedules: Vec<ScheduleSummary>, worst_index: u32) -> Self {
+        let worst = &schedules[worst_index as usize];
+        CampaignReport {
+            replay,
+            worst_index,
+            worst_score: worst.score,
+            worst_lines: worst.lines.clone(),
+            schedules,
+        }
+    }
 }
 
-/// Execute one fault schedule under the full probe pipeline.
-fn run_schedule(manifest: &ScenarioManifest, seed: u64, faults: &[ScheduledFault]) -> ScheduleRun {
-    let dmax = manifest.protocol.dmax;
-    let mut sim = build_simulator(manifest, seed);
-    sim.schedule_faults(faults.to_vec());
-    let nodes = sim.node_ids().len();
-    let mut pipeline = GrpPipeline::new()
-        .with_convergence(dmax)
-        .with_resilience(dmax);
-    if manifest.report.continuity {
-        pipeline = pipeline.with_continuity(dmax);
-    }
-    drive_manifest(&mut sim, manifest, &mut pipeline);
-    let GrpPipeline {
-        recorder,
-        convergence,
-        continuity,
-        resilience,
-    } = pipeline;
-    let stats = resilience
-        .map(|probe| probe.into_stats())
-        .unwrap_or_default();
-    let score = CampaignScore::of(&stats);
-    let final_snapshot = recorder
-        .last_snapshot()
-        .cloned()
-        .unwrap_or_else(|| SystemSnapshot::from_simulator(&sim));
-    ScheduleRun {
-        recorder,
-        converged_round: convergence.and_then(|detector| detector.convergence_round()),
-        continuity: continuity.map(|probe| probe.stats()).unwrap_or_default(),
-        stats,
-        score,
-        final_snapshot,
-        msg_stats: sim.stats(),
-        nodes,
-    }
+/// The score of a run of the simulate core: its resilience accounting,
+/// which a campaign always composes.
+fn score_of(run: &RunOutcome) -> CampaignScore {
+    run.resilience
+        .as_ref()
+        .map(CampaignScore::of)
+        .unwrap_or_default()
 }
 
 /// Render a schedule in campaign-file line form, sorted by firing time.
@@ -249,32 +221,33 @@ fn sample_schedule(
     faults
 }
 
-/// The search half: sample, execute and score every schedule, keeping the
-/// worst run's full observation. Returns `(summaries, worst_index,
-/// worst_run)`; the worst is picked by strict `>`, so ties keep the
-/// earliest index.
+/// The search half: sample every schedule and run it through the simulate
+/// core, keeping each one's summary and the worst run's outcome and
+/// recorder. Returns `(summaries, worst_index, worst_run)`; the worst is
+/// picked by strict `>`, so ties keep the earliest index.
 fn search(
     manifest: &ScenarioManifest,
     seed: u64,
     spec: &CampaignSpec,
     horizon: u64,
-) -> (Vec<ScheduleSummary>, u32, ScheduleRun) {
+) -> (Vec<ScheduleSummary>, u32, (RunOutcome, SnapshotRecorder)) {
     let node_ids = build_simulator(manifest, seed).node_ids();
-    let mut summaries = Vec::with_capacity(spec.schedules as usize);
-    let mut worst: Option<(u32, ScheduleRun)> = None;
+    let mut summaries: Vec<ScheduleSummary> = Vec::with_capacity(spec.schedules as usize);
+    let mut worst: Option<(u32, (RunOutcome, SnapshotRecorder))> = None;
     for index in 0..spec.schedules {
         let stream = spec.search_seed ^ seed.wrapping_mul(SEED_MIX) ^ index as u64;
         let mut rng = ChaCha8Rng::seed_from_u64(stream);
         let faults = sample_schedule(&mut rng, &node_ids, spec.max_faults, horizon);
-        let run = run_schedule(manifest, seed, &faults);
+        let run = simulate(manifest, seed, &faults);
+        let score = score_of(&run.0);
+        let is_worse = worst
+            .as_ref()
+            .is_none_or(|(at, _)| score > summaries[*at as usize].score);
         summaries.push(ScheduleSummary {
             index,
             lines: schedule_lines(&faults),
-            score: run.score,
+            score,
         });
-        let is_worse = worst
-            .as_ref()
-            .is_none_or(|(_, best)| run.score > best.score);
         if is_worse {
             worst = Some((index, run));
         }
@@ -362,37 +335,32 @@ pub fn parse_campaign_file(
 pub fn emit_worst_case(manifest: &ScenarioManifest) -> (CampaignReport, String) {
     let spec = manifest.campaign.clone().unwrap_or_default();
     let seed = manifest.sim.seeds.first().copied().unwrap_or(0);
-    let horizon = horizon_of(manifest, &spec);
-    let (summaries, worst_index, worst_run) = search(manifest, seed, &spec, horizon);
-    let worst_lines = summaries[worst_index as usize].lines.clone();
-    let file = render_campaign_file(&manifest.name, seed, &worst_run.score, &worst_lines);
-    let report = CampaignReport {
-        replay: None,
-        schedules: summaries,
-        worst_index,
-        worst_score: worst_run.score,
-        worst_lines,
-    };
+    let (summaries, worst_index, _) = search(manifest, seed, &spec, horizon_of(manifest, &spec));
+    let report = CampaignReport::new(None, summaries, worst_index);
+    let file = render_campaign_file(
+        &manifest.name,
+        seed,
+        &report.worst_score,
+        &report.worst_lines,
+    );
     (report, file)
 }
 
 /// Execute one seed in `mode = "campaign"`: search for the worst schedule
-/// (or replay a pinned one), then report the worst run's resilience
-/// metrics as the outcome. The digest folds every sampled schedule's
-/// textual form and score plus the worst run's full trace, so the
-/// `[golden]` pin freezes the entire search verdict, not just the final
-/// state.
-pub fn run_campaign_seed(
+/// (or replay a pinned one) through the simulate core; the worst run's
+/// outcome is the seed's outcome, with the campaign section added. The
+/// digest section folds every sampled schedule's textual form and score
+/// plus the worst run's full trace, so the `[golden]` pin freezes the
+/// entire search verdict, not just the final state.
+pub(crate) fn run_campaign_seed(
     manifest: &ScenarioManifest,
     seed: u64,
-    golden: Option<&String>,
+    hasher: &mut CanonicalHasher,
 ) -> RunOutcome {
     let spec = manifest.campaign.clone().unwrap_or_default();
-    let dmax = manifest.protocol.dmax;
-    let horizon = horizon_of(manifest, &spec);
     let mut assertions = Vec::new();
 
-    let (summaries, worst_index, worst_run) = match &spec.replay {
+    let (summaries, worst_index, (mut run, recorder)) = match &spec.replay {
         Some(path) => {
             let (recorded, faults) = match std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read `{path}`: {e}"))
@@ -409,7 +377,8 @@ pub fn run_campaign_seed(
                     (None, Vec::new())
                 }
             };
-            let run = run_schedule(manifest, seed, &faults);
+            let run = simulate(manifest, seed, &faults);
+            let score = score_of(&run.0);
             // the replay contract: the pinned file's recorded score must
             // reproduce exactly — a drift here means the engine's fault
             // semantics (or the probe's accounting) changed
@@ -419,93 +388,48 @@ pub fn run_campaign_seed(
             assertions.push(AssertionResult::new(
                 "campaign_replay",
                 &expected,
-                run.score.to_string(),
-                recorded == Some(run.score),
+                score.to_string(),
+                recorded == Some(score),
             ));
             let summary = ScheduleSummary {
                 index: 0,
                 lines: schedule_lines(&faults),
-                score: run.score,
+                score,
             };
             (vec![summary], 0, run)
         }
-        None => search(manifest, seed, &spec, horizon),
+        None => search(manifest, seed, &spec, horizon_of(manifest, &spec)),
     };
 
-    let worst_lines = summaries[worst_index as usize].lines.clone();
-    let worst_score = worst_run.score;
+    let report = CampaignReport::new(spec.replay, summaries, worst_index);
 
-    // the campaign digest: scenario identity, every schedule's textual
-    // faults and score in sampling order, the worst pick, then the worst
-    // run's full engine trace and per-round views
-    let mut hasher = CanonicalHasher::new();
-    hasher.feed_str(&manifest.name);
-    hasher.feed_u64(seed);
-    hasher.feed_u64(dmax as u64);
+    // the campaign digest section: every schedule's textual faults and
+    // score in sampling order, the worst pick, then the worst run's full
+    // engine trace and per-round views
     hasher.begin_list("campaign");
-    hasher.feed_str(if spec.replay.is_some() {
+    hasher.feed_str(if report.replay.is_some() {
         "replay"
     } else {
         "search"
     });
-    hasher.feed_u64(summaries.len() as u64);
-    for summary in &summaries {
+    hasher.feed_u64(report.schedules.len() as u64);
+    for summary in &report.schedules {
         hasher.feed_u64(summary.index as u64);
         hasher.feed_u64(summary.lines.len() as u64);
         for line in &summary.lines {
             hasher.feed_str(line);
         }
-        feed_score(&mut hasher, &summary.score);
+        feed_score(hasher, &summary.score);
     }
-    hasher.feed_u64(worst_index as u64);
-    feed_score(&mut hasher, &worst_score);
+    hasher.feed_u64(report.worst_index as u64);
+    feed_score(hasher, &report.worst_score);
     hasher.end_list();
-    worst_run.recorder.feed_trace_digest(&mut hasher);
-    worst_run.recorder.feed_views_digest(&mut hasher);
-    let digest = hasher.finalize();
+    recorder.feed_trace_digest(hasher);
+    recorder.feed_views_digest(hasher);
 
-    // campaign manifests only carry `max_rounds` and the golden pin
-    // (parse-time validation rejects everything else)
-    if let Some(bound) = manifest.assertions.max_rounds {
-        assertions.push(AssertionResult::new(
-            "max_rounds",
-            format!("<= {bound}"),
-            manifest.sim.rounds,
-            manifest.sim.rounds <= bound,
-        ));
-    }
-    if let Some(golden) = golden {
-        let observed = digest.to_hex();
-        assertions.push(AssertionResult::new(
-            "golden_digest",
-            golden,
-            &observed,
-            &observed == golden,
-        ));
-    }
-    let pass = assertions.iter().all(|a| a.pass);
-
-    RunOutcome {
-        seed,
-        rounds: manifest.sim.rounds,
-        nodes: worst_run.nodes,
-        digest,
-        converged_round: worst_run.converged_round,
-        final_snapshot: worst_run.final_snapshot,
-        stats: worst_run.msg_stats,
-        continuity: worst_run.continuity,
-        resilience: Some(worst_run.stats),
-        modelcheck: None,
-        campaign: Some(CampaignReport {
-            replay: spec.replay.clone(),
-            schedules: summaries,
-            worst_index,
-            worst_score,
-            worst_lines,
-        }),
-        assertions,
-        pass,
-    }
+    run.assertions = assertions;
+    run.campaign = Some(report);
+    run
 }
 
 fn feed_score(hasher: &mut CanonicalHasher, score: &CampaignScore) {
@@ -518,7 +442,8 @@ fn feed_score(hasher: &mut CanonicalHasher, score: &CampaignScore) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::ScenarioManifest;
+    use crate::manifest::{RunMode, ScenarioManifest};
+    use crate::runner::run_seed;
 
     fn campaign_manifest(extra: &str) -> ScenarioManifest {
         let toml = format!(
@@ -632,8 +557,8 @@ max_faults = 4
     #[test]
     fn search_is_deterministic_and_picks_the_max_score() {
         let manifest = campaign_manifest("");
-        let a = run_campaign_seed(&manifest, 7, None);
-        let b = run_campaign_seed(&manifest, 7, None);
+        let a = run_seed(&manifest, 7, None);
+        let b = run_seed(&manifest, 7, None);
         assert_eq!(a.digest.to_hex(), b.digest.to_hex());
         let report = a.campaign.expect("campaign report present");
         assert_eq!(report.schedules.len(), 3);
@@ -657,7 +582,7 @@ max_faults = 4
         std::fs::write(&path, &file).expect("write campaign file");
 
         let replay_manifest = campaign_manifest(&format!("replay = {:?}", path.to_string_lossy()));
-        let outcome = run_campaign_seed(&replay_manifest, 7, None);
+        let outcome = run_seed(&replay_manifest, 7, None);
         let replay_check = outcome
             .assertions
             .iter()
@@ -675,10 +600,64 @@ max_faults = 4
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A campaign has no run path of its own: its worst run observes what
+    /// a simulate run of the worst schedule, with resilience on, observes.
+    #[test]
+    fn worst_run_equals_a_simulate_run_of_its_schedule() {
+        let text = r#"
+name = "campaign-grid"
+mode = "campaign"
+[topology]
+kind = "grid"
+rows = 2
+cols = 3
+[protocol]
+dmax = 2
+[sim]
+rounds = 40
+seeds = [5]
+[campaign]
+schedules = 6
+max_faults = 4
+"#;
+        let manifest = ScenarioManifest::parse(text).expect("campaign parses");
+        let (report, file) = emit_worst_case(&manifest);
+        let campaign = run_seed(&manifest, 5, None);
+        assert_eq!(
+            campaign.campaign.expect("report").worst_lines,
+            report.worst_lines
+        );
+
+        let simulate_text = text
+            .replace("mode = \"campaign\"", "mode = \"simulate\"")
+            .replace(
+                "[campaign]\nschedules = 6\nmax_faults = 4\n",
+                "[report]\nresilience = true\n",
+            );
+        let mut simulate = ScenarioManifest::parse(&simulate_text).expect("simulate parses");
+        assert_eq!(simulate.mode, RunMode::Simulate);
+        let (recorded, faults) = parse_campaign_file(&file).expect("campaign file parses");
+        assert_eq!(recorded, Some(report.worst_score));
+        assert!(!faults.is_empty());
+        // the worst schedule becomes the simulate run's `[[faults]]` plan
+        simulate.faults = faults;
+        let run = run_seed(&simulate, 5, None);
+
+        assert_eq!(run.final_snapshot, campaign.final_snapshot);
+        assert_eq!(run.stats, campaign.stats);
+        assert_eq!(run.converged_round, campaign.converged_round);
+        assert_eq!(run.continuity, campaign.continuity);
+        assert_eq!(run.resilience, campaign.resilience);
+        assert_eq!(run.nodes, campaign.nodes);
+        let resilience = run.resilience.as_ref().expect("resilience on");
+        assert_eq!(CampaignScore::of(resilience), report.worst_score);
+        assert!(!resilience.faults.is_empty(), "the schedule's faults fired");
+    }
+
     #[test]
     fn replay_of_a_missing_file_fails_the_replay_assertion() {
         let manifest = campaign_manifest(r#"replay = "/nonexistent/campaign.txt""#);
-        let outcome = run_campaign_seed(&manifest, 7, None);
+        let outcome = run_seed(&manifest, 7, None);
         assert!(!outcome.pass);
         assert!(outcome
             .assertions

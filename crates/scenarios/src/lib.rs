@@ -37,8 +37,7 @@ pub use campaign::{
 };
 pub use manifest::{RunMode, ScenarioManifest, SCHEMA_VERSION};
 pub use result::{
-    stream_scenario, to_json, write_result, write_result_streaming, ResultWriter,
-    RESULT_SCHEMA_VERSION,
+    stream_scenario, to_json, write_result_streaming, ResultWriter, RESULT_SCHEMA_VERSION,
 };
 pub use runner::{
     apply_churn_action, build_simulator, drive_manifest, grp_config_of, run_scenario,

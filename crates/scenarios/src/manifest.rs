@@ -453,6 +453,12 @@ impl ScenarioManifest {
 
         let (workload, radio_loss) = parse_workload(&mut root)?;
         let spatial = matches!(workload, WorkloadSpec::Spatial { .. });
+        if mode == RunMode::Campaign && workload.node_count() == 0 {
+            let key = if spatial { "mobility" } else { "topology" };
+            let message = "mode = \"campaign\" needs at least one node: its fault \
+                 schedules pick their victims among the workload's nodes";
+            return Err(root.error(key, message));
+        }
         if spatial && mode == RunMode::ModelCheck {
             let message = "mode = \"modelcheck\" requires an explicit [topology]; spatial \
                  workloads cannot be exhaustively explored";
@@ -2340,6 +2346,27 @@ replay = "campaigns/worst.txt"
             err.contains("[campaign]: `schedules`: expected non-negative integer"),
             "got `{err}`"
         );
+    }
+
+    /// A campaign samples its fault victims among the workload's nodes, so
+    /// a workload without nodes is refused where it is written, not by a
+    /// panic in the sampler; the other modes still run it.
+    #[test]
+    fn campaign_over_an_empty_workload_is_a_located_error() {
+        let path = "name = \"c\"\nmode = \"campaign\"\n[topology]\nkind = \"path\"\nn = 0\n";
+        let spatial = "name = \"c\"\nmode = \"campaign\"\n[mobility]\n\
+             kind = \"stationary_line\"\nn = 0\nspacing = 10.0\n\
+             [radio]\nkind = \"unit_disk\"\nrange = 12.0\n";
+        for (input, table) in [(path, "[topology]"), (spatial, "[mobility]")] {
+            let err = ScenarioManifest::parse(input).expect_err("no nodes").0;
+            assert!(
+                err.starts_with("line 3: ") && err.contains("needs at least one node"),
+                "{table}: got `{err}`"
+            );
+            let simulate = input.replace("mode = \"campaign\"", "mode = \"simulate\"");
+            let m = ScenarioManifest::parse(&simulate).expect("simulate parses");
+            assert_eq!(m.workload.node_count(), 0);
+        }
     }
 
     #[test]

@@ -217,14 +217,6 @@ pub fn to_json(outcome: &ScenarioOutcome) -> Json {
         .with("pass", outcome.pass)
 }
 
-/// Write `<out_dir>/<scenario-name>.result.json`, creating the directory.
-pub fn write_result(outcome: &ScenarioOutcome, out_dir: &Path) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("{}.result.json", outcome.manifest.name));
-    std::fs::write(&path, to_json(outcome).pretty())?;
-    Ok(path)
-}
-
 /// Incremental `result.json` emission: the header goes out on
 /// construction, each run as it completes, the verdict on [`finish`].
 /// The bytes are identical to `to_json(&outcome).pretty()` for the same
@@ -318,8 +310,8 @@ pub fn stream_scenario<W: io::Write>(
     Ok((outcome, out))
 }
 
-/// Streaming twin of [`write_result`]: executes the manifest and streams
-/// `<out_dir>/<scenario-name>.result.json` per seed as the runs complete.
+/// Execute the manifest and stream `<out_dir>/<scenario-name>.result.json`
+/// per seed as the runs complete, creating the directory.
 pub fn write_result_streaming(
     manifest: &ScenarioManifest,
     out_dir: &Path,
@@ -552,11 +544,11 @@ n = 2
 "#,
         )
         .unwrap();
-        let outcome = run_scenario(&manifest);
         let dir = std::env::temp_dir().join("scenarios-result-test");
-        let path = write_result(&outcome, &dir).expect("writes");
+        let (path, outcome) = write_result_streaming(&manifest, &dir).expect("writes");
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"scenario\": \"result-write\""));
+        assert_eq!(body, to_json(&outcome).pretty());
         std::fs::remove_file(path).ok();
     }
 }

@@ -9,18 +9,18 @@
 //!
 //! Since the observer redesign this module contains no drive loop of its
 //! own: [`drive_manifest`] hands the manifest's churn schedule and an
-//! [`Observer`] to `netsim`'s single observed event loop, and [`run_seed`]
-//! drives the one per-round recorder, [`GrpPipeline`] (shared-view
+//! [`Observer`] to `netsim`'s single observed event loop. One simulate
+//! core drives the one per-round recorder, [`GrpPipeline`] (shared-view
 //! snapshot recorder + convergence detector + continuity and resilience
-//! probes), on top of it.
+//! probes), on top of it, for a simulate seed and for every campaign
+//! schedule alike; [`run_seed`] digests and judges every mode's outcome.
 
 use crate::campaign::{self, CampaignReport};
 use crate::manifest::{
-    AssertionSpec, ChannelSpec, ChurnAction, MobilitySpec, RunMode, ScenarioManifest, StartSpec,
-    WorkloadSpec,
+    ChannelSpec, ChurnAction, MobilitySpec, RunMode, ScenarioManifest, StartSpec, WorkloadSpec,
 };
 use dyngraph::{NodeId, TopologyEvent};
-use grp_core::observers::{GrpPipeline, ResilienceStats};
+use grp_core::observers::{GrpPipeline, ResilienceStats, SnapshotRecorder};
 use grp_core::predicates::{OmegaPartition, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use modelcheck::{
@@ -29,8 +29,8 @@ use modelcheck::{
 };
 use netsim::mobility::{CityGrid, Highway, MixedHighway, RandomWalk, RandomWaypoint, Stationary};
 use netsim::{
-    Bernoulli, CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, SimConfig,
-    Simulator, TopologyMode, TraceDigest,
+    Bernoulli, CanonicalHasher, ChannelModel, Contention, MessageStats, Observer, ScheduledFault,
+    SimConfig, Simulator, TopologyMode, TraceDigest,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -384,19 +384,53 @@ pub fn drive_manifest(
 }
 
 /// Execute one seed. `golden` is the pinned digest for this seed, if any.
+/// Every mode starts its digest from the scenario identity (name, seed,
+/// `dmax`) and appends its own section; the assembled outcome is then
+/// judged by one assertion pass, after any mode-specific results.
 pub fn run_seed(manifest: &ScenarioManifest, seed: u64, golden: Option<&String>) -> RunOutcome {
-    match manifest.mode {
-        RunMode::ModelCheck => return run_modelcheck_seed(manifest, seed, golden),
-        RunMode::Campaign => return campaign::run_campaign_seed(manifest, seed, golden),
-        RunMode::Simulate => {}
-    }
-    let mut sim = build_simulator(manifest, seed);
-    let dmax = manifest.protocol.dmax;
-    let rounds = manifest.sim.rounds;
+    // the byte encoding of every digest is pinned by the golden scenario
+    // suite
+    let mut hasher = CanonicalHasher::new();
+    hasher.feed_str(&manifest.name);
+    hasher.feed_u64(seed);
+    hasher.feed_u64(manifest.protocol.dmax as u64);
+    let mut run = match manifest.mode {
+        RunMode::Simulate => {
+            // the engine trace (topologies + stats) and every node's view
+            // at every round
+            let (run, recorder) = simulate(manifest, seed, &[]);
+            recorder.feed_trace_digest(&mut hasher);
+            recorder.feed_views_digest(&mut hasher);
+            run
+        }
+        RunMode::ModelCheck => run_modelcheck_seed(manifest, seed, &mut hasher),
+        RunMode::Campaign => campaign::run_campaign_seed(manifest, seed, &mut hasher),
+    };
+    run.digest = hasher.finalize();
+    let assertions = evaluate_assertions(manifest, &run, golden);
+    run.assertions.extend(assertions);
+    run.pass = run.assertions.iter().all(|a| a.pass);
+    run
+}
 
-    // probes compose per the `[report]` toggles; an assertion that reads a
-    // disabled probe was already rejected at manifest-parse time, so a
-    // `None` below can never be asked for a verdict
+/// The simulate core, the one place a seed is simulated: build the
+/// simulator, schedule `extra_faults` after the manifest's own, compose
+/// the [`GrpPipeline`] the `[report]` toggles ask for (a campaign always
+/// gets resilience too: it scores schedules by it) and drive the
+/// manifest. The outcome has no digest and no assertions yet —
+/// [`run_seed`] adds both — and comes with the recorder that feeds the
+/// digest.
+pub(crate) fn simulate(
+    manifest: &ScenarioManifest,
+    seed: u64,
+    extra_faults: &[ScheduledFault],
+) -> (RunOutcome, SnapshotRecorder) {
+    let mut sim = build_simulator(manifest, seed);
+    sim.schedule_faults(extra_faults.iter().cloned());
+    let dmax = manifest.protocol.dmax;
+    // an assertion that reads a disabled probe was already rejected at
+    // manifest-parse time, so a `None` below can never be asked for a
+    // verdict
     let mut pipeline = GrpPipeline::new();
     if manifest.report.convergence {
         pipeline = pipeline.with_convergence(dmax);
@@ -404,7 +438,7 @@ pub fn run_seed(manifest: &ScenarioManifest, seed: u64, golden: Option<&String>)
     if manifest.report.continuity {
         pipeline = pipeline.with_continuity(dmax);
     }
-    if manifest.report.resilience {
+    if manifest.report.resilience || manifest.mode == RunMode::Campaign {
         pipeline = pipeline.with_resilience(dmax);
     }
     drive_manifest(&mut sim, manifest, &mut pipeline);
@@ -414,56 +448,30 @@ pub fn run_seed(manifest: &ScenarioManifest, seed: u64, golden: Option<&String>)
         continuity,
         resilience,
     } = pipeline;
-
-    // canonical digest: scenario identity, seed, the engine trace
-    // (topologies + stats) and every node's view at every round — the
-    // byte encoding is pinned by the golden scenario suite
-    let mut hasher = CanonicalHasher::new();
-    hasher.feed_str(&manifest.name);
-    hasher.feed_u64(seed);
-    hasher.feed_u64(dmax as u64);
-    recorder.feed_trace_digest(&mut hasher);
-    recorder.feed_views_digest(&mut hasher);
-    let digest = hasher.finalize();
-
-    let final_snapshot = recorder
-        .last_snapshot()
-        .cloned()
-        .unwrap_or_else(|| SystemSnapshot::from_simulator(&sim));
-    let stats = sim.stats();
-    let converged_round = convergence.and_then(|detector| detector.convergence_round());
-    let continuity = continuity.map(|probe| probe.stats()).unwrap_or_default();
-    let resilience = resilience.map(|probe| probe.into_stats());
-
-    let assertions = evaluate_assertions(
-        &manifest.assertions,
-        manifest,
-        converged_round,
-        &final_snapshot,
-        &continuity,
-        &stats,
-        None,
-        &digest,
-        golden,
-    );
-    let pass = assertions.iter().all(|a| a.pass);
-
-    RunOutcome {
+    let run = RunOutcome {
         seed,
-        rounds,
+        rounds: manifest.sim.rounds,
         nodes: sim.node_ids().len(),
-        digest,
-        converged_round,
-        final_snapshot,
-        stats,
-        continuity,
-        resilience,
+        digest: UNSET_DIGEST,
+        converged_round: convergence.and_then(|detector| detector.convergence_round()),
+        final_snapshot: recorder
+            .last_snapshot()
+            .cloned()
+            .unwrap_or_else(|| SystemSnapshot::from_simulator(&sim)),
+        stats: sim.stats(),
+        continuity: continuity.map(|probe| probe.stats()).unwrap_or_default(),
+        resilience: resilience.map(|probe| probe.into_stats()),
         modelcheck: None,
         campaign: None,
-        assertions,
-        pass,
-    }
+        assertions: Vec::new(),
+        pass: true,
+    };
+    (run, recorder)
 }
+
+/// The digest of an outcome whose mode has not yet been digested:
+/// [`run_seed`] replaces it before anyone reads it.
+const UNSET_DIGEST: TraceDigest = TraceDigest([0; 32]);
 
 fn violation_tag(violation: &Violation) -> (&'static str, &modelcheck::Trace) {
     match violation {
@@ -514,7 +522,7 @@ fn case_report(
 fn run_modelcheck_seed(
     manifest: &ScenarioManifest,
     seed: u64,
-    golden: Option<&String>,
+    hasher: &mut CanonicalHasher,
 ) -> RunOutcome {
     let spec = manifest.modelcheck.clone().unwrap_or_default();
     let WorkloadSpec::Explicit(generator) = &manifest.workload else {
@@ -587,12 +595,8 @@ fn run_modelcheck_seed(
             }
         };
 
-    // the model-check digest: scenario identity, then every case's verdict
-    // and exploration statistics, in catalogue order
-    let mut hasher = CanonicalHasher::new();
-    hasher.feed_str(&manifest.name);
-    hasher.feed_u64(seed);
-    hasher.feed_u64(dmax as u64);
+    // the model-check digest section: every case's verdict and
+    // exploration statistics, in catalogue order
     hasher.begin_list("modelcheck");
     hasher.feed_str(&mc.start);
     for case in &mc.cases {
@@ -612,61 +616,41 @@ fn run_modelcheck_seed(
         hasher.feed_u64(case.trace_len.map(|l| l as u64 + 1).unwrap_or(0));
     }
     hasher.end_list();
-    let digest = hasher.finalize();
-
-    let stats = MessageStats::default();
-    let continuity = ContinuityStats::default();
-    assertions.extend(evaluate_assertions(
-        &manifest.assertions,
-        manifest,
-        None,
-        &final_snapshot,
-        &continuity,
-        &stats,
-        Some(&mc),
-        &digest,
-        golden,
-    ));
-    let pass = assertions.iter().all(|a| a.pass);
 
     RunOutcome {
         seed,
         rounds: 0,
         nodes,
-        digest,
+        digest: UNSET_DIGEST,
         converged_round: None,
         final_snapshot,
-        stats,
-        continuity,
+        stats: MessageStats::default(),
+        continuity: ContinuityStats::default(),
         resilience: None,
         modelcheck: Some(mc),
         campaign: None,
         assertions,
-        pass,
+        pass: true,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The one assertion pass: judge the manifest's `[assertions]` on a
+/// run's assembled outcome, in a fixed order, the golden pin last.
 fn evaluate_assertions(
-    spec: &AssertionSpec,
     manifest: &ScenarioManifest,
-    converged_round: Option<usize>,
-    last: &SystemSnapshot,
-    continuity: &ContinuityStats,
-    stats: &MessageStats,
-    mc: Option<&McReport>,
-    digest: &TraceDigest,
+    run: &RunOutcome,
     golden: Option<&String>,
 ) -> Vec<AssertionResult> {
+    let spec = &manifest.assertions;
     let dmax = manifest.protocol.dmax;
     // one partition of the final configuration answers every predicate
     // and group-count assertion
-    let topology = &last.topology;
-    let last = OmegaPartition::of(last);
+    let topology = &run.final_snapshot.topology;
+    let last = OmegaPartition::of(&run.final_snapshot);
     let mut results = Vec::new();
 
     if let Some(expected) = spec.reconverges {
-        let observed = mc.map(|m| m.all_converged).unwrap_or(false);
+        let observed = run.modelcheck.as_ref().is_some_and(|m| m.all_converged);
         results.push(AssertionResult::new(
             "reconverges",
             expected,
@@ -675,11 +659,11 @@ fn evaluate_assertions(
         ));
     }
     if let Some(bound) = spec.converged_by {
-        let observed = match converged_round {
+        let observed = match run.converged_round {
             Some(r) => r.to_string(),
             None => "never".to_string(),
         };
-        let pass = converged_round.is_some_and(|r| r as u64 <= bound);
+        let pass = run.converged_round.is_some_and(|r| r as u64 <= bound);
         results.push(AssertionResult::new(
             "converged_by",
             format!("<= {bound}"),
@@ -696,7 +680,7 @@ fn evaluate_assertions(
         ));
     }
     if let Some(threshold) = spec.view_continuity {
-        let observed = continuity.view_continuity();
+        let observed = run.continuity.view_continuity();
         results.push(AssertionResult::new(
             "view_continuity",
             format!(">= {threshold}"),
@@ -758,7 +742,7 @@ fn evaluate_assertions(
         ));
     }
     if let Some(threshold) = spec.min_delivery_ratio {
-        let observed = stats.delivery_ratio();
+        let observed = run.stats.delivery_ratio();
         results.push(AssertionResult::new(
             "min_delivery_ratio",
             format!(">= {threshold}"),
@@ -767,7 +751,7 @@ fn evaluate_assertions(
         ));
     }
     if let Some(golden) = golden {
-        let observed = digest.to_hex();
+        let observed = run.digest.to_hex();
         results.push(AssertionResult::new(
             "golden_digest",
             golden,

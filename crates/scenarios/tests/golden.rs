@@ -11,7 +11,7 @@
 
 use scenarios::manifest::{RunMode, ScenarioManifest};
 use scenarios::{
-    discover_manifests, run_scenario, run_seed, suite_dir, to_json, write_result, ResultWriter,
+    discover_manifests, run_seed, suite_dir, to_json, write_result_streaming, ResultWriter,
 };
 use std::path::Path;
 
@@ -87,8 +87,8 @@ fn every_scenario_is_pinned_and_passes() {
             );
             continue;
         }
-        let outcome = run_scenario(&manifest);
-        let artifact = write_result(&outcome, &out_dir).expect("write result.json");
+        let (artifact, outcome) =
+            write_result_streaming(&manifest, &out_dir).expect("write result.json");
         assert!(artifact.exists());
         // the streaming result writer must reproduce the batch renderer's
         // bytes exactly, on every golden manifest
