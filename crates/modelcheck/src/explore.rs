@@ -138,6 +138,31 @@ impl Report {
     pub fn converged(&self) -> bool {
         matches!(self.outcome, Outcome::Converged)
     }
+
+    /// The outcome in one word: `"converged"`, `"invariant"`, `"stuck"`,
+    /// `"cycle"` or `"bounds"`.
+    pub fn tag(&self) -> &'static str {
+        match &self.outcome {
+            Outcome::Converged => "converged",
+            Outcome::Violation(Violation::Invariant { .. }) => "invariant",
+            Outcome::Violation(Violation::Stuck { .. }) => "stuck",
+            Outcome::Violation(Violation::Cycle { .. }) => "cycle",
+            Outcome::BoundsExceeded { .. } => "bounds",
+        }
+    }
+
+    /// The trace the report carries: the violation's counterexample, or
+    /// else the witness.
+    pub fn trace(&self) -> Option<&Trace> {
+        match &self.outcome {
+            Outcome::Violation(
+                Violation::Invariant { trace, .. }
+                | Violation::Stuck { trace }
+                | Violation::Cycle { trace, .. },
+            ) => Some(trace),
+            _ => self.witness.as_ref(),
+        }
+    }
 }
 
 struct StateRec {
@@ -148,19 +173,72 @@ struct StateRec {
     goal: bool,
     /// Outgoing edges (choice, successor index); filled when expanded.
     succs: Vec<(Choice, usize)>,
-    expanded: bool,
 }
 
-/// Reconstruct the scheduler trace from the root to `id` via BFS parents.
-fn path_to(recs: &[StateRec], id: usize) -> Vec<Choice> {
-    let mut choices = Vec::new();
-    let mut cur = id;
-    while let Some(choice) = recs[cur].via {
-        choices.push(choice);
-        cur = recs[cur].parent;
+/// What the search has learned so far: every visited state, how many are
+/// goals, the deepest layer reached and the first goal found. Every
+/// [`Report`] is built from it, whichever way the search ends.
+#[derive(Default)]
+struct Search {
+    recs: Vec<StateRec>,
+    goal_states: u64,
+    max_depth: usize,
+    witness: Option<usize>,
+}
+
+impl Search {
+    /// Record a newly discovered state and return its index.
+    fn visit(
+        &mut self,
+        hash: TraceDigest,
+        parent: usize,
+        via: Option<Choice>,
+        depth: usize,
+        goal: bool,
+    ) -> usize {
+        let id = self.recs.len();
+        if goal {
+            self.goal_states += 1;
+            self.witness.get_or_insert(id);
+        }
+        self.recs.push(StateRec {
+            hash,
+            parent,
+            via,
+            depth,
+            goal,
+            succs: Vec::new(),
+        });
+        id
     }
-    choices.reverse();
-    choices
+
+    /// The trace from the root to `id` via BFS parents, continued by
+    /// `extra` and ending in `end_hash`.
+    fn trace_via(&self, id: usize, extra: &[Choice], end_hash: TraceDigest) -> Trace {
+        let mut choices = Vec::new();
+        let mut cur = id;
+        while let Some(choice) = self.recs[cur].via {
+            choices.push(choice);
+            cur = self.recs[cur].parent;
+        }
+        choices.reverse();
+        choices.extend_from_slice(extra);
+        Trace { choices, end_hash }
+    }
+
+    fn trace_to(&self, id: usize) -> Trace {
+        self.trace_via(id, &[], self.recs[id].hash)
+    }
+
+    fn report(&self, outcome: Outcome) -> Report {
+        Report {
+            outcome,
+            visited: self.recs.len() as u64,
+            goal_states: self.goal_states,
+            max_depth: self.max_depth,
+            witness: self.witness.map(|id| self.trace_to(id)),
+        }
+    }
 }
 
 /// Explore the transition system rooted at `initial`. Deterministic: same
@@ -171,140 +249,57 @@ where
     P: CanonicalState,
     C: Checker<P>,
 {
-    let mut recs: Vec<StateRec> = Vec::new();
+    let mut search = Search::default();
     let mut index: HashMap<TraceDigest, usize> = HashMap::new();
     let mut queue: VecDeque<(usize, McNet<P>)> = VecDeque::new();
     let mut frontier: Vec<(usize, McNet<P>)> = Vec::new();
-    let mut goal_states = 0u64;
-    let mut max_depth = 0usize;
-    let mut witness_id: Option<usize> = None;
-
-    let report = |recs: &[StateRec], outcome, goal_states, max_depth, witness_id: Option<usize>| {
-        let witness = witness_id.map(|id| Trace {
-            choices: path_to(recs, id),
-            end_hash: recs[id].hash,
-        });
-        Report {
-            outcome,
-            visited: recs.len() as u64,
-            goal_states,
-            max_depth,
-            witness,
-        }
-    };
 
     let root_hash = initial.state_hash();
-    let root_goal = checker.goal(initial);
-    if root_goal {
-        goal_states += 1;
-        witness_id = Some(0);
-    }
-    recs.push(StateRec {
-        hash: root_hash,
-        parent: 0,
-        via: None,
-        depth: 0,
-        goal: root_goal,
-        succs: Vec::new(),
-        expanded: false,
-    });
+    search.visit(root_hash, 0, None, 0, checker.goal(initial));
     index.insert(root_hash, 0);
     if let Err(message) = checker.invariant(initial) {
-        let trace = Trace {
-            choices: Vec::new(),
-            end_hash: root_hash,
-        };
-        return report(
-            &recs,
-            Outcome::Violation(Violation::Invariant { message, trace }),
-            goal_states,
-            0,
-            witness_id,
-        );
+        let trace = search.trace_to(0);
+        return search.report(Outcome::Violation(Violation::Invariant { message, trace }));
     }
     // the root is expanded even when legitimate (see module docs)
     queue.push_back((0, initial.clone()));
 
     while let Some((id, state)) = queue.pop_front() {
-        let depth = recs[id].depth;
-        max_depth = max_depth.max(depth);
+        let depth = search.recs[id].depth;
+        search.max_depth = search.max_depth.max(depth);
         if depth >= config.depth {
             frontier.push((id, state));
             continue;
         }
         let choices = state.enabled_choices(config.budget);
         if choices.is_empty() {
-            if recs[id].goal {
+            if search.recs[id].goal {
                 // a terminal goal state is converged-and-halted: fine
-                recs[id].expanded = true;
                 continue;
             }
-            let trace = Trace {
-                choices: path_to(&recs, id),
-                end_hash: recs[id].hash,
-            };
-            return report(
-                &recs,
-                Outcome::Violation(Violation::Stuck { trace }),
-                goal_states,
-                max_depth,
-                witness_id,
-            );
+            let trace = search.trace_to(id);
+            return search.report(Outcome::Violation(Violation::Stuck { trace }));
         }
         for choice in choices {
             let mut succ = state.clone();
             succ.apply(choice);
             let hash = succ.state_hash();
             if let Err(message) = checker.invariant(&succ) {
-                let mut choices = path_to(&recs, id);
-                choices.push(choice);
-                let trace = Trace {
-                    choices,
-                    end_hash: hash,
-                };
-                return report(
-                    &recs,
-                    Outcome::Violation(Violation::Invariant { message, trace }),
-                    goal_states,
-                    max_depth,
-                    witness_id,
-                );
+                let trace = search.trace_via(id, &[choice], hash);
+                return search.report(Outcome::Violation(Violation::Invariant { message, trace }));
             }
             let succ_id = match index.get(&hash) {
                 Some(&existing) => existing,
                 None => {
-                    if recs.len() >= config.max_states {
+                    if search.recs.len() >= config.max_states {
                         // frontier size is approximated by what is left
                         // unexpanded; the walks still start from it
                         frontier.extend(queue.drain(..));
                         frontier.push((id, state));
-                        return finish_bounded(
-                            recs,
-                            frontier,
-                            checker,
-                            config,
-                            goal_states,
-                            max_depth,
-                            witness_id,
-                        );
+                        return finish_bounded(&search, &frontier, checker, config);
                     }
-                    let new_id = recs.len();
                     let goal = checker.goal(&succ);
-                    if goal {
-                        goal_states += 1;
-                        if witness_id.is_none() {
-                            witness_id = Some(new_id);
-                        }
-                    }
-                    recs.push(StateRec {
-                        hash,
-                        parent: id,
-                        via: Some(choice),
-                        depth: depth + 1,
-                        goal,
-                        succs: Vec::new(),
-                        expanded: false,
-                    });
+                    let new_id = search.visit(hash, id, Some(choice), depth + 1, goal);
                     index.insert(hash, new_id);
                     if !goal {
                         queue.push_back((new_id, succ));
@@ -312,56 +307,30 @@ where
                     new_id
                 }
             };
-            recs[id].succs.push((choice, succ_id));
+            search.recs[id].succs.push((choice, succ_id));
         }
-        recs[id].expanded = true;
     }
 
     if !frontier.is_empty() {
-        return finish_bounded(
-            recs,
-            frontier,
-            checker,
-            config,
-            goal_states,
-            max_depth,
-            witness_id,
-        );
+        return finish_bounded(&search, &frontier, checker, config);
     }
 
     // Exhausted within bounds: the non-goal subgraph is fully expanded.
     // Acyclic means every fair execution falls into a goal state.
-    match find_cycle(&recs) {
-        None => report(
-            &recs,
-            Outcome::Converged,
-            goal_states,
-            max_depth,
-            witness_id,
-        ),
-        Some((entry, cycle_choices)) => {
-            let stem_choices = path_to(&recs, entry);
-            let stem = stem_choices.len();
-            let period = cycle_choices.len();
-            let mut choices = stem_choices;
-            choices.extend(cycle_choices);
-            let trace = Trace {
-                choices,
-                end_hash: recs[entry].hash,
-            };
-            report(
-                &recs,
-                Outcome::Violation(Violation::Cycle {
-                    stem,
-                    period,
-                    trace,
-                }),
-                goal_states,
-                max_depth,
-                witness_id,
-            )
+    let outcome = match find_cycle(&search.recs) {
+        None => Outcome::Converged,
+        Some((entry, cycle)) => {
+            let trace = search.trace_via(entry, &cycle, search.recs[entry].hash);
+            let period = cycle.len();
+            let stem = trace.choices.len() - period;
+            Outcome::Violation(Violation::Cycle {
+                stem,
+                period,
+                trace,
+            })
         }
-    }
+    };
+    search.report(outcome)
 }
 
 /// Peel the non-goal subgraph in reverse topological order. `None` if it
@@ -424,13 +393,10 @@ fn find_cycle(recs: &[StateRec]) -> Option<(usize, Vec<Choice>)> {
 /// looking for invariant violations and measuring how often walks still
 /// reach a goal state.
 fn finish_bounded<P, C>(
-    recs: Vec<StateRec>,
-    frontier: Vec<(usize, McNet<P>)>,
+    search: &Search,
+    frontier: &[(usize, McNet<P>)],
     checker: &C,
     config: &ExploreConfig,
-    goal_states: u64,
-    max_depth: usize,
-    witness_id: Option<usize>,
 ) -> Report
 where
     P: CanonicalState,
@@ -439,13 +405,7 @@ where
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut walks_run = 0u32;
     let mut walks_reached_goal = 0u32;
-    let mut violation: Option<Violation> = None;
-
-    'walks: for w in 0..config.walks {
-        if frontier.is_empty() {
-            break;
-        }
-        let (start_id, start) = &frontier[w as usize % frontier.len()];
+    for (start_id, start) in frontier.iter().cycle().take(config.walks as usize) {
         let mut state = start.clone();
         let mut extra: Vec<Choice> = Vec::new();
         walks_run += 1;
@@ -456,53 +416,23 @@ where
             }
             let choices = state.enabled_choices(config.budget);
             if choices.is_empty() {
-                let mut all = path_to(&recs, *start_id);
-                all.extend(&extra);
-                violation = Some(Violation::Stuck {
-                    trace: Trace {
-                        choices: all,
-                        end_hash: state.state_hash(),
-                    },
-                });
-                break 'walks;
+                let trace = search.trace_via(*start_id, &extra, state.state_hash());
+                return search.report(Outcome::Violation(Violation::Stuck { trace }));
             }
             let choice = choices[rng.gen_range(0..choices.len())];
             state.apply(choice);
             extra.push(choice);
             if let Err(message) = checker.invariant(&state) {
-                let mut all = path_to(&recs, *start_id);
-                all.extend(&extra);
-                violation = Some(Violation::Invariant {
-                    message,
-                    trace: Trace {
-                        choices: all,
-                        end_hash: state.state_hash(),
-                    },
-                });
-                break 'walks;
+                let trace = search.trace_via(*start_id, &extra, state.state_hash());
+                return search.report(Outcome::Violation(Violation::Invariant { message, trace }));
             }
         }
     }
-
-    let outcome = match violation {
-        Some(v) => Outcome::Violation(v),
-        None => Outcome::BoundsExceeded {
-            frontier: frontier.len(),
-            walks_run,
-            walks_reached_goal,
-        },
-    };
-    let witness = witness_id.map(|id| Trace {
-        choices: path_to(&recs, id),
-        end_hash: recs[id].hash,
-    });
-    Report {
-        outcome,
-        visited: recs.len() as u64,
-        goal_states,
-        max_depth,
-        witness,
-    }
+    search.report(Outcome::BoundsExceeded {
+        frontier: frontier.len(),
+        walks_run,
+        walks_reached_goal,
+    })
 }
 
 /// Check a trace against its recorded end hash by re-executing it.

@@ -20,14 +20,18 @@
 //!   bounds ([`ExploreConfig`], [`Report`], [`Outcome`], [`Violation`]);
 //! * [`replay`] / [`verify_trace`] — deterministic re-execution of a
 //!   choice sequence, the format every counterexample is emitted in;
-//! * [`grp`] — the GRP instantiation: legitimacy as the goal, warm-up to a
-//!   legitimate start, the single-node corruption catalogue, and the
-//!   synchronous-schedule lasso finder behind the pinned oscillation
-//!   counterexample.
+//! * [`grp`] — the GRP instantiation: legitimacy as the goal, the one
+//!   synchronous driver ([`drain`], [`synchronous_round`]) and its lasso
+//!   finder, which both warms a topology up to a legitimate start and
+//!   pins the oscillation counterexample, and one corruption runner,
+//!   [`check_corruptions`], over victim sets of 0, 1 or 2 nodes (the
+//!   legitimate start, the single-node and the pair catalogue).
 //!
 //! Fairness is built into the transition rules rather than filtered after
 //! the fact — see the [`state`] module docs — so every cycle the explorer
-//! reports is an execution the simulator could actually produce.
+//! reports is an execution the simulator could actually produce. The rules
+//! are spelled once, in [`McNet::enabled_choices`]; [`McNet::is_enabled`]
+//! asks it.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +43,7 @@ pub use explore::{
     explore, verify_trace, Checker, ExploreConfig, Outcome, Report, Trace, Violation,
 };
 pub use grp::{
-    check_corruptions, check_pair_corruptions, find_synchronous_lasso, fresh_net, legitimate_start,
-    snapshot_of, synchronous_round, CorruptionCase, GrpChecker, PairCorruptionCase, SyncLasso,
+    check_corruptions, drain, find_synchronous_lasso, fresh_net, legitimate_start, snapshot_of,
+    synchronous_round, CorruptionCase, GrpChecker, SyncLasso,
 };
 pub use state::{parse_trace, replay, Choice, FaultBudget, McNet, CHANNEL_CAP};

@@ -194,39 +194,18 @@ impl<P: CanonicalState> McNet<P> {
             .is_none()
     }
 
-    /// May `choice` fire in this configuration under `budget`?
+    /// May `choice` fire in this configuration under `budget`? Answered
+    /// by membership in [`enabled_choices`](Self::enabled_choices), the
+    /// one statement of the transition rules; only replay asks.
     pub fn is_enabled(&self, choice: Choice, budget: FaultBudget) -> bool {
-        match choice {
-            Choice::Deliver { from, to } => self.channels.contains_key(&(from, to)),
-            Choice::Drop { from, to } => {
-                self.drops_used < budget.max_drops && self.channels.contains_key(&(from, to))
-            }
-            Choice::Duplicate { from, to } => {
-                self.dups_used < budget.max_duplicates
-                    && self
-                        .channels
-                        .get(&(from, to))
-                        .is_some_and(|q| q.len() < CHANNEL_CAP)
-            }
-            Choice::Compute { node } => {
-                self.nodes.contains_key(&node)
-                    && self.is_alive(node)
-                    && self.rounds.get(&node) == Some(&self.min_alive_round())
-                    && self.outbound_empty(node)
-            }
-            Choice::Crash { node } => {
-                self.crashes_used < budget.max_crashes
-                    && self.nodes.contains_key(&node)
-                    && self.is_alive(node)
-            }
-            Choice::Reboot { node } => self.crashed.contains(&node),
-        }
+        self.enabled_choices(budget).contains(&choice)
     }
 
     /// Every enabled choice, in canonical order: deliveries (by channel
-    /// key), computes (by node id), then faults. The order is part of the
-    /// determinism contract — BFS discovery order, and therefore state
-    /// numbering and the first counterexample, follow it.
+    /// key), computes (by node id), then faults. This is where the
+    /// lockstep bound, send-blocking and the fault budgets live. The order
+    /// is part of the determinism contract — BFS discovery order, and
+    /// therefore state numbering and the first counterexample, follow it.
     pub fn enabled_choices(&self, budget: FaultBudget) -> Vec<Choice> {
         let mut choices = Vec::new();
         for &(from, to) in self.channels.keys() {

@@ -24,8 +24,8 @@
 use dyngraph::generators::path;
 use grp_core::GrpConfig;
 use modelcheck::{
-    find_synchronous_lasso, fresh_net, parse_trace, replay, snapshot_of, synchronous_round,
-    Checker, Choice, GrpChecker, McNet,
+    drain, find_synchronous_lasso, fresh_net, parse_trace, replay, snapshot_of, synchronous_round,
+    Checker, GrpChecker, McNet,
 };
 
 const PINNED: &str = include_str!("data/path5_dmax2_sync.trace");
@@ -143,17 +143,4 @@ fn a_staggered_schedule_escapes_the_oscillation() {
         legitimate_at.is_some(),
         "the staggered schedule should escape the cycle within 40 sweeps"
     );
-}
-
-/// Deliver every in-flight message (new sends included) until quiescent.
-fn drain(net: &mut McNet<grp_core::GrpNode>) {
-    loop {
-        let pending: Vec<_> = net.channels.keys().copied().collect();
-        if pending.is_empty() {
-            return;
-        }
-        for (from, to) in pending {
-            net.apply(Choice::Deliver { from, to });
-        }
-    }
 }

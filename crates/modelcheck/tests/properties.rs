@@ -10,7 +10,7 @@ use dyngraph::generators::{complete, path, star};
 use grp_core::GrpConfig;
 use modelcheck::{
     check_corruptions, explore, fresh_net, verify_trace, ExploreConfig, FaultBudget, GrpChecker,
-    McNet, Outcome, Report, Violation,
+    McNet, Report,
 };
 use proptest::prelude::*;
 
@@ -39,26 +39,12 @@ fn config_for(seed: u64, depth: usize, max_states: usize) -> ExploreConfig {
     }
 }
 
-/// The first counterexample (or convergence witness) a report carries, as
+/// The counterexample (or convergence witness) a report carries, as
 /// comparable data: the choice list plus the end hash.
 fn emitted_trace(report: &Report) -> Option<(Vec<modelcheck::Choice>, String)> {
-    let trace = match &report.outcome {
-        Outcome::Violation(Violation::Invariant { trace, .. })
-        | Outcome::Violation(Violation::Stuck { trace })
-        | Outcome::Violation(Violation::Cycle { trace, .. }) => Some(trace),
-        _ => report.witness.as_ref(),
-    };
-    trace.map(|t| (t.choices.clone(), t.end_hash.to_hex()))
-}
-
-fn outcome_tag(report: &Report) -> &'static str {
-    match &report.outcome {
-        Outcome::Converged => "converged",
-        Outcome::Violation(Violation::Invariant { .. }) => "invariant",
-        Outcome::Violation(Violation::Stuck { .. }) => "stuck",
-        Outcome::Violation(Violation::Cycle { .. }) => "cycle",
-        Outcome::BoundsExceeded { .. } => "bounds",
-    }
+    report
+        .trace()
+        .map(|t| (t.choices.clone(), t.end_hash.to_hex()))
 }
 
 proptest! {
@@ -81,7 +67,7 @@ proptest! {
         prop_assert_eq!(a.visited, b.visited);
         prop_assert_eq!(a.goal_states, b.goal_states);
         prop_assert_eq!(a.max_depth, b.max_depth);
-        prop_assert_eq!(outcome_tag(&a), outcome_tag(&b));
+        prop_assert_eq!(a.tag(), b.tag());
         prop_assert_eq!(emitted_trace(&a), emitted_trace(&b));
     }
 
@@ -98,12 +84,7 @@ proptest! {
         let checker = GrpChecker::new(dmax);
         let config = config_for(seed, 16, 1200);
         let report = explore(&net, &checker, &config);
-        if let Some(trace) = match &report.outcome {
-            Outcome::Violation(Violation::Invariant { trace, .. })
-            | Outcome::Violation(Violation::Stuck { trace })
-            | Outcome::Violation(Violation::Cycle { trace, .. }) => Some(trace),
-            _ => report.witness.as_ref(),
-        } {
+        if let Some(trace) = report.trace() {
             let end = verify_trace(&net, trace, config.budget);
             prop_assert!(end.is_ok(), "trace must replay: {}", end.unwrap_err());
         }
@@ -124,12 +105,11 @@ proptest! {
         };
         let checker = GrpChecker::new(dmax);
         let explore_config = config_for(seed, 16, 1200);
-        let a = check_corruptions(&base, &checker, &explore_config);
-        let b = check_corruptions(&base, &checker, &explore_config);
+        let a = check_corruptions(&base, &checker, &explore_config, 1);
+        let b = check_corruptions(&base, &checker, &explore_config, 1);
         prop_assert_eq!(a.len(), b.len());
         for (ca, cb) in a.iter().zip(&b) {
-            prop_assert_eq!(ca.node, cb.node);
-            prop_assert_eq!(&ca.variant, &cb.variant);
+            prop_assert_eq!(&ca.victims, &cb.victims);
             prop_assert_eq!(ca.report.visited, cb.report.visited);
             prop_assert_eq!(emitted_trace(&ca.report), emitted_trace(&cb.report));
         }

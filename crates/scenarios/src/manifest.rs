@@ -239,22 +239,38 @@ impl Default for ReportSpec {
     }
 }
 
-/// Where a model-check run starts exploring from.
+/// Where a model-check run starts exploring from. Every start is a victim
+/// count for [`modelcheck::check_corruptions`], its discriminant.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StartSpec {
     /// The warmed-up legitimate configuration itself: one exploration in
     /// which only the `[modelcheck.faults]` budget can perturb the system.
-    Legitimate,
+    Legitimate = 0,
     /// One exploration per entry of the single-node corruption catalogue
     /// ([`grp_core::GrpNode::enumerate_corruptions`]), each starting from
     /// the legitimate configuration with that node's state replaced.
     #[default]
-    Corrupted,
+    Corrupted = 1,
     /// One exploration per unordered *pair* of simultaneously corrupted
     /// nodes — every combination of the catalogue's variants on both
     /// victims. Quadratically larger than `Corrupted`; keep topologies
     /// small.
-    PairCorrupted,
+    PairCorrupted = 2,
+}
+
+impl StartSpec {
+    const ALL: [StartSpec; 3] = [Self::Legitimate, Self::Corrupted, Self::PairCorrupted];
+    const NAMES: [&'static str; 3] = ["legitimate", "corrupted", "pair-corrupted"];
+
+    /// The manifest's spelling, which `result.json` and the digest carry.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+
+    /// How many nodes every case corrupts.
+    pub fn victims(self) -> usize {
+        self as usize
+    }
 }
 
 /// The `[modelcheck]` table (`mode = "modelcheck"` only): where the
@@ -488,7 +504,7 @@ impl ScenarioManifest {
         }
         let assertions = parse_assertions(root.sub("assertions")?, mode_name, &report)?;
         let modelcheck = match mode {
-            RunMode::ModelCheck => Some(parse_modelcheck(root.sub("modelcheck")?)?),
+            RunMode::ModelCheck => Some(parse_modelcheck(&mut root, &workload)?),
             RunMode::Simulate | RunMode::Campaign => None,
         };
         let campaign = match mode {
@@ -863,18 +879,31 @@ fn parse_campaign(mut t: Table) -> Result<CampaignSpec, ParseError> {
     Ok(spec)
 }
 
-fn parse_modelcheck(mut t: Table) -> Result<ModelCheckSpec, ParseError> {
+/// `root`'s `[modelcheck]`. A start that corrupts more nodes than the
+/// workload has explores no case: an error on its line, else on `[topology]`.
+fn parse_modelcheck(
+    root: &mut Table,
+    workload: &WorkloadSpec,
+) -> Result<ModelCheckSpec, ParseError> {
+    let (mut t, nodes) = (root.sub("modelcheck")?, workload.node_count());
     let d = ModelCheckSpec::default();
-    let start = match t.opt("start")? {
-        None => d.start,
-        Some("legitimate") => StartSpec::Legitimate,
-        Some("corrupted") => StartSpec::Corrupted,
-        Some("pair-corrupted") => StartSpec::PairCorrupted,
-        Some(_) => {
-            let message = "`start` must be \"legitimate\", \"corrupted\" or \"pair-corrupted\"";
-            return Err(t.error("start", message));
-        }
+    let name = t.or("start", d.start.name())?;
+    let Some(start) = StartSpec::ALL.into_iter().find(|s| s.name() == name) else {
+        let message = "`start` must be \"legitimate\", \"corrupted\" or \"pair-corrupted\"";
+        return Err(t.error("start", message));
     };
+    if nodes < start.victims() {
+        let message = format!(
+            "start = \"{name}\" corrupts {} of the workload's nodes in every case, but it has \
+             {nodes}: there is no case to explore",
+            start.victims()
+        );
+        return Err(if t.has("start") {
+            t.error("start", message)
+        } else {
+            root.error("topology", message)
+        });
+    }
     let mut faults = t.sub("faults")?;
     let (e, b) = (d.explore, d.explore.budget);
     let (depth, max_states) = (t.or("depth", e.depth)?, t.or("max_states", e.max_states)?);
@@ -2366,6 +2395,41 @@ replay = "campaigns/worst.txt"
             let simulate = input.replace("mode = \"campaign\"", "mode = \"simulate\"");
             let m = ScenarioManifest::parse(&simulate).expect("simulate parses");
             assert_eq!(m.workload.node_count(), 0);
+        }
+    }
+
+    #[test]
+    fn modelcheck_start_without_a_case_is_a_located_error() {
+        let mc = |n: usize, start: &str| {
+            format!("name = \"mc\"\nmode = \"modelcheck\"\n[topology]\nkind = \"path\"\nn = {n}\n{start}")
+        };
+        for (input, line, start) in [
+            (
+                mc(1, "[modelcheck]\nstart = \"pair-corrupted\"\n"),
+                7,
+                "pair-corrupted",
+            ),
+            (
+                mc(0, "[modelcheck]\nstart = \"corrupted\"\n"),
+                7,
+                "corrupted",
+            ),
+            (mc(0, ""), 3, "corrupted"),
+            (mc(0, "[modelcheck]\ndepth = 4\n"), 3, "corrupted"),
+        ] {
+            let err = ScenarioManifest::parse(&input).expect_err("no case").0;
+            let expected = format!("line {line}: ");
+            assert!(
+                err.starts_with(&expected)
+                    && err.contains(&format!("start = \"{start}\""))
+                    && err.contains("no case to explore"),
+                "{input}: got `{err}`"
+            );
+        }
+        // as many nodes as victims is enough, and a legitimate start needs none
+        for (n, start) in [(2, "pair-corrupted"), (1, "corrupted"), (0, "legitimate")] {
+            let input = mc(n, &format!("[modelcheck]\nstart = \"{start}\"\n"));
+            ScenarioManifest::parse(&input).expect("enough nodes");
         }
     }
 

@@ -17,15 +17,15 @@
 
 use crate::campaign::{self, CampaignReport};
 use crate::manifest::{
-    ChannelSpec, ChurnAction, MobilitySpec, RunMode, ScenarioManifest, StartSpec, WorkloadSpec,
+    ChannelSpec, ChurnAction, MobilitySpec, RunMode, ScenarioManifest, WorkloadSpec,
 };
 use dyngraph::{NodeId, TopologyEvent};
 use grp_core::observers::{GrpPipeline, ResilienceStats, SnapshotRecorder};
 use grp_core::predicates::{OmegaPartition, SystemSnapshot};
 use grp_core::{GrpConfig, GrpNode};
 use modelcheck::{
-    check_corruptions, check_pair_corruptions, explore, fresh_net, legitimate_start, snapshot_of,
-    ExploreConfig, GrpChecker, Outcome, Report, Violation,
+    check_corruptions, fresh_net, legitimate_start, snapshot_of, CorruptionCase, ExploreConfig,
+    GrpChecker,
 };
 use netsim::mobility::{CityGrid, Highway, MixedHighway, RandomWalk, RandomWaypoint, Stationary};
 use netsim::{
@@ -67,7 +67,7 @@ impl AssertionResult {
 /// One explored model-check case as reported in `result.json`.
 #[derive(Clone, Debug)]
 pub struct McCaseReport {
-    /// The corrupted node, or `None` for the whole-net `start =
+    /// The first corrupted node, or `None` for the whole-net `start =
     /// "legitimate"` case.
     pub node: Option<u64>,
     /// The second corrupted node of a `start = "pair-corrupted"` case
@@ -91,7 +91,8 @@ pub struct McCaseReport {
 /// into the golden digest.
 #[derive(Clone, Debug, Default)]
 pub struct McReport {
-    /// `"legitimate"` or `"corrupted"` — which start the manifest chose.
+    /// `"legitimate"`, `"corrupted"` or `"pair-corrupted"` — which start
+    /// the manifest chose.
     pub start: String,
     pub cases: Vec<McCaseReport>,
     pub total_visited: u64,
@@ -473,50 +474,32 @@ pub(crate) fn simulate(
 /// [`run_seed`] replaces it before anyone reads it.
 const UNSET_DIGEST: TraceDigest = TraceDigest([0; 32]);
 
-fn violation_tag(violation: &Violation) -> (&'static str, &modelcheck::Trace) {
-    match violation {
-        Violation::Invariant { trace, .. } => ("invariant", trace),
-        Violation::Stuck { trace } => ("stuck", trace),
-        Violation::Cycle { trace, .. } => ("cycle", trace),
-    }
-}
-
-fn case_report(
-    node: Option<u64>,
-    partner: Option<u64>,
-    variant: String,
-    report: &Report,
-) -> McCaseReport {
-    let (outcome, trace_len) = match &report.outcome {
-        Outcome::Converged => (
-            "converged",
-            report.witness.as_ref().map(|w| w.choices.len()),
-        ),
-        Outcome::Violation(v) => {
-            let (tag, trace) = violation_tag(v);
-            (tag, Some(trace.choices.len()))
+impl From<CorruptionCase> for McCaseReport {
+    fn from(case: CorruptionCase) -> Self {
+        let (nodes, variants): (Vec<NodeId>, Vec<String>) = case.victims.into_iter().unzip();
+        let report = &case.report;
+        McCaseReport {
+            node: nodes.first().map(|id| id.raw()),
+            partner: nodes.get(1).map(|id| id.raw()),
+            variant: if variants.is_empty() {
+                "legitimate".to_string()
+            } else {
+                variants.join("+")
+            },
+            outcome: report.tag().to_string(),
+            converged: report.converged(),
+            visited: report.visited,
+            goal_states: report.goal_states,
+            max_depth: report.max_depth,
+            trace_len: report.trace().map(|t| t.choices.len()),
         }
-        Outcome::BoundsExceeded { .. } => {
-            ("bounds", report.witness.as_ref().map(|w| w.choices.len()))
-        }
-    };
-    McCaseReport {
-        node,
-        partner,
-        variant,
-        outcome: outcome.to_string(),
-        converged: report.converged(),
-        visited: report.visited,
-        goal_states: report.goal_states,
-        max_depth: report.max_depth,
-        trace_len,
     }
 }
 
 /// Execute one seed in `mode = "modelcheck"`: warm the topology up to its
 /// legitimate configuration synchronously, then run the bounded explorer
-/// once per start case (the corruption catalogue, or the legitimate base
-/// itself). The digest folds every case's verdict and state count, so the
+/// once per case of [`check_corruptions`] over the start's 0, 1 or 2
+/// victims (the legitimate base itself, or a corruption catalogue). The digest folds every case's verdict and state count, so the
 /// `[golden]` pin mechanically freezes the exhaustively-verified claim —
 /// "every enumerated corruption re-converges in exactly this state space".
 fn run_modelcheck_seed(
@@ -530,21 +513,15 @@ fn run_modelcheck_seed(
     };
     let topology = generator.generate(seed);
     let nodes = topology.node_vec().len();
-    let dmax = manifest.protocol.dmax;
     let grp_config = &manifest.protocol;
-    let checker = GrpChecker::new(dmax);
+    let checker = GrpChecker::new(grp_config.dmax);
     let explore_config = ExploreConfig {
         seed,
         ..spec.explore
     };
-    let start_tag = match spec.start {
-        StartSpec::Legitimate => "legitimate",
-        StartSpec::Corrupted => "corrupted",
-        StartSpec::PairCorrupted => "pair-corrupted",
-    };
 
     let mut assertions = Vec::new();
-    let (mc, final_snapshot) =
+    let (cases, final_snapshot): (Vec<McCaseReport>, _) =
         match legitimate_start(topology.clone(), grp_config, spec.warmup_rounds) {
             Err(err) => {
                 assertions.push(AssertionResult::new(
@@ -553,47 +530,23 @@ fn run_modelcheck_seed(
                     err,
                     false,
                 ));
-                let report = McReport {
-                    start: start_tag.to_string(),
-                    ..McReport::default()
-                };
-                (report, snapshot_of(&fresh_net(topology, grp_config)))
+                (Vec::new(), snapshot_of(&fresh_net(topology, grp_config)))
             }
             Ok(base) => {
-                let cases: Vec<McCaseReport> = match spec.start {
-                    StartSpec::Corrupted => check_corruptions(&base, &checker, &explore_config)
-                        .into_iter()
-                        .map(|case| {
-                            case_report(Some(case.node.raw()), None, case.variant, &case.report)
-                        })
-                        .collect(),
-                    StartSpec::PairCorrupted => {
-                        check_pair_corruptions(&base, &checker, &explore_config)
-                            .into_iter()
-                            .map(|case| {
-                                case_report(
-                                    Some(case.node.raw()),
-                                    Some(case.partner.raw()),
-                                    format!("{}+{}", case.variant, case.partner_variant),
-                                    &case.report,
-                                )
-                            })
-                            .collect()
-                    }
-                    StartSpec::Legitimate => {
-                        let report = explore(&base, &checker, &explore_config);
-                        vec![case_report(None, None, "legitimate".to_string(), &report)]
-                    }
-                };
-                let report = McReport {
-                    start: start_tag.to_string(),
-                    total_visited: cases.iter().map(|c| c.visited).sum(),
-                    all_converged: !cases.is_empty() && cases.iter().all(|c| c.converged),
-                    cases,
-                };
-                (report, snapshot_of(&base))
+                let victims = spec.start.victims();
+                let cases = check_corruptions(&base, &checker, &explore_config, victims);
+                (
+                    cases.into_iter().map(McCaseReport::from).collect(),
+                    snapshot_of(&base),
+                )
             }
         };
+    let mc = McReport {
+        start: spec.start.name().to_string(),
+        total_visited: cases.iter().map(|c| c.visited).sum(),
+        all_converged: !cases.is_empty() && cases.iter().all(|c| c.converged),
+        cases,
+    };
 
     // the model-check digest section: every case's verdict and
     // exploration statistics, in catalogue order
@@ -1018,6 +971,31 @@ reconverges = true
     }
 
     #[test]
+    fn modelcheck_legitimate_start_on_no_nodes_explores_the_empty_configuration() {
+        let m = manifest(
+            r#"
+name = "mc-unit-empty"
+mode = "modelcheck"
+[topology]
+kind = "path"
+n = 0
+[modelcheck]
+start = "legitimate"
+[assertions]
+reconverges = true
+"#,
+        );
+        let run = run_seed(&m, 1, None);
+        assert!(run.pass, "assertions: {:?}", run.assertions);
+        let mc = run.modelcheck.as_ref().expect("modelcheck section");
+        assert_eq!(mc.cases.len(), 1);
+        assert_eq!(
+            (mc.cases[0].variant.as_str(), mc.total_visited),
+            ("legitimate", 1)
+        );
+    }
+
+    #[test]
     fn modelcheck_warmup_failure_is_a_structured_assertion() {
         // path(4) at dmax = 1 never stabilizes under the synchronous
         // schedule (a benign period-2 internal cycle), so the warmup must
@@ -1039,10 +1017,16 @@ reconverges = true
         );
         let run = run_seed(&m, 1, None);
         assert!(!run.pass);
-        assert!(run
+        let warmup = run
             .assertions
             .iter()
-            .any(|a| a.name == "modelcheck_warmup" && !a.pass));
+            .find(|a| a.name == "modelcheck_warmup")
+            .expect("a warm-up assertion");
+        assert!(!warmup.pass);
+        assert_eq!(
+            warmup.observed,
+            "no stable legitimate configuration within 16 synchronous rounds"
+        );
         assert!(run
             .assertions
             .iter()
