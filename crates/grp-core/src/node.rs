@@ -808,6 +808,24 @@ impl GrpNode {
         hasher.end_list();
     }
 
+    /// A snapshot with `member` spliced in as an admitted group member: at
+    /// level 1 of `listv` (clear mark), in the view, and in the quarantine
+    /// table with no rounds remaining.
+    fn with_spliced_member(&self, member: NodeId) -> GrpNode {
+        let mut node = self.snapshot();
+        let mut levels = node.list.to_levels();
+        while levels.len() < 2 {
+            levels.push(Vec::new());
+        }
+        levels[1].push((member, Mark::Clear));
+        levels[1].sort_unstable_by_key(|&(n, _)| n);
+        node.list = AncestorList::from_levels(levels);
+        node.view = node.view.with(member);
+        node.quarantine.insert(member, 0);
+        node.cached_message = None;
+        node
+    }
+
     /// The deterministic single-node corruption catalogue the model checker
     /// explores from. Every variant is a state the paper's adversary could
     /// install (Section 5 allows *arbitrary* memory corruption). Each
@@ -836,35 +854,14 @@ impl GrpNode {
         let mut variants = Vec::new();
 
         let ghost = NodeId(900_000 + self.id.raw());
-        let mut ghosted = self.snapshot();
-        let mut levels = ghosted.list.to_levels();
-        while levels.len() < 2 {
-            levels.push(Vec::new());
-        }
-        levels[1].push((ghost, Mark::Clear));
-        levels[1].sort_unstable_by_key(|&(n, _)| n);
-        ghosted.list = AncestorList::from_levels(levels);
-        ghosted.view = ghosted.view.with(ghost);
-        ghosted.quarantine.insert(ghost, 0);
-        ghosted.cached_message = None;
-        variants.push(("ghost-member".to_string(), ghosted));
+        variants.push(("ghost-member".to_string(), self.with_spliced_member(ghost)));
 
         // smallest real node that is neither self nor already in the view
         if let Some(&stranger) = universe
             .iter()
             .find(|&&u| u != self.id && !self.view.contains(&u))
         {
-            let mut premature = self.snapshot();
-            let mut levels = premature.list.to_levels();
-            while levels.len() < 2 {
-                levels.push(Vec::new());
-            }
-            levels[1].push((stranger, Mark::Clear));
-            levels[1].sort_unstable_by_key(|&(n, _)| n);
-            premature.list = AncestorList::from_levels(levels);
-            premature.view = premature.view.with(stranger);
-            premature.quarantine.insert(stranger, 0);
-            premature.cached_message = None;
+            let premature = self.with_spliced_member(stranger);
             variants.push(("premature-member".to_string(), premature));
         }
 

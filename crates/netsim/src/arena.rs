@@ -65,9 +65,10 @@ impl<'a> Positions<'a> {
 }
 
 /// Owned slot-ordered positions: what a mobility model stores. Models with
-/// further per-node state keep it in vectors parallel to this table and
-/// mirror the slot [`upsert`](Self::upsert) and [`remove`](Self::remove)
-/// report.
+/// further per-node state keep it in vectors parallel to this table. The
+/// ids are fixed when the table is built — a spatial run's node set is the
+/// mobility model's and lasts the whole run — and only the points move,
+/// written in place through [`split_mut`](Self::split_mut).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PositionTable {
     ids: Vec<NodeId>,
@@ -101,28 +102,6 @@ impl PositionTable {
     pub fn split_mut(&mut self) -> (&[NodeId], &mut [Point]) {
         (&self.ids, &mut self.points)
     }
-
-    /// Set `id`'s position. `Ok(slot)`: the id was present and keeps its
-    /// slot; `Err(slot)`: it was inserted there, shifting later slots up.
-    pub fn upsert(&mut self, id: NodeId, at: Point) -> Result<usize, usize> {
-        let found = self.ids.binary_search(&id);
-        match found {
-            Ok(slot) => self.points[slot] = at,
-            Err(slot) => {
-                self.ids.insert(slot, id);
-                self.points.insert(slot, at);
-            }
-        }
-        found
-    }
-
-    /// Drop `id`, returning the slot it vacated (later slots shift down).
-    pub fn remove(&mut self, id: NodeId) -> Option<usize> {
-        let slot = self.ids.binary_search(&id).ok()?;
-        self.ids.remove(slot);
-        self.points.remove(slot);
-        Some(slot)
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +127,9 @@ mod tests {
 
     #[test]
     fn position_table_sorts_and_tracks_slots() {
-        let mut table = table(&[(7, 1.0, 1.0), (2, 0.0, 0.0), (7, 3.0, 3.0)]);
+        let table = table(&[(7, 1.0, 1.0), (2, 0.0, 0.0), (7, 3.0, 3.0)]);
         assert_eq!(table.view().ids(), [NodeId(2), NodeId(7)]);
         assert_eq!(table.view().get(NodeId(7)), Some(Point::new(3.0, 3.0)));
-        assert_eq!(table.upsert(NodeId(5), Point::new(9.0, 9.0)), Err(1));
-        assert_eq!(table.upsert(NodeId(7), Point::new(4.0, 4.0)), Ok(2));
-        assert_eq!(table.remove(NodeId(2)), Some(0));
-        assert_eq!(table.remove(NodeId(2)), None);
-        assert_eq!(table.view().ids(), [NodeId(5), NodeId(7)]);
+        assert_eq!(table.view().get(NodeId(5)), None);
     }
 }

@@ -184,35 +184,6 @@ impl MobilityModel for CityGrid {
         self.time = self.time.saturating_add(dt);
         self.refresh_positions();
     }
-
-    fn insert(&mut self, node: NodeId, at: Point) {
-        // snap onto the nearest horizontal street and drive east
-        let street =
-            ((at.y / self.block_size).round() as usize) % ((self.side / self.block_size) as usize);
-        let mean_speed = if self.vehicles.is_empty() {
-            0.01
-        } else {
-            self.vehicles.iter().map(|v| v.speed).sum::<f64>() / self.vehicles.len() as f64
-        };
-        let vehicle = Vehicle {
-            axis: Axis::Horizontal,
-            street,
-            offset: at.x.rem_euclid(self.side),
-            dir: 1.0,
-            speed: mean_speed,
-        };
-        match self.table.upsert(node, at) {
-            Ok(slot) => self.vehicles[slot] = vehicle,
-            Err(slot) => self.vehicles.insert(slot, vehicle),
-        }
-        self.refresh_positions();
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        if let Some(slot) = self.table.remove(node) {
-            self.vehicles.remove(slot);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -327,17 +298,6 @@ mod tests {
             .filter(|(now, then)| now.distance(then) > 1.0)
             .count();
         assert!(moved > 0, "the platoon releases on green");
-    }
-
-    #[test]
-    fn insert_and_remove() {
-        let mut m = city(3, 6);
-        m.insert(NodeId(50), Point::new(123.0, 97.0));
-        assert_eq!(m.positions().len(), 4);
-        let p = m.positions().get(NodeId(50)).unwrap();
-        assert!((p.y - 100.0).abs() < 1e-9, "snapped to the nearest street");
-        m.remove(NodeId(50));
-        assert_eq!(m.positions().len(), 3);
     }
 
     #[test]

@@ -88,13 +88,6 @@ impl Highway {
         }
     }
 
-    /// Speed of a vehicle (panics if unknown).
-    pub fn speed(&self, node: NodeId) -> f64 {
-        let slot = crate::arena::slot_of(self.table.view().ids(), node);
-        // detlint::allow(D004): documented panic on an unknown vehicle
-        self.vehicles[slot.expect("known vehicle")].speed
-    }
-
     /// Advance as part of a composing model ([`super::MixedHighway`]),
     /// which runs the convoy on local ids `0..n` but must address the
     /// streams the way the simulator sees the vehicles: slots shifted by `first_slot`, ids by `id_offset` — or a
@@ -125,30 +118,6 @@ impl MobilityModel for Highway {
 
     fn advance(&mut self, dt: u64, streams: &mut NodeStreams) {
         self.advance_offset(dt, streams, 0, 0);
-    }
-
-    fn insert(&mut self, node: NodeId, at: Point) {
-        let mean_speed = if self.vehicles.is_empty() {
-            0.01
-        } else {
-            self.vehicles.iter().map(|v| v.speed).sum::<f64>() / self.vehicles.len() as f64
-        };
-        let vehicle = Vehicle {
-            speed: mean_speed,
-            lane: ((at.y / self.lane_width).round() as usize).min(self.lanes - 1),
-            offset: at.x % self.road_length,
-        };
-        match self.table.upsert(node, at) {
-            Ok(slot) => self.vehicles[slot] = vehicle,
-            Err(slot) => self.vehicles.insert(slot, vehicle),
-        }
-        self.refresh_positions();
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        if let Some(slot) = self.table.remove(node) {
-            self.vehicles.remove(slot);
-        }
     }
 }
 
@@ -192,17 +161,6 @@ mod tests {
         let before = spread(&m);
         m.advance(500, &mut NodeStreams::new(2));
         assert!(spread(&m) > before);
-    }
-
-    #[test]
-    fn insert_and_remove_vehicle() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut m = Highway::new(3, 2, 500.0, 15.0, (0.5, 0.5), &mut rng);
-        m.insert(NodeId(77), Point::new(60.0, 4.0));
-        assert_eq!(m.positions().len(), 4);
-        assert!(m.speed(NodeId(77)) > 0.0);
-        m.remove(NodeId(77));
-        assert_eq!(m.positions().len(), 3);
     }
 
     #[test]

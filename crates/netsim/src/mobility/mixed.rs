@@ -19,15 +19,15 @@ use rand_chacha::ChaCha8Rng;
 /// Roadside units interleaved with a highway convoy.
 #[derive(Clone, Debug)]
 pub struct MixedHighway {
-    /// Ids below this are roadside units; at or above are vehicles.
+    /// Ids below this are roadside units; at or above are vehicles. It is
+    /// also the first vehicle's slot.
     first_vehicle: u64,
-    /// Fixed RSU positions (ids `0..first_vehicle`).
-    roadside: PositionTable,
     /// The convoy, running with its own local ids `0..n`; public ids are
-    /// shifted by `first_vehicle` when the tables merge.
+    /// shifted by `first_vehicle`.
     convoy: Highway,
-    /// Merged view handed to the simulator: the roadside slots, then the
-    /// convoy's (every RSU id sorts before every vehicle id).
+    /// Every node's position, handed to the simulator: the roadside
+    /// slots, then the convoy's (every RSU id sorts before every vehicle
+    /// id). Built once; an advance rewrites the vehicle slots in place.
     table: PositionTable,
 }
 
@@ -48,34 +48,21 @@ impl MixedHighway {
         speed_range: (f64, f64),
         rng: &mut ChaCha8Rng,
     ) -> Self {
-        let roadside = (0..n_roadside)
-            .map(|i| {
-                (
-                    NodeId(i as u64),
-                    Point::new((i as f64 * rsu_spacing) % road_length, -rsu_setback),
-                )
-            })
-            .collect();
+        let first_vehicle = n_roadside as u64;
         let convoy = Highway::new(n, lanes, road_length, initial_gap, speed_range, rng);
-        let mut model = MixedHighway {
-            first_vehicle: n_roadside as u64,
-            roadside,
-            convoy,
-            table: PositionTable::default(),
-        };
-        model.refresh_positions();
-        model
-    }
-
-    fn refresh_positions(&mut self) {
-        let first_vehicle = self.first_vehicle;
-        let vehicles = self.convoy.positions().iter();
-        self.table = self
-            .roadside
-            .view()
-            .iter()
+        let roadside = (0..n_roadside).map(|i| {
+            let at = Point::new((i as f64 * rsu_spacing) % road_length, -rsu_setback);
+            (NodeId(i as u64), at)
+        });
+        let vehicles = convoy.positions().iter();
+        let table = roadside
             .chain(vehicles.map(|(id, p)| (NodeId(id.raw() + first_vehicle), p)))
             .collect();
+        MixedHighway {
+            first_vehicle,
+            convoy,
+            table,
+        }
     }
 }
 
@@ -86,29 +73,11 @@ impl MobilityModel for MixedHighway {
 
     fn advance(&mut self, dt: u64, streams: &mut NodeStreams) {
         // address the convoy's streams by the public vehicle slots and ids
-        let first_slot = self.roadside.view().len();
+        let first_slot = self.first_vehicle as usize;
         self.convoy
             .advance_offset(dt, streams, first_slot, self.first_vehicle);
-        self.refresh_positions();
-    }
-
-    fn insert(&mut self, node: NodeId, at: Point) {
-        if node.raw() < self.first_vehicle {
-            let _ = self.roadside.upsert(node, at);
-        } else {
-            self.convoy
-                .insert(NodeId(node.raw() - self.first_vehicle), at);
-        }
-        self.refresh_positions();
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        if node.raw() < self.first_vehicle {
-            self.roadside.remove(node);
-        } else {
-            self.convoy.remove(NodeId(node.raw() - self.first_vehicle));
-        }
-        self.refresh_positions();
+        let (_, points) = self.table.split_mut();
+        points[first_slot..].copy_from_slice(self.convoy.positions().points());
     }
 }
 
@@ -126,11 +95,10 @@ mod tests {
     fn id_spaces_are_disjoint_and_complete() {
         let m = mixed(1);
         assert_eq!(m.positions().ids(), (0..10).map(NodeId).collect::<Vec<_>>());
-        assert_eq!(
-            m.roadside.view().ids(),
-            (0..4).map(NodeId).collect::<Vec<_>>()
-        );
         assert_eq!(m.first_vehicle, 4);
+        let (roadside, vehicles) = m.positions().points().split_at(4);
+        assert!(roadside.iter().all(|p| p.y == -8.0), "RSUs take ids 0..4");
+        assert_eq!(vehicles, m.convoy.positions().points(), "vehicles 4..10");
     }
 
     #[test]
@@ -155,19 +123,5 @@ mod tests {
                 "lanes are at y >= 0"
             );
         }
-    }
-
-    #[test]
-    fn insert_and_remove_route_by_id_space() {
-        let mut m = mixed(4);
-        m.remove(NodeId(2)); // an RSU
-        m.remove(NodeId(9)); // a vehicle
-        assert_eq!(m.positions().len(), 8);
-        m.insert(NodeId(2), Point::new(500.0, -8.0));
-        assert_eq!(m.positions().len(), 9);
-        assert!(
-            m.roadside.view().get(NodeId(2)).is_some(),
-            "back among the RSUs"
-        );
     }
 }

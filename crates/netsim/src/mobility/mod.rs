@@ -3,7 +3,10 @@
 //! A mobility model owns the node positions — one slot-ordered
 //! [`PositionTable`](crate::arena::PositionTable), with any further
 //! per-node state in vectors parallel to it — and advances them by a time
-//! step; the simulator then asks the radio for the implied topology.
+//! step; the simulator then asks the radio for the implied topology. The
+//! node set is the one the model is built with and is fixed for the run:
+//! nodes join and leave only in explicit-topology mode (a manifest's
+//! `[[churn]]`), and a crash fault silences a node without removing it.
 //! Six models are provided:
 //!
 //! * [`Stationary`] — nodes never move (fixed topologies / stabilization
@@ -35,10 +38,10 @@ pub use waypoint::RandomWaypoint;
 use crate::arena::Positions;
 use crate::rng::NodeStreams;
 use crate::space::Point;
-use dyngraph::NodeId;
 use rand_chacha::ChaCha8Rng;
 
-/// A model that owns and advances node positions.
+/// A model that owns and advances node positions; it moves its nodes but
+/// never adds or removes one.
 pub trait MobilityModel {
     /// Current position of every node, in slot (ascending NodeId) order.
     fn positions(&self) -> Positions<'_>;
@@ -51,12 +54,6 @@ pub trait MobilityModel {
     /// model's deterministic state, never of how many *other* nodes exist
     /// or move.
     fn advance(&mut self, dt: u64, streams: &mut NodeStreams);
-
-    /// Add a node at a position (used when nodes join at runtime).
-    fn insert(&mut self, node: NodeId, at: Point);
-
-    /// Remove a node (when it leaves the system).
-    fn remove(&mut self, node: NodeId);
 }
 
 /// Helper shared by the models: uniformly random point in a rectangle.

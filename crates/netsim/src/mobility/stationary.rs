@@ -39,14 +39,6 @@ impl MobilityModel for Stationary {
     }
 
     fn advance(&mut self, _dt: u64, _streams: &mut NodeStreams) {}
-
-    fn insert(&mut self, node: NodeId, at: Point) {
-        let _ = self.table.upsert(node, at);
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        self.table.remove(node);
-    }
 }
 
 #[cfg(test)]
@@ -67,15 +59,6 @@ mod tests {
         let before = m.positions().points().to_vec();
         m.advance(1000, &mut NodeStreams::new(0));
         assert_eq!(m.positions().points(), before);
-    }
-
-    #[test]
-    fn insert_and_remove() {
-        let mut m = Stationary::default();
-        m.insert(NodeId(9), Point::new(1.0, 2.0));
-        assert_eq!(m.positions().len(), 1);
-        m.remove(NodeId(9));
-        assert!(m.positions().is_empty());
     }
 
     #[test]

@@ -63,16 +63,6 @@ impl MobilityModel for RandomWalk {
             Self::step(arena, amplitude, pos, rng);
         }
     }
-
-    fn insert(&mut self, node: NodeId, at: Point) {
-        let _ = self
-            .table
-            .upsert(node, at.clamp_to(self.width, self.height));
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        self.table.remove(node);
-    }
 }
 
 #[cfg(test)]
@@ -101,15 +91,5 @@ mod tests {
         let before = m.positions().points().to_vec();
         m.advance(100, &mut NodeStreams::new(3));
         assert_eq!(m.positions().points(), before);
-    }
-
-    #[test]
-    fn insert_clamps_position() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut m = RandomWalk::new(1, 10.0, 10.0, 0.1, &mut rng);
-        m.insert(NodeId(7), Point::new(100.0, -5.0));
-        assert_eq!(m.positions().get(NodeId(7)), Some(Point::new(10.0, 0.0)));
-        m.remove(NodeId(7));
-        assert_eq!(m.positions().len(), 1);
     }
 }

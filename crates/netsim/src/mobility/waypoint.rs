@@ -17,10 +17,9 @@ use rand_chacha::ChaCha8Rng;
 pub struct RandomWaypoint {
     width: f64,
     height: f64,
-    /// Speed in distance units per tick, drawn per node in `[min, max]`.
-    speed_range: (f64, f64),
     table: PositionTable,
-    /// Per slot, parallel to `table`: current destination and speed.
+    /// Per slot, parallel to `table`: current destination and speed (in
+    /// distance units per tick).
     targets: Vec<Point>,
     speeds: Vec<f64>,
 }
@@ -34,34 +33,21 @@ impl RandomWaypoint {
         speed_range: (f64, f64),
         rng: &mut ChaCha8Rng,
     ) -> Self {
-        let mut model = RandomWaypoint {
+        let (lo, hi) = speed_range;
+        let mut placed = Vec::with_capacity(n);
+        let mut targets = Vec::with_capacity(n);
+        let mut speeds = Vec::with_capacity(n);
+        for i in 0..n {
+            placed.push((NodeId(i as u64), random_point(rng, width, height)));
+            speeds.push(if hi > lo { rng.gen_range(lo..=hi) } else { lo });
+            targets.push(random_point(rng, width, height));
+        }
+        RandomWaypoint {
             width,
             height,
-            speed_range,
-            table: PositionTable::default(),
-            targets: Vec::new(),
-            speeds: Vec::new(),
-        };
-        let (lo, hi) = speed_range;
-        for i in 0..n {
-            let at = random_point(rng, width, height);
-            let speed = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
-            let target = random_point(rng, width, height);
-            model.place(NodeId(i as u64), at, target, speed);
-        }
-        model
-    }
-
-    fn place(&mut self, node: NodeId, at: Point, target: Point, speed: f64) {
-        match self.table.upsert(node, at) {
-            Ok(slot) => {
-                self.targets[slot] = target;
-                self.speeds[slot] = speed;
-            }
-            Err(slot) => {
-                self.targets.insert(slot, target);
-                self.speeds.insert(slot, speed);
-            }
+            table: placed.into_iter().collect(),
+            targets,
+            speeds,
         }
     }
 
@@ -107,18 +93,6 @@ impl MobilityModel for RandomWaypoint {
             Self::travel(arena, speed * dt as f64, pos, target, rng);
         }
     }
-
-    fn insert(&mut self, node: NodeId, at: Point) {
-        let speed = (self.speed_range.0 + self.speed_range.1) / 2.0;
-        self.place(node, at, at, speed);
-    }
-
-    fn remove(&mut self, node: NodeId) {
-        if let Some(slot) = self.table.remove(node) {
-            self.targets.remove(slot);
-            self.speeds.remove(slot);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,16 +136,6 @@ mod tests {
             .zip(&before)
             .any(|(p, was)| p.distance(was) > 1e-9);
         assert!(moved);
-    }
-
-    #[test]
-    fn insert_and_remove_nodes() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut m = RandomWaypoint::new(2, 10.0, 10.0, (0.1, 0.2), &mut rng);
-        m.insert(NodeId(99), Point::new(5.0, 5.0));
-        assert_eq!(m.positions().len(), 3);
-        m.remove(NodeId(99));
-        assert_eq!(m.positions().len(), 2);
     }
 
     #[test]

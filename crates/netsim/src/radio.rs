@@ -7,7 +7,7 @@
 //! (loss, collisions) is the channel's decision ([`crate::channel`]).
 
 use crate::space::{Point, SpatialGrid};
-use dyngraph::Graph;
+use dyngraph::{Graph, NodeId};
 
 /// The unit-disk radio: a node hears every transmitter within `range`.
 ///
@@ -55,10 +55,10 @@ impl UnitDisk {
     }
 
     /// The topology over an already-synchronised [`SpatialGrid`], whose
-    /// slots it shares: only pairs in neighbouring cells are
-    /// distance-tested.
-    pub(crate) fn grid_topology(&self, grid: &mut SpatialGrid) -> Graph {
-        grid.rebuild_topology(self.range, |a, b| self.in_vicinity(a, b))
+    /// slots it shares and whose nodes are `ids`: only pairs in
+    /// neighbouring cells are distance-tested.
+    pub(crate) fn grid_topology(&self, grid: &mut SpatialGrid, ids: &[NodeId]) -> Graph {
+        grid.rebuild_topology(ids, self.range, |a, b| self.in_vicinity(a, b))
     }
 
     /// One row of [`grid_topology`](Self::grid_topology)'s graph, answered
@@ -97,7 +97,6 @@ mod tests {
     use crate::arena::PositionTable;
     use crate::channel::{Bernoulli, ChannelModel, DistanceLoss, LinkEnv, LinkOutcome};
     use crate::time::SimTime;
-    use dyngraph::NodeId;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -124,8 +123,8 @@ mod tests {
     /// The topology one grid pass builds over `pos`.
     fn grid_topology_of(radio: &UnitDisk, pos: &PositionTable) -> Graph {
         let mut grid = SpatialGrid::new(radio.range());
-        grid.rebuild(pos.view());
-        radio.grid_topology(&mut grid)
+        grid.rebuild(pos.view().points());
+        radio.grid_topology(&mut grid, pos.view().ids())
     }
 
     #[test]
@@ -203,8 +202,8 @@ mod tests {
             .collect();
         let brute = topology_all_pairs(&radio, pos.view());
         let mut grid = SpatialGrid::new(7.5);
-        grid.rebuild(pos.view());
-        assert_eq!(brute, radio.grid_topology(&mut grid));
+        grid.rebuild(pos.view().points());
+        assert_eq!(brute, radio.grid_topology(&mut grid, pos.view().ids()));
         // per-node grid queries agree with the graph's rows
         let mut found = Vec::new();
         for slot in 0..grid.len() {

@@ -141,8 +141,9 @@ impl Spatial {
     /// beside.
     fn new(radio: UnitDisk, mobility: Box<dyn MobilityModel>) -> (Spatial, Graph) {
         let mut grid = Box::new(SpatialGrid::new(radio.range()));
-        grid.rebuild(mobility.positions());
-        let topology = radio.grid_topology(&mut grid);
+        let positions = mobility.positions();
+        grid.rebuild(positions.points());
+        let topology = radio.grid_topology(&mut grid, positions.ids());
         let spatial = Spatial {
             radio,
             mobility,
@@ -854,7 +855,7 @@ impl<P: Protocol> Simulator<P> {
             mobility.advance(self.config.mobility_period, &mut self.streams);
             // incremental cell updates; unchanged positions (e.g.
             // stationary nodes) keep the epoch open
-            let moved = grid.sync(mobility.positions());
+            let moved = grid.sync(mobility.positions().points());
             *dirty |= moved;
             if moved {
                 obs.on_topology_change(self.now);
@@ -884,11 +885,15 @@ impl<P: Protocol> Simulator<P> {
     /// hooks that hand out `&Simulator` mid-run.
     fn materialise_topology(&mut self) {
         if let Some(Spatial {
-            radio, grid, dirty, ..
+            radio,
+            mobility,
+            grid,
+            dirty,
         }) = &mut self.spatial
         {
             if *dirty {
-                self.topology = Arc::new(radio.grid_topology(grid));
+                let ids = mobility.positions().ids();
+                self.topology = Arc::new(radio.grid_topology(grid, ids));
                 *dirty = false;
             }
         }
@@ -988,7 +993,7 @@ impl<P: Protocol> Simulator<P> {
             // with whatever state it crashed with — no reset
             &FaultKind::RestartStale(id) => self.set_active(id, true),
             &FaultKind::LossBurst { duration } => {
-                self.loss_burst_until = self.now + duration;
+                self.loss_burst_until = self.now.saturating_add(duration);
             }
             FaultKind::Partition { groups } => {
                 let mut membership = BTreeMap::new();
@@ -1005,7 +1010,8 @@ impl<P: Protocol> Simulator<P> {
             &FaultKind::RegionBlackout { region, duration } => {
                 let now = self.now;
                 self.region_blackouts.retain(|&(_, until)| until > now);
-                self.region_blackouts.push((region, now + duration));
+                self.region_blackouts
+                    .push((region, now.saturating_add(duration)));
             }
         }
     }

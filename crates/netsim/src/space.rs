@@ -1,7 +1,7 @@
 //! Two-dimensional Euclidean space in which the nodes move, and the
 //! uniform-grid spatial index used to make neighbour discovery O(n · k).
 
-use crate::arena::{Positions, NO_SLOT};
+use crate::arena::NO_SLOT;
 use dyngraph::{Graph, NodeId};
 use std::ops::Range;
 
@@ -99,21 +99,22 @@ struct Scratch {
 /// no keyed lookup — and memory is O(nodes) whatever box the coordinates
 /// span. One node's neighbourhood is also answerable on its own
 /// ([`query_neighbors`](Self::query_neighbors)), by galloping outward from
-/// the node's bucket. The grid remembers the positions it was last
-/// synchronised with, which enables two things the simulator relies on:
+/// the node's bucket. The grid stores points only: the ids belong to the
+/// mobility model, whose node set is fixed for the run, and the caller
+/// hands them to [`rebuild_topology`](Self::rebuild_topology). The grid
+/// remembers the positions it was last synchronised with, which enables
+/// two things the simulator relies on:
 ///
-/// * [`SpatialGrid::sync`] updates incrementally — a steady-state tick is
-///   a zip over two slices with in-place position writes, and the nodes
-///   that crossed a cell boundary are merged back into the sorted entries
-///   in one pass — and reports whether anything changed, so a stationary
-///   tick leaves the topology as it is;
+/// * [`SpatialGrid::sync`] updates incrementally — a tick is a zip over
+///   two slices with in-place position writes, and the nodes that crossed
+///   a cell boundary are merged back into the sorted entries in one pass
+///   — and reports whether anything changed, so a stationary tick leaves
+///   the topology as it is;
 /// * entry order is a pure function of the positions, so every result (and
 ///   downstream trace digest) is independent of update history.
 #[derive(Clone, Debug)]
 pub struct SpatialGrid {
     cell_size: f64,
-    /// The indexed nodes, ascending: `ids[slot]`.
-    ids: Vec<NodeId>,
     /// `points[slot]`, as of the last sync.
     points: Vec<Point>,
     /// `cell_of[slot]`, the cell `points[slot]` falls in.
@@ -142,7 +143,6 @@ impl PartialEq for SpatialGrid {
     fn eq(&self, other: &Self) -> bool {
         // scratch is derived state, not identity
         self.cell_size == other.cell_size
-            && self.ids == other.ids
             && self.points == other.points
             && self.entry_slots == other.entry_slots
             && self.cells == other.cells
@@ -161,7 +161,6 @@ impl SpatialGrid {
         );
         SpatialGrid {
             cell_size,
-            ids: Vec::new(),
             points: Vec::new(),
             cell_of: Vec::new(),
             entry_slots: Vec::new(),
@@ -176,17 +175,17 @@ impl SpatialGrid {
 
     /// Number of indexed nodes.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.points.len()
     }
 
     /// Is the grid empty?
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.points.is_empty()
     }
 
-    /// The indexed nodes and their positions, in slot order.
-    pub fn positions(&self) -> Positions<'_> {
-        Positions::new(&self.ids, &self.points)
+    /// The indexed positions, in slot order.
+    pub fn points(&self) -> &[Point] {
+        &self.points
     }
 
     /// Recompute the entries, the buckets and `bucket_of` from
@@ -219,17 +218,15 @@ impl SpatialGrid {
         };
     }
 
-    /// Drop everything and re-index `positions` from scratch.
-    pub fn rebuild(&mut self, positions: Positions<'_>) {
+    /// Drop everything and index `points` (one per slot) from scratch.
+    pub fn rebuild(&mut self, points: &[Point]) {
         assert!(
-            positions.len() < NO_SLOT as usize,
+            points.len() < NO_SLOT as usize,
             "spatial grid indexes fewer than u32::MAX nodes"
         );
         let cell_size = self.cell_size;
-        self.ids.clear();
-        self.ids.extend_from_slice(positions.ids());
         self.points.clear();
-        self.points.extend_from_slice(positions.points());
+        self.points.extend_from_slice(points);
         self.cell_of.clear();
         self.cell_of
             .extend(self.points.iter().map(|&p| cell_index(cell_size, p)));
@@ -240,25 +237,29 @@ impl SpatialGrid {
         self.index_buckets();
     }
 
-    /// Bring the grid in line with `positions` and report whether any
-    /// position differed from the tracked state (i.e. the topology may
-    /// have changed); `false` means the tick was a guaranteed no-op.
+    /// Bring the grid in line with `points`, the same slots' new positions,
+    /// and report whether any position differed from the tracked state
+    /// (i.e. the topology may have changed); `false` means the tick was a
+    /// guaranteed no-op.
     ///
-    /// The steady-state case — identical node set, some nodes moved — is a
-    /// zip over the two point slices; the nodes that crossed a cell
-    /// boundary are then merged back into place in one pass over the
-    /// entries. Node churn (join/leave) re-indexes from scratch.
-    pub fn sync(&mut self, positions: Positions<'_>) -> bool {
-        if self.ids != positions.ids() {
-            self.rebuild(positions);
-            return true;
-        }
+    /// The node set is the one the last [`rebuild`](Self::rebuild)
+    /// indexed: a spatial run's nodes are fixed, so a different point
+    /// count is a caller bug and panics. The tick is a zip over the two
+    /// point slices; the nodes that crossed a cell boundary are then merged
+    /// back into place in one pass over the entries.
+    pub fn sync(&mut self, points: &[Point]) -> bool {
+        assert!(
+            points.len() == self.points.len(),
+            "sync over {} points, but the grid indexes {}: rebuild for a new node set",
+            points.len(),
+            self.points.len()
+        );
         let cell_size = self.cell_size;
         let mut changed = false;
         let mut moved = std::mem::take(&mut self.scratch.moved);
         moved.clear();
         let tracked = self.points.iter_mut().zip(&mut self.cell_of);
-        for (slot, ((old, cell), &new)) in tracked.zip(positions.points()).enumerate() {
+        for (slot, ((old, cell), &new)) in tracked.zip(points).enumerate() {
             if *old != new {
                 *old = new;
                 changed = true;
@@ -466,19 +467,21 @@ impl SpatialGrid {
         }
     }
 
-    /// The symmetric-link topology over the indexed nodes: an edge is
-    /// present when `accept(pa, pb)` holds for the candidate pair. Grid
-    /// slot is graph slot (both ascend by NodeId), so the accepted slot
-    /// pairs go straight into [`Graph::from_slot_pairs`] — no global edge
-    /// sort, and the result is content-identical to what a brute-force
-    /// all-pairs scan with the same accept predicate produces. The
-    /// simulator calls this once per observation boundary, not once per
-    /// mobility tick.
+    /// The symmetric-link topology over the indexed nodes, whose ids are
+    /// `ids` (ascending, one per slot): an edge is present when
+    /// `accept(pa, pb)` holds for the candidate pair. Grid slot is graph
+    /// slot, so the accepted slot pairs go straight into
+    /// [`Graph::from_slot_pairs`] — no global edge sort, and the result is
+    /// content-identical to what a brute-force all-pairs scan with the
+    /// same accept predicate produces. The simulator calls this once per
+    /// observation boundary, not once per mobility tick.
     pub fn rebuild_topology(
         &mut self,
+        ids: &[NodeId],
         radius: f64,
         mut accept: impl FnMut(Point, Point) -> bool,
     ) -> Graph {
+        assert!(ids.len() == self.len(), "one id per indexed slot");
         let mut pairs = std::mem::take(&mut self.scratch.pairs);
         pairs.clear();
         self.for_each_candidate_slot_pair(radius, |a, pa, b, pb| {
@@ -486,7 +489,7 @@ impl SpatialGrid {
                 pairs.push((a, b));
             }
         });
-        let graph = Graph::from_slot_pairs(self.ids.clone(), &pairs);
+        let graph = Graph::from_slot_pairs(ids.to_vec(), &pairs);
         self.scratch.pairs = pairs;
         graph
     }
@@ -530,10 +533,10 @@ mod tests {
             .collect()
     }
 
-    fn candidate_pairs(grid: &SpatialGrid, radius: f64) -> Vec<(NodeId, NodeId)> {
+    fn candidate_pairs(grid: &SpatialGrid, ids: &[NodeId], radius: f64) -> Vec<(NodeId, NodeId)> {
         let mut pairs = Vec::new();
         grid.for_each_candidate_slot_pair(radius, |a, _, b, _| {
-            let (a, b) = (grid.ids[a as usize], grid.ids[b as usize]);
+            let (a, b) = (ids[a as usize], ids[b as usize]);
             pairs.push((a.min(b), a.max(b)));
         });
         pairs.sort();
@@ -549,8 +552,8 @@ mod tests {
             (4, 10.0, 10.0), // far away
         ]);
         let mut grid = SpatialGrid::new(1.0);
-        grid.rebuild(pos.view());
-        let pairs = candidate_pairs(&grid, 1.0);
+        grid.rebuild(pos.view().points());
+        let pairs = candidate_pairs(&grid, pos.view().ids(), 1.0);
         assert!(pairs.contains(&(NodeId(1), NodeId(2))));
         assert!(pairs.contains(&(NodeId(1), NodeId(3))));
         assert!(pairs.contains(&(NodeId(2), NodeId(3))));
@@ -565,44 +568,47 @@ mod tests {
     fn sync_reports_changes_and_matches_rebuild() {
         let mut pos = grid_positions(&[(1, 0.0, 0.0), (2, 5.0, 5.0), (3, 9.0, 1.0)]);
         let mut grid = SpatialGrid::new(2.5);
-        assert!(grid.sync(pos.view()), "first sync populates the grid");
-        assert!(!grid.sync(pos.view()), "unchanged positions are a no-op");
+        grid.rebuild(pos.view().points());
+        assert!(
+            !grid.sync(pos.view().points()),
+            "unchanged positions are a no-op"
+        );
 
-        // move one node across a cell boundary: the incremental path
-        let _ = pos.upsert(NodeId(1), Point::new(4.9, 0.0));
-        assert!(grid.sync(pos.view()));
+        // move node 1 across a cell boundary: the incremental path
+        pos.split_mut().1[0] = Point::new(4.9, 0.0);
+        assert!(grid.sync(pos.view().points()));
         let mut fresh = SpatialGrid::new(2.5);
-        fresh.rebuild(pos.view());
+        fresh.rebuild(pos.view().points());
         assert_eq!(grid, fresh, "incremental sync equals a full rebuild");
-
-        // drop one, add one: churn re-indexes
-        pos.remove(NodeId(2));
-        let _ = pos.upsert(NodeId(7), Point::new(1.0, 8.0));
-        assert!(grid.sync(pos.view()));
-        fresh.rebuild(pos.view());
-        assert_eq!(grid, fresh);
     }
 
     #[test]
     fn sync_detects_intra_cell_moves() {
         let mut pos = grid_positions(&[(1, 0.1, 0.1)]);
         let mut grid = SpatialGrid::new(100.0);
-        grid.sync(pos.view());
-        let _ = pos.upsert(NodeId(1), Point::new(0.2, 0.1)); // same cell, new position
+        grid.rebuild(pos.view().points());
+        pos.split_mut().1[0] = Point::new(0.2, 0.1); // same cell, new position
         assert!(
-            grid.sync(pos.view()),
+            grid.sync(pos.view().points()),
             "a move within a cell still changes positions"
         );
-        assert_eq!(grid.positions().get(NodeId(1)), Some(Point::new(0.2, 0.1)));
-        assert_eq!(grid.positions().get(NodeId(9)), None);
+        assert_eq!(grid.points(), [Point::new(0.2, 0.1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sync over 2 points, but the grid indexes 1")]
+    fn sync_over_a_different_node_count_panics() {
+        let mut grid = SpatialGrid::new(1.0);
+        grid.rebuild(&[Point::ORIGIN]);
+        grid.sync(&[Point::ORIGIN, Point::new(2.0, 0.0)]);
     }
 
     #[test]
     fn rebuild_topology_equals_pairwise_filter() {
         let pos = grid_positions(&[(1, 0.0, 0.0), (2, 3.0, 0.0), (3, 3.0, 3.5), (4, 50.0, 50.0)]);
         let mut grid = SpatialGrid::new(4.0);
-        grid.rebuild(pos.view());
-        let g = grid.rebuild_topology(4.0, |a, b| a.distance(&b) <= 4.0);
+        grid.rebuild(pos.view().points());
+        let g = grid.rebuild_topology(pos.view().ids(), 4.0, |a, b| a.distance(&b) <= 4.0);
         assert!(g.contains_edge(NodeId(1), NodeId(2)));
         assert!(g.contains_edge(NodeId(2), NodeId(3)));
         assert!(!g.contains_edge(NodeId(1), NodeId(3))); // distance ~4.6
@@ -615,8 +621,8 @@ mod tests {
         // radius 3 with cell size 1: candidates must span 3 rings
         let pos = grid_positions(&[(1, 0.5, 0.5), (2, 3.4, 0.5)]);
         let mut grid = SpatialGrid::new(1.0);
-        grid.rebuild(pos.view());
-        let pairs = candidate_pairs(&grid, 3.0);
+        grid.rebuild(pos.view().points());
+        let pairs = candidate_pairs(&grid, pos.view().ids(), 3.0);
         assert_eq!(pairs, vec![(NodeId(1), NodeId(2))]);
     }
 
@@ -636,14 +642,14 @@ mod tests {
             })
             .collect();
         let mut grid = SpatialGrid::new(1.0);
-        grid.rebuild(pos.view());
+        grid.rebuild(pos.view().points());
         assert_eq!(grid.entry_slots.len(), 40);
         assert_eq!(grid.entry_points.len(), 40);
         assert_eq!(grid.bucket_of.len(), 40);
         assert!(grid.cells.len() <= 40);
         assert!(grid.starts.len() <= 41);
         assert_eq!(grid.cell_of.len(), 40);
-        let g = grid.rebuild_topology(1.0, |a, b| a.distance(&b) <= 1.0);
+        let g = grid.rebuild_topology(pos.view().ids(), 1.0, |a, b| a.distance(&b) <= 1.0);
         assert!(g.contains_edge(NodeId(0), NodeId(2)), "0.85 apart");
         assert!(g.contains_edge(NodeId(1), NodeId(3)));
         assert!(!g.contains_edge(NodeId(0), NodeId(1)), "a billion apart");

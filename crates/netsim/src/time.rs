@@ -25,18 +25,29 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
+
+    /// `ticks` later, or the last instant when that lies past it: the end
+    /// of a span that may outlast time itself.
+    pub fn saturating_add(self, ticks: u64) -> SimTime {
+        SimTime(self.0.saturating_add(ticks))
+    }
 }
 
+/// `ticks` later. Panics past the last instant (`u64::MAX` ticks) in every
+/// build: a wrapped instant would land behind the event queue's present.
 impl Add<u64> for SimTime {
     type Output = SimTime;
-    fn add(self, rhs: u64) -> SimTime {
-        SimTime(self.0 + rhs)
+    fn add(self, ticks: u64) -> SimTime {
+        match self.0.checked_add(ticks) {
+            Some(t) => SimTime(t),
+            None => panic!("simulated time overflows: {self} + {ticks} ticks is past u64::MAX"),
+        }
     }
 }
 
 impl AddAssign<u64> for SimTime {
-    fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
+    fn add_assign(&mut self, ticks: u64) {
+        *self = *self + ticks;
     }
 }
 
@@ -67,6 +78,18 @@ mod tests {
         assert_eq!(t - u, 0, "difference saturates");
         assert_eq!(u.since(t), 5);
         assert_eq!(t.since(u), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflows: t18446744073709551615 + 1 ticks")]
+    fn addition_past_the_last_instant_panics() {
+        let _ = SimTime(u64::MAX) + 1;
+    }
+
+    #[test]
+    fn saturating_addition_stops_at_the_last_instant() {
+        assert_eq!(SimTime(5).saturating_add(u64::MAX), SimTime(u64::MAX));
+        assert_eq!(SimTime(5).saturating_add(2), SimTime(7));
     }
 
     #[test]

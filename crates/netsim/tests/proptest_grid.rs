@@ -39,9 +39,9 @@ fn assert_queries_equal_rows(
 ) -> Result<(), TestCaseError> {
     let radio = UnitDisk::new(range);
     let linked = |a, b| radio.in_vicinity(a, b) && radio.in_vicinity(b, a);
-    let positions = grid.positions();
+    let points = grid.points();
     let mut found = Vec::new();
-    for (slot, &node) in positions.ids().iter().enumerate() {
+    for (slot, &node) in brute.ids().iter().enumerate() {
         grid.query_neighbors(slot, range, linked, &mut found);
         let slots: Vec<u32> = found.iter().map(|&(j, _)| j).collect();
         prop_assert_eq!(
@@ -51,15 +51,10 @@ fn assert_queries_equal_rows(
             node
         );
         for &(j, at) in &found {
-            prop_assert_eq!(
-                at,
-                positions.points()[j as usize],
-                "stale position for slot {}",
-                j
-            );
+            prop_assert_eq!(at, points[j as usize], "stale position for slot {}", j);
         }
     }
-    grid.query_neighbors(positions.len(), range, linked, &mut found);
+    grid.query_neighbors(points.len(), range, linked, &mut found);
     prop_assert!(found.is_empty(), "an unknown slot has no neighbours");
     Ok(())
 }
@@ -81,16 +76,11 @@ fn assert_grid_equals_brute_force(
     let radio = UnitDisk::new(range);
     let brute = all_pairs(&radio, pos.view());
     let mut grid = SpatialGrid::new(cell);
-    grid.rebuild(pos.view());
-    let via_grid = grid.rebuild_topology(range, |a, b| {
+    grid.rebuild(pos.view().points());
+    let via_grid = grid.rebuild_topology(pos.view().ids(), range, |a, b| {
         radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
     });
     prop_assert_eq!(&brute, &via_grid);
-    prop_assert_eq!(
-        via_grid.ids(),
-        grid.positions().ids(),
-        "grid slot is graph slot"
-    );
     assert_queries_equal_rows(&grid, range, &brute)
 }
 
@@ -159,52 +149,23 @@ proptest! {
         let mut pos = positions_of(pts);
         let radio = UnitDisk::new(range);
         let mut grid = SpatialGrid::new(cell);
-        grid.sync(pos.view());
+        grid.rebuild(pos.view().points());
         for deltas in steps {
             let (_, points) = pos.split_mut();
             for (i, (dx, dy)) in deltas.iter().enumerate() {
                 let p = &mut points[i % points.len()];
                 *p = Point::new((p.x + dx).clamp(-50.0, 50.0), (p.y + dy).clamp(-50.0, 50.0));
             }
-            grid.sync(pos.view());
+            grid.sync(pos.view().points());
             let mut fresh = SpatialGrid::new(cell);
-            fresh.rebuild(pos.view());
+            fresh.rebuild(pos.view().points());
             prop_assert_eq!(&grid, &fresh, "synced grid diverged from rebuild");
-            let incremental = grid.rebuild_topology(range, |a, b| {
+            let incremental = grid.rebuild_topology(pos.view().ids(), range, |a, b| {
                 radio.in_vicinity(a, b) && radio.in_vicinity(b, a)
             });
             let brute = all_pairs(&radio, pos.view());
             prop_assert_eq!(&incremental, &brute);
             assert_queries_equal_rows(&grid, range, &brute)?;
         }
-    }
-
-    /// Node churn (joins and leaves) through `sync` also converges to the
-    /// rebuilt state.
-    #[test]
-    fn sync_handles_churn(
-        pts in proptest::collection::vec((0.0f64..80.0, 0.0f64..80.0), 2..30),
-        drop_every in 2usize..5,
-        cell in 2.0f64..30.0,
-    ) {
-        let full = positions_of(pts);
-        let mut grid = SpatialGrid::new(cell);
-        prop_assert!(grid.sync(full.view()) || full.view().is_empty());
-        let reduced: PositionTable = full
-            .view()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % drop_every != 0)
-            .map(|(_, placed)| placed)
-            .collect();
-        prop_assert!(grid.sync(reduced.view()));
-        let mut fresh = SpatialGrid::new(cell);
-        fresh.rebuild(reduced.view());
-        prop_assert_eq!(&grid, &fresh);
-        // and growing back
-        prop_assert!(grid.sync(full.view()));
-        let mut fresh_full = SpatialGrid::new(cell);
-        fresh_full.rebuild(full.view());
-        prop_assert_eq!(&grid, &fresh_full);
     }
 }

@@ -486,7 +486,7 @@ impl ScenarioManifest {
             return Err(root.error("churn", message));
         }
         let protocol = parse_protocol(root.sub("protocol")?)?;
-        let mut sim = parse_sim(root.sub("sim")?, spatial)?;
+        let mut sim = parse_sim(root.sub("sim")?, &workload, mode)?;
         // a lossy disk is a unit disk under the Bernoulli channel at its
         // `loss`, which `[sim]` may not set beside it
         if let Some(loss) = radio_loss {
@@ -686,6 +686,21 @@ fn parse_topology(mut t: Table) -> Result<GraphGenerator, ParseError> {
         "edges" => GraphGenerator::Edges(parse_edges(&mut t)?),
         other => return Err(unknown(&t, "kind", other)),
     };
+    // the node count of a product-shaped topology must be a `usize`
+    let product = match spec {
+        GraphGenerator::Grid { rows, cols } => Some(("rows", "cols", rows, cols)),
+        GraphGenerator::Clustered {
+            clusters,
+            cluster_size,
+        } => Some(("clusters", "cluster_size", clusters, cluster_size)),
+        _ => None,
+    };
+    if let Some((key, by, a, b)) = product {
+        if a.checked_mul(b).is_none() {
+            let message = format!("`{key}` × `{by}` = {a} × {b} nodes overflows the node count");
+            return Err(t.error(key, message));
+        }
+    }
     t.finish()?;
     Ok(spec)
 }
@@ -943,7 +958,10 @@ fn parse_protocol(mut t: Table) -> Result<GrpConfig, ParseError> {
     Ok(spec)
 }
 
-fn parse_sim(mut t: Table, spatial: bool) -> Result<SimSpec, ParseError> {
+/// `[sim]`, whose timing a timed run (every mode but model checking) must
+/// keep inside `u64` ticks.
+fn parse_sim(mut t: Table, workload: &WorkloadSpec, mode: RunMode) -> Result<SimSpec, ParseError> {
+    let spatial = matches!(workload, WorkloadSpec::Spatial { .. });
     for key in REMOVED_SIM_KEYS {
         if t.has(key) {
             let message = format!("`{key}` was removed — the engine has one regime");
@@ -983,6 +1001,45 @@ fn parse_sim(mut t: Table, spatial: bool) -> Result<SimSpec, ParseError> {
         if value == 0 {
             return Err(t.error(key, format!("`{key}` must be at least 1")));
         }
+    }
+    // A timed run's timers must stay inside `u64` ticks. Whatever phases
+    // they draw, its last event falls by the end of the last round plus one
+    // of each timer period, the delivery delay and the contention jitter.
+    let (mobility, jitter) = match workload {
+        WorkloadSpec::Explicit(_) => (0, 0),
+        WorkloadSpec::Spatial {
+            channel: ChannelSpec::Contention(c),
+            ..
+        } => (spec.mobility_period, c.jitter),
+        WorkloadSpec::Spatial { .. } => (spec.mobility_period, 0),
+    };
+    let reach = [
+        spec.send_period,
+        spec.compute_period,
+        mobility,
+        spec.delivery_delay,
+        jitter,
+    ];
+    let end = spec.rounds.checked_mul(spec.compute_period);
+    let last = end.and_then(|end| reach.into_iter().try_fold(end, u64::checked_add));
+    if mode != RunMode::ModelCheck && last.is_none() {
+        // on the largest timing key the table sets
+        let timing = [
+            ("rounds", spec.rounds),
+            ("send_period", spec.send_period),
+            ("compute_period", spec.compute_period),
+            ("mobility_period", mobility),
+            ("delivery_delay", spec.delivery_delay),
+        ];
+        let set = timing.into_iter().filter(|(key, _)| t.has(key));
+        let key = set
+            .max_by_key(|&(_, value)| value)
+            .map_or("rounds", |(key, _)| key);
+        let message = "the run's timers pass the last simulated tick: `rounds` × \
+             `compute_period` plus one `send_period`, `compute_period`, `mobility_period` \
+             (spatial workloads), `delivery_delay` and contention `jitter` must not exceed \
+             18446744073709551615 ticks";
+        return Err(t.error(key, message));
     }
     t.finish()?;
     Ok(spec)
@@ -2431,6 +2488,105 @@ replay = "campaigns/worst.txt"
             let input = mc(n, &format!("[modelcheck]\nstart = \"{start}\"\n"));
             ScenarioManifest::parse(&input).expect("enough nodes");
         }
+    }
+
+    /// Timers past `u64::MAX` ticks used to wrap behind the event queue's
+    /// present and hang the run; both timed modes reject them on the
+    /// largest timing key, while a run that fits still parses.
+    #[test]
+    fn timers_past_the_last_tick_are_a_located_error() {
+        // TOML integers stop at i64::MAX = 2⁶³ − 1
+        const MAX: u64 = i64::MAX as u64;
+        const Q: u64 = 1 << 62;
+        let manifest = |mode: &str, sim: &str| {
+            format!(
+                "name = \"t\"\nmode = \"{mode}\"\n[topology]\nkind = \"path\"\nn = 2\n[sim]\n{sim}"
+            )
+        };
+        let hang = format!("rounds = 3\nsend_period = {MAX}\ncompute_period = {MAX}\n");
+        for mode in ["simulate", "campaign"] {
+            for (sim, line, key) in [
+                (hang.clone(), 9, "compute_period"),
+                (format!("rounds = {MAX}\n"), 7, "rounds"),
+                (
+                    format!(
+                        "rounds = 2\ncompute_period = {Q}\ndelivery_delay = {}\n",
+                        Q - 250
+                    ),
+                    8,
+                    "compute_period",
+                ),
+            ] {
+                let err = ScenarioManifest::parse(&manifest(mode, &sim))
+                    .expect_err(key)
+                    .0;
+                assert!(
+                    err.starts_with(&format!("line {line}: [sim]: "))
+                        && err.contains("last simulated tick"),
+                    "{mode}, {key}: got `{err}`"
+                );
+            }
+            // 2 rounds of Q, one send period (250) and one compute period
+            // end at 3Q + 250, and Q − 251 more is the last tick
+            let fits = format!(
+                "rounds = 2\ncompute_period = {Q}\ndelivery_delay = {}\n",
+                Q - 251
+            );
+            ScenarioManifest::parse(&manifest(mode, &fits)).expect("the last timer fits");
+        }
+        // the model checker runs no timers
+        ScenarioManifest::parse(&manifest("modelcheck", &hang)).expect("untimed");
+    }
+
+    /// A spatial run adds one mobility period and the contention jitter.
+    #[test]
+    fn spatial_timers_count_mobility_and_jitter() {
+        let spatial = |radio: &str, sim: &str| {
+            format!(
+                "name = \"s\"\n[mobility]\nkind = \"stationary_line\"\nn = 3\nspacing = 5.0\n\
+                 [radio]\nkind = \"unit_disk\"\nrange = 6.0\n{radio}[sim]\nrounds = 1\n{sim}"
+            )
+        };
+        // one round of 2⁶², one send (250), compute (2⁶²) and mobility
+        // (1000) period end at 2⁶³ + 1250: 2⁶³ − 1251 more is the last tick
+        let sim = |delay: u64| {
+            format!(
+                "compute_period = {}\ndelivery_delay = {delay}\n",
+                1u64 << 62
+            )
+        };
+        let edge = (1 << 63) - 1251;
+        let parse = |radio: &str, sim: &str| ScenarioManifest::parse(&spatial(radio, sim));
+        parse("", &sim(edge)).expect("fits");
+        let err = parse("", &sim(edge + 1)).expect_err("past").0;
+        assert!(err.starts_with("line 12: [sim]: "), "got `{err}`");
+        let jitter = "model = \"contention\"\njitter = 1\n";
+        let err = parse(jitter, &sim(edge)).expect_err("jitter").0;
+        assert!(err.starts_with("line 14: [sim]: "), "got `{err}`");
+    }
+
+    /// `rows × cols` and `clusters × cluster_size` must count in a `usize`.
+    #[test]
+    fn topology_sizes_past_usize_are_a_located_error() {
+        let topology = |body: &str| format!("name = \"g\"\n[topology]\n{body}");
+        for (body, key) in [
+            (
+                "kind = \"grid\"\nrows = 9223372036854775807\ncols = 3\n",
+                "rows",
+            ),
+            (
+                "kind = \"clustered\"\nclusters = 4294967296\ncluster_size = 4294967296\n",
+                "clusters",
+            ),
+        ] {
+            let err = ScenarioManifest::parse(&topology(body)).expect_err(key).0;
+            assert!(
+                err.starts_with("line 4: [topology]: ") && err.contains("overflows the node count"),
+                "{key}: got `{err}`"
+            );
+        }
+        let fits = topology("kind = \"grid\"\nrows = 9223372036854775807\ncols = 2\n");
+        ScenarioManifest::parse(&fits).expect("2⁶⁴ − 2 nodes count");
     }
 
     #[test]

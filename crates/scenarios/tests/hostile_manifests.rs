@@ -18,7 +18,7 @@ const MUTATIONS_PER_FILE: usize = 1_000;
 /// value-level ones.
 const BUILT_MUTATIONS_PER_MANIFEST: usize = 20;
 /// The values every numeric `key = v` line is rewritten to.
-const HOSTILE_VALUES: [&str; 4] = ["0", "-1", "0.0", "-1.0"];
+const HOSTILE_VALUES: [&str; 5] = ["0", "-1", "0.0", "-1.0", "9223372036854775807"];
 
 fn mutate(text: &[u8], rng: &mut ChaCha8Rng) -> Vec<u8> {
     let mut bytes = text.to_vec();
